@@ -8,7 +8,6 @@
 //! (bdrmapIT role), to hostnames (Rapid7 rDNS), and to metros (Hoiho + IXP
 //! prefixes), filling `ip_asn_dns`.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
@@ -71,8 +70,7 @@ pub struct ProbeInfo {
 /// Ingests the physical layer of one snapshot: `phys_nodes` rows from
 /// Internet Atlas and PeeringDB facilities (standardized by spatial join),
 /// and `phys_conn` rows from Atlas edges routed along rights-of-way.
-/// Returns the Atlas node→metro and facility→metro maps the logical-layer
-/// ingestion needs.
+/// Returns the facility→metro map the logical-layer ingestion needs.
 fn load_physical(
     db: &Database,
     metros: &MetroRegistry,
@@ -83,11 +81,10 @@ fn load_physical(
     pdb_facilities: &[PdbFacility],
     date: &str,
     replay_warm_hits: bool,
-) -> (HashMap<String, usize>, HashMap<u32, usize>) {
+) -> HashMap<u32, usize> {
     // Spatial joins are embarrassingly parallel; row insertion stays
     // serial and in input order so the loaded tables are byte-identical
     // regardless of worker count.
-    let _span = igdb_obs::span("build.physical");
     let join_span = igdb_obs::span("physical.spatial_join");
     let atlas_assignments = match partition {
         Some(part) => shard::sharded_map(part, atlas_nodes, |n| n.loc, |n| metros.metro_of(&n.loc)),
@@ -273,7 +270,7 @@ fn load_physical(
         )
         .expect("phys_conn row");
     }
-    (atlas_node_metro, fac_metro)
+    fac_metro
 }
 
 /// Reads the distinct physical path pairs for one snapshot date.
@@ -305,8 +302,8 @@ pub struct Igdb {
     /// across a delta apply, so unchanged atlas links never re-route.
     pub roads: Arc<RoadGraph>,
     /// Shared: a delta apply whose IP-resolution inputs are untouched
-    /// (see [`crate::delta::IP_RESOLUTION_INPUTS`]) reuses the trained
-    /// border map by reference instead of re-refining it.
+    /// (see [`SnapshotDelta::ip_inputs_clean`]) reuses the trained border
+    /// map by reference instead of re-refining it.
     pub bdrmap: Arc<BdrMap>,
     /// Shared on the same condition as `bdrmap`.
     pub hoiho: Arc<HoihoEngine>,
@@ -356,14 +353,6 @@ fn compact_tables(db: &Database) {
     // Also hand the stage's freed scratch back to the OS, so the next
     // stage's working set doesn't stack on retained-but-dead pages.
     igdb_obs::trim_heap();
-}
-
-/// Hands one screened source back the moment its last stage has consumed
-/// it. For `Cow::Owned` sources (scratch builds) this frees the records
-/// mid-build, so peak RSS tracks the stages still running rather than the
-/// whole input set; for borrowed sources it is a free no-op.
-fn release<T: Clone>(source: &mut Cow<'_, [T]>) {
-    *source = Cow::Borrowed(&[]);
 }
 
 /// Deterministic counters as a map, for per-stage bracketing.
@@ -445,6 +434,747 @@ impl LedgerRecorder {
     }
 }
 
+/// Whether the finished world keeps the screened sources as the baseline
+/// a later [`Igdb::apply_delta`] diffs against.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Baseline {
+    /// Every source stays to the end and becomes the baseline (borrowed
+    /// ones are copied only then, owned ones move).
+    Keep,
+    /// Each source is let go the moment its last consumer has finished.
+    Drop,
+}
+
+/// A side product of an earlier stage.
+fn made<T>(product: &Option<Arc<T>>) -> &T {
+    product
+        .as_deref()
+        .expect("stages run in Stage::ALL order")
+}
+
+/// Label resolver for sources that publish only text locations.
+#[derive(Default)]
+struct Labels {
+    name_to_metro: HashMap<String, usize>,
+    code_to_metro: HashMap<String, usize>,
+}
+
+impl Labels {
+    fn new(metros: &MetroRegistry, geo_codes: &[(String, usize)]) -> Self {
+        Labels {
+            name_to_metro: metros
+                .metros()
+                .iter()
+                .map(|m| (m.name.to_ascii_lowercase(), m.id))
+                .collect(),
+            code_to_metro: geo_codes.iter().cloned().collect(),
+        }
+    }
+
+    fn resolve(&self, label: &str) -> Option<usize> {
+        let lower = label.to_ascii_lowercase();
+        if let Some(&m) = self.name_to_metro.get(&lower) {
+            return Some(m);
+        }
+        if let Some(head) = lower.split(',').next() {
+            if let Some(&m) = self.name_to_metro.get(head.trim()) {
+                return Some(m);
+            }
+        }
+        self.code_to_metro.get(&lower).copied()
+    }
+}
+
+/// One build in flight: the database being filled plus the side products
+/// stages hand to later stages, or to the finished [`Igdb`], beyond what
+/// their tables carry. Each stage contributes a `run_*` body (it is dirty,
+/// or there is no prior) and, where it owns a side product, an arm of
+/// [`Pipeline::share`] (its tables were copied from the prior).
+#[derive(Default)]
+struct Pipeline<'a> {
+    /// The world being updated and its diff against the new sources;
+    /// `None` for a full build.
+    prior: Option<(&'a Igdb, &'a SnapshotDelta)>,
+    date: String,
+    db: Database,
+    metros: Option<Arc<MetroRegistry>>,
+    /// Planet-scale worlds group the per-metro stages by spatial shard
+    /// (see `crate::shard`); smaller worlds keep the flat per-record
+    /// split. Either way the output is byte-identical — the partition
+    /// only changes which worker touches which region.
+    partition: Option<SpatialPartition>,
+    roads: Option<Arc<RoadGraph>>,
+    fac_metro: HashMap<u32, usize>,
+    labels: Labels,
+    net_asn: HashMap<u32, Asn>,
+    ixp_metro: HashMap<u32, usize>,
+    ixp_prefix_metro: Vec<(Prefix, usize)>,
+    asn_metros: HashMap<Asn, BTreeSet<usize>>,
+    probes: HashMap<u32, ProbeInfo>,
+    bdrmap: Option<Arc<BdrMap>>,
+    hoiho: Option<Arc<HoihoEngine>>,
+    rdns: HashMap<Ip4, igdb_db::Str>,
+    ip_info: HashMap<Ip4, IpInfo>,
+}
+
+impl<'a> Pipeline<'a> {
+    fn new(date: &str, prior: Option<(&'a Igdb, &'a SnapshotDelta)>) -> Self {
+        let db = Database::new();
+        for (name, sch) in schema::all_relations() {
+            db.create_table(name, sch).expect("fresh database");
+        }
+        Pipeline {
+            prior,
+            date: date.to_string(),
+            db,
+            ..Default::default()
+        }
+    }
+
+    /// Re-runs `stage` on the new sources — exactly the code a full build
+    /// runs, so on identical inputs it reproduces identical rows and
+    /// counters.
+    fn run(&mut self, stage: Stage, snaps: &CleanSnapshots<'_>) {
+        match stage {
+            Stage::Metros => self.run_metros(snaps),
+            Stage::Roads => {
+                let roads = RoadGraph::build(made(&self.metros).len(), &snaps.roads);
+                self.roads = Some(Arc::new(roads));
+            }
+            Stage::CityTables => self.run_city_tables(),
+            Stage::Physical => self.run_physical(snaps),
+            Stage::Telegeo => self.run_telegeo(snaps),
+            Stage::Logical => self.run_logical(snaps),
+            Stage::AsnLoc => self.run_asn_loc(snaps),
+            Stage::Probes => self.run_probes(snaps),
+            Stage::Traceroutes => self.run_traceroutes(snaps),
+            Stage::IpResolution => self.run_ip_resolution(snaps),
+        }
+    }
+
+    /// Takes from `world` what `stage` leaves for later stages beyond its
+    /// tables (the driver has copied those and replayed the ledger). Must
+    /// not tick deterministic counters: the replay already accounts the
+    /// originals, so recomputed products stay serial (`igdb_par` ticks
+    /// `par.*`) and pure.
+    fn share(&mut self, stage: Stage, world: &Igdb, snaps: &CleanSnapshots<'_>) {
+        match stage {
+            Stage::Metros => self.set_metros(Arc::clone(&world.metros)),
+            // Reusing the road graph keeps its memoized corridors warm.
+            Stage::Roads => self.roads = Some(Arc::clone(&world.roads)),
+            // The facility→metro join is pure (exact nearest-site
+            // queries), so recomputing it cannot diverge from the copied
+            // rows.
+            Stage::Physical => {
+                let metros = made(&self.metros);
+                self.fac_metro = snaps
+                    .pdb_facilities
+                    .iter()
+                    .filter_map(|f| metros.metro_of(&f.loc).map(|m| (f.fac_id, m)))
+                    .collect();
+            }
+            Stage::Logical => {
+                self.logical_products(snaps);
+            }
+            Stage::AsnLoc => self.asn_metros = world.asn_metros.clone(),
+            Stage::Probes => self.probes = world.probes.clone(),
+            Stage::IpResolution => {
+                self.bdrmap = Some(Arc::clone(&world.bdrmap));
+                self.hoiho = Some(Arc::clone(&world.hoiho));
+                self.rdns = world.rdns.clone();
+                self.ip_info = world.ip_info.clone();
+            }
+            Stage::CityTables | Stage::Telegeo | Stage::Traceroutes => {}
+        }
+    }
+
+    fn set_metros(&mut self, metros: Arc<MetroRegistry>) {
+        self.partition = shard::shards_enabled(metros.len()).then(|| {
+            let locs: Vec<GeoPoint> = metros.metros().iter().map(|m| m.loc).collect();
+            SpatialPartition::over_metros(&locs)
+        });
+        self.metros = Some(metros);
+    }
+
+    fn run_metros(&mut self, snaps: &CleanSnapshots<'_>) {
+        let metros = match self.prior.filter(|(_, delta)| delta.metro_append_only) {
+            // Append-only metro growth: the old places are a prefix of
+            // the new, so ids are stable and extending the registry
+            // (R-tree inserts) answers every spatial join identically to
+            // a rebuilt one.
+            Some((world, _)) => world
+                .metros
+                .extended(&snaps.natural_earth[world.snapshots.natural_earth.len()..]),
+            None => MetroRegistry::build(&snaps.natural_earth),
+        };
+        // Thiessen cells materialize lazily, and whether that fires later
+        // depends on cache warmth: a delta apply sharing a warm registry
+        // would skip the compute ticks a cold rebuild emits, tearing the
+        // deterministic counter stream. Forcing them here pins the ticks
+        // inside this stage's ledger entry — sharing replays them — and
+        // wastes nothing: `city_polygons` needs every cell anyway.
+        metros.polygons();
+        self.set_metros(Arc::new(metros));
+    }
+
+    /// `city_points` / `city_polygons`.
+    fn run_city_tables(&mut self) {
+        let (db, date, metros) = (&self.db, &self.date, made(&self.metros));
+        for m in metros.metros() {
+            db.insert(
+                "city_points",
+                vec![
+                    Value::from(m.id),
+                    Value::text(&m.name),
+                    Value::text(&m.state),
+                    Value::text(&m.country),
+                    Value::Float(m.loc.lat),
+                    Value::Float(m.loc.lon),
+                    Value::from(m.population as i64),
+                    Value::text("natural_earth"),
+                    Value::text(date),
+                ],
+            )
+            .expect("city_points row");
+        }
+        for (m, poly) in metros.metros().iter().zip(metros.polygons()) {
+            let wkt = if poly.exterior.is_empty() {
+                "POLYGON EMPTY".to_string()
+            } else {
+                to_wkt(&Geometry::Polygon(poly.clone()))
+            };
+            db.insert(
+                "city_polygons",
+                vec![
+                    Value::from(m.id),
+                    Value::text(&m.name),
+                    Value::text(&m.state),
+                    Value::text(&m.country),
+                    Value::text(wkt),
+                    Value::text("igdb_thiessen"),
+                    Value::text(date),
+                ],
+            )
+            .expect("city_polygons row");
+        }
+    }
+
+    /// `phys_nodes` / `phys_conn` (shared with snapshot refresh).
+    fn run_physical(&mut self, snaps: &CleanSnapshots<'_>) {
+        self.fac_metro = load_physical(
+            &self.db,
+            made(&self.metros),
+            made(&self.roads),
+            self.partition.as_ref(),
+            &snaps.atlas_nodes,
+            &snaps.atlas_links,
+            &snaps.pdb_facilities,
+            &self.date,
+            true,
+        );
+    }
+
+    /// `land_points` / `sub_cables` from Telegeography. Landing-point
+    /// spatial joins fan out in parallel; inserts stay serial and in input
+    /// order (see `load_physical`).
+    fn run_telegeo(&mut self, snaps: &CleanSnapshots<'_>) {
+        let (db, date, metros) = (&self.db, &self.date, made(&self.metros));
+        let landing_locs: Vec<&GeoPoint> = snaps
+            .telegeo
+            .iter()
+            .flat_map(|c| c.landings.iter().map(|(_, _, loc)| loc))
+            .collect();
+        let landing_assignments = igdb_par::par_map(&landing_locs, |loc| metros.metro_of(loc));
+        let mut landing_iter = landing_assignments.into_iter();
+        for c in snaps.telegeo.iter() {
+            for (lname, _, loc) in &c.landings {
+                let Some(mid) = landing_iter.next().expect("one assignment per landing") else {
+                    continue;
+                };
+                db.insert(
+                    "land_points",
+                    vec![
+                        Value::from(c.cable_id),
+                        Value::text(lname),
+                        Value::from(mid),
+                        Value::text(metros.metro(mid).label()),
+                        Value::text(&metros.metro(mid).country),
+                        Value::Float(loc.lat),
+                        Value::Float(loc.lon),
+                        Value::text("telegeography"),
+                        Value::text(date),
+                    ],
+                )
+                .expect("land_points row");
+            }
+            let mls =
+                MultiLineString::new(c.segments.iter().cloned().map(LineString::new).collect());
+            db.insert(
+                "sub_cables",
+                vec![
+                    Value::from(c.cable_id),
+                    Value::text(&c.name),
+                    Value::text(c.owners.join("; ")),
+                    Value::Float(mls.length_km()),
+                    Value::text(to_wkt(&Geometry::MultiLineString(mls))),
+                    Value::text("telegeography"),
+                    Value::text(date),
+                ],
+            )
+            .expect("sub_cables row");
+        }
+    }
+
+    /// What `Logical` leaves for later stages beyond its tables: the
+    /// label resolver, the network→ASN map and the IXP maps. All are pure
+    /// functions of the sources, so a shared stage computes them beside
+    /// its copied tables. Returns each `pdb_ix` record's metro, in input
+    /// order (`None` where the city label does not resolve).
+    fn logical_products(&mut self, snaps: &CleanSnapshots<'_>) -> Vec<Option<usize>> {
+        self.labels = Labels::new(made(&self.metros), &snaps.geo_codes);
+        self.net_asn = snaps
+            .pdb_networks
+            .iter()
+            .map(|n| (n.net_id, n.asn))
+            .collect();
+        let ix_metros: Vec<Option<usize>> = snaps
+            .pdb_ix
+            .iter()
+            .map(|ix| self.labels.resolve(&ix.city_label))
+            .collect();
+        for (ix, mid) in snaps.pdb_ix.iter().zip(&ix_metros) {
+            if let &Some(mid) = mid {
+                self.ixp_metro.insert(ix.ix_id, mid);
+                self.ixp_prefix_metro.push((ix.prefix, mid));
+            }
+        }
+        ix_metros
+    }
+
+    /// Logical names `asn_name` / `asn_org` (inconsistencies kept),
+    /// `asn_conn`, and the IXP prefixes.
+    fn run_logical(&mut self, snaps: &CleanSnapshots<'_>) {
+        let ix_metros = self.logical_products(snaps);
+        let (db, date, metros) = (&self.db, &self.date, made(&self.metros));
+        for e in snaps.asrank_entries.iter() {
+            db.insert(
+                "asn_name",
+                vec![
+                    Value::from(e.asn.0),
+                    Value::text(&e.as_name),
+                    Value::text("asrank"),
+                    Value::text(date),
+                ],
+            )
+            .expect("asn_name row");
+            db.insert(
+                "asn_org",
+                vec![
+                    Value::from(e.asn.0),
+                    Value::text(&e.org),
+                    Value::text("asrank"),
+                    Value::text(date),
+                ],
+            )
+            .expect("asn_org row");
+        }
+        for n in snaps.pdb_networks.iter() {
+            db.insert(
+                "asn_name",
+                vec![
+                    Value::from(n.asn.0),
+                    Value::text(&n.as_name),
+                    Value::text("peeringdb"),
+                    Value::text(date),
+                ],
+            )
+            .expect("asn_name row");
+            db.insert(
+                "asn_org",
+                vec![
+                    Value::from(n.asn.0),
+                    Value::text(&n.org),
+                    Value::text("peeringdb"),
+                    Value::text(date),
+                ],
+            )
+            .expect("asn_org row");
+        }
+        let mut pch_orgs: BTreeSet<(u32, String)> = BTreeSet::new();
+        for x in snaps.pch_ixps.iter() {
+            for (asn, org) in x.member_asns.iter().zip(&x.member_orgs) {
+                pch_orgs.insert((asn.0, org.clone()));
+            }
+        }
+        for (asn, org) in pch_orgs {
+            db.insert(
+                "asn_org",
+                vec![
+                    Value::from(asn),
+                    Value::text(org),
+                    Value::text("pch"),
+                    Value::text(date),
+                ],
+            )
+            .expect("asn_org row");
+        }
+        for &(a, b) in snaps.asrank_links.iter() {
+            db.insert(
+                "asn_conn",
+                vec![
+                    Value::from(a.0),
+                    Value::from(b.0),
+                    Value::text("asrank"),
+                    Value::text(date),
+                ],
+            )
+            .expect("asn_conn row");
+        }
+        for (ix, mid) in snaps.pdb_ix.iter().zip(ix_metros) {
+            let Some(mid) = mid else {
+                continue;
+            };
+            db.insert(
+                "ixp_prefixes",
+                vec![
+                    Value::text(&ix.name),
+                    Value::text(ix.prefix.to_string()),
+                    Value::from(mid),
+                    Value::text(metros.metro(mid).label()),
+                    Value::text("peeringdb"),
+                    Value::text(date),
+                ],
+            )
+            .expect("ixp_prefixes row");
+        }
+    }
+
+    /// `asn_loc`: facilities, IXP memberships, PCH echoes —
+    /// (asn, metro, source) → remote flag, deduped.
+    fn run_asn_loc(&mut self, snaps: &CleanSnapshots<'_>) {
+        let (db, date, metros) = (&self.db, &self.date, made(&self.metros));
+        let mut netfac_metros: HashMap<Asn, BTreeSet<usize>> = HashMap::new();
+        for nf in snaps.pdb_netfac.iter() {
+            let (Some(&asn), Some(&mid)) =
+                (self.net_asn.get(&nf.net_id), self.fac_metro.get(&nf.fac_id))
+            else {
+                continue;
+            };
+            netfac_metros.entry(asn).or_default().insert(mid);
+        }
+        let mut asn_loc_rows: BTreeMap<(u32, usize, &'static str), bool> = BTreeMap::new();
+        for (&asn, mids) in &netfac_metros {
+            for &mid in mids {
+                asn_loc_rows.insert((asn.0, mid, "peeringdb_fac"), false);
+            }
+        }
+        // Remote-peering inference (§3.3): an IX member with no declared
+        // facility in the metro, whose nearest declared facility is far.
+        let is_remote = |asn: Asn, mid: usize| -> bool {
+            match netfac_metros.get(&asn) {
+                Some(mids) if mids.contains(&mid) => false,
+                Some(mids) => {
+                    let here = metros.metro(mid).loc;
+                    let nearest = mids
+                        .iter()
+                        .map(|&m| igdb_geo::haversine_km(&here, &metros.metro(m).loc))
+                        .fold(f64::INFINITY, f64::min);
+                    nearest > 1000.0
+                }
+                None => false, // nothing declared anywhere: cannot say
+            }
+        };
+        for nix in snaps.pdb_netix.iter() {
+            let (Some(&asn), Some(&mid)) =
+                (self.net_asn.get(&nix.net_id), self.ixp_metro.get(&nix.ix_id))
+            else {
+                continue;
+            };
+            let remote = is_remote(asn, mid);
+            asn_loc_rows
+                .entry((asn.0, mid, "peeringdb_ix"))
+                .and_modify(|r| *r = *r && remote)
+                .or_insert(remote);
+        }
+        for x in snaps.pch_ixps.iter() {
+            let Some(mid) = self.labels.resolve(&x.city_label) else {
+                continue;
+            };
+            for &asn in &x.member_asns {
+                let remote = is_remote(asn, mid);
+                asn_loc_rows
+                    .entry((asn.0, mid, "pch"))
+                    .and_modify(|r| *r = *r && remote)
+                    .or_insert(remote);
+            }
+        }
+        for ((asn, mid, source), remote) in &asn_loc_rows {
+            db.insert(
+                "asn_loc",
+                vec![
+                    Value::from(*asn),
+                    Value::from(*mid),
+                    Value::text(metros.metro(*mid).label()),
+                    Value::text(&metros.metro(*mid).country),
+                    Value::Bool(*remote),
+                    Value::Bool(false),
+                    Value::text(*source),
+                    Value::text(date),
+                ],
+            )
+            .expect("asn_loc row");
+        }
+        for (asn, mid, _) in asn_loc_rows.keys() {
+            self.asn_metros.entry(Asn(*asn)).or_default().insert(*mid);
+        }
+    }
+
+    /// `probes`. Anchor spatial joins fan out in parallel; inserts stay
+    /// serial and in input order (see `load_physical`).
+    fn run_probes(&mut self, snaps: &CleanSnapshots<'_>) {
+        let metros = made(&self.metros);
+        let anchor_assignments = match self.partition.as_ref() {
+            Some(part) => shard::sharded_map(
+                part,
+                &snaps.ripe_anchors[..],
+                |a| a.loc,
+                |a| metros.metro_of(&a.loc),
+            ),
+            None => igdb_par::par_map(&snaps.ripe_anchors[..], |a| metros.metro_of(&a.loc)),
+        };
+        for (a, mid) in snaps.ripe_anchors.iter().zip(anchor_assignments) {
+            let Some(mid) = mid else {
+                continue;
+            };
+            self.probes.insert(
+                a.id,
+                ProbeInfo {
+                    ip: a.ip,
+                    asn: a.asn,
+                    metro: mid,
+                },
+            );
+            self.db
+                .insert(
+                    "probes",
+                    vec![
+                        Value::from(a.id),
+                        Value::text(a.ip.to_string()),
+                        Value::from(a.asn.0),
+                        Value::from(mid),
+                        Value::text(metros.metro(mid).label()),
+                        Value::Float(a.loc.lat),
+                        Value::Float(a.loc.lon),
+                        Value::text("ripe_atlas"),
+                        Value::text(&self.date),
+                    ],
+                )
+                .expect("probes row");
+        }
+    }
+
+    /// `traceroutes`: one row per hop.
+    fn run_traceroutes(&mut self, snaps: &CleanSnapshots<'_>) {
+        for tr in snaps.ripe_traceroutes.iter() {
+            for h in &tr.hops {
+                self.db
+                    .insert(
+                        "traceroutes",
+                        vec![
+                            Value::from(tr.src_anchor),
+                            Value::from(tr.dst_anchor),
+                            Value::from(h.ttl as i64),
+                            match h.ip {
+                                Some(ip) => Value::text(ip.to_string()),
+                                None => Value::Null,
+                            },
+                            Value::Float(h.rtt_ms),
+                            Value::text("ripe_atlas"),
+                            Value::text(&self.date),
+                        ],
+                    )
+                    .expect("traceroutes row");
+            }
+        }
+    }
+
+    /// `ip_asn_dns`: IP → AS (bdrmap), → FQDN (rDNS), → metro (Hoiho /
+    /// IXP prefix).
+    fn run_ip_resolution(&mut self, snaps: &CleanSnapshots<'_>) {
+        let (db, date, metros) = (&self.db, &self.date, made(&self.metros));
+        let bdr_span = igdb_obs::span("ip_resolution.bdrmap");
+        let rib: Vec<(Prefix, Asn)> = snaps
+            .bgp_prefixes
+            .iter()
+            .map(|r| (r.prefix, r.origin))
+            .collect();
+        let ixp_lans: Vec<Prefix> = self.ixp_prefix_metro.iter().map(|&(p, _)| p).collect();
+        let mut bdrmap = BdrMap::new(&rib, &ixp_lans);
+        let ip_sequences: Vec<Vec<Ip4>> = snaps
+            .ripe_traceroutes
+            .iter()
+            .map(|t| t.hops.iter().filter_map(|h| h.ip).collect())
+            .collect();
+        bdrmap.refine(&ip_sequences);
+        drop(bdr_span);
+
+        let rdns: HashMap<Ip4, igdb_db::Str> = snaps
+            .rdns
+            .iter()
+            .map(|r| (r.ip, igdb_db::Str::new(&r.hostname)))
+            .collect();
+        let hoiho_span = igdb_obs::span("ip_resolution.hoiho");
+        let (hoiho, _skipped) = HoihoEngine::build(&snaps.hoiho_rules, &snaps.geo_codes, metros);
+        drop(hoiho_span);
+
+        let mut observed: BTreeSet<Ip4> = BTreeSet::new();
+        for seq in &ip_sequences {
+            observed.extend(seq.iter().copied());
+        }
+        // Per-address resolution (bdrmap LPM, rDNS, anycast scan, IXP
+        // prefix scan, Hoiho geolocation) is read-only against the built
+        // indexes and fans out in parallel; row insertion stays serial in
+        // sorted-address order so `ip_asn_dns` is byte-identical at any
+        // worker count.
+        let observed: Vec<Ip4> = observed.into_iter().collect();
+        igdb_obs::counter("build.observed_ips", "", observed.len() as u64);
+        let resolve_span = igdb_obs::span("ip_resolution.resolve");
+        let resolved = igdb_par::par_map(&observed, |&ip| {
+            let asn = bdrmap.resolve(ip).asn();
+            let fqdn = rdns.get(&ip).cloned();
+            let anycast = snaps.anycast_prefixes.iter().any(|p| p.contains(ip));
+            let ixp_hit = self
+                .ixp_prefix_metro
+                .iter()
+                .find(|(p, _)| p.contains(ip))
+                .map(|&(_, m)| m);
+            let (metro, geo_source) = if let Some(mid) = ixp_hit {
+                (Some(mid), Some(LocationSource::IxpPrefix))
+            } else if anycast {
+                // An anycast address has no single location; per §5 it is
+                // annotated instead of pinned (Hoiho would see just one
+                // of its instances).
+                (None, None)
+            } else if let Some(h) = fqdn.as_deref() {
+                match hoiho.geolocate(h) {
+                    Some(m) => (Some(m), Some(LocationSource::Hoiho)),
+                    None => (None, None),
+                }
+            } else {
+                (None, None)
+            };
+            (asn, fqdn, anycast, metro, geo_source)
+        });
+        drop(resolve_span);
+        for (&ip, (asn, fqdn, anycast, metro, geo_source)) in observed.iter().zip(resolved) {
+            if let Some(g) = geo_source {
+                igdb_obs::counter("build.ip_geolocated", g.tag(), 1);
+            }
+            db.insert(
+                "ip_asn_dns",
+                vec![
+                    Value::text(ip.to_string()),
+                    asn.map(|a| Value::from(a.0)).unwrap_or(Value::Null),
+                    fqdn.clone().map(Value::Text).unwrap_or(Value::Null),
+                    metro.map(Value::from).unwrap_or(Value::Null),
+                    metro
+                        .map(|m| Value::text(metros.metro(m).label()))
+                        .unwrap_or(Value::Null),
+                    Value::text(geo_source.map(|g| g.tag()).unwrap_or("none")),
+                    Value::Bool(anycast),
+                    Value::text("igdb_pipeline"),
+                    Value::text(date),
+                ],
+            )
+            .expect("ip_asn_dns row");
+            self.ip_info.insert(
+                ip,
+                IpInfo {
+                    asn,
+                    fqdn,
+                    metro,
+                    geo_source,
+                    anycast,
+                },
+            );
+        }
+        self.bdrmap = Some(Arc::new(bdrmap));
+        self.hoiho = Some(Arc::new(hoiho));
+        self.rdns = rdns;
+    }
+
+    /// Indexes the hot keys, emits the row totals, and assembles the world
+    /// around `snapshots` (the baseline, empty when none was kept).
+    fn finish(
+        self,
+        snapshots: SnapshotSet,
+        stage_ledger: Vec<Vec<(String, String, u64)>>,
+    ) -> Igdb {
+        let db = self.db;
+        {
+            let _s = igdb_obs::span("build.index");
+            for (table, col) in [
+                ("asn_loc", "asn"),
+                ("asn_name", "asn"),
+                ("asn_org", "asn"),
+                ("asn_conn", "from_asn"),
+                ("phys_nodes", "metro_id"),
+                ("ip_asn_dns", "ip"),
+            ] {
+                db.with_table_mut(table, |t| t.create_index(col))
+                    .expect("table exists")
+                    .expect("column exists");
+            }
+        }
+
+        // Final per-relation row totals: these are exactly what `igdb
+        // tables` / the BuildReport consumer sees, so the CLI can assert
+        // the metrics stream agrees with the database it just wrote.
+        for table in db.table_names() {
+            let rows = db.row_count(&table).unwrap_or(0);
+            igdb_obs::counter("build.rows", table, rows as u64);
+        }
+
+        // Perf-class (machine-dependent), so the deterministic stream is
+        // untouched; `igdb metrics` and benches read it back.
+        igdb_obs::record_peak_rss("build");
+
+        Igdb {
+            phys_pairs: phys_pairs_for(&db, &self.date),
+            db,
+            metros: self.metros.expect("Metros ran"),
+            roads: self.roads.expect("Roads ran"),
+            bdrmap: self.bdrmap.expect("IpResolution ran"),
+            hoiho: self.hoiho.expect("IpResolution ran"),
+            as_of_date: self.date,
+            ip_info: self.ip_info,
+            rdns: self.rdns,
+            asn_metros: self.asn_metros,
+            probes: self.probes,
+            phys_graph: OnceLock::new(),
+            phys_geoms: OnceLock::new(),
+            snapshots,
+            stage_ledger,
+            appended: false,
+        }
+    }
+}
+
+/// Replays one stage's recorded deterministic-counter deltas.
+fn replay_stage(ledger: &[Vec<(String, String, u64)>], stage: Stage) {
+    for (name, label, v) in &ledger[stage as usize] {
+        igdb_obs::counter(name.clone(), label.clone(), *v);
+    }
+}
+
+/// Copies `names` verbatim from `src` into `dst`.
+fn copy_tables(dst: &Database, src: &Database, names: &[&str]) {
+    for name in names {
+        let table = src.with_table(name, |t| t.clone()).expect("table exists");
+        dst.replace_table(name, table);
+    }
+}
+
 impl Igdb {
     /// Runs the full pipeline over one snapshot set, requiring it to be
     /// pristine. Equivalent to [`Igdb::try_build`] under
@@ -477,32 +1207,8 @@ impl Igdb {
         policy: &BuildPolicy,
     ) -> Result<(Igdb, BuildReport), BuildError> {
         let _span = igdb_obs::span("pipeline");
-        let (mut clean, report) = Self::screen(snaps, policy)?;
-        Ok((Self::build_validated(&mut clean), report))
-    }
-
-    /// Like [`Igdb::try_build`], but takes the snapshot set by value. When
-    /// screening leaves every source untouched (the common clean path) the
-    /// input set itself becomes the retained diff baseline, instead of a
-    /// second, fully materialized copy — at planet scale that copy is one
-    /// of the largest allocations in the whole build. Output is
-    /// byte-identical to [`Igdb::try_build`] on the same input.
-    pub fn try_build_owned(
-        snaps: SnapshotSet,
-        policy: &BuildPolicy,
-    ) -> Result<(Igdb, BuildReport), BuildError> {
-        let _span = igdb_obs::span("pipeline");
-        let (clean, report) = Self::screen(&snaps, policy)?;
-        if clean.is_modified() {
-            let mut clean = clean;
-            return Ok((Self::build_validated(&mut clean), report));
-        }
-        igdb_obs::trim_heap();
-        let mut clean = clean;
-        let mut igdb = Self::build_staged(&mut clean, None, false);
-        drop(clean);
-        igdb.snapshots = snaps;
-        Ok((igdb, report))
+        let (clean, report) = Self::screen(snaps, policy)?;
+        Ok((Self::build_staged(clean, None, Baseline::Keep), report))
     }
 
     /// One-shot build: consumes the snapshot set and returns each source's
@@ -513,70 +1219,30 @@ impl Igdb {
     /// [`Igdb::traces`] is empty and [`Igdb::apply_delta`] falls back to a
     /// full rebuild. Use it for build-and-save pipelines (the `igdb build`
     /// CLI, scaling benches); long-lived serving or delta-ingesting
-    /// instances want [`Igdb::try_build_owned`].
+    /// instances want [`Igdb::try_build`].
+    ///
+    /// When screening quarantines anything, the surviving records are
+    /// copied out once before the build starts and the raw input is let
+    /// go, so the faulty-input path is just as baseline-free.
     pub fn try_build_scratch(
         snaps: SnapshotSet,
         policy: &BuildPolicy,
     ) -> Result<(Igdb, BuildReport), BuildError> {
         let _span = igdb_obs::span("pipeline");
         let (clean, report) = Self::screen(&snaps, policy)?;
-        if clean.is_modified() {
-            let mut clean = clean;
-            return Ok((Self::build_validated(&mut clean), report));
-        }
-        drop(clean);
-        igdb_obs::trim_heap();
-        let SnapshotSet {
-            as_of_date,
-            atlas_nodes,
-            atlas_links,
-            pdb_facilities,
-            pdb_networks,
-            pdb_netfac,
-            pdb_ix,
-            pdb_netix,
-            pch_ixps,
-            he_exchanges,
-            euroix,
-            rdns,
-            asrank_entries,
-            asrank_links,
-            ripe_anchors,
-            ripe_traceroutes,
-            natural_earth,
-            roads,
-            telegeo,
-            bgp_prefixes,
-            anycast_prefixes,
-            hoiho_rules,
-            geo_codes,
-        } = snaps;
-        let mut owned = CleanSnapshots {
-            as_of_date: &as_of_date,
-            atlas_nodes: Cow::Owned(atlas_nodes),
-            atlas_links: Cow::Owned(atlas_links),
-            pdb_facilities: Cow::Owned(pdb_facilities),
-            pdb_networks: Cow::Owned(pdb_networks),
-            pdb_netfac: Cow::Owned(pdb_netfac),
-            pdb_ix: Cow::Owned(pdb_ix),
-            pdb_netix: Cow::Owned(pdb_netix),
-            pch_ixps: Cow::Owned(pch_ixps),
-            he_exchanges: Cow::Owned(he_exchanges),
-            euroix: Cow::Owned(euroix),
-            rdns: Cow::Owned(rdns),
-            asrank_entries: Cow::Owned(asrank_entries),
-            asrank_links: Cow::Owned(asrank_links),
-            ripe_anchors: Cow::Owned(ripe_anchors),
-            ripe_traceroutes: Cow::Owned(ripe_traceroutes),
-            natural_earth: Cow::Owned(natural_earth),
-            roads: Cow::Owned(roads),
-            telegeo: Cow::Owned(telegeo),
-            bgp_prefixes: Cow::Owned(bgp_prefixes),
-            anycast_prefixes: Cow::Owned(anycast_prefixes),
-            hoiho_rules: Cow::Owned(hoiho_rules),
-            geo_codes: Cow::Owned(geo_codes),
+        // A clean report means screening removed nothing: `snaps` itself
+        // is the screened set.
+        let screened = if report.is_clean() {
+            drop(clean);
+            snaps
+        } else {
+            let survivors = clean.into_snapshot_set();
+            drop(snaps);
+            survivors
         };
-        Ok((Self::build_staged(&mut owned, None, false), report))
+        igdb_obs::trim_heap();
+        let owned = CleanSnapshots::from_owned(screened);
+        Ok((Self::build_staged(owned, None, Baseline::Drop), report))
     }
 
     /// Validation + the two accounting cross-checks shared by
@@ -636,810 +1302,60 @@ impl Igdb {
         Ok((clean, report))
     }
 
-    /// The build proper. Assumes `snaps` passed validation: endpoints in
-    /// range, parallel arrays aligned, coordinates finite, ids unique.
-    fn build_validated(snaps: &mut CleanSnapshots<'_>) -> Self {
-        Self::build_staged(snaps, None, true)
-    }
-
-    /// Replays one stage's recorded deterministic-counter deltas.
-    fn replay_stage(ledger: &[Vec<(String, String, u64)>], stage: Stage) {
-        for (name, label, v) in &ledger[stage as usize] {
-            igdb_obs::counter(name.clone(), label.clone(), *v);
-        }
-    }
-
-    /// Copies `names` verbatim from `src` into `dst` (clean-prefix reuse).
-    fn copy_tables(dst: &Database, src: &Database, names: &[&str]) {
-        for name in names {
-            let table = src.with_table(name, |t| t.clone()).expect("table exists");
-            dst.replace_table(name, table);
-        }
-    }
-
-    /// One staged pipeline pass. With `reuse = None` this is the plain
-    /// full build. With `reuse = Some((prior, delta))` it is the
-    /// incremental path: every stage strictly before `delta.first_dirty`
-    /// is *clean* — its tables are copied from `prior` verbatim and its
-    /// recorded counter deltas replayed — while the dirty suffix re-runs
-    /// exactly the code a full build would run, on the same inputs, so
-    /// the result is byte-identical to a from-scratch rebuild.
+    /// One pass of the stage driver — every build is this function. For each
+    /// stage in [`Stage::ALL`] order it writes the per-stage protocol once:
+    /// open the `build.<stage>` span; if an apply's diff proves the stage
+    /// shared ([`SnapshotDelta::shares`]) copy its tables from the prior
+    /// world, replay its recorded counter deltas and take over its side
+    /// products ([`Pipeline::share`]), otherwise run it ([`Pipeline::run`]
+    /// — the only case when `prior` is `None`, a full build); close the
+    /// span; unless the world keeps its baseline, let go of the sources
+    /// whose last consumer this stage was; compact the tables it wrote
+    /// (which also returns what was just freed); cut the counter ledger.
     ///
-    /// Stage dirtiness is monotone (see [`crate::delta`]): each stage
-    /// reads what earlier ones wrote, so the clean stages always form a
-    /// prefix. The one exception to strict prefix reuse is the final
-    /// IP-resolution stage: its true input set is narrower than "every
-    /// stage before it" ([`crate::delta::IP_RESOLUTION_INPUTS`]), so when
-    /// the diff proves those sources untouched the stage is shared from
-    /// the prior even though earlier stages were dirty.
+    /// Shared or re-run, a stage ends with the same rows, the same side
+    /// products and the same counter ticks, so the result is byte-identical
+    /// to a from-scratch build of `snaps` whatever `prior` was.
     fn build_staged(
-        snaps: &mut CleanSnapshots<'_>,
-        reuse: Option<(&Igdb, &SnapshotDelta)>,
-        retain_snapshots: bool,
+        mut snaps: CleanSnapshots<'_>,
+        prior: Option<(&Igdb, &SnapshotDelta)>,
+        baseline: Baseline,
     ) -> Self {
         let _span = igdb_obs::span("build");
-        let date = snaps.as_of_date.to_string();
-        let prior = reuse.map(|(p, _)| p);
-        let first_dirty = match reuse {
-            Some((_, d)) => d.first_dirty,
-            None => Some(Stage::Metros),
-        };
-        let is_clean =
-            |s: Stage| prior.is_some() && first_dirty.map_or(true, |fd| s < fd);
         let mut rec = LedgerRecorder::start();
-
-        let metros: Arc<MetroRegistry> = {
-            let _s = igdb_obs::span("build.metros");
-            if is_clean(Stage::Metros) {
-                let p = prior.expect("clean implies prior");
-                Self::replay_stage(&p.stage_ledger, Stage::Metros);
-                Arc::clone(&p.metros)
-            } else if let Some((p, _)) = reuse.filter(|(_, d)| d.metro_append_only) {
-                // Append-only metro growth: the old places are a prefix
-                // of the new, so ids are stable and extending the
-                // registry (R-tree inserts) answers every spatial join
-                // identically to a rebuilt one.
-                Arc::new(p.metros.extended(&snaps.natural_earth[p.snapshots.natural_earth.len()..]))
-            } else {
-                Arc::new(MetroRegistry::build(&snaps.natural_earth))
-            }
-        };
-        // Thiessen cells materialize lazily, and whether that fires later
-        // depends on cache warmth: a delta apply sharing a warm registry
-        // would skip the compute ticks a cold rebuild emits, tearing the
-        // deterministic counter stream. Forcing them here pins the ticks
-        // inside the Metros cut — a clean stage replays them, a dirty one
-        // recomputes them — and wastes nothing: `city_polygons` needs
-        // every cell anyway.
-        metros.polygons();
-        rec.cut();
-        let roads: Arc<RoadGraph> = {
-            let _s = igdb_obs::span("build.roads");
-            if is_clean(Stage::Roads) {
-                let p = prior.expect("clean implies prior");
-                Self::replay_stage(&p.stage_ledger, Stage::Roads);
-                Arc::clone(&p.roads)
-            } else {
-                Arc::new(RoadGraph::build(metros.len(), &snaps.roads))
-            }
-        };
-        rec.cut();
-        if !retain_snapshots {
-            release(&mut snaps.natural_earth);
-            release(&mut snaps.roads);
-            // Screened but not consumed by any stage below.
-            release(&mut snaps.he_exchanges);
-            release(&mut snaps.euroix);
-        }
-        // Planet-scale worlds group the per-metro stages by spatial shard
-        // (see `crate::shard`); smaller worlds keep the flat per-record
-        // split. Either way the output is byte-identical — the partition
-        // only changes which worker touches which region.
-        let partition: Option<SpatialPartition> = shard::shards_enabled(metros.len()).then(|| {
-            let locs: Vec<igdb_geo::GeoPoint> =
-                metros.metros().iter().map(|m| m.loc).collect();
-            SpatialPartition::over_metros(&locs)
-        });
-        let db = Database::new();
-        for (name, sch) in schema::all_relations() {
-            db.create_table(name, sch).expect("fresh database");
-        }
-
-        // --- city_points / city_polygons. ---
-        let city_span = igdb_obs::span("build.city_tables");
-        if is_clean(Stage::CityTables) {
-            let p = prior.expect("clean implies prior");
-            Self::copy_tables(&db, &p.db, Stage::CityTables.tables());
-            Self::replay_stage(&p.stage_ledger, Stage::CityTables);
-        } else {
-            for m in metros.metros() {
-                db.insert(
-                    "city_points",
-                    vec![
-                        Value::from(m.id),
-                        Value::text(&m.name),
-                        Value::text(&m.state),
-                        Value::text(&m.country),
-                        Value::Float(m.loc.lat),
-                        Value::Float(m.loc.lon),
-                        Value::from(m.population as i64),
-                        Value::text("natural_earth"),
-                        Value::text(&date),
-                    ],
-                )
-                .expect("city_points row");
-            }
-            for (m, poly) in metros.metros().iter().zip(metros.polygons()) {
-                let wkt = if poly.exterior.is_empty() {
-                    "POLYGON EMPTY".to_string()
-                } else {
-                    to_wkt(&Geometry::Polygon(poly.clone()))
-                };
-                db.insert(
-                    "city_polygons",
-                    vec![
-                        Value::from(m.id),
-                        Value::text(&m.name),
-                        Value::text(&m.state),
-                        Value::text(&m.country),
-                        Value::text(wkt),
-                        Value::text("igdb_thiessen"),
-                        Value::text(&date),
-                    ],
-                )
-                .expect("city_polygons row");
-            }
-        }
-
-        drop(city_span);
-        compact_tables(&db);
-        rec.cut();
-
-        // Label resolver for sources that publish only text locations.
-        let name_to_metro: HashMap<String, usize> = metros
-            .metros()
-            .iter()
-            .map(|m| (m.name.to_ascii_lowercase(), m.id))
-            .collect();
-        let code_to_metro: HashMap<String, usize> = snaps.geo_codes.iter().cloned().collect();
-        let resolve_label = |label: &str| -> Option<usize> {
-            let lower = label.to_ascii_lowercase();
-            if let Some(&m) = name_to_metro.get(&lower) {
-                return Some(m);
-            }
-            if let Some(head) = lower.split(',').next() {
-                if let Some(&m) = name_to_metro.get(head.trim()) {
-                    return Some(m);
+        let mut pipeline = Pipeline::new(&snaps.as_of_date, prior);
+        for stage in Stage::ALL {
+            let span = igdb_obs::span(format!("build.{}", stage.name()));
+            match prior.filter(|(_, delta)| delta.shares(stage)) {
+                Some((world, _)) => {
+                    copy_tables(&pipeline.db, &world.db, stage.tables());
+                    replay_stage(&world.stage_ledger, stage);
+                    pipeline.share(stage, world, &snaps);
                 }
+                None => pipeline.run(stage, &snaps),
             }
-            code_to_metro.get(&lower).copied()
-        };
-
-        // --- phys_nodes / phys_conn (shared with snapshot refresh). ---
-        let fac_metro: HashMap<u32, usize> = if is_clean(Stage::Physical) {
-            let p = prior.expect("clean implies prior");
-            Self::copy_tables(&db, &p.db, Stage::Physical.tables());
-            Self::replay_stage(&p.stage_ledger, Stage::Physical);
-            // The facility→metro join is pure (exact nearest-site
-            // queries), so recomputing it for the later stages that need
-            // it cannot diverge from the copied rows. Serial on purpose:
-            // `igdb_par` ticks deterministic `par.*` counters, and this
-            // stage's ledger replay already accounts the originals.
-            snaps
-                .pdb_facilities
-                .iter()
-                .filter_map(|f| metros.metro_of(&f.loc).map(|m| (f.fac_id, m)))
-                .collect()
-        } else {
-            let (_atlas_node_metro, fac_metro) = load_physical(
-                &db,
-                &metros,
-                &roads,
-                partition.as_ref(),
-                &snaps.atlas_nodes,
-                &snaps.atlas_links,
-                &snaps.pdb_facilities,
-                &date,
-                true,
-            );
-            fac_metro
-        };
-        compact_tables(&db);
-        rec.cut();
-        if !retain_snapshots {
-            release(&mut snaps.atlas_nodes);
-            release(&mut snaps.atlas_links);
-            release(&mut snaps.pdb_facilities);
+            drop(span);
+            if baseline == Baseline::Drop {
+                snaps.release_consumed(stage);
+            }
+            if !stage.tables().is_empty() {
+                compact_tables(&pipeline.db);
+            }
+            rec.cut();
         }
-
-        let phys_pairs = phys_pairs_for(&db, &date);
-
-        // --- land_points / sub_cables from Telegeography. ---
-        // Landing-point spatial joins fan out in parallel; inserts stay
-        // serial and in input order (see load_physical).
-        let telegeo_span = igdb_obs::span("build.telegeo");
-        if is_clean(Stage::Telegeo) {
-            let p = prior.expect("clean implies prior");
-            Self::copy_tables(&db, &p.db, Stage::Telegeo.tables());
-            Self::replay_stage(&p.stage_ledger, Stage::Telegeo);
-        } else {
-            let landing_locs: Vec<&igdb_geo::GeoPoint> = snaps
-                .telegeo
-                .iter()
-                .flat_map(|c| c.landings.iter().map(|(_, _, loc)| loc))
-                .collect();
-            let landing_assignments = igdb_par::par_map(&landing_locs, |loc| metros.metro_of(loc));
-            let mut landing_iter = landing_assignments.into_iter();
-            for c in snaps.telegeo.iter() {
-                for (lname, _, loc) in &c.landings {
-                    let Some(mid) = landing_iter.next().expect("one assignment per landing")
-                    else {
-                        continue;
-                    };
-                    db.insert(
-                        "land_points",
-                        vec![
-                            Value::from(c.cable_id),
-                            Value::text(lname),
-                            Value::from(mid),
-                            Value::text(metros.metro(mid).label()),
-                            Value::text(&metros.metro(mid).country),
-                            Value::Float(loc.lat),
-                            Value::Float(loc.lon),
-                            Value::text("telegeography"),
-                            Value::text(&date),
-                        ],
-                    )
-                    .expect("land_points row");
-                }
-                let mls = MultiLineString::new(
-                    c.segments.iter().cloned().map(LineString::new).collect(),
-                );
-                db.insert(
-                    "sub_cables",
-                    vec![
-                        Value::from(c.cable_id),
-                        Value::text(&c.name),
-                        Value::text(c.owners.join("; ")),
-                        Value::Float(mls.length_km()),
-                        Value::text(to_wkt(&Geometry::MultiLineString(mls))),
-                        Value::text("telegeography"),
-                        Value::text(&date),
-                    ],
-                )
-                .expect("sub_cables row");
-            }
-        }
-
-        drop(telegeo_span);
-        compact_tables(&db);
-        rec.cut();
-        if !retain_snapshots {
-            release(&mut snaps.telegeo);
-        }
-
-        // --- Logical names: asn_name / asn_org (inconsistencies kept). ---
-        let logical_span = igdb_obs::span("build.logical");
-        let net_asn: HashMap<u32, Asn> = snaps
-            .pdb_networks
-            .iter()
-            .map(|n| (n.net_id, n.asn))
-            .collect();
-        let mut ixp_metro: HashMap<u32, usize> = HashMap::new();
-        let mut ixp_lans: Vec<Prefix> = Vec::new();
-        let mut ixp_prefix_metro: Vec<(Prefix, usize)> = Vec::new();
-        if is_clean(Stage::Logical) {
-            let p = prior.expect("clean implies prior");
-            Self::copy_tables(&db, &p.db, Stage::Logical.tables());
-            Self::replay_stage(&p.stage_ledger, Stage::Logical);
-            // The IXP maps are pure label-resolution products; rebuild
-            // them without touching the copied tables.
-            for ix in snaps.pdb_ix.iter() {
-                let Some(mid) = resolve_label(&ix.city_label) else {
-                    continue;
-                };
-                ixp_metro.insert(ix.ix_id, mid);
-                ixp_lans.push(ix.prefix);
-                ixp_prefix_metro.push((ix.prefix, mid));
-            }
-        } else {
-            for e in snaps.asrank_entries.iter() {
-                db.insert(
-                    "asn_name",
-                    vec![
-                        Value::from(e.asn.0),
-                        Value::text(&e.as_name),
-                        Value::text("asrank"),
-                        Value::text(&date),
-                    ],
-                )
-                .expect("asn_name row");
-                db.insert(
-                    "asn_org",
-                    vec![
-                        Value::from(e.asn.0),
-                        Value::text(&e.org),
-                        Value::text("asrank"),
-                        Value::text(&date),
-                    ],
-                )
-                .expect("asn_org row");
-            }
-            for n in snaps.pdb_networks.iter() {
-                db.insert(
-                    "asn_name",
-                    vec![
-                        Value::from(n.asn.0),
-                        Value::text(&n.as_name),
-                        Value::text("peeringdb"),
-                        Value::text(&date),
-                    ],
-                )
-                .expect("asn_name row");
-                db.insert(
-                    "asn_org",
-                    vec![
-                        Value::from(n.asn.0),
-                        Value::text(&n.org),
-                        Value::text("peeringdb"),
-                        Value::text(&date),
-                    ],
-                )
-                .expect("asn_org row");
-            }
-            let mut pch_orgs: BTreeSet<(u32, String)> = BTreeSet::new();
-            for x in snaps.pch_ixps.iter() {
-                for (asn, org) in x.member_asns.iter().zip(&x.member_orgs) {
-                    pch_orgs.insert((asn.0, org.clone()));
-                }
-            }
-            for (asn, org) in pch_orgs {
-                db.insert(
-                    "asn_org",
-                    vec![
-                        Value::from(asn),
-                        Value::text(org),
-                        Value::text("pch"),
-                        Value::text(&date),
-                    ],
-                )
-                .expect("asn_org row");
-            }
-
-            // --- asn_conn. ---
-            for &(a, b) in snaps.asrank_links.iter() {
-                db.insert(
-                    "asn_conn",
-                    vec![
-                        Value::from(a.0),
-                        Value::from(b.0),
-                        Value::text("asrank"),
-                        Value::text(&date),
-                    ],
-                )
-                .expect("asn_conn row");
-            }
-
-            // --- IXPs: prefixes + memberships. ---
-            for ix in snaps.pdb_ix.iter() {
-                let Some(mid) = resolve_label(&ix.city_label) else {
-                    continue;
-                };
-                ixp_metro.insert(ix.ix_id, mid);
-                ixp_lans.push(ix.prefix);
-                ixp_prefix_metro.push((ix.prefix, mid));
-                db.insert(
-                    "ixp_prefixes",
-                    vec![
-                        Value::text(&ix.name),
-                        Value::text(ix.prefix.to_string()),
-                        Value::from(mid),
-                        Value::text(metros.metro(mid).label()),
-                        Value::text("peeringdb"),
-                        Value::text(&date),
-                    ],
-                )
-                .expect("ixp_prefixes row");
-            }
-        }
-
-        drop(logical_span);
-        compact_tables(&db);
-        rec.cut();
-        if !retain_snapshots {
-            release(&mut snaps.pdb_networks);
-            release(&mut snaps.asrank_entries);
-            release(&mut snaps.asrank_links);
-            release(&mut snaps.pdb_ix);
-        }
-
-        // --- asn_loc: facilities, IXP memberships, PCH/EuroIX echoes. ---
-        // (asn, metro, source) → remote flag, deduped.
-        let asn_loc_span = igdb_obs::span("build.asn_loc");
-        let asn_metros: HashMap<Asn, BTreeSet<usize>> = if is_clean(Stage::AsnLoc) {
-            let p = prior.expect("clean implies prior");
-            Self::copy_tables(&db, &p.db, Stage::AsnLoc.tables());
-            Self::replay_stage(&p.stage_ledger, Stage::AsnLoc);
-            p.asn_metros.clone()
-        } else {
-            let mut netfac_metros: HashMap<Asn, BTreeSet<usize>> = HashMap::new();
-            for nf in snaps.pdb_netfac.iter() {
-                let (Some(&asn), Some(&mid)) =
-                    (net_asn.get(&nf.net_id), fac_metro.get(&nf.fac_id))
-                else {
-                    continue;
-                };
-                netfac_metros.entry(asn).or_default().insert(mid);
-            }
-            let mut asn_loc_rows: BTreeMap<(u32, usize, &'static str), bool> = BTreeMap::new();
-            for (&asn, mids) in &netfac_metros {
-                for &mid in mids {
-                    asn_loc_rows.insert((asn.0, mid, "peeringdb_fac"), false);
-                }
-            }
-            // Remote-peering inference (§3.3): an IX member with no declared
-            // facility in the metro, whose nearest declared facility is far.
-            let is_remote = |asn: Asn, mid: usize| -> bool {
-                match netfac_metros.get(&asn) {
-                    Some(mids) if mids.contains(&mid) => false,
-                    Some(mids) => {
-                        let here = metros.metro(mid).loc;
-                        let nearest = mids
-                            .iter()
-                            .map(|&m| igdb_geo::haversine_km(&here, &metros.metro(m).loc))
-                            .fold(f64::INFINITY, f64::min);
-                        nearest > 1000.0
-                    }
-                    None => false, // nothing declared anywhere: cannot say
-                }
-            };
-            for nix in snaps.pdb_netix.iter() {
-                let (Some(&asn), Some(&mid)) =
-                    (net_asn.get(&nix.net_id), ixp_metro.get(&nix.ix_id))
-                else {
-                    continue;
-                };
-                let remote = is_remote(asn, mid);
-                asn_loc_rows
-                    .entry((asn.0, mid, "peeringdb_ix"))
-                    .and_modify(|r| *r = *r && remote)
-                    .or_insert(remote);
-            }
-            for x in snaps.pch_ixps.iter() {
-                let Some(mid) = resolve_label(&x.city_label) else {
-                    continue;
-                };
-                for &asn in &x.member_asns {
-                    let remote = is_remote(asn, mid);
-                    asn_loc_rows
-                        .entry((asn.0, mid, "pch"))
-                        .and_modify(|r| *r = *r && remote)
-                        .or_insert(remote);
-                }
-            }
-            for ((asn, mid, source), remote) in &asn_loc_rows {
-                db.insert(
-                    "asn_loc",
-                    vec![
-                        Value::from(*asn),
-                        Value::from(*mid),
-                        Value::text(metros.metro(*mid).label()),
-                        Value::text(&metros.metro(*mid).country),
-                        Value::Bool(*remote),
-                        Value::Bool(false),
-                        Value::text(*source),
-                        Value::text(&date),
-                    ],
-                )
-                .expect("asn_loc row");
-            }
-            let mut asn_metros: HashMap<Asn, BTreeSet<usize>> = HashMap::new();
-            for (asn, mid, _) in asn_loc_rows.keys() {
-                asn_metros.entry(Asn(*asn)).or_default().insert(*mid);
-            }
-            asn_metros
-        };
-
-        drop(asn_loc_span);
-        compact_tables(&db);
-        rec.cut();
-        if !retain_snapshots {
-            release(&mut snaps.pdb_netfac);
-            release(&mut snaps.pdb_netix);
-            release(&mut snaps.pch_ixps);
-        }
-
-        // --- Probes + traceroute relation. ---
-        // Anchor spatial joins fan out in parallel; inserts stay serial
-        // and in input order (see load_physical).
-        let probes_span = igdb_obs::span("build.probes");
-        let probes: HashMap<u32, ProbeInfo> = if is_clean(Stage::Probes) {
-            let p = prior.expect("clean implies prior");
-            Self::copy_tables(&db, &p.db, Stage::Probes.tables());
-            Self::replay_stage(&p.stage_ledger, Stage::Probes);
-            p.probes.clone()
-        } else {
-            let anchor_assignments =
-                match partition.as_ref() {
-                    Some(part) => shard::sharded_map(
-                        part,
-                        &snaps.ripe_anchors[..],
-                        |a| a.loc,
-                        |a| metros.metro_of(&a.loc),
-                    ),
-                    None => igdb_par::par_map(&snaps.ripe_anchors[..], |a| metros.metro_of(&a.loc)),
-                };
-            let mut probes = HashMap::new();
-            for (a, mid) in snaps.ripe_anchors.iter().zip(anchor_assignments) {
-                let Some(mid) = mid else {
-                    continue;
-                };
-                probes.insert(
-                    a.id,
-                    ProbeInfo {
-                        ip: a.ip,
-                        asn: a.asn,
-                        metro: mid,
-                    },
-                );
-                db.insert(
-                    "probes",
-                    vec![
-                        Value::from(a.id),
-                        Value::text(a.ip.to_string()),
-                        Value::from(a.asn.0),
-                        Value::from(mid),
-                        Value::text(metros.metro(mid).label()),
-                        Value::Float(a.loc.lat),
-                        Value::Float(a.loc.lon),
-                        Value::text("ripe_atlas"),
-                        Value::text(&date),
-                    ],
-                )
-                .expect("probes row");
-            }
-            probes
-        };
-        drop(probes_span);
-        compact_tables(&db);
-        rec.cut();
-        if !retain_snapshots {
-            release(&mut snaps.ripe_anchors);
-        }
-        let traces_span = igdb_obs::span("build.traceroutes");
-        // Shared on narrowed inputs like IP resolution below: the hop
-        // relation reads only `ripe_traceroutes` and the date, yet sits
-        // deep enough that any atlas or logical churn dirties it by
-        // prefix. Re-inserting tens of thousands of identical rows is the
-        // costliest table load in the suffix, so the copy is worth a flag.
-        let traces_shared =
-            is_clean(Stage::Traceroutes) || reuse.is_some_and(|(_, d)| d.traceroute_rows_clean);
-        if traces_shared {
-            let p = prior.expect("shared implies prior");
-            Self::copy_tables(&db, &p.db, Stage::Traceroutes.tables());
-            Self::replay_stage(&p.stage_ledger, Stage::Traceroutes);
-        } else {
-            for tr in snaps.ripe_traceroutes.iter() {
-                for h in &tr.hops {
-                    db.insert(
-                        "traceroutes",
-                        vec![
-                            Value::from(tr.src_anchor),
-                            Value::from(tr.dst_anchor),
-                            Value::from(h.ttl as i64),
-                            match h.ip {
-                                Some(ip) => Value::text(ip.to_string()),
-                                None => Value::Null,
-                            },
-                            Value::Float(h.rtt_ms),
-                            Value::text("ripe_atlas"),
-                            Value::text(&date),
-                        ],
-                    )
-                    .expect("traceroutes row");
-                }
-            }
-        }
-
-        drop(traces_span);
-        compact_tables(&db);
-        rec.cut();
-
-        // --- IP → AS (bdrmap), → FQDN (rDNS), → metro (Hoiho / IXP). ---
-        // The stage sits last, so monotone prefix dirtiness alone would
-        // re-run it for every non-empty delta — but its input set is
-        // narrower than "everything before it": atlas, facility, road,
-        // telegeo, and AS-Rank churn cannot change a single `ip_asn_dns`
-        // row (see `IP_RESOLUTION_INPUTS`). When the diff proves those
-        // inputs untouched, the prior's products are shared and its
-        // counter ticks replayed; otherwise the stage re-runs in full and,
-        // on identical inputs, reproduces identical rows and counters.
-        let ip_span = igdb_obs::span("build.ip_resolution");
-        let ip_shared = reuse.filter(|(_, d)| d.ip_inputs_clean).map(|(p, _)| p);
-        let (bdrmap, hoiho, rdns, ip_info) = if let Some(p) = ip_shared {
-            Self::copy_tables(&db, &p.db, Stage::IpResolution.tables());
-            Self::replay_stage(&p.stage_ledger, Stage::IpResolution);
-            (
-                Arc::clone(&p.bdrmap),
-                Arc::clone(&p.hoiho),
-                p.rdns.clone(),
-                p.ip_info.clone(),
-            )
-        } else {
-            let bdr_span = igdb_obs::span("ip_resolution.bdrmap");
-            let rib: Vec<(Prefix, Asn)> = snaps
-                .bgp_prefixes
-                .iter()
-                .map(|r| (r.prefix, r.origin))
-                .collect();
-            let mut bdrmap = BdrMap::new(&rib, &ixp_lans);
-            let ip_sequences: Vec<Vec<Ip4>> = snaps
-                .ripe_traceroutes
-                .iter()
-                .map(|t| t.hops.iter().filter_map(|h| h.ip).collect())
-                .collect();
-            bdrmap.refine(&ip_sequences);
-            drop(bdr_span);
-            if !retain_snapshots {
-                release(&mut snaps.ripe_traceroutes);
-                release(&mut snaps.bgp_prefixes);
-                igdb_obs::trim_heap();
-            }
-
-            let rdns: HashMap<Ip4, igdb_db::Str> = snaps
-                .rdns
-                .iter()
-                .map(|r| (r.ip, igdb_db::Str::new(&r.hostname)))
-                .collect();
-            if !retain_snapshots {
-                release(&mut snaps.rdns);
-            }
-            let hoiho_span = igdb_obs::span("ip_resolution.hoiho");
-            let (hoiho, _skipped) =
-                HoihoEngine::build(&snaps.hoiho_rules, &snaps.geo_codes, &metros);
-            drop(hoiho_span);
-            if !retain_snapshots {
-                release(&mut snaps.hoiho_rules);
-                release(&mut snaps.geo_codes);
-            }
-
-            let mut observed: BTreeSet<Ip4> = BTreeSet::new();
-            for seq in &ip_sequences {
-                observed.extend(seq.iter().copied());
-            }
-            // Per-address resolution (bdrmap LPM, rDNS, anycast scan, IXP
-            // prefix scan, Hoiho geolocation) is read-only against the
-            // built indexes and fans out in parallel; row insertion stays
-            // serial in sorted-address order so `ip_asn_dns` is
-            // byte-identical at any worker count.
-            let observed: Vec<Ip4> = observed.into_iter().collect();
-            igdb_obs::counter("build.observed_ips", "", observed.len() as u64);
-            let resolve_span = igdb_obs::span("ip_resolution.resolve");
-            let resolved = igdb_par::par_map(&observed, |&ip| {
-                let asn = bdrmap.resolve(ip).asn();
-                let fqdn = rdns.get(&ip).cloned();
-                let anycast = snaps.anycast_prefixes.iter().any(|p| p.contains(ip));
-                let ixp_hit = ixp_prefix_metro
-                    .iter()
-                    .find(|(p, _)| p.contains(ip))
-                    .map(|&(_, m)| m);
-                let (metro, geo_source) = if let Some(mid) = ixp_hit {
-                    (Some(mid), Some(LocationSource::IxpPrefix))
-                } else if anycast {
-                    // An anycast address has no single location; per §5 it
-                    // is annotated instead of pinned (Hoiho would see just
-                    // one of its instances).
-                    (None, None)
-                } else if let Some(h) = fqdn.as_deref() {
-                    match hoiho.geolocate(h) {
-                        Some(m) => (Some(m), Some(LocationSource::Hoiho)),
-                        None => (None, None),
-                    }
-                } else {
-                    (None, None)
-                };
-                (asn, fqdn, anycast, metro, geo_source)
-            });
-            drop(resolve_span);
-            let mut ip_info: HashMap<Ip4, IpInfo> = HashMap::new();
-            for (&ip, (asn, fqdn, anycast, metro, geo_source)) in observed.iter().zip(resolved) {
-                if let Some(g) = geo_source {
-                    igdb_obs::counter("build.ip_geolocated", g.tag(), 1);
-                }
-                db.insert(
-                    "ip_asn_dns",
-                    vec![
-                        Value::text(ip.to_string()),
-                        asn.map(|a| Value::from(a.0)).unwrap_or(Value::Null),
-                        fqdn.clone().map(Value::Text).unwrap_or(Value::Null),
-                        metro.map(Value::from).unwrap_or(Value::Null),
-                        metro
-                            .map(|m| Value::text(metros.metro(m).label()))
-                            .unwrap_or(Value::Null),
-                        Value::text(geo_source.map(|g| g.tag()).unwrap_or("none")),
-                        Value::Bool(anycast),
-                        Value::text("igdb_pipeline"),
-                        Value::text(&date),
-                    ],
-                )
-                .expect("ip_asn_dns row");
-                ip_info.insert(
-                    ip,
-                    IpInfo {
-                        asn,
-                        fqdn,
-                        metro,
-                        geo_source,
-                        anycast,
-                    },
-                );
-            }
-            (Arc::new(bdrmap), Arc::new(hoiho), rdns, ip_info)
-        };
-
-        drop(ip_span);
-        compact_tables(&db);
-        rec.cut();
-        debug_assert_eq!(rec.ledger.len(), Stage::ALL.len());
-
-        // Index the hot keys.
-        {
-            let _s = igdb_obs::span("build.index");
-            for (table, col) in [
-                ("asn_loc", "asn"),
-                ("asn_name", "asn"),
-                ("asn_org", "asn"),
-                ("asn_conn", "from_asn"),
-                ("phys_nodes", "metro_id"),
-                ("ip_asn_dns", "ip"),
-            ] {
-                db.with_table_mut(table, |t| t.create_index(col))
-                    .expect("table exists")
-                    .expect("column exists");
-            }
-        }
-
-        // Final per-relation row totals: these are exactly what `igdb
-        // tables` / the BuildReport consumer sees, so the CLI can assert
-        // the metrics stream agrees with the database it just wrote.
-        for table in db.table_names() {
-            let rows = db.row_count(&table).unwrap_or(0);
-            igdb_obs::counter("build.rows", table, rows as u64);
-        }
-
-        // Perf-class (machine-dependent), so the deterministic stream is
-        // untouched; `igdb metrics` and benches read it back.
-        igdb_obs::record_peak_rss("build");
-
-        let snapshots = if retain_snapshots {
-            snaps.to_snapshot_set()
-        } else {
-            // The owned-build caller swaps the input set in afterwards.
-            SnapshotSet::empty(date.clone())
-        };
-        Igdb {
-            db,
-            metros,
-            roads,
-            bdrmap,
-            hoiho,
-            as_of_date: date,
-            ip_info,
-            rdns,
-            asn_metros,
-            phys_pairs,
-            probes,
-            phys_graph: OnceLock::new(),
-            phys_geoms: OnceLock::new(),
-            snapshots,
-            stage_ledger: rec.ledger,
-            appended: false,
-        }
+        pipeline.finish(snaps.into_snapshot_set(), rec.ledger)
     }
 
     /// The validated record set this world was built from.
     pub fn source_snapshots(&self) -> &SnapshotSet {
         &self.snapshots
+    }
+
+    /// False for a [`Igdb::try_build_scratch`] world, which let every
+    /// source go as it built (the metro catalogue is a required source,
+    /// so a kept baseline is never without it).
+    fn has_baseline(&self) -> bool {
+        !self.snapshots.natural_earth.is_empty()
     }
 
     /// The raw traceroute corpus (kept out of the DB for §2's practical
@@ -1472,35 +1388,30 @@ impl Igdb {
         policy: &BuildPolicy,
     ) -> Result<(Igdb, BuildReport, SnapshotDelta), BuildError> {
         let _span = igdb_obs::span("delta.apply");
-        // A scratch-built prior kept no baseline; there is nothing to diff
-        // against, so the only correct answer is a full rebuild.
-        if self.snapshots.natural_earth.is_empty() && !snaps.natural_earth.is_empty() {
+        // With nothing to diff against, the only correct answer is a full
+        // rebuild.
+        if !self.has_baseline() {
             let (igdb, report) = Self::try_build(snaps, policy)?;
             let delta = diff_snapshots(&self.snapshots, &igdb.snapshots);
             return Ok((igdb, report, delta));
         }
         let (clean, report) = Self::screen(snaps, policy)?;
+        // The one copy of the screened set: diffed here, built from, then
+        // kept as the new world's baseline.
         let snap_span = igdb_obs::span("delta.snapshot_set");
-        let new_set = clean.to_snapshot_set();
+        let new_set = clean.into_snapshot_set();
         drop(snap_span);
         let diff_span = igdb_obs::span("delta.diff");
         let mut delta = diff_snapshots(&self.snapshots, &new_set);
         drop(diff_span);
         if self.appended {
-            delta.first_dirty = Some(
-                delta
-                    .first_dirty
-                    .map_or(Stage::Physical, |fd| fd.min(Stage::Physical)),
-            );
-            // Appends also grew the dated relations (`traceroutes`,
-            // `ip_asn_dns` hold rows for every loaded date), so the
-            // prior's tables no longer mirror its stored snapshot set —
-            // input-narrowed sharing is off the table too.
-            delta.ip_inputs_clean = false;
-            delta.traceroute_rows_clean = false;
+            delta.unshare_from(Stage::Physical);
         }
-        let mut clean = clean;
-        let igdb = Self::build_staged(&mut clean, Some((self, &delta)), true);
+        let igdb = Self::build_staged(
+            CleanSnapshots::from_owned(new_set),
+            Some((self, &delta)),
+            Baseline::Keep,
+        );
         // The physical dirty region, from ground truth: the pair multisets.
         delta.touched_metros = pair_diff_metros(&self.phys_pairs, &igdb.phys_pairs);
         delta.phys_removal_only = pairs_removal_only(&self.phys_pairs, &igdb.phys_pairs);
@@ -1605,6 +1516,7 @@ impl Igdb {
             .db
             .row_count("phys_conn")
             .expect("phys_conn exists");
+        let physical_span = igdb_obs::span("build.physical");
         load_physical(
             &self.db,
             &self.metros,
@@ -1616,6 +1528,7 @@ impl Igdb {
             &date,
             false,
         );
+        drop(physical_span);
         for &(a, b) in snaps.asrank_links.iter() {
             self.db
                 .insert(
@@ -1976,24 +1889,35 @@ mod tests {
     /// The one-shot scratch build frees each source mid-pipeline; the
     /// resulting database must still be byte-identical to the borrowing
     /// build, and the (intentionally empty) baseline must route delta
-    /// application through a full rebuild rather than a bogus diff.
+    /// application through a full rebuild rather than a bogus diff —
+    /// on clean input and when screening quarantines records alike.
     #[test]
     fn scratch_build_is_byte_identical_and_baseline_free() {
+        use igdb_synth::faults::{inject_faults, FaultClass};
         let world = World::generate(WorldConfig::tiny());
         let snaps = emit_snapshots(&world, "2022-05-03", 400);
-        let (full, _) = Igdb::try_build(&snaps, &BuildPolicy::strict()).unwrap();
-        let (scratch, report) =
-            Igdb::try_build_scratch(snaps.clone(), &BuildPolicy::strict()).unwrap();
-        assert!(report.is_clean());
-        assert_eq!(scratch.db.fingerprint(), full.db.fingerprint());
-        assert!(scratch.traces().is_empty(), "scratch build kept a baseline");
+        let mut corrupted = snaps.clone();
+        let faults = inject_faults(&mut corrupted, 7, &FaultClass::ALL_RECORD_CLASSES);
+        assert!(!faults.is_empty());
+        for (snaps, policy) in [
+            (snaps, BuildPolicy::strict()),
+            (corrupted, BuildPolicy::lenient()),
+        ] {
+            let (full, full_report) = Igdb::try_build(&snaps, &policy).unwrap();
+            let (scratch, report) = Igdb::try_build_scratch(snaps.clone(), &policy).unwrap();
+            assert_eq!(report, full_report);
+            assert_eq!(report.is_clean(), policy.fail_fast, "the lenient case must quarantine");
+            assert_eq!(scratch.db.fingerprint(), full.db.fingerprint());
+            assert!(scratch.traces().is_empty(), "scratch build kept a baseline");
+            assert!(!scratch.has_baseline());
 
-        let later = emit_snapshots(&world, "2022-06-01", 400);
-        let (via_delta, _, _) = scratch.apply_delta(&later, &BuildPolicy::strict()).unwrap();
-        let (fresh, _) = Igdb::try_build(&later, &BuildPolicy::strict()).unwrap();
-        assert_eq!(via_delta.db.fingerprint(), fresh.db.fingerprint());
-        // The fallback rebuild retains a real baseline again.
-        assert!(!via_delta.traces().is_empty());
+            let later = emit_snapshots(&world, "2022-06-01", 400);
+            let (via_delta, _, _) = scratch.apply_delta(&later, &BuildPolicy::strict()).unwrap();
+            let (fresh, _) = Igdb::try_build(&later, &BuildPolicy::strict()).unwrap();
+            assert_eq!(via_delta.db.fingerprint(), fresh.db.fingerprint());
+            // The fallback rebuild retains a real baseline again.
+            assert!(!via_delta.traces().is_empty());
+        }
     }
 
     /// Forces the spatial-sharding gate down to tiny scale and asserts the

@@ -2,26 +2,35 @@
 //! how far into the build pipeline the change reaches.
 //!
 //! [`diff_snapshots`] compares two *screened* record sets (see
-//! [`CleanSnapshots::to_snapshot_set`](crate::validate::CleanSnapshots::to_snapshot_set))
-//! source by source. Because the inputs are post-validation, FK cascades
-//! are already closed: a removed atlas node takes its links with it either
-//! in the generator or in quarantine, so the diff never sees a dangling
-//! reference.
+//! [`CleanSnapshots::into_snapshot_set`]) source by source. Because the
+//! inputs are post-validation, FK cascades are already closed: a removed
+//! atlas node takes its links with it either in the generator or in
+//! quarantine, so the diff never sees a dangling reference.
 //!
-//! The pipeline stages form a fixed order (the order `build_validated`
-//! runs them in), and dirtiness is **monotone**: if stage *k* must re-run,
-//! every later stage must too, because each stage reads tables and
-//! intermediates the earlier ones wrote. The clean stages therefore form a
-//! prefix of the build, and `apply_delta` copies their tables verbatim and
-//! replays their recorded counter deltas instead of recomputing them.
+//! The pipeline stages form a fixed order ([`Stage::ALL`], the order the
+//! build driver runs them in), and dirtiness is **monotone**: if stage *k*
+//! must re-run, every later stage must too, because each stage reads tables
+//! and intermediates the earlier ones wrote. The clean stages therefore
+//! form a prefix of the build, and `apply_delta` copies their tables
+//! verbatim and replays their recorded counter deltas instead of
+//! recomputing them.
+//!
+//! Two decisions live here and nowhere else: which stage reads which
+//! source first and last (the `sources!` table — the diff, the narrowing
+//! flags and the build driver's release step are generated from it or
+//! read it), and whether a stage is shared from the prior world
+//! ([`SnapshotDelta::shares`]).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 use igdb_synth::sources::SnapshotSet;
 
-/// One pipeline stage of `build_validated`, in execution order. The
-/// discriminants index the per-stage counter ledger.
+use crate::validate::CleanSnapshots;
+
+/// One pipeline stage of the build, in execution order. The discriminants
+/// index the per-stage counter ledger.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
     /// Metro registry from Natural Earth (spatial index + Thiessen cells).
@@ -93,25 +102,126 @@ impl Stage {
     }
 }
 
-/// The earliest stage that consumes each source. A change to the source
-/// dirties that stage and, by monotonicity, everything after it.
-fn earliest_stage(source: &'static str) -> Stage {
-    match source {
-        "natural_earth" => Stage::Metros,
-        "roads" => Stage::Roads,
-        "atlas_nodes" | "atlas_links" | "pdb_facilities" => Stage::Physical,
-        "telegeo" => Stage::Telegeo,
-        // geo_codes feed the label resolver whose first consumer is the
-        // IXP join; he_exchanges / euroix are screened and counted but not
-        // loaded into relations — Logical is their conservative home.
-        "asrank_entries" | "asrank_links" | "pdb_networks" | "pdb_ix" | "pch_ixps"
-        | "geo_codes" | "he_exchanges" | "euroix" => Stage::Logical,
-        "pdb_netfac" | "pdb_netix" => Stage::AsnLoc,
-        "ripe_anchors" => Stage::Probes,
-        "ripe_traceroutes" => Stage::Traceroutes,
-        "rdns" | "bgp_prefixes" | "anycast_prefixes" | "hoiho_rules" => Stage::IpResolution,
-        other => unreachable!("unknown source {other}"),
-    }
+/// Where the build reads one source.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SourceUse {
+    pub name: &'static str,
+    /// First stage that reads the records. A change to the source dirties
+    /// that stage and, by monotonicity, everything after it.
+    pub first: Stage,
+    /// Last stage that reads the records; once it has finished, a build
+    /// that keeps no baseline lets the source go.
+    pub last: Stage,
+    /// IP resolution depends on the source, by reading it or through a
+    /// side product it takes (the metro registry, the IXP maps). A change
+    /// to any other source cannot alter a single `ip_asn_dns` row.
+    pub ip_input: bool,
+}
+
+/// The source→stage map, one row per [`SnapshotSet`] source: `first ..=
+/// last` are its first and last consumer, a trailing `ip` marks an input
+/// of IP resolution. Rows are in first-consumer order, which is the order
+/// [`SnapshotDelta::sources`] reports them in. Everything that walks the
+/// sources is generated from it — [`SOURCE_USES`], the per-source diff,
+/// and the [`CleanSnapshots`] conversions and release step — so a source
+/// without a row does not compile.
+macro_rules! sources {
+    ($($source:ident: $first:ident ..= $last:ident $($ip:ident)?;)*) => {
+        pub(crate) const SOURCE_USES: &[SourceUse] = &[$(SourceUse {
+            name: stringify!($source),
+            first: Stage::$first,
+            last: Stage::$last,
+            ip_input: sources!(@flag $($ip)?),
+        }),*];
+
+        /// Multiset-diffs every source, in table order.
+        fn diff_sources(old: &SnapshotSet, new: &SnapshotSet) -> Vec<SourceDiff> {
+            let mut out = Vec::new();
+            $(diff_source(source_use(stringify!($source)), &old.$source, &new.$source, &mut out);)*
+            out
+        }
+
+        impl CleanSnapshots<'_> {
+            /// A set that already passed screening, taken by value: every
+            /// source is owned, so a build that keeps no baseline frees
+            /// each one as its last consumer finishes, and one that keeps
+            /// it moves instead of copying.
+            pub fn from_owned(set: SnapshotSet) -> CleanSnapshots<'static> {
+                CleanSnapshots {
+                    as_of_date: Cow::Owned(set.as_of_date),
+                    $($source: Cow::Owned(set.$source),)*
+                }
+            }
+
+            /// Materializes the screened view as an owned [`SnapshotSet`]
+            /// — the exact record set the build consumed, with every
+            /// quarantined record already removed; borrowed sources are
+            /// copied, owned ones moved. [`diff_snapshots`] diffs against
+            /// this, so FK cascades (links whose endpoints were screened
+            /// out, memberships of dropped sources) are resolved by the
+            /// validator before any delta math runs.
+            pub fn into_snapshot_set(self) -> SnapshotSet {
+                SnapshotSet {
+                    as_of_date: self.as_of_date.into_owned(),
+                    $($source: self.$source.into_owned(),)*
+                }
+            }
+
+            /// Hands back every source whose last consumer is `stage`.
+            /// For owned sources (scratch builds) this frees the records
+            /// mid-build, so peak RSS tracks the stages still running
+            /// rather than the whole input set; for borrowed ones it is
+            /// free.
+            pub(crate) fn release_consumed(&mut self, stage: Stage) {
+                $(if source_use(stringify!($source)).last == stage {
+                    self.$source = Cow::Borrowed(&[]);
+                })*
+            }
+        }
+    };
+    (@flag ip) => { true };
+    (@flag) => { false };
+}
+
+sources! {
+    // Metros hands the registry to every later stage, IP resolution
+    // included (Hoiho slugs, row labels).
+    natural_earth: Metros ..= Metros ip;
+    roads: Roads ..= Roads;
+    atlas_nodes: Physical ..= Physical;
+    atlas_links: Physical ..= Physical;
+    pdb_facilities: Physical ..= Physical;
+    telegeo: Telegeo ..= Telegeo;
+    asrank_entries: Logical ..= Logical;
+    asrank_links: Logical ..= Logical;
+    pdb_networks: Logical ..= Logical;
+    // Logical derives the IXP maps (`ixp_metro`, `ixp_prefix_metro`) IP
+    // resolution matches peering-LAN addresses against.
+    pdb_ix: Logical ..= Logical ip;
+    pch_ixps: Logical ..= AsnLoc;
+    // Feeds the label resolver, whose first consumer is the IXP join, and
+    // Hoiho's geocode dictionary.
+    geo_codes: Logical ..= IpResolution ip;
+    // Screened and counted but not loaded into relations — Logical is
+    // their conservative home.
+    he_exchanges: Logical ..= Logical;
+    euroix: Logical ..= Logical;
+    pdb_netfac: AsnLoc ..= AsnLoc;
+    pdb_netix: AsnLoc ..= AsnLoc;
+    ripe_anchors: Probes ..= Probes;
+    // Hop rows, then the hop sequences bdrmap refines on.
+    ripe_traceroutes: Traceroutes ..= IpResolution ip;
+    rdns: IpResolution ..= IpResolution ip;
+    bgp_prefixes: IpResolution ..= IpResolution ip;
+    anycast_prefixes: IpResolution ..= IpResolution ip;
+    hoiho_rules: IpResolution ..= IpResolution ip;
+}
+
+fn source_use(name: &str) -> &'static SourceUse {
+    SOURCE_USES
+        .iter()
+        .find(|u| u.name == name)
+        .expect("every source has a row in the sources! table")
 }
 
 /// Per-source record-level difference (multiset semantics: a mutated
@@ -150,8 +260,8 @@ pub struct SnapshotDelta {
     /// removing edges can never create a shorter path, while any addition
     /// could, invalidating every cached corridor.
     pub phys_removal_only: bool,
-    /// None of the sources the IP-resolution stage actually reads changed
-    /// (see [`IP_RESOLUTION_INPUTS`]). IP resolution sits last in the
+    /// None of the sources the IP-resolution stage depends on changed (the
+    /// `ip` rows of the `sources!` table). IP resolution sits last in the
     /// pipeline, so monotone prefix dirtiness would re-run it for *every*
     /// non-empty delta — but its input set is narrower than "everything":
     /// atlas, facility, road, telegeo, and AS-Rank churn never reaches it.
@@ -168,24 +278,6 @@ pub struct SnapshotDelta {
     pub traceroute_rows_clean: bool,
 }
 
-/// The sources the IP-resolution stage reads, directly or through the
-/// products it consumes: the BGP RIB and traceroute hop sequences (bdrmap),
-/// rDNS hostnames and Hoiho rules plus the geo-code label resolver and the
-/// metro registry (Hoiho geolocation and row labels), anycast prefixes
-/// (annotation), and the PeeringDB IXP catalogue (`ixp_lans` /
-/// `ixp_prefix_metro`). A change to any other source cannot alter a single
-/// `ip_asn_dns` row.
-pub const IP_RESOLUTION_INPUTS: [&str; 8] = [
-    "natural_earth",
-    "geo_codes",
-    "pdb_ix",
-    "ripe_traceroutes",
-    "rdns",
-    "bgp_prefixes",
-    "anycast_prefixes",
-    "hoiho_rules",
-];
-
 impl SnapshotDelta {
     /// True when the two sets were record-identical.
     pub fn is_empty(&self) -> bool {
@@ -200,6 +292,31 @@ impl SnapshotDelta {
     /// Total records removed across sources.
     pub fn records_removed(&self) -> usize {
         self.sources.iter().map(|s| s.removed).sum()
+    }
+
+    /// Whether an apply takes `stage` from the prior world — tables copied,
+    /// counter ledger replayed — instead of re-running it: the stage sits
+    /// in the clean prefix, or it is one of the two deep stages whose true
+    /// input set is narrower than "every stage before it" and the diff
+    /// proved those inputs untouched.
+    pub fn shares(&self, stage: Stage) -> bool {
+        let narrowed_inputs_clean = match stage {
+            Stage::Traceroutes => self.traceroute_rows_clean,
+            Stage::IpResolution => self.ip_inputs_clean,
+            _ => false,
+        };
+        narrowed_inputs_clean || self.first_dirty.is_none_or(|fd| stage < fd)
+    }
+
+    /// Withdraws sharing from `stage` on, for a prior whose tables no
+    /// longer mirror its baseline from there: `append_snapshot` grows the
+    /// dated relations from `Physical` on (`traceroutes` and `ip_asn_dns`
+    /// hold rows for every loaded date), so input-narrowed sharing is off
+    /// the table too.
+    pub(crate) fn unshare_from(&mut self, stage: Stage) {
+        self.first_dirty = Some(self.first_dirty.map_or(stage, |fd| fd.min(stage)));
+        self.ip_inputs_clean = false;
+        self.traceroute_rows_clean = false;
     }
 }
 
@@ -243,7 +360,7 @@ fn record_key<T: std::fmt::Debug>(r: &T) -> (u64, u64) {
 /// plain slice equality below for the price of a field-by-field scan,
 /// skipping the per-record `Debug` hashing that dominates diff cost.
 fn diff_source<T: std::fmt::Debug + PartialEq>(
-    source: &'static str,
+    source: &SourceUse,
     old: &[T],
     new: &[T],
     out: &mut Vec<SourceDiff>,
@@ -262,10 +379,10 @@ fn diff_source<T: std::fmt::Debug + PartialEq>(
     let removed: i64 = -counts.values().filter(|&&c| c < 0).sum::<i64>();
     if added > 0 || removed > 0 {
         out.push(SourceDiff {
-            source,
+            source: source.name,
             added: added as usize,
             removed: removed as usize,
-            stage: earliest_stage(source),
+            stage: source.first,
         });
     }
 }
@@ -273,30 +390,7 @@ fn diff_source<T: std::fmt::Debug + PartialEq>(
 /// Diffs two validated snapshot sets. `old` is the set the current world
 /// was built from; `new` is the validated candidate.
 pub fn diff_snapshots(old: &SnapshotSet, new: &SnapshotSet) -> SnapshotDelta {
-    let mut sources = Vec::new();
-    diff_source("natural_earth", &old.natural_earth, &new.natural_earth, &mut sources);
-    diff_source("roads", &old.roads, &new.roads, &mut sources);
-    diff_source("atlas_nodes", &old.atlas_nodes, &new.atlas_nodes, &mut sources);
-    diff_source("atlas_links", &old.atlas_links, &new.atlas_links, &mut sources);
-    diff_source("pdb_facilities", &old.pdb_facilities, &new.pdb_facilities, &mut sources);
-    diff_source("telegeo", &old.telegeo, &new.telegeo, &mut sources);
-    diff_source("asrank_entries", &old.asrank_entries, &new.asrank_entries, &mut sources);
-    diff_source("asrank_links", &old.asrank_links, &new.asrank_links, &mut sources);
-    diff_source("pdb_networks", &old.pdb_networks, &new.pdb_networks, &mut sources);
-    diff_source("pdb_ix", &old.pdb_ix, &new.pdb_ix, &mut sources);
-    diff_source("pch_ixps", &old.pch_ixps, &new.pch_ixps, &mut sources);
-    diff_source("geo_codes", &old.geo_codes, &new.geo_codes, &mut sources);
-    diff_source("he_exchanges", &old.he_exchanges, &new.he_exchanges, &mut sources);
-    diff_source("euroix", &old.euroix, &new.euroix, &mut sources);
-    diff_source("pdb_netfac", &old.pdb_netfac, &new.pdb_netfac, &mut sources);
-    diff_source("pdb_netix", &old.pdb_netix, &new.pdb_netix, &mut sources);
-    diff_source("ripe_anchors", &old.ripe_anchors, &new.ripe_anchors, &mut sources);
-    diff_source("ripe_traceroutes", &old.ripe_traceroutes, &new.ripe_traceroutes, &mut sources);
-    diff_source("rdns", &old.rdns, &new.rdns, &mut sources);
-    diff_source("bgp_prefixes", &old.bgp_prefixes, &new.bgp_prefixes, &mut sources);
-    diff_source("anycast_prefixes", &old.anycast_prefixes, &new.anycast_prefixes, &mut sources);
-    diff_source("hoiho_rules", &old.hoiho_rules, &new.hoiho_rules, &mut sources);
-    sources.sort_by_key(|s| s.stage);
+    let sources = diff_sources(old, new);
 
     let date_changed = old.as_of_date != new.as_of_date;
     let first_dirty = if date_changed {
@@ -308,12 +402,11 @@ pub fn diff_snapshots(old: &SnapshotSet, new: &SnapshotSet) -> SnapshotDelta {
     let metro_append_only = ne_changed
         && new.natural_earth.len() > old.natural_earth.len()
         && old.natural_earth == new.natural_earth[..old.natural_earth.len()];
-    let ip_inputs_clean = !date_changed
-        && sources
-            .iter()
-            .all(|s| !IP_RESOLUTION_INPUTS.contains(&s.source));
+    let ip_inputs_clean =
+        !date_changed && sources.iter().all(|s| !source_use(s.source).ip_input);
+    // The hop relation reads nothing but the source it is first to consume.
     let traceroute_rows_clean =
-        !date_changed && sources.iter().all(|s| s.source != "ripe_traceroutes");
+        !date_changed && sources.iter().all(|s| s.stage != Stage::Traceroutes);
     SnapshotDelta {
         sources,
         first_dirty,
@@ -379,6 +472,82 @@ mod tests {
         assert!(d.is_empty());
         assert!(d.sources.is_empty());
         assert_eq!(d.first_dirty, None);
+    }
+
+    /// The `sources!` table against the ground truth it encodes. The
+    /// compiler already holds it against `SnapshotSet`'s fields (the
+    /// generated conversions name every one); here it is held against the
+    /// sources the validator screens, the order the diff reports them in,
+    /// and the documented narrowing inputs and stage assignments.
+    #[test]
+    fn source_table_covers_every_source_once() {
+        let names: Vec<&str> = SOURCE_USES.iter().map(|u| u.name).collect();
+        let mut screened: Vec<&str> = igdb_fault::SourceId::ALL.iter().map(|s| s.name()).collect();
+        let mut sorted = names.clone();
+        sorted.sort_unstable();
+        screened.sort_unstable();
+        assert_eq!(sorted, screened, "one row per screened source, no more");
+        for u in SOURCE_USES {
+            assert!(u.first <= u.last, "{}: first consumer after last", u.name);
+            // Reading a source is depending on it.
+            assert!(u.last != Stage::IpResolution || u.ip_input, "{}", u.name);
+        }
+        assert!(
+            SOURCE_USES.windows(2).all(|w| w[0].first <= w[1].first),
+            "rows must be in first-consumer order"
+        );
+        let ip_inputs: Vec<&str> =
+            SOURCE_USES.iter().filter(|u| u.ip_input).map(|u| u.name).collect();
+        assert_eq!(
+            ip_inputs,
+            [
+                "natural_earth",
+                "pdb_ix",
+                "geo_codes",
+                "ripe_traceroutes",
+                "rdns",
+                "bgp_prefixes",
+                "anycast_prefixes",
+                "hoiho_rules",
+            ]
+        );
+        // The traceroute narrowing flag keys on this.
+        let first_read_by_traceroutes: Vec<&str> = SOURCE_USES
+            .iter()
+            .filter(|u| u.first == Stage::Traceroutes)
+            .map(|u| u.name)
+            .collect();
+        assert_eq!(first_read_by_traceroutes, ["ripe_traceroutes"]);
+        // The sources each delta class churns, and the stage that dirties
+        // (`every_delta_class_maps_to_its_stage` checks the generator
+        // against the same expectations).
+        for (source, stage) in [
+            ("roads", Stage::Roads),
+            ("atlas_nodes", Stage::Physical),
+            ("atlas_links", Stage::Physical),
+            ("pdb_facilities", Stage::Physical),
+            ("asrank_links", Stage::Logical),
+            ("ripe_traceroutes", Stage::Traceroutes),
+            ("natural_earth", Stage::Metros),
+        ] {
+            assert_eq!(source_use(source).first, stage, "{source}");
+        }
+        // Every record is released by the end of a baseline-free build.
+        let snaps = base();
+        let (_, report) =
+            crate::validate::validate(&snaps, &igdb_fault::BuildPolicy::strict()).unwrap();
+        let records: usize =
+            igdb_fault::SourceId::ALL.iter().map(|s| report.health(*s).rows_in).sum();
+        let mut owned = CleanSnapshots::from_owned(snaps.clone());
+        for stage in Stage::ALL {
+            owned.release_consumed(stage);
+        }
+        let d = diff_snapshots(&snaps, &owned.into_snapshot_set());
+        assert_eq!(
+            (d.records_added(), d.records_removed()),
+            (0, records),
+            "a source outlived its last consumer"
+        );
     }
 
     #[test]

@@ -47,9 +47,11 @@ use igdb_synth::sources::{
 /// A [`SnapshotSet`] after screening: each source is either the original
 /// slice (clean) or an owned filtered copy (faults removed). The build
 /// pipeline consumes this and may assume every record is well-formed.
+/// Conversions to and from an owned [`SnapshotSet`] are generated beside
+/// the source→stage table in [`crate::delta`].
 #[derive(Debug)]
 pub struct CleanSnapshots<'a> {
-    pub as_of_date: &'a str,
+    pub as_of_date: Cow<'a, str>,
     pub atlas_nodes: Cow<'a, [AtlasNode]>,
     pub atlas_links: Cow<'a, [AtlasLink]>,
     pub pdb_facilities: Cow<'a, [PdbFacility]>,
@@ -72,74 +74,6 @@ pub struct CleanSnapshots<'a> {
     pub anycast_prefixes: Cow<'a, [Prefix]>,
     pub hoiho_rules: Cow<'a, [HoihoRule]>,
     pub geo_codes: Cow<'a, [(String, usize)]>,
-}
-
-impl CleanSnapshots<'_> {
-    /// True if screening changed any source (quarantined records, FK
-    /// cascades). When false, every field still borrows the original set —
-    /// the build consumed exactly its input, and an owned caller can reuse
-    /// the input set instead of materializing a copy.
-    pub fn is_modified(&self) -> bool {
-        fn owned<T: Clone>(c: &Cow<'_, [T]>) -> bool {
-            matches!(c, Cow::Owned(_))
-        }
-        owned(&self.atlas_nodes)
-            || owned(&self.atlas_links)
-            || owned(&self.pdb_facilities)
-            || owned(&self.pdb_networks)
-            || owned(&self.pdb_netfac)
-            || owned(&self.pdb_ix)
-            || owned(&self.pdb_netix)
-            || owned(&self.pch_ixps)
-            || owned(&self.he_exchanges)
-            || owned(&self.euroix)
-            || owned(&self.rdns)
-            || owned(&self.asrank_entries)
-            || owned(&self.asrank_links)
-            || owned(&self.ripe_anchors)
-            || owned(&self.ripe_traceroutes)
-            || owned(&self.natural_earth)
-            || owned(&self.roads)
-            || owned(&self.telegeo)
-            || owned(&self.bgp_prefixes)
-            || owned(&self.anycast_prefixes)
-            || owned(&self.hoiho_rules)
-            || owned(&self.geo_codes)
-    }
-
-    /// Materializes the screened view as an owned [`SnapshotSet`] — the
-    /// exact record set the build consumed, with every quarantined record
-    /// already removed. [`crate::delta::diff_snapshots`] diffs against
-    /// this, so FK cascades (links whose endpoints were screened out,
-    /// memberships of dropped sources) are resolved by the validator
-    /// before any delta math runs.
-    pub fn to_snapshot_set(&self) -> SnapshotSet {
-        SnapshotSet {
-            as_of_date: self.as_of_date.to_string(),
-            atlas_nodes: self.atlas_nodes.to_vec(),
-            atlas_links: self.atlas_links.to_vec(),
-            pdb_facilities: self.pdb_facilities.to_vec(),
-            pdb_networks: self.pdb_networks.to_vec(),
-            pdb_netfac: self.pdb_netfac.to_vec(),
-            pdb_ix: self.pdb_ix.to_vec(),
-            pdb_netix: self.pdb_netix.to_vec(),
-            pch_ixps: self.pch_ixps.to_vec(),
-            he_exchanges: self.he_exchanges.to_vec(),
-            euroix: self.euroix.to_vec(),
-            rdns: self.rdns.to_vec(),
-            asrank_entries: self.asrank_entries.to_vec(),
-            asrank_links: self.asrank_links.to_vec(),
-            ripe_anchors: self.ripe_anchors.to_vec(),
-            ripe_traceroutes: self.ripe_traceroutes.to_vec(),
-            natural_earth: self.natural_earth.to_vec(),
-            roads: self.roads.to_vec(),
-            telegeo: self.telegeo.to_vec(),
-            bgp_prefixes: self.bgp_prefixes.to_vec(),
-            anycast_prefixes: self.anycast_prefixes.to_vec(),
-            hoiho_rules: self.hoiho_rules.to_vec(),
-            geo_codes: self.geo_codes.to_vec(),
-        }
-    }
 }
 
 /// Rejects non-finite and out-of-WGS-84 coordinates. Clean emitters go
@@ -636,7 +570,7 @@ pub fn validate<'a>(
 
     let report = BuildReport::new(s.healths, s.quarantine);
     let clean = CleanSnapshots {
-        as_of_date: &snaps.as_of_date,
+        as_of_date: Cow::Borrowed(&snaps.as_of_date),
         atlas_nodes,
         atlas_links,
         pdb_facilities,

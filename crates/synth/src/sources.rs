@@ -250,36 +250,6 @@ pub struct SnapshotSet {
 }
 
 impl SnapshotSet {
-    /// An empty set for `as_of_date` — a placeholder for callers that
-    /// swap a real set in immediately (see `Igdb::try_build_owned`).
-    pub fn empty(as_of_date: impl Into<String>) -> Self {
-        SnapshotSet {
-            as_of_date: as_of_date.into(),
-            atlas_nodes: Vec::new(),
-            atlas_links: Vec::new(),
-            pdb_facilities: Vec::new(),
-            pdb_networks: Vec::new(),
-            pdb_netfac: Vec::new(),
-            pdb_ix: Vec::new(),
-            pdb_netix: Vec::new(),
-            pch_ixps: Vec::new(),
-            he_exchanges: Vec::new(),
-            euroix: Vec::new(),
-            rdns: Vec::new(),
-            asrank_entries: Vec::new(),
-            asrank_links: Vec::new(),
-            ripe_anchors: Vec::new(),
-            ripe_traceroutes: Vec::new(),
-            natural_earth: Vec::new(),
-            roads: Vec::new(),
-            telegeo: Vec::new(),
-            bgp_prefixes: Vec::new(),
-            anycast_prefixes: Vec::new(),
-            hoiho_rules: Vec::new(),
-            geo_codes: Vec::new(),
-        }
-    }
-
     /// Releases the over-allocation left by push-based emission. Sets are
     /// long-lived (a build retains its input as the delta baseline), so
     /// growth slack — up to 2x on the big vectors — is worth returning.

@@ -21,7 +21,7 @@ use igdb_core::igdb_obs::{JsonMode, Registry};
 use igdb_core::{
     BuildPolicy, BuildReport, EpochHandle, Igdb, SnapshotDelta, SpMode, Stage,
 };
-use igdb_synth::sources::SnapshotSet;
+use igdb_synth::sources::{emit_snapshots_churned, SnapshotSet};
 use igdb_synth::{emit_snapshots, generate_delta, DeltaClass, World, WorldConfig};
 
 fn base_snaps() -> SnapshotSet {
@@ -58,27 +58,35 @@ fn first_diff(a: &str, b: &str) -> String {
     format!("lengths differ: {} vs {} lines", a.lines().count(), b.lines().count())
 }
 
-/// Builds `base` outside any registry, then applies `next` incrementally
-/// under an isolated registry at `threads` workers.
+/// Applies `next` onto `prior` incrementally under an isolated registry at
+/// `threads` workers, returning the new world too so applies can chain.
+fn apply_onto(
+    prior: &Igdb,
+    next: &SnapshotSet,
+    threads: usize,
+) -> (Igdb, Capture, SnapshotDelta) {
+    let reg = Registry::new();
+    let (igdb, report, delta) = igdb_par::with_threads(threads, || {
+        let _g = reg.install();
+        prior.apply_delta(next, &BuildPolicy::lenient()).expect("delta applies")
+    });
+    let capture = Capture {
+        fingerprint: igdb.db.fingerprint(),
+        report,
+        counters: reg.counter_snapshot(),
+    };
+    (igdb, capture, delta)
+}
+
+/// Builds `base` outside any registry, then applies `next` onto it.
 fn apply_capture(
     base: &SnapshotSet,
     next: &SnapshotSet,
     threads: usize,
 ) -> (Capture, SnapshotDelta) {
     let (prior, _) = Igdb::try_build(base, &BuildPolicy::lenient()).expect("base builds");
-    let reg = Registry::new();
-    let (igdb, report, delta) = igdb_par::with_threads(threads, || {
-        let _g = reg.install();
-        prior.apply_delta(next, &BuildPolicy::lenient()).expect("delta applies")
-    });
-    (
-        Capture {
-            fingerprint: igdb.db.fingerprint(),
-            report,
-            counters: reg.counter_snapshot(),
-        },
-        delta,
-    )
+    let (_, capture, delta) = apply_onto(&prior, next, threads);
+    (capture, delta)
 }
 
 /// Rebuilds `next` from scratch under an isolated registry.
@@ -164,6 +172,48 @@ fn apply_matches_rebuild_in_both_sp_modes() {
     }
     // And the two modes agree with each other.
     assert_identical(&captures[0], &captures[1], "Dijkstra vs Ch");
+}
+
+// ---------------------------------------------------------------------------
+// Apply ≡ rebuild when the prior is itself an applied or appended world
+// ---------------------------------------------------------------------------
+
+/// Feed → traceroute → road, each applied onto the previous apply's
+/// output: a stage shared twice replays a ledger entry that was itself
+/// replayed, and every epoch must still equal a fresh build.
+#[test]
+fn chained_applies_stay_byte_identical_to_rebuild() {
+    let feed = [DeltaClass::AtlasChurn, DeltaClass::FacilityChurn, DeltaClass::LogicalChurn];
+    let chain: [&[DeltaClass]; 3] =
+        [&feed, &[DeltaClass::TracerouteChurn], &[DeltaClass::RoadChurn]];
+    let (mut cur, _) = Igdb::try_build(&base_snaps(), &BuildPolicy::lenient()).unwrap();
+    for (epoch, classes) in chain.into_iter().enumerate() {
+        let (next, ops) = generate_delta(cur.source_snapshots(), 41 + epoch as u64, classes);
+        assert!(!ops.is_empty(), "epoch {epoch} generated no ops");
+        let (igdb, apply, delta) = apply_onto(&cur, &next, 2);
+        assert!(!delta.is_empty(), "epoch {epoch} diffed empty");
+        assert_identical(&apply, &rebuild_capture(&next, 2), &format!("epoch {epoch} {classes:?}"));
+        cur = igdb;
+    }
+}
+
+/// A world that took an `append_snapshot` refresh holds multi-date
+/// tables, so an apply onto it shares nothing from `Physical` on — even
+/// for deltas that would otherwise share almost everything.
+#[test]
+fn apply_onto_appended_world_is_byte_identical_to_rebuild() {
+    let world = World::generate(WorldConfig::tiny());
+    let base = emit_snapshots(&world, "2022-05-03", 400);
+    let later = emit_snapshots_churned(&world, "2022-11-01", 400, 0.08);
+    for class in [DeltaClass::Empty, DeltaClass::LogicalChurn, DeltaClass::TracerouteChurn] {
+        let (mut prior, _) = Igdb::try_build(&base, &BuildPolicy::lenient()).unwrap();
+        prior.append_snapshot(&later);
+        let (next, _) = generate_delta(prior.source_snapshots(), 29, &[class]);
+        let (_, apply, delta) = apply_onto(&prior, &next, 2);
+        assert_identical(&apply, &rebuild_capture(&next, 2), &format!("appended + {class:?}"));
+        assert_eq!(delta.first_dirty, Some(Stage::Physical), "{class:?}");
+        assert!(!delta.traceroute_rows_clean && !delta.ip_inputs_clean, "{class:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------
