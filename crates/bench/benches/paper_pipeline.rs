@@ -9,7 +9,7 @@ use std::hint::black_box;
 
 use igdb_bench::{fixture, Scale};
 use igdb_core::analysis;
-use igdb_core::{with_mode, Igdb, SpMode};
+use igdb_core::Igdb;
 use igdb_synth::{emit_snapshots, World, WorldConfig};
 
 fn bench_build(c: &mut Criterion) {
@@ -147,50 +147,32 @@ fn bench_phys_routing_mesh(c: &mut Criterion) {
     // pairs of the first k metros, grouped by source). The fresh-workspace
     // row reallocates per query — the pre-engine cost model — while the
     // reused row settles each source once and resumes for later targets.
-    // The graph sits above [`igdb_core::CH_AUTO_THRESHOLD`], so each row
-    // pins its query mode explicitly; the CH row runs `prepare_ch` outside
-    // the timed region (preprocessing is a build-time cost).
     let k = graph.engine().node_count().min(40);
     g.bench_function("sp_queries_fresh_workspace", |b| {
         b.iter(|| {
-            with_mode(SpMode::Dijkstra, || {
-                let mut total = 0.0;
-                for s in 0..k {
-                    for t in 0..k {
-                        if s == t {
-                            continue;
-                        }
-                        let mut ws = igdb_core::SpWorkspace::new();
-                        if let Some((_, d)) = graph.shortest_path_with(&mut ws, s, t) {
-                            total += d;
-                        }
+            let mut total = 0.0;
+            for s in 0..k {
+                for t in 0..k {
+                    if s == t {
+                        continue;
+                    }
+                    let mut ws = igdb_core::SpWorkspace::new();
+                    if let Some((_, d)) = graph.shortest_path_with(&mut ws, s, t) {
+                        total += d;
                     }
                 }
-                black_box(total)
-            })
+            }
+            black_box(total)
         })
     });
     g.bench_function("sp_queries_reused_workspace", |b| {
         let mut ws = igdb_core::SpWorkspace::new();
-        b.iter(|| {
-            with_mode(SpMode::Dijkstra, || {
-                black_box(all_ordered_pairs(graph.engine(), &mut ws, k))
-            })
-        })
-    });
-    graph.engine().prepare_ch();
-    g.bench_function("ch_queries", |b| {
-        let mut ws = igdb_core::SpWorkspace::new();
-        b.iter(|| {
-            with_mode(SpMode::Ch, || {
-                black_box(all_ordered_pairs(graph.engine(), &mut ws, k))
-            })
-        })
+        b.iter(|| black_box(all_ordered_pairs(graph.engine(), &mut ws, k)))
     });
     g.finish();
 }
 
-/// The shared engine-row query stream: every ordered pair of the first `k`
+/// The reused-workspace query stream: every ordered pair of the first `k`
 /// nodes, grouped by source (the layout the resumable search amortizes).
 fn all_ordered_pairs(
     engine: &igdb_core::ShortestPathEngine,
@@ -200,80 +182,6 @@ fn all_ordered_pairs(
     let mut total = 0.0;
     for s in 0..k {
         for t in 0..k {
-            if s == t {
-                continue;
-            }
-            if let Some((_, d)) = engine.shortest_path_with(ws, s, t) {
-                total += d;
-            }
-        }
-    }
-    total
-}
-
-fn bench_phys_routing_mesh_medium(c: &mut Criterion) {
-    // The CH payoff case: the medium physical graph (2,000 metros) under
-    // the access pattern corridor queries actually arrive in — the source
-    // changes (nearly) every query, as in the routing loop's pair-sorted
-    // stream and a traceroute's consecutive legs. Resume amortization has
-    // nothing to reuse, so Dijkstra re-settles a large region per query;
-    // the bidirectional CH query touches a few hundred upward edges.
-    let f = fixture(Scale::Medium);
-    let graph = analysis::physpath::PhysGraph::from_igdb(&f.igdb);
-    // Evenly spaced connected metros (degree-0 metros answer instantly and
-    // would only dilute the comparison).
-    let connected: Vec<usize> =
-        (0..graph.engine().node_count()).filter(|&m| graph.degree(m) > 0).collect();
-    let k = connected.len().min(48);
-    let stride = connected.len() / k.max(1);
-    let nodes: Vec<usize> = (0..k).map(|i| connected[i * stride]).collect();
-    let mut g = c.benchmark_group("phys_routing_mesh_medium");
-    g.sample_size(10);
-    g.bench_function("sp_queries_reused_workspace", |b| {
-        let mut ws = igdb_core::SpWorkspace::new();
-        b.iter(|| {
-            with_mode(SpMode::Dijkstra, || {
-                black_box(interleaved_pairs(graph.engine(), &mut ws, &nodes))
-            })
-        })
-    });
-    graph.engine().prepare_ch();
-    g.bench_function("ch_queries", |b| {
-        let mut ws = igdb_core::SpWorkspace::new();
-        b.iter(|| {
-            with_mode(SpMode::Ch, || {
-                black_box(interleaved_pairs(graph.engine(), &mut ws, &nodes))
-            })
-        })
-    });
-    g.bench_function("ch_distances_from_batched", |b| {
-        let mut ws = igdb_core::SpWorkspace::new();
-        b.iter(|| {
-            with_mode(SpMode::Ch, || {
-                let mut total = 0.0;
-                for &s in &nodes {
-                    for d in graph.engine().distances_from(&mut ws, s, &nodes).into_iter().flatten() {
-                        total += d;
-                    }
-                }
-                black_box(total)
-            })
-        })
-    });
-    g.finish();
-}
-
-/// Query stream whose source changes every query (target-major iteration):
-/// the resumable search can never amortize, matching pair-at-a-time
-/// corridor lookups.
-fn interleaved_pairs(
-    engine: &igdb_core::ShortestPathEngine,
-    ws: &mut igdb_core::SpWorkspace,
-    nodes: &[usize],
-) -> f64 {
-    let mut total = 0.0;
-    for &t in nodes {
-        for &s in nodes {
             if s == t {
                 continue;
             }
@@ -337,7 +245,6 @@ criterion_group!(
     bench_fig6_overlap,
     bench_fig7_physpath,
     bench_phys_routing_mesh,
-    bench_phys_routing_mesh_medium,
     bench_fig8_rocketfuel,
     bench_fig9_fusion,
     bench_fig10_density,

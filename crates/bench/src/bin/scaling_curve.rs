@@ -1,6 +1,6 @@
-//! Scaling curve: build time, peak RSS (VmHWM), and query-latency
-//! quantiles vs world size — the evidence row behind ROADMAP item 3's
-//! planet tier (EXPERIMENTS.md records a captured run).
+//! Scaling curve: build time and peak RSS (VmHWM) vs world size — the
+//! evidence row behind the planet tier (EXPERIMENTS.md records a captured
+//! run).
 //!
 //! One tier per process so peak-RSS numbers aren't contaminated by earlier
 //! tiers (the allocator rarely returns freed pages to the OS):
@@ -14,9 +14,8 @@
 //! work's wins were attributed.
 
 use igdb_bench::Scale;
-use igdb_core::analysis::physpath::PhysGraph;
 use igdb_core::igdb_obs;
-use igdb_core::{with_mode, BuildPolicy, Igdb, SpMode, SpWorkspace};
+use igdb_core::{BuildPolicy, Igdb};
 use igdb_synth::{emit_snapshots, World};
 use std::time::Instant;
 
@@ -51,43 +50,12 @@ fn main() {
         + snaps.bgp_prefixes.len();
     drop(world);
 
-    let reg = igdb_obs::Registry::new();
     let t0 = Instant::now();
-    let igdb = {
-        let _g = reg.install();
-        let (igdb, report) = Igdb::try_build_scratch(snaps, &BuildPolicy::strict())
-            .expect("synthetic snapshots build cleanly");
-        assert!(report.is_clean());
-        igdb
-    };
+    let (igdb, report) = Igdb::try_build_scratch(snaps, &BuildPolicy::strict())
+        .expect("synthetic snapshots build cleanly");
+    assert!(report.is_clean());
     let build_ms = t0.elapsed().as_millis();
     let rss_build = rss();
-
-    // Query quantiles over the interleaved pair stream (the serving_quantiles
-    // workload), in both SP modes.
-    let graph = PhysGraph::from_igdb(&igdb);
-    let connected: Vec<usize> =
-        (0..graph.engine().node_count()).filter(|&m| graph.degree(m) > 0).collect();
-    let k = connected.len().min(48);
-    let stride = connected.len() / k.max(1);
-    let nodes: Vec<usize> = (0..k).map(|i| connected[i * stride]).collect();
-    graph.engine().prepare_ch();
-    {
-        let _g = reg.install();
-        for mode in [SpMode::Dijkstra, SpMode::Ch] {
-            let mut ws = SpWorkspace::new();
-            with_mode(mode, || {
-                for &t in &nodes {
-                    for &s in &nodes {
-                        if s != t {
-                            let _ = graph.engine().shortest_path_with(&mut ws, s, t);
-                        }
-                    }
-                }
-            });
-        }
-        igdb_obs::record_peak_rss("scaling_curve");
-    }
     let peak = igdb_obs::peak_rss_kb().unwrap_or(0);
     let total_ms = t_total.elapsed().as_millis();
 
@@ -102,21 +70,9 @@ fn main() {
     }
 
     // The markdown row EXPERIMENTS.md's scaling-curve table is built from.
-    print!(
+    println!(
         "| {scale:?} | {n_cities} | {n_ases} | {n_records} | {} | {build_ms} | {:.1} |",
         igdb.db.table_names().iter().map(|t| igdb.db.row_count(t).unwrap_or(0)).sum::<usize>(),
         peak as f64 / 1024.0,
     );
-    for mode in [SpMode::Dijkstra, SpMode::Ch] {
-        let h = reg
-            .histogram("spath.query_us", mode.label())
-            .expect("latency histogram recorded");
-        print!(
-            " {:.1} / {:.1} / {:.1} |",
-            h.quantile(0.50),
-            h.quantile(0.90),
-            h.quantile(0.99)
-        );
-    }
-    println!();
 }

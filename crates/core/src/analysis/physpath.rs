@@ -17,7 +17,7 @@ use igdb_net::{Asn, Ip4};
 
 use crate::build::Igdb;
 use crate::corridor::CorridorCache;
-use crate::spath::{ShortestPathEngine, SpMode, SpWorkspace};
+use crate::spath::{ShortestPathEngine, SpWorkspace};
 
 /// The metro-level graph of inferred physical paths (`phys_conn`),
 /// backed by the shared [`ShortestPathEngine`].
@@ -31,11 +31,6 @@ pub struct PhysGraph {
     /// across a mesh and Rocketfuel logical edges share corridors, so the
     /// same pair is asked for over and over.
     corridors: CorridorCache,
-    /// Metros whose incident corridors changed in the delta this graph was
-    /// repaired for (empty on a fresh build). While the contraction
-    /// hierarchy is not yet re-contracted, queries touching these metros
-    /// take the Dijkstra overlay instead of forcing a full CH build.
-    dirty_metros: BTreeSet<usize>,
 }
 
 impl PhysGraph {
@@ -51,7 +46,6 @@ impl PhysGraph {
             engine: ShortestPathEngine::from_undirected(n_metros, pairs.iter().copied()),
             workspace: Mutex::new(SpWorkspace::new()),
             corridors: CorridorCache::new("phys"),
-            dirty_metros: BTreeSet::new(),
         }
     }
 
@@ -59,11 +53,8 @@ impl PhysGraph {
     /// delta provably did not invalidate: when the pair delta is
     /// removal-only (edge removals can never shorten a surviving route),
     /// memoized corridors that avoid every touched metro migrate from
-    /// `old`; and if `old` had built its contraction hierarchy, the new
-    /// engine re-contracts in the recorded order with the touched metros
-    /// pushed last instead of re-running the priority heap from scratch.
-    /// Both reuses are latency-only — answer bytes are pinned identical to
-    /// a cold [`from_pairs`](Self::from_pairs) graph.
+    /// `old`. The reuse is latency-only — answer bytes are pinned identical
+    /// to a cold [`from_pairs`](Self::from_pairs) graph.
     pub fn rebuilt_for_delta(
         old: &PhysGraph,
         n_metros: usize,
@@ -71,16 +62,9 @@ impl PhysGraph {
         touched: &BTreeSet<usize>,
         removal_only: bool,
     ) -> Self {
-        let mut g = Self::from_pairs(n_metros, new_pairs);
+        let g = Self::from_pairs(n_metros, new_pairs);
         if removal_only {
             g.corridors.seed_surviving_from(&old.corridors, touched);
-        }
-        if !g.engine.seed_hierarchy_from(&old.engine, touched) {
-            // No hierarchy to repair (old graph never built one, or the
-            // metro space changed shape): remember the dirty region so
-            // cached queries touching it overlay Dijkstra rather than
-            // paying a full contraction on the query path.
-            g.dirty_metros = touched.clone();
         }
         g
     }
@@ -122,28 +106,14 @@ impl PhysGraph {
     /// [`shortest_path_with`](Self::shortest_path_with), memoized by
     /// normalized metro pair: each unordered pair is routed at most once
     /// per graph across all callers and workers.
-    ///
-    /// On a delta-repaired graph whose contraction hierarchy has not been
-    /// re-contracted yet, queries with an endpoint in the dirtied region
-    /// overlay Dijkstra — same bytes, no full CH build on the query path.
     pub fn shortest_path_cached(
         &self,
         ws: &mut SpWorkspace,
         from: usize,
         to: usize,
     ) -> Option<(Vec<usize>, f64)> {
-        let overlay = !self.dirty_metros.is_empty()
-            && !self.engine.hierarchy_ready()
-            && (self.dirty_metros.contains(&from) || self.dirty_metros.contains(&to));
-        self.corridors.shortest_path(from, to, |lo, hi| {
-            if overlay {
-                crate::spath::with_mode(SpMode::Dijkstra, || {
-                    self.engine.shortest_path_with(ws, lo, hi)
-                })
-            } else {
-                self.engine.shortest_path_with(ws, lo, hi)
-            }
-        })
+        self.corridors
+            .shortest_path(from, to, |lo, hi| self.engine.shortest_path_with(ws, lo, hi))
     }
 }
 
@@ -449,68 +419,5 @@ mod tests {
         let (p, km) = g.shortest_path(kc, kc).unwrap();
         assert_eq!(p, vec![kc]);
         assert_eq!(km, 0.0);
-    }
-
-    /// 0—1—2—3—4 chain plus a long 0—4 edge that is never shorter.
-    fn chain_pairs() -> Vec<(usize, usize, f64)> {
-        vec![(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (0, 4, 10.0)]
-    }
-
-    #[test]
-    fn delta_repair_overlays_dijkstra_until_hierarchy_exists() {
-        use crate::spath::{with_mode, SpMode};
-        let pairs = chain_pairs();
-        let old = PhysGraph::from_pairs(5, &pairs);
-        let touched: BTreeSet<usize> = [4].into_iter().collect();
-        let g = PhysGraph::rebuilt_for_delta(&old, 5, &pairs, &touched, true);
-        // The old graph never contracted, so there was nothing to seed and
-        // the dirty region was recorded instead.
-        assert!(!g.engine().hierarchy_ready());
-        let mut ws = SpWorkspace::new();
-        let expect = with_mode(SpMode::Dijkstra, || old.shortest_path(0, 4)).unwrap();
-        // Even forced into CH mode, a dirty-endpoint query overlays
-        // Dijkstra: identical answer, and no hierarchy gets built on the
-        // query path.
-        let got = with_mode(SpMode::Ch, || g.shortest_path_cached(&mut ws, 0, 4)).unwrap();
-        assert_eq!(got, expect);
-        assert!(
-            !g.engine().hierarchy_ready(),
-            "dirty-region query must not trigger a full contraction"
-        );
-        // A clean-region query in CH mode contracts as usual...
-        let _ = with_mode(SpMode::Ch, || g.shortest_path_cached(&mut ws, 0, 2));
-        assert!(g.engine().hierarchy_ready());
-        // ...and once the hierarchy exists, dirty-region answers come from
-        // CH and still match Dijkstra bit for bit.
-        let again = g.shortest_path_cached(&mut ws, 1, 4).unwrap();
-        assert_eq!(
-            again,
-            with_mode(SpMode::Dijkstra, || old.shortest_path(1, 4)).unwrap()
-        );
-    }
-
-    #[test]
-    fn delta_repair_seeds_hierarchy_from_old_order() {
-        use crate::spath::{with_mode, SpMode};
-        let old = PhysGraph::from_pairs(5, &chain_pairs());
-        let _ = with_mode(SpMode::Ch, || old.shortest_path(0, 3));
-        assert!(old.engine().hierarchy_ready());
-        // Drop the long 0—4 edge; metros 0 and 4 are touched.
-        let new_pairs = vec![(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)];
-        let touched: BTreeSet<usize> = [0, 4].into_iter().collect();
-        let g = PhysGraph::rebuilt_for_delta(&old, 5, &new_pairs, &touched, true);
-        // The scoped re-contraction ran at repair time: no overlay needed.
-        assert!(g.engine().hierarchy_ready());
-        let fresh = PhysGraph::from_pairs(5, &new_pairs);
-        let mut ws = SpWorkspace::new();
-        for from in 0..5 {
-            for to in 0..5 {
-                assert_eq!(
-                    with_mode(SpMode::Ch, || g.shortest_path_cached(&mut ws, from, to)),
-                    with_mode(SpMode::Dijkstra, || fresh.shortest_path(from, to)),
-                    "({from}, {to})"
-                );
-            }
-        }
     }
 }

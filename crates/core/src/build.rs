@@ -1369,14 +1369,14 @@ impl Igdb {
     /// full (quarantine and ingestion accounting are identical to a
     /// rebuild's), diff it against the set this world was built from,
     /// copy the clean stage prefix verbatim, re-run the dirty suffix, and
-    /// repair the lazily built physical-path graph in place — surviving
-    /// corridors migrate and the contraction hierarchy is re-contracted
-    /// in the recorded order with dirty nodes pushed last.
+    /// carry the lazily built physical-path graph forward — if the prior
+    /// world had built it, the new one is built here and the memoized
+    /// corridors a removal-only delta left intact migrate into it.
     ///
     /// The contract, enforced by the delta-determinism suite and CI: the
     /// returned world is **byte-identical** to `try_build(snaps, policy)`
     /// — database fingerprint, quarantine, and deterministic counter
-    /// stream — at every worker count and in both shortest-path modes.
+    /// stream — at every worker count.
     ///
     /// Worlds that took [`Igdb::append_snapshot`] refreshes hold
     /// multi-date tables no stage copy can reproduce, so table reuse is

@@ -21,18 +21,31 @@
 //! are scheduling-dependent in *which worker* reports them, so they are
 //! perf metrics, outside the deterministic counter snapshot.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Generic per-pair memo table with compute-once semantics. `name` labels
-/// the hit/miss perf metrics (`corridor.cache_hits{name}` /
-/// `corridor.cache_misses{name}`).
-pub struct PairCache<V> {
-    name: &'static str,
-    entries: Mutex<HashMap<(usize, usize), Arc<OnceLock<V>>>>,
+/// One cached corridor: the canonical shortest path oriented from the
+/// smaller endpoint, plus its length.
+#[derive(Debug)]
+struct Corridor {
+    path: Vec<usize>,
+    km: f64,
 }
 
-impl<V: Clone> PairCache<V> {
+/// One memo cell per normalized pair; `None` records an unreachable pair,
+/// so misses are cached too.
+type Cell = Arc<OnceLock<Option<Corridor>>>;
+
+/// Memoized shortest-path corridors over one immutable graph, with
+/// compute-once semantics per unordered pair. `name` labels the hit/miss
+/// perf metrics (`corridor.cache_hits{name}` /
+/// `corridor.cache_misses{name}`).
+pub struct CorridorCache {
+    name: &'static str,
+    entries: Mutex<HashMap<(usize, usize), Cell>>,
+}
+
+impl CorridorCache {
     pub fn new(name: &'static str) -> Self {
         Self {
             name,
@@ -40,64 +53,78 @@ impl<V: Clone> PairCache<V> {
         }
     }
 
+    /// The map, whatever a panicking holder left behind: cells are filled
+    /// outside this lock, so a poisoned map is still a consistent one.
+    fn map(&self) -> MutexGuard<'_, HashMap<(usize, usize), Cell>> {
+        self.entries.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Number of distinct pairs cached so far (computed or in flight).
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.map().len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Every settled `(key, value)` pair. Entries still in flight (cell
-    /// allocated but not yet filled) are skipped. Used by delta ingestion
-    /// to migrate still-valid corridors into a successor cache.
-    pub fn settled_entries(&self) -> Vec<((usize, usize), V)> {
-        let map = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out: Vec<((usize, usize), V)> = map
-            .iter()
-            .filter_map(|(k, cell)| cell.get().map(|v| (*k, v.clone())))
-            .collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
+    /// Every normalized pair whose corridor (or unreachability) is settled.
+    /// Entries still in flight (cell allocated but not yet filled) are
+    /// skipped.
+    pub(crate) fn settled_keys(&self) -> BTreeSet<(usize, usize)> {
+        self.map().iter().filter(|(_, cell)| cell.get().is_some()).map(|(k, _)| *k).collect()
     }
 
-    /// Pre-fills `key` with an already-known value (a migrated corridor).
-    /// Seeding does not count as a hit or a miss; an existing entry for the
-    /// key is left untouched.
-    pub fn seed(&self, key: (usize, usize), value: V) {
-        let cell = {
-            let mut map = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-            Arc::clone(map.entry(key).or_default())
-        };
-        let _ = cell.set(value);
+    /// Seeds this (typically fresh) cache with every settled entry of `old`
+    /// that avoids `touched` — the corridor-migration half of a delta
+    /// apply. An entry survives only if both endpoints *and* every stored
+    /// path node avoid the touched set; cached-unreachable (`None`) entries
+    /// survive on the endpoint test alone. Seeding counts as neither a hit
+    /// nor a miss, and an existing entry for a key is left untouched.
+    ///
+    /// Sound only for removal-only deltas: removing edges can't create a
+    /// shorter path, so a surviving corridor — minimal over a superset of
+    /// the remaining graph and fully intact — is still the canonical
+    /// answer, and an unreachable pair stays unreachable. Any delta that
+    /// adds or re-weights edges must start cold instead (see
+    /// `PhysGraph::rebuilt_for_delta`).
+    pub fn seed_surviving_from(&self, old: &CorridorCache, touched: &BTreeSet<usize>) {
+        let old_map = old.map();
+        let mut map = self.map();
+        for (k, cell) in old_map.iter() {
+            // In-flight cells are skipped: their eventual value can't be
+            // vetted.
+            let Some(v) = cell.get() else { continue };
+            let survives = !touched.contains(&k.0)
+                && !touched.contains(&k.1)
+                && v.as_ref().map_or(true, |c| c.path.iter().all(|m| !touched.contains(m)));
+            if survives {
+                // A settled cell never changes, so the two caches share it.
+                map.entry(*k).or_insert_with(|| Arc::clone(cell));
+            }
+        }
     }
 
-    /// Drops every settled entry whose key or value fails `keep`; in-flight
-    /// cells are dropped too (their eventual value can't be vetted).
-    pub fn retain(&self, keep: impl Fn(&(usize, usize), &V) -> bool) {
-        let mut map = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        map.retain(|k, cell| match cell.get() {
-            Some(v) => keep(k, v),
-            None => false,
-        });
-    }
-
-    /// The memoized value for `key`, computing it at most once per key
-    /// process-wide (concurrent callers for the same key block on the
-    /// first computation instead of repeating it).
-    pub fn get_or_compute(&self, key: (usize, usize), compute: impl FnOnce() -> V) -> V {
-        let cell = {
-            let mut map = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-            Arc::clone(map.entry(key).or_default())
-        };
+    /// The corridor `from → to`, computing it via `compute` (called with
+    /// the normalized `(min, max)` pair) at most once per unordered pair
+    /// process-wide: concurrent callers for the same pair block on the
+    /// first computation instead of repeating it. The canonical path is
+    /// direction-independent (shortest paths are unique under the engine's
+    /// lexicographic key), so the reverse orientation is served by
+    /// reversing the stored path.
+    pub fn shortest_path(
+        &self,
+        from: usize,
+        to: usize,
+        compute: impl FnOnce(usize, usize) -> Option<(Vec<usize>, f64)>,
+    ) -> Option<(Vec<usize>, f64)> {
+        let key = (from.min(to), from.max(to));
+        let cell = Arc::clone(self.map().entry(key).or_default());
         let mut miss = false;
-        let value = cell
-            .get_or_init(|| {
-                miss = true;
-                compute()
-            })
-            .clone();
+        let cached = cell.get_or_init(|| {
+            miss = true;
+            compute(key.0, key.1).map(|(path, km)| Corridor { path, km })
+        });
         if miss {
             igdb_obs::perf("corridor.cache_misses", self.name, 1);
             // Occupancy sampled on each miss gives a growth curve of the
@@ -106,98 +133,12 @@ impl<V: Clone> PairCache<V> {
         } else {
             igdb_obs::perf("corridor.cache_hits", self.name, 1);
         }
-        value
-    }
-}
-
-/// One cached corridor: the canonical shortest path oriented from the
-/// smaller endpoint, plus its length.
-#[derive(Clone, Debug)]
-struct Corridor {
-    path: Vec<usize>,
-    km: f64,
-}
-
-/// Memoized shortest-path corridors over one immutable graph. `None`
-/// entries record unreachable pairs, so misses are cached too.
-pub struct CorridorCache {
-    inner: PairCache<Option<Corridor>>,
-}
-
-impl CorridorCache {
-    pub fn new(name: &'static str) -> Self {
-        Self {
-            inner: PairCache::new(name),
-        }
-    }
-
-    /// Number of distinct pairs cached so far.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Evicts every corridor that touches any metro in `touched`: an entry
-    /// survives only if both endpoints *and* every stored path node avoid
-    /// the touched set. Cached-unreachable (`None`) entries survive on the
-    /// endpoint test alone.
-    ///
-    /// Sound only for removal-only deltas: removing edges can't create a
-    /// shorter path, so a surviving corridor — minimal over a superset of
-    /// the remaining graph and fully intact — is still the canonical
-    /// answer, and an unreachable pair stays unreachable. Any delta that
-    /// adds or re-weights edges must flush instead (see
-    /// `PhysGraph::rebuilt_for_delta`).
-    pub fn evict_touching_metros(&self, touched: &std::collections::BTreeSet<usize>) {
-        self.inner.retain(|k, v| {
-            if touched.contains(&k.0) || touched.contains(&k.1) {
-                return false;
-            }
-            v.as_ref()
-                .map_or(true, |c| c.path.iter().all(|m| !touched.contains(m)))
-        });
-    }
-
-    /// Seeds this (typically fresh) cache with every entry of `old` that
-    /// survives [`evict_touching_metros`](Self::evict_touching_metros)'s
-    /// criterion — the corridor-migration half of a delta apply.
-    pub fn seed_surviving_from(&self, old: &CorridorCache, touched: &std::collections::BTreeSet<usize>) {
-        for (k, v) in old.inner.settled_entries() {
-            if touched.contains(&k.0) || touched.contains(&k.1) {
-                continue;
-            }
-            if let Some(c) = &v {
-                if c.path.iter().any(|m| touched.contains(m)) {
-                    continue;
-                }
-            }
-            self.inner.seed(k, v);
-        }
-    }
-
-    /// The corridor `from → to`, computing it via `compute` (called with
-    /// the normalized `(min, max)` pair) at most once per unordered pair.
-    /// The canonical path is direction-independent (shortest paths are
-    /// unique under the engine's lexicographic key), so the reverse
-    /// orientation is served by reversing the stored path.
-    pub fn shortest_path(
-        &self,
-        from: usize,
-        to: usize,
-        compute: impl FnOnce(usize, usize) -> Option<(Vec<usize>, f64)>,
-    ) -> Option<(Vec<usize>, f64)> {
-        let key = (from.min(to), from.max(to));
-        let cached = self.inner.get_or_compute(key, || {
-            compute(key.0, key.1).map(|(path, km)| Corridor { path, km })
-        })?;
-        let mut path = cached.path;
+        let corridor = cached.as_ref()?;
+        let mut path = corridor.path.clone();
         if from > to {
             path.reverse();
         }
-        Some((path, cached.km))
+        Some((path, corridor.km))
     }
 }
 
@@ -265,70 +206,31 @@ mod tests {
     }
 
     #[test]
-    fn eviction_drops_touched_and_keeps_untouched_hot() {
-        let cache = CorridorCache::new("test");
-        let calls = AtomicUsize::new(0);
-        let compute = |lo: usize, hi: usize| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Some((vec![lo, 50, hi], 1.0))
-        };
-        // Populate: (1,2) and (3,4) avoid metro 7; (7,9) has it as an
-        // endpoint; (5,6) routes *through* it.
-        cache.shortest_path(1, 2, compute);
-        cache.shortest_path(3, 4, compute);
-        cache.shortest_path(7, 9, compute);
-        cache.shortest_path(5, 6, |lo, hi| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Some((vec![lo, 7, hi], 2.0))
-        });
-        assert_eq!(cache.len(), 4);
-        let touched: std::collections::BTreeSet<usize> = [7].into_iter().collect();
-        cache.evict_touching_metros(&touched);
-        assert_eq!(cache.len(), 2, "endpoint-touched and path-touched entries evicted");
-        // Untouched entries survive AND still hit: no recompute.
-        let before = calls.load(Ordering::Relaxed);
-        assert_eq!(cache.shortest_path(1, 2, compute), Some((vec![1, 50, 2], 1.0)));
-        assert_eq!(cache.shortest_path(4, 3, compute), Some((vec![4, 50, 3], 1.0)));
-        assert_eq!(calls.load(Ordering::Relaxed), before, "survivors must hit");
-        // Evicted entries recompute on next request.
-        cache.shortest_path(7, 9, compute);
-        assert_eq!(calls.load(Ordering::Relaxed), before + 1);
-    }
-
-    #[test]
-    fn eviction_keeps_unreachable_entries_on_endpoint_test() {
-        let cache = CorridorCache::new("test");
-        let calls = AtomicUsize::new(0);
-        let none = |_: usize, _: usize| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            None
-        };
-        cache.shortest_path(1, 9, none);
-        cache.shortest_path(2, 7, none);
-        let touched: std::collections::BTreeSet<usize> = [7].into_iter().collect();
-        cache.evict_touching_metros(&touched);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.shortest_path(1, 9, none), None);
-        assert_eq!(calls.load(Ordering::Relaxed), 2, "surviving None entry still hits");
-    }
-
-    #[test]
     fn migration_seeds_only_survivors() {
         let old = CorridorCache::new("test");
         let calls = AtomicUsize::new(0);
         old.shortest_path(1, 2, |lo, hi| Some((vec![lo, hi], 1.0)));
         old.shortest_path(3, 8, |lo, hi| Some((vec![lo, 8, hi], 2.0)));
         old.shortest_path(4, 5, |lo, hi| Some((vec![lo, 6, hi], 3.0)));
+        old.shortest_path(6, 9, |lo, hi| Some((vec![lo, hi], 4.0)));
+        old.shortest_path(2, 7, |_, _| None);
+        old.shortest_path(6, 7, |_, _| None);
         let fresh = CorridorCache::new("test");
-        let touched: std::collections::BTreeSet<usize> = [6].into_iter().collect();
+        let touched: BTreeSet<usize> = [6].into_iter().collect();
         fresh.seed_surviving_from(&old, &touched);
-        assert_eq!(fresh.len(), 2, "(4,5) routes through touched metro 6");
+        assert_eq!(
+            fresh.len(),
+            3,
+            "(4,5) routes through touched metro 6; (6,9) and (6,7) end at it"
+        );
         let compute = |lo: usize, hi: usize| {
             calls.fetch_add(1, Ordering::Relaxed);
             Some((vec![lo, hi], 9.9))
         };
-        // Migrated entries answer without recompute, with the old value.
+        // Migrated entries answer without recompute, with the old value —
+        // a cached-unreachable pair included.
         assert_eq!(fresh.shortest_path(2, 1, compute), Some((vec![2, 1], 1.0)));
+        assert_eq!(fresh.shortest_path(7, 2, compute), None);
         assert_eq!(calls.load(Ordering::Relaxed), 0);
         // The dropped pair recomputes fresh.
         assert_eq!(fresh.shortest_path(4, 5, compute), Some((vec![4, 5], 9.9)));

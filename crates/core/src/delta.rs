@@ -253,7 +253,7 @@ pub struct SnapshotDelta {
     pub metro_append_only: bool,
     /// Metros whose inferred physical connectivity changed, filled by
     /// `apply_delta` once the new `phys_conn` rows exist. Keys corridor
-    /// eviction and the scoped CH re-contraction.
+    /// migration.
     pub touched_metros: BTreeSet<usize>,
     /// The physical pair set only shrank (no additions, no re-weights).
     /// Only then may corridor entries avoiding the touched metros migrate:

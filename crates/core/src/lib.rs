@@ -63,4 +63,4 @@ pub use corridor::CorridorCache;
 pub use roads::RoadGraph;
 pub use serving::{run_query_mix, MixFailure, QueryMixSummary};
 pub use shard::{SpatialPartition, SHARD_MIN_METROS};
-pub use spath::{with_mode, ShortestPathEngine, SpMode, SpWorkspace, CH_AUTO_THRESHOLD};
+pub use spath::{with_mode, ShortestPathEngine, SpMode, SpWorkspace};

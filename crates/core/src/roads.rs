@@ -18,17 +18,8 @@ use std::sync::Mutex;
 use igdb_geo::GeoPoint;
 use igdb_synth::sources::RoadSegment;
 
-use crate::corridor::PairCache;
+use crate::corridor::CorridorCache;
 use crate::spath::{ShortestPathEngine, SpWorkspace};
-
-/// One memoized road corridor, oriented from the smaller metro id.
-/// Only the metro path and length are kept; geometry is re-concatenated
-/// on demand (see [`RoadGraph::route_cached`]).
-#[derive(Clone, Debug)]
-struct RoadRoute {
-    path: Vec<usize>,
-    km: f64,
-}
 
 /// One loaded road edge.
 #[derive(Clone, Debug)]
@@ -51,9 +42,10 @@ pub struct RoadGraph {
     /// `_with` variants.
     workspace: Mutex<SpWorkspace>,
     /// Memoized corridors by normalized metro pair: snapshot refreshes and
-    /// repeated atlas links re-route the same pairs, and the geometry
-    /// concatenation is not free either.
-    corridors: PairCache<Option<RoadRoute>>,
+    /// repeated atlas links re-route the same pairs. Only the metro path
+    /// and length are kept; geometry is re-concatenated on demand (see
+    /// [`route_cached`](Self::route_cached)).
+    corridors: CorridorCache,
 }
 
 impl RoadGraph {
@@ -88,7 +80,7 @@ impl RoadGraph {
             engine,
             edge_of,
             workspace: Mutex::new(SpWorkspace::new()),
-            corridors: PairCache::new("roads"),
+            corridors: CorridorCache::new("roads"),
         }
     }
 
@@ -176,11 +168,7 @@ impl RoadGraph {
     /// Delta applies reusing a warm graph count these to replay the
     /// `spath.queries` ticks a cold rebuild would have emitted.
     pub fn cached_route_keys(&self) -> std::collections::BTreeSet<(usize, usize)> {
-        self.corridors
-            .settled_entries()
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect()
+        self.corridors.settled_keys()
     }
 
     /// [`route_with_geometry_with`](Self::route_with_geometry_with), memoized
@@ -192,24 +180,18 @@ impl RoadGraph {
         from: usize,
         to: usize,
     ) -> Option<(Vec<usize>, f64, Vec<GeoPoint>)> {
-        let key = (from.min(to), from.max(to));
-        let cached = self.corridors.get_or_compute(key, || {
-            let (path, km) = self.engine.shortest_path_with(ws, key.0, key.1)?;
+        let (path, km) = self.corridors.shortest_path(from, to, |lo, hi| {
             // Only routes whose geometry concatenates cleanly are cached,
             // mirroring `route_with_geometry`'s contract.
-            self.path_geometry(&path)?;
-            Some(RoadRoute { path, km })
+            self.engine
+                .shortest_path_with(ws, lo, hi)
+                .filter(|(path, _)| self.path_geometry(path).is_some())
         })?;
         // Geometry is re-concatenated per call instead of memoized: the
         // cached polylines dominated the road graph's resident footprint,
         // and the concat is a linear walk over already-resident edges.
-        let mut geometry = self.path_geometry(&cached.path).expect("validated at insert");
-        let mut path = cached.path;
-        if from > to {
-            path.reverse();
-            geometry.reverse();
-        }
-        Some((path, cached.km, geometry))
+        let geometry = self.path_geometry(&path).expect("validated at insert");
+        Some((path, km, geometry))
     }
 }
 

@@ -111,16 +111,6 @@ pub fn gulf_hazard() -> Polygon {
 pub fn run_query_mix(world: &World, igdb: &Igdb) -> QueryMixSummary {
     let _span = igdb_obs::span("serving.query_mix");
 
-    // Warm the CH layer up front in *both* modes, from serial code: a
-    // serving deployment pays preprocessing once at startup, and doing it
-    // unconditionally keeps the deterministic counter stream SP-mode
-    // invariant (the CH build's `par.*` counters would otherwise appear
-    // only under `IGDB_SP_MODE=ch`).
-    {
-        let _prep = igdb_obs::span("serving.prepare_ch");
-        igdb.phys_graph().engine().prepare_ch();
-    }
-
     let mut failures = Vec::new();
 
     // 1. Physical paths for the whole anchor-mesh traceroute set, in

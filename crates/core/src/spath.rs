@@ -19,11 +19,15 @@
 //!   continues the partially-run Dijkstra instead of restarting it, so a
 //!   loop over targets grouped by source amortizes to a single full SSSP
 //!   per source.
-//! * **Contraction hierarchies** ([`ch`]): a one-time preprocessing pass
-//!   (edge-difference node ordering, shortcut insertion, upward CSR) that
-//!   turns each point query into two tiny upward searches. Selected
-//!   automatically above [`CH_AUTO_THRESHOLD`] nodes, overridable with
-//!   `IGDB_SP_MODE=dijkstra|ch` or [`with_mode`].
+//!
+//! Every production path runs that resumable Dijkstra. A second
+//! algorithm, **contraction hierarchies** ([`ch`]: edge-difference node
+//! ordering, shortcut insertion, upward CSR, two tiny upward searches per
+//! point query), answers only inside an explicit [`with_mode`] override —
+//! the equivalence suite and the benchmark's `spath.query_us.*` probes.
+//! Its preprocessing never paid for itself end to end: the graphs here are
+//! used for one batch of source-grouped queries, or sit behind the
+//! corridor cache.
 //!
 //! # Determinism and the canonical-path contract
 //!
@@ -64,16 +68,16 @@ type HeapKey = (u64, u32, u128, u32);
 /// bit-identical results (see the module docs); they differ only in cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpMode {
-    /// Resumable generation-stamped Dijkstra. No preprocessing; best for
-    /// small graphs or one-shot queries.
+    /// Resumable generation-stamped Dijkstra, no preprocessing: what every
+    /// query runs unless [`with_mode`] says otherwise.
     Dijkstra,
     /// Bidirectional contraction-hierarchy query over a lazily built
-    /// preprocessing layer. Best for many point queries on larger graphs.
+    /// preprocessing layer. Reached only through [`with_mode`].
     Ch,
 }
 
 impl SpMode {
-    /// Stable lowercase label used for metric labels and `IGDB_SP_MODE`.
+    /// Stable lowercase label used for metric labels.
     pub fn label(self) -> &'static str {
         match self {
             SpMode::Dijkstra => "dijkstra",
@@ -82,10 +86,6 @@ impl SpMode {
     }
 }
 
-/// Nodes at or above this count select [`SpMode::Ch`] automatically when
-/// neither [`with_mode`] nor `IGDB_SP_MODE` says otherwise.
-pub const CH_AUTO_THRESHOLD: usize = 256;
-
 thread_local! {
     static MODE_OVERRIDE: Cell<Option<SpMode>> = const { Cell::new(None) };
 }
@@ -93,7 +93,7 @@ thread_local! {
 /// Runs `f` with the shortest-path mode forced to `mode` on this thread,
 /// restoring the previous override afterwards (mirrors
 /// `igdb_par::with_threads`). The override does not propagate into
-/// `igdb-par` workers; use `IGDB_SP_MODE` for process-wide selection.
+/// `igdb-par` workers.
 pub fn with_mode<R>(mode: SpMode, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<SpMode>);
     impl Drop for Restore {
@@ -103,18 +103,6 @@ pub fn with_mode<R>(mode: SpMode, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(MODE_OVERRIDE.with(|m| m.replace(Some(mode))));
     f()
-}
-
-fn env_mode() -> Option<SpMode> {
-    static ENV: OnceLock<Option<SpMode>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let raw = std::env::var("IGDB_SP_MODE").ok()?;
-        match raw.to_ascii_lowercase().as_str() {
-            "dijkstra" => Some(SpMode::Dijkstra),
-            "ch" => Some(SpMode::Ch),
-            other => panic!("IGDB_SP_MODE must be `dijkstra` or `ch`, got `{other}`"),
-        }
-    })
 }
 
 /// Exact lexicographic path key. `w` and `hops` grow left-to-right along a
@@ -407,20 +395,10 @@ impl ShortestPathEngine {
         from < n && to < n
     }
 
-    /// Mode this engine resolves to right now: thread override, then
-    /// `IGDB_SP_MODE`, then the node-count auto threshold.
+    /// Mode this engine resolves to right now: the [`with_mode`] override
+    /// on this thread, else Dijkstra.
     pub fn resolved_mode(&self) -> SpMode {
-        if let Some(mode) = MODE_OVERRIDE.with(|m| m.get()) {
-            return mode;
-        }
-        if let Some(mode) = env_mode() {
-            return mode;
-        }
-        if self.node_count() >= CH_AUTO_THRESHOLD {
-            SpMode::Ch
-        } else {
-            SpMode::Dijkstra
-        }
+        MODE_OVERRIDE.with(|m| m.get()).unwrap_or(SpMode::Dijkstra)
     }
 
     /// Forces the contraction hierarchy to exist (it is otherwise built
@@ -428,56 +406,6 @@ impl ShortestPathEngine {
     /// keep preprocessing out of the timed region.
     pub fn prepare_ch(&self) {
         self.hierarchy();
-    }
-
-    /// Whether the contraction hierarchy has already been built. Delta
-    /// repair uses this to decide between the CH path and the Dijkstra
-    /// overlay fallback without *triggering* the lazy build.
-    pub fn hierarchy_ready(&self) -> bool {
-        self.hierarchy.get().is_some()
-    }
-
-    /// Builds this engine's hierarchy by re-contracting in `old`'s recorded
-    /// order with the `dirty` nodes moved (stably) to the end — the scoped
-    /// CH repair for a delta apply. Falls back to the normal lazy build
-    /// when `old` never built a hierarchy or the node counts differ (a
-    /// recorded order from a different world is meaningless). No-op if this
-    /// engine's hierarchy already exists. Returns true when a seeded
-    /// re-contraction actually ran.
-    ///
-    /// Answer bytes are unaffected either way: any contraction order yields
-    /// a correct CH, and CH answers are pinned bit-identical to Dijkstra.
-    pub fn seed_hierarchy_from(
-        &self,
-        old: &ShortestPathEngine,
-        dirty: &std::collections::BTreeSet<usize>,
-    ) -> bool {
-        if self.hierarchy.get().is_some() {
-            return false;
-        }
-        let Some(old_h) = old.hierarchy.get() else {
-            return false;
-        };
-        let prev = old_h.contraction_order();
-        if prev.len() != self.node_count() {
-            return false;
-        }
-        let mut order: Vec<u32> = Vec::with_capacity(prev.len());
-        let mut tail: Vec<u32> = Vec::new();
-        for &v in prev {
-            if dirty.contains(&(v as usize)) {
-                tail.push(v);
-            } else {
-                order.push(v);
-            }
-        }
-        order.extend(tail);
-        let mut ran = false;
-        self.hierarchy.get_or_init(|| {
-            ran = true;
-            ch::Hierarchy::build_seeded(self, &order)
-        });
-        ran
     }
 
     pub(crate) fn hierarchy(&self) -> &ch::Hierarchy {
@@ -759,21 +687,17 @@ mod tests {
 
     #[test]
     fn workspace_shrinks_after_large_graph() {
-        // Pin Dijkstra: the big graph is over the CH auto threshold, and
-        // this test is about the Dijkstra buffers.
-        with_mode(SpMode::Dijkstra, || {
-            let big_n = (SHRINK_MIN * SHRINK_FACTOR) + 8;
-            let arcs: Vec<(usize, usize, f64)> = (0..big_n - 1).map(|i| (i, i + 1, 1.0)).collect();
-            let big = ShortestPathEngine::from_undirected(big_n, arcs);
-            let small = engine(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]);
-            let mut ws = SpWorkspace::new();
-            assert_eq!(big.distance_with(&mut ws, 0, 4), Some(4.0));
-            assert_eq!(ws.buffer_len(), big_n);
-            assert_eq!(small.distance_with(&mut ws, 0, 3), Some(3.0));
-            assert_eq!(ws.buffer_len(), 4, "buffers shrink back to the live graph");
-            // And the shrunken workspace still answers correctly.
-            assert_eq!(small.distance_with(&mut ws, 3, 0), Some(3.0));
-        });
+        let big_n = (SHRINK_MIN * SHRINK_FACTOR) + 8;
+        let arcs: Vec<(usize, usize, f64)> = (0..big_n - 1).map(|i| (i, i + 1, 1.0)).collect();
+        let big = ShortestPathEngine::from_undirected(big_n, arcs);
+        let small = engine(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]);
+        let mut ws = SpWorkspace::new();
+        assert_eq!(big.distance_with(&mut ws, 0, 4), Some(4.0));
+        assert_eq!(ws.buffer_len(), big_n);
+        assert_eq!(small.distance_with(&mut ws, 0, 3), Some(3.0));
+        assert_eq!(ws.buffer_len(), 4, "buffers shrink back to the live graph");
+        // And the shrunken workspace still answers correctly.
+        assert_eq!(small.distance_with(&mut ws, 3, 0), Some(3.0));
     }
 
     #[test]

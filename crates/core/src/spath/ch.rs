@@ -271,10 +271,6 @@ pub(crate) struct Hierarchy {
     edges: Edges,
     up_offsets: Vec<u32>,
     up_edges: Vec<u32>,
-    /// Node ids in contraction (rank) order — the recipe a delta apply
-    /// feeds back through [`Hierarchy::build_seeded`] to repair the index
-    /// without recomputing priorities.
-    order: Vec<u32>,
 }
 
 /// Fresh overlay (originals only) + adjacency for `engine`.
@@ -321,10 +317,8 @@ impl Hierarchy {
         // pure function of the untouched graph, and par_map_with preserves
         // input order, so this is worker-count invariant. `quiet` demotes
         // the pool's submission ticks to perf class for the same reason the
-        // span above is suppressed: the build fires lazily, and whether it
-        // fires at all depends on cache warmth (a delta apply reusing a warm
-        // road graph never gets here), so the ticks cannot sit in the
-        // deterministic counter stream.
+        // span above is suppressed: the build fires lazily, so the ticks
+        // cannot sit in the deterministic counter stream.
         let node_ids: Vec<u32> = (0..n as u32).collect();
         let prios: Vec<i64> = igdb_par::quiet(|| {
             igdb_par::par_map_with(
@@ -374,56 +368,13 @@ impl Hierarchy {
         // data-determined but reported alongside the other preprocessing
         // costs, outside the deterministic counter snapshot.
         igdb_obs::perf("ch.shortcuts_added", "", (edges.len() - original_edges) as u64);
-        Self::finish(n, edges, order)
+        Self::finish(n, edges, &order)
     }
 
-    /// Builds a hierarchy by contracting in the *given* order instead of
-    /// computing priorities — the scoped re-contraction path for delta
-    /// repair. Any permutation yields a *correct* CH (witness searches are
-    /// conservative: budget exhaustion adds redundant-but-harmless
-    /// shortcuts, and queries re-accumulate weights over unpacked original
-    /// arcs), so a delta apply reuses the previous build's order with the
-    /// dirtied nodes moved to the end: untouched regions contract exactly
-    /// as before, while dirty nodes — whose neighborhoods changed — are
-    /// re-planned last, where contraction is cheapest. Skipping the
-    /// parallel priority pass and the lazy heap is what makes repair much
-    /// cheaper than `build`.
-    pub(crate) fn build_seeded(engine: &ShortestPathEngine, order: &[u32]) -> Self {
-        igdb_obs::perf("ch.builds", "seeded", 1);
-        let n = engine.node_count();
-        assert_eq!(order.len(), n, "seeded order must cover every node");
-        debug_assert!(
-            {
-                let mut seen = vec![false; n];
-                order.iter().all(|&v| {
-                    let fresh = !seen[v as usize];
-                    seen[v as usize] = true;
-                    fresh
-                })
-            },
-            "seeded order must be a permutation"
-        );
-        let (mut edges, mut adj) = overlay_init(engine);
-        let original_edges = edges.len();
-        let mut contracted = vec![false; n];
-        let mut scratch = WitnessScratch::new(n);
-        for &v in order {
-            let (plan, _) = plan_shortcuts(&edges, &adj, &contracted, &mut scratch, v);
-            contracted[v as usize] = true;
-            for sc in plan {
-                let id = edges.push(sc.x, sc.y, sc.key, [sc.ex, sc.ey]);
-                adj[sc.x as usize].push(id);
-                adj[sc.y as usize].push(id);
-            }
-        }
-        igdb_obs::perf("ch.shortcuts_added", "seeded", (edges.len() - original_edges) as u64);
-        Self::finish(n, edges, order.to_vec())
-    }
-
-    /// Shared epilogue: ranks from the contraction order, then the upward
-    /// CSR (every overlay edge filed under its lower-ranked endpoint, in
-    /// edge-id order).
-    fn finish(n: usize, edges: Edges, order: Vec<u32>) -> Self {
+    /// Ranks from the contraction order, then the upward CSR (every
+    /// overlay edge filed under its lower-ranked endpoint, in edge-id
+    /// order).
+    fn finish(n: usize, edges: Edges, order: &[u32]) -> Self {
         let mut rank = vec![0u32; n];
         for (r, &v) in order.iter().enumerate() {
             rank[v as usize] = r as u32;
@@ -449,12 +400,7 @@ impl Hierarchy {
             up_edges[cursor[lower] as usize] = e as u32;
             cursor[lower] += 1;
         }
-        Self { nodes: n, edges, up_offsets, up_edges, order }
-    }
-
-    /// The contraction order this hierarchy was built with.
-    pub(crate) fn contraction_order(&self) -> &[u32] {
-        &self.order
+        Self { nodes: n, edges, up_offsets, up_edges }
     }
 
     /// Total number of shortcut edges the preprocessing added (diagnostic).

@@ -1818,11 +1818,14 @@ mod tests {
 
     #[test]
     fn peak_rss_probe_reports_on_linux() {
+        // Current before peak: sibling tests allocate concurrently, and a
+        // peak read first can be overtaken by the time RSS is read.
+        let cur = current_rss_kb();
         let kb = peak_rss_kb();
         if cfg!(target_os = "linux") {
             let kb = kb.expect("VmHWM should parse on Linux");
             assert!(kb > 0, "a running process has nonzero peak RSS");
-            let cur = current_rss_kb().expect("VmRSS should parse on Linux");
+            let cur = cur.expect("VmRSS should parse on Linux");
             assert!(cur <= kb, "current RSS cannot exceed the high-water mark");
         } else {
             assert!(kb.is_none());

@@ -3,7 +3,7 @@
 //! A std-only TCP / unix-socket server speaking a compact length-prefixed
 //! binary protocol ([`proto`]), multiplexing client connections onto a
 //! bounded worker pool over the shared [`igdb_core::Igdb`] corpus and its
-//! corridor/CH caches. The robustness contract:
+//! corridor cache. The robustness contract:
 //!
 //! - **Deadlines** ([`deadline`]): every request carries a monotonic
 //!   budget, checked at analysis-loop safepoints; overruns become a typed

@@ -34,8 +34,7 @@
 //! Deterministic counters (in the gated snapshot): `serve.requests{kind}`
 //! and `serve.bytes_in{kind}` at admission, `serve.ok{kind}` and
 //! `serve.bytes_out{kind}` on success — pure functions of the accepted
-//! workload, worker-count and SP-mode invariant (success payloads are
-//! bit-identical by the SP-equivalence contract). Everything timing- or
+//! workload, worker-count invariant. Everything timing- or
 //! scheduling-shaped is perf-class: `serve.rejects{shed|shutting_down|
 //! bad_request}` (reader-side refusals), `serve.err{name}` (worker-side
 //! failures), `serve.bytes_out_err{kind}` (error-response bytes — which
@@ -421,9 +420,9 @@ pub const KINDS: [&str; 9] =
 
 impl Server {
     /// Starts serving on `listener`. The shared [`Igdb`]'s physical
-    /// graph and CH index are warmed *here*, serially, under `reg` — a
-    /// serving deployment pays preprocessing once at startup, and the
-    /// warm-up spans land in the deterministic stream in a fixed shape.
+    /// graph is built *here*, serially, under `reg` — a serving deployment
+    /// pays for it once at startup, and the warm-up span lands in the
+    /// deterministic stream in a fixed shape.
     pub fn start(
         igdb: Arc<Igdb>,
         listener: Listener,
@@ -434,7 +433,7 @@ impl Server {
         {
             let _g = reg.install();
             let _span = igdb_obs::span("serve.prepare");
-            igdb.phys_graph().engine().prepare_ch();
+            igdb.phys_graph();
         }
         let workers = if cfg.workers == 0 { igdb_par::num_threads() } else { cfg.workers };
         let recorder = FlightRecorder::new(RecorderConfig {

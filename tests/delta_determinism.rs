@@ -3,8 +3,7 @@
 //! rebuilding from scratch with [`Igdb::try_build`] on the same inputs —
 //! database fingerprint (every row, float bit patterns, index contents),
 //! quarantine and per-source health, and the deterministic counter
-//! stream — for every generated delta class, at every worker count, in
-//! both shortest-path modes.
+//! stream — for every generated delta class, at every worker count.
 //!
 //! Also covered here: epoch-versioned reads (a reader pinned on one
 //! epoch never observes a mixture of two worlds), and the golden
@@ -18,9 +17,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use igdb_core::igdb_obs::{JsonMode, Registry};
-use igdb_core::{
-    BuildPolicy, BuildReport, EpochHandle, Igdb, SnapshotDelta, SpMode, Stage,
-};
+use igdb_core::{BuildPolicy, BuildReport, EpochHandle, Igdb, SnapshotDelta, Stage};
 use igdb_synth::sources::{emit_snapshots_churned, SnapshotSet};
 use igdb_synth::{emit_snapshots, generate_delta, DeltaClass, World, WorldConfig};
 
@@ -157,23 +154,6 @@ fn composite_delta_is_worker_count_invariant() {
     }
 }
 
-#[test]
-fn apply_matches_rebuild_in_both_sp_modes() {
-    let base = base_snaps();
-    let (next, _) = generate_delta(&base, 5, &[DeltaClass::AtlasChurn, DeltaClass::RoadChurn]);
-    let mut captures = Vec::new();
-    for mode in [SpMode::Dijkstra, SpMode::Ch] {
-        igdb_core::with_mode(mode, || {
-            let (apply, _) = apply_capture(&base, &next, 2);
-            let rebuild = rebuild_capture(&next, 2);
-            assert_identical(&apply, &rebuild, &format!("{mode:?}"));
-            captures.push(apply);
-        });
-    }
-    // And the two modes agree with each other.
-    assert_identical(&captures[0], &captures[1], "Dijkstra vs Ch");
-}
-
 // ---------------------------------------------------------------------------
 // Apply ≡ rebuild when the prior is itself an applied or appended world
 // ---------------------------------------------------------------------------
@@ -217,22 +197,20 @@ fn apply_onto_appended_world_is_byte_identical_to_rebuild() {
 }
 
 // ---------------------------------------------------------------------------
-// Warm-graph repair: migrated corridors and seeded CH answer identically
+// Warm-graph repair: migrated corridors answer identically
 // ---------------------------------------------------------------------------
 
 #[test]
 fn repaired_phys_graph_answers_match_cold_rebuild() {
     let base = base_snaps();
     let (prior, _) = Igdb::try_build(&base, &BuildPolicy::lenient()).unwrap();
-    // Warm the prior graph the way a serving deployment would: CH built,
-    // corridors populated.
-    igdb_core::with_mode(SpMode::Ch, || {
-        let g = prior.phys_graph();
-        let mut ws = igdb_core::SpWorkspace::new();
-        for from in (0..prior.metros.len()).step_by(3) {
-            let _ = g.shortest_path_cached(&mut ws, from, (from + 7) % prior.metros.len());
-        }
-    });
+    // Warm the prior graph the way a serving deployment would: corridors
+    // populated.
+    let g = prior.phys_graph();
+    let mut ws = igdb_core::SpWorkspace::new();
+    for from in (0..prior.metros.len()).step_by(3) {
+        let _ = g.shortest_path_cached(&mut ws, from, (from + 7) % prior.metros.len());
+    }
     // Removal-only churn: the corridor-migration fast path.
     let (next, _) = generate_delta(&base, 23, &[DeltaClass::AtlasPrune]);
     let (applied, _, delta) =

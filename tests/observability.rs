@@ -20,12 +20,17 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::Arc;
+use std::time::Duration;
 
+use igdb_core::analysis::risk::{self, Reroute};
 use igdb_core::igdb_obs::{JsonMode, Registry};
-use igdb_core::{run_query_mix, with_mode, BuildPolicy, Igdb, SourceId, SpMode};
+use igdb_core::serving::gulf_hazard;
+use igdb_core::{run_query_mix, BuildPolicy, Igdb, SourceId};
+use igdb_serve::{Client, Listener, Request, Response, Server, ServerConfig};
 use igdb_synth::faults::FaultClass;
 use igdb_synth::sources::SnapshotSet;
-use igdb_synth::{emit_snapshots, inject_faults, World, WorldConfig};
+use igdb_synth::{emit_snapshots, generate_delta, inject_faults, DeltaClass, World, WorldConfig};
 
 fn snaps() -> SnapshotSet {
     let world = World::generate(WorldConfig::tiny());
@@ -212,39 +217,85 @@ fn deterministic_json_lines_match_golden() {
 // ---------------------------------------------------------------------------
 
 /// Builds a fresh database (cold corridor caches) and serves the fixed
-/// query mix under the given worker count and shortest-path mode,
-/// returning the serving registry. The build runs outside the registry so
-/// the stream holds serving telemetry only.
-fn serve_mix(world: &World, threads: usize, mode: SpMode) -> Registry {
+/// query mix under the given worker count, returning the serving registry.
+/// The build runs outside the registry so the stream holds serving
+/// telemetry only.
+fn serve_mix(world: &World, threads: usize) -> Registry {
     let snaps = emit_snapshots(world, "2022-05-03", 100);
     let igdb = Igdb::build(&snaps);
     let reg = Registry::new();
-    with_mode(mode, || {
-        igdb_par::with_threads(threads, || {
-            let _g = reg.install();
-            run_query_mix(world, &igdb);
-        })
+    igdb_par::with_threads(threads, || {
+        let _g = reg.install();
+        run_query_mix(world, &igdb);
     });
     reg
 }
 
+/// Every production path answers with resumable Dijkstra: nothing between
+/// a build and a served request may contract a hierarchy, whatever the
+/// graph's size. A lazy or eager prepare on any of those paths shows up
+/// here as a `ch.builds` tick.
 #[test]
-fn serving_counters_invariant_across_workers_and_sp_modes() {
+fn no_production_path_builds_a_contraction_hierarchy() {
     let world = World::generate(WorldConfig::tiny());
-    let baseline = serve_mix(&world, 1, SpMode::Dijkstra).json_lines(JsonMode::Deterministic);
+    let snaps = emit_snapshots(&world, "2022-05-03", 100);
+    let lenient = BuildPolicy::lenient();
+    let reg = Registry::new();
+    {
+        let _g = reg.install();
+        let (igdb, _) = Igdb::try_build(&snaps, &lenient).unwrap();
+        // The mix leaves `phys_graph()` warm, so both applies below take
+        // the repair path rather than the lazy rebuild.
+        run_query_mix(&world, &igdb);
+        let (road, _) = generate_delta(&snaps, 5, &[DeltaClass::RoadChurn]);
+        igdb.apply_delta(&road, &lenient).expect("road churn applies");
+        let (prune, _) = generate_delta(&snaps, 23, &[DeltaClass::AtlasPrune]);
+        let (pruned, _, delta) = igdb.apply_delta(&prune, &lenient).expect("prune applies");
+        assert!(delta.phys_removal_only, "AtlasPrune must take the corridor-migration path");
+
+        // A pair inside the hazard: its route fails, so the reroute builds
+        // and queries the one-shot degraded graph.
+        let (a, b) = (
+            igdb.metros.by_name("Houston").unwrap(),
+            igdb.metros.by_name("New Orleans").unwrap(),
+        );
+        let rerouted = risk::reroute(&igdb, &gulf_hazard(), a, b).expect("connected");
+        assert!(!matches!(rerouted, Reroute::Unaffected { .. }), "{rerouted:?}");
+
+        let sock = tempdir("nochbuild").join("s.sock");
+        let listener = Listener::bind_unix(&sock).expect("bind unix listener");
+        let pairs: Vec<(usize, usize)> =
+            pruned.phys_pairs.iter().step_by(7).take(6).map(|&(a, b, _)| (a, b)).collect();
+        let server =
+            Server::start(Arc::new(pruned), listener, ServerConfig::default(), reg.clone())
+                .expect("start server");
+        let mut client = Client::connect(&server.addr(), Duration::from_secs(5)).unwrap();
+        for w in pairs.windows(2) {
+            let req = Request::SpQuery { from: w[0].0 as u32, to: w[1].1 as u32 };
+            let resp = client.call(&req, 0).expect("sp_query answered");
+            assert!(matches!(resp, Response::Path { .. } | Response::NoRoute), "{resp:?}");
+        }
+        drop(client);
+        server.drain();
+    }
+    assert!(reg.counter_value("spath.queries", "") > 0, "the scenario routed nothing");
+    assert_eq!(reg.perf_value("ch.builds", ""), 0);
+    assert!(
+        !reg.json_lines(JsonMode::Full).contains("\"ch.builds\""),
+        "a hierarchy was contracted under some label"
+    );
+}
+
+#[test]
+fn serving_counters_invariant_across_workers() {
+    let world = World::generate(WorldConfig::tiny());
+    let baseline = serve_mix(&world, 1).json_lines(JsonMode::Deterministic);
     // The stream actually carries the new serving counters.
     for needle in ["serving.mix_runs", "analysis.queries", "spath.queries"] {
         assert!(baseline.contains(needle), "missing {needle} in:\n{baseline}");
     }
-    for (threads, mode) in
-        [(4, SpMode::Dijkstra), (1, SpMode::Ch), (4, SpMode::Ch)]
-    {
-        let got = serve_mix(&world, threads, mode).json_lines(JsonMode::Deterministic);
-        assert_eq!(
-            baseline, got,
-            "serving counter stream diverged at {threads} workers, {mode:?}"
-        );
-    }
+    let got = serve_mix(&world, 4).json_lines(JsonMode::Deterministic);
+    assert_eq!(baseline, got, "serving counter stream diverged at 4 workers");
 }
 
 #[test]
@@ -254,7 +305,7 @@ fn serving_stream_matches_golden() {
         "/../../tests/golden/serving.jsonl"
     ));
     let world = World::generate(WorldConfig::tiny());
-    let got = serve_mix(&world, 2, SpMode::Ch).json_lines(JsonMode::Deterministic);
+    let got = serve_mix(&world, 2).json_lines(JsonMode::Deterministic);
     if std::env::var_os("IGDB_BLESS").is_some() {
         std::fs::create_dir_all(golden_path.parent().unwrap()).unwrap();
         std::fs::write(&golden_path, &got).unwrap();
@@ -279,7 +330,7 @@ fn serving_stream_matches_golden() {
 #[test]
 fn serving_quantiles_and_profile_are_coherent() {
     let world = World::generate(WorldConfig::tiny());
-    let reg = serve_mix(&world, 2, SpMode::Ch);
+    let reg = serve_mix(&world, 2);
 
     // The per-trace latency histogram exists, with monotone quantiles
     // bounded by the observed extremes.

@@ -14,7 +14,7 @@
 use igdb_core::analysis::physpath::{
     physical_path_report_with, physical_path_reports_with, PhysGraph, HIDDEN_NODE_BUFFER_KM,
 };
-use igdb_core::{with_mode, Igdb, ShortestPathEngine, SpMode, SpWorkspace};
+use igdb_core::{Igdb, ShortestPathEngine, SpWorkspace};
 use igdb_net::{Asn, Ip4};
 use igdb_synth::{emit_snapshots, World, WorldConfig};
 use proptest::prelude::*;
@@ -230,63 +230,6 @@ fn build_is_identical_across_worker_counts() {
     let serial = igdb_par::with_threads(1, || Igdb::build(&snaps));
     let parallel = igdb_par::with_threads(8, || Igdb::build(&snaps));
     assert_igdb_identical(&serial, &parallel);
-}
-
-#[test]
-fn build_is_identical_across_sp_modes() {
-    // `with_mode` is thread-scoped, so force serial execution here; the
-    // worker-count axis is covered by the tests around this one, which CI
-    // re-runs under both `IGDB_SP_MODE` values (process-wide, so parallel
-    // workers resolve the same mode).
-    let world = World::generate(WorldConfig::tiny());
-    let snaps = emit_snapshots(&world, "2022-05-03", 400);
-    let dijkstra = igdb_par::with_threads(1, || {
-        with_mode(SpMode::Dijkstra, || Igdb::build(&snaps))
-    });
-    let ch = igdb_par::with_threads(1, || with_mode(SpMode::Ch, || Igdb::build(&snaps)));
-    assert_igdb_identical(&dijkstra, &ch);
-}
-
-#[test]
-fn mesh_reports_are_identical_across_sp_modes() {
-    let world = World::generate(WorldConfig::tiny());
-    let snaps = emit_snapshots(&world, "2022-05-03", 400);
-    let igdb = Igdb::build(&snaps);
-    // Separate graphs per mode: a shared instance would serve corridors
-    // memoized under the first mode to the second, masking divergence.
-    let graph_d = PhysGraph::from_igdb(&igdb);
-    let graph_c = PhysGraph::from_igdb(&igdb);
-    graph_c.engine().prepare_ch();
-    let traces: Vec<Vec<Ip4>> = igdb
-        .traces()
-        .iter()
-        .map(|t| t.hops.iter().filter_map(|h| h.ip).collect())
-        .collect();
-    let mut reports = 0usize;
-    for hops in &traces {
-        let d = with_mode(SpMode::Dijkstra, || {
-            physical_path_report_with(&igdb, &graph_d, hops)
-        });
-        let c = with_mode(SpMode::Ch, || physical_path_report_with(&igdb, &graph_c, hops));
-        match (d, c) {
-            (Some(d), Some(c)) => {
-                reports += 1;
-                assert_eq!(d.observed_metros, c.observed_metros);
-                assert_eq!(d.inferred_km, c.inferred_km);
-                assert_eq!(d.practical_path, c.practical_path);
-                assert_eq!(d.practical_km, c.practical_km);
-                assert_eq!(d.legs.len(), c.legs.len());
-                for (ld, lc) in d.legs.iter().zip(&c.legs) {
-                    assert_eq!(ld.via, lc.via);
-                    assert_eq!(ld.km, lc.km);
-                    assert_eq!(ld.hidden_candidates, lc.hidden_candidates);
-                }
-            }
-            (None, None) => {}
-            _ => panic!("report presence differs between SP modes"),
-        }
-    }
-    assert!(reports > 10, "too few reports exercised: {reports}");
 }
 
 #[test]

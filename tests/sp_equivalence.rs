@@ -7,8 +7,8 @@
 //! between the same endpoints, self loops, and disconnected components all
 //! occur naturally under the generator below.
 //!
-//! Both modes are forced via `with_mode` because the random graphs sit
-//! under [`CH_AUTO_THRESHOLD`] and would otherwise all resolve to Dijkstra.
+//! Both modes are forced via `with_mode`: without the override every
+//! engine resolves to Dijkstra.
 
 use igdb_core::{with_mode, ShortestPathEngine, SpMode, SpWorkspace};
 use proptest::prelude::*;
