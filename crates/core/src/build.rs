@@ -1024,7 +1024,8 @@ impl<'a> Pipeline<'a> {
             .map(|r| (r.ip, igdb_db::Str::new(&r.hostname)))
             .collect();
         let hoiho_span = igdb_obs::span("ip_resolution.hoiho");
-        let (hoiho, _skipped) = HoihoEngine::build(&snaps.hoiho_rules, &snaps.geo_codes, metros);
+        let (hoiho, skipped) = HoihoEngine::build(&snaps.hoiho_rules, &snaps.geo_codes, metros);
+        debug_assert_eq!(skipped, 0, "validate quarantines uncompilable rules");
         drop(hoiho_span);
 
         let mut observed: BTreeSet<Ip4> = BTreeSet::new();

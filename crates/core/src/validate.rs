@@ -37,6 +37,7 @@ use igdb_fault::{
 };
 use igdb_geo::GeoPoint;
 use igdb_net::{Asn, Prefix};
+use igdb_regex::Regex;
 use igdb_synth::naming::HoihoRule;
 use igdb_synth::sources::{
     AsRankEntry, AtlasLink, AtlasNode, BgpPrefixRecord, EuroIxEntry, HeExchange,
@@ -561,11 +562,21 @@ pub fn validate<'a>(
         |p| Some(p.to_string()),
         |_| Ok(()),
     )?;
+    // A rule the engine cannot compile (or refuses as oversized) would be
+    // skipped by `HoihoEngine::build` with no trace; quarantine it here so
+    // it carries its index and pattern like any other bad record.
     let hoiho_rules = s.screen(
         SourceId::HoihoRules,
         &snaps.hoiho_rules,
         |r| Some(r.pattern.clone()),
-        |_| Ok(()),
+        |r| {
+            Regex::new(&r.pattern)
+                .map(drop)
+                .map_err(|e| RecordError::MalformedValue {
+                    field: "pattern",
+                    detail: e.to_string(),
+                })
+        },
     )?;
 
     let report = BuildReport::new(s.healths, s.quarantine);

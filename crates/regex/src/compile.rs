@@ -1,6 +1,13 @@
 //! AST → NFA program for the Pike VM.
 
-use crate::parse::{Ast, CharClass};
+use crate::parse::{Ast, CharClass, RegexError};
+
+/// Largest program [`compile`] will emit. Counted repeats are compiled by
+/// copying their body, so a 16-character pattern such as
+/// `(a{2000}){2000}$` asks for 4 M instructions; rule files come from
+/// outside the program and the largest real Hoiho-style rule is under a
+/// hundred instructions.
+const MAX_PROGRAM_INSTS: usize = 100_000;
 
 /// One character-consuming predicate.
 #[derive(Clone, Debug)]
@@ -48,7 +55,18 @@ pub struct Program {
 }
 
 /// Compiles an AST, wrapping it in group 0: `Save(0) body Save(1) Match`.
-pub fn compile(ast: &Ast) -> Program {
+/// Fails, before emitting anything, when the program would be longer than
+/// `MAX_PROGRAM_INSTS`.
+pub fn compile(ast: &Ast) -> Result<Program, RegexError> {
+    let size = emitted_len(ast).saturating_add(3);
+    if size > MAX_PROGRAM_INSTS {
+        return Err(RegexError {
+            message: format!(
+                "pattern compiles to {size} instructions, above the limit of {MAX_PROGRAM_INSTS}"
+            ),
+            offset: 0,
+        });
+    }
     let mut c = Compiler {
         insts: Vec::new(),
         max_group: 0,
@@ -57,11 +75,44 @@ pub fn compile(ast: &Ast) -> Program {
     c.emit(ast);
     c.insts.push(Inst::Save(1));
     c.insts.push(Inst::Match);
+    debug_assert_eq!(c.insts.len(), size, "emitted_len disagrees with emit");
     let groups = c.max_group;
-    Program {
+    Ok(Program {
         insts: c.insts,
         groups,
         slots: 2 * (groups + 1),
+    })
+}
+
+/// The number of instructions [`Compiler::emit`] produces for `ast`,
+/// saturating at `usize::MAX` — computed from the tree alone so an
+/// oversized pattern is refused without allocating for it.
+fn emitted_len(ast: &Ast) -> usize {
+    match ast {
+        Ast::Empty => 0,
+        Ast::Literal(_) | Ast::Dot | Ast::Class(_) | Ast::AnchorStart | Ast::AnchorEnd => 1,
+        Ast::Concat(items) => items
+            .iter()
+            .fold(0, |n, item| n.saturating_add(emitted_len(item))),
+        // A Split and a Jmp per branch but the last.
+        Ast::Alt(alts) => alts.iter().fold(2 * (alts.len() - 1), |n, alt| {
+            n.saturating_add(emitted_len(alt))
+        }),
+        Ast::Group(_, inner) => emitted_len(inner).saturating_add(2),
+        Ast::NonCapGroup(inner) => emitted_len(inner),
+        Ast::Repeat { node, min, max, .. } => {
+            let body = emitted_len(node);
+            let required = body.saturating_mul(*min as usize);
+            let tail = match max {
+                // Split, body, Jmp.
+                None => body.saturating_add(2),
+                // A Split before each optional copy.
+                Some(max) => body
+                    .saturating_add(1)
+                    .saturating_mul(max.saturating_sub(*min) as usize),
+            };
+            required.saturating_add(tail)
+        }
     }
 }
 
@@ -125,9 +176,14 @@ impl Compiler {
     }
 
     fn emit_repeat(&mut self, node: &Ast, min: u32, max: Option<u32>, greedy: bool) {
-        // Required copies.
+        // Required copies. A body that emits nothing (`(?:)`) is not under
+        // the size limit's protection, so it is not walked `min` times.
+        let start = self.insts.len();
         for _ in 0..min {
             self.emit(node);
+            if self.insts.len() == start {
+                break;
+            }
         }
         match max {
             None => {
@@ -173,7 +229,7 @@ mod tests {
     use crate::parse::parse;
 
     fn prog(pat: &str) -> Program {
-        compile(&parse(pat).unwrap())
+        compile(&parse(pat).unwrap()).unwrap()
     }
 
     #[test]
@@ -208,6 +264,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn emitted_len_is_exact() {
+        for pat in [
+            "",
+            "ab",
+            "a|b|c",
+            "(a|)(?:b)",
+            "a*b+?c?",
+            "x{2,5}",
+            "a{3,}",
+            "a{0}",
+            "(ab|cd){2,4}?",
+            r"^xe-\d+\.([a-z0-9-]+)\.foo\.net$",
+            r"\.rcr\d+\.([a-z]{3,4})\d{2}\.atlas\.foo\.com$",
+        ] {
+            let ast = parse(pat).unwrap();
+            assert_eq!(emitted_len(&ast) + 3, prog(pat).insts.len(), "{pat}");
+        }
+    }
+
+    #[test]
+    fn oversized_programs_are_refused_before_emitting() {
+        // 4 M instructions, and a count that never finishes copying: both
+        // must fail on the size computed from the tree, i.e. at once.
+        for pat in [
+            "(a{2000}){2000}$",
+            "a{4000000000}",
+            "(?:a{4000000000}){4000000000}",
+        ] {
+            let start = std::time::Instant::now();
+            let err = compile(&parse(pat).unwrap()).err().expect(pat);
+            assert!(
+                start.elapsed().as_millis() < 250,
+                "{pat} took {:?}",
+                start.elapsed()
+            );
+            assert!(err.message.contains("instructions"), "{err}");
+        }
+        // An empty body has no size to refuse; it must not cost time either.
+        assert_eq!(prog("(?:(?:){4000000000}){4000000000}").insts.len(), 3);
+        // The boundary itself: the limit compiles, one more does not.
+        let fits = format!("a{{{}}}", MAX_PROGRAM_INSTS - 3);
+        assert_eq!(prog(&fits).insts.len(), MAX_PROGRAM_INSTS);
+        let over = format!("a{{{}}}", MAX_PROGRAM_INSTS - 2);
+        assert!(compile(&parse(&over).unwrap()).is_err());
     }
 
     #[test]

@@ -11,12 +11,16 @@
 //!   character classes with ranges and negation, groups `( )` and `(?: )`,
 //!   alternation `|`, quantifiers `* + ? {m} {m,} {m,n}` with lazy `?`
 //!   variants, anchors `^ $`).
-//! * [`compile`] — AST → NFA program.
+//! * [`compile`] — AST → NFA program, refused with a typed error when it
+//!   would exceed 100,000 instructions.
 //! * [`vm`] — a Pike VM executing the program with capture-group tracking
 //!   in linear time (no backtracking, no pathological inputs).
 //!
 //! The public surface is [`Regex`]: compile once, then [`Regex::is_match`],
-//! [`Regex::find`] and [`Regex::captures`].
+//! [`Regex::find`] and [`Regex::captures`]. [`Regex::required_suffix`] is a
+//! literal analysis of the pattern: the string every match must end with,
+//! which lets a caller holding many rules index them instead of running
+//! each one.
 
 pub mod compile;
 pub mod parse;
@@ -25,6 +29,7 @@ pub mod vm;
 pub use parse::RegexError;
 
 use compile::Program;
+use parse::Ast;
 
 /// A compiled regular expression.
 ///
@@ -39,6 +44,7 @@ use compile::Program;
 pub struct Regex {
     program: Program,
     pattern: String,
+    required_suffix: Option<String>,
 }
 
 /// A successful match: overall span plus capture-group spans.
@@ -76,10 +82,11 @@ impl Regex {
     /// Compiles a pattern.
     pub fn new(pattern: &str) -> Result<Self, RegexError> {
         let ast = parse::parse(pattern)?;
-        let program = compile::compile(&ast);
+        let program = compile::compile(&ast)?;
         Ok(Self {
             program,
             pattern: pattern.to_string(),
+            required_suffix: required_suffix(&ast),
         })
     }
 
@@ -91,6 +98,16 @@ impl Regex {
     /// Number of capture groups (excluding group 0).
     pub fn group_count(&self) -> usize {
         self.program.groups
+    }
+
+    /// A literal every text this pattern matches must end with, when the
+    /// pattern spells one out: for `\.atlas\.cogentco\.com$` it is
+    /// `.atlas.cogentco.com`. `None` promises nothing — the pattern may
+    /// still only match texts with a common ending (`(\.com)$`,
+    /// `\.com$|\.net$`); `Some(s)` promises `text.ends_with(s)` whenever
+    /// [`Regex::is_match`] holds. Matching is case-sensitive, so is `s`.
+    pub fn required_suffix(&self) -> Option<&str> {
+        self.required_suffix.as_deref()
     }
 
     /// True if the pattern matches anywhere in `text`.
@@ -117,6 +134,30 @@ impl Regex {
         let (s, e) = caps.span(0)?;
         Some((s, e, &text[s..e]))
     }
+}
+
+/// The literal analysis behind [`Regex::required_suffix`]: when the whole
+/// pattern is a concatenation ending in `$`, the maximal run of plain
+/// literals just before it. Sound because `$` is strict end-of-input here
+/// (no multi-line mode, no optional trailing newline) and every item of a
+/// top-level concatenation takes part in every match.
+fn required_suffix(ast: &Ast) -> Option<String> {
+    let Ast::Concat(items) = ast else {
+        return None;
+    };
+    let (Ast::AnchorEnd, before) = items.split_last()? else {
+        return None;
+    };
+    let mut suffix: Vec<char> = before
+        .iter()
+        .rev()
+        .map_while(|item| match item {
+            Ast::Literal(c) => Some(*c),
+            _ => None,
+        })
+        .collect();
+    suffix.reverse();
+    (!suffix.is_empty()).then(|| suffix.into_iter().collect())
 }
 
 impl std::fmt::Debug for Regex {

@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-/// Parse error with byte offset into the pattern.
+/// Why a pattern was refused: a parse error with its byte offset into the
+/// pattern, or (at offset 0) a program past the compiler's size limit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RegexError {
     pub message: String,
@@ -11,7 +12,7 @@ pub struct RegexError {
 
 impl fmt::Display for RegexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "regex parse error at {}: {}", self.offset, self.message)
+        write!(f, "regex error at {}: {}", self.offset, self.message)
     }
 }
 

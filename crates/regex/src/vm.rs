@@ -9,7 +9,6 @@
 use crate::compile::{Inst, Program};
 
 /// A runnable thread: program counter plus capture slots.
-#[derive(Clone)]
 struct Thread {
     pc: usize,
     slots: Vec<Option<usize>>,
@@ -46,8 +45,10 @@ pub fn search(prog: &Program, text: &str) -> Option<Vec<Option<usize>>> {
         }
         let mut j = 0;
         while j < clist.len() {
-            let th = clist[j].clone();
-            match &prog.insts[th.pc] {
+            // A run-list entry is read once: its slots move on with the
+            // thread (or into the match) instead of being copied.
+            let pc = clist[j].pc;
+            match &prog.insts[pc] {
                 Inst::Char(pred) => {
                     if i < n && pred.matches(chars[i].1) {
                         let next_byte = if i + 1 < n {
@@ -60,15 +61,15 @@ pub fn search(prog: &Program, text: &str) -> Option<Vec<Option<usize>>> {
                             &mut nlist,
                             &mut seen,
                             generation + 1,
-                            th.pc + 1,
+                            pc + 1,
                             next_byte,
                             text.len(),
-                            th.slots,
+                            std::mem::take(&mut clist[j].slots),
                         );
                     }
                 }
                 Inst::Match => {
-                    matched = Some(th.slots);
+                    matched = Some(std::mem::take(&mut clist[j].slots));
                     // Kill lower-priority threads: they can only produce a
                     // worse (later-starting or less-greedy) match.
                     clist.truncate(j + 1);
@@ -137,7 +138,7 @@ mod tests {
     use crate::parse::parse;
 
     fn run(pat: &str, text: &str) -> Option<Vec<Option<usize>>> {
-        search(&compile(&parse(pat).unwrap()), text)
+        search(&compile(&parse(pat).unwrap()).unwrap(), text)
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property-based tests: the Pike VM against a naive backtracking
-//! reference matcher over a restricted pattern grammar.
+//! reference matcher over a restricted pattern grammar, and the
+//! `required_suffix` literal analysis against the VM.
 
 use proptest::prelude::*;
 
@@ -117,6 +118,32 @@ fn naive_is_match(p: &Pat, text: &str) -> bool {
     false
 }
 
+/// Appends to `out` a text `p` matches in full, steered by `picks`.
+fn sample(p: &Pat, picks: &mut impl Iterator<Item = usize>, out: &mut String) {
+    let mut pick = |n: usize| picks.next().unwrap() % n;
+    match p {
+        Pat::Lit(c) => out.push(*c),
+        Pat::Dot => out.push(['a', 'b', 'c', '.'][pick(4)]),
+        Pat::Class(chars, false) => out.push(chars[pick(chars.len())]),
+        Pat::Class(chars, true) => {
+            let outside: Vec<char> = "abc.".chars().filter(|c| !chars.contains(c)).collect();
+            out.push(outside[pick(outside.len())]);
+        }
+        Pat::Star(inner) | Pat::Plus(inner) | Pat::Opt(inner) => {
+            let reps = match p {
+                Pat::Star(_) => pick(3),
+                Pat::Plus(_) => 1 + pick(2),
+                _ => pick(2),
+            };
+            for _ in 0..reps {
+                sample(inner, picks, out);
+            }
+        }
+        Pat::Concat(items) => items.iter().for_each(|item| sample(item, picks, out)),
+        Pat::Alt(a, b) => sample(if pick(2) == 0 { a } else { b }, picks, out),
+    }
+}
+
 fn arb_pat() -> impl Strategy<Value = Pat> {
     let alphabet = prop_oneof![Just('a'), Just('b'), Just('c')];
     let leaf = prop_oneof![
@@ -179,4 +206,88 @@ proptest! {
             prop_assert_eq!(m, &text[s..e]);
         }
     }
+
+    /// Soundness of the literal analysis, over the generator above with an
+    /// optional `^`, a literal tail and an optional `$` around it: a
+    /// promised suffix ends every text the pattern matches, is promised
+    /// only under `$`, and covers at least the literal tail. The text is
+    /// random or, so that matches are common, built to fit the pattern.
+    #[test]
+    fn required_suffix_ends_every_match(
+        pat in arb_pat(),
+        tail in r#"[abc.]{0,3}"#,
+        anchors in (any::<bool>(), any::<bool>()),
+        text in r#"[abc.]{0,8}"#,
+        fitted in proptest::bool::weighted(0.7),
+        picks in proptest::collection::vec(0usize..12, 1..16),
+    ) {
+        let (start, end) = anchors;
+        let source = format!(
+            "{}{}{}{}",
+            if start { "^" } else { "" },
+            render(&pat),
+            tail.replace('.', r"\."),
+            if end { "$" } else { "" },
+        );
+        let re = Regex::new(&source).unwrap_or_else(|e| panic!("{source}: {e}"));
+        let text = if fitted {
+            let mut fit = String::new();
+            sample(&pat, &mut picks.iter().copied().cycle(), &mut fit);
+            fit + &tail
+        } else {
+            text
+        };
+        prop_assert!(!(fitted && end) || re.is_match(&text), "{} misses fitted {:?}", source, text);
+        match re.required_suffix() {
+            Some(s) => {
+                prop_assert!(end, "{} promises {:?} without '$'", source, s);
+                prop_assert!(s.ends_with(&tail), "{}: {:?} drops tail {:?}", source, s, tail);
+                if re.is_match(&text) {
+                    prop_assert!(text.ends_with(s), "{} matched {:?}, promised {:?}", source, text, s);
+                }
+            }
+            None => prop_assert!(!end || tail.is_empty(), "{} promises nothing", source),
+        }
+    }
+}
+
+#[test]
+fn required_suffix_unit_cases() {
+    let suffix = |pat: &str| {
+        Regex::new(pat)
+            .unwrap()
+            .required_suffix()
+            .map(str::to_string)
+    };
+    // Promised: a top-level concatenation ending in `$`, literals before it.
+    assert_eq!(suffix(r"x?\.com$").as_deref(), Some(".com"));
+    assert_eq!(suffix(r"\.co{2}m$").as_deref(), Some("m"));
+    assert_eq!(suffix("^abc$").as_deref(), Some("abc"));
+    assert_eq!(suffix("a$").as_deref(), Some("a"));
+    assert_eq!(
+        suffix(r"\.rcr\d+\.([a-z]{3,4})\d{2}\.atlas\.cogentco\.com$").as_deref(),
+        Some(".atlas.cogentco.com")
+    );
+    // Not promised: alternation, group or anything else at the top level,
+    // a `$` that is not last, no `$` at all.
+    for pat in [
+        r"\.com$|\.net$",
+        r"(\.com)$",
+        "foo$bar",
+        "abc",
+        "$",
+        "",
+        r"\.com?$",
+        "[m]$",
+    ] {
+        assert_eq!(suffix(pat), None, "{pat}");
+    }
+    // Case is the caller's business: the suffix is as spelled, and a
+    // lower-cased hostname neither matches nor ends with it.
+    let upper = Regex::new(r"\.COM$").unwrap();
+    assert_eq!(upper.required_suffix(), Some(".COM"));
+    assert!(upper.is_match("HOST.COM"));
+    assert!(!upper.is_match("host.com") && !"host.com".ends_with(".COM"));
+    // `foo$bar` can never match, whatever it promises.
+    assert!(!Regex::new("foo$bar").unwrap().is_match("foobar"));
 }

@@ -18,9 +18,10 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-use igdb_core::{BuildError, BuildPolicy, Igdb, SourceId};
+use igdb_core::{BuildError, BuildPolicy, Igdb, RecordError, SourceId};
 use igdb_net::{Asn, Ip4};
 use igdb_synth::faults::{inject_faults, FaultClass, InjectedFault};
+use igdb_synth::naming::{HoihoRule, TokenKind};
 use igdb_synth::sources::SnapshotSet;
 use igdb_synth::{emit_snapshots, World, WorldConfig};
 use proptest::prelude::*;
@@ -247,6 +248,57 @@ fn strict_policy_turns_first_fault_into_typed_error() {
             ..
         }
     ));
+}
+
+/// A rule the regex engine refuses — unparsable, or compiling past its
+/// program-size limit — is a bad record like any other: quarantined with
+/// its index and pattern, and the build is the build without it.
+#[test]
+fn hostile_hoiho_rules_are_quarantined_not_silently_dropped() {
+    const HOSTILE: [&str; 2] = ["(((", "(a{2000}){2000}$"];
+    let clean = clean_snaps();
+    let mut hostile = clean.clone();
+    hostile.hoiho_rules.extend(HOSTILE.map(|pattern| HoihoRule {
+        pattern: pattern.to_string(),
+        token_kind: TokenKind::GeoCode,
+        domain: "hostile.example".to_string(),
+    }));
+
+    let (igdb, report) = Igdb::try_build(&hostile, &BuildPolicy::lenient()).unwrap();
+    assert_report_consistent(&report);
+    let quarantined: Vec<_> = report
+        .quarantine()
+        .records()
+        .iter()
+        .map(|r| {
+            let RecordError::MalformedValue { field, .. } = &r.error else {
+                panic!("{r:?}");
+            };
+            assert_eq!(*field, "pattern");
+            (r.source, r.index, r.key.as_deref())
+        })
+        .collect();
+    let first = clean.hoiho_rules.len();
+    assert_eq!(
+        quarantined,
+        [
+            (SourceId::HoihoRules, first, Some(HOSTILE[0])),
+            (SourceId::HoihoRules, first + 1, Some(HOSTILE[1])),
+        ]
+    );
+    assert_eq!(igdb.db.fingerprint(), Igdb::build(clean).db.fingerprint());
+
+    let Err(err) = Igdb::try_build(&hostile, &BuildPolicy::strict()) else {
+        panic!("strict build accepted an uncompilable rule");
+    };
+    assert!(
+        matches!(
+            err,
+            BuildError::FaultUnderStrictPolicy { source: SourceId::HoihoRules, index, .. }
+                if index == first
+        ),
+        "got {err}"
+    );
 }
 
 #[test]
