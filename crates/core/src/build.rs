@@ -23,7 +23,6 @@ use crate::hoiho::HoihoEngine;
 use crate::metros::MetroRegistry;
 use crate::roads::RoadGraph;
 use crate::schema;
-use crate::shard::{self, SpatialPartition};
 use crate::validate::{validate, CleanSnapshots};
 
 /// Where a metro assignment for an IP came from.
@@ -75,7 +74,6 @@ fn load_physical(
     db: &Database,
     metros: &MetroRegistry,
     roads: &RoadGraph,
-    partition: Option<&SpatialPartition>,
     atlas_nodes: &[AtlasNode],
     atlas_links: &[AtlasLink],
     pdb_facilities: &[PdbFacility],
@@ -86,10 +84,7 @@ fn load_physical(
     // serial and in input order so the loaded tables are byte-identical
     // regardless of worker count.
     let join_span = igdb_obs::span("physical.spatial_join");
-    let atlas_assignments = match partition {
-        Some(part) => shard::sharded_map(part, atlas_nodes, |n| n.loc, |n| metros.metro_of(&n.loc)),
-        None => igdb_par::par_map(atlas_nodes, |n| metros.metro_of(&n.loc)),
-    };
+    let atlas_assignments = igdb_par::par_map(atlas_nodes, |n| metros.metro_of(&n.loc));
     let mut atlas_node_metro: HashMap<String, usize> = HashMap::new();
     for (n, mid) in atlas_nodes.iter().zip(atlas_assignments) {
         let Some(mid) = mid else {
@@ -113,10 +108,7 @@ fn load_physical(
         )
         .expect("phys_nodes row");
     }
-    let fac_assignments = match partition {
-        Some(part) => shard::sharded_map(part, pdb_facilities, |f| f.loc, |f| metros.metro_of(&f.loc)),
-        None => igdb_par::par_map(pdb_facilities, |f| metros.metro_of(&f.loc)),
-    };
+    let fac_assignments = igdb_par::par_map(pdb_facilities, |f| metros.metro_of(&f.loc));
     let mut fac_metro: HashMap<u32, usize> = HashMap::new();
     for (f, mid) in pdb_facilities.iter().zip(fac_assignments) {
         let Some(mid) = mid else {
@@ -189,9 +181,9 @@ fn load_physical(
     };
     let routing_span = igdb_obs::span("physical.routing");
     let mut routed: Vec<Option<(f64, Vec<igdb_geo::GeoPoint>)>> = vec![None; link_work.len()];
-    let route_group = |group: &[usize]| -> Vec<(usize, Option<(f64, Vec<igdb_geo::GeoPoint>)>)> {
+    for chunk in igdb_par::par_chunks(&roadway_order, |_, chunk| {
         let mut ws = crate::spath::SpWorkspace::new();
-        group
+        chunk
             .iter()
             .map(|&i| {
                 let (a, b, _) = link_work[i];
@@ -202,25 +194,8 @@ fn load_physical(
                     .map(|(_, km, geom)| (km, geom));
                 (i, route)
             })
-            .collect()
-    };
-    let grouped: Vec<Vec<(usize, Option<(f64, Vec<igdb_geo::GeoPoint>)>)>> = match partition {
-        // At scale, corridors group by the source metro's spatial shard:
-        // one worker's searches stay inside one region of the road graph,
-        // so its resumable workspace and the corridor cache's pages stay
-        // hot. Results scatter by link index — the table is byte-identical
-        // to the flat split's.
-        Some(part) => {
-            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); part.shard_count()];
-            for &i in &roadway_order {
-                groups[part.locate(&metros.metro(link_work[i].0).loc)].push(i);
-            }
-            groups.retain(|g| !g.is_empty());
-            igdb_par::par_map(&groups, |g| route_group(g))
-        }
-        None => igdb_par::par_chunks(&roadway_order, |_, chunk| route_group(chunk)),
-    };
-    for chunk in grouped {
+            .collect::<Vec<_>>()
+    }) {
         for (i, route) in chunk {
             routed[i] = route;
         }
@@ -491,18 +466,10 @@ impl Labels {
 /// or there is no prior) and, where it owns a side product, an arm of
 /// [`Pipeline::share`] (its tables were copied from the prior).
 #[derive(Default)]
-struct Pipeline<'a> {
-    /// The world being updated and its diff against the new sources;
-    /// `None` for a full build.
-    prior: Option<(&'a Igdb, &'a SnapshotDelta)>,
+struct Pipeline {
     date: String,
     db: Database,
     metros: Option<Arc<MetroRegistry>>,
-    /// Planet-scale worlds group the per-metro stages by spatial shard
-    /// (see `crate::shard`); smaller worlds keep the flat per-record
-    /// split. Either way the output is byte-identical — the partition
-    /// only changes which worker touches which region.
-    partition: Option<SpatialPartition>,
     roads: Option<Arc<RoadGraph>>,
     fac_metro: HashMap<u32, usize>,
     labels: Labels,
@@ -517,14 +484,13 @@ struct Pipeline<'a> {
     ip_info: HashMap<Ip4, IpInfo>,
 }
 
-impl<'a> Pipeline<'a> {
-    fn new(date: &str, prior: Option<(&'a Igdb, &'a SnapshotDelta)>) -> Self {
+impl Pipeline {
+    fn new(date: &str) -> Self {
         let db = Database::new();
         for (name, sch) in schema::all_relations() {
             db.create_table(name, sch).expect("fresh database");
         }
         Pipeline {
-            prior,
             date: date.to_string(),
             db,
             ..Default::default()
@@ -559,7 +525,7 @@ impl<'a> Pipeline<'a> {
     /// `par.*`) and pure.
     fn share(&mut self, stage: Stage, world: &Igdb, snaps: &CleanSnapshots<'_>) {
         match stage {
-            Stage::Metros => self.set_metros(Arc::clone(&world.metros)),
+            Stage::Metros => self.metros = Some(Arc::clone(&world.metros)),
             // Reusing the road graph keeps its memoized corridors warm.
             Stage::Roads => self.roads = Some(Arc::clone(&world.roads)),
             // The facility→metro join is pure (exact nearest-site
@@ -588,25 +554,8 @@ impl<'a> Pipeline<'a> {
         }
     }
 
-    fn set_metros(&mut self, metros: Arc<MetroRegistry>) {
-        self.partition = shard::shards_enabled(metros.len()).then(|| {
-            let locs: Vec<GeoPoint> = metros.metros().iter().map(|m| m.loc).collect();
-            SpatialPartition::over_metros(&locs)
-        });
-        self.metros = Some(metros);
-    }
-
     fn run_metros(&mut self, snaps: &CleanSnapshots<'_>) {
-        let metros = match self.prior.filter(|(_, delta)| delta.metro_append_only) {
-            // Append-only metro growth: the old places are a prefix of
-            // the new, so ids are stable and extending the registry
-            // (R-tree inserts) answers every spatial join identically to
-            // a rebuilt one.
-            Some((world, _)) => world
-                .metros
-                .extended(&snaps.natural_earth[world.snapshots.natural_earth.len()..]),
-            None => MetroRegistry::build(&snaps.natural_earth),
-        };
+        let metros = MetroRegistry::build(&snaps.natural_earth);
         // Thiessen cells materialize lazily, and whether that fires later
         // depends on cache warmth: a delta apply sharing a warm registry
         // would skip the compute ticks a cold rebuild emits, tearing the
@@ -614,7 +563,7 @@ impl<'a> Pipeline<'a> {
         // inside this stage's ledger entry — sharing replays them — and
         // wastes nothing: `city_polygons` needs every cell anyway.
         metros.polygons();
-        self.set_metros(Arc::new(metros));
+        self.metros = Some(Arc::new(metros));
     }
 
     /// `city_points` / `city_polygons`.
@@ -665,7 +614,6 @@ impl<'a> Pipeline<'a> {
             &self.db,
             made(&self.metros),
             made(&self.roads),
-            self.partition.as_ref(),
             &snaps.atlas_nodes,
             &snaps.atlas_links,
             &snaps.pdb_facilities,
@@ -933,15 +881,8 @@ impl<'a> Pipeline<'a> {
     /// serial and in input order (see `load_physical`).
     fn run_probes(&mut self, snaps: &CleanSnapshots<'_>) {
         let metros = made(&self.metros);
-        let anchor_assignments = match self.partition.as_ref() {
-            Some(part) => shard::sharded_map(
-                part,
-                &snaps.ripe_anchors[..],
-                |a| a.loc,
-                |a| metros.metro_of(&a.loc),
-            ),
-            None => igdb_par::par_map(&snaps.ripe_anchors[..], |a| metros.metro_of(&a.loc)),
-        };
+        let anchor_assignments =
+            igdb_par::par_map(&snaps.ripe_anchors[..], |a| metros.metro_of(&a.loc));
         for (a, mid) in snaps.ripe_anchors.iter().zip(anchor_assignments) {
             let Some(mid) = mid else {
                 continue;
@@ -1324,7 +1265,7 @@ impl Igdb {
     ) -> Self {
         let _span = igdb_obs::span("build");
         let mut rec = LedgerRecorder::start();
-        let mut pipeline = Pipeline::new(&snaps.as_of_date, prior);
+        let mut pipeline = Pipeline::new(&snaps.as_of_date);
         for stage in Stage::ALL {
             let span = igdb_obs::span(format!("build.{}", stage.name()));
             match prior.filter(|(_, delta)| delta.shares(stage)) {
@@ -1522,7 +1463,6 @@ impl Igdb {
             &self.db,
             &self.metros,
             &self.roads,
-            None,
             &snaps.atlas_nodes,
             &snaps.atlas_links,
             &snaps.pdb_facilities,
@@ -1919,40 +1859,5 @@ mod tests {
             // The fallback rebuild retains a real baseline again.
             assert!(!via_delta.traces().is_empty());
         }
-    }
-
-    /// Forces the spatial-sharding gate down to tiny scale and asserts the
-    /// sharded build is byte-identical to the flat one — fingerprint and
-    /// deterministic counter stream — at several worker counts.
-    #[test]
-    fn sharded_build_is_byte_identical_across_worker_counts() {
-        let world = World::generate(WorldConfig::tiny());
-        let snaps = emit_snapshots(&world, "2022-05-03", 400);
-        let build_fingerprint = || {
-            let reg = igdb_obs::Registry::new();
-            let _guard = reg.install();
-            let (igdb, _) = Igdb::try_build(&snaps, &BuildPolicy::strict()).unwrap();
-            (igdb.db.fingerprint(), reg.counter_snapshot())
-        };
-        let (flat_fp, _) = build_fingerprint();
-
-        // Sharding regroups the parallel dispatch, so the `par.*` shape
-        // counters legitimately differ from the flat path's; the contract
-        // is that the *data* (fingerprint) matches the flat build and the
-        // whole stream is invariant across worker counts.
-        crate::shard::force_sharding_for_tests(1);
-        let mut sharded_counters: Option<String> = None;
-        for workers in [1, 3] {
-            let (fp, counters) = igdb_par::with_threads(workers, build_fingerprint);
-            assert_eq!(fp, flat_fp, "fingerprint diverged at {workers} workers");
-            match &sharded_counters {
-                None => sharded_counters = Some(counters),
-                Some(first) => assert_eq!(
-                    &counters, first,
-                    "counter stream diverged at {workers} workers"
-                ),
-            }
-        }
-        crate::shard::force_sharding_for_tests(0);
     }
 }

@@ -247,10 +247,6 @@ pub struct SnapshotDelta {
     /// The `as_of_date` changed — every dated row changes, so the delta
     /// degenerates to a full rebuild.
     pub date_changed: bool,
-    /// `natural_earth` only grew, and the old places are a prefix of the
-    /// new: the metro registry can be extended in place (R-tree inserts)
-    /// instead of rebuilt, keeping existing metro ids stable.
-    pub metro_append_only: bool,
     /// Metros whose inferred physical connectivity changed, filled by
     /// `apply_delta` once the new `phys_conn` rows exist. Keys corridor
     /// migration.
@@ -398,10 +394,6 @@ pub fn diff_snapshots(old: &SnapshotSet, new: &SnapshotSet) -> SnapshotDelta {
     } else {
         sources.first().map(|s| s.stage)
     };
-    let ne_changed = sources.iter().any(|s| s.source == "natural_earth");
-    let metro_append_only = ne_changed
-        && new.natural_earth.len() > old.natural_earth.len()
-        && old.natural_earth == new.natural_earth[..old.natural_earth.len()];
     let ip_inputs_clean =
         !date_changed && sources.iter().all(|s| !source_use(s.source).ip_input);
     // The hop relation reads nothing but the source it is first to consume.
@@ -411,7 +403,6 @@ pub fn diff_snapshots(old: &SnapshotSet, new: &SnapshotSet) -> SnapshotDelta {
         sources,
         first_dirty,
         date_changed,
-        metro_append_only,
         touched_metros: BTreeSet::new(),
         phys_removal_only: false,
         ip_inputs_clean,
@@ -576,15 +567,9 @@ mod tests {
     fn metro_add_detected_as_append_only() {
         let snaps = base();
         let (new, _) = generate_delta(&snaps, 3, &[DeltaClass::MetroAdd]);
-        let d = diff_snapshots(&snaps, &new);
-        assert!(d.metro_append_only);
-        assert_eq!(d.first_dirty, Some(Stage::Metros));
-        // Removal shifts ids: never append-only.
-        let (removed, _) = generate_delta(&snaps, 3, &[DeltaClass::MetroRemove]);
-        assert!(!diff_snapshots(&snaps, &removed).metro_append_only);
-        // Mutating every place is not append-only either.
-        let (mutated, _) = generate_delta(&snaps, 3, &[DeltaClass::EveryMetro]);
-        assert!(!diff_snapshots(&snaps, &mutated).metro_append_only);
+        // Even a pure append moves Thiessen cells globally, so it dirties
+        // the pipeline from its first stage like any other catalogue change.
+        assert_eq!(diff_snapshots(&snaps, &new).first_dirty, Some(Stage::Metros));
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub mod metros;
 pub mod roads;
 pub mod schema;
 pub mod serving;
-pub mod shard;
 pub mod spath;
 pub mod validate;
 
@@ -62,5 +61,4 @@ pub use metros::{Metro, MetroRegistry};
 pub use corridor::CorridorCache;
 pub use roads::RoadGraph;
 pub use serving::{run_query_mix, MixFailure, QueryMixSummary};
-pub use shard::{SpatialPartition, SHARD_MIN_METROS};
 pub use spath::{with_mode, ShortestPathEngine, SpMode, SpWorkspace};

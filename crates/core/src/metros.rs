@@ -67,36 +67,6 @@ impl MetroRegistry {
         }
     }
 
-    /// A new registry covering this one's places plus `new_places`,
-    /// appended in order — existing metro ids are unchanged, the new places
-    /// take the next ids. The nearest-site R-tree is patched with inserts
-    /// rather than rebuilt, and because nearest-site queries and tie-breaks
-    /// are exact, the extended registry assigns every point exactly as
-    /// `MetroRegistry::build` over the concatenated catalogue would. The
-    /// original registry is untouched (old epochs keep reading it).
-    ///
-    /// Polygons are not carried over: Thiessen cells change globally when a
-    /// site is added, so they re-materialize lazily on first use.
-    pub fn extended(&self, new_places: &[NaturalEarthPlace]) -> Self {
-        let mut metros = self.metros.clone();
-        for p in new_places {
-            metros.push(Metro {
-                id: metros.len(),
-                name: p.name.clone(),
-                state: p.state.clone(),
-                country: p.country.clone(),
-                loc: p.loc,
-                population: p.population,
-            });
-        }
-        let new_sites: Vec<GeoPoint> = new_places.iter().map(|p| p.loc).collect();
-        Self {
-            metros,
-            index: self.index.extended(&new_sites),
-            polygons: std::sync::OnceLock::new(),
-        }
-    }
-
     pub fn len(&self) -> usize {
         self.metros.len()
     }
@@ -129,11 +99,6 @@ impl MetroRegistry {
     /// Standardizes a point: the metro whose Thiessen cell contains it.
     pub fn metro_of(&self, p: &GeoPoint) -> Option<usize> {
         self.index.nearest(p).map(|(id, _)| id)
-    }
-
-    /// Standardizes with the distance to the metro centre (km).
-    pub fn metro_of_with_distance(&self, p: &GeoPoint) -> Option<(usize, f64)> {
-        self.index.nearest(p)
     }
 
     /// Metros within `radius_km` of a point (used by buffer joins).

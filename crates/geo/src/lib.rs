@@ -14,14 +14,15 @@
 //!   point-to-polyline distances.
 //! * [`wkt`] — a parser and writer for the Well-Known Text format the paper
 //!   stores all geometries in.
-//! * [`rtree`] — an STR-packed R-tree for nearest-neighbour and range
-//!   queries over many thousands of sites.
+//! * [`rtree`] — an immutable STR-packed R-tree for nearest-neighbour and
+//!   range queries over many thousands of sites.
 //! * [`delaunay`] / [`voronoi`] — Bowyer–Watson Delaunay triangulation and
 //!   its Voronoi dual, used to build the 7,342 Thiessen polygons of
 //!   Figure 3.
 //! * [`buffer`] — corridor buffers around polylines (the 25-mile InterTubes
 //!   comparison of Figure 4 and the MPLS hidden-hop inference of Figure 7).
-//! * [`spatial`] — spatial-join helpers built on the above.
+//! * [`spatial`] — the spatial join: exact great-circle nearest-site
+//!   assignment ([`NearestSiteIndex`]) over that tree.
 //! * [`batch`] — struct-of-arrays columns ([`GeoColumns`]) with batched
 //!   great-circle kernels, bit-identical to the scalar path.
 //!
@@ -50,7 +51,7 @@ pub use geometry::{Geometry, LineString, MultiLineString, MultiPolygon, Polygon}
 pub use hull::convex_hull;
 pub use point::{BoundingBox, GeoPoint};
 pub use rtree::RTree;
-pub use spatial::{NearestSiteIndex, SpatialJoin};
+pub use spatial::NearestSiteIndex;
 pub use voronoi::{voronoi_cells, VoronoiCell};
 pub use wkt::{parse_wkt, to_wkt, WktError};
 

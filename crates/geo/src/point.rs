@@ -158,24 +158,6 @@ impl BoundingBox {
         )
     }
 
-    /// Degree-space area; zero for degenerate (point/line) boxes, zero for
-    /// empty boxes.
-    pub fn area(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            (self.max_lon - self.min_lon) * (self.max_lat - self.min_lat)
-        }
-    }
-
-    /// Area growth this box would need to also cover `other`. Used by the
-    /// R-tree insert descent to pick the least-disturbed subtree.
-    pub fn enlargement(&self, other: &BoundingBox) -> f64 {
-        let mut grown = *self;
-        grown.union(other);
-        grown.area() - self.area()
-    }
-
     /// Minimum planar (degree-space) squared distance from `p` to the box;
     /// zero if `p` is inside. Used for R-tree nearest-neighbour pruning.
     pub fn planar_dist2_to(&self, p: &GeoPoint) -> f64 {

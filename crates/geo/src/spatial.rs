@@ -1,14 +1,11 @@
-//! Spatial-join primitives: nearest-site assignment and point-in-polygon
-//! joins.
+//! The spatial join: nearest-site assignment.
 //!
-//! These are the two ArcGIS operations at the heart of iGDB's
-//! standardization pipeline (paper §3.1): every physical node is spatially
-//! joined to its nearest urban area (equivalently, to the Thiessen cell
-//! containing it), and several analyses join point sets against polygon
-//! sets (buffers, AS extents).
+//! This is the one ArcGIS operation at the heart of iGDB's standardization
+//! pipeline (paper §3.1): every coordinate of every source is spatially
+//! joined to its nearest urban area — equivalently, to the Thiessen cell
+//! containing it, so the join never needs the cell geometry.
 
 use crate::batch::{GeoColumns, RefPoint};
-use crate::geometry::Polygon;
 use crate::point::{BoundingBox, GeoPoint};
 use crate::rtree::{point_tree, RTree};
 use crate::EARTH_RADIUS_KM;
@@ -106,25 +103,6 @@ impl NearestSiteIndex {
         }
     }
 
-    /// A new index over this one's sites plus `new_sites`, appended in
-    /// order, patching the cloned R-tree with [`RTree::insert`] instead of
-    /// re-packing. Queries are exact, and tie-breaks are index-ordered, so
-    /// the extended index answers byte-identically to
-    /// `NearestSiteIndex::new` over the concatenated site list — this is
-    /// what lets delta ingestion extend a metro registry in place while an
-    /// old epoch keeps reading the original.
-    pub fn extended(&self, new_sites: &[GeoPoint]) -> Self {
-        let mut tree = self.tree.clone();
-        let mut cols = self.cols.clone();
-        let mut sites = self.sites.clone();
-        for p in new_sites {
-            tree.insert(crate::rtree::point_bbox(p), sites.len());
-            cols.push(p);
-            sites.push(*p);
-        }
-        Self { tree, cols, sites }
-    }
-
     pub fn len(&self) -> usize {
         self.sites.len()
     }
@@ -214,85 +192,6 @@ impl NearestSiteIndex {
     }
 }
 
-/// Point-in-polygon spatial join over many polygons, R-tree accelerated.
-pub struct SpatialJoin {
-    tree: RTree<usize>,
-    polygons: Vec<Polygon>,
-}
-
-impl SpatialJoin {
-    pub fn new(polygons: Vec<Polygon>) -> Self {
-        let entries = polygons
-            .iter()
-            .enumerate()
-            .map(|(i, poly)| (poly.bbox(), i))
-            .collect();
-        Self {
-            tree: RTree::bulk_load(entries),
-            polygons,
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.polygons.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.polygons.is_empty()
-    }
-
-    pub fn polygon(&self, i: usize) -> &Polygon {
-        &self.polygons[i]
-    }
-
-    /// Indexes of all polygons containing `p`.
-    pub fn containing(&self, p: &GeoPoint) -> Vec<usize> {
-        let probe = BoundingBox {
-            min_lon: p.lon,
-            min_lat: p.lat,
-            max_lon: p.lon,
-            max_lat: p.lat,
-        };
-        let mut hits: Vec<usize> = self
-            .tree
-            .query_bbox(&probe)
-            .into_iter()
-            .filter(|&&i| self.polygons[i].contains(p))
-            .copied()
-            .collect();
-        hits.sort_unstable();
-        hits
-    }
-
-    /// The first polygon containing `p`, if any (lowest index).
-    pub fn first_containing(&self, p: &GeoPoint) -> Option<usize> {
-        self.containing(p).into_iter().next()
-    }
-
-    /// Joins a batch of points: for each point, the polygons containing it.
-    ///
-    /// Batches above [`PAR_JOIN_THRESHOLD`] points fan out over the
-    /// `igdb-par` pool in contiguous chunks merged back in input order, so
-    /// the output is identical at any worker count. The threshold depends
-    /// only on the data (never on the worker count), keeping the pool's
-    /// deterministic invocation counters worker-invariant too.
-    pub fn join_points(&self, points: &[GeoPoint]) -> Vec<Vec<usize>> {
-        if points.len() < PAR_JOIN_THRESHOLD {
-            return points.iter().map(|p| self.containing(p)).collect();
-        }
-        igdb_par::par_chunks(points, |_, chunk| {
-            chunk.iter().map(|p| self.containing(p)).collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-}
-
-/// Point count above which [`SpatialJoin::join_points`] parallelizes: below
-/// this, thread spawn overhead beats the per-point ray-casting cost.
-pub const PAR_JOIN_THRESHOLD: usize = 1024;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,51 +273,5 @@ mod tests {
         let ids: Vec<usize> = hits.iter().map(|h| h.0).collect();
         assert_eq!(ids, vec![0, 1, 2]);
         assert!(hits.windows(2).all(|w| w[0].1 <= w[1].1));
-    }
-
-    #[test]
-    fn spatial_join_containing() {
-        let squares = vec![
-            Polygon::new(
-                vec![
-                    GeoPoint::raw(0.0, 0.0),
-                    GeoPoint::raw(10.0, 0.0),
-                    GeoPoint::raw(10.0, 10.0),
-                    GeoPoint::raw(0.0, 10.0),
-                ],
-                vec![],
-            ),
-            Polygon::new(
-                vec![
-                    GeoPoint::raw(5.0, 5.0),
-                    GeoPoint::raw(15.0, 5.0),
-                    GeoPoint::raw(15.0, 15.0),
-                    GeoPoint::raw(5.0, 15.0),
-                ],
-                vec![],
-            ),
-        ];
-        let join = SpatialJoin::new(squares);
-        assert_eq!(join.containing(&GeoPoint::raw(2.0, 2.0)), vec![0]);
-        assert_eq!(join.containing(&GeoPoint::raw(7.0, 7.0)), vec![0, 1]);
-        assert_eq!(join.containing(&GeoPoint::raw(12.0, 12.0)), vec![1]);
-        assert!(join.containing(&GeoPoint::raw(20.0, 20.0)).is_empty());
-        assert_eq!(join.first_containing(&GeoPoint::raw(7.0, 7.0)), Some(0));
-    }
-
-    #[test]
-    fn join_points_batch() {
-        let join = SpatialJoin::new(vec![Polygon::new(
-            vec![
-                GeoPoint::raw(0.0, 0.0),
-                GeoPoint::raw(1.0, 0.0),
-                GeoPoint::raw(1.0, 1.0),
-                GeoPoint::raw(0.0, 1.0),
-            ],
-            vec![],
-        )]);
-        let res = join.join_points(&[GeoPoint::raw(0.5, 0.5), GeoPoint::raw(2.0, 2.0)]);
-        assert_eq!(res[0], vec![0]);
-        assert!(res[1].is_empty());
     }
 }

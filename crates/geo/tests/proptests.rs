@@ -209,14 +209,13 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Prefiltered spatial joins vs exhaustive references
 //
-// `Polygon::contains` gates on a cached bounding box, `NearestSiteIndex`
-// prunes candidates by an exact latitude-band lower bound, and
-// `SpatialJoin::join_points` fans out over the worker pool. None of these
-// may change a single answer: the references below redo the raw even-odd
-// ray cast / plain scalar haversine with no index, no bbox and no prune.
+// `Polygon::contains` gates on a cached bounding box and `NearestSiteIndex`
+// prunes candidates by an exact latitude-band lower bound. Neither may
+// change a single answer: the references below redo the raw even-odd ray
+// cast / plain scalar haversine with no index, no bbox and no prune.
 // ---------------------------------------------------------------------------
 
-use igdb_geo::{NearestSiteIndex, SpatialJoin};
+use igdb_geo::NearestSiteIndex;
 
 /// Raw even–odd ray cast (ray toward +lon), no bounding-box gate — the
 /// textbook form `Polygon::contains` must agree with everywhere.
@@ -261,35 +260,6 @@ proptest! {
     }
 
     #[test]
-    fn spatial_join_containing_matches_exhaustive_scan(
-        polys in proptest::collection::vec(arb_polygon(), 1..12),
-        probes in proptest::collection::vec(arb_point(), 1..30),
-    ) {
-        let centers: Vec<GeoPoint> = polys.iter().map(|p| p.centroid()).collect();
-        let join = SpatialJoin::new(polys.clone());
-        for p in probes.iter().chain(&centers) {
-            let want: Vec<usize> = polys
-                .iter()
-                .enumerate()
-                .filter(|(_, poly)| raw_contains(poly, p))
-                .map(|(i, _)| i)
-                .collect();
-            prop_assert_eq!(join.containing(p), want, "{:?}", p);
-        }
-    }
-
-    #[test]
-    fn join_points_matches_per_point_containing(
-        polys in proptest::collection::vec(arb_polygon(), 1..8),
-        probes in proptest::collection::vec(arb_point(), 1..60),
-    ) {
-        let join = SpatialJoin::new(polys);
-        let batched = join.join_points(&probes);
-        let serial: Vec<Vec<usize>> = probes.iter().map(|p| join.containing(p)).collect();
-        prop_assert_eq!(batched, serial);
-    }
-
-    #[test]
     fn prefiltered_within_km_matches_exhaustive_scan(
         sites in arb_sites(120),
         probe in arb_point(),
@@ -323,38 +293,5 @@ proptest! {
         // The index may return a different equidistant site, but never a
         // farther one (the lat-band prune cannot drop the winner).
         prop_assert!((got_d - want_d).abs() < 1e-9, "{got_d} vs {want_d}");
-    }
-}
-
-/// `join_points` crosses its parallel threshold and must stay byte-identical
-/// to the serial per-point path at any worker count.
-#[test]
-fn join_points_parallel_threshold_identical_across_worker_counts() {
-    let polys: Vec<Polygon> = (0..20)
-        .map(|i| {
-            let c = GeoPoint::raw((i as f64 * 17.0) % 160.0 - 80.0, (i as f64 * 11.0) % 120.0 - 60.0);
-            let ring: Vec<GeoPoint> = (0..6)
-                .map(|k| {
-                    let ang = k as f64 / 6.0 * std::f64::consts::TAU;
-                    GeoPoint::raw(c.lon + 8.0 * ang.cos(), c.lat + 8.0 * ang.sin())
-                })
-                .collect();
-            Polygon::new(ring, vec![])
-        })
-        .collect();
-    let mut x = 0.41_f64;
-    let probes: Vec<GeoPoint> = (0..3000)
-        .map(|_| {
-            x = (x * 997.0 + 0.123).fract();
-            let y = (x * 631.0 + 0.71).fract();
-            GeoPoint::raw(x * 360.0 - 180.0, y * 170.0 - 85.0)
-        })
-        .collect();
-    assert!(probes.len() >= igdb_geo::spatial::PAR_JOIN_THRESHOLD);
-    let join = SpatialJoin::new(polys);
-    let serial: Vec<Vec<usize>> = probes.iter().map(|p| join.containing(p)).collect();
-    for workers in [1usize, 2, 4] {
-        let batched = igdb_par::with_threads(workers, || join.join_points(&probes));
-        assert_eq!(batched, serial, "diverged at {workers} workers");
     }
 }

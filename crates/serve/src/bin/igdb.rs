@@ -1071,13 +1071,22 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_metro(args: &[String]) -> Result<(), String> {
+    // The pipeline quarantines non-finite and out-of-range coordinates
+    // (`validate.rs`); refuse them here too, since `GeoPoint::new` would
+    // wrap and clamp them into an answer.
+    let coord = |name: &str, limit: f64| -> Result<f64, String> {
+        let v: f64 = require(args, name)?
+            .parse()
+            .map_err(|e| format!("bad {name}: {e}"))?;
+        // Negated so that NaN is refused as well.
+        if !(-limit..=limit).contains(&v) {
+            return Err(format!("bad {name}: {v} is not within ±{limit}"));
+        }
+        Ok(v)
+    };
+    let lon = coord("--lon", 180.0)?;
+    let lat = coord("--lat", 90.0)?;
     let db = open_db(args)?;
-    let lon: f64 = require(args, "--lon")?
-        .parse()
-        .map_err(|e| format!("bad --lon: {e}"))?;
-    let lat: f64 = require(args, "--lat")?
-        .parse()
-        .map_err(|e| format!("bad --lat: {e}"))?;
     // Rebuild the nearest-site index from city_points.
     let (sites, labels): (Vec<GeoPoint>, Vec<String>) = db
         .with_table("city_points", |t| {

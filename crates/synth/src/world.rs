@@ -99,8 +99,8 @@ impl WorldConfig {
     }
 
     /// Planet-scale CI tier: ~20K metros and >10⁵ ASes — well past paper
-    /// scale on the physical side, sized so a sharded build still fits a
-    /// CI runner. The scale-smoke job builds this at 1 and 4 workers and
+    /// scale on the physical side, sized so a build still fits a CI
+    /// runner. The scale-smoke job builds this at 1 and 4 workers and
     /// diffs fingerprints.
     pub fn large() -> Self {
         Self {
@@ -121,7 +121,7 @@ impl WorldConfig {
 
     /// The largest tier: ~40K metros, ~1.6×10⁵ ASes, ~10⁶-record sources.
     /// Exercised locally by the `scaling_curve` bench; the memory-layout
-    /// work (interning, flat tables, sharded build) exists so this fits.
+    /// work (interning, flat tables) exists so this fits.
     pub fn planet() -> Self {
         Self {
             seed: 42,

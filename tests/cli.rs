@@ -123,6 +123,37 @@ fn metro_standardizes_a_coordinate() {
     );
 }
 
+/// The CLI refuses the coordinates the pipeline quarantines instead of
+/// wrapping and clamping them into a confident answer.
+#[test]
+fn metro_refuses_non_finite_and_out_of_range_coordinates() {
+    let db = built_db();
+    let metro = |lon: &str, lat: &str| {
+        igdb()
+            .args(["metro", "--db"])
+            .arg(&db)
+            .args(["--lon", lon, "--lat", lat])
+            .output()
+            .unwrap()
+    };
+    for (lon, lat, flag) in [
+        ("NaN", "10", "--lon"),
+        ("inf", "10", "--lon"),
+        ("1e400", "10", "--lon"),
+        ("10", "NaN", "--lat"),
+        ("10", "91", "--lat"),
+    ] {
+        let out = metro(lon, lat);
+        assert!(!out.status.success(), "--lon {lon} --lat {lat} was accepted");
+        assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("bad {flag}")), "{err}");
+    }
+    let out = metro("2.35", "48.85");
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("Paris-FR"));
+}
+
 #[test]
 fn export_writes_geojson() {
     let db = built_db();

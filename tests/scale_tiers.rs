@@ -1,11 +1,11 @@
 //! Statistical shape checks across the scale tiers: the distributions the
 //! paper's tables/figures rest on must keep their shape as the synthetic
-//! world grows from `medium` through `large` (the sharded-build tier) to
+//! world grows from `medium` through `large` (the CI scale tier) to
 //! `planet`. The large/planet builds are `#[ignore]`d by default — the
 //! `scale-smoke` CI job and local scaling runs opt in with
 //! `cargo test -- --ignored`.
 
-use igdb_core::{BuildPolicy, Igdb, SHARD_MIN_METROS};
+use igdb_core::{BuildPolicy, Igdb};
 use igdb_synth::{emit_snapshots, World, WorldConfig};
 
 struct Shape {
@@ -103,24 +103,17 @@ fn assert_shape(s: &Shape, tier: &str) {
 fn medium_tier_shape() {
     let s = shape_at(WorldConfig::medium(), 400);
     assert_shape(&s, "medium");
-    // Medium sits below the sharding gate: the flat path stays exercised.
-    assert!(s.metros < SHARD_MIN_METROS);
 }
 
-/// The sharded-build tier: ~20K metros (past the gate) and >10⁵ ASes.
-/// Slow — run with `cargo test --release -- --ignored` or via CI's
-/// scale-smoke job.
+/// The CI scale tier: ~20K metros and >10⁵ ASes. Slow — run with
+/// `cargo test --release -- --ignored`; CI's scale-smoke job does.
 #[test]
 #[ignore = "large tier: minutes-scale build"]
 fn large_tier_shape() {
     let config = WorldConfig::large();
     let s = shape_at(config, 1500);
     assert_shape(&s, "large");
-    assert!(
-        s.metros >= SHARD_MIN_METROS,
-        "large tier must exercise the sharded build ({} metros)",
-        s.metros
-    );
+    assert!(s.metros >= 15_000, "large tier shrank to {} metros", s.metros);
     assert!(s.asns_with_presence > 1000);
 }
 
@@ -131,5 +124,5 @@ fn large_tier_shape() {
 fn planet_tier_shape() {
     let s = shape_at(WorldConfig::planet(), 2000);
     assert_shape(&s, "planet");
-    assert!(s.metros >= 2 * SHARD_MIN_METROS);
+    assert!(s.metros >= 30_000, "planet tier shrank to {} metros", s.metros);
 }
