@@ -1,10 +1,10 @@
 //! `igdb-bench` — the evaluation harness.
 //!
-//! One report binary per table and figure of the paper (see `src/bin/`),
-//! plus Criterion benchmarks (`benches/`) timing each pipeline stage. The
-//! binaries print the same rows/series the paper reports, side by side with
-//! the paper's published values where absolute numbers exist; EXPERIMENTS.md
-//! records a captured run.
+//! One report binary per table and figure of the paper (see `src/bin/`).
+//! The binaries print the same rows/series the paper reports, side by side
+//! with the paper's published values where absolute numbers exist;
+//! EXPERIMENTS.md records a captured run. Timings are not taken here: the
+//! repo's one measurement path is `benchmark/` (see `BENCHMARK.json`).
 //!
 //! All reports share one world fixture per scale, built lazily and cached
 //! for the process lifetime, so running several reports in one shell stays

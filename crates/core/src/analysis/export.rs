@@ -5,6 +5,8 @@
 //! as WKT collections plus a minimal GeoJSON FeatureCollection writer, so
 //! any GIS (QGIS, ArcGIS, kepler.gl) can draw Figure 5 from iGDB output.
 
+use igdb_db::{Database, DbError};
+
 use crate::build::Igdb;
 
 /// The three layers of the Figure 5 map.
@@ -18,12 +20,26 @@ pub struct MapExport {
     pub cable_paths: Vec<String>,
 }
 
-/// Extracts the three layers from the database.
+/// Extracts the three layers from a built database.
 pub fn export_physical_map(igdb: &Igdb) -> MapExport {
     let _span = igdb_obs::span("analysis.export");
-    let node_points = igdb
-        .db
-        .with_table("phys_nodes", |t| {
+    MapExport::from_db(&igdb.db).expect("a built database has the three map relations")
+}
+
+impl MapExport {
+    /// Extracts the three layers from any database holding `phys_nodes`,
+    /// `phys_conn` and `sub_cables` — a built one, or one loaded back
+    /// from disk (`igdb export`).
+    pub fn from_db(db: &Database) -> Result<MapExport, DbError> {
+        let wkt_column = |table: &str, col: usize| {
+            db.with_table(table, |t| {
+                t.rows()
+                    .iter()
+                    .filter_map(|r| r[col].as_text().map(str::to_string))
+                    .collect()
+            })
+        };
+        let node_points = db.with_table("phys_nodes", |t| {
             t.rows()
                 .iter()
                 .filter_map(|r| {
@@ -32,34 +48,14 @@ pub fn export_physical_map(igdb: &Igdb) -> MapExport {
                     Some(format!("POINT ({lon} {lat})"))
                 })
                 .collect()
+        })?;
+        Ok(MapExport {
+            node_points,
+            row_paths: wkt_column("phys_conn", 7)?,
+            cable_paths: wkt_column("sub_cables", 4)?,
         })
-        .expect("phys_nodes exists");
-    let row_paths = igdb
-        .db
-        .with_table("phys_conn", |t| {
-            t.rows()
-                .iter()
-                .filter_map(|r| r[7].as_text().map(str::to_string))
-                .collect()
-        })
-        .expect("phys_conn exists");
-    let cable_paths = igdb
-        .db
-        .with_table("sub_cables", |t| {
-            t.rows()
-                .iter()
-                .filter_map(|r| r[4].as_text().map(str::to_string))
-                .collect()
-        })
-        .expect("sub_cables exists");
-    MapExport {
-        node_points,
-        row_paths,
-        cable_paths,
     }
-}
 
-impl MapExport {
     /// Renders the layers as a GeoJSON FeatureCollection with a `layer`
     /// property per feature (`nodes` / `row_paths` / `cables`).
     pub fn to_geojson(&self) -> String {

@@ -166,11 +166,6 @@ impl BdrMap {
         }
         path
     }
-
-    /// Number of refined (per-address) decisions.
-    pub fn refined_count(&self) -> usize {
-        self.assignments.len()
-    }
 }
 
 fn majority(m: &HashMap<Asn, usize>) -> Option<Asn> {

@@ -88,10 +88,6 @@ impl RoadGraph {
         self.edges.len()
     }
 
-    pub fn metro_count(&self) -> usize {
-        self.engine.node_count()
-    }
-
     /// The shared routing engine (for callers that batch queries with
     /// their own [`SpWorkspace`]).
     pub fn engine(&self) -> &ShortestPathEngine {

@@ -251,14 +251,6 @@ impl RouteTable<'_> {
         self.propagator.asns[self.origin as usize]
     }
 
-    /// Whether `from` has any route to the origin.
-    pub fn has_route(&self, from: Asn) -> bool {
-        self.propagator
-            .index
-            .get(&from)
-            .map_or(false, |&i| self.kind[i as usize].is_some())
-    }
-
     /// The selected route from `from` to the origin.
     pub fn route(&self, from: Asn) -> Option<Route> {
         let &i = self.propagator.index.get(&from)?;

@@ -19,6 +19,7 @@ use std::process::ExitCode;
 
 use std::time::Duration;
 
+use igdb_core::analysis::export::MapExport;
 use igdb_core::{BuildError, BuildPolicy, Igdb};
 use igdb_db::{Database, Predicate, Query, Value};
 use igdb_geo::{GeoPoint, NearestSiteIndex};
@@ -157,11 +158,12 @@ commands:
           render a saved --metrics JSON-lines stream as a table;
           --profile appends the flame-style span profile (per-span total
           and self time, call counts, critical path)
-  metrics diff BASELINE.jsonl CURRENT.jsonl [--perf-tolerance PCT]
+  metrics diff BASELINE.jsonl CURRENT.jsonl
           regression gate: counters must match exactly and the span tree
           structurally (timing ignored); perf counters and histograms are
-          compared only when --perf-tolerance gives a relative band.
-          Exits 2 with a per-metric delta table on divergence
+          never compared (timings are gated by `bench compare` over the
+          benchmark's paired runs). Exits 2 with a per-metric delta table
+          on divergence
   queries --out FILE.jsonl [--scale tiny|medium|large|planet] [--date YYYY-MM-DD]
           [--mesh N] [--deterministic]
           build a database and serve the fixed synthetic query mix (all
@@ -191,6 +193,7 @@ commands:
           --trace-ring sizes the in-memory ring of completed traces
   top     --addr HOST:PORT|unix:PATH [--interval SECS] [--once] [--counters]
           poll a live server's versioned Introspect op and render the
+          liveness gauges (epoch, metros, busy workers, queue) and the
           flight recorder: ledger totals, per-client rows (requests,
           ok/err by kind, bytes, queue-wait quantiles), pinned-epoch
           distribution and epoch.lag; --once prints one snapshot and
@@ -249,15 +252,30 @@ fn require(args: &[String], name: &str) -> Result<String, String> {
     flag(args, name).ok_or_else(|| format!("missing required option {name}"))
 }
 
-fn cmd_build(args: &[String]) -> Result<(), CliError> {
-    let out = PathBuf::from(require(args, "--out")?);
+/// The synthetic world a building subcommand asks for.
+struct WorldFlags {
+    scale: String,
+    config: WorldConfig,
+    date: String,
+    mesh: usize,
+}
+
+/// Parses the shared `--scale` (default tiny), `--date` and `--mesh`
+/// flags; only the default traceroute mesh differs between subcommands.
+fn world_flags(args: &[String], default_mesh: usize) -> Result<WorldFlags, String> {
     let scale = flag(args, "--scale").unwrap_or_else(|| "tiny".into());
     let date = flag(args, "--date").unwrap_or_else(|| "2022-05-03".into());
-    let mesh: usize = flag(args, "--mesh")
+    let mesh = flag(args, "--mesh")
         .map(|m| m.parse().map_err(|e| format!("bad --mesh: {e}")))
         .transpose()?
-        .unwrap_or(500);
+        .unwrap_or(default_mesh);
     let config = parse_scale(&scale)?;
+    Ok(WorldFlags { scale, config, date, mesh })
+}
+
+fn cmd_build(args: &[String]) -> Result<(), CliError> {
+    let out = PathBuf::from(require(args, "--out")?);
+    let WorldFlags { scale, config, date, mesh } = world_flags(args, 500)?;
     let policy = match flag(args, "--policy").as_deref() {
         None | Some("lenient") => BuildPolicy::lenient(),
         Some("strict") => BuildPolicy::strict(),
@@ -409,37 +427,16 @@ fn cmd_metrics(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `igdb metrics diff BASELINE.jsonl CURRENT.jsonl [--perf-tolerance PCT]`
-/// — the regression gate. Exit 0 when clean, exit 2 with a per-metric
-/// delta table on divergence.
+/// `igdb metrics diff BASELINE.jsonl CURRENT.jsonl` — the regression gate.
+/// Exit 0 when clean, exit 2 with a per-metric delta table on divergence.
 fn cmd_metrics_diff(args: &[String]) -> Result<(), CliError> {
-    // Positional operands, skipping the value of --perf-tolerance.
-    let mut files = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--perf-tolerance" {
-            i += 2;
-            continue;
-        }
-        if !args[i].starts_with("--") {
-            files.push(PathBuf::from(&args[i]));
-        }
-        i += 1;
-    }
+    let files: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     let [baseline, current] = files.as_slice() else {
         return Err("metrics diff wants exactly two files: BASELINE.jsonl CURRENT.jsonl".into());
     };
-    let tolerance = flag(args, "--perf-tolerance")
-        .map(|t| t.parse::<f64>().map_err(|e| format!("bad --perf-tolerance: {e}")))
-        .transpose()?;
-    if let Some(t) = tolerance {
-        if !(t >= 0.0) {
-            return Err("--perf-tolerance wants a percentage >= 0".into());
-        }
-    }
-    let base = load_metrics(baseline)?;
-    let cur = load_metrics(current)?;
-    let report = igdb_obs::diff_registries(&base, &cur, tolerance);
+    let base = load_metrics(Path::new(baseline))?;
+    let cur = load_metrics(Path::new(current))?;
+    let report = igdb_obs::diff_registries(&base, &cur);
     print!("{}", report.render_table());
     if report.is_clean() {
         Ok(())
@@ -454,13 +451,7 @@ fn cmd_metrics_diff(args: &[String]) -> Result<(), CliError> {
 /// serving-path telemetry the metrics gate compares.
 fn cmd_queries(args: &[String]) -> Result<(), CliError> {
     let out = PathBuf::from(require(args, "--out")?);
-    let scale = flag(args, "--scale").unwrap_or_else(|| "tiny".into());
-    let date = flag(args, "--date").unwrap_or_else(|| "2022-05-03".into());
-    let mesh: usize = flag(args, "--mesh")
-        .map(|m| m.parse().map_err(|e| format!("bad --mesh: {e}")))
-        .transpose()?
-        .unwrap_or(500);
-    let config = parse_scale(&scale)?;
+    let WorldFlags { scale, config, date, mesh } = world_flags(args, 500)?;
     let mode = if args.iter().any(|a| a == "--deterministic") {
         igdb_obs::JsonMode::Deterministic
     } else {
@@ -509,17 +500,11 @@ fn cmd_queries(args: &[String]) -> Result<(), CliError> {
 /// modes and gates it with `metrics diff`.
 fn cmd_delta(args: &[String]) -> Result<(), CliError> {
     let out = PathBuf::from(require(args, "--out")?);
-    let scale = flag(args, "--scale").unwrap_or_else(|| "tiny".into());
-    let date = flag(args, "--date").unwrap_or_else(|| "2022-05-03".into());
-    let mesh: usize = flag(args, "--mesh")
-        .map(|m| m.parse().map_err(|e| format!("bad --mesh: {e}")))
-        .transpose()?
-        .unwrap_or(400);
+    let WorldFlags { scale, config, date, mesh } = world_flags(args, 400)?;
     let seed: u64 = flag(args, "--seed")
         .map(|s| s.parse().map_err(|e| format!("bad --seed: {e}")))
         .transpose()?
         .unwrap_or(7);
-    let config = parse_scale(&scale)?;
     use std::io::Write as _;
     let mut out_file = io_ctx(std::fs::File::create(&out), "create metrics file", &out)?;
 
@@ -568,13 +553,7 @@ fn cmd_delta(args: &[String]) -> Result<(), CliError> {
 /// Builds a synthetic-world database from the shared `--scale`,
 /// `--date`, and `--mesh` flags (the `serve`/`loadgen` ingestion path).
 fn synth_igdb(args: &[String]) -> Result<Igdb, CliError> {
-    let scale = flag(args, "--scale").unwrap_or_else(|| "tiny".into());
-    let date = flag(args, "--date").unwrap_or_else(|| "2022-05-03".into());
-    let mesh: usize = flag(args, "--mesh")
-        .map(|m| m.parse().map_err(|e| format!("bad --mesh: {e}")))
-        .transpose()?
-        .unwrap_or(500);
-    let config = parse_scale(&scale)?;
+    let WorldFlags { scale, config, date, mesh } = world_flags(args, 500)?;
     eprintln!("generating world ({scale})…");
     let world = World::generate(config);
     eprintln!("emitting snapshots for {date}…");
@@ -775,7 +754,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
     let (summary, reg) = match flag(args, "--addr") {
         Some(addr) => {
             // Remote mode: the mix needs the metro-id bound, which the
-            // server's inline Stats op reports.
+            // server's inline Introspect op reports.
             let addr = parse_addr(&addr)?;
             let reg = igdb_obs::Registry::new();
             let mut probe = io_ctx(
@@ -783,9 +762,9 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
                 "connect to server",
                 Path::new("<addr>"),
             )?;
-            let n_metros = match probe.call(&Request::Stats, 0) {
-                Ok(Response::Stats { n_metros, .. }) => n_metros as usize,
-                other => return Err(format!("server stats probe failed: {other:?}").into()),
+            let n_metros = match probe.call(&Request::Introspect, 0) {
+                Ok(Response::Introspect(i)) => i.n_metros as usize,
+                other => return Err(format!("server introspect probe failed: {other:?}").into()),
             };
             drop(probe);
             let summary = run_loadgen(&addr, n_metros, &cfg, &reg);
@@ -881,8 +860,9 @@ fn render_top(i: &Introspection, show_counters: bool) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "igdb top — epoch {}  uptime {:.1}s  workers {}/{} busy  queue {}/{}{}",
+        "igdb top — epoch {}  metros {}  uptime {:.1}s  workers {}/{} busy  queue {}/{}{}",
         i.epoch,
+        i.n_metros,
         i.uptime_us as f64 / 1e6,
         i.busy_workers,
         i.workers,
@@ -1121,79 +1101,14 @@ fn cmd_metro(args: &[String]) -> Result<(), String> {
 fn cmd_export(args: &[String]) -> Result<(), String> {
     let db = open_db(args)?;
     let out = PathBuf::from(require(args, "--out")?);
-    // Re-extract the three layers straight from the relations (same logic
-    // as analysis::export, but over a loaded database).
-    let mut features: Vec<String> = Vec::new();
-    let mut push_geoms = |table: &str, col: usize, layer: &str| -> Result<usize, String> {
-        db.with_table(table, |t| {
-            let mut n = 0;
-            for (_, row) in t.iter() {
-                if let Some(wkt) = row[col].as_text() {
-                    if let Ok(geom) = igdb_geo::parse_wkt(wkt) {
-                        features.push(feature_json(layer, &geom));
-                        n += 1;
-                    }
-                }
-            }
-            n
-        })
-        .map_err(|e| e.to_string())
-    };
-    let paths = push_geoms("phys_conn", 7, "row_paths")?;
-    let cables = push_geoms("sub_cables", 4, "cables")?;
-    let nodes = db
-        .with_table("phys_nodes", |t| {
-            let mut n = 0;
-            for (_, row) in t.iter() {
-                if let (Some(lat), Some(lon)) = (row[6].as_float(), row[7].as_float()) {
-                    features.push(feature_json(
-                        "nodes",
-                        &igdb_geo::Geometry::Point(GeoPoint::new(lon, lat)),
-                    ));
-                    n += 1;
-                }
-            }
-            n
-        })
-        .map_err(|e| e.to_string())?;
-    let doc = format!(
-        "{{\"type\":\"FeatureCollection\",\"features\":[{}]}}",
-        features.join(",")
-    );
-    std::fs::write(&out, doc).map_err(|e| e.to_string())?;
+    let map = MapExport::from_db(&db).map_err(|e| e.to_string())?;
+    std::fs::write(&out, map.to_geojson()).map_err(|e| e.to_string())?;
     println!(
-        "wrote {} ({nodes} nodes, {paths} paths, {cables} cables)",
-        out.display()
+        "wrote {} ({} nodes, {} paths, {} cables)",
+        out.display(),
+        map.node_points.len(),
+        map.row_paths.len(),
+        map.cable_paths.len()
     );
     Ok(())
-}
-
-fn feature_json(layer: &str, geom: &igdb_geo::Geometry) -> String {
-    use igdb_geo::Geometry as G;
-    let coords = |p: &GeoPoint| format!("[{},{}]", p.lon, p.lat);
-    let geometry = match geom {
-        G::Point(p) => format!("{{\"type\":\"Point\",\"coordinates\":{}}}", coords(p)),
-        G::LineString(ls) => format!(
-            "{{\"type\":\"LineString\",\"coordinates\":[{}]}}",
-            ls.0.iter().map(|p| coords(p)).collect::<Vec<_>>().join(",")
-        ),
-        G::MultiLineString(mls) => format!(
-            "{{\"type\":\"MultiLineString\",\"coordinates\":[{}]}}",
-            mls.0
-                .iter()
-                .map(|ls| format!(
-                    "[{}]",
-                    ls.0.iter().map(|p| coords(p)).collect::<Vec<_>>().join(",")
-                ))
-                .collect::<Vec<_>>()
-                .join(",")
-        ),
-        other => {
-            let wkt = igdb_geo::to_wkt(other);
-            format!("{{\"type\":\"GeometryCollection\",\"note\":{wkt:?},\"geometries\":[]}}")
-        }
-    };
-    format!(
-        "{{\"type\":\"Feature\",\"properties\":{{\"layer\":\"{layer}\"}},\"geometry\":{geometry}}}"
-    )
 }

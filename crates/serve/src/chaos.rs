@@ -28,7 +28,9 @@ use rand::{Rng, SeedableRng};
 use igdb_fault::ServeError;
 
 use crate::client::Client;
-use crate::proto::{read_frame, write_frame, FrameError, Request, Response, HEADER_LEN, MAGIC};
+use crate::proto::{
+    read_frame, write_frame, FrameError, Introspection, Request, Response, HEADER_LEN, MAGIC,
+};
 use crate::server::ServerAddr;
 
 /// The seeded serving-fault classes.
@@ -78,22 +80,6 @@ impl FaultClass {
             FaultClass::PanickingAnalysis => "panicking_analysis",
             FaultClass::DeadlineStorm => "deadline_storm",
             FaultClass::Saturation => "saturation",
-        }
-    }
-
-    /// The [`ServeError::name`] this class must map to; `None` for the
-    /// disconnect class (server-side accounting instead).
-    pub fn expected_error(self) -> Option<&'static str> {
-        match self {
-            FaultClass::MalformedMagic
-            | FaultClass::UnknownOpcode
-            | FaultClass::TruncatedFrame
-            | FaultClass::OversizedFrame
-            | FaultClass::SlowLoris => Some("bad_request"),
-            FaultClass::MidRequestDisconnect => None,
-            FaultClass::PanickingAnalysis => Some("internal"),
-            FaultClass::DeadlineStorm => Some("timeout"),
-            FaultClass::Saturation => Some("overloaded"),
         }
     }
 }
@@ -364,7 +350,7 @@ fn expect_reader_error(
 }
 
 /// Saturation: occupy every worker and every queue slot with slow
-/// requests, confirm the state via inline `Stats`, then require one
+/// requests, confirm the state via inline `Introspect`, then require one
 /// probe to shed with `Overloaded{queue_depth == capacity}` — and the
 /// occupiers to all still finish.
 ///
@@ -378,13 +364,13 @@ fn saturate(env: &ChaosEnv) -> Result<Observed, String> {
         .map_err(|e| format!("connect occupier: {e}"))?;
     let mut control = Client::connect(&env.addr, env.client_timeout())
         .map_err(|e| format!("connect control: {e}"))?;
-    // Stats bypasses the queue, so the control connection answers even
-    // with the server saturated.
+    // Introspect bypasses the queue, so the control connection answers
+    // even with the server saturated.
     let mut wait_for = |what: &str, pred: &dyn Fn(u32, u32) -> bool| -> Result<(), String> {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            match control.call(&Request::Stats, 0) {
-                Ok(Response::Stats { queue_depth, busy_workers, .. }) => {
+            match control.call(&Request::Introspect, 0) {
+                Ok(Response::Introspect(Introspection { queue_depth, busy_workers, .. })) => {
                     if pred(busy_workers, queue_depth) {
                         return Ok(());
                     }
@@ -395,7 +381,7 @@ fn saturate(env: &ChaosEnv) -> Result<Observed, String> {
                     }
                     std::thread::sleep(Duration::from_millis(2));
                 }
-                other => return Err(format!("stats failed during saturation: {other:?}")),
+                other => return Err(format!("introspect failed during saturation: {other:?}")),
             }
         }
     };

@@ -17,7 +17,10 @@
 //! * **open loop** (`qps > 0`): a sender thread paces requests against a
 //!   fixed schedule while a receiver thread collects responses, so
 //!   arrival rate keeps pressing even when the server slows — the mode
-//!   that makes saturation and shedding measurable.
+//!   that makes saturation and shedding measurable. Each request is timed
+//!   from the instant it was *due*, so time it spent waiting for a late
+//!   sender counts against its round trip, and the sender's own lateness
+//!   is recorded per send in the `loadgen.late_us` histogram.
 
 use std::collections::HashMap;
 use std::io;
@@ -171,6 +174,9 @@ pub struct LoadgenSummary {
     /// Round-trip latency quantiles over successful requests, µs.
     pub p50_us: f64,
     pub p99_us: f64,
+    /// Open loop only: p99 of how far behind its schedule the generator
+    /// sent, µs (`loadgen.late_us`).
+    pub late_p99_us: Option<f64>,
 }
 
 impl LoadgenSummary {
@@ -182,15 +188,6 @@ impl LoadgenSummary {
     /// All typed errors.
     pub fn error_total(&self) -> u64 {
         self.errors.iter().map(|&(_, c)| c).sum()
-    }
-
-    /// Typed errors of one kind × error name.
-    pub fn error_count_for(&self, kind: &str, name: &str) -> u64 {
-        self.errors_by_kind
-            .iter()
-            .find(|(k, n, _)| *k == kind && *n == name)
-            .map(|&(_, _, c)| c)
-            .unwrap_or(0)
     }
 
     /// One-line human rendering, plus a per-kind error breakdown when
@@ -206,6 +203,9 @@ impl LoadgenSummary {
             "sent {} ok {} lost {}{} | {:.1} req/s | p50 {:.0} µs p99 {:.0} µs",
             self.sent, self.ok, self.lost, errs, self.throughput, self.p50_us, self.p99_us
         );
+        if let Some(late) = self.late_p99_us {
+            out.push_str(&format!(" | generator late p99 {late:.0} µs"));
+        }
         if !self.errors_by_kind.is_empty() {
             out.push_str("\nerrors by kind:");
             for (kind, name, c) in &self.errors_by_kind {
@@ -256,7 +256,7 @@ fn gen_request(rng: &mut StdRng, n_metros: usize) -> Request {
 }
 
 /// Runs the load generator against `addr`. `n_metros` bounds the metro
-/// ids in the mix (ask the server via `Request::Stats` when remote).
+/// ids in the mix (ask the server via `Request::Introspect` when remote).
 /// Metrics land in `reg` (installed per worker thread).
 pub fn run_loadgen(addr: &ServerAddr, n_metros: usize, cfg: &LoadgenConfig, reg: &Registry) -> LoadgenSummary {
     let conns = cfg.conns.max(1);
@@ -306,6 +306,7 @@ pub fn run_loadgen(addr: &ServerAddr, n_metros: usize, cfg: &LoadgenConfig, reg:
         throughput: ok as f64 / wall.as_secs_f64().max(1e-9),
         p50_us,
         p99_us,
+        late_p99_us: reg.histogram("loadgen.late_us", "").map(|h| h.quantile(0.99)),
     }
 }
 
@@ -377,7 +378,7 @@ fn closed_loop(
 
 /// Open loop: the sender paces against the schedule `start + i/qps`
 /// regardless of response progress; the receiver matches responses to
-/// send timestamps by correlation id. One lock-per-request on a plain
+/// their due instants by correlation id. One lock-per-request on a plain
 /// map is far below the rates this workload reaches.
 fn open_loop(
     mut client: Client,
@@ -460,19 +461,21 @@ fn open_loop(
     let mut send_failures = 0u64;
     for i in 0..share {
         let due = start + interval.mul_f64(i as f64);
-        let now = Instant::now();
-        if due > now {
-            std::thread::sleep(due - now);
+        if let Some(early) = due.checked_duration_since(Instant::now()) {
+            std::thread::sleep(early);
         }
         let req = gen_request(&mut rng, n_metros);
         let kind = req.kind();
         igdb_obs::counter("loadgen.sent", kind, 1);
+        // A request is never sent early, so whatever the sender is behind
+        // by (sleep overshoot, a blocked `send`, a starved thread) is time
+        // the request has already waited: its clock starts at `due`.
+        igdb_obs::observe("loadgen.late_us", "", due.elapsed().as_micros() as u64);
         // Register the id *before* the frame hits the wire: the response
         // can come back (and the receiver run) before `send` returns, and
         // a response with no in-flight entry would never be counted.
         let id = client.peek_id();
-        let t0 = Instant::now();
-        in_flight.lock().unwrap_or_else(|e| e.into_inner()).insert(id, (kind, t0));
+        in_flight.lock().unwrap_or_else(|e| e.into_inner()).insert(id, (kind, due));
         if client.send(&req, cfg.deadline_ms).is_err() {
             in_flight.lock().unwrap_or_else(|e| e.into_inner()).remove(&id);
             igdb_obs::perf("loadgen.lost", "", 1);

@@ -47,10 +47,10 @@ pub const TAG_ERROR: u8 = 0xE0;
 ///
 /// `Sleep` and `Panic` are chaos-harness instruments: they only decode
 /// when the server was started with `enable_test_ops` (production
-/// configurations answer them with `BadRequest`). `Stats` is a control
-/// op answered inline by the connection reader — it bypasses the request
-/// queue so the chaos harness can observe saturation while every worker
-/// is busy.
+/// configurations answer them with `BadRequest`). `Introspect` is the
+/// control op, answered inline by the connection reader — it bypasses the
+/// request queue so the chaos harness can observe saturation while every
+/// worker is busy.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     /// Liveness probe through the full queue/worker path.
@@ -69,11 +69,10 @@ pub enum Request {
     Sleep { ms: u32 },
     /// Test op: panic inside the analysis (exercises containment).
     Panic,
-    /// Control op: server stats, answered inline by the reader.
-    Stats,
-    /// Control op: full live introspection (flight-recorder snapshot,
-    /// per-client table, registry counters), answered inline by the
-    /// reader with a *versioned* payload — see [`Introspection`].
+    /// Control op: full live introspection (liveness gauges,
+    /// flight-recorder snapshot, per-client table, registry counters),
+    /// answered inline by the reader with a *versioned* payload — see
+    /// [`Introspection`].
     Introspect,
 }
 
@@ -88,7 +87,6 @@ impl Request {
             Request::Footprint { .. } => 0x05,
             Request::Sleep { .. } => 0x06,
             Request::Panic => 0x07,
-            Request::Stats => 0x08,
             Request::Introspect => 0x09,
         }
     }
@@ -103,7 +101,6 @@ impl Request {
             Request::Footprint { .. } => "footprint",
             Request::Sleep { .. } => "sleep",
             Request::Panic => "panic",
-            Request::Stats => "stats",
             Request::Introspect => "introspect",
         }
     }
@@ -112,7 +109,7 @@ impl Request {
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            Request::Ping | Request::Panic | Request::Stats | Request::Introspect => {}
+            Request::Ping | Request::Panic | Request::Introspect => {}
             Request::SpQuery { from, to } => {
                 out.extend_from_slice(&from.to_le_bytes());
                 out.extend_from_slice(&to.to_le_bytes());
@@ -167,7 +164,6 @@ impl Request {
             0x05 => Request::Footprint { top_n: c.u16()? },
             0x06 => Request::Sleep { ms: c.u32()? },
             0x07 => Request::Panic,
-            0x08 => Request::Stats,
             0x09 => Request::Introspect,
             other => return Err(ProtoError::UnknownOpcode { op: other }),
         };
@@ -191,13 +187,6 @@ pub enum Response {
     Risk { paths: u32, cables: u32, metros: u32, ases: u32 },
     Footprint { rows: u32 },
     Slept,
-    Stats {
-        n_metros: u32,
-        queue_depth: u32,
-        queue_capacity: u32,
-        busy_workers: u32,
-        draining: bool,
-    },
     /// Live introspection snapshot; payload is versioned (see
     /// [`Introspection`]).
     Introspect(Introspection),
@@ -221,6 +210,9 @@ pub struct Introspection {
     pub busy_workers: u32,
     pub queue_depth: u32,
     pub queue_capacity: u32,
+    /// Metros in the currently published epoch: the bound on the metro
+    /// ids a remote client may put in a query.
+    pub n_metros: u32,
     pub draining: bool,
     /// Flight-recorder view: exact ledger, ring/slow summary, per-client
     /// table, epoch-pin distribution.
@@ -232,7 +224,7 @@ pub struct Introspection {
 }
 
 /// Current version of the [`Introspection`] wire payload.
-pub const INTROSPECT_VERSION: u8 = 1;
+pub const INTROSPECT_VERSION: u8 = 2;
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -262,7 +254,13 @@ impl Introspection {
         out.push(INTROSPECT_VERSION);
         put_u64(out, self.epoch);
         put_u64(out, self.uptime_us);
-        for v in [self.workers, self.busy_workers, self.queue_depth, self.queue_capacity] {
+        for v in [
+            self.workers,
+            self.busy_workers,
+            self.queue_depth,
+            self.queue_capacity,
+            self.n_metros,
+        ] {
             put_u32(out, v);
         }
         out.push(self.draining as u8);
@@ -321,6 +319,7 @@ impl Introspection {
         let busy_workers = c.u32()?;
         let queue_depth = c.u32()?;
         let queue_capacity = c.u32()?;
+        let n_metros = c.u32()?;
         let draining = c.u8()? != 0;
         let mut r = RecorderSnapshot {
             requests: c.u64()?,
@@ -390,6 +389,7 @@ impl Introspection {
             busy_workers,
             queue_depth,
             queue_capacity,
+            n_metros,
             draining,
             recorder: r,
             counters,
@@ -408,7 +408,6 @@ impl Response {
             Response::Risk { .. } => 0x85,
             Response::Footprint { .. } => 0x86,
             Response::Slept => 0x87,
-            Response::Stats { .. } => 0x88,
             Response::Introspect(_) => 0x89,
             Response::Error(_) => TAG_ERROR,
         }
@@ -433,12 +432,6 @@ impl Response {
                 }
             }
             Response::Footprint { rows } => out.extend_from_slice(&rows.to_le_bytes()),
-            Response::Stats { n_metros, queue_depth, queue_capacity, busy_workers, draining } => {
-                for v in [n_metros, queue_depth, queue_capacity, busy_workers] {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                out.push(*draining as u8);
-            }
             Response::Introspect(i) => i.encode_into(&mut out),
             Response::Error(e) => {
                 out.push(e.code());
@@ -476,13 +469,6 @@ impl Response {
             },
             0x86 => Response::Footprint { rows: c.u32()? },
             0x87 => Response::Slept,
-            0x88 => Response::Stats {
-                n_metros: c.u32()?,
-                queue_depth: c.u32()?,
-                queue_capacity: c.u32()?,
-                busy_workers: c.u32()?,
-                draining: c.u8()? != 0,
-            },
             0x89 => Response::Introspect(Introspection::decode_from(&mut c)?),
             TAG_ERROR => {
                 let code = c.u8()?;
@@ -741,7 +727,6 @@ mod tests {
         roundtrip_request(Request::Footprint { top_n: 11 });
         roundtrip_request(Request::Sleep { ms: 40 });
         roundtrip_request(Request::Panic);
-        roundtrip_request(Request::Stats);
         roundtrip_request(Request::Introspect);
     }
 
@@ -755,13 +740,6 @@ mod tests {
             Response::Risk { paths: 1, cables: 2, metros: 3, ases: 4 },
             Response::Footprint { rows: 11 },
             Response::Slept,
-            Response::Stats {
-                n_metros: 40,
-                queue_depth: 3,
-                queue_capacity: 8,
-                busy_workers: 2,
-                draining: true,
-            },
             Response::Error(ServeError::BadRequest { detail: "bad\nfield".into() }),
             Response::Error(ServeError::Timeout { budget_ms: 250 }),
             Response::Error(ServeError::Overloaded { queue_depth: 8 }),
@@ -782,6 +760,7 @@ mod tests {
             busy_workers: 2,
             queue_depth: 1,
             queue_capacity: 64,
+            n_metros: 40,
             draining: false,
             recorder: RecorderSnapshot {
                 requests: 100,
@@ -832,18 +811,22 @@ mod tests {
 
     #[test]
     fn unknown_introspection_version_is_refused_typed() {
-        let mut payload = Response::Introspect(sample_introspection()).encode_payload();
-        payload[0] = INTROSPECT_VERSION + 1;
-        match Response::decode(0x89, &payload) {
-            Err(ProtoError::BadValue { what }) => {
-                assert!(what.contains("version"), "got: {what}")
+        // Neither the next version nor the previous one (a v1 payload has
+        // no `n_metros`) is ever read at this version's field offsets.
+        for version in [INTROSPECT_VERSION + 1, 1] {
+            let mut payload = Response::Introspect(sample_introspection()).encode_payload();
+            payload[0] = version;
+            match Response::decode(0x89, &payload) {
+                Err(ProtoError::BadValue { what }) => {
+                    assert_eq!(what, "unsupported introspection payload version")
+                }
+                other => panic!("expected a typed version refusal, got {other:?}"),
             }
-            other => panic!("expected a typed version refusal, got {other:?}"),
         }
         // A count field inconsistent with the bytes present is refused
         // before allocation, like SpBatch.
         let mut payload = Response::Introspect(sample_introspection()).encode_payload();
-        let clients_off = 1 + 8 + 8 + 16 + 1 // version..draining
+        let clients_off = 1 + 8 + 8 + 20 + 1 // version..draining
             + 8 * (1 + 1 + 5 + 1 + 5 + 1 + 1) // ledger
             + 4 + 4 + 8 + 8; // ring summary
         payload[clients_off..clients_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -910,8 +893,10 @@ mod tests {
             Err(ProtoError::TrailingBytes { extra: 1 })
         );
 
-        // Unknown opcode.
+        // Unknown opcode — including the retired `Stats` pair, 0x08/0x88.
         assert_eq!(Request::decode(0x7F, &[]), Err(ProtoError::UnknownOpcode { op: 0x7F }));
+        assert_eq!(Request::decode(0x08, &[]), Err(ProtoError::UnknownOpcode { op: 8 }));
+        assert_eq!(Response::decode(0x88, &[0; 17]), Err(ProtoError::UnknownOpcode { op: 0x88 }));
 
         // Batch count inconsistent with its bytes (never over-allocates).
         let mut payload = Vec::new();

@@ -6,9 +6,8 @@
 //! ```text
 //! accept ─▶ reader ──(admit)──▶ bounded queue ──▶ worker pool ──▶ writer
 //!              │                     │                              (per-conn
-//!              └── inline: Stats, Introspect, BadRequest,            mutex)
-//!                  Overloaded, ShuttingDown — never needs worker
-//!                  capacity
+//!              └── inline: Introspect, BadRequest, Overloaded,       mutex)
+//!                  ShuttingDown — never needs worker capacity
 //! ```
 //!
 //! Robustness is the load-bearing feature:
@@ -365,28 +364,20 @@ impl Shared {
         }
     }
 
-    fn stats(&self) -> Response {
-        Response::Stats {
-            n_metros: self.epochs.current().igdb.metros.len() as u32,
-            queue_depth: self.queue.lock().unwrap_or_else(|e| e.into_inner()).len() as u32,
-            queue_capacity: self.cfg.queue_capacity as u32,
-            busy_workers: self.busy.load(Ordering::SeqCst) as u32,
-            draining: self.draining.load(Ordering::SeqCst),
-        }
-    }
-
     /// One live introspection snapshot: liveness gauges plus the flight
     /// recorder's ledger, client table, ring summary and epoch pins, plus
     /// the registry's deterministic counter text (so `igdb top` can show
     /// the gated stream without a second op).
     fn introspect(&self) -> Introspection {
+        let epoch = self.epochs.current();
         Introspection {
-            epoch: self.epochs.current().number,
+            epoch: epoch.number,
             uptime_us: self.started.elapsed().as_micros() as u64,
             workers: self.workers_n as u32,
             busy_workers: self.busy.load(Ordering::SeqCst) as u32,
             queue_depth: self.queue.lock().unwrap_or_else(|e| e.into_inner()).len() as u32,
             queue_capacity: self.cfg.queue_capacity as u32,
+            n_metros: epoch.igdb.metros.len() as u32,
             draining: self.draining.load(Ordering::SeqCst),
             recorder: self.recorder.snapshot(),
             counters: self.reg.counter_snapshot(),
@@ -415,8 +406,8 @@ pub struct Server {
 }
 
 /// All request kinds, for summing per-kind counters.
-pub const KINDS: [&str; 9] =
-    ["ping", "sp_query", "sp_batch", "risk", "footprint", "sleep", "panic", "stats", "introspect"];
+pub const KINDS: [&str; 8] =
+    ["ping", "sp_query", "sp_batch", "risk", "footprint", "sleep", "panic", "introspect"];
 
 impl Server {
     /// Starts serving on `listener`. The shared [`Igdb`]'s physical
@@ -593,14 +584,6 @@ fn reader_loop(shared: &Arc<Shared>, stream: Stream) {
                 match Request::decode(frame.op, &frame.payload) {
                     Ok(req) => {
                         // Control plane: answered inline, never queued.
-                        if matches!(req, Request::Stats) {
-                            shared.reg.perf_add("serve.control", "stats", 1);
-                            if writer.send(frame.id, &shared.stats()).is_err() {
-                                shared.reg.perf_add("serve.write_errors", "", 1);
-                                break "closed_error";
-                            }
-                            continue;
-                        }
                         if matches!(req, Request::Introspect) {
                             shared.reg.perf_add("serve.control", "introspect", 1);
                             let resp = Response::Introspect(shared.introspect());
@@ -914,8 +897,8 @@ fn execute(
             Ok(Response::Slept)
         }
         Request::Panic => panic!("injected analysis panic (chaos harness)"),
-        Request::Stats | Request::Introspect => {
-            // Control ops are answered inline by the reader; reaching a
+        Request::Introspect => {
+            // The control op is answered inline by the reader; reaching a
             // worker is a dispatch bug.
             Err(ServeError::Internal { detail: "control op reached a worker".into() })
         }

@@ -8,7 +8,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use igdb_geo::{haversine_km, GeoPoint};
+use igdb_geo::haversine_km;
 use igdb_measure::{trace_route, Anchor, RouterId, RouterNet, Traceroute};
 use igdb_net::ip::PrefixAllocator;
 use igdb_net::{Asn, Ip4, Prefix, PrefixTrie, Propagator};
@@ -643,11 +643,6 @@ impl World {
         let table = prop.propagate(d.asn);
         let route = table.route(s.asn)?;
         trace_route(&self.net, s.router, d.router, Some(&route.path))
-    }
-
-    /// Convenience: city centre location.
-    pub fn city_loc(&self, city: usize) -> GeoPoint {
-        self.cities[city].loc
     }
 }
 
