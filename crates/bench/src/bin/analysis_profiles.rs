@@ -7,7 +7,7 @@
 //! self time and the critical path). The deterministic counter stream can
 //! be written out and diffed against the committed baseline
 //! (`tests/golden/analysis_profiles.jsonl`) with `igdb metrics diff` — any
-//! delta at any worker count is a real behaviour change.
+//! delta is a real behaviour change.
 //!
 //! ```text
 //! cargo run --release -p igdb-bench --bin analysis_profiles -- \

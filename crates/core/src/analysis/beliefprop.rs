@@ -90,53 +90,16 @@ struct PairIndex {
 
 impl PairIndex {
     fn build(igdb: &Igdb, params: &BeliefPropParams) -> PairIndex {
-        // Raw qualifying pairs per trace, extracted in parallel with an
-        // in-order merge (chunk order == trace order), so the pair list is
-        // identical at any worker count.
-        let raw: Vec<Vec<(Ip4, Ip4)>> = igdb_par::par_chunks(igdb.traces(), |_, chunk| {
-            let mut out: Vec<(Ip4, Ip4)> = Vec::new();
-            for tr in chunk {
-                // Only TTL-adjacent responding pairs qualify: a gap (star
-                // or hidden hop) means the two addresses need not be
-                // colocated.
-                let mut prev: Option<(Ip4, f64, u8)> = None;
-                for h in &tr.hops {
-                    let Some(ip) = h.ip else { continue };
-                    let cur = (ip, h.rtt_ms, h.ttl);
-                    if let Some((ip_a, rtt_a, ttl_a)) = prev {
-                        let (ip_b, rtt_b, ttl_b) = cur;
-                        // Adjacent, or separated by a single silent hop —
-                        // the differential-latency bound still pins them to
-                        // one metro, but the gapped form needs a tighter
-                        // bound (the hidden router adds its own processing
-                        // delay).
-                        let gap = ttl_b.saturating_sub(ttl_a);
-                        let diff = (rtt_a - rtt_b).abs();
-                        if !(gap > 2 || (gap == 2 && diff >= params.metro_threshold_ms / 2.0))
-                            && diff < params.metro_threshold_ms
-                            && rtt_a < params.probe_rtt_max_ms
-                            && rtt_b < params.probe_rtt_max_ms
-                        {
-                            out.push((ip_a, ip_b));
-                        }
-                    }
-                    prev = Some(cur);
-                }
-            }
-            out
-        });
-
-        // Serial interning pass in trace order.
+        // One pass in trace order: intern each qualifying pair's
+        // endpoints as it is found.
         let mut index_of: HashMap<Ip4, u32> = HashMap::new();
         let mut addrs: Vec<Ip4> = Vec::new();
         let mut can_receive: Vec<bool> = Vec::new();
         let mut seed_loc: Vec<u32> = Vec::new();
-        let intern = |ip: Ip4,
-                          index_of: &mut HashMap<Ip4, u32>,
-                          addrs: &mut Vec<Ip4>,
-                          can_receive: &mut Vec<bool>,
-                          seed_loc: &mut Vec<u32>| {
-            *index_of.entry(ip).or_insert_with(|| {
+        // Interns `ip`; also says whether it can ever be voted for
+        // (neither anycast nor seeded).
+        let mut intern = |ip: Ip4| -> (u32, bool) {
+            let i = *index_of.entry(ip).or_insert_with(|| {
                 let info = igdb.ip_info.get(&ip);
                 addrs.push(ip);
                 // Anycast addresses have no single location to infer (§5).
@@ -147,19 +110,43 @@ impl PairIndex {
                         .unwrap_or(UNLOCATED),
                 );
                 (addrs.len() - 1) as u32
-            })
+            });
+            (i, can_receive[i as usize] && seed_loc[i as usize] == UNLOCATED)
         };
         let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for (ip_a, ip_b) in raw.into_iter().flatten() {
-            let ia = intern(ip_a, &mut index_of, &mut addrs, &mut can_receive, &mut seed_loc);
-            let ib = intern(ip_b, &mut index_of, &mut addrs, &mut can_receive, &mut seed_loc);
-            // A pair neither of whose endpoints can ever be voted for
-            // (both anycast or both seeded) never contributes; drop it so
-            // the round scans stay tight.
-            let a_recv = can_receive[ia as usize] && seed_loc[ia as usize] == UNLOCATED;
-            let b_recv = can_receive[ib as usize] && seed_loc[ib as usize] == UNLOCATED;
-            if a_recv || b_recv {
-                pairs.push((ia, ib));
+        for tr in igdb.traces() {
+            // Only TTL-adjacent responding pairs qualify: a gap (star
+            // or hidden hop) means the two addresses need not be
+            // colocated.
+            let mut prev: Option<(Ip4, f64, u8)> = None;
+            for h in &tr.hops {
+                let Some(ip) = h.ip else { continue };
+                let cur = (ip, h.rtt_ms, h.ttl);
+                if let Some((ip_a, rtt_a, ttl_a)) = prev {
+                    let (ip_b, rtt_b, ttl_b) = cur;
+                    // Adjacent, or separated by a single silent hop —
+                    // the differential-latency bound still pins them to
+                    // one metro, but the gapped form needs a tighter
+                    // bound (the hidden router adds its own processing
+                    // delay).
+                    let gap = ttl_b.saturating_sub(ttl_a);
+                    let diff = (rtt_a - rtt_b).abs();
+                    if !(gap > 2 || (gap == 2 && diff >= params.metro_threshold_ms / 2.0))
+                        && diff < params.metro_threshold_ms
+                        && rtt_a < params.probe_rtt_max_ms
+                        && rtt_b < params.probe_rtt_max_ms
+                    {
+                        let (ia, a_recv) = intern(ip_a);
+                        let (ib, b_recv) = intern(ip_b);
+                        // A pair neither of whose endpoints can ever be
+                        // voted for never contributes; drop it so the
+                        // round scans stay tight.
+                        if a_recv || b_recv {
+                            pairs.push((ia, ib));
+                        }
+                    }
+                }
+                prev = Some(cur);
             }
         }
 
@@ -214,9 +201,7 @@ impl PairIndex {
 /// partner becomes located. Tallies persist across rounds in
 /// capacity-retaining buffers; an address whose tally did not change since
 /// a failed majority check would fail it again, so only touched addresses
-/// are rechecked. Vote counting fans out over `igdb_par::par_chunks` with
-/// a serial in-order merge and commits walk addresses in ascending interned
-/// order, so the result is byte-identical at any worker count.
+/// are rechecked. Commits walk addresses in ascending interned order.
 pub fn propagate(igdb: &Igdb, params: &BeliefPropParams) -> BeliefPropReport {
     let _span = igdb_obs::span("analysis.beliefprop");
     let idx = {
@@ -250,27 +235,20 @@ pub fn propagate(igdb: &Igdb, params: &BeliefPropParams) -> BeliefPropReport {
         };
         igdb_obs::counter("beliefprop.pairs_scanned", "", active.len() as u64);
 
-        // Parallel vote collection: each chunk emits (address, metro)
-        // votes; counts are additive, and the serial merge below walks
-        // chunks in order, so tallies are worker-count invariant.
-        let votes: Vec<Vec<(u32, u32)>> = {
-            let loc = &loc;
-            igdb_par::par_chunks(active, |_, chunk| {
-                let mut out: Vec<(u32, u32)> = Vec::new();
-                for &pid in chunk {
-                    let (a, b) = idx.pairs[pid as usize];
-                    let (la, lb) = (loc[a as usize], loc[b as usize]);
-                    if la != UNLOCATED && lb == UNLOCATED && idx.can_receive[b as usize] {
-                        out.push((b, la));
-                    } else if lb != UNLOCATED && la == UNLOCATED && idx.can_receive[a as usize] {
-                        out.push((a, lb));
-                    }
-                }
-                out
-            })
-        };
+        // Vote collection: a located endpoint votes its metro onto an
+        // unlocated partner that may receive one.
         dirty.clear();
-        for (addr, metro) in votes.into_iter().flatten() {
+        for &pid in active {
+            let (a, b) = idx.pairs[pid as usize];
+            let (la, lb) = (loc[a as usize], loc[b as usize]);
+            let (addr, metro) =
+                if la != UNLOCATED && lb == UNLOCATED && idx.can_receive[b as usize] {
+                    (b, la)
+                } else if lb != UNLOCATED && la == UNLOCATED && idx.can_receive[a as usize] {
+                    (a, lb)
+                } else {
+                    continue;
+                };
             let t = &mut tally[addr as usize];
             match t.binary_search_by_key(&metro, |&(m, _)| m) {
                 Ok(i) => t[i].1 += 1,
@@ -400,40 +378,31 @@ pub fn consistency_check(igdb: &Igdb, params: &BeliefPropParams) -> ConsistencyR
         .iter()
         .filter_map(|(&ip, info)| Some((ip, info.metro?)))
         .collect();
-    // Neighbour votes for every address, excluding its own seed. Vote
-    // extraction fans out over traces (rolling previous-hop, no per-trace
-    // allocation); the serial merge is additive, so the tallies — and the
-    // majority decisions below — are worker-count invariant.
-    let chunks: Vec<Vec<(Ip4, usize)>> = igdb_par::par_chunks(igdb.traces(), |_, chunk| {
-        let mut out: Vec<(Ip4, usize)> = Vec::new();
-        for tr in chunk {
-            let mut prev: Option<(Ip4, f64, u8)> = None;
-            for h in &tr.hops {
-                let Some(ip) = h.ip else { continue };
-                let cur = (ip, h.rtt_ms, h.ttl);
-                if let Some((ip_a, rtt_a, ttl_a)) = prev {
-                    let (ip_b, rtt_b, ttl_b) = cur;
-                    if ttl_b == ttl_a + 1
-                        && (rtt_a - rtt_b).abs() < params.metro_threshold_ms
-                        && rtt_a < params.probe_rtt_max_ms
-                        && rtt_b < params.probe_rtt_max_ms
-                    {
-                        if let Some(&m) = located.get(&ip_b) {
-                            out.push((ip_a, m));
-                        }
-                        if let Some(&m) = located.get(&ip_a) {
-                            out.push((ip_b, m));
-                        }
+    // Neighbour votes for every address, excluding its own seed
+    // (rolling previous-hop, no per-trace allocation).
+    let mut votes: HashMap<Ip4, HashMap<usize, usize>> = HashMap::new();
+    for tr in igdb.traces() {
+        let mut prev: Option<(Ip4, f64, u8)> = None;
+        for h in &tr.hops {
+            let Some(ip) = h.ip else { continue };
+            let cur = (ip, h.rtt_ms, h.ttl);
+            if let Some((ip_a, rtt_a, ttl_a)) = prev {
+                let (ip_b, rtt_b, ttl_b) = cur;
+                if ttl_b == ttl_a + 1
+                    && (rtt_a - rtt_b).abs() < params.metro_threshold_ms
+                    && rtt_a < params.probe_rtt_max_ms
+                    && rtt_b < params.probe_rtt_max_ms
+                {
+                    if let Some(&m) = located.get(&ip_b) {
+                        *votes.entry(ip_a).or_default().entry(m).or_default() += 1;
+                    }
+                    if let Some(&m) = located.get(&ip_a) {
+                        *votes.entry(ip_b).or_default().entry(m).or_default() += 1;
                     }
                 }
-                prev = Some(cur);
             }
+            prev = Some(cur);
         }
-        out
-    });
-    let mut votes: HashMap<Ip4, HashMap<usize, usize>> = HashMap::new();
-    for (ip, m) in chunks.into_iter().flatten() {
-        *votes.entry(ip).or_default().entry(m).or_default() += 1;
     }
     let mut comparable = 0usize;
     let mut agreeing = 0usize;

@@ -93,7 +93,7 @@ impl PhysGraph {
 
     /// [`shortest_path`](Self::shortest_path) with a caller-owned
     /// workspace: queries grouped by source amortize to one search per
-    /// source, and parallel workers don't contend on the shared lock.
+    /// source, and server workers don't contend on the shared lock.
     pub fn shortest_path_with(
         &self,
         ws: &mut SpWorkspace,
@@ -288,20 +288,19 @@ pub fn physical_path_report_with(
     })
 }
 
-/// Runs [`physical_path_report_with`] over a whole traceroute mesh in
-/// parallel, one report per input trace, in input order. Reports are
-/// independent (the graph and database are read-only), so worker count
-/// never affects the results.
+/// Runs [`physical_path_report_with`] over a whole traceroute mesh, one
+/// report per input trace, in input order.
 pub fn physical_path_reports_with(
     igdb: &Igdb,
     graph: &PhysGraph,
     traces: &[Vec<Ip4>],
 ) -> Vec<Option<PhysicalPathReport>> {
-    // Span opened here in serial code only; the per-trace work below runs
-    // inside par workers, which never open spans (determinism rule 2).
     let _span = igdb_obs::span("analysis.physpath.batch");
     igdb_obs::counter("physpath.traces", "", traces.len() as u64);
-    igdb_par::par_map(traces, |hops| physical_path_report_with(igdb, graph, hops))
+    traces
+        .iter()
+        .map(|hops| physical_path_report_with(igdb, graph, hops))
+        .collect()
 }
 
 /// The leg's route geometry: the concatenated metro-centre polyline (the

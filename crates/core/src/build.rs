@@ -80,11 +80,11 @@ fn load_physical(
     date: &str,
     replay_warm_hits: bool,
 ) -> HashMap<u32, usize> {
-    // Spatial joins are embarrassingly parallel; row insertion stays
-    // serial and in input order so the loaded tables are byte-identical
-    // regardless of worker count.
+    // Each source is joined as a batch and then inserted: the site index
+    // stays cache-resident across the batch (joining row by row between
+    // inserts read ≈ 2 ms slower on the benchmark world's 18).
     let join_span = igdb_obs::span("physical.spatial_join");
-    let atlas_assignments = igdb_par::par_map(atlas_nodes, |n| metros.metro_of(&n.loc));
+    let atlas_assignments: Vec<_> = atlas_nodes.iter().map(|n| metros.metro_of(&n.loc)).collect();
     let mut atlas_node_metro: HashMap<String, usize> = HashMap::new();
     for (n, mid) in atlas_nodes.iter().zip(atlas_assignments) {
         let Some(mid) = mid else {
@@ -108,7 +108,7 @@ fn load_physical(
         )
         .expect("phys_nodes row");
     }
-    let fac_assignments = igdb_par::par_map(pdb_facilities, |f| metros.metro_of(&f.loc));
+    let fac_assignments: Vec<_> = pdb_facilities.iter().map(|f| metros.metro_of(&f.loc)).collect();
     let mut fac_metro: HashMap<u32, usize> = HashMap::new();
     for (f, mid) in pdb_facilities.iter().zip(fac_assignments) {
         let Some(mid) = mid else {
@@ -135,13 +135,11 @@ fn load_physical(
 
     drop(join_span);
 
-    // Atlas edges → shortest right-of-way paths, deduped per metro pair.
-    // Dedup runs serially (first-seen order defines the output), then
-    // roadway routing — the expensive part — fans out with one shortest-
-    // path workspace per worker. Pairs are grouped by source metro first,
-    // so each worker's resumable Dijkstra amortizes to roughly one full
-    // search per source. Rows are inserted serially in first-seen order,
-    // keeping the table byte-identical at any worker count.
+    // Atlas edges → shortest right-of-way paths, deduped per metro pair
+    // (first-seen order defines the output). Roadway routing — the
+    // expensive part — visits pairs grouped by source metro, so the
+    // resumable Dijkstra amortizes to roughly one full search per source;
+    // rows are then inserted in first-seen order.
     let mut seen_pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
     let mut link_work: Vec<(usize, usize, igdb_synth::sources::LinkType)> = Vec::new();
     for l in atlas_links {
@@ -181,24 +179,14 @@ fn load_physical(
     };
     let routing_span = igdb_obs::span("physical.routing");
     let mut routed: Vec<Option<(f64, Vec<igdb_geo::GeoPoint>)>> = vec![None; link_work.len()];
-    for chunk in igdb_par::par_chunks(&roadway_order, |_, chunk| {
-        let mut ws = crate::spath::SpWorkspace::new();
-        chunk
-            .iter()
-            .map(|&i| {
-                let (a, b, _) = link_work[i];
-                // Memoized per unordered pair: snapshot appends and
-                // overlapping atlas links reuse earlier routes.
-                let route = roads
-                    .route_cached(&mut ws, a, b)
-                    .map(|(_, km, geom)| (km, geom));
-                (i, route)
-            })
-            .collect::<Vec<_>>()
-    }) {
-        for (i, route) in chunk {
-            routed[i] = route;
-        }
+    let mut ws = crate::spath::SpWorkspace::new();
+    for &i in &roadway_order {
+        let (a, b, _) = link_work[i];
+        // Memoized per unordered pair: snapshot appends and
+        // overlapping atlas links reuse earlier routes.
+        routed[i] = roads
+            .route_cached(&mut ws, a, b)
+            .map(|(_, km, geom)| (km, geom));
     }
     drop(routing_span);
     if warm_hits > 0 {
@@ -521,8 +509,7 @@ impl Pipeline {
     /// Takes from `world` what `stage` leaves for later stages beyond its
     /// tables (the driver has copied those and replayed the ledger). Must
     /// not tick deterministic counters: the replay already accounts the
-    /// originals, so recomputed products stay serial (`igdb_par` ticks
-    /// `par.*`) and pure.
+    /// originals, so recomputed products stay pure.
     fn share(&mut self, stage: Stage, world: &Igdb, snaps: &CleanSnapshots<'_>) {
         match stage {
             Stage::Metros => self.metros = Some(Arc::clone(&world.metros)),
@@ -556,12 +543,10 @@ impl Pipeline {
 
     fn run_metros(&mut self, snaps: &CleanSnapshots<'_>) {
         let metros = MetroRegistry::build(&snaps.natural_earth);
-        // Thiessen cells materialize lazily, and whether that fires later
-        // depends on cache warmth: a delta apply sharing a warm registry
-        // would skip the compute ticks a cold rebuild emits, tearing the
-        // deterministic counter stream. Forcing them here pins the ticks
-        // inside this stage's ledger entry — sharing replays them — and
-        // wastes nothing: `city_polygons` needs every cell anyway.
+        // Thiessen cells materialize lazily; forcing them here charges
+        // their cost to this stage's span rather than to whichever stage
+        // asks first, and wastes nothing: `city_polygons` needs every
+        // cell anyway.
         metros.polygons();
         self.metros = Some(Arc::new(metros));
     }
@@ -622,21 +607,12 @@ impl Pipeline {
         );
     }
 
-    /// `land_points` / `sub_cables` from Telegeography. Landing-point
-    /// spatial joins fan out in parallel; inserts stay serial and in input
-    /// order (see `load_physical`).
+    /// `land_points` / `sub_cables` from Telegeography.
     fn run_telegeo(&mut self, snaps: &CleanSnapshots<'_>) {
         let (db, date, metros) = (&self.db, &self.date, made(&self.metros));
-        let landing_locs: Vec<&GeoPoint> = snaps
-            .telegeo
-            .iter()
-            .flat_map(|c| c.landings.iter().map(|(_, _, loc)| loc))
-            .collect();
-        let landing_assignments = igdb_par::par_map(&landing_locs, |loc| metros.metro_of(loc));
-        let mut landing_iter = landing_assignments.into_iter();
         for c in snaps.telegeo.iter() {
             for (lname, _, loc) in &c.landings {
-                let Some(mid) = landing_iter.next().expect("one assignment per landing") else {
+                let Some(mid) = metros.metro_of(loc) else {
                     continue;
                 };
                 db.insert(
@@ -877,14 +853,11 @@ impl Pipeline {
         }
     }
 
-    /// `probes`. Anchor spatial joins fan out in parallel; inserts stay
-    /// serial and in input order (see `load_physical`).
+    /// `probes`.
     fn run_probes(&mut self, snaps: &CleanSnapshots<'_>) {
         let metros = made(&self.metros);
-        let anchor_assignments =
-            igdb_par::par_map(&snaps.ripe_anchors[..], |a| metros.metro_of(&a.loc));
-        for (a, mid) in snaps.ripe_anchors.iter().zip(anchor_assignments) {
-            let Some(mid) = mid else {
+        for a in snaps.ripe_anchors.iter() {
+            let Some(mid) = metros.metro_of(&a.loc) else {
                 continue;
             };
             self.probes.insert(
@@ -974,14 +947,11 @@ impl Pipeline {
             observed.extend(seq.iter().copied());
         }
         // Per-address resolution (bdrmap LPM, rDNS, anycast scan, IXP
-        // prefix scan, Hoiho geolocation) is read-only against the built
-        // indexes and fans out in parallel; row insertion stays serial in
-        // sorted-address order so `ip_asn_dns` is byte-identical at any
-        // worker count.
-        let observed: Vec<Ip4> = observed.into_iter().collect();
+        // prefix scan, Hoiho geolocation) runs under its own span, apart
+        // from the row inserts, in sorted-address order.
         igdb_obs::counter("build.observed_ips", "", observed.len() as u64);
         let resolve_span = igdb_obs::span("ip_resolution.resolve");
-        let resolved = igdb_par::par_map(&observed, |&ip| {
+        let resolved = observed.iter().map(|&ip| {
             let asn = bdrmap.resolve(ip).asn();
             let fqdn = rdns.get(&ip).cloned();
             let anycast = snaps.anycast_prefixes.iter().any(|p| p.contains(ip));
@@ -1005,10 +975,11 @@ impl Pipeline {
             } else {
                 (None, None)
             };
-            (asn, fqdn, anycast, metro, geo_source)
+            (ip, asn, fqdn, anycast, metro, geo_source)
         });
+        let resolved: Vec<_> = resolved.collect();
         drop(resolve_span);
-        for (&ip, (asn, fqdn, anycast, metro, geo_source)) in observed.iter().zip(resolved) {
+        for (ip, asn, fqdn, anycast, metro, geo_source) in resolved {
             if let Some(g) = geo_source {
                 igdb_obs::counter("build.ip_geolocated", g.tag(), 1);
             }
@@ -1142,8 +1113,7 @@ impl Igdb {
     /// policy aborts the build, with a typed error rather than a panic.
     ///
     /// On clean input the output database is byte-identical to
-    /// [`Igdb::build`]'s at any worker count, and the report
-    /// [`BuildReport::is_clean`].
+    /// [`Igdb::build`]'s, and the report [`BuildReport::is_clean`].
     pub fn try_build(
         snaps: &SnapshotSet,
         policy: &BuildPolicy,
@@ -1318,7 +1288,7 @@ impl Igdb {
     /// The contract, enforced by the delta-determinism suite and CI: the
     /// returned world is **byte-identical** to `try_build(snaps, policy)`
     /// — database fingerprint, quarantine, and deterministic counter
-    /// stream — at every worker count.
+    /// stream.
     ///
     /// Worlds that took [`Igdb::append_snapshot`] refreshes hold
     /// multi-date tables no stage copy can reproduce, so table reuse is

@@ -9,17 +9,19 @@
 //! endpoint and reversing on demand — an undirected corridor is one fact,
 //! not two.
 //!
-//! # Determinism under parallel callers
+//! # Determinism under concurrent callers
 //!
 //! A naive "check map, else compute, then insert" cache would let two
-//! racing workers both run the underlying engine query, making the
+//! racing server workers both run the underlying engine query, making the
 //! deterministic `spath.queries` counter depend on scheduling. Instead the
 //! map stores one `Arc<OnceLock<…>>` per key (created under a short-lived
 //! mutex), and the computation runs inside `OnceLock::get_or_init`: exactly
 //! one caller computes per distinct key, everyone else blocks and reads, so
-//! engine-query counts stay worker-count invariant. Cache hit/miss tallies
-//! are scheduling-dependent in *which worker* reports them, so they are
-//! perf metrics, outside the deterministic counter snapshot.
+//! the registry's engine-query total is scheduling-free. *Which* caller
+//! fills a pair is not, so the fill runs under a sink trace: its ticks
+//! reach the registry and no request's trace. Cache hit/miss tallies are
+//! scheduling-dependent in *which worker* reports them, so they are perf
+//! metrics, outside the deterministic counter snapshot.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -123,6 +125,7 @@ impl CorridorCache {
         let mut miss = false;
         let cached = cell.get_or_init(|| {
             miss = true;
+            let _unattributed = igdb_obs::TraceContext::sink().install();
             compute(key.0, key.1).map(|(path, km)| Corridor { path, km })
         });
         if miss {
@@ -242,21 +245,45 @@ mod tests {
         let cache = CorridorCache::new("test");
         let calls = AtomicUsize::new(0);
         let pairs: Vec<(usize, usize)> = (0..64).map(|i| (i / 8, 10 + i % 4)).collect();
-        let results = igdb_par::with_threads(4, || {
-            igdb_par::par_map(&pairs, |&(a, b)| {
-                cache.shortest_path(a, b, |lo, hi| {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    Some((vec![lo, hi], (lo + hi) as f64))
-                })
-            })
+        // Four threads, released together, each ask for every pair, so
+        // every pair is contended.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for &(a, b) in &pairs {
+                        let r = cache.shortest_path(a, b, |lo, hi| {
+                            calls.fetch_add(1, Ordering::Relaxed);
+                            Some((vec![lo, hi], (lo + hi) as f64))
+                        });
+                        assert_eq!(r.unwrap().0, vec![a, b]);
+                    }
+                });
+            }
         });
         // 8 × 4 distinct normalized pairs, each computed exactly once no
-        // matter how the 64 requests raced.
+        // matter how the 256 requests raced.
         assert_eq!(calls.load(Ordering::Relaxed), 32);
         assert_eq!(cache.len(), 32);
-        for (i, r) in results.iter().enumerate() {
-            let (a, b) = pairs[i];
-            assert_eq!(r.as_ref().unwrap().0, vec![a, b]);
-        }
+    }
+
+    #[test]
+    fn fill_ticks_reach_the_registry_and_no_request_trace() {
+        // Which request first touches a pair is scheduling; a per-request
+        // counter may not depend on it.
+        let reg = igdb_obs::Registry::new();
+        let _g = reg.install();
+        let trace = igdb_obs::TraceContext::new(1, 1, "request");
+        let _t = trace.install();
+        let cache = CorridorCache::new("test");
+        let compute = |lo: usize, hi: usize| {
+            igdb_obs::counter("spath.queries", "", 1);
+            Some((vec![lo, hi], 1.0))
+        };
+        cache.shortest_path(1, 2, compute);
+        cache.shortest_path(2, 1, compute);
+        assert_eq!(reg.counter_value("spath.queries", ""), 1);
+        assert!(trace.finish().counters.is_empty(), "a fill's ticks belong to the pair");
     }
 }

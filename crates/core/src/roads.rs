@@ -102,7 +102,7 @@ impl RoadGraph {
 
     /// [`shortest_path`](Self::shortest_path) with a caller-owned
     /// workspace: queries grouped by `from` amortize to one search per
-    /// source, and parallel workers don't contend on the shared lock.
+    /// source, without taking the shared lock.
     pub fn shortest_path_with(
         &self,
         ws: &mut SpWorkspace,
@@ -169,7 +169,7 @@ impl RoadGraph {
 
     /// [`route_with_geometry_with`](Self::route_with_geometry_with), memoized
     /// by normalized metro pair: each unordered pair is routed at most once
-    /// per graph, no matter how many callers (or parallel workers) ask.
+    /// per graph, no matter how many callers ask.
     pub fn route_cached(
         &self,
         ws: &mut SpWorkspace,

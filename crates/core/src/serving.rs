@@ -4,8 +4,8 @@
 //! database, so the telemetry layer needs a workload that exercises every
 //! analysis entry point the same way on every run: the query mix below is
 //! a pure function of the built world (no randomness, no environment), so
-//! its deterministic counter stream is byte-identical across worker counts
-//! and shortest-path modes — exactly what `igdb metrics diff` gates on in
+//! its deterministic counter stream is byte-identical run to run and across
+//! shortest-path modes — exactly what `igdb metrics diff` gates on in
 //! CI against the committed `tests/golden/serving.jsonl` baseline.
 //!
 //! The mix covers all five §4 analyses:

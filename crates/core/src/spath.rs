@@ -91,9 +91,8 @@ thread_local! {
 }
 
 /// Runs `f` with the shortest-path mode forced to `mode` on this thread,
-/// restoring the previous override afterwards (mirrors
-/// `igdb_par::with_threads`). The override does not propagate into
-/// `igdb-par` workers.
+/// restoring the previous override afterwards. The override does not
+/// propagate into threads spawned inside `f`.
 pub fn with_mode<R>(mode: SpMode, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<SpMode>);
     impl Drop for Restore {
@@ -266,8 +265,8 @@ impl SpWorkspace {
     }
 
     fn reset_for(&mut self, n: usize, source: usize, engine_id: u64) {
-        // Perf class: reset counts depend on how callers chunk work across
-        // workers (resume amortization), so they are not in the
+        // Perf class: reset counts depend on how callers group queries by
+        // source (resume amortization), so they are not in the
         // deterministic counter snapshot.
         igdb_obs::perf("spath.resets", "", 1);
         self.maybe_shrink(n);
@@ -511,7 +510,7 @@ impl ShortestPathEngine {
             ws.exhausted = true;
         }
         // Perf class: how much of the graph each run explores depends on
-        // resume amortization, i.e. on work chunking across workers.
+        // resume amortization, i.e. on how callers group queries.
         igdb_obs::perf("spath.nodes_settled", "", settled_now);
         igdb_obs::observe("spath.settled_per_run", "", settled_now);
     }

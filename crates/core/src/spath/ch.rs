@@ -15,11 +15,9 @@
 //!
 //! Priorities are maintained lazily: the heap may hold stale entries, each
 //! pop re-evaluates the node against the current overlay graph and
-//! re-queues it if something better surfaced. Initial priorities are
-//! computed in parallel with `igdb_par::par_map_with` (each node's
-//! simulated contraction is a pure function of the untouched input graph,
-//! so the result is worker-count invariant); the contraction loop itself is
-//! strictly sequential in rank order, per the determinism contract.
+//! re-queues it if something better surfaced. Initial priorities are one
+//! simulated contraction per node against the untouched input graph; the
+//! contraction loop then runs in rank order.
 //!
 //! # Query
 //!
@@ -313,30 +311,17 @@ impl Hierarchy {
         let mut deleted = vec![0u32; n];
         let mut order: Vec<u32> = Vec::with_capacity(n);
 
-        // Initial priorities in parallel: each simulated contraction is a
-        // pure function of the untouched graph, and par_map_with preserves
-        // input order, so this is worker-count invariant. `quiet` demotes
-        // the pool's submission ticks to perf class for the same reason the
-        // span above is suppressed: the build fires lazily, so the ticks
-        // cannot sit in the deterministic counter stream.
-        let node_ids: Vec<u32> = (0..n as u32).collect();
-        let prios: Vec<i64> = igdb_par::quiet(|| {
-            igdb_par::par_map_with(
-                &node_ids,
-                || WitnessScratch::new(n),
-                |scratch, &v| {
-                    let (plan, degree) = plan_shortcuts(&edges, &adj, &contracted, scratch, v);
-                    plan.len() as i64 - degree as i64
-                },
-            )
-        });
-        let mut heap: BinaryHeap<Reverse<(i64, u32)>> = node_ids
-            .iter()
-            .map(|&v| Reverse((prios[v as usize], v)))
+        // Initial priorities: one simulated contraction per node against
+        // the untouched graph.
+        let mut scratch = WitnessScratch::new(n);
+        let mut heap: BinaryHeap<Reverse<(i64, u32)>> = (0..n as u32)
+            .map(|v| {
+                let (plan, degree) = plan_shortcuts(&edges, &adj, &contracted, &mut scratch, v);
+                Reverse((plan.len() as i64 - degree as i64, v))
+            })
             .collect();
 
-        // Sequential lazy-heap contraction in rank order.
-        let mut scratch = WitnessScratch::new(n);
+        // Lazy-heap contraction in rank order.
         while let Some(Reverse((_, v))) = heap.pop() {
             if contracted[v as usize] {
                 continue;

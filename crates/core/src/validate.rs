@@ -15,8 +15,7 @@
 //!    the exact same memory it always did and the output stays
 //!    byte-identical to a pre-validation build.
 //! 2. **Deterministic.** Screening is a serial pass in a fixed source
-//!    order; quarantine order is input order and never depends on
-//!    `IGDB_THREADS`.
+//!    order; quarantine order is input order.
 //! 3. **Conservative.** A record is quarantined only for defects that
 //!    cannot occur in well-formed data (verified against the synthetic
 //!    emitters and the real sources' schemas) — never for conditions the

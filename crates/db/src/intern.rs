@@ -16,7 +16,7 @@
 //! which makes the symbol-id fast paths in `Eq`/`Ord` sound. Symbol ids are
 //! assignment-order (first intern wins) and thus process-local: they never
 //! appear in `Display`, fingerprints, or persisted CSV, so concurrent
-//! interning from `igdb-par` workers cannot perturb any byte-identity
+//! interning from server workers cannot perturb any byte-identity
 //! contract.
 
 use std::collections::HashMap;

@@ -1,6 +1,6 @@
-//! Interner behavior under parallel interning, and the fingerprint's
-//! independence from intern order — the two properties the planet-scale
-//! build leans on when worker threads intern hostnames concurrently.
+//! Interner behavior under concurrent interning, and the fingerprint's
+//! independence from intern order — the two properties the server leans
+//! on when worker threads intern text concurrently.
 
 use igdb_db::{ColumnDef, ColumnType, Database, Schema, Str, Value};
 
@@ -10,21 +10,32 @@ use igdb_db::{ColumnDef, ColumnType, Database, Schema, Str, Value};
 #[test]
 fn symbols_agree_across_worker_threads() {
     let names: Vec<String> = (0..512).map(|i| format!("xthread-metro-{i}")).collect();
-    let baseline: Vec<(Option<u32>, String)> = names
-        .iter()
-        .map(|n| {
-            let s = Str::new(n);
-            (s.sym(), s.as_str().to_string())
-        })
-        .collect();
-    for workers in [1, 4] {
-        let resolved = igdb_par::with_threads(workers, || {
-            igdb_par::par_map(&names, |n| {
+    let resolve = || -> Vec<(Option<u32>, String)> {
+        names
+            .iter()
+            .map(|n| {
                 let s = Str::new(n);
                 (s.sym(), s.as_str().to_string())
             })
-        });
-        assert_eq!(resolved, baseline, "workers={workers}");
+            .collect()
+    };
+    // Four threads, released together, race to intern each name first.
+    let start = std::sync::Barrier::new(4);
+    let per_thread: Vec<_> = std::thread::scope(|scope| {
+        let racer = || {
+            start.wait();
+            resolve()
+        };
+        let handles: Vec<_> = (0..4).map(|_| scope.spawn(racer)).collect();
+        handles.into_iter().map(|h| h.join().expect("interning thread")).collect()
+    });
+    let baseline = resolve();
+    for (n, (sym, content)) in names.iter().zip(&baseline) {
+        assert!(sym.is_some(), "short content is always a symbol");
+        assert_eq!(content, n);
+    }
+    for (t, resolved) in per_thread.iter().enumerate() {
+        assert_eq!(resolved, &baseline, "thread {t}");
     }
 }
 

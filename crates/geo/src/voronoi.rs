@@ -33,28 +33,20 @@ pub struct VoronoiCell {
 pub fn voronoi_cells(sites: &[GeoPoint], clip: &BoundingBox) -> Vec<VoronoiCell> {
     let tri = triangulate(sites);
     let mut seen = std::collections::HashSet::new();
-    let distinct: Vec<usize> = sites
+    sites
         .iter()
         .enumerate()
         .filter(|(_, p)| seen.insert((p.lon.to_bits(), p.lat.to_bits())))
-        .map(|(i, _)| i)
-        .collect();
-    // Per-site clipping is independent; construct cells in parallel and
-    // collect in site order (par_map preserves input order).
-    let rings = igdb_par::par_map(&distinct, |&i| {
-        if tri.neighbors[i].is_empty() && sites.len() > 1 {
-            cell_against_all(sites, i, clip)
-        } else {
-            cell_from_neighbors(sites, i, &tri.neighbors[i], clip)
-        }
-    });
-    distinct
-        .into_iter()
-        .zip(rings)
-        .filter(|(_, ring)| ring.len() >= 3)
-        .map(|(i, ring)| VoronoiCell {
-            site: i,
-            polygon: Polygon::new(ring, vec![]),
+        .filter_map(|(i, _)| {
+            let ring = if tri.neighbors[i].is_empty() && sites.len() > 1 {
+                cell_against_all(sites, i, clip)
+            } else {
+                cell_from_neighbors(sites, i, &tri.neighbors[i], clip)
+            };
+            (ring.len() >= 3).then(|| VoronoiCell {
+                site: i,
+                polygon: Polygon::new(ring, vec![]),
+            })
         })
         .collect()
 }

@@ -9,12 +9,12 @@
 //! * [`Registry`] — a thread-safe sink for metrics and spans. Cheap to
 //!   clone (`Arc` inside); one registry typically covers one build.
 //! * **Counters** ([`Registry::counter_add`]) — monotonic `u64` totals
-//!   that are **worker-count invariant**: the same build must produce the
-//!   same counter values at `IGDB_THREADS=1` and `=64`. These form the
+//!   that are **scheduling invariant**: the same work must produce the
+//!   same counter values at any number of server workers. These form the
 //!   [`Registry::counter_snapshot`] determinism contract and carry the
 //!   per-source ingestion accounting that cross-checks `BuildReport`.
 //! * **Perf counters** ([`Registry::perf_add`]) — totals that legitimately
-//!   depend on scheduling (per-worker task counts, steal counts, resumable
+//!   depend on scheduling (corridor-cache hits per worker, resumable
 //!   Dijkstra workspace resets). Excluded from the deterministic snapshot.
 //! * **Histograms** ([`Registry::observe`]) — power-of-two bucketed value
 //!   distributions (span durations, nodes settled per Dijkstra run).
@@ -48,9 +48,9 @@
 //! (thread-local, stacked, restored on drop); the free functions
 //! [`counter`], [`perf`], [`observe`] and [`span`] write to the current
 //! registry and are no-ops — one thread-local read — when none is
-//! installed, so un-instrumented runs pay nothing. `igdb-par`
-//! re-installs the caller's current registry inside its worker threads,
-//! so instrumentation inside parallel loops lands in the right place.
+//! installed, so un-instrumented runs pay nothing. A thread spawned
+//! inside the scope (a server worker) installs a clone of the registry
+//! itself.
 //!
 //! # Determinism rules
 //!
@@ -734,8 +734,8 @@ impl Registry {
         self.add(name.into(), label.into(), delta, false);
     }
 
-    /// Adds to a perf counter (worker-count dependent totals: tasks per
-    /// worker, steals, workspace resets). Excluded from
+    /// Adds to a perf counter (scheduling-dependent totals: cache hits
+    /// per worker, workspace resets). Excluded from
     /// [`counter_snapshot`](Self::counter_snapshot).
     pub fn perf_add(&self, name: impl Into<Name>, label: impl Into<Name>, delta: u64) {
         self.add(name.into(), label.into(), delta, true);

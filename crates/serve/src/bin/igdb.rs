@@ -147,11 +147,15 @@ commands:
   build   --out DIR [--scale tiny|medium|large|planet] [--date YYYY-MM-DD] [--mesh N]
           [--policy strict|lenient] [--drop-above FRAC] [--report [FILE]]
           [--corrupt SEED] [--metrics FILE.jsonl] [--trace]
+          [--counters FILE] [--fingerprint]
           generate source snapshots, run the pipeline, save the database;
           --report prints per-source ingestion health (or writes it to
           FILE), --corrupt injects seeded faults into every source (a
           fault-tolerance demo), --metrics writes pipeline counters and
-          spans as JSON-lines, --trace prints the span tree to stderr
+          spans as JSON-lines, --trace prints the span tree to stderr;
+          --counters writes the deterministic counter stream and
+          --fingerprint prints `fingerprint <16 hex>` of the database:
+          diff both between the parent commit's binary and a change's
   tables  --db DIR
           list relations and row counts
   metrics --in FILE.jsonl [--profile]
@@ -365,7 +369,7 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     }
     if let Some(p) = flag(args, "--counters").map(PathBuf::from) {
         // The deterministic counter stream only (no perf-class metrics):
-        // byte-diffable across worker counts and shortest-path modes.
+        // byte-diffable between the parent commit's binary and a change's.
         io_ctx(
             std::fs::write(&p, registry.counter_snapshot()),
             "write counters file",
@@ -382,8 +386,8 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
 }
 
 /// FNV-1a 64 over the canonical database fingerprint: a short,
-/// platform-stable digest CI can compare across worker counts without
-/// shipping the multi-megabyte fingerprint itself.
+/// platform-stable digest to compare between two binaries' builds
+/// without shipping the multi-megabyte fingerprint itself.
 fn fingerprint_hash(fp: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in fp.as_bytes() {

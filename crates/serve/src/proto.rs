@@ -37,7 +37,7 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"iGDB");
 pub const HEADER_LEN: usize = 21;
 
 /// Default cap on payload length; a frame claiming more is refused
-/// without allocating.
+/// without reading it.
 pub const DEFAULT_MAX_FRAME: u32 = 1 << 20;
 
 /// Response tag carrying a [`ServeError`].
@@ -632,15 +632,14 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Frame, FrameError
     if len > max_frame {
         return Err(FrameError::Proto(ProtoError::FrameTooLarge { len, max: max_frame }));
     }
-    let mut payload = vec![0u8; len as usize];
-    if let Err(e) = r.read_exact(&mut payload) {
-        return Err(if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            FrameError::Proto(ProtoError::Truncated { what: "frame payload" })
-        } else {
-            FrameError::Io(e)
-        });
+    // Grown as bytes arrive, never sized by the claimed `len`: a header
+    // that promises more than its sender delivers costs what was sent.
+    let mut payload = Vec::new();
+    match r.take(u64::from(len)).read_to_end(&mut payload) {
+        Ok(n) if n == len as usize => Ok(Frame { id, deadline_ms, op, payload }),
+        Ok(_) => Err(FrameError::Proto(ProtoError::Truncated { what: "frame payload" })),
+        Err(e) => Err(FrameError::Io(e)),
     }
-    Ok(Frame { id, deadline_ms, op, payload })
 }
 
 /// Little-endian field cursor over a payload slice.

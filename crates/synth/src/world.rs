@@ -100,8 +100,8 @@ impl WorldConfig {
 
     /// Planet-scale CI tier: ~20K metros and >10⁵ ASes — well past paper
     /// scale on the physical side, sized so a build still fits a CI
-    /// runner. The scale-smoke job builds this at 1 and 4 workers and
-    /// diffs fingerprints.
+    /// runner. The scale-smoke job builds this and records its
+    /// fingerprint.
     pub fn large() -> Self {
         Self {
             seed: 42,

@@ -3,7 +3,7 @@
 //! rebuilding from scratch with [`Igdb::try_build`] on the same inputs —
 //! database fingerprint (every row, float bit patterns, index contents),
 //! quarantine and per-source health, and the deterministic counter
-//! stream — for every generated delta class, at every worker count.
+//! stream — for every generated delta class.
 //!
 //! Also covered here: epoch-versioned reads (a reader pinned on one
 //! epoch never observes a mixture of two worlds), and the golden
@@ -55,18 +55,14 @@ fn first_diff(a: &str, b: &str) -> String {
     format!("lengths differ: {} vs {} lines", a.lines().count(), b.lines().count())
 }
 
-/// Applies `next` onto `prior` incrementally under an isolated registry at
-/// `threads` workers, returning the new world too so applies can chain.
-fn apply_onto(
-    prior: &Igdb,
-    next: &SnapshotSet,
-    threads: usize,
-) -> (Igdb, Capture, SnapshotDelta) {
+/// Applies `next` onto `prior` incrementally under an isolated registry,
+/// returning the new world too so applies can chain.
+fn apply_onto(prior: &Igdb, next: &SnapshotSet) -> (Igdb, Capture, SnapshotDelta) {
     let reg = Registry::new();
-    let (igdb, report, delta) = igdb_par::with_threads(threads, || {
+    let (igdb, report, delta) = {
         let _g = reg.install();
         prior.apply_delta(next, &BuildPolicy::lenient()).expect("delta applies")
-    });
+    };
     let capture = Capture {
         fingerprint: igdb.db.fingerprint(),
         report,
@@ -76,23 +72,19 @@ fn apply_onto(
 }
 
 /// Builds `base` outside any registry, then applies `next` onto it.
-fn apply_capture(
-    base: &SnapshotSet,
-    next: &SnapshotSet,
-    threads: usize,
-) -> (Capture, SnapshotDelta) {
+fn apply_capture(base: &SnapshotSet, next: &SnapshotSet) -> (Capture, SnapshotDelta) {
     let (prior, _) = Igdb::try_build(base, &BuildPolicy::lenient()).expect("base builds");
-    let (_, capture, delta) = apply_onto(&prior, next, threads);
+    let (_, capture, delta) = apply_onto(&prior, next);
     (capture, delta)
 }
 
 /// Rebuilds `next` from scratch under an isolated registry.
-fn rebuild_capture(next: &SnapshotSet, threads: usize) -> Capture {
+fn rebuild_capture(next: &SnapshotSet) -> Capture {
     let reg = Registry::new();
-    let (igdb, report) = igdb_par::with_threads(threads, || {
+    let (igdb, report) = {
         let _g = reg.install();
         Igdb::try_build(next, &BuildPolicy::lenient()).expect("rebuild builds")
-    });
+    };
     Capture {
         fingerprint: igdb.db.fingerprint(),
         report,
@@ -120,8 +112,8 @@ fn every_delta_class_applies_byte_identical_to_rebuild() {
     for class in DeltaClass::ALL {
         for seed in [3u64, 17] {
             let (next, ops) = generate_delta(&base, seed, &[class]);
-            let (apply, delta) = apply_capture(&base, &next, 2);
-            let rebuild = rebuild_capture(&next, 2);
+            let (apply, delta) = apply_capture(&base, &next);
+            let rebuild = rebuild_capture(&next);
             assert_identical(&apply, &rebuild, &format!("{class:?} seed {seed}"));
             if class == DeltaClass::Empty {
                 assert!(ops.is_empty() && delta.is_empty(), "empty delta must diff empty");
@@ -134,6 +126,8 @@ fn every_delta_class_applies_byte_identical_to_rebuild() {
     }
 }
 
+/// Every class at once. (Named for the worker axis it had while the
+/// build was parallel.)
 #[test]
 fn composite_delta_is_worker_count_invariant() {
     let base = base_snaps();
@@ -145,13 +139,10 @@ fn composite_delta_is_worker_count_invariant() {
         DeltaClass::RoadChurn,
     ];
     let (next, _) = generate_delta(&base, 11, &classes);
-    let rebuild = rebuild_capture(&next, 1);
-    for threads in [1usize, 2, 4] {
-        let (apply, delta) = apply_capture(&base, &next, threads);
-        assert_identical(&apply, &rebuild, &format!("{threads} workers"));
-        // Road churn dirties from the Roads stage on.
-        assert_eq!(delta.first_dirty, Some(Stage::Roads), "{threads} workers");
-    }
+    let (apply, delta) = apply_capture(&base, &next);
+    assert_identical(&apply, &rebuild_capture(&next), "composite");
+    // Road churn dirties from the Roads stage on.
+    assert_eq!(delta.first_dirty, Some(Stage::Roads));
 }
 
 // ---------------------------------------------------------------------------
@@ -170,9 +161,9 @@ fn chained_applies_stay_byte_identical_to_rebuild() {
     for (epoch, classes) in chain.into_iter().enumerate() {
         let (next, ops) = generate_delta(cur.source_snapshots(), 41 + epoch as u64, classes);
         assert!(!ops.is_empty(), "epoch {epoch} generated no ops");
-        let (igdb, apply, delta) = apply_onto(&cur, &next, 2);
+        let (igdb, apply, delta) = apply_onto(&cur, &next);
         assert!(!delta.is_empty(), "epoch {epoch} diffed empty");
-        assert_identical(&apply, &rebuild_capture(&next, 2), &format!("epoch {epoch} {classes:?}"));
+        assert_identical(&apply, &rebuild_capture(&next), &format!("epoch {epoch} {classes:?}"));
         cur = igdb;
     }
 }
@@ -189,8 +180,8 @@ fn apply_onto_appended_world_is_byte_identical_to_rebuild() {
         let (mut prior, _) = Igdb::try_build(&base, &BuildPolicy::lenient()).unwrap();
         prior.append_snapshot(&later);
         let (next, _) = generate_delta(prior.source_snapshots(), 29, &[class]);
-        let (_, apply, delta) = apply_onto(&prior, &next, 2);
-        assert_identical(&apply, &rebuild_capture(&next, 2), &format!("appended + {class:?}"));
+        let (_, apply, delta) = apply_onto(&prior, &next);
+        assert_identical(&apply, &rebuild_capture(&next), &format!("appended + {class:?}"));
         assert_eq!(delta.first_dirty, Some(Stage::Physical), "{class:?}");
         assert!(!delta.traceroute_rows_clean && !delta.ip_inputs_clean, "{class:?}");
     }
@@ -329,10 +320,10 @@ fn apply_stream_matches_golden() {
     ];
     let (next, _) = generate_delta(prior.source_snapshots(), 7, &classes);
     let reg = Registry::new();
-    igdb_par::with_threads(2, || {
+    {
         let _g = reg.install();
         prior.apply_delta(&next, &BuildPolicy::lenient()).expect("apply");
-    });
+    }
     let got = reg.json_lines(JsonMode::Deterministic);
     if std::env::var_os("IGDB_BLESS").is_some() {
         std::fs::create_dir_all(golden_path.parent().unwrap()).unwrap();

@@ -11,8 +11,8 @@
 //!   `--report`, by construction and by test.
 //! * **Monotone nesting.** Spans close in LIFO order, children start no
 //!   earlier than their parents, and sibling spans don't overlap.
-//! * **Worker-count invariance.** The counter snapshot is byte-identical
-//!   at 1 and 4 workers; only `perf` metrics may differ.
+//! * **Run-to-run invariance.** The counter snapshot is byte-identical
+//!   across two builds; only `perf` metrics may differ.
 //! * **Golden stream.** `JsonMode::Deterministic` over the synthetic tiny
 //!   world matches a checked-in golden file (bless with `IGDB_BLESS=1`).
 //! * **CLI parity.** `igdb build --report F --metrics G` writes two views
@@ -157,24 +157,22 @@ fn span_tree_is_monotone_and_covers_the_pipeline() {
 }
 
 // ---------------------------------------------------------------------------
-// Worker-count invariance
+// Run-to-run invariance
 // ---------------------------------------------------------------------------
 
+/// (Named for the worker axis it had while the build was parallel.)
 #[test]
 fn counter_snapshot_is_identical_at_1_and_4_workers() {
     let s = faulty_snaps(11);
-    let snapshot_at = |threads: usize| {
+    let snapshot = || {
         let reg = Registry::new();
-        igdb_par::with_threads(threads, || {
-            let _g = reg.install();
-            Igdb::try_build(&s, &BuildPolicy::lenient()).unwrap();
-        });
+        let _g = reg.install();
+        Igdb::try_build(&s, &BuildPolicy::lenient()).unwrap();
         reg.counter_snapshot()
     };
-    let one = snapshot_at(1);
-    let four = snapshot_at(4);
-    assert!(!one.is_empty());
-    assert_eq!(one, four, "counters must be worker-count-invariant");
+    let first = snapshot();
+    assert!(!first.is_empty());
+    assert_eq!(first, snapshot(), "counters must derive from the data alone");
 }
 
 // ---------------------------------------------------------------------------
@@ -189,10 +187,10 @@ fn deterministic_json_lines_match_golden() {
     ));
     let s = snaps();
     let reg = Registry::new();
-    igdb_par::with_threads(2, || {
+    {
         let _g = reg.install();
         Igdb::try_build(&s, &BuildPolicy::lenient()).unwrap();
-    });
+    }
     let got = reg.json_lines(JsonMode::Deterministic);
     if std::env::var_os("IGDB_BLESS").is_some() {
         std::fs::create_dir_all(golden_path.parent().unwrap()).unwrap();
@@ -217,17 +215,16 @@ fn deterministic_json_lines_match_golden() {
 // ---------------------------------------------------------------------------
 
 /// Builds a fresh database (cold corridor caches) and serves the fixed
-/// query mix under the given worker count, returning the serving registry.
-/// The build runs outside the registry so the stream holds serving
-/// telemetry only.
-fn serve_mix(world: &World, threads: usize) -> Registry {
+/// query mix, returning the serving registry. The build runs outside the
+/// registry so the stream holds serving telemetry only.
+fn serve_mix(world: &World) -> Registry {
     let snaps = emit_snapshots(world, "2022-05-03", 100);
     let igdb = Igdb::build(&snaps);
     let reg = Registry::new();
-    igdb_par::with_threads(threads, || {
+    {
         let _g = reg.install();
         run_query_mix(world, &igdb);
-    });
+    }
     reg
 }
 
@@ -286,16 +283,18 @@ fn no_production_path_builds_a_contraction_hierarchy() {
     );
 }
 
+/// Two servings of the mix over fresh builds agree. (Named for the
+/// worker axis it had while the build was parallel.)
 #[test]
 fn serving_counters_invariant_across_workers() {
     let world = World::generate(WorldConfig::tiny());
-    let baseline = serve_mix(&world, 1).json_lines(JsonMode::Deterministic);
-    // The stream actually carries the new serving counters.
+    let baseline = serve_mix(&world).json_lines(JsonMode::Deterministic);
+    // The stream actually carries the serving counters.
     for needle in ["serving.mix_runs", "analysis.queries", "spath.queries"] {
         assert!(baseline.contains(needle), "missing {needle} in:\n{baseline}");
     }
-    let got = serve_mix(&world, 4).json_lines(JsonMode::Deterministic);
-    assert_eq!(baseline, got, "serving counter stream diverged at 4 workers");
+    let got = serve_mix(&world).json_lines(JsonMode::Deterministic);
+    assert_eq!(baseline, got, "serving counter stream diverged between two runs");
 }
 
 #[test]
@@ -305,7 +304,7 @@ fn serving_stream_matches_golden() {
         "/../../tests/golden/serving.jsonl"
     ));
     let world = World::generate(WorldConfig::tiny());
-    let got = serve_mix(&world, 2).json_lines(JsonMode::Deterministic);
+    let got = serve_mix(&world).json_lines(JsonMode::Deterministic);
     if std::env::var_os("IGDB_BLESS").is_some() {
         std::fs::create_dir_all(golden_path.parent().unwrap()).unwrap();
         std::fs::write(&golden_path, &got).unwrap();
@@ -330,7 +329,7 @@ fn serving_stream_matches_golden() {
 #[test]
 fn serving_quantiles_and_profile_are_coherent() {
     let world = World::generate(WorldConfig::tiny());
-    let reg = serve_mix(&world, 2);
+    let reg = serve_mix(&world);
 
     // The per-trace latency histogram exists, with monotone quantiles
     // bounded by the observed extremes.
