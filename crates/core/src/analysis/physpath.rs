@@ -9,7 +9,7 @@
 //! infrastructure — yielding the **distance cost** (paper example: 2,518 km
 //! ÷ 1,282 km = 1.96).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
 use igdb_geo::GeoPoint;
@@ -49,24 +49,38 @@ impl PhysGraph {
         }
     }
 
-    /// Rebuilds the graph for a delta apply, carrying forward what the
-    /// delta provably did not invalidate: when the pair delta is
-    /// removal-only (edge removals can never shorten a surviving route),
-    /// memoized corridors that avoid every touched metro migrate from
-    /// `old`. The reuse is latency-only — answer bytes are pinned identical
-    /// to a cold [`from_pairs`](Self::from_pairs) graph.
-    pub fn rebuilt_for_delta(
-        old: &PhysGraph,
+    /// The graph over `new_pairs` that succeeds `self` (built over
+    /// `old_pairs`) in a delta apply. The corridor carry rule lives here
+    /// and nowhere else: the two lists are diffed as one signed multiset
+    /// of `(from, to, km bits)`, and if nothing was added or re-weighted
+    /// (a re-weight is a removal plus an addition) the settled corridors
+    /// avoiding every metro of a removed pair migrate — removing edges can
+    /// never shorten a route, while any addition could shorten any, so
+    /// then the graph starts cold. Latency only: answers are pinned
+    /// identical to a cold [`from_pairs`](Self::from_pairs) graph.
+    pub fn for_next_epoch(
+        &self,
+        old_pairs: &[(usize, usize, f64)],
         n_metros: usize,
         new_pairs: &[(usize, usize, f64)],
-        touched: &BTreeSet<usize>,
-        removal_only: bool,
     ) -> Self {
-        let g = Self::from_pairs(n_metros, new_pairs);
-        if removal_only {
-            g.corridors.seed_surviving_from(&old.corridors, touched);
+        let next = Self::from_pairs(n_metros, new_pairs);
+        let mut counts: BTreeMap<(usize, usize, u64), i64> = BTreeMap::new();
+        for &(a, b, km) in old_pairs {
+            *counts.entry((a, b, km.to_bits())).or_default() -= 1;
         }
-        g
+        for &(a, b, km) in new_pairs {
+            *counts.entry((a, b, km.to_bits())).or_default() += 1;
+        }
+        if counts.values().all(|&c| c <= 0) {
+            let touched: BTreeSet<usize> = counts
+                .iter()
+                .filter(|(_, &c)| c != 0)
+                .flat_map(|(&(a, b, _), _)| [a, b])
+                .collect();
+            next.corridors.seed_surviving_from(&self.corridors, &touched);
+        }
+        next
     }
 
     pub fn edge_count(&self) -> usize {
@@ -408,6 +422,24 @@ mod tests {
         // A single resolvable hop can't form a leg.
         let one = igdb.ip_info.keys().next().copied().unwrap();
         assert!(physical_path_report(&igdb, &[one]).is_none());
+    }
+
+    #[test]
+    fn next_epoch_carries_corridors_only_across_removal_only_changes() {
+        let old = [(0, 1, 10.0), (1, 2, 5.0), (2, 3, 7.0), (4, 5, 1.0)];
+        let g = PhysGraph::from_pairs(6, &old);
+        let mut ws = SpWorkspace::new();
+        for (a, b) in [(0, 1), (0, 3), (4, 5), (0, 5)] {
+            g.shortest_path_cached(&mut ws, a, b);
+        }
+        // Dropping (1, 2) touches metros 1 and 2: (0, 1) ends at one and
+        // (0, 3) passes both; (4, 5) and the unreachable (0, 5) carry.
+        let removed = [(0, 1, 10.0), (2, 3, 7.0), (4, 5, 1.0)];
+        assert_eq!(g.for_next_epoch(&old, 6, &removed).corridors.len(), 2);
+        // A re-weight is a removal plus an addition: the graph starts cold.
+        let reweighted = [(0, 1, 10.0), (1, 2, 5.5), (2, 3, 7.0), (4, 5, 1.0)];
+        assert!(g.for_next_epoch(&old, 6, &reweighted).corridors.is_empty());
+        assert_eq!(g.for_next_epoch(&old, 6, &old).corridors.len(), 4);
     }
 
     #[test]

@@ -15,10 +15,10 @@ use igdb_db::{Database, Value};
 use igdb_fault::{BuildError, BuildPolicy, BuildReport, SourceId};
 use igdb_geo::{parse_wkt, to_wkt, GeoPoint, Geometry, LineString, MultiLineString};
 use igdb_net::{Asn, Ip4, Prefix};
-use igdb_synth::sources::{AtlasLink, AtlasNode, PdbFacility, RipeTraceroute, SnapshotSet};
+use igdb_synth::sources::{RipeTraceroute, SnapshotSet};
 
 use crate::bdrmap::BdrMap;
-use crate::delta::{diff_snapshots, pair_diff_metros, pairs_removal_only, SnapshotDelta, Stage};
+use crate::delta::{diff_snapshots, SnapshotDelta, Stage};
 use crate::hoiho::HoihoEngine;
 use crate::metros::MetroRegistry;
 use crate::roads::RoadGraph;
@@ -66,183 +66,11 @@ pub struct ProbeInfo {
     pub metro: usize,
 }
 
-/// Ingests the physical layer of one snapshot: `phys_nodes` rows from
-/// Internet Atlas and PeeringDB facilities (standardized by spatial join),
-/// and `phys_conn` rows from Atlas edges routed along rights-of-way.
-/// Returns the facility→metro map the logical-layer ingestion needs.
-fn load_physical(
-    db: &Database,
-    metros: &MetroRegistry,
-    roads: &RoadGraph,
-    atlas_nodes: &[AtlasNode],
-    atlas_links: &[AtlasLink],
-    pdb_facilities: &[PdbFacility],
-    date: &str,
-    replay_warm_hits: bool,
-) -> HashMap<u32, usize> {
-    // Each source is joined as a batch and then inserted: the site index
-    // stays cache-resident across the batch (joining row by row between
-    // inserts read ≈ 2 ms slower on the benchmark world's 18).
-    let join_span = igdb_obs::span("physical.spatial_join");
-    let atlas_assignments: Vec<_> = atlas_nodes.iter().map(|n| metros.metro_of(&n.loc)).collect();
-    let mut atlas_node_metro: HashMap<String, usize> = HashMap::new();
-    for (n, mid) in atlas_nodes.iter().zip(atlas_assignments) {
-        let Some(mid) = mid else {
-            continue;
-        };
-        atlas_node_metro.insert(n.node_name.to_string(), mid);
-        db.insert(
-            "phys_nodes",
-            vec![
-                Value::Text(n.node_name.clone()),
-                Value::Text(n.network.clone()),
-                Value::Text(n.city_label.clone()),
-                Value::from(mid),
-                Value::text(metros.metro(mid).label()),
-                Value::Text(n.country.clone()),
-                Value::Float(n.loc.lat),
-                Value::Float(n.loc.lon),
-                Value::text("internet_atlas"),
-                Value::text(date),
-            ],
-        )
-        .expect("phys_nodes row");
-    }
-    let fac_assignments: Vec<_> = pdb_facilities.iter().map(|f| metros.metro_of(&f.loc)).collect();
-    let mut fac_metro: HashMap<u32, usize> = HashMap::new();
-    for (f, mid) in pdb_facilities.iter().zip(fac_assignments) {
-        let Some(mid) = mid else {
-            continue;
-        };
-        fac_metro.insert(f.fac_id, mid);
-        db.insert(
-            "phys_nodes",
-            vec![
-                Value::text(&f.name),
-                Value::text(&f.name),
-                Value::text(&f.city_label),
-                Value::from(mid),
-                Value::text(metros.metro(mid).label()),
-                Value::text(&f.country),
-                Value::Float(f.loc.lat),
-                Value::Float(f.loc.lon),
-                Value::text("peeringdb"),
-                Value::text(date),
-            ],
-        )
-        .expect("phys_nodes row");
-    }
-
-    drop(join_span);
-
-    // Atlas edges → shortest right-of-way paths, deduped per metro pair
-    // (first-seen order defines the output). Roadway routing — the
-    // expensive part — visits pairs grouped by source metro, so the
-    // resumable Dijkstra amortizes to roughly one full search per source;
-    // rows are then inserted in first-seen order.
-    let mut seen_pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let mut link_work: Vec<(usize, usize, igdb_synth::sources::LinkType)> = Vec::new();
-    for l in atlas_links {
-        let (Some(&ma), Some(&mb)) = (
-            atlas_node_metro.get(l.from_node.as_str()),
-            atlas_node_metro.get(l.to_node.as_str()),
-        ) else {
-            continue;
-        };
-        if ma == mb {
-            continue;
-        }
-        let key = (ma.min(mb), ma.max(mb));
-        if !seen_pairs.insert(key) {
-            continue;
-        }
-        link_work.push((key.0, key.1, l.link_type));
-    }
-    let mut roadway_order: Vec<usize> = (0..link_work.len())
-        .filter(|&i| matches!(link_work[i].2, igdb_synth::sources::LinkType::Roadway))
-        .collect();
-    roadway_order.sort_by_key(|&i| link_work[i].0);
-    // A delta apply reuses the prior road graph with its memoized
-    // corridors; every attempted pair already settled there skips its
-    // engine query, so the `spath.queries` ticks a cold rebuild would
-    // emit are replayed after routing to keep the deterministic counter
-    // stream byte-identical. A fresh build's cache is cold and replays
-    // nothing.
-    let warm_hits = if replay_warm_hits {
-        let cached = roads.cached_route_keys();
-        roadway_order
-            .iter()
-            .filter(|&&i| cached.contains(&(link_work[i].0, link_work[i].1)))
-            .count() as u64
-    } else {
-        0
-    };
-    let routing_span = igdb_obs::span("physical.routing");
-    let mut routed: Vec<Option<(f64, Vec<igdb_geo::GeoPoint>)>> = vec![None; link_work.len()];
-    let mut ws = crate::spath::SpWorkspace::new();
-    for &i in &roadway_order {
-        let (a, b, _) = link_work[i];
-        // Memoized per unordered pair: snapshot appends and
-        // overlapping atlas links reuse earlier routes.
-        routed[i] = roads
-            .route_cached(&mut ws, a, b)
-            .map(|(_, km, geom)| (km, geom));
-    }
-    drop(routing_span);
-    if warm_hits > 0 {
-        igdb_obs::counter("spath.queries", "", warm_hits);
-    }
-    for (i, &(ka, kb, link_type)) in link_work.iter().enumerate() {
-        let key = (ka, kb);
-        // Right-of-way class decides the path model (paper §5): roadway
-        // links follow the transportation network; microwave links ARE
-        // straight lines between the nodes.
-        let (km, geom, row_type) = match link_type {
-            igdb_synth::sources::LinkType::Roadway => {
-                let Some((km, geom)) = routed[i].take() else {
-                    // no terrestrial right-of-way (e.g. across an ocean)
-                    igdb_obs::counter("build.route_misses", "", 1);
-                    continue;
-                };
-                (km, geom, "roadway")
-            }
-            igdb_synth::sources::LinkType::Microwave => {
-                let (a, b) = (metros.metro(key.0).loc, metros.metro(key.1).loc);
-                let arc = igdb_geo::great_circle_arc(&a, &b, 8);
-                let km = igdb_geo::polyline_length_km(&arc);
-                (km, arc, "microwave")
-            }
-        };
-        igdb_obs::counter("build.phys_conn", row_type, 1);
-        let (fm, tm) = (metros.metro(key.0), metros.metro(key.1));
-        db.insert(
-            "phys_conn",
-            vec![
-                Value::from(key.0),
-                Value::text(fm.label()),
-                Value::text(&fm.country),
-                Value::from(key.1),
-                Value::text(tm.label()),
-                Value::text(&tm.country),
-                Value::Float(km),
-                Value::text(to_wkt(&Geometry::LineString(LineString::new(geom)))),
-                Value::text(row_type),
-                Value::text("internet_atlas+row"),
-                Value::text(date),
-            ],
-        )
-        .expect("phys_conn row");
-    }
-    fac_metro
-}
-
-/// Reads the distinct physical path pairs for one snapshot date.
-fn phys_pairs_for(db: &Database, date: &str) -> Vec<(usize, usize, f64)> {
+/// Reads the distinct physical path pairs (a world holds one snapshot date).
+fn phys_pairs_of(db: &Database) -> Vec<(usize, usize, f64)> {
     db.with_table("phys_conn", |t| {
-        let col = t.schema().index_of("as_of_date").expect("schema");
         t.rows()
             .iter()
-            .filter(|r| r[col].as_text() == Some(date))
             .map(|r| {
                 (
                     r[0].as_int().unwrap() as usize,
@@ -288,7 +116,7 @@ pub struct Igdb {
     /// analyses that used to each build their own copy (physpath, risk,
     /// rocketfuel) share this one, and with it one corridor cache.
     phys_graph: OnceLock<crate::analysis::physpath::PhysGraph>,
-    /// Lazily-parsed `phys_conn` WKT geometries (all dates, row order).
+    /// Lazily-parsed `phys_conn` WKT geometries, in row order.
     phys_geoms: OnceLock<Vec<Vec<GeoPoint>>>,
     /// The validated record set this world was built from — the baseline
     /// [`crate::delta::diff_snapshots`] diffs a replacement against.
@@ -298,10 +126,9 @@ pub struct Igdb {
     /// the stage, keeping the counter stream byte-identical to a
     /// from-scratch rebuild.
     stage_ledger: Vec<Vec<(String, String, u64)>>,
-    /// Extra dated rows were appended via [`Igdb::append_snapshot`]; the
-    /// multi-date tables can no longer be copied verbatim by a delta
-    /// apply, so table reuse is clamped to the pre-physical stages.
-    appended: bool,
+    /// [`Igdb::add_inferred_location`] added a row the stage driver did not
+    /// write (see `mirrors_baseline`).
+    rows_added_since_build: bool,
 }
 
 /// Releases every table's cell-arena growth slack. Runs at each stage
@@ -593,18 +420,160 @@ impl Pipeline {
         }
     }
 
-    /// `phys_nodes` / `phys_conn` (shared with snapshot refresh).
+    /// `phys_nodes` / `phys_conn`: Internet Atlas nodes and PeeringDB
+    /// facilities standardized by spatial join, Atlas edges routed along
+    /// rights-of-way. Fills the facility→metro map `AsnLoc` needs.
     fn run_physical(&mut self, snaps: &CleanSnapshots<'_>) {
-        self.fac_metro = load_physical(
-            &self.db,
-            made(&self.metros),
-            made(&self.roads),
-            &snaps.atlas_nodes,
-            &snaps.atlas_links,
-            &snaps.pdb_facilities,
-            &self.date,
-            true,
-        );
+        let (db, date) = (&self.db, &self.date);
+        let (metros, roads) = (made(&self.metros), made(&self.roads));
+        // Each source is joined as a batch and then inserted: the site index
+        // stays cache-resident across the batch (joining row by row between
+        // inserts read ≈ 2 ms slower on the benchmark world's 18).
+        let join_span = igdb_obs::span("physical.spatial_join");
+        let atlas_assignments: Vec<_> = snaps.atlas_nodes.iter().map(|n| metros.metro_of(&n.loc)).collect();
+        let mut atlas_node_metro: HashMap<String, usize> = HashMap::new();
+        for (n, mid) in snaps.atlas_nodes.iter().zip(atlas_assignments) {
+            let Some(mid) = mid else {
+                continue;
+            };
+            atlas_node_metro.insert(n.node_name.to_string(), mid);
+            db.insert(
+                "phys_nodes",
+                vec![
+                    Value::Text(n.node_name.clone()),
+                    Value::Text(n.network.clone()),
+                    Value::Text(n.city_label.clone()),
+                    Value::from(mid),
+                    Value::text(metros.metro(mid).label()),
+                    Value::Text(n.country.clone()),
+                    Value::Float(n.loc.lat),
+                    Value::Float(n.loc.lon),
+                    Value::text("internet_atlas"),
+                    Value::text(date),
+                ],
+            )
+            .expect("phys_nodes row");
+        }
+        let fac_assignments: Vec<_> = snaps.pdb_facilities.iter().map(|f| metros.metro_of(&f.loc)).collect();
+        for (f, mid) in snaps.pdb_facilities.iter().zip(fac_assignments) {
+            let Some(mid) = mid else {
+                continue;
+            };
+            self.fac_metro.insert(f.fac_id, mid);
+            db.insert(
+                "phys_nodes",
+                vec![
+                    Value::text(&f.name),
+                    Value::text(&f.name),
+                    Value::text(&f.city_label),
+                    Value::from(mid),
+                    Value::text(metros.metro(mid).label()),
+                    Value::text(&f.country),
+                    Value::Float(f.loc.lat),
+                    Value::Float(f.loc.lon),
+                    Value::text("peeringdb"),
+                    Value::text(date),
+                ],
+            )
+            .expect("phys_nodes row");
+        }
+
+        drop(join_span);
+
+        // Atlas edges → shortest right-of-way paths, deduped per metro pair
+        // (first-seen order defines the output). Roadway routing — the
+        // expensive part — visits pairs grouped by source metro, so the
+        // resumable Dijkstra amortizes to roughly one full search per source;
+        // rows are then inserted in first-seen order.
+        let mut seen_pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
+        let mut link_work: Vec<(usize, usize, igdb_synth::sources::LinkType)> = Vec::new();
+        for l in snaps.atlas_links.iter() {
+            let (Some(&ma), Some(&mb)) = (
+                atlas_node_metro.get(l.from_node.as_str()),
+                atlas_node_metro.get(l.to_node.as_str()),
+            ) else {
+                continue;
+            };
+            if ma == mb {
+                continue;
+            }
+            let key = (ma.min(mb), ma.max(mb));
+            if !seen_pairs.insert(key) {
+                continue;
+            }
+            link_work.push((key.0, key.1, l.link_type));
+        }
+        let mut roadway_order: Vec<usize> = (0..link_work.len())
+            .filter(|&i| matches!(link_work[i].2, igdb_synth::sources::LinkType::Roadway))
+            .collect();
+        roadway_order.sort_by_key(|&i| link_work[i].0);
+        // A delta apply reuses the prior road graph with its memoized
+        // corridors; every attempted pair already settled there skips its
+        // engine query, so the `spath.queries` ticks a cold rebuild would
+        // emit are replayed after routing to keep the deterministic counter
+        // stream byte-identical. A fresh build's cache is cold and replays
+        // nothing.
+        let cached = roads.cached_route_keys();
+        let warm_hits = roadway_order
+            .iter()
+            .filter(|&&i| cached.contains(&(link_work[i].0, link_work[i].1)))
+            .count() as u64;
+        let routing_span = igdb_obs::span("physical.routing");
+        let mut routed: Vec<Option<(f64, Vec<igdb_geo::GeoPoint>)>> = vec![None; link_work.len()];
+        let mut ws = crate::spath::SpWorkspace::new();
+        for &i in &roadway_order {
+            let (a, b, _) = link_work[i];
+            // Memoized per unordered pair: overlapping atlas links and
+            // delta applies onto this road graph reuse earlier routes.
+            routed[i] = roads
+                .route_cached(&mut ws, a, b)
+                .map(|(_, km, geom)| (km, geom));
+        }
+        drop(routing_span);
+        if warm_hits > 0 {
+            igdb_obs::counter("spath.queries", "", warm_hits);
+        }
+        for (i, &(ka, kb, link_type)) in link_work.iter().enumerate() {
+            let key = (ka, kb);
+            // Right-of-way class decides the path model (paper §5): roadway
+            // links follow the transportation network; microwave links ARE
+            // straight lines between the nodes.
+            let (km, geom, row_type) = match link_type {
+                igdb_synth::sources::LinkType::Roadway => {
+                    let Some((km, geom)) = routed[i].take() else {
+                        // no terrestrial right-of-way (e.g. across an ocean)
+                        igdb_obs::counter("build.route_misses", "", 1);
+                        continue;
+                    };
+                    (km, geom, "roadway")
+                }
+                igdb_synth::sources::LinkType::Microwave => {
+                    let (a, b) = (metros.metro(key.0).loc, metros.metro(key.1).loc);
+                    let arc = igdb_geo::great_circle_arc(&a, &b, 8);
+                    let km = igdb_geo::polyline_length_km(&arc);
+                    (km, arc, "microwave")
+                }
+            };
+            igdb_obs::counter("build.phys_conn", row_type, 1);
+            let (fm, tm) = (metros.metro(key.0), metros.metro(key.1));
+            db.insert(
+                "phys_conn",
+                vec![
+                    Value::from(key.0),
+                    Value::text(fm.label()),
+                    Value::text(&fm.country),
+                    Value::from(key.1),
+                    Value::text(tm.label()),
+                    Value::text(&tm.country),
+                    Value::Float(km),
+                    Value::text(to_wkt(&Geometry::LineString(LineString::new(geom)))),
+                    Value::text(row_type),
+                    Value::text("internet_atlas+row"),
+                    Value::text(date),
+                ],
+            )
+            .expect("phys_conn row");
+        }
     }
 
     /// `land_points` / `sub_cables` from Telegeography.
@@ -1053,7 +1022,7 @@ impl Pipeline {
         igdb_obs::record_peak_rss("build");
 
         Igdb {
-            phys_pairs: phys_pairs_for(&db, &self.date),
+            phys_pairs: phys_pairs_of(&db),
             db,
             metros: self.metros.expect("Metros ran"),
             roads: self.roads.expect("Roads ran"),
@@ -1068,7 +1037,7 @@ impl Pipeline {
             phys_geoms: OnceLock::new(),
             snapshots,
             stage_ledger,
-            appended: false,
+            rows_added_since_build: false,
         }
     }
 }
@@ -1263,11 +1232,14 @@ impl Igdb {
         &self.snapshots
     }
 
-    /// False for a [`Igdb::try_build_scratch`] world, which let every
-    /// source go as it built (the metro catalogue is a required source,
-    /// so a kept baseline is never without it).
-    fn has_baseline(&self) -> bool {
-        !self.snapshots.natural_earth.is_empty()
+    /// Whether [`Igdb::apply_delta`] may copy stages from this world: its
+    /// tables are exactly what the stage driver wrote from the baseline it
+    /// kept. False for a [`Igdb::try_build_scratch`] world, which let every
+    /// source go as it built (the metro catalogue is a required source, so
+    /// a kept baseline is never without it), and once a row has been added
+    /// after the build.
+    fn mirrors_baseline(&self) -> bool {
+        !self.snapshots.natural_earth.is_empty() && !self.rows_added_since_build
     }
 
     /// The raw traceroute corpus (kept out of the DB for §2's practical
@@ -1282,27 +1254,24 @@ impl Igdb {
     /// rebuild's), diff it against the set this world was built from,
     /// copy the clean stage prefix verbatim, re-run the dirty suffix, and
     /// carry the lazily built physical-path graph forward — if the prior
-    /// world had built it, the new one is built here and the memoized
-    /// corridors a removal-only delta left intact migrate into it.
+    /// world had built it, the new one is built here with the memoized
+    /// corridors the change left canonical (see
+    /// [`PhysGraph::for_next_epoch`](crate::analysis::physpath::PhysGraph::for_next_epoch)).
     ///
     /// The contract, enforced by the delta-determinism suite and CI: the
     /// returned world is **byte-identical** to `try_build(snaps, policy)`
     /// — database fingerprint, quarantine, and deterministic counter
     /// stream.
     ///
-    /// Worlds that took [`Igdb::append_snapshot`] refreshes hold
-    /// multi-date tables no stage copy can reproduce, so table reuse is
-    /// clamped to the stages appends never touch; the result still equals
-    /// a fresh build of `snaps` (appended dates are not carried over).
+    /// A prior that cannot be copied from (see `mirrors_baseline`) makes
+    /// this a full rebuild — the same bytes by that contract.
     pub fn apply_delta(
         &self,
         snaps: &SnapshotSet,
         policy: &BuildPolicy,
     ) -> Result<(Igdb, BuildReport, SnapshotDelta), BuildError> {
         let _span = igdb_obs::span("delta.apply");
-        // With nothing to diff against, the only correct answer is a full
-        // rebuild.
-        if !self.has_baseline() {
+        if !self.mirrors_baseline() {
             let (igdb, report) = Self::try_build(snaps, policy)?;
             let delta = diff_snapshots(&self.snapshots, &igdb.snapshots);
             return Ok((igdb, report, delta));
@@ -1314,28 +1283,16 @@ impl Igdb {
         let new_set = clean.into_snapshot_set();
         drop(snap_span);
         let diff_span = igdb_obs::span("delta.diff");
-        let mut delta = diff_snapshots(&self.snapshots, &new_set);
+        let delta = diff_snapshots(&self.snapshots, &new_set);
         drop(diff_span);
-        if self.appended {
-            delta.unshare_from(Stage::Physical);
-        }
         let igdb = Self::build_staged(
             CleanSnapshots::from_owned(new_set),
             Some((self, &delta)),
             Baseline::Keep,
         );
-        // The physical dirty region, from ground truth: the pair multisets.
-        delta.touched_metros = pair_diff_metros(&self.phys_pairs, &igdb.phys_pairs);
-        delta.phys_removal_only = pairs_removal_only(&self.phys_pairs, &igdb.phys_pairs);
-        if let Some(old_graph) = self.phys_graph.get() {
-            let repaired = crate::analysis::physpath::PhysGraph::rebuilt_for_delta(
-                old_graph,
-                igdb.metros.len(),
-                &igdb.phys_pairs,
-                &delta.touched_metros,
-                delta.phys_removal_only,
-            );
-            let _ = igdb.phys_graph.set(repaired);
+        if let Some(old) = self.phys_graph.get() {
+            let next = old.for_next_epoch(&self.phys_pairs, igdb.metros.len(), &igdb.phys_pairs);
+            let _ = igdb.phys_graph.set(next);
         }
         Ok((igdb, report, delta))
     }
@@ -1349,7 +1306,7 @@ impl Igdb {
     }
 
     /// Every inferred physical-path geometry (`phys_conn` WKT linestring
-    /// rows across all loaded dates, in row order), parsed once.
+    /// rows, in row order), parsed once.
     pub fn phys_path_geometries(&self) -> &[Vec<GeoPoint>] {
         self.phys_geoms.get_or_init(|| {
             self.db
@@ -1402,103 +1359,11 @@ impl Igdb {
         self.ip_info.get(&ip).and_then(|i| i.metro)
     }
 
-    /// Appends a later snapshot of the *physical* layer (the paper's §2
-    /// refresh loop: "iGDB saves timestamped snapshots of each source, then
-    /// automatically processes and loads the data"). New `phys_nodes`,
-    /// `phys_conn` and `asn_conn` rows are added under the snapshot's
-    /// `as_of_date`; existing rows are untouched, so queries can pin either
-    /// date. Analyses and caches switch to the new date.
-    ///
-    /// The logical bridge relations (`ip_asn_dns`, `asn_loc`) depend on the
-    /// measurement corpus and are rebuilt by a fresh [`Igdb::build`] — a
-    /// full rebuild costs the same as this append plus the traceroute
-    /// passes, so the paper's "refresh as frequently as required" stays
-    /// cheap either way.
-    ///
-    /// # Panics
-    /// Panics if the snapshot carries the same `as_of_date` as one already
-    /// loaded (snapshots are keyed by date).
-    pub fn append_snapshot(&mut self, snaps: &SnapshotSet) {
-        let date = snaps.as_of_date.clone();
-        assert_ne!(
-            date, self.as_of_date,
-            "snapshot for {date} already loaded"
-        );
-        let geoms_before = self
-            .db
-            .row_count("phys_conn")
-            .expect("phys_conn exists");
-        let physical_span = igdb_obs::span("build.physical");
-        load_physical(
-            &self.db,
-            &self.metros,
-            &self.roads,
-            &snaps.atlas_nodes,
-            &snaps.atlas_links,
-            &snaps.pdb_facilities,
-            &date,
-            false,
-        );
-        drop(physical_span);
-        for &(a, b) in snaps.asrank_links.iter() {
-            self.db
-                .insert(
-                    "asn_conn",
-                    vec![
-                        Value::from(a.0),
-                        Value::from(b.0),
-                        Value::text("asrank"),
-                        Value::text(&date),
-                    ],
-                )
-                .expect("asn_conn row");
-        }
-        let pairs = phys_pairs_for(&self.db, &date);
-        // Invalidate the lazy caches only when their inputs changed: the
-        // geometry list keys off `phys_conn` rows (append-only, so a stable
-        // row count means identical rows), and the path graph keys off the
-        // current date's corridor pairs. A refresh with no new geometry —
-        // the common "re-pull the same physical world" case — keeps both,
-        // so held `phys_path_geometries()` slices stay warm instead of
-        // being reparsed from WKT on next touch.
-        if self
-            .db
-            .row_count("phys_conn")
-            .expect("phys_conn exists")
-            != geoms_before
-        {
-            self.phys_geoms = OnceLock::new();
-        }
-        if pairs != self.phys_pairs {
-            self.phys_graph = OnceLock::new();
-        }
-        self.phys_pairs = pairs;
-        self.as_of_date = date;
-        self.appended = true;
-    }
-
-    /// Rows of `table` grouped by `as_of_date` — the time axis the paper's
-    /// §3 promises ("some researchers … require a better understanding of
-    /// topology and how it changes over time").
-    pub fn counts_by_date(&self, table: &str) -> Vec<(String, usize)> {
-        self.db
-            .with_table(table, |t| {
-                let col = t.schema().index_of("as_of_date").expect("schema");
-                let mut m: std::collections::BTreeMap<String, usize> =
-                    std::collections::BTreeMap::new();
-                for (_, row) in t.iter() {
-                    if let Some(d) = row[col].as_text() {
-                        *m.entry(d.to_string()).or_default() += 1;
-                    }
-                }
-                m.into_iter().collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// Registers a §4.4 inference: a new (ASN, metro) presence discovered
     /// by belief propagation, tagged `inferred = true` so users can discard
-    /// it ("We clearly tag each inference in iGDB").
+    /// it ("We clearly tag each inference in iGDB"). The row is not
+    /// source-derived, so a later [`Igdb::apply_delta`] onto this world
+    /// rebuilds instead of copying tables that now hold it.
     pub fn add_inferred_location(&mut self, asn: Asn, metro: usize) {
         let m = self.metros.metro(metro);
         self.db
@@ -1517,6 +1382,7 @@ impl Igdb {
             )
             .expect("asn_loc row");
         self.asn_metros.entry(asn).or_default().insert(metro);
+        self.rows_added_since_build = true;
     }
 }
 
@@ -1820,7 +1686,7 @@ mod tests {
             assert_eq!(report.is_clean(), policy.fail_fast, "the lenient case must quarantine");
             assert_eq!(scratch.db.fingerprint(), full.db.fingerprint());
             assert!(scratch.traces().is_empty(), "scratch build kept a baseline");
-            assert!(!scratch.has_baseline());
+            assert!(!scratch.mirrors_baseline());
 
             let later = emit_snapshots(&world, "2022-06-01", 400);
             let (via_delta, _, _) = scratch.apply_delta(&later, &BuildPolicy::strict()).unwrap();

@@ -3,8 +3,8 @@
 //! Every cross-layer analysis reduces to shortest-path queries over the
 //! same immutable graphs, and they keep asking for the same metro pairs:
 //! traceroute legs repeat across a mesh, Rocketfuel logical edges share
-//! corridors, and snapshot refreshes re-route pairs already routed for an
-//! earlier date. This module memoizes corridors keyed by the *normalized*
+//! corridors, and a delta apply re-asks the pairs the prior epoch already
+//! routed. This module memoizes corridors keyed by the *normalized*
 //! (min, max) metro pair, storing the path oriented from the smaller
 //! endpoint and reversing on demand — an undirected corridor is one fact,
 //! not two.
@@ -84,12 +84,8 @@ impl CorridorCache {
     /// survive on the endpoint test alone. Seeding counts as neither a hit
     /// nor a miss, and an existing entry for a key is left untouched.
     ///
-    /// Sound only for removal-only deltas: removing edges can't create a
-    /// shorter path, so a surviving corridor — minimal over a superset of
-    /// the remaining graph and fully intact — is still the canonical
-    /// answer, and an unreachable pair stays unreachable. Any delta that
-    /// adds or re-weights edges must start cold instead (see
-    /// `PhysGraph::rebuilt_for_delta`).
+    /// Sound only when the graph lost edges and gained none;
+    /// `PhysGraph::for_next_epoch` decides that, and says why.
     pub fn seed_surviving_from(&self, old: &CorridorCache, touched: &BTreeSet<usize>) {
         let old_map = old.map();
         let mut map = self.map();

@@ -23,7 +23,6 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 
 use igdb_synth::sources::SnapshotSet;
 
@@ -247,15 +246,6 @@ pub struct SnapshotDelta {
     /// The `as_of_date` changed — every dated row changes, so the delta
     /// degenerates to a full rebuild.
     pub date_changed: bool,
-    /// Metros whose inferred physical connectivity changed, filled by
-    /// `apply_delta` once the new `phys_conn` rows exist. Keys corridor
-    /// migration.
-    pub touched_metros: BTreeSet<usize>,
-    /// The physical pair set only shrank (no additions, no re-weights).
-    /// Only then may corridor entries avoiding the touched metros migrate:
-    /// removing edges can never create a shorter path, while any addition
-    /// could, invalidating every cached corridor.
-    pub phys_removal_only: bool,
     /// None of the sources the IP-resolution stage depends on changed (the
     /// `ip` rows of the `sources!` table). IP resolution sits last in the
     /// pipeline, so monotone prefix dirtiness would re-run it for *every*
@@ -302,17 +292,6 @@ impl SnapshotDelta {
             _ => false,
         };
         narrowed_inputs_clean || self.first_dirty.is_none_or(|fd| stage < fd)
-    }
-
-    /// Withdraws sharing from `stage` on, for a prior whose tables no
-    /// longer mirror its baseline from there: `append_snapshot` grows the
-    /// dated relations from `Physical` on (`traceroutes` and `ip_asn_dns`
-    /// hold rows for every loaded date), so input-narrowed sharing is off
-    /// the table too.
-    pub(crate) fn unshare_from(&mut self, stage: Stage) {
-        self.first_dirty = Some(self.first_dirty.map_or(stage, |fd| fd.min(stage)));
-        self.ip_inputs_clean = false;
-        self.traceroute_rows_clean = false;
     }
 }
 
@@ -403,47 +382,9 @@ pub fn diff_snapshots(old: &SnapshotSet, new: &SnapshotSet) -> SnapshotDelta {
         sources,
         first_dirty,
         date_changed,
-        touched_metros: BTreeSet::new(),
-        phys_removal_only: false,
         ip_inputs_clean,
         traceroute_rows_clean,
     }
-}
-
-/// Metros incident to any pair present in one pair multiset but not the
-/// other — the dirty region a delta's physical change reaches directly.
-/// Pairs are `(from, to, km)` with `km` compared by bit pattern.
-pub fn pair_diff_metros(
-    old: &[(usize, usize, f64)],
-    new: &[(usize, usize, f64)],
-) -> BTreeSet<usize> {
-    let mut counts: BTreeMap<(usize, usize, u64), i64> = BTreeMap::new();
-    for &(a, b, km) in old {
-        *counts.entry((a, b, km.to_bits())).or_default() -= 1;
-    }
-    for &(a, b, km) in new {
-        *counts.entry((a, b, km.to_bits())).or_default() += 1;
-    }
-    let mut touched = BTreeSet::new();
-    for (&(a, b, _), &c) in &counts {
-        if c != 0 {
-            touched.insert(a);
-            touched.insert(b);
-        }
-    }
-    touched
-}
-
-/// True when `new` is a sub-multiset of `old` (pairs were only removed).
-pub fn pairs_removal_only(old: &[(usize, usize, f64)], new: &[(usize, usize, f64)]) -> bool {
-    let mut counts: BTreeMap<(usize, usize, u64), i64> = BTreeMap::new();
-    for &(a, b, km) in old {
-        *counts.entry((a, b, km.to_bits())).or_default() += 1;
-    }
-    for &(a, b, km) in new {
-        *counts.entry((a, b, km.to_bits())).or_default() -= 1;
-    }
-    counts.values().all(|&c| c >= 0)
 }
 
 #[cfg(test)]
@@ -618,25 +559,5 @@ mod tests {
         assert!(d.date_changed);
         assert_eq!(d.first_dirty, Some(Stage::Metros));
         assert!(!d.is_empty());
-    }
-
-    #[test]
-    fn pair_diff_and_removal_only() {
-        let old = vec![(0, 1, 10.0), (1, 2, 5.0), (2, 3, 7.0)];
-        let removed = vec![(0, 1, 10.0), (2, 3, 7.0)];
-        assert_eq!(
-            pair_diff_metros(&old, &removed).into_iter().collect::<Vec<_>>(),
-            vec![1, 2]
-        );
-        assert!(pairs_removal_only(&old, &removed));
-        // A re-weight is a removal plus an addition: not removal-only.
-        let reweighted = vec![(0, 1, 10.0), (1, 2, 5.5), (2, 3, 7.0)];
-        assert!(!pairs_removal_only(&old, &reweighted));
-        assert_eq!(
-            pair_diff_metros(&old, &reweighted).into_iter().collect::<Vec<_>>(),
-            vec![1, 2]
-        );
-        assert!(pairs_removal_only(&old, &old));
-        assert!(pair_diff_metros(&old, &old).is_empty());
     }
 }

@@ -60,11 +60,7 @@ impl EpochHandle {
     /// pointer, so readers observe either the old or the new epoch —
     /// never a mixture.
     pub fn publish(&self, igdb: Igdb) -> u64 {
-        self.publish_shared(Arc::new(igdb))
-    }
-
-    /// [`publish`](Self::publish) for a world the caller already shares.
-    pub fn publish_shared(&self, igdb: Arc<Igdb>) -> u64 {
+        let igdb = Arc::new(igdb);
         let mut slot = self.inner.write().unwrap_or_else(|e| e.into_inner());
         let number = slot.number + 1;
         *slot = Arc::new(Epoch {

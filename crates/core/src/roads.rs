@@ -41,7 +41,7 @@ pub struct RoadGraph {
     /// convenience API; parallel callers bring their own workspace via the
     /// `_with` variants.
     workspace: Mutex<SpWorkspace>,
-    /// Memoized corridors by normalized metro pair: snapshot refreshes and
+    /// Memoized corridors by normalized metro pair: delta applies and
     /// repeated atlas links re-route the same pairs. Only the metro path
     /// and length are kept; geometry is re-concatenated on demand (see
     /// [`route_cached`](Self::route_cached)).
@@ -147,19 +147,6 @@ impl RoadGraph {
         Some((path, km, geom))
     }
 
-    /// [`route_with_geometry`](Self::route_with_geometry) with a
-    /// caller-owned workspace.
-    pub fn route_with_geometry_with(
-        &self,
-        ws: &mut SpWorkspace,
-        from: usize,
-        to: usize,
-    ) -> Option<(Vec<usize>, f64, Vec<GeoPoint>)> {
-        let (path, km) = self.engine.shortest_path_with(ws, from, to)?;
-        let geom = self.path_geometry(&path)?;
-        Some((path, km, geom))
-    }
-
     /// Normalized pairs whose route (hit or miss) is already memoized.
     /// Delta applies reusing a warm graph count these to replay the
     /// `spath.queries` ticks a cold rebuild would have emitted.
@@ -167,9 +154,10 @@ impl RoadGraph {
         self.corridors.settled_keys()
     }
 
-    /// [`route_with_geometry_with`](Self::route_with_geometry_with), memoized
-    /// by normalized metro pair: each unordered pair is routed at most once
-    /// per graph, no matter how many callers ask.
+    /// [`route_with_geometry`](Self::route_with_geometry) with a
+    /// caller-owned workspace, memoized by normalized metro pair: each
+    /// unordered pair is routed at most once per graph, no matter how many
+    /// callers ask.
     pub fn route_cached(
         &self,
         ws: &mut SpWorkspace,

@@ -117,6 +117,31 @@ impl Database {
         self.with_table(name, |t| t.len())
     }
 
+    /// Appends every row of every table of `other`: the union of two
+    /// databases. Every iGDB relation carries `as_of_date` (paper §3), so a
+    /// history database is the union of one build per snapshot date, the
+    /// dated dumps side by side. A table `self` lacks is created with
+    /// `other`'s schema; one it has must have the same schema, checked for
+    /// every table before any row moves. Indexes on `self` stay current.
+    pub fn append_from(&self, other: &Database) -> Result<()> {
+        if std::ptr::eq(self, other) {
+            return Err(DbError::Format("cannot append a database to itself".to_string()));
+        }
+        let theirs = other.tables.read();
+        let mut ours = self.tables.write();
+        for (name, table) in theirs.iter() {
+            if ours.get(name).is_some_and(|t| t.schema() != table.schema()) {
+                return Err(DbError::SchemaViolation(format!("table '{name}': schemas differ")));
+            }
+        }
+        for (name, table) in theirs.iter() {
+            ours.entry(name.clone())
+                .or_insert_with(|| Table::new(table.schema().clone()))
+                .insert_all(table.rows().iter().map(<[crate::Value]>::to_vec))?;
+        }
+        Ok(())
+    }
+
     /// Saves every table as `<dir>/<name>.csv`, creating the directory.
     pub fn save_dir(&self, dir: &Path) -> Result<()> {
         std::fs::create_dir_all(dir).map_err(|e| DbError::Io(e.to_string()))?;
@@ -227,6 +252,42 @@ mod tests {
         assert_eq!(back.table_names(), vec!["asn_name", "asn_org"]);
         assert_eq!(back.row_count("asn_name").unwrap(), 1);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn append_from_is_the_union_of_two_databases() {
+        let (a, b) = (Database::new(), Database::new());
+        a.create_table("asn_name", schema()).unwrap();
+        a.insert("asn_name", vec![Value::Int(174), Value::text("COGENT")]).unwrap();
+        a.with_table_mut("asn_name", |t| t.create_index("asn")).unwrap().unwrap();
+        b.create_table("asn_name", schema()).unwrap();
+        b.insert("asn_name", vec![Value::Int(174), Value::text("COGENT-174")]).unwrap();
+        b.insert("asn_name", vec![Value::Int(3356), Value::text("LEVEL3")]).unwrap();
+        b.create_table("asn_org", schema()).unwrap();
+        b.insert("asn_org", vec![Value::Int(174), Value::text("Cogent LLC")]).unwrap();
+        a.append_from(&b).unwrap();
+        assert_eq!(a.table_names(), vec!["asn_name", "asn_org"]);
+        assert_eq!(a.row_count("asn_name").unwrap(), 3);
+        assert_eq!(a.row_count("asn_org").unwrap(), 1);
+        // Existing rows keep their place, appended ones follow in order,
+        // and the index sees both.
+        a.with_table("asn_name", |t| {
+            assert_eq!(t.row(0).unwrap()[1], Value::text("COGENT"));
+            assert_eq!(t.row(2).unwrap()[1], Value::text("LEVEL3"));
+            assert_eq!(t.lookup("asn", &Value::Int(174)).unwrap(), vec![0, 1]);
+        })
+        .unwrap();
+        assert_eq!(b.row_count("asn_name").unwrap(), 2, "the source is only read");
+
+        // A schema mismatch on any table refuses the whole append.
+        let c = Database::new();
+        c.create_table("asn_name", schema()).unwrap();
+        c.insert("asn_name", vec![Value::Int(1), Value::text("x")]).unwrap();
+        c.create_table("asn_org", Schema::new(vec![ColumnDef::new("asn", ColumnType::Int)]))
+            .unwrap();
+        assert!(matches!(a.append_from(&c), Err(DbError::SchemaViolation(_))));
+        assert_eq!(a.row_count("asn_name").unwrap(), 3);
+        assert!(a.append_from(&a).is_err());
     }
 
     #[test]

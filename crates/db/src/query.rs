@@ -473,23 +473,6 @@ pub fn hash_join(
     Ok(out)
 }
 
-/// Materialized join result: concatenated left+right rows.
-pub fn join_rows(
-    left: &Table,
-    left_col: &str,
-    right: &Table,
-    right_col: &str,
-) -> Result<Vec<Vec<Value>>> {
-    Ok(hash_join(left, left_col, right, right_col)?
-        .into_iter()
-        .map(|(l, r)| {
-            let mut row = left.row(l).unwrap().to_vec();
-            row.extend(right.row(r).unwrap().to_vec());
-            row
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -715,9 +698,9 @@ mod tests {
         let locs = asn_loc();
         let pairs = hash_join(&names, "asn", &locs, "asn").unwrap();
         assert_eq!(pairs.len(), 5); // 3 cloudflare + 2 cogent
-        let joined = join_rows(&names, "asn", &locs, "asn").unwrap();
-        assert!(joined.iter().all(|r| r.len() == 6));
-        assert!(joined.iter().all(|r| r[0] == r[2]), "join keys must match");
+        for (l, r) in pairs {
+            assert_eq!(names.row(l).unwrap()[0], locs.row(r).unwrap()[0], "join keys must match");
+        }
     }
 
     #[test]

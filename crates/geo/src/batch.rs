@@ -106,13 +106,6 @@ impl GeoColumns {
         2.0 * EARTH_RADIUS_KM * s.sqrt().min(1.0).asin()
     }
 
-    /// Distances from `q` to every column point, in storage order. Each
-    /// element is bit-identical to the scalar `haversine_km`.
-    pub fn haversine_km_batch(&self, q: &GeoPoint) -> Vec<f64> {
-        let r = RefPoint::new(q);
-        (0..self.len()).map(|i| self.haversine_km_from(&r, i)).collect()
-    }
-
     /// Total great-circle length of the column points read as a polyline,
     /// bit-identical to [`crate::geodesy::polyline_length_km`] over the
     /// same points (same window order, same left-to-right summation).
@@ -143,19 +136,6 @@ mod tests {
                 GeoPoint::new(x * 360.0 - 180.0, y * 170.0 - 85.0)
             })
             .collect()
-    }
-
-    #[test]
-    fn batch_haversine_bit_identical_to_scalar() {
-        let pts = scatter(500);
-        let cols = GeoColumns::from_points(&pts);
-        for q in &scatter(20) {
-            let batch = cols.haversine_km_batch(q);
-            for (i, p) in pts.iter().enumerate() {
-                let scalar = haversine_km(q, p);
-                assert_eq!(batch[i].to_bits(), scalar.to_bits(), "point {i}");
-            }
-        }
     }
 
     #[test]

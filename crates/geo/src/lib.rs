@@ -9,7 +9,9 @@
 //!
 //! * [`point`] — geographic points ([`GeoPoint`]) and bounding boxes.
 //! * [`geodesy`] — great-circle math: haversine distance, bearings,
-//!   destination points, and path lengths.
+//!   destination points, path lengths, and the point-to-polyline distance
+//!   that answers corridor membership (Figures 4 and 7) without
+//!   materializing a buffer polygon.
 //! * [`geometry`] — linestrings, polygons, point-in-polygon tests and
 //!   point-to-polyline distances.
 //! * [`wkt`] — a parser and writer for the Well-Known Text format the paper
@@ -19,8 +21,6 @@
 //! * [`delaunay`] / [`voronoi`] — Bowyer–Watson Delaunay triangulation and
 //!   its Voronoi dual, used to build the 7,342 Thiessen polygons of
 //!   Figure 3.
-//! * [`buffer`] — corridor buffers around polylines (the 25-mile InterTubes
-//!   comparison of Figure 4 and the MPLS hidden-hop inference of Figure 7).
 //! * [`spatial`] — the spatial join: exact great-circle nearest-site
 //!   assignment ([`NearestSiteIndex`]) over that tree.
 //! * [`batch`] — struct-of-arrays columns ([`GeoColumns`]) with batched
@@ -30,7 +30,6 @@
 //! kilometres unless a function says otherwise.
 
 pub mod batch;
-pub mod buffer;
 pub mod delaunay;
 pub mod geodesy;
 pub mod hull;
@@ -42,7 +41,6 @@ pub mod voronoi;
 pub mod wkt;
 
 pub use batch::{GeoColumns, RefPoint};
-pub use buffer::{buffer_polyline, point_within_corridor};
 pub use geodesy::{
     destination, great_circle_arc, haversine_km, initial_bearing_deg, intermediate_point,
     point_polyline_distance_km, polyline_length_km, spherical_area_km2,

@@ -193,17 +193,6 @@ proptest! {
             .fold(f64::INFINITY, f64::min);
         prop_assert!((got_d2 - want_d2).abs() < 1e-9, "{got_d2} vs {want_d2}");
     }
-
-    #[test]
-    fn corridor_membership_consistent_with_distance(
-        p in arb_point(),
-        ls in arb_linestring(),
-        radius in 1.0f64..2000.0,
-    ) {
-        let inside = igdb_geo::point_within_corridor(&p, &ls.0, radius);
-        let d = point_polyline_distance_km(&p, &ls.0);
-        prop_assert_eq!(inside, d <= radius);
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -500,8 +500,7 @@ fn cmd_queries(args: &[String]) -> Result<(), CliError> {
 /// every delta class except the catalogue rebuilds, and applies it
 /// incrementally; only the *apply* lands in the stream, so the committed
 /// golden pins exactly the incremental path's counters and span shape.
-/// CI regenerates the stream at 1 and 4 workers in both shortest-path
-/// modes and gates it with `metrics diff`.
+/// CI regenerates the stream and gates it with `metrics diff`.
 fn cmd_delta(args: &[String]) -> Result<(), CliError> {
     let out = PathBuf::from(require(args, "--out")?);
     let WorldFlags { scale, config, date, mesh } = world_flags(args, 400)?;

@@ -295,24 +295,7 @@ fn messy_label(world: &World, city: usize, style: u8) -> String {
 /// `mesh_pairs` caps the traceroute mesh size (the full mesh is quadratic
 /// in anchors). `as_of_date` stamps every derived relation.
 pub fn emit_snapshots(world: &World, as_of_date: &str, mesh_pairs: usize) -> SnapshotSet {
-    emit_snapshots_churned(world, as_of_date, mesh_pairs, 0.0)
-}
-
-/// Like [`emit_snapshots`] but with *dataset churn*: a `churn` fraction of
-/// Internet Atlas nodes drop out of the published snapshot (sources decay
-/// and refresh between collection dates — the reason iGDB keeps
-/// per-snapshot `as_of_date` rows). Churn is keyed by the date string so
-/// two snapshots of the same world at different dates genuinely differ.
-pub fn emit_snapshots_churned(
-    world: &World,
-    as_of_date: &str,
-    mesh_pairs: usize,
-    churn: f64,
-) -> SnapshotSet {
-    let date_salt = as_of_date
-        .bytes()
-        .fold(0u64, |acc, b| acc.wrapping_mul(131).wrapping_add(b as u64));
-    let mut rng = StdRng::seed_from_u64(world.config.seed ^ 0x5eed_50a9 ^ date_salt.wrapping_mul((churn > 0.0) as u64));
+    let mut rng = StdRng::seed_from_u64(world.config.seed ^ 0x5eed_50a9);
 
     // --- Internet Atlas: documented networks, declared PoPs/edges. ---
     let mut atlas_nodes = Vec::new();
@@ -323,9 +306,6 @@ pub fn emit_snapshots_churned(
         let node_name =
             |cid: usize| format!("{} {} PoP", a.names.brand, world.cities[cid].name);
         for &cid in &a.declared_footprint {
-            if churn > 0.0 && rng.gen_bool(churn) {
-                continue; // this PoP fell out of the source between dates
-            }
             atlas_nodes.push(AtlasNode {
                 network: a.names.brand.clone().into(),
                 node_name: node_name(cid).into(),

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use igdb_core::igdb_obs::{JsonMode, Registry};
 use igdb_core::{BuildPolicy, BuildReport, EpochHandle, Igdb, SnapshotDelta, Stage};
-use igdb_synth::sources::{emit_snapshots_churned, SnapshotSet};
+use igdb_synth::sources::SnapshotSet;
 use igdb_synth::{emit_snapshots, generate_delta, DeltaClass, World, WorldConfig};
 
 fn base_snaps() -> SnapshotSet {
@@ -146,7 +146,7 @@ fn composite_delta_is_worker_count_invariant() {
 }
 
 // ---------------------------------------------------------------------------
-// Apply ≡ rebuild when the prior is itself an applied or appended world
+// Apply ≡ rebuild when the prior is itself an applied or extended world
 // ---------------------------------------------------------------------------
 
 /// Feed → traceroute → road, each applied onto the previous apply's
@@ -168,28 +168,33 @@ fn chained_applies_stay_byte_identical_to_rebuild() {
     }
 }
 
-/// A world that took an `append_snapshot` refresh holds multi-date
-/// tables, so an apply onto it shares nothing from `Physical` on — even
-/// for deltas that would otherwise share almost everything.
+/// `apply_inferences` adds `asn_loc` rows the stage driver never wrote.
+/// A prior holding them may not be copied from — not even by a delta that
+/// would otherwise share `AsnLoc` — or the inferred rows leak into a world
+/// whose sources never produced them.
 #[test]
-fn apply_onto_appended_world_is_byte_identical_to_rebuild() {
-    let world = World::generate(WorldConfig::tiny());
-    let base = emit_snapshots(&world, "2022-05-03", 400);
-    let later = emit_snapshots_churned(&world, "2022-11-01", 400, 0.08);
-    for class in [DeltaClass::Empty, DeltaClass::LogicalChurn, DeltaClass::TracerouteChurn] {
+fn apply_onto_world_with_registered_inferences_is_byte_identical_to_rebuild() {
+    use igdb_core::analysis::beliefprop::{apply_inferences, propagate, BeliefPropParams};
+    let base = base_snaps();
+    for class in [DeltaClass::Empty, DeltaClass::TracerouteChurn, DeltaClass::AtlasChurn] {
         let (mut prior, _) = Igdb::try_build(&base, &BuildPolicy::lenient()).unwrap();
-        prior.append_snapshot(&later);
+        let report = propagate(&prior, &BeliefPropParams::default());
+        assert!(apply_inferences(&mut prior, &report) > 0, "no inference to register");
         let (next, _) = generate_delta(prior.source_snapshots(), 29, &[class]);
-        let (_, apply, delta) = apply_onto(&prior, &next);
-        assert_identical(&apply, &rebuild_capture(&next), &format!("appended + {class:?}"));
-        assert_eq!(delta.first_dirty, Some(Stage::Physical), "{class:?}");
-        assert!(!delta.traceroute_rows_clean && !delta.ip_inputs_clean, "{class:?}");
+        let (_, apply, _) = apply_onto(&prior, &next);
+        assert_identical(&apply, &rebuild_capture(&next), &format!("inferences + {class:?}"));
     }
 }
 
 // ---------------------------------------------------------------------------
 // Warm-graph repair: migrated corridors answer identically
 // ---------------------------------------------------------------------------
+
+/// The pair multiset as a set of `(from, to, km bits)`, for the checks
+/// below (no pair repeats within one world).
+fn pair_set(igdb: &Igdb) -> BTreeSet<(usize, usize, u64)> {
+    igdb.phys_pairs.iter().map(|&(a, b, km)| (a, b, km.to_bits())).collect()
+}
 
 #[test]
 fn repaired_phys_graph_answers_match_cold_rebuild() {
@@ -199,20 +204,54 @@ fn repaired_phys_graph_answers_match_cold_rebuild() {
     // populated.
     let g = prior.phys_graph();
     let mut ws = igdb_core::SpWorkspace::new();
-    for from in (0..prior.metros.len()).step_by(3) {
-        let _ = g.shortest_path_cached(&mut ws, from, (from + 7) % prior.metros.len());
+    let n = prior.metros.len();
+    let warmed: Vec<(usize, usize)> = (0..n).step_by(3).map(|from| (from, (from + 7) % n)).collect();
+    for &(from, to) in &warmed {
+        let _ = g.shortest_path_cached(&mut ws, from, to);
     }
-    // Removal-only churn: the corridor-migration fast path.
-    let (next, _) = generate_delta(&base, 23, &[DeltaClass::AtlasPrune]);
-    let (applied, _, delta) =
-        prior.apply_delta(&next, &BuildPolicy::lenient()).expect("apply");
-    assert!(delta.phys_removal_only, "AtlasPrune must diff removal-only");
+    // Removal-only churn: the corridor-migration fast path. (Seed 39 drops
+    // three pairs on the tiny world; many seeds only thin parallel links.)
+    let (next, _) = generate_delta(&base, 39, &[DeltaClass::AtlasPrune]);
+    let (applied, _, _) = prior.apply_delta(&next, &BuildPolicy::lenient()).expect("apply");
+    let (old_pairs, pruned_pairs) = (pair_set(&prior), pair_set(&applied));
+    assert!(
+        pruned_pairs.is_subset(&old_pairs) && pruned_pairs.len() < old_pairs.len(),
+        "AtlasPrune must only remove pairs"
+    );
     let (rebuilt, _) = Igdb::try_build(&next, &BuildPolicy::lenient()).unwrap();
     let (ga, gb) = (applied.phys_graph(), rebuilt.phys_graph());
     let mut wa = igdb_core::SpWorkspace::new();
     let mut wb = igdb_core::SpWorkspace::new();
-    let n = applied.metros.len();
     assert_eq!(n, rebuilt.metros.len());
+
+    // Which corridors were carried is read off the miss counter, not off
+    // the delta: a pair routed before the prune, whose path avoids every
+    // metro that lost a pair, answers from the migrated entry.
+    let touched: BTreeSet<usize> =
+        old_pairs.difference(&pruned_pairs).flat_map(|&(a, b, _)| [a, b]).collect();
+    let (from, to, route) = warmed
+        .iter()
+        .find_map(|&(from, to)| {
+            let route = g.shortest_path_cached(&mut ws, from, to)?;
+            (route.0.len() > 2 && route.0.iter().all(|m| !touched.contains(m)))
+                .then_some((from, to, route))
+        })
+        .expect("a warmed multi-hop corridor avoids the pruned metros");
+    let reg = Registry::new();
+    let _g = reg.install();
+    let misses = || reg.perf_value("corridor.cache_misses", "phys");
+    assert_eq!(ga.shortest_path_cached(&mut wa, from, to), Some(route.clone()));
+    assert_eq!(misses(), 0, "a corridor the prune left intact was not carried");
+    // A delta whose pair multiset gains or re-weights an entry could have
+    // shortened any route: the same pair starts cold. (Atlas churn never
+    // adds a pair on the tiny world; a re-measured road re-weights some.)
+    let (road_snaps, _) = generate_delta(&base, 5, &[DeltaClass::RoadChurn]);
+    let (reweighted, _, _) =
+        prior.apply_delta(&road_snaps, &BuildPolicy::lenient()).expect("apply");
+    assert!(!pair_set(&reweighted).is_subset(&old_pairs), "RoadChurn seed 5 must re-weight a pair");
+    let _ = reweighted.phys_graph().shortest_path_cached(&mut wa, from, to);
+    assert_eq!(misses(), 1, "a corridor was carried across a re-weight");
+
     for from in 0..n {
         for to in (from..n).step_by(2) {
             assert_eq!(

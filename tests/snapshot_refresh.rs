@@ -1,145 +1,79 @@
 //! Snapshot-refresh integration: two dated snapshots of an evolving data
-//! universe in one database, queried by `as_of_date` (paper §2–§3).
+//! universe side by side in one history database, queried by `as_of_date`
+//! (paper §2–§3). Each date is one build; the history is the union of
+//! their tables ([`Database::append_from`]).
 
 use igdb_core::Igdb;
-use igdb_db::{Predicate, Query, Value};
-use igdb_synth::sources::emit_snapshots_churned;
-use igdb_synth::{emit_snapshots, World, WorldConfig};
+use igdb_db::{Aggregate, Database, Predicate, Query, Value};
+use igdb_synth::sources::SnapshotSet;
+use igdb_synth::{emit_snapshots, generate_delta, DeltaClass, World, WorldConfig};
+
+const FIRST: &str = "2022-05-03";
+const SECOND: &str = "2022-11-01";
+
+/// Six months later: the Internet Atlas churned (PoPs decayed, new ones
+/// appeared, one was re-surveyed) and the sources were re-pulled.
+fn six_months_later(first: &SnapshotSet) -> SnapshotSet {
+    let (mut later, ops) = generate_delta(first, 26, &[DeltaClass::AtlasChurn]);
+    assert!(!ops.is_empty());
+    later.as_of_date = SECOND.into();
+    later
+}
 
 #[test]
 fn second_snapshot_appends_without_touching_the_first() {
     let world = World::generate(WorldConfig::tiny());
-    let snaps1 = emit_snapshots(&world, "2022-05-03", 100);
-    let mut igdb = Igdb::build(&snaps1);
+    let snaps1 = emit_snapshots(&world, FIRST, 100);
+    let (first, second) = (Igdb::build(&snaps1), Igdb::build(&six_months_later(&snaps1)));
+    let history = Database::new();
+    history.append_from(&first.db).unwrap();
+    history.append_from(&second.db).unwrap();
 
-    let nodes_before = igdb.db.row_count("phys_nodes").unwrap();
-    let conn_before = igdb.db.row_count("phys_conn").unwrap();
-
-    // Six months later: the sources churned (8% of Atlas PoPs dropped).
-    let snaps2 = emit_snapshots_churned(&world, "2022-11-01", 100, 0.08);
-    igdb.append_snapshot(&snaps2);
-
-    // Both dates coexist.
-    let by_date = igdb.counts_by_date("phys_nodes");
-    assert_eq!(by_date.len(), 2);
-    assert_eq!(by_date[0].0, "2022-05-03");
-    assert_eq!(by_date[1].0, "2022-11-01");
-    assert_eq!(by_date[0].1, nodes_before, "first snapshot must be untouched");
-    assert!(by_date[1].1 > 0);
-    // Churn made the second Atlas snapshot smaller (facility counts are
-    // identical, so compare totals loosely).
-    assert!(
-        igdb.db.row_count("phys_nodes").unwrap() < nodes_before * 2,
-        "churn should shrink the second snapshot"
+    // Both dates coexist in every relation, each with exactly its build's
+    // rows, and pinning the first date reads back the first build.
+    assert_eq!(history.table_names(), first.db.table_names());
+    for table in history.table_names() {
+        let by_date = history
+            .with_table(&table, |t| Query::new(t).group_by(vec!["as_of_date"], vec![Aggregate::Count]))
+            .unwrap()
+            .unwrap();
+        let want = |igdb: &Igdb, date: &str| {
+            vec![Value::text(date), Value::Int(igdb.db.row_count(&table).unwrap() as i64)]
+        };
+        assert_eq!(by_date, vec![want(&first, FIRST), want(&second, SECOND)], "{table}");
+        let pinned = history
+            .with_table(&table, |t| {
+                Query::new(t).filter(Predicate::Eq("as_of_date".into(), Value::text(FIRST))).rows()
+            })
+            .unwrap()
+            .unwrap();
+        let built = first.db.with_table(&table, |t| t.rows().to_vec()).unwrap();
+        assert_eq!(pinned, built, "{table}: first snapshot must be untouched");
+    }
+    // The churn is visible on the date axis.
+    assert_ne!(
+        first.db.row_count("phys_conn").unwrap(),
+        second.db.row_count("phys_conn").unwrap(),
+        "the second Atlas snapshot lost corridors"
     );
-    assert!(igdb.db.row_count("phys_conn").unwrap() > conn_before);
-
-    // The date axis works in queries.
-    let old_only = igdb
-        .db
-        .with_table("phys_conn", |t| {
-            Query::new(t)
-                .filter(Predicate::Eq(
-                    "as_of_date".into(),
-                    Value::text("2022-05-03"),
-                ))
-                .count()
-                .unwrap()
-        })
-        .unwrap();
-    assert_eq!(old_only, conn_before);
-
-    // Analyses now run against the latest date.
-    assert_eq!(igdb.as_of_date, "2022-11-01");
-    assert!(!igdb.phys_pairs.is_empty());
-}
-
-#[test]
-fn churned_snapshot_differs_from_original() {
-    let world = World::generate(WorldConfig::tiny());
-    let a = emit_snapshots(&world, "2022-05-03", 0);
-    let b = emit_snapshots_churned(&world, "2022-11-01", 0, 0.10);
-    assert!(b.atlas_nodes.len() < a.atlas_nodes.len());
-    // Roughly 10% churn, generously banded.
-    let frac = 1.0 - b.atlas_nodes.len() as f64 / a.atlas_nodes.len() as f64;
-    assert!((0.03..0.25).contains(&frac), "churn fraction {frac}");
-}
-
-#[test]
-fn geometry_cache_survives_a_no_geometry_refresh() {
-    // Regression: `append_snapshot` used to drop the parsed-WKT geometry
-    // cache unconditionally, so a refresh that added no `phys_conn` rows
-    // (the common "re-pull the same physical world" case) forced every
-    // held `phys_path_geometries()` reader to reparse. The cache must key
-    // off its actual input — the append-only `phys_conn` row set.
-    let world = World::generate(WorldConfig::tiny());
-    let snaps1 = emit_snapshots(&world, "2022-05-03", 100);
-    let mut igdb = Igdb::build(&snaps1);
-    let warm = igdb.phys_path_geometries();
-    let (warm_ptr, warm_len) = (warm.as_ptr(), warm.len());
-    assert!(warm_len > 0, "tiny world routes at least one corridor");
-
-    // A logical-only refresh: new AS-graph snapshot, no atlas/facility data.
-    let mut snaps2 = snaps1.clone();
-    snaps2.as_of_date = "2022-11-01".into();
-    snaps2.atlas_nodes.clear();
-    snaps2.atlas_links.clear();
-    snaps2.pdb_facilities.clear();
-    igdb.append_snapshot(&snaps2);
-
-    let after = igdb.phys_path_geometries();
-    assert_eq!(
-        (after.as_ptr(), after.len()),
-        (warm_ptr, warm_len),
-        "no new phys_conn rows: the parsed geometry cache must stay warm"
-    );
-
-    // Counter-case: a refresh that DOES add geometry must invalidate, and
-    // the reparsed list covers both dates' rows.
-    let snaps3 = emit_snapshots_churned(&world, "2023-05-01", 100, 0.05);
-    igdb.append_snapshot(&snaps3);
-    let rebuilt = igdb.phys_path_geometries();
-    assert!(
-        rebuilt.len() > warm_len,
-        "geometry append must rebuild the cache over all loaded dates \
-         ({} -> {})",
-        warm_len,
-        rebuilt.len()
-    );
-}
-
-#[test]
-#[should_panic(expected = "already loaded")]
-fn same_date_rejected() {
-    let world = World::generate(WorldConfig::tiny());
-    let snaps = emit_snapshots(&world, "2022-05-03", 0);
-    let mut igdb = Igdb::build(&snaps);
-    igdb.append_snapshot(&snaps);
 }
 
 #[test]
 fn analyses_survive_a_refresh() {
-    // The distance-cost analysis must still work after switching to the
-    // second snapshot's phys_conn graph.
+    // The distance-cost analysis must still work on the second
+    // snapshot's phys_conn graph.
     let world = World::generate(WorldConfig::tiny());
-    let snaps1 = emit_snapshots(&world, "2022-05-03", 450);
-    let mut igdb = Igdb::build(&snaps1);
+    let snaps1 = emit_snapshots(&world, FIRST, 450);
     let trace = world
         .traceroute_between(world.scenarios.anchor_kansas_city, world.scenarios.anchor_atlanta)
         .unwrap();
-    let before = igdb_core::analysis::physpath::physical_path_report(
-        &igdb,
-        &trace.responding_ips(),
-    )
-    .expect("report before refresh");
-
-    let snaps2 = emit_snapshots_churned(&world, "2022-11-01", 0, 0.05);
-    igdb.append_snapshot(&snaps2);
-    let after = igdb_core::analysis::physpath::physical_path_report(
-        &igdb,
-        &trace.responding_ips(),
-    )
-    .expect("report after refresh");
+    let report = |igdb: &Igdb| {
+        igdb_core::analysis::physpath::physical_path_report(igdb, &trace.responding_ips())
+    };
+    let before = report(&Igdb::build(&snaps1)).expect("report before refresh");
+    let refreshed = Igdb::build(&six_months_later(&snaps1));
+    assert_eq!(refreshed.as_of_date, SECOND);
+    let after = report(&refreshed).expect("report after refresh");
     // The corridor structure barely changed; the cost stays in band.
     assert!((after.distance_cost - before.distance_cost).abs() < 0.8);
 }
