@@ -9,7 +9,7 @@
 //! `r/2 × fiber-speed` around that probe; the address's metro is the
 //! candidate satisfying every constraint with the least total slack.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use igdb_measure::FIBER_KM_PER_MS;
 use igdb_net::Ip4;
@@ -39,6 +39,24 @@ pub struct CbgEstimate {
 /// estimates sorted by address. Only addresses with at least
 /// `min_constraints` observing probes are estimated.
 pub fn geolocate_unlocated(igdb: &Igdb, min_constraints: usize) -> Vec<CbgEstimate> {
+    estimate(igdb, None, min_constraints)
+}
+
+/// [`geolocate_unlocated`] restricted to `ips`: constraints are gathered
+/// and candidates scored for those addresses only, so locating one
+/// traceroute's hops does not pay for the whole corpus. Equals the
+/// all-addresses result filtered to `ips`.
+pub fn geolocate(igdb: &Igdb, ips: &[Ip4], min_constraints: usize) -> Vec<CbgEstimate> {
+    estimate(igdb, Some(&ips.iter().copied().collect()), min_constraints)
+}
+
+/// The estimator behind both entry points; `only` limits it to a set of
+/// addresses.
+fn estimate(
+    igdb: &Igdb,
+    only: Option<&HashSet<Ip4>>,
+    min_constraints: usize,
+) -> Vec<CbgEstimate> {
     let _span = igdb_obs::span("analysis.cbg");
     // Gather constraints: for each (src probe, hop) pair the hop's RTT
     // bounds its distance from the probe.
@@ -49,7 +67,7 @@ pub fn geolocate_unlocated(igdb: &Igdb, min_constraints: usize) -> Vec<CbgEstima
         };
         for h in &tr.hops {
             let Some(ip) = h.ip else { continue };
-            if h.rtt_ms <= 0.0 {
+            if h.rtt_ms <= 0.0 || only.is_some_and(|set| !set.contains(&ip)) {
                 continue;
             }
             // Keep the *minimum* observed RTT per (probe metro, ip): real
@@ -196,6 +214,28 @@ mod tests {
             let info = igdb.ip_info.get(&e.ip).expect("observed address");
             assert!(info.metro.is_none(), "CBG re-located a seeded address");
         }
+    }
+
+    #[test]
+    fn scoped_estimates_equal_the_all_addresses_estimates_filtered() {
+        let (_, igdb) = built();
+        // Every third observed address, located or not, some twice.
+        let mut ips: Vec<Ip4> = igdb.ip_info.keys().copied().collect();
+        ips.sort_unstable();
+        let mut ips: Vec<Ip4> = ips.into_iter().step_by(3).collect();
+        ips.extend_from_within(..10);
+        let row = |e: &CbgEstimate| (e.ip, e.metro, e.constraints, e.tightest_km.to_bits());
+        for min_constraints in 1..=4 {
+            let scoped: Vec<_> = geolocate(&igdb, &ips, min_constraints).iter().map(row).collect();
+            let filtered: Vec<_> = geolocate_unlocated(&igdb, min_constraints)
+                .iter()
+                .filter(|e| ips.contains(&e.ip))
+                .map(row)
+                .collect();
+            assert!(!scoped.is_empty());
+            assert_eq!(scoped, filtered, "min_constraints {min_constraints}");
+        }
+        assert!(geolocate(&igdb, &[], 1).is_empty());
     }
 
     #[test]

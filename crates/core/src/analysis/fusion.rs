@@ -42,9 +42,8 @@ pub struct FusionReport {
 /// paper backfills with "RIPE geolocation services" (§4.5).
 pub fn fuse(igdb: &Igdb, hop_ips: &[Ip4]) -> FusionReport {
     let _span = igdb_obs::span("analysis.fusion");
-    // CBG estimates for every unlocated observed address (computed once;
-    // only the hops on this path are consumed).
-    let cbg_map: std::collections::HashMap<Ip4, usize> = cbg::geolocate_unlocated(igdb, 2)
+    // CBG estimates for this path's unlocated hops.
+    let cbg_map: std::collections::HashMap<Ip4, usize> = cbg::geolocate(igdb, hop_ips, 2)
         .into_iter()
         .map(|e| (e.ip, e.metro))
         .collect();

@@ -9,7 +9,7 @@
 //! infrastructure — yielding the **distance cost** (paper example: 2,518 km
 //! ÷ 1,282 km = 1.96).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Mutex;
 
 use igdb_geo::GeoPoint;
@@ -164,6 +164,40 @@ pub struct PhysicalPathReport {
 /// Corridor half-width for hidden-node search, km (a metro-scale buffer).
 pub const HIDDEN_NODE_BUFFER_KM: f64 = 60.0;
 
+/// Scratch shared by the reports of one batch over one `&Igdb`. Every
+/// report leaves the masks all-false again by walking what it set — on the
+/// paths that return `None` too — so a 4,000-trace mesh zeroes two metro
+/// bitsets once, not 4,000 times.
+struct ReportScratch {
+    /// Metros visible at the IP layer in the current report.
+    observed_mask: Vec<bool>,
+    /// Metros the current leg already tested, and the list to unset them by.
+    tested_mask: Vec<bool>,
+    tested: Vec<usize>,
+    /// `metros_of_asn` walks the asn_loc index and allocates; legs and
+    /// traces share ASes (a trace stays within a few networks), so each ASN
+    /// is resolved once per batch.
+    asn_metros: HashMap<Asn, Vec<usize>>,
+    /// Legs re-query from the same source only when a trace revisits a
+    /// metro, but the practical path shares the first leg's source, so one
+    /// workspace serves a whole report — and, routes being canonical
+    /// whatever the workspace last held, the whole batch.
+    ws: SpWorkspace,
+}
+
+impl ReportScratch {
+    fn new(igdb: &Igdb) -> Self {
+        let n_metros = igdb.metros.len();
+        Self {
+            observed_mask: vec![false; n_metros],
+            tested_mask: vec![false; n_metros],
+            tested: Vec::new(),
+            asn_metros: HashMap::new(),
+            ws: SpWorkspace::new(),
+        }
+    }
+}
+
 /// Runs the Figure 7 analysis over a traceroute's responding addresses.
 /// Returns `None` when fewer than two hops geolocate or the endpoints are
 /// not connected by inferred physical paths.
@@ -171,12 +205,20 @@ pub fn physical_path_report(igdb: &Igdb, hop_ips: &[Ip4]) -> Option<PhysicalPath
     physical_path_report_with(igdb, igdb.phys_graph(), hop_ips)
 }
 
-/// Same as [`physical_path_report`] but reusing a prebuilt [`PhysGraph`]
-/// (benches run thousands of reports).
+/// Same as [`physical_path_report`] but reusing a prebuilt [`PhysGraph`].
 pub fn physical_path_report_with(
     igdb: &Igdb,
     graph: &PhysGraph,
     hop_ips: &[Ip4],
+) -> Option<PhysicalPathReport> {
+    report_in(igdb, graph, hop_ips, &mut ReportScratch::new(igdb))
+}
+
+fn report_in(
+    igdb: &Igdb,
+    graph: &PhysGraph,
+    hop_ips: &[Ip4],
+    scratch: &mut ReportScratch,
 ) -> Option<PhysicalPathReport> {
     igdb_obs::counter("analysis.queries", "physpath", 1);
     let _t = igdb_obs::hist_timer("analysis.query_us", "physpath");
@@ -208,34 +250,56 @@ pub fn physical_path_report_with(
         leg_asns.push(current_asns.clone());
     }
 
-    // Membership tests below run once per (leg, candidate); bitsets over
-    // the metro space replace the old O(n) `Vec::contains` scans. The
+    // Membership tests in `route_legs` run once per (leg, candidate);
+    // bitsets over the metro space replace O(n) `Vec::contains` scans. The
     // observed set is fixed for the whole report.
-    let n_metros = igdb.metros.len();
-    let mut observed_mask = vec![false; n_metros];
     for &m in &observed {
-        observed_mask[m] = true;
+        scratch.observed_mask[m] = true;
     }
-    // `metros_of_asn` walks the asn_loc index and allocates; legs share
-    // ASes (a trace stays within a few networks), so resolve each ASN once
-    // per report instead of once per leg.
-    let mut asn_metros: std::collections::HashMap<Asn, Vec<usize>> =
-        std::collections::HashMap::new();
-    // Per-leg scratch, cleared between legs by walking what was set.
-    let mut tested_mask = vec![false; n_metros];
-    let mut tested: Vec<usize> = Vec::new();
+    let routed = route_legs(igdb, graph, &observed, &leg_asns, scratch);
+    for &m in &observed {
+        scratch.observed_mask[m] = false;
+    }
+    let (legs, inferred_km, practical_path, practical_km) = routed?;
+    let distance_cost = if practical_km > 0.0 {
+        inferred_km / practical_km
+    } else {
+        1.0
+    };
+    Some(PhysicalPathReport {
+        observed_metros: observed,
+        legs,
+        inferred_km,
+        practical_path,
+        practical_km,
+        distance_cost,
+    })
+}
 
-    // Legs re-query from the same source only when a trace revisits a
-    // metro, but the practical path (step 4) shares the first leg's
-    // source, so one workspace serves the whole report.
-    let mut ws = SpWorkspace::new();
-
+/// Steps 2–4 of a report: `(legs, inferred km, practical path, its km)`,
+/// or `None` when a leg or the endpoints are not connected. Leaves
+/// `scratch.tested_mask` clean on every return: a leg routes before it
+/// tests anything and unsets what it tested before the next leg routes.
+fn route_legs(
+    igdb: &Igdb,
+    graph: &PhysGraph,
+    observed: &[usize],
+    leg_asns: &[Vec<Asn>],
+    scratch: &mut ReportScratch,
+) -> Option<(Vec<InferredLeg>, f64, Vec<usize>, f64)> {
+    let ReportScratch {
+        observed_mask,
+        tested_mask,
+        tested,
+        asn_metros,
+        ws,
+    } = scratch;
     // 2. Map each leg onto inferred physical paths.
     let mut legs = Vec::new();
     let mut inferred_km = 0.0;
-    for (w, asns) in observed.windows(2).zip(&leg_asns) {
+    for (w, asns) in observed.windows(2).zip(leg_asns) {
         let (a, b) = (w[0], w[1]);
-        let (via, km) = graph.shortest_path_cached(&mut ws, a, b)?;
+        let (via, km) = graph.shortest_path_cached(ws, a, b)?;
         // 3. Hidden-node inference: corridor buffer + spatial join against
         //    the leg ASes' peering locations, restricted to metros with
         //    physical links (paper: "a physical peering location inside
@@ -282,24 +346,9 @@ pub fn physical_path_report_with(
     }
 
     // 4. Shortest practical physical path between endpoints.
-    let (practical_path, practical_km) = graph.shortest_path_cached(
-        &mut ws,
-        *observed.first().unwrap(),
-        *observed.last().unwrap(),
-    )?;
-    let distance_cost = if practical_km > 0.0 {
-        inferred_km / practical_km
-    } else {
-        1.0
-    };
-    Some(PhysicalPathReport {
-        observed_metros: observed,
-        legs,
-        inferred_km,
-        practical_path,
-        practical_km,
-        distance_cost,
-    })
+    let (practical_path, practical_km) =
+        graph.shortest_path_cached(ws, observed[0], observed[observed.len() - 1])?;
+    Some((legs, inferred_km, practical_path, practical_km))
 }
 
 /// Runs [`physical_path_report_with`] over a whole traceroute mesh, one
@@ -311,9 +360,10 @@ pub fn physical_path_reports_with(
 ) -> Vec<Option<PhysicalPathReport>> {
     let _span = igdb_obs::span("analysis.physpath.batch");
     igdb_obs::counter("physpath.traces", "", traces.len() as u64);
+    let mut scratch = ReportScratch::new(igdb);
     traces
         .iter()
-        .map(|hops| physical_path_report_with(igdb, graph, hops))
+        .map(|hops| report_in(igdb, graph, hops, &mut scratch))
         .collect()
 }
 
@@ -422,6 +472,33 @@ mod tests {
         // A single resolvable hop can't form a leg.
         let one = igdb.ip_info.keys().next().copied().unwrap();
         assert!(physical_path_report(&igdb, &[one]).is_none());
+    }
+
+    #[test]
+    fn shared_scratch_reports_equal_fresh_scratch_reports() {
+        let (_, igdb) = built();
+        let graph = igdb.phys_graph();
+        // No edges: every multi-metro trace fails at its first leg, after
+        // its observed metros were marked.
+        let cut = PhysGraph::from_pairs(igdb.metros.len(), &[]);
+        let mut traces: Vec<Vec<Ip4>> = igdb
+            .traces()
+            .iter()
+            .map(|t| t.hops.iter().filter_map(|h| h.ip).collect())
+            .collect();
+        traces.push(Vec::new());
+        let mut scratch = ReportScratch::new(&igdb);
+        let mut reported = 0;
+        for hops in &traces {
+            assert!(report_in(&igdb, &cut, hops, &mut scratch).is_none());
+            let shared = report_in(&igdb, graph, hops, &mut scratch);
+            let fresh = physical_path_report_with(&igdb, graph, hops);
+            assert_eq!(format!("{shared:?}"), format!("{fresh:?}"));
+            assert!(!scratch.observed_mask.contains(&true));
+            assert!(!scratch.tested_mask.contains(&true) && scratch.tested.is_empty());
+            reported += usize::from(shared.is_some());
+        }
+        assert!(reported > 10, "only {reported} reports");
     }
 
     #[test]

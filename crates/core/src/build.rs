@@ -9,16 +9,17 @@
 //! prefixes), filling `ip_asn_dns`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use igdb_db::{Database, Value};
 use igdb_fault::{BuildError, BuildPolicy, BuildReport, SourceId};
-use igdb_geo::{parse_wkt, to_wkt, GeoPoint, Geometry, LineString, MultiLineString};
+use igdb_geo::{to_wkt, GeoPoint, Geometry, LineString, MultiLineString};
 use igdb_net::{Asn, Ip4, Prefix};
 use igdb_synth::sources::{RipeTraceroute, SnapshotSet};
 
 use crate::bdrmap::BdrMap;
 use crate::delta::{diff_snapshots, SnapshotDelta, Stage};
+use crate::derived::{Derived, SegmentIndex};
 use crate::hoiho::HoihoEngine;
 use crate::metros::MetroRegistry;
 use crate::roads::RoadGraph;
@@ -112,12 +113,9 @@ pub struct Igdb {
     pub phys_pairs: Vec<(usize, usize, f64)>,
     /// Probe registry.
     pub probes: HashMap<u32, ProbeInfo>,
-    /// Lazily-built shared physical-path graph over [`Self::phys_pairs`];
-    /// analyses that used to each build their own copy (physpath, risk,
-    /// rocketfuel) share this one, and with it one corridor cache.
-    phys_graph: OnceLock<crate::analysis::physpath::PhysGraph>,
-    /// Lazily-parsed `phys_conn` WKT geometries, in row order.
-    phys_geoms: OnceLock<Vec<Vec<GeoPoint>>>,
+    /// Everything built lazily from the tables above (routing graph, path
+    /// geometries, segment index).
+    derived: Derived,
     /// The validated record set this world was built from — the baseline
     /// [`crate::delta::diff_snapshots`] diffs a replacement against.
     snapshots: igdb_synth::sources::SnapshotSet,
@@ -1033,8 +1031,7 @@ impl Pipeline {
             rdns: self.rdns,
             asn_metros: self.asn_metros,
             probes: self.probes,
-            phys_graph: OnceLock::new(),
-            phys_geoms: OnceLock::new(),
+            derived: Derived::default(),
             snapshots,
             stage_ledger,
             rows_added_since_build: false,
@@ -1290,10 +1287,12 @@ impl Igdb {
             Some((self, &delta)),
             Baseline::Keep,
         );
-        if let Some(old) = self.phys_graph.get() {
-            let next = old.for_next_epoch(&self.phys_pairs, igdb.metros.len(), &igdb.phys_pairs);
-            let _ = igdb.phys_graph.set(next);
-        }
+        igdb.derived.succeed(
+            &self.derived,
+            &self.phys_pairs,
+            igdb.metros.len(),
+            &igdb.phys_pairs,
+        );
         Ok((igdb, report, delta))
     }
 
@@ -1301,26 +1300,19 @@ impl Igdb {
     /// inferred corridors, built once on first use. Analyses route over
     /// this instance so its memoized corridors are shared too.
     pub fn phys_graph(&self) -> &crate::analysis::physpath::PhysGraph {
-        self.phys_graph
-            .get_or_init(|| crate::analysis::physpath::PhysGraph::from_igdb(self))
+        self.derived.phys_graph(self)
     }
 
     /// Every inferred physical-path geometry (`phys_conn` WKT linestring
     /// rows, in row order), parsed once.
     pub fn phys_path_geometries(&self) -> &[Vec<GeoPoint>] {
-        self.phys_geoms.get_or_init(|| {
-            self.db
-                .with_table("phys_conn", |t| {
-                    t.rows()
-                        .iter()
-                        .filter_map(|r| match parse_wkt(r[7].as_text()?) {
-                            Ok(Geometry::LineString(ls)) => Some(ls.0),
-                            _ => None,
-                        })
-                        .collect()
-                })
-                .expect("phys_conn exists")
-        })
+        self.derived.phys_geoms(&self.db)
+    }
+
+    /// The index over every segment of [`Self::phys_path_geometries`],
+    /// loaded once.
+    pub(crate) fn phys_segments(&self) -> &SegmentIndex {
+        self.derived.phys_segments(&self.db)
     }
 
     /// Declared metros of an ASN (from `asn_loc`, non-inferred).

@@ -34,6 +34,7 @@ pub mod bdrmap;
 pub mod build;
 pub mod corridor;
 pub mod delta;
+mod derived;
 pub mod epoch;
 pub mod hoiho;
 pub mod metros;

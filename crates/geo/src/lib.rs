@@ -22,7 +22,8 @@
 //!   its Voronoi dual, used to build the 7,342 Thiessen polygons of
 //!   Figure 3.
 //! * [`spatial`] — the spatial join: exact great-circle nearest-site
-//!   assignment ([`NearestSiteIndex`]) over that tree.
+//!   assignment ([`NearestSiteIndex`]) over that tree, and the candidate
+//!   windows it and the corridor join prune with.
 //! * [`batch`] — struct-of-arrays columns ([`GeoColumns`]) with batched
 //!   great-circle kernels, bit-identical to the scalar path.
 //!

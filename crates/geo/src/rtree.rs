@@ -8,6 +8,8 @@
 //! beside the ≈ 40 ms its Thiessen cells cost whichever way the tree is
 //! made).
 
+use std::ops::Range;
+
 use crate::point::{BoundingBox, GeoPoint};
 
 const NODE_CAPACITY: usize = 16;
@@ -27,17 +29,19 @@ struct Node {
     kind: NodeKind,
 }
 
+/// Packing lays every node's members out as one contiguous run, so a
+/// node names them by range instead of owning a list.
 enum NodeKind {
     /// Child node indexes.
-    Inner(Vec<usize>),
+    Inner(Range<usize>),
     /// Item slot indexes.
-    Leaf(Vec<usize>),
+    Leaf(Range<usize>),
 }
 
 impl<T> RTree<T> {
     /// Bulk-loads the tree from `(bbox, payload)` pairs using STR packing.
-    pub fn bulk_load(mut entries: Vec<(BoundingBox, T)>) -> Self {
-        if entries.is_empty() {
+    pub fn bulk_load(mut items: Vec<(BoundingBox, T)>) -> Self {
+        if items.is_empty() {
             return Self {
                 nodes: Vec::new(),
                 items: Vec::new(),
@@ -46,19 +50,18 @@ impl<T> RTree<T> {
         }
         // STR: sort by center lon, slice into vertical strips, sort each
         // strip by center lat, pack runs of NODE_CAPACITY into leaves.
-        let n = entries.len();
+        let n = items.len();
         let leaf_count = n.div_ceil(NODE_CAPACITY);
         let strip_count = (leaf_count as f64).sqrt().ceil() as usize;
         let strip_size = n.div_ceil(strip_count);
 
-        entries.sort_by(|a, b| {
+        items.sort_by(|a, b| {
             a.0.center()
                 .lon
                 .partial_cmp(&b.0.center().lon)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let mut items: Vec<(BoundingBox, T)> = Vec::with_capacity(n);
-        for strip in entries.chunks_mut(strip_size.max(1)) {
+        for strip in items.chunks_mut(strip_size.max(1)) {
             strip.sort_by(|a, b| {
                 a.0.center()
                     .lat
@@ -66,7 +69,6 @@ impl<T> RTree<T> {
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
         }
-        items.extend(entries);
 
         let mut nodes: Vec<Node> = Vec::new();
         // Build leaves over item runs.
@@ -80,7 +82,7 @@ impl<T> RTree<T> {
             }
             nodes.push(Node {
                 bbox,
-                kind: NodeKind::Leaf((start..end).collect()),
+                kind: NodeKind::Leaf(start..end),
             });
             level.push(nodes.len() - 1);
             start = end;
@@ -95,7 +97,7 @@ impl<T> RTree<T> {
                 }
                 nodes.push(Node {
                     bbox,
-                    kind: NodeKind::Inner(chunk.to_vec()),
+                    kind: NodeKind::Inner(chunk[0]..chunk[0] + chunk.len()),
                 });
                 next.push(nodes.len() - 1);
             }
@@ -118,27 +120,43 @@ impl<T> RTree<T> {
     /// All payloads whose bbox intersects `query`.
     pub fn query_bbox(&self, query: &BoundingBox) -> Vec<&T> {
         let mut out = Vec::new();
-        if let Some(root) = self.root {
-            let mut stack = vec![root];
-            while let Some(ni) = stack.pop() {
-                let node = &self.nodes[ni];
-                if !node.bbox.intersects(query) {
-                    continue;
-                }
-                match &node.kind {
-                    NodeKind::Inner(children) => stack.extend(children.iter().copied()),
-                    NodeKind::Leaf(slots) => {
-                        for &s in slots {
-                            let (b, t) = &self.items[s];
-                            if b.intersects(query) {
-                                out.push(t);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        self.any_in_bbox(query, |t| {
+            out.push(t);
+            false
+        });
         out
+    }
+
+    /// True if `accept` holds for some payload whose bbox intersects
+    /// `query`. Stops at the first such payload, so a join that only asks
+    /// "is anything here?" neither visits the rest nor collects a `Vec`.
+    pub fn any_in_bbox<'a>(
+        &'a self,
+        query: &BoundingBox,
+        mut accept: impl FnMut(&'a T) -> bool,
+    ) -> bool {
+        self.root
+            .is_some_and(|root| self.any_below(root, query, &mut accept))
+    }
+
+    fn any_below<'a>(
+        &'a self,
+        ni: usize,
+        query: &BoundingBox,
+        accept: &mut impl FnMut(&'a T) -> bool,
+    ) -> bool {
+        let node = &self.nodes[ni];
+        if !node.bbox.intersects(query) {
+            return false;
+        }
+        match &node.kind {
+            NodeKind::Inner(children) => children
+                .clone()
+                .any(|c| self.any_below(c, query, accept)),
+            NodeKind::Leaf(slots) => self.items[slots.clone()]
+                .iter()
+                .any(|(b, t)| b.intersects(query) && accept(t)),
+        }
     }
 
     /// The payload whose bbox center is planar-nearest to `p`, with its
@@ -163,7 +181,7 @@ impl<T> RTree<T> {
             }
             match &self.nodes[node].kind {
                 NodeKind::Inner(children) => {
-                    for &c in children {
+                    for c in children.clone() {
                         heap.push(HeapEntry {
                             dist2: self.nodes[c].bbox.planar_dist2_to(p),
                             node: c,
@@ -171,7 +189,7 @@ impl<T> RTree<T> {
                     }
                 }
                 NodeKind::Leaf(slots) => {
-                    for &s in slots {
+                    for s in slots.clone() {
                         let d2 = self.items[s].0.center().planar_dist2(p);
                         if best.map_or(true, |(_, bd)| d2 < bd) {
                             best = Some((s, d2));
@@ -302,6 +320,25 @@ mod tests {
             );
             assert!((d2 - want.0.planar_dist2(&probe)).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn any_in_bbox_stops_at_the_first_accepted_payload() {
+        let tree = point_tree(grid_points(60));
+        let q = BoundingBox {
+            min_lon: 10.0,
+            min_lat: 10.0,
+            max_lon: 12.0,
+            max_lat: 12.0,
+        };
+        let mut seen = 0;
+        assert!(tree.any_in_bbox(&q, |_| {
+            seen += 1;
+            seen == 2
+        }));
+        assert_eq!(seen, 2);
+        assert!(!tree.any_in_bbox(&q, |_| false));
+        assert!(!tree.any_in_bbox(&BoundingBox::empty(), |_| true));
     }
 
     #[test]

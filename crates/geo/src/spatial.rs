@@ -42,7 +42,7 @@ const DEG_PER_KM_LAT: f64 = 180.0 / (std::f64::consts::PI * EARTH_RADIUS_KM);
 /// giving `|Δλ| ≤ 2 asin(sin(d/2R) / √(cos φ_p · cos_band))`. Small slacks
 /// widen the window so floating-point rounding can only admit extra
 /// candidates, never drop a true one.
-fn exact_window(p: &GeoPoint, radius_km: f64) -> Option<BoundingBox> {
+pub fn exact_window(p: &GeoPoint, radius_km: f64) -> Option<BoundingBox> {
     let lat_pad = radius_km * DEG_PER_KM_LAT + 1e-9;
     let band_extreme = (p.lat.abs() + lat_pad).min(90.0);
     let prod = p.lat.to_radians().cos() * band_extreme.to_radians().cos();
@@ -73,6 +73,55 @@ fn exact_window(p: &GeoPoint, radius_km: f64) -> Option<BoundingBox> {
         max_lon: p.lon + half_lon,
         max_lat: p.lat + lat_pad,
     })
+}
+
+/// The box a segment occupies as
+/// [`point_segment_distance_km`](crate::geodesy::point_segment_distance_km)
+/// sees it. That function unwraps longitudes, so a segment whose ends lie
+/// more than 180° apart runs through the antimeridian and takes the whole
+/// longitude range; any other segment takes the tight box of its two ends.
+pub fn segment_bbox(a: &GeoPoint, b: &GeoPoint) -> BoundingBox {
+    let mut bbox = BoundingBox::from_points([a, b]);
+    if (b.lon - a.lon).abs() > 180.0 {
+        bbox.min_lon = -180.0;
+        bbox.max_lon = 180.0;
+    }
+    bbox
+}
+
+/// A candidate window for
+/// [`point_segment_distance_km`](crate::geodesy::point_segment_distance_km)
+/// over normalized coordinates: every segment `a`–`b` with both latitudes
+/// within `±max_abs_lat` and `point_segment_distance_km(p, a, b) <=
+/// radius_km` has a [`segment_bbox`] that meets the returned box. `None`
+/// means no planar box suffices and the caller must test every segment.
+///
+/// That distance is not a metric, so [`exact_window`] alone is too small.
+/// Its two haversine endpoint terms are great-circle distances, which
+/// `exact_window` covers. Its interior term is an equirectangular estimate
+/// whose longitudes are scaled by the cosine of the *segment's*
+/// mid-latitude, not of `p`'s: the closest point `c` lies in the segment's
+/// box with `|Δlat| ≤ r°` and `|Δlon| · cos(lat₀) ≤ r°` (`r°` the radius
+/// in degrees of arc), and `cos(lat₀) ≥ cos(max_abs_lat)`, which gives the
+/// second box. The window is the union of the two, or `None` when either
+/// is missing, the cosine degenerates, or the box would reach ±180° (where
+/// the unwrapping makes far longitudes near).
+pub fn segment_window(p: &GeoPoint, radius_km: f64, max_abs_lat: f64) -> Option<BoundingBox> {
+    let mut window = exact_window(p, radius_km)?;
+    let min_cos = max_abs_lat.to_radians().cos();
+    // Stated positively so a NaN bound fails it too.
+    let scalable = min_cos > 1e-6 && max_abs_lat <= 90.0;
+    if !scalable {
+        return None;
+    }
+    let pad = radius_km * DEG_PER_KM_LAT * (1.0 + 1e-9) + 1e-9;
+    window.union(&BoundingBox {
+        min_lon: p.lon - pad / min_cos,
+        min_lat: p.lat - pad,
+        max_lon: p.lon + pad / min_cos,
+        max_lat: p.lat + pad,
+    });
+    (window.min_lon > -180.0 && window.max_lon < 180.0).then_some(window)
 }
 
 /// Nearest-site index over a fixed set of sites (e.g. the 7,342 urban

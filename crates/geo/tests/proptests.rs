@@ -284,3 +284,68 @@ proptest! {
         prop_assert!((got_d - want_d).abs() < 1e-9, "{got_d} vs {want_d}");
     }
 }
+
+// ---------------------------------------------------------------------------
+// The corridor-join window vs the distance it prunes for
+// ---------------------------------------------------------------------------
+
+use igdb_geo::geodesy::point_segment_distance_km;
+use igdb_geo::spatial::{exact_window, segment_bbox, segment_window};
+
+/// A segment near `p`: one end a few degrees away, the other up to 25° of
+/// latitude further, so high-latitude draws include the long meridional
+/// segments whose mid-latitude cosine is far from `p`'s.
+fn arb_nearby_segment() -> impl Strategy<Value = (GeoPoint, GeoPoint, GeoPoint)> {
+    (
+        (-180.0f64..180.0, -85.0f64..85.0),
+        (-8.0f64..8.0, -3.0f64..3.0),
+        (-10.0f64..10.0, -25.0f64..25.0),
+    )
+        .prop_map(|(p, da, db)| {
+            let a = GeoPoint::new(p.0 + da.0, (p.1 + da.1).clamp(-89.0, 89.0));
+            let b = GeoPoint::new(a.lon + db.0, (a.lat + db.1).clamp(-89.0, 89.0));
+            (GeoPoint::new(p.0, p.1), a, b)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The soundness of the Figure 4 join's prune: a segment the distance
+    /// function accepts is never outside the window. This is the test that
+    /// fails if `segment_window` is "simplified" to [`exact_window`] alone
+    /// — `point_segment_distance_km` is not a metric, and its interior
+    /// estimate accepts segments no great-circle window reaches (see
+    /// `exact_window_alone_misses_an_accepted_segment`).
+    #[test]
+    fn segment_window_meets_every_accepted_segment(
+        segment in arb_nearby_segment(),
+        radius in 1.0f64..200.0,
+    ) {
+        let (p, a, b) = segment;
+        if point_segment_distance_km(&p, &a, &b) <= radius {
+            let max_abs_lat = a.lat.abs().max(b.lat.abs());
+            if let Some(window) = segment_window(&p, radius, max_abs_lat) {
+                prop_assert!(
+                    window.intersects(&segment_bbox(&a, &b)),
+                    "p {:?} segment {:?}–{:?} r {} window {:?}", p, a, b, radius, window
+                );
+            }
+        }
+    }
+}
+
+/// Why the window is a union: at 70°N a near-meridional segment reaching
+/// 89°N scales longitudes by the cosine of ≈ 79.5°, so a point 5° of
+/// longitude off its southern stretch reads ≈ 100 km away where the great
+/// circle says ≈ 185 km.
+#[test]
+fn exact_window_alone_misses_an_accepted_segment() {
+    let (a, b) = (GeoPoint::new(0.0, 70.0), GeoPoint::new(0.2, 89.0));
+    let p = GeoPoint::new(5.0, 70.5);
+    let radius = 110.0;
+    assert!(point_segment_distance_km(&p, &a, &b) <= radius);
+    let bbox = segment_bbox(&a, &b);
+    assert!(!exact_window(&p, radius).unwrap().intersects(&bbox));
+    assert!(segment_window(&p, radius, 89.0).unwrap().intersects(&bbox));
+}
