@@ -22,7 +22,6 @@
 //! ([`SnapshotDelta::shares`]).
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 
 use igdb_synth::sources::SnapshotSet;
 
@@ -133,7 +132,7 @@ macro_rules! sources {
             ip_input: sources!(@flag $($ip)?),
         }),*];
 
-        /// Multiset-diffs every source, in table order.
+        /// Compares every source, in table order.
         fn diff_sources(old: &SnapshotSet, new: &SnapshotSet) -> Vec<SourceDiff> {
             let mut out = Vec::new();
             $(diff_source(source_use(stringify!($source)), &old.$source, &new.$source, &mut out);)*
@@ -176,6 +175,17 @@ macro_rules! sources {
                     self.$source = Cow::Borrowed(&[]);
                 })*
             }
+        }
+
+        /// Reverses the named source in place; true when that changed it
+        /// (the records are not a palindrome).
+        #[cfg(test)]
+        fn reverse_source(set: &mut SnapshotSet, name: &str) -> bool {
+            $(if name == stringify!($source) {
+                set.$source.reverse();
+                return set.$source.iter().ne(set.$source.iter().rev());
+            })*
+            panic!("no source named {name}")
         }
     };
     (@flag ip) => { true };
@@ -223,22 +233,25 @@ fn source_use(name: &str) -> &'static SourceUse {
         .expect("every source has a row in the sources! table")
 }
 
-/// Per-source record-level difference (multiset semantics: a mutated
-/// record counts once as removed and once as added).
+/// One source the build would read differently: its records are not the
+/// prior's, element by element and in order.
 #[derive(Clone, Debug)]
 pub struct SourceDiff {
     pub source: &'static str,
-    pub added: usize,
-    pub removed: usize,
     /// The earliest pipeline stage this source feeds.
     pub stage: Stage,
+    /// Records in the prior's copy of the source.
+    pub old_len: usize,
+    /// Records in the replacement; equal to `old_len` when the source was
+    /// edited in place or came back rearranged.
+    pub new_len: usize,
 }
 
 /// A typed diff between the snapshot set an [`crate::Igdb`] was built from
 /// and a candidate replacement.
 #[derive(Clone, Debug, Default)]
 pub struct SnapshotDelta {
-    /// Sources whose record multisets differ, in pipeline-stage order.
+    /// Sources whose record sequences differ, in pipeline-stage order.
     pub sources: Vec<SourceDiff>,
     /// Earliest dirty stage; `None` means the sets are identical and the
     /// whole table prefix can be copied.
@@ -270,14 +283,15 @@ impl SnapshotDelta {
         self.first_dirty.is_none() && !self.date_changed
     }
 
-    /// Total records added across sources.
-    pub fn records_added(&self) -> usize {
-        self.sources.iter().map(|s| s.added).sum()
-    }
-
-    /// Total records removed across sources.
-    pub fn records_removed(&self) -> usize {
-        self.sources.iter().map(|s| s.removed).sum()
+    /// The changed sources with their record counts, for operator output:
+    /// `"atlas_nodes 5012→5009, atlas_links 9100→9094"`.
+    pub fn summary(&self) -> String {
+        let parts: Vec<String> = self
+            .sources
+            .iter()
+            .map(|s| format!("{} {}→{}", s.source, s.old_len, s.new_len))
+            .collect();
+        parts.join(", ")
     }
 
     /// Whether an apply takes `stage` from the prior world — tables copied,
@@ -295,69 +309,18 @@ impl SnapshotDelta {
     }
 }
 
-/// Streams a record's `Debug` rendering into two independently seeded
-/// hashers without materializing the string — the diff below runs on every
-/// apply, and allocating ~10⁵ debug strings (traceroute records carry
-/// whole hop vectors) dominated its cost.
-struct HashFmt<'a>(
-    &'a mut std::collections::hash_map::DefaultHasher,
-    &'a mut std::collections::hash_map::DefaultHasher,
-);
-
-impl std::fmt::Write for HashFmt<'_> {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        use std::hash::Hasher as _;
-        self.0.write(s.as_bytes());
-        self.1.write(s.as_bytes());
-        Ok(())
-    }
-}
-
-/// A 128-bit fingerprint of one record's `Debug` rendering. `DefaultHasher`
-/// is deterministic (fixed-key SipHash), and the second lane starts from a
-/// distinct seed byte, so a collision needs both independent 64-bit lanes
-/// to collide at once — far below any practical concern for feed-sized
-/// multisets.
-fn record_key<T: std::fmt::Debug>(r: &T) -> (u64, u64) {
-    use std::fmt::Write as _;
-    use std::hash::Hasher as _;
-    let mut a = std::collections::hash_map::DefaultHasher::new();
-    let mut b = std::collections::hash_map::DefaultHasher::new();
-    b.write_u8(0xD1);
-    write!(HashFmt(&mut a, &mut b), "{r:?}").expect("hashing never fails");
-    (a.finish(), b.finish())
-}
-
-/// Multiset diff of one source via its records' `Debug` rendering (every
-/// source record type derives `Debug` with full field coverage, so equal
-/// renderings mean equal records). A small delta leaves most sources
-/// untouched, and the common case is untouched *in order* — caught by the
-/// plain slice equality below for the price of a field-by-field scan,
-/// skipping the per-record `Debug` hashing that dominates diff cost.
-fn diff_source<T: std::fmt::Debug + PartialEq>(
-    source: &SourceUse,
-    old: &[T],
-    new: &[T],
-    out: &mut Vec<SourceDiff>,
-) {
-    if old == new {
-        return;
-    }
-    let mut counts: BTreeMap<(u64, u64), i64> = BTreeMap::new();
-    for r in old {
-        *counts.entry(record_key(r)).or_default() -= 1;
-    }
-    for r in new {
-        *counts.entry(record_key(r)).or_default() += 1;
-    }
-    let added: i64 = counts.values().filter(|&&c| c > 0).sum();
-    let removed: i64 = -counts.values().filter(|&&c| c < 0).sum::<i64>();
-    if added > 0 || removed > 0 {
+/// A source changed when the build would read it differently. Every stage
+/// consumes its source as an ordered slice and inserts rows in that order,
+/// so the comparison is ordered too: a source that comes back rearranged
+/// has changed, and a stage is shared only when each source it reads is
+/// equal record for record.
+fn diff_source<T: PartialEq>(source: &SourceUse, old: &[T], new: &[T], out: &mut Vec<SourceDiff>) {
+    if old != new {
         out.push(SourceDiff {
             source: source.name,
-            added: added as usize,
-            removed: removed as usize,
             stage: source.first,
+            old_len: old.len(),
+            new_len: new.len(),
         });
     }
 }
@@ -475,11 +438,29 @@ mod tests {
             owned.release_consumed(stage);
         }
         let d = diff_snapshots(&snaps, &owned.into_snapshot_set());
-        assert_eq!(
-            (d.records_added(), d.records_removed()),
-            (0, records),
-            "a source outlived its last consumer"
-        );
+        assert!(d.sources.iter().all(|s| s.new_len == 0), "a source outlived its last consumer");
+        assert_eq!(d.sources.iter().map(|s| s.old_len).sum::<usize>(), records);
+    }
+
+    /// A source that comes back rearranged is a changed source: the stage
+    /// that reads it first would insert its rows in another order.
+    #[test]
+    fn reordered_source_dirties_exactly_its_first_stage() {
+        let snaps = base();
+        let mut reordered = 0;
+        for u in SOURCE_USES {
+            let mut new = snaps.clone();
+            if !reverse_source(&mut new, u.name) {
+                continue;
+            }
+            reordered += 1;
+            let d = diff_snapshots(&snaps, &new);
+            let named: Vec<&str> = d.sources.iter().map(|s| s.source).collect();
+            assert_eq!(named, [u.name]);
+            assert_eq!(d.sources[0].old_len, d.sources[0].new_len, "{}", u.name);
+            assert_eq!(d.first_dirty, Some(u.first), "{}", u.name);
+        }
+        assert!(reordered > SOURCE_USES.len() / 2, "the tiny world left most sources trivial");
     }
 
     #[test]

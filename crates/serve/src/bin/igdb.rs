@@ -532,9 +532,8 @@ fn cmd_delta(args: &[String]) -> Result<(), CliError> {
         base.apply_delta(&churned, &BuildPolicy::lenient())?
     };
     eprintln!(
-        "applied: +{} −{} records, first dirty stage {:?}, {} rows",
-        delta.records_added(),
-        delta.records_removed(),
+        "applied: {}; first dirty stage {:?}, {} rows",
+        delta.summary(),
         delta.first_dirty,
         next.db
             .table_names()
@@ -675,10 +674,9 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
                         Ok((next, _, delta)) => {
                             let n = epochs.publish(next);
                             eprintln!(
-                                "epoch {n}: applied {class:?} ({} ops, +{} −{} records)",
+                                "epoch {n}: applied {class:?} ({} ops: {})",
                                 ops.len(),
-                                delta.records_added(),
-                                delta.records_removed()
+                                delta.summary()
                             );
                         }
                         Err(e) => eprintln!("churn apply failed (epoch kept): {e}"),

@@ -3,7 +3,8 @@
 //! rebuilding from scratch with [`Igdb::try_build`] on the same inputs —
 //! database fingerprint (every row, float bit patterns, index contents),
 //! quarantine and per-source health, and the deterministic counter
-//! stream — for every generated delta class.
+//! stream — for every replacement set: each generated delta class, and
+//! the same records handed back in another order.
 //!
 //! Also covered here: epoch-versioned reads (a reader pinned on one
 //! epoch never observes a mixture of two worlds), and the golden
@@ -149,22 +150,103 @@ fn composite_delta_is_worker_count_invariant() {
 // Apply ≡ rebuild when the prior is itself an applied or extended world
 // ---------------------------------------------------------------------------
 
-/// Feed → traceroute → road, each applied onto the previous apply's
-/// output: a stage shared twice replays a ledger entry that was itself
-/// replayed, and every epoch must still equal a fresh build.
+/// Feed → reorder → traceroute → road, each applied onto the previous
+/// apply's output: a stage shared twice replays a ledger entry that was
+/// itself replayed, and every epoch must still equal a fresh build. The
+/// reorder step (`None`) hands two sources back rearranged, so the
+/// traceroute step after it shares `Physical` and `Probes` from a prior
+/// that was itself a reordered epoch.
 #[test]
 fn chained_applies_stay_byte_identical_to_rebuild() {
     let feed = [DeltaClass::AtlasChurn, DeltaClass::FacilityChurn, DeltaClass::LogicalChurn];
-    let chain: [&[DeltaClass]; 3] =
-        [&feed, &[DeltaClass::TracerouteChurn], &[DeltaClass::RoadChurn]];
+    let chain: [Option<&[DeltaClass]>; 4] =
+        [Some(&feed), None, Some(&[DeltaClass::TracerouteChurn]), Some(&[DeltaClass::RoadChurn])];
     let (mut cur, _) = Igdb::try_build(&base_snaps(), &BuildPolicy::lenient()).unwrap();
     for (epoch, classes) in chain.into_iter().enumerate() {
-        let (next, ops) = generate_delta(cur.source_snapshots(), 41 + epoch as u64, classes);
-        assert!(!ops.is_empty(), "epoch {epoch} generated no ops");
+        let next = match classes {
+            Some(classes) => {
+                let (next, ops) =
+                    generate_delta(cur.source_snapshots(), 41 + epoch as u64, classes);
+                assert!(!ops.is_empty(), "epoch {epoch} generated no ops");
+                next
+            }
+            None => {
+                let mut next = cur.source_snapshots().clone();
+                next.atlas_nodes.reverse();
+                next.ripe_anchors.rotate_left(1);
+                next
+            }
+        };
         let (igdb, apply, delta) = apply_onto(&cur, &next);
         assert!(!delta.is_empty(), "epoch {epoch} diffed empty");
         assert_identical(&apply, &rebuild_capture(&next), &format!("epoch {epoch} {classes:?}"));
         cur = igdb;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Apply ≡ rebuild when a source comes back in another order
+// ---------------------------------------------------------------------------
+
+/// Three ways a re-pulled dump hands back the same records rearranged.
+#[derive(Clone, Copy, Debug)]
+enum Reorder {
+    Reverse,
+    SwapEnds,
+    RotateByOne,
+}
+
+impl Reorder {
+    fn apply<T>(self, records: &mut [T]) {
+        match self {
+            Reorder::Reverse => records.reverse(),
+            Reorder::SwapEnds => records.swap(0, records.len() - 1),
+            Reorder::RotateByOne => records.rotate_left(1),
+        }
+    }
+}
+
+/// Every stage consumes its source as an ordered slice and inserts rows in
+/// that order, so a rearranged source is a changed one: it must dirty the
+/// stage that reads it first, and the applied world must be the rebuilt
+/// one.
+#[test]
+fn reordered_source_applies_byte_identical_to_rebuild() {
+    macro_rules! reorderable {
+        ($($source:ident: $first:ident,)*) => {
+            [$((
+                stringify!($source),
+                Stage::$first,
+                (|set, how| how.apply(&mut set.$source)) as fn(&mut SnapshotSet, Reorder),
+            )),*]
+        };
+    }
+    let sources = reorderable! {
+        roads: Roads,
+        atlas_nodes: Physical,
+        atlas_links: Physical,
+        pdb_facilities: Physical,
+        telegeo: Telegeo,
+        asrank_links: Logical,
+        pdb_networks: Logical,
+        pdb_netix: AsnLoc,
+        ripe_anchors: Probes,
+        ripe_traceroutes: Traceroutes,
+        rdns: IpResolution,
+        bgp_prefixes: IpResolution,
+    };
+    let base = base_snaps();
+    let (prior, _) = Igdb::try_build(&base, &BuildPolicy::lenient()).expect("base builds");
+    for (source, first, reorder) in sources {
+        for how in [Reorder::Reverse, Reorder::SwapEnds, Reorder::RotateByOne] {
+            let mut next = base.clone();
+            reorder(&mut next, how);
+            let (_, apply, delta) = apply_onto(&prior, &next);
+            let ctx = format!("{source} {how:?}");
+            assert!(!delta.is_empty(), "{ctx}: diffed empty");
+            assert_eq!(delta.first_dirty, Some(first), "{ctx}");
+            assert_identical(&apply, &rebuild_capture(&next), &ctx);
+        }
     }
 }
 
