@@ -93,9 +93,9 @@ pub struct Igdb {
     /// Shared: reusing the road graph keeps its memoized corridors warm
     /// across a delta apply, so unchanged atlas links never re-route.
     pub roads: Arc<RoadGraph>,
-    /// Shared: a delta apply whose IP-resolution inputs are untouched
-    /// (see [`SnapshotDelta::ip_inputs_clean`]) reuses the trained border
-    /// map by reference instead of re-refining it.
+    /// Shared: a delta apply that shares IP resolution (see
+    /// [`SnapshotDelta::shares`]) reuses the trained border map by
+    /// reference instead of re-refining it.
     pub bdrmap: Arc<BdrMap>,
     /// Shared on the same condition as `bdrmap`.
     pub hoiho: Arc<HoihoEngine>,
@@ -129,14 +129,14 @@ pub struct Igdb {
     rows_added_since_build: bool,
 }
 
-/// Releases every table's cell-arena growth slack. Runs at each stage
-/// boundary so a finished table's doubling headroom is returned before
-/// later stages stack their own working set on top — the build's peak
-/// RSS then tracks real rows, not growth history. Tables still growing
-/// pay at most one extra copy per stage.
-fn compact_tables(db: &Database) {
-    for table in db.table_names() {
-        let _ = db.with_table_mut(&table, |t| t.shrink_to_fit());
+/// Releases the cell-arena growth slack of the tables a stage that ran
+/// just wrote, so their doubling headroom is returned before later stages
+/// stack their own working set on top — the build's peak RSS then tracks
+/// real rows, not growth history. A shared stage's tables are already
+/// tight (and writing to one would copy it out of the prior world).
+fn compact_tables(db: &Database, names: &[&str]) {
+    for name in names {
+        db.with_table_mut(name, |t| t.shrink_to_fit()).expect("table exists");
     }
     // Also hand the stage's freed scratch back to the OS, so the next
     // stage's working set doesn't stack on retained-but-dead pages.
@@ -277,7 +277,7 @@ impl Labels {
 /// stages hand to later stages, or to the finished [`Igdb`], beyond what
 /// their tables carry. Each stage contributes a `run_*` body (it is dirty,
 /// or there is no prior) and, where it owns a side product, an arm of
-/// [`Pipeline::share`] (its tables were copied from the prior).
+/// [`Pipeline::share`] (its tables are the prior's, shared).
 #[derive(Default)]
 struct Pipeline {
     date: String,
@@ -332,7 +332,7 @@ impl Pipeline {
     }
 
     /// Takes from `world` what `stage` leaves for later stages beyond its
-    /// tables (the driver has copied those and replayed the ledger). Must
+    /// tables (the stage driver has shared those and replayed the ledger). Must
     /// not tick deterministic counters: the replay already accounts the
     /// originals, so recomputed products stay pure.
     fn share(&mut self, stage: Stage, world: &Igdb, snaps: &CleanSnapshots<'_>) {
@@ -341,7 +341,7 @@ impl Pipeline {
             // Reusing the road graph keeps its memoized corridors warm.
             Stage::Roads => self.roads = Some(Arc::clone(&world.roads)),
             // The facility→metro join is pure (exact nearest-site
-            // queries), so recomputing it cannot diverge from the copied
+            // queries), so recomputing it cannot diverge from the shared
             // rows.
             Stage::Physical => {
                 let metros = made(&self.metros);
@@ -984,7 +984,9 @@ impl Pipeline {
     }
 
     /// Indexes the hot keys, emits the row totals, and assembles the world
-    /// around `snapshots` (the baseline, empty when none was kept).
+    /// around `snapshots` (the baseline, empty when none was kept). A
+    /// table shared from the prior already carries its index, built over
+    /// the same rows.
     fn finish(
         self,
         snapshots: SnapshotSet,
@@ -1001,9 +1003,11 @@ impl Pipeline {
                 ("phys_nodes", "metro_id"),
                 ("ip_asn_dns", "ip"),
             ] {
-                db.with_table_mut(table, |t| t.create_index(col))
-                    .expect("table exists")
-                    .expect("column exists");
+                if !db.with_table(table, |t| t.has_index(col)).expect("table exists") {
+                    db.with_table_mut(table, |t| t.create_index(col))
+                        .expect("table exists")
+                        .expect("column exists");
+                }
             }
         }
 
@@ -1043,14 +1047,6 @@ impl Pipeline {
 fn replay_stage(ledger: &[Vec<(String, String, u64)>], stage: Stage) {
     for (name, label, v) in &ledger[stage as usize] {
         igdb_obs::counter(name.clone(), label.clone(), *v);
-    }
-}
-
-/// Copies `names` verbatim from `src` into `dst`.
-fn copy_tables(dst: &Database, src: &Database, names: &[&str]) {
-    for name in names {
-        let table = src.with_table(name, |t| t.clone()).expect("table exists");
-        dst.replace_table(name, table);
     }
 }
 
@@ -1183,13 +1179,14 @@ impl Igdb {
     /// One pass of the stage driver — every build is this function. For each
     /// stage in [`Stage::ALL`] order it writes the per-stage protocol once:
     /// open the `build.<stage>` span; if an apply's diff proves the stage
-    /// shared ([`SnapshotDelta::shares`]) copy its tables from the prior
-    /// world, replay its recorded counter deltas and take over its side
-    /// products ([`Pipeline::share`]), otherwise run it ([`Pipeline::run`]
-    /// — the only case when `prior` is `None`, a full build); close the
-    /// span; unless the world keeps its baseline, let go of the sources
-    /// whose last consumer this stage was; compact the tables it wrote
-    /// (which also returns what was just freed); cut the counter ledger.
+    /// shared ([`SnapshotDelta::shares`]) take its tables from the prior
+    /// world by reference, replay its recorded counter deltas and take
+    /// over its side products ([`Pipeline::share`]), otherwise run it
+    /// ([`Pipeline::run`] — the only case when `prior` is `None`, a full
+    /// build); close the span; unless the world keeps its baseline, let go
+    /// of the sources whose last consumer this stage was; if it ran,
+    /// compact the tables it wrote (which also returns what was just
+    /// freed); cut the counter ledger.
     ///
     /// Shared or re-run, a stage ends with the same rows, the same side
     /// products and the same counter ticks, so the result is byte-identical
@@ -1204,9 +1201,12 @@ impl Igdb {
         let mut pipeline = Pipeline::new(&snaps.as_of_date);
         for stage in Stage::ALL {
             let span = igdb_obs::span(format!("build.{}", stage.name()));
-            match prior.filter(|(_, delta)| delta.shares(stage)) {
+            let shared_from = prior.filter(|(_, delta)| delta.shares(stage));
+            match shared_from {
                 Some((world, _)) => {
-                    copy_tables(&pipeline.db, &world.db, stage.tables());
+                    for name in stage.tables() {
+                        pipeline.db.share_table_from(&world.db, name).expect("table exists");
+                    }
                     replay_stage(&world.stage_ledger, stage);
                     pipeline.share(stage, world, &snaps);
                 }
@@ -1216,8 +1216,8 @@ impl Igdb {
             if baseline == Baseline::Drop {
                 snaps.release_consumed(stage);
             }
-            if !stage.tables().is_empty() {
-                compact_tables(&pipeline.db);
+            if shared_from.is_none() && !stage.tables().is_empty() {
+                compact_tables(&pipeline.db, stage.tables());
             }
             rec.cut();
         }
@@ -1229,7 +1229,7 @@ impl Igdb {
         &self.snapshots
     }
 
-    /// Whether [`Igdb::apply_delta`] may copy stages from this world: its
+    /// Whether [`Igdb::apply_delta`] may share stages from this world: its
     /// tables are exactly what the stage driver wrote from the baseline it
     /// kept. False for a [`Igdb::try_build_scratch`] world, which let every
     /// source go as it built (the metro catalogue is a required source, so
@@ -1249,7 +1249,8 @@ impl Igdb {
     /// Applies a replacement snapshot set incrementally: validate it in
     /// full (quarantine and ingestion accounting are identical to a
     /// rebuild's), diff it against the set this world was built from,
-    /// copy the clean stage prefix verbatim, re-run the dirty suffix, and
+    /// re-run the stages the changed sources reach, share every other
+    /// stage's tables by reference, and
     /// carry the lazily built physical-path graph forward — if the prior
     /// world had built it, the new one is built here with the memoized
     /// corridors the change left canonical (see
@@ -1260,7 +1261,7 @@ impl Igdb {
     /// — database fingerprint, quarantine, and deterministic counter
     /// stream.
     ///
-    /// A prior that cannot be copied from (see `mirrors_baseline`) makes
+    /// A prior that cannot be shared from (see `mirrors_baseline`) makes
     /// this a full rebuild — the same bytes by that contract.
     pub fn apply_delta(
         &self,
@@ -1355,7 +1356,9 @@ impl Igdb {
     /// by belief propagation, tagged `inferred = true` so users can discard
     /// it ("We clearly tag each inference in iGDB"). The row is not
     /// source-derived, so a later [`Igdb::apply_delta`] onto this world
-    /// rebuilds instead of copying tables that now hold it.
+    /// rebuilds instead of sharing tables that now hold it. The write
+    /// copies `asn_loc` first if another epoch shares it, so that epoch
+    /// never sees the row.
     pub fn add_inferred_location(&mut self, asn: Asn, metro: usize) {
         let m = self.metros.metro(metro);
         self.db

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 
@@ -16,8 +17,14 @@ use crate::{DbError, Result};
 /// Interior locking lets read-heavy analyses share the database while a
 /// refresh pipeline loads new snapshots, mirroring how iGDB lets users
 /// "refresh their local data as frequently as required" (paper §2).
+///
+/// Tables are held by reference count, so two databases can hold the same
+/// table ([`Database::share_table_from`]) — a refresh keeps every table
+/// its sources did not touch without copying a row. Writes are
+/// copy-on-write: a write to a table another database also holds copies
+/// the table first, so it never shows through to the other holder.
 pub struct Database {
-    tables: RwLock<BTreeMap<String, Table>>,
+    tables: RwLock<BTreeMap<String, Arc<Table>>>,
 }
 
 impl Default for Database {
@@ -39,7 +46,7 @@ impl Database {
         if tables.contains_key(name) {
             return Err(DbError::DuplicateTable(name.to_string()));
         }
-        tables.insert(name.to_string(), Table::new(schema));
+        tables.insert(name.to_string(), Arc::new(Table::new(schema)));
         Ok(())
     }
 
@@ -49,17 +56,32 @@ impl Database {
         if tables.contains_key(name) {
             return Err(DbError::DuplicateTable(name.to_string()));
         }
-        tables.insert(name.to_string(), table);
+        tables.insert(name.to_string(), Arc::new(table));
         Ok(())
     }
 
     /// Replaces a table wholesale (snapshot refresh).
     pub fn replace_table(&self, name: &str, table: Table) {
-        self.tables.write().insert(name.to_string(), table);
+        self.tables.write().insert(name.to_string(), Arc::new(table));
     }
 
-    /// Removes a table, returning it if present.
-    pub fn drop_table(&self, name: &str) -> Option<Table> {
+    /// Makes `name` here the very table `src` holds under that name,
+    /// replacing whatever this database held: no row is copied, and a
+    /// later write through either database copies the table first.
+    pub fn share_table_from(&self, src: &Database, name: &str) -> Result<()> {
+        let table = src
+            .tables
+            .read()
+            .get(name)
+            .cloned()
+            .ok_or_else(|| DbError::UnknownTable(name.to_string()))?;
+        self.tables.write().insert(name.to_string(), table);
+        Ok(())
+    }
+
+    /// Removes a table, returning it if present (still shared with any
+    /// other database that holds it).
+    pub fn drop_table(&self, name: &str) -> Option<Arc<Table>> {
         self.tables.write().remove(name)
     }
 
@@ -98,13 +120,14 @@ impl Database {
         Ok(f(t))
     }
 
-    /// Runs `f` with exclusive access to a table.
+    /// Runs `f` with exclusive access to a table, copying it first if
+    /// another database shares it.
     pub fn with_table_mut<R>(&self, name: &str, f: impl FnOnce(&mut Table) -> R) -> Result<R> {
         let mut tables = self.tables.write();
         let t = tables
             .get_mut(name)
             .ok_or_else(|| DbError::UnknownTable(name.to_string()))?;
-        Ok(f(t))
+        Ok(f(Arc::make_mut(t)))
     }
 
     /// Inserts one row into a table.
@@ -135,8 +158,10 @@ impl Database {
             }
         }
         for (name, table) in theirs.iter() {
-            ours.entry(name.clone())
-                .or_insert_with(|| Table::new(table.schema().clone()))
+            let mine = ours
+                .entry(name.clone())
+                .or_insert_with(|| Arc::new(Table::new(table.schema().clone())));
+            Arc::make_mut(mine)
                 .insert_all(table.rows().iter().map(<[crate::Value]>::to_vec))?;
         }
         Ok(())
@@ -233,6 +258,46 @@ mod tests {
         let dropped = db.drop_table("t").unwrap();
         assert_eq!(dropped.len(), 1);
         assert!(!db.has_table("t"));
+    }
+
+    #[test]
+    fn a_shared_table_is_copied_on_write() {
+        let addr = |db: &Database| db.with_table("t", |t| t as *const Table as usize).unwrap();
+        let (a, b) = (Database::new(), Database::new());
+        a.create_table("t", schema()).unwrap();
+        a.insert("t", vec![Value::Int(1), Value::text("a")]).unwrap();
+        // An unshared table is written in place.
+        let own = addr(&a);
+        a.insert("t", vec![Value::Int(2), Value::text("b")]).unwrap();
+        assert_eq!(addr(&a), own);
+
+        b.share_table_from(&a, "t").unwrap();
+        assert_eq!(addr(&b), own, "sharing copies nothing");
+        let before = a.fingerprint();
+        b.insert("t", vec![Value::Int(3), Value::text("c")]).unwrap();
+        assert_ne!(addr(&b), own);
+        assert_eq!(a.fingerprint(), before, "a write through b reached a");
+        assert_eq!(b.row_count("t").unwrap(), 3);
+
+        // The other direction, through `with_table_mut`.
+        b.share_table_from(&a, "t").unwrap();
+        a.with_table_mut("t", |t| t.create_index("asn")).unwrap().unwrap();
+        assert!(a.with_table("t", |t| t.has_index("asn")).unwrap());
+        assert!(!b.with_table("t", |t| t.has_index("asn")).unwrap());
+        assert_eq!(b.fingerprint(), before);
+
+        // Dropping one holder's table leaves the other's.
+        b.share_table_from(&a, "t").unwrap();
+        assert!(b.drop_table("t").is_some());
+        assert_eq!(a.row_count("t").unwrap(), 2);
+        assert!(matches!(
+            b.share_table_from(&a, "missing"),
+            Err(DbError::UnknownTable(_))
+        ));
+        // Sharing with itself is a no-op.
+        let own = addr(&a);
+        a.share_table_from(&a, "t").unwrap();
+        assert_eq!(addr(&a), own);
     }
 
     #[test]

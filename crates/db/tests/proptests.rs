@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use igdb_db::csv::{table_from_csv, table_to_csv};
-use igdb_db::{Aggregate, ColumnDef, ColumnType, Predicate, Query, Schema, Table, Value};
+use igdb_db::{Aggregate, ColumnDef, ColumnType, Database, Predicate, Query, Schema, Table, Value};
 
 fn arb_value_for(ty: ColumnType, nullable: bool) -> BoxedStrategy<Value> {
     let base: BoxedStrategy<Value> = match ty {
@@ -46,7 +46,77 @@ fn arb_table() -> impl Strategy<Value = Table> {
     })
 }
 
+/// One step against a pair of databases over three table names. `Share`
+/// makes database `db` take the table from the other one.
+#[derive(Clone, Debug)]
+enum Op {
+    Share { db: usize, table: usize },
+    Insert { db: usize, table: usize, k: i64 },
+    Index { db: usize, table: usize },
+    Drop { db: usize, table: usize },
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    let pick = || (0usize..2, 0usize..3);
+    prop_oneof![
+        pick().prop_map(|(db, table)| Op::Share { db, table }),
+        (pick(), any::<i64>()).prop_map(|((db, table), k)| Op::Insert { db, table, k }),
+        pick().prop_map(|(db, table)| Op::Index { db, table }),
+        pick().prop_map(|(db, table)| Op::Drop { db, table }),
+    ]
+}
+
+/// Applies `op`; `deep` shares by copying the table, the model of what
+/// sharing by reference must be indistinguishable from.
+fn step(dbs: &[Database; 2], op: &Op, deep: bool) -> bool {
+    let name = |table: usize| format!("t{table}");
+    match *op {
+        Op::Share { db, table } => {
+            let (to, from) = (&dbs[db], &dbs[1 - db]);
+            if deep {
+                from.with_table(&name(table), Table::clone)
+                    .map(|t| to.replace_table(&name(table), t))
+                    .is_ok()
+            } else {
+                to.share_table_from(from, &name(table)).is_ok()
+            }
+        }
+        Op::Insert { db, table, k } => dbs[db]
+            .insert(&name(table), vec![Value::Int(k), Value::text(format!("r{k}"))])
+            .is_ok(),
+        Op::Index { db, table } => dbs[db]
+            .with_table_mut(&name(table), |t| t.create_index("k"))
+            .is_ok(),
+        Op::Drop { db, table } => dbs[db].drop_table(&name(table)).is_some(),
+    }
+}
+
 proptest! {
+    /// Tables shared by reference behave as deep copies: whatever is
+    /// inserted, indexed or dropped through either database, each one
+    /// fingerprints as the model does.
+    #[test]
+    fn shared_tables_behave_as_copies(ops in proptest::collection::vec(arb_op(), 1..40)) {
+        let schema = Schema::new(vec![
+            ColumnDef::new("k", ColumnType::Int),
+            ColumnDef::new("t", ColumnType::Text),
+        ]);
+        let fresh = || {
+            let db = Database::new();
+            for table in 0..3 {
+                db.create_table(&format!("t{table}"), schema.clone()).unwrap();
+            }
+            db
+        };
+        let (real, model) = ([fresh(), fresh()], [fresh(), fresh()]);
+        for op in &ops {
+            prop_assert_eq!(step(&real, op, false), step(&model, op, true), "{:?}", op);
+            for db in 0..2 {
+                prop_assert_eq!(real[db].fingerprint(), model[db].fingerprint(), "{:?}", op);
+            }
+        }
+    }
+
     #[test]
     fn csv_roundtrip_preserves_rows(t in arb_table()) {
         let text = table_to_csv(&t);

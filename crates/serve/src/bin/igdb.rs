@@ -532,9 +532,8 @@ fn cmd_delta(args: &[String]) -> Result<(), CliError> {
         base.apply_delta(&churned, &BuildPolicy::lenient())?
     };
     eprintln!(
-        "applied: {}; first dirty stage {:?}, {} rows",
+        "applied: {}; {} rows",
         delta.summary(),
-        delta.first_dirty,
         next.db
             .table_names()
             .iter()

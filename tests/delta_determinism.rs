@@ -3,8 +3,9 @@
 //! rebuilding from scratch with [`Igdb::try_build`] on the same inputs —
 //! database fingerprint (every row, float bit patterns, index contents),
 //! quarantine and per-source health, and the deterministic counter
-//! stream — for every replacement set: each generated delta class, and
-//! the same records handed back in another order.
+//! stream — for every replacement set: each generated delta class, the
+//! same records handed back in another order, and an in-place edit along
+//! every edge by which a source reaches a stage after its first reader.
 //!
 //! Also covered here: epoch-versioned reads (a reader pinned on one
 //! epoch never observes a mixture of two worlds), and the golden
@@ -80,17 +81,22 @@ fn apply_capture(base: &SnapshotSet, next: &SnapshotSet) -> (Capture, SnapshotDe
 }
 
 /// Rebuilds `next` from scratch under an isolated registry.
-fn rebuild_capture(next: &SnapshotSet) -> Capture {
+fn rebuild(next: &SnapshotSet) -> (Igdb, Capture) {
     let reg = Registry::new();
     let (igdb, report) = {
         let _g = reg.install();
         Igdb::try_build(next, &BuildPolicy::lenient()).expect("rebuild builds")
     };
-    Capture {
+    let capture = Capture {
         fingerprint: igdb.db.fingerprint(),
         report,
         counters: reg.counter_snapshot(),
-    }
+    };
+    (igdb, capture)
+}
+
+fn rebuild_capture(next: &SnapshotSet) -> Capture {
+    rebuild(next).1
 }
 
 fn assert_identical(apply: &Capture, rebuild: &Capture, ctx: &str) {
@@ -247,6 +253,138 @@ fn reordered_source_applies_byte_identical_to_rebuild() {
             assert_eq!(delta.first_dirty, Some(first), "{ctx}");
             assert_identical(&apply, &rebuild_capture(&next), &ctx);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Apply ≡ rebuild along every cross-stage edge of the source→stage map
+// ---------------------------------------------------------------------------
+
+/// What a stage's output is read off: a table it writes, or — for
+/// `Roads`, which writes none — the node count of its road graph.
+#[derive(Clone, Copy, Debug)]
+enum Output {
+    Table(&'static str),
+    RoadNodes,
+}
+
+impl Output {
+    fn read(self, igdb: &Igdb) -> String {
+        match self {
+            Output::Table(name) => igdb
+                .db
+                .with_table(name, |t| {
+                    let mut out = String::new();
+                    t.fingerprint_into(&mut out);
+                    out
+                })
+                .expect("table exists"),
+            Output::RoadNodes => igdb.roads.engine().node_count().to_string(),
+        }
+    }
+}
+
+/// Moves one field of every record to the next record, in place.
+fn rotate<T, F: Clone>(records: &mut [T], field: impl Fn(&mut T) -> &mut F) {
+    let values: Vec<F> = records.iter_mut().map(|r| field(r).clone()).collect();
+    for (r, v) in records.iter_mut().zip(values.iter().cycle().skip(1)) {
+        *field(r) = v.clone();
+    }
+}
+
+fn rename_metros(s: &mut SnapshotSet) {
+    for p in &mut s.natural_earth {
+        p.name.push_str(" Heights");
+    }
+}
+
+/// A stage's output can depend on a source an earlier stage reads first:
+/// through a side product of that stage (the metro registry, the road
+/// graph, the facility→metro map, the network→ASN map, the label resolver,
+/// the IXP maps), or by reading it too. Each case edits one source in place
+/// so that such a stage's output changes — where the stage reads no other
+/// changed source — and an edge missing from the `sources!` table would
+/// make the apply share the stage and keep the prior's rows.
+#[test]
+fn cross_stage_edges_apply_byte_identical_to_rebuild() {
+    type Edit = fn(&mut SnapshotSet);
+    let cases: [(&str, Stage, Edit, Output); 17] = [
+        ("natural_earth", Stage::Roads, |s| {
+            // A metro no road reaches still widens the graph.
+            let mut p = s.natural_earth[0].clone();
+            p.name = "Edgeville".into();
+            p.loc = igdb_geo::GeoPoint::new(p.loc.lon + 2.5, p.loc.lat - 1.5);
+            s.natural_earth.push(p);
+        }, Output::RoadNodes),
+        ("natural_earth", Stage::CityTables, |s| {
+            for p in &mut s.natural_earth {
+                p.population += 1;
+            }
+        }, Output::Table("city_points")),
+        ("natural_earth", Stage::Physical, rename_metros, Output::Table("phys_nodes")),
+        ("natural_earth", Stage::Telegeo, rename_metros, Output::Table("land_points")),
+        ("natural_earth", Stage::Logical, rename_metros, Output::Table("ixp_prefixes")),
+        ("natural_earth", Stage::AsnLoc, rename_metros, Output::Table("asn_loc")),
+        ("natural_earth", Stage::Probes, rename_metros, Output::Table("probes")),
+        ("natural_earth", Stage::IpResolution, rename_metros, Output::Table("ip_asn_dns")),
+        ("roads", Stage::Physical, |s| {
+            for r in &mut s.roads {
+                r.length_km *= 1.01;
+            }
+        }, Output::Table("phys_conn")),
+        ("pdb_facilities", Stage::AsnLoc, |s| rotate(&mut s.pdb_facilities, |f| &mut f.loc),
+            Output::Table("asn_loc")),
+        ("pdb_networks", Stage::AsnLoc, |s| rotate(&mut s.pdb_networks, |n| &mut n.asn),
+            Output::Table("asn_loc")),
+        ("pdb_ix", Stage::AsnLoc, |s| rotate(&mut s.pdb_ix, |ix| &mut ix.city_label),
+            Output::Table("asn_loc")),
+        ("pdb_ix", Stage::IpResolution, |s| rotate(&mut s.pdb_ix, |ix| &mut ix.city_label),
+            Output::Table("ip_asn_dns")),
+        ("pch_ixps", Stage::AsnLoc, |s| rotate(&mut s.pch_ixps, |x| &mut x.city_label),
+            Output::Table("asn_loc")),
+        ("geo_codes", Stage::AsnLoc, |s| rotate(&mut s.geo_codes, |c| &mut c.1),
+            Output::Table("asn_loc")),
+        ("geo_codes", Stage::IpResolution, |s| rotate(&mut s.geo_codes, |c| &mut c.1),
+            Output::Table("ip_asn_dns")),
+        ("ripe_traceroutes", Stage::IpResolution, |s| {
+            for t in &mut s.ripe_traceroutes {
+                t.hops.truncate(t.hops.len() / 2);
+            }
+        }, Output::Table("ip_asn_dns")),
+    ];
+    let base = base_snaps();
+    let (prior, _) = Igdb::try_build(&base, &BuildPolicy::lenient()).expect("base builds");
+    for (source, stage, edit, output) in cases {
+        let ctx = format!("{source} → {stage:?}");
+        let mut next = base.clone();
+        edit(&mut next);
+        let (applied, apply, delta) = apply_onto(&prior, &next);
+        let named: Vec<&str> = delta.sources.iter().map(|s| s.source).collect();
+        assert_eq!(named, [source], "{ctx}: the edit touched another source");
+        let (rebuilt, rebuild) = rebuild(&next);
+        assert_identical(&apply, &rebuild, &ctx);
+        assert_eq!(output.read(&applied), output.read(&rebuilt), "{ctx}");
+        assert_ne!(output.read(&applied), output.read(&prior), "{ctx}: the edit left {output:?} as it was");
+    }
+}
+
+/// An apply shares the untouched stages' tables with the prior by
+/// reference. A §4.4 row added to either world afterwards copies `asn_loc`
+/// first, so the other world's bytes do not move.
+#[test]
+fn inferred_row_on_either_world_leaves_the_other_untouched() {
+    let base = base_snaps();
+    let (next, _) = generate_delta(&base, 3, &[DeltaClass::TracerouteChurn]);
+    for write_prior in [true, false] {
+        let (mut prior, _) = Igdb::try_build(&base, &BuildPolicy::lenient()).unwrap();
+        let (mut applied, _, delta) = prior.apply_delta(&next, &BuildPolicy::lenient()).unwrap();
+        assert!(delta.shares(Stage::AsnLoc));
+        let (writer, reader) =
+            if write_prior { (&mut prior, &applied) } else { (&mut applied, &prior) };
+        let (before, rows) = (reader.db.fingerprint(), writer.db.row_count("asn_loc").unwrap());
+        writer.add_inferred_location(igdb_net::Asn(64_512), 0);
+        assert_eq!(writer.db.row_count("asn_loc").unwrap(), rows + 1);
+        assert!(reader.db.fingerprint() == before, "write_prior {write_prior}: the row leaked");
     }
 }
 
