@@ -13,7 +13,7 @@
 //! the count of new `(city, AS)` tuples pushed into `asn_loc`, and the
 //! consistency check against Hoiho/IXP locations.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use igdb_net::{Asn, Ip4};
 
@@ -330,6 +330,8 @@ pub fn propagate(igdb: &Igdb, params: &BeliefPropParams) -> BeliefPropReport {
         .iter()
         .filter(|&&a| igdb.metros_of_asn(a).is_empty())
         .count();
+    igdb_obs::counter("beliefprop.assignments", "", assignments.len() as u64);
+    igdb_obs::counter("beliefprop.new_tuples", "", new_tuples.len() as u64);
     BeliefPropReport {
         located_per_round,
         assignments,
@@ -427,6 +429,7 @@ pub fn consistency_check(igdb: &Igdb, params: &BeliefPropParams) -> ConsistencyR
             agreeing += 1;
         }
     }
+    igdb_obs::counter("beliefprop.comparable", "", comparable as u64);
     ConsistencyReport {
         comparable,
         agreeing,
@@ -435,11 +438,13 @@ pub fn consistency_check(igdb: &Igdb, params: &BeliefPropParams) -> ConsistencyR
 
 /// Table 3 — metros an AS provably operates in (via rDNS geohints) that are
 /// missing from its declared `asn_loc` footprint. Returns
-/// `(metro, example hostname)` pairs.
+/// `(metro, example hostname)` pairs in metro order; the example is the
+/// metro's lexicographically first hostname, so it does not depend on the
+/// order `ip_info` iterates in.
 pub fn missing_locations(igdb: &Igdb, asn: Asn) -> Vec<(usize, String)> {
     let declared: BTreeSet<usize> = igdb.metros_of_asn(asn).into_iter().collect();
-    let mut found: HashMap<usize, String> = HashMap::new();
-    for (ip, info) in &igdb.ip_info {
+    let mut found: BTreeMap<usize, &str> = BTreeMap::new();
+    for info in igdb.ip_info.values() {
         if info.asn != Some(asn) || info.geo_source != Some(LocationSource::Hoiho) {
             continue;
         }
@@ -447,13 +452,11 @@ pub fn missing_locations(igdb: &Igdb, asn: Asn) -> Vec<(usize, String)> {
             continue;
         };
         if !declared.contains(&metro) {
-            found.entry(metro).or_insert_with(|| fqdn.as_str().to_owned());
+            let example = found.entry(metro).or_insert(fqdn.as_str());
+            *example = (*example).min(fqdn.as_str());
         }
-        let _ = ip;
     }
-    let mut v: Vec<(usize, String)> = found.into_iter().collect();
-    v.sort_by_key(|&(m, _)| m);
-    v
+    found.into_iter().map(|(m, host)| (m, host.to_owned())).collect()
 }
 
 #[cfg(test)]
@@ -568,6 +571,16 @@ mod tests {
         for (metro, host) in &missing {
             assert!(!igdb.metros_of_asn(world.scenarios.globetrans).contains(metro));
             assert!(host.contains("globetrans"), "{host}");
+            // The example is the metro's first hostname, whatever order
+            // `ip_info` iterates in.
+            let first = igdb
+                .ip_info
+                .values()
+                .filter(|i| i.asn == Some(world.scenarios.globetrans) && i.metro == Some(*metro))
+                .filter(|i| i.geo_source == Some(LocationSource::Hoiho))
+                .filter_map(|i| i.fqdn.as_ref().map(|f| f.as_str()))
+                .min();
+            assert_eq!(first, Some(host.as_str()));
         }
     }
 

@@ -918,16 +918,16 @@ impl Registry {
                     let _ = writeln!(
                         out,
                         "{{\"type\":\"counter\",\"name\":\"{}\",\"label\":\"{}\",\"value\":{v}}}",
-                        esc(name),
-                        esc(label)
+                        json_escape(name),
+                        json_escape(label)
                     );
                 }
                 Metric::Perf(v) if mode == JsonMode::Full => {
                     let _ = writeln!(
                         out,
                         "{{\"type\":\"perf\",\"name\":\"{}\",\"label\":\"{}\",\"value\":{v}}}",
-                        esc(name),
-                        esc(label)
+                        json_escape(name),
+                        json_escape(label)
                     );
                 }
                 Metric::Hist(h) if mode == JsonMode::Full => {
@@ -937,8 +937,8 @@ impl Registry {
                     let _ = writeln!(
                         out,
                         "{{\"type\":\"hist\",\"name\":\"{}\",\"label\":\"{}\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":\"{}\"}}",
-                        esc(name),
-                        esc(label),
+                        json_escape(name),
+                        json_escape(label),
                         h.count,
                         h.sum,
                         if h.count == 0 { 0 } else { h.min },
@@ -969,7 +969,7 @@ impl Registry {
             let _ = writeln!(
                 out,
                 "{{\"type\":\"span\",\"name\":\"{}\",\"parent\":{parent},\"depth\":{},\"start_us\":{start},\"dur_us\":{dur}}}",
-                esc(&s.name),
+                json_escape(&s.name),
                 s.depth
             );
         }
@@ -1200,7 +1200,7 @@ impl Profile {
             let _ = writeln!(
                 out,
                 "{{\"type\":\"profile\",\"name\":\"{}\",\"calls\":{},\"total_us\":{},\"self_us\":{}}}",
-                esc(&r.name),
+                json_escape(&r.name),
                 r.calls,
                 r.total_us,
                 r.self_us
@@ -1210,7 +1210,7 @@ impl Profile {
             let _ = writeln!(
                 out,
                 "{{\"type\":\"critical_path\",\"depth\":{depth},\"name\":\"{}\",\"dur_us\":{dur}}}",
-                esc(name)
+                json_escape(name)
             );
         }
         out
@@ -1587,7 +1587,10 @@ pub fn record_peak_rss(label: impl Into<Name>) {
 // Minimal JSON helpers (our own emitted subset only)
 // ---------------------------------------------------------------------------
 
-fn esc(s: &str) -> String {
+/// Escapes `s` for a JSON string literal (quote, backslash, newline and
+/// every other control character); `Registry::from_json_lines` reads it
+/// back.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -11,7 +11,10 @@
 //! igdb query  --db ./igdb-db --table asn_loc --where asn=64174 --limit 10
 //! igdb metro  --db ./igdb-db --lon -94.58 --lat 39.1   # spatial join
 //! igdb export --db ./igdb-db --out map.geojson     # the Figure 5 layers
+//! igdb report table1 fig7 --scale medium           # the paper's evaluation
 //! ```
+
+mod report;
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -19,6 +22,7 @@ use std::process::ExitCode;
 
 use std::time::Duration;
 
+use igdb_core::analysis::beliefprop::{consistency_check, propagate, BeliefPropParams};
 use igdb_core::analysis::export::MapExport;
 use igdb_core::{BuildError, BuildPolicy, Igdb};
 use igdb_db::{Database, Predicate, Query, Value};
@@ -106,7 +110,7 @@ fn main() -> ExitCode {
     igdb_core::igdb_obs::use_mmap_for_large_allocs(128 * 1024);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first().map(String::as_str) else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
     let result = match cmd {
@@ -121,11 +125,12 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(&args[1..]),
         "loadgen" => cmd_loadgen(&args[1..]),
         "top" => cmd_top(&args[1..]),
+        "report" => cmd_report(&args[1..]),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            println!("{}", usage());
             Ok(())
         }
-        other => Err(CliError::Usage(format!("unknown command '{other}'\n{USAGE}"))),
+        other => Err(CliError::Usage(format!("unknown command '{other}'\n{}", usage()))),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -143,8 +148,11 @@ fn main() -> ExitCode {
 const USAGE: &str = "\
 usage: igdb <command> [options]
 
+A synthetic world's TIER is tiny (the default), medium, paper, large or
+planet.
+
 commands:
-  build   --out DIR [--scale tiny|medium|large|planet] [--date YYYY-MM-DD] [--mesh N]
+  build   --out DIR [--scale TIER] [--date YYYY-MM-DD] [--mesh N]
           [--policy strict|lenient] [--drop-above FRAC] [--report [FILE]]
           [--corrupt SEED] [--metrics FILE.jsonl] [--trace]
           [--counters FILE] [--fingerprint]
@@ -155,7 +163,9 @@ commands:
           spans as JSON-lines, --trace prints the span tree to stderr;
           --counters writes the deterministic counter stream and
           --fingerprint prints `fingerprint <16 hex>` of the database:
-          diff both between the parent commit's binary and a change's
+          diff both between the parent commit's binary and a change's.
+          Prints `built <rows> rows in <ms> ms, peak RSS <MB> MB (VmHWM)`
+          to stderr
   tables  --db DIR
           list relations and row counts
   metrics --in FILE.jsonl [--profile]
@@ -168,18 +178,19 @@ commands:
           never compared (timings are gated by `bench compare` over the
           benchmark's paired runs). Exits 2 with a per-metric delta table
           on divergence
-  queries --out FILE.jsonl [--scale tiny|medium|large|planet] [--date YYYY-MM-DD]
+  queries --out FILE.jsonl [--scale TIER] [--date YYYY-MM-DD]
           [--mesh N] [--deterministic]
           build a database and serve the fixed synthetic query mix (all
-          five analyses), writing serving telemetry as JSON-lines;
-          --deterministic redacts timing (the committed-baseline format)
-  delta   --out FILE.jsonl [--scale tiny|medium|large|planet] [--date YYYY-MM-DD]
+          five analyses) plus the §4.4 belief-propagation pass, writing
+          the telemetry as JSON-lines; --deterministic redacts timing
+          (the committed-baseline format)
+  delta   --out FILE.jsonl [--scale TIER] [--date YYYY-MM-DD]
           [--mesh N] [--seed N]
           build a database, derive a seeded churn delta from its sources,
           and apply it incrementally, writing the apply's deterministic
           counter/span stream as JSON-lines (the committed-baseline
           format gated by `metrics diff` in CI)
-  serve   (--listen HOST:PORT | --unix PATH) [--scale tiny|medium|large|planet]
+  serve   (--listen HOST:PORT | --unix PATH) [--scale TIER]
           [--date YYYY-MM-DD] [--mesh N] [--workers N] [--queue N]
           [--deadline-ms N] [--metrics FILE.jsonl]
           [--churn-ms N [--churn-seed N]]
@@ -203,7 +214,7 @@ commands:
           distribution and epoch.lag; --once prints one snapshot and
           exits, --counters appends the deterministic counter stream
   loadgen [--addr HOST:PORT|unix:PATH] [--requests N] [--conns N]
-          [--seed N] [--qps Q] [--deadline-ms N] [--scale tiny|medium|large|planet]
+          [--seed N] [--qps Q] [--deadline-ms N] [--scale TIER]
           [--mesh N] [--workers N] [--queue N] [--out FILE.jsonl]
           [--deterministic]
           replay a seeded query mix and report throughput and latency
@@ -212,6 +223,10 @@ commands:
           loop. Without --addr an in-process server is started and the
           merged server+client telemetry is written to --out
           (--deterministic gives the committed-baseline format)
+  report  ID... [--scale TIER] [--date YYYY-MM-DD] [--mesh N]
+          build one world and print the named reports of the paper's
+          evaluation over it, in order; ID is one of
+          {ids}
   query   --db DIR --table NAME [--where col=value ...] [--select a,b,c]
           [--limit N] [--order col[:desc]]
   metro   --db DIR --lon X --lat Y
@@ -241,14 +256,20 @@ fn flags(args: &[String], name: &str) -> Vec<String> {
     out
 }
 
+/// The usage text, listing the report ids from their dispatch table.
+fn usage() -> String {
+    USAGE.replace("{ids}", &report_ids())
+}
+
 /// Shared `--scale` parser; every subcommand accepts the same tiers.
 fn parse_scale(scale: &str) -> Result<WorldConfig, String> {
     match scale {
         "tiny" => Ok(WorldConfig::tiny()),
         "medium" => Ok(WorldConfig::medium()),
+        "paper" => Ok(WorldConfig::paper()),
         "large" => Ok(WorldConfig::large()),
         "planet" => Ok(WorldConfig::planet()),
-        other => Err(format!("unknown --scale '{other}' (tiny|medium|large|planet)")),
+        other => Err(format!("unknown --scale '{other}' (tiny|medium|paper|large|planet)")),
     }
 }
 
@@ -336,12 +357,21 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     }
     eprintln!("building database…");
     let registry = igdb_obs::Registry::new();
+    let started = std::time::Instant::now();
     let (igdb, report) = {
         let _g = registry.install();
         // Build-and-save never diffs or re-queries raw snapshots, so the
         // scratch build can hand each source back mid-pipeline.
         Igdb::try_build_scratch(snaps, &policy)?
     };
+    // The scaling row: pipeline time only, and the whole process's
+    // high-water mark (at the big tiers the world generator sets it).
+    eprintln!(
+        "built {} rows in {} ms, peak RSS {:.1} MB (VmHWM)",
+        total_rows(&igdb.db),
+        started.elapsed().as_millis(),
+        igdb_obs::peak_rss_kb().unwrap_or(0) as f64 / 1024.0
+    );
     match &report_dest {
         Some(None) => println!("{report}"),
         Some(Some(p)) => {
@@ -383,6 +413,10 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
         println!("fingerprint {:016x}", fingerprint_hash(&igdb.db.fingerprint()));
     }
     Ok(())
+}
+
+fn total_rows(db: &Database) -> usize {
+    db.table_names().iter().map(|t| db.row_count(t).unwrap_or(0)).sum()
 }
 
 /// FNV-1a 64 over the canonical database fingerprint: a short,
@@ -450,12 +484,12 @@ fn cmd_metrics_diff(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `igdb queries` — build a database at the given scale and serve the
-/// fixed synthetic query mix, writing serving telemetry as JSON-lines.
-/// The build runs *outside* the registry so the stream holds only the
-/// serving-path telemetry the metrics gate compares.
+/// fixed synthetic query mix plus the §4.4 belief-propagation pass,
+/// writing their telemetry as JSON-lines. The build runs *outside* the
+/// registry so the stream holds only the analysis telemetry the metrics
+/// gate compares.
 fn cmd_queries(args: &[String]) -> Result<(), CliError> {
     let out = PathBuf::from(require(args, "--out")?);
-    let WorldFlags { scale, config, date, mesh } = world_flags(args, 500)?;
     let mode = if args.iter().any(|a| a == "--deterministic") {
         igdb_obs::JsonMode::Deterministic
     } else {
@@ -464,25 +498,27 @@ fn cmd_queries(args: &[String]) -> Result<(), CliError> {
     use std::io::Write as _;
     let mut out_file = io_ctx(std::fs::File::create(&out), "create metrics file", &out)?;
 
-    eprintln!("generating world ({scale})…");
-    let world = World::generate(config);
-    eprintln!("emitting snapshots for {date}…");
-    let snaps = emit_snapshots(&world, &date, mesh);
-    eprintln!("building database…");
-    let igdb = Igdb::build(&snaps);
+    let (_, world, igdb) = synth_world(args)?;
     eprintln!("serving query mix…");
     let registry = igdb_obs::Registry::new();
-    let summary = {
+    let (summary, bp, cons) = {
         let _g = registry.install();
-        igdb_core::run_query_mix(&world, &igdb)
+        let summary = igdb_core::run_query_mix(&world, &igdb);
+        let params = BeliefPropParams::default();
+        (summary, propagate(&igdb, &params), consistency_check(&igdb, &params))
     };
     eprintln!(
-        "served: {} physpath reports, {} intertubes links covered, {} rocketfuel edges, {} paths at risk, {} footprint rows",
+        "served: {} physpath reports, {} intertubes links covered, {} rocketfuel edges, \
+         {} paths at risk, {} footprint rows; belief propagation {} addrs, {} tuples, \
+         consistency {:.2}",
         summary.physpath_reports,
         summary.intertubes_covered,
         summary.rocketfuel_mapped,
         summary.risk_paths,
-        summary.footprint_rows
+        summary.footprint_rows,
+        bp.assignments.len(),
+        bp.new_tuples.len(),
+        cons.agreement()
     );
     let mut doc = registry.json_lines(mode);
     if mode == igdb_obs::JsonMode::Full {
@@ -491,7 +527,7 @@ fn cmd_queries(args: &[String]) -> Result<(), CliError> {
         doc.push_str(&registry.profile().json_lines());
     }
     io_ctx(out_file.write_all(doc.as_bytes()), "write metrics file", &out)?;
-    eprintln!("wrote serving telemetry to {}", out.display());
+    eprintln!("wrote analysis telemetry to {}", out.display());
     Ok(())
 }
 
@@ -531,15 +567,7 @@ fn cmd_delta(args: &[String]) -> Result<(), CliError> {
         let _g = registry.install();
         base.apply_delta(&churned, &BuildPolicy::lenient())?
     };
-    eprintln!(
-        "applied: {}; {} rows",
-        delta.summary(),
-        next.db
-            .table_names()
-            .iter()
-            .map(|t| next.db.row_count(t).unwrap_or(0))
-            .sum::<usize>()
-    );
+    eprintln!("applied: {}; {} rows", delta.summary(), total_rows(&next.db));
     io_ctx(
         out_file.write_all(
             registry.json_lines(igdb_obs::JsonMode::Deterministic).as_bytes(),
@@ -551,16 +579,58 @@ fn cmd_delta(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Builds a synthetic-world database from the shared `--scale`,
-/// `--date`, and `--mesh` flags (the `serve`/`loadgen` ingestion path).
-fn synth_igdb(args: &[String]) -> Result<Igdb, CliError> {
+/// Builds a synthetic world and its database from the shared `--scale`,
+/// `--date` and `--mesh` flags, returning the tier name with both.
+fn synth_world(args: &[String]) -> Result<(String, World, Igdb), CliError> {
     let WorldFlags { scale, config, date, mesh } = world_flags(args, 500)?;
     eprintln!("generating world ({scale})…");
     let world = World::generate(config);
     eprintln!("emitting snapshots for {date}…");
     let snaps = emit_snapshots(&world, &date, mesh);
     eprintln!("building database…");
-    Ok(Igdb::build(&snaps))
+    let igdb = Igdb::build(&snaps);
+    Ok((scale, world, igdb))
+}
+
+/// `igdb report <id>...` — build one world and print the named reports of
+/// the paper's evaluation over it, in the order given.
+fn cmd_report(args: &[String]) -> Result<(), CliError> {
+    // Every option `report` takes has a value, so the other words are ids.
+    let mut ids = Vec::new();
+    let mut words = args.iter();
+    while let Some(word) = words.next() {
+        if word.starts_with("--") {
+            words.next();
+        } else {
+            ids.push(word);
+        }
+    }
+    let runs = ids
+        .iter()
+        .map(|&id| {
+            report::REPORTS
+                .iter()
+                .find(|(name, _)| name == id)
+                .map(|&(_, run)| run)
+                .ok_or_else(|| format!("unknown report '{id}' ({})", report_ids()))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    if runs.is_empty() {
+        return Err(format!("report wants at least one id ({})", report_ids()).into());
+    }
+    let (scale, world, igdb) = synth_world(args)?;
+    for (i, run) in runs.iter().enumerate() {
+        if i > 0 {
+            println!();
+        }
+        run(&scale, &world, &igdb);
+    }
+    Ok(())
+}
+
+/// The report ids, in dispatch order, as `table1|table2|…`.
+fn report_ids() -> String {
+    report::REPORTS.iter().map(|&(id, _)| id).collect::<Vec<_>>().join("|")
 }
 
 /// Parses the serving knobs shared by `serve` and in-process `loadgen`.
@@ -610,7 +680,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         Some(p) => Some(io_ctx(std::fs::File::create(p), "create metrics file", p)?),
         None => None,
     };
-    let igdb = synth_igdb(args)?;
+    let (_, _, igdb) = synth_world(args)?;
     let reg = igdb_obs::Registry::new();
     let server = io_ctx(
         Server::start(std::sync::Arc::new(igdb), listener, cfg, reg.clone()),
@@ -773,7 +843,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
         None => {
             // In-process mode: server + client share one registry so the
             // stream carries both sides (the metrics-gate format).
-            let igdb = synth_igdb(args)?;
+            let (_, _, igdb) = synth_world(args)?;
             let server_cfg = ServerConfig {
                 // Closed-loop baselines must never time out on their own.
                 default_deadline: Duration::from_secs(30),

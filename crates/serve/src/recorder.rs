@@ -442,7 +442,7 @@ fn render_slow_entry(rt: &RequestTrace, base: u64) -> (String, u64) {
         };
         out.push_str(&format!(
             "{{\"type\":\"span\",\"name\":\"{}\",\"parent\":{},\"depth\":{},\"start_us\":{},\"dur_us\":{}}}\n",
-            json_escape(&name),
+            igdb_obs::json_escape(&name),
             parent,
             s.depth,
             rt.start_offset_us + s.start_us,
@@ -451,19 +451,6 @@ fn render_slow_entry(rt: &RequestTrace, base: u64) -> (String, u64) {
         lines += 1;
     }
     (out, lines)
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -563,6 +550,18 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn slow_log_span_names_round_trip_through_the_parser() {
+        let name = "quote\" backslash\\ newline\n tab\t";
+        let trace = TraceContext::new(3, 9, "request");
+        trace.record(name, 0, 5);
+        let rt = RequestTrace { record: trace.finish(), ..completed(3, 9, 0) };
+        let (text, lines) = render_slow_entry(&rt, 0);
+        assert_eq!(lines, 2);
+        let parsed = igdb_obs::Registry::from_json_lines(&text).unwrap();
+        assert_eq!(parsed.spans()[1].name, name);
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl WorldConfig {
 
     /// Paper scale: 7,342 urban areas, ~102k ASNs, 511 cables. Building the
     /// logical side stays fast, but anchor meshes and full BGP collection
-    /// are sampled (see `igdb-bench`'s Table 1 report for details).
+    /// are sampled (`igdb report table1 --scale paper` prints its counts).
     pub fn paper() -> Self {
         Self {
             seed: 42,
@@ -120,8 +120,8 @@ impl WorldConfig {
     }
 
     /// The largest tier: ~40K metros, ~1.6×10⁵ ASes, ~10⁶-record sources.
-    /// Exercised locally by the `scaling_curve` bench; the memory-layout
-    /// work (interning, flat tables) exists so this fits.
+    /// Exercised locally with `igdb build --scale planet`; the
+    /// memory-layout work (interning, flat tables) exists so this fits.
     pub fn planet() -> Self {
         Self {
             seed: 42,

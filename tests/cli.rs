@@ -270,6 +270,57 @@ fn usage_documents_profile_and_diff() {
     }
 }
 
+/// Every report of the paper's evaluation over one tiny world, in one
+/// process and in the order given.
+#[test]
+fn report_runs_every_paper_report_over_one_world() {
+    let titles = [
+        ("table1", "Table 1"),
+        ("table2", "Table 2"),
+        ("table3", "Table 3"),
+        ("fig3", "Figure 3"),
+        ("fig4", "Figure 4"),
+        ("fig5", "Figure 5"),
+        ("fig6", "Figure 6"),
+        ("fig7", "Figure 7"),
+        ("fig8", "Figure 8"),
+        ("fig9", "Figures 1 & 9"),
+        ("fig10", "Figure 10"),
+        ("sec44", "Section 4.4"),
+        ("ablation", "Ablation 1: belief-propagation latency threshold"),
+    ];
+    let out = igdb()
+        .arg("report")
+        .args(titles.iter().map(|&(id, _)| id))
+        .args(["--scale", "tiny", "--mesh", "100"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    let mut from = 0;
+    for (id, title) in titles {
+        let header = format!("== {title} (scale: tiny) ==\n");
+        let at = text[from..].find(&header);
+        from += at.unwrap_or_else(|| panic!("{id}: no {header:?} in order in:\n{text}")) + header.len();
+    }
+}
+
+/// An unknown report id or tier is a usage error that lists the valid
+/// values, not a panic.
+#[test]
+fn report_refuses_unknown_ids_and_tiers() {
+    let ids = "table1|table2|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|sec44|ablation";
+    for (args, valid) in [
+        (["report", "table4", "--scale", "tiny"], ids),
+        (["report", "table1", "--scale", "huge"], "tiny|medium|paper|large|planet"),
+    ] {
+        let out = igdb().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(valid) && !err.contains("panicked"), "{args:?}:\n{err}");
+    }
+}
+
 #[test]
 fn bad_usage_fails_cleanly() {
     let out = igdb().arg("frobnicate").output().unwrap();

@@ -558,7 +558,7 @@ fn epoch_readers_see_old_or_new_never_torn() {
 // ---------------------------------------------------------------------------
 
 /// Mirrors `igdb delta --scale tiny --mesh 400 --seed 7` (keep the
-/// parameters in sync with `cmd_delta` in `crates/serve/src/bin/igdb.rs`
+/// parameters in sync with `cmd_delta` in `crates/serve/src/bin/igdb/main.rs`
 /// and the CI `delta-determinism` gate) so local `cargo test` catches
 /// drift before CI does.
 #[test]

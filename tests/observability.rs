@@ -23,6 +23,7 @@ use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
 
+use igdb_core::analysis::beliefprop::{consistency_check, propagate, BeliefPropParams};
 use igdb_core::analysis::risk::{self, Reroute};
 use igdb_core::igdb_obs::{JsonMode, Registry};
 use igdb_core::serving::gulf_hazard;
@@ -214,9 +215,10 @@ fn deterministic_json_lines_match_golden() {
 // Serving telemetry: query mix, quantiles, profile, regression gate
 // ---------------------------------------------------------------------------
 
-/// Builds a fresh database (cold corridor caches) and serves the fixed
-/// query mix, returning the serving registry. The build runs outside the
-/// registry so the stream holds serving telemetry only.
+/// Builds a fresh database (cold corridor caches) and runs what `igdb
+/// queries` runs — the fixed query mix, then the §4.4 belief-propagation
+/// pass — returning the registry. The build runs outside the registry so
+/// the stream holds analysis telemetry only.
 fn serve_mix(world: &World) -> Registry {
     let snaps = emit_snapshots(world, "2022-05-03", 100);
     let igdb = Igdb::build(&snaps);
@@ -224,6 +226,9 @@ fn serve_mix(world: &World) -> Registry {
     {
         let _g = reg.install();
         run_query_mix(world, &igdb);
+        let params = BeliefPropParams::default();
+        propagate(&igdb, &params);
+        consistency_check(&igdb, &params);
     }
     reg
 }
