@@ -8,6 +8,7 @@
 //! (bdrmapIT role), to hostnames (Rapid7 rDNS), and to metros (Hoiho + IXP
 //! prefixes), filling `ip_asn_dns`.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -18,13 +19,13 @@ use igdb_net::{Asn, Ip4, Prefix};
 use igdb_synth::sources::{RipeTraceroute, SnapshotSet};
 
 use crate::bdrmap::BdrMap;
-use crate::delta::{diff_snapshots, SnapshotDelta, Stage};
+use crate::delta::{diff_snapshots, release_consumed, SnapshotDelta, Stage};
 use crate::derived::{Derived, SegmentIndex};
 use crate::hoiho::HoihoEngine;
 use crate::metros::MetroRegistry;
 use crate::roads::RoadGraph;
 use crate::schema;
-use crate::validate::{validate, CleanSnapshots};
+use crate::validate::validate;
 
 /// Where a metro assignment for an IP came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,6 +86,24 @@ fn phys_pairs_of(db: &Database) -> Vec<(usize, usize, f64)> {
 }
 
 /// The built database plus the typed indices analyses use.
+///
+/// A shared world is read-only by type: every table write takes `&mut`, so
+/// through `&Igdb` — or the `Arc<Epoch>` a server hands each request — the
+/// tables can be read
+///
+/// ```
+/// fn rows(w: &igdb_core::Igdb) -> usize {
+///     w.db.row_count("asn_loc").unwrap()
+/// }
+/// ```
+///
+/// but not written:
+///
+/// ```compile_fail,E0596
+/// fn f(w: &igdb_core::Igdb) {
+///     w.db.insert("asn_loc", vec![]).unwrap();
+/// }
+/// ```
 pub struct Igdb {
     pub db: Database,
     /// Shared: a delta apply whose metro catalogue is untouched reuses
@@ -134,7 +153,7 @@ pub struct Igdb {
 /// stack their own working set on top — the build's peak RSS then tracks
 /// real rows, not growth history. A shared stage's tables are already
 /// tight (and writing to one would copy it out of the prior world).
-fn compact_tables(db: &Database, names: &[&str]) {
+fn compact_tables(db: &mut Database, names: &[&str]) {
     for name in names {
         db.with_table_mut(name, |t| t.shrink_to_fit()).expect("table exists");
     }
@@ -230,6 +249,7 @@ enum Baseline {
     /// ones are copied only then, owned ones move).
     Keep,
     /// Each source is let go the moment its last consumer has finished.
+    /// Only an owned set is released; `build_staged` asserts it gets one.
     Drop,
 }
 
@@ -299,7 +319,7 @@ struct Pipeline {
 
 impl Pipeline {
     fn new(date: &str) -> Self {
-        let db = Database::new();
+        let mut db = Database::new();
         for (name, sch) in schema::all_relations() {
             db.create_table(name, sch).expect("fresh database");
         }
@@ -313,7 +333,7 @@ impl Pipeline {
     /// Re-runs `stage` on the new sources — exactly the code a full build
     /// runs, so on identical inputs it reproduces identical rows and
     /// counters.
-    fn run(&mut self, stage: Stage, snaps: &CleanSnapshots<'_>) {
+    fn run(&mut self, stage: Stage, snaps: &SnapshotSet) {
         match stage {
             Stage::Metros => self.run_metros(snaps),
             Stage::Roads => {
@@ -335,7 +355,7 @@ impl Pipeline {
     /// tables (the stage driver has shared those and replayed the ledger). Must
     /// not tick deterministic counters: the replay already accounts the
     /// originals, so recomputed products stay pure.
-    fn share(&mut self, stage: Stage, world: &Igdb, snaps: &CleanSnapshots<'_>) {
+    fn share(&mut self, stage: Stage, world: &Igdb, snaps: &SnapshotSet) {
         match stage {
             Stage::Metros => self.metros = Some(Arc::clone(&world.metros)),
             // Reusing the road graph keeps its memoized corridors warm.
@@ -366,7 +386,7 @@ impl Pipeline {
         }
     }
 
-    fn run_metros(&mut self, snaps: &CleanSnapshots<'_>) {
+    fn run_metros(&mut self, snaps: &SnapshotSet) {
         let metros = MetroRegistry::build(&snaps.natural_earth);
         // Thiessen cells materialize lazily; forcing them here charges
         // their cost to this stage's span rather than to whichever stage
@@ -378,7 +398,7 @@ impl Pipeline {
 
     /// `city_points` / `city_polygons`.
     fn run_city_tables(&mut self) {
-        let (db, date, metros) = (&self.db, &self.date, made(&self.metros));
+        let (db, date, metros) = (&mut self.db, &self.date, made(&self.metros));
         for m in metros.metros() {
             db.insert(
                 "city_points",
@@ -421,8 +441,8 @@ impl Pipeline {
     /// `phys_nodes` / `phys_conn`: Internet Atlas nodes and PeeringDB
     /// facilities standardized by spatial join, Atlas edges routed along
     /// rights-of-way. Fills the facility→metro map `AsnLoc` needs.
-    fn run_physical(&mut self, snaps: &CleanSnapshots<'_>) {
-        let (db, date) = (&self.db, &self.date);
+    fn run_physical(&mut self, snaps: &SnapshotSet) {
+        let (db, date) = (&mut self.db, &self.date);
         let (metros, roads) = (made(&self.metros), made(&self.roads));
         // Each source is joined as a batch and then inserted: the site index
         // stays cache-resident across the batch (joining row by row between
@@ -575,8 +595,8 @@ impl Pipeline {
     }
 
     /// `land_points` / `sub_cables` from Telegeography.
-    fn run_telegeo(&mut self, snaps: &CleanSnapshots<'_>) {
-        let (db, date, metros) = (&self.db, &self.date, made(&self.metros));
+    fn run_telegeo(&mut self, snaps: &SnapshotSet) {
+        let (db, date, metros) = (&mut self.db, &self.date, made(&self.metros));
         for c in snaps.telegeo.iter() {
             for (lname, _, loc) in &c.landings {
                 let Some(mid) = metros.metro_of(loc) else {
@@ -621,7 +641,7 @@ impl Pipeline {
     /// functions of the sources, so a shared stage computes them beside
     /// its copied tables. Returns each `pdb_ix` record's metro, in input
     /// order (`None` where the city label does not resolve).
-    fn logical_products(&mut self, snaps: &CleanSnapshots<'_>) -> Vec<Option<usize>> {
+    fn logical_products(&mut self, snaps: &SnapshotSet) -> Vec<Option<usize>> {
         self.labels = Labels::new(made(&self.metros), &snaps.geo_codes);
         self.net_asn = snaps
             .pdb_networks
@@ -644,9 +664,9 @@ impl Pipeline {
 
     /// Logical names `asn_name` / `asn_org` (inconsistencies kept),
     /// `asn_conn`, and the IXP prefixes.
-    fn run_logical(&mut self, snaps: &CleanSnapshots<'_>) {
+    fn run_logical(&mut self, snaps: &SnapshotSet) {
         let ix_metros = self.logical_products(snaps);
-        let (db, date, metros) = (&self.db, &self.date, made(&self.metros));
+        let (db, date, metros) = (&mut self.db, &self.date, made(&self.metros));
         for e in snaps.asrank_entries.iter() {
             db.insert(
                 "asn_name",
@@ -742,8 +762,8 @@ impl Pipeline {
 
     /// `asn_loc`: facilities, IXP memberships, PCH echoes —
     /// (asn, metro, source) → remote flag, deduped.
-    fn run_asn_loc(&mut self, snaps: &CleanSnapshots<'_>) {
-        let (db, date, metros) = (&self.db, &self.date, made(&self.metros));
+    fn run_asn_loc(&mut self, snaps: &SnapshotSet) {
+        let (db, date, metros) = (&mut self.db, &self.date, made(&self.metros));
         let mut netfac_metros: HashMap<Asn, BTreeSet<usize>> = HashMap::new();
         for nf in snaps.pdb_netfac.iter() {
             let (Some(&asn), Some(&mid)) =
@@ -821,7 +841,7 @@ impl Pipeline {
     }
 
     /// `probes`.
-    fn run_probes(&mut self, snaps: &CleanSnapshots<'_>) {
+    fn run_probes(&mut self, snaps: &SnapshotSet) {
         let metros = made(&self.metros);
         for a in snaps.ripe_anchors.iter() {
             let Some(mid) = metros.metro_of(&a.loc) else {
@@ -855,7 +875,7 @@ impl Pipeline {
     }
 
     /// `traceroutes`: one row per hop.
-    fn run_traceroutes(&mut self, snaps: &CleanSnapshots<'_>) {
+    fn run_traceroutes(&mut self, snaps: &SnapshotSet) {
         for tr in snaps.ripe_traceroutes.iter() {
             for h in &tr.hops {
                 self.db
@@ -881,8 +901,8 @@ impl Pipeline {
 
     /// `ip_asn_dns`: IP → AS (bdrmap), → FQDN (rDNS), → metro (Hoiho /
     /// IXP prefix).
-    fn run_ip_resolution(&mut self, snaps: &CleanSnapshots<'_>) {
-        let (db, date, metros) = (&self.db, &self.date, made(&self.metros));
+    fn run_ip_resolution(&mut self, snaps: &SnapshotSet) {
+        let (db, date, metros) = (&mut self.db, &self.date, made(&self.metros));
         let bdr_span = igdb_obs::span("ip_resolution.bdrmap");
         let rib: Vec<(Prefix, Asn)> = snaps
             .bgp_prefixes
@@ -992,7 +1012,7 @@ impl Pipeline {
         snapshots: SnapshotSet,
         stage_ledger: Vec<Vec<(String, String, u64)>>,
     ) -> Igdb {
-        let db = self.db;
+        let mut db = self.db;
         {
             let _s = igdb_obs::span("build.index");
             for (table, col) in [
@@ -1081,8 +1101,8 @@ impl Igdb {
         policy: &BuildPolicy,
     ) -> Result<(Igdb, BuildReport), BuildError> {
         let _span = igdb_obs::span("pipeline");
-        let (clean, report) = Self::screen(snaps, policy)?;
-        Ok((Self::build_staged(clean, None, Baseline::Keep), report))
+        let (screened, report) = Self::screen(snaps, policy)?;
+        Ok((Self::build_staged(screened, None, Baseline::Keep), report))
     }
 
     /// One-shot build: consumes the snapshot set and returns each source's
@@ -1095,28 +1115,25 @@ impl Igdb {
     /// CLI, scaling benches); long-lived serving or delta-ingesting
     /// instances want [`Igdb::try_build`].
     ///
-    /// When screening quarantines anything, the surviving records are
-    /// copied out once before the build starts and the raw input is let
-    /// go, so the faulty-input path is just as baseline-free.
+    /// When screening quarantines anything, validation has copied the
+    /// survivors out once and the raw input is let go before the build
+    /// starts, so the faulty-input path is just as baseline-free.
     pub fn try_build_scratch(
         snaps: SnapshotSet,
         policy: &BuildPolicy,
     ) -> Result<(Igdb, BuildReport), BuildError> {
         let _span = igdb_obs::span("pipeline");
-        let (clean, report) = Self::screen(&snaps, policy)?;
-        // A clean report means screening removed nothing: `snaps` itself
-        // is the screened set.
-        let screened = if report.is_clean() {
-            drop(clean);
-            snaps
-        } else {
-            let survivors = clean.into_snapshot_set();
-            drop(snaps);
-            survivors
+        let (screened, report) = Self::screen(&snaps, policy)?;
+        let screened = match screened {
+            // Screening removed nothing: `snaps` itself is the screened set.
+            Cow::Borrowed(_) => snaps,
+            Cow::Owned(survivors) => {
+                drop(snaps);
+                survivors
+            }
         };
         igdb_obs::trim_heap();
-        let owned = CleanSnapshots::from_owned(screened);
-        Ok((Self::build_staged(owned, None, Baseline::Drop), report))
+        Ok((Self::build_staged(Cow::Owned(screened), None, Baseline::Drop), report))
     }
 
     /// Validation + the two accounting cross-checks shared by
@@ -1124,7 +1141,7 @@ impl Igdb {
     fn screen<'a>(
         snaps: &'a SnapshotSet,
         policy: &BuildPolicy,
-    ) -> Result<(CleanSnapshots<'a>, BuildReport), BuildError> {
+    ) -> Result<(Cow<'a, SnapshotSet>, BuildReport), BuildError> {
         // The ingestion counters accumulate across builds sharing one
         // registry, so the report cross-check compares per-source *deltas*
         // against a baseline captured before validation runs.
@@ -1142,7 +1159,7 @@ impl Igdb {
                 .collect(),
             None => Vec::new(),
         };
-        let (clean, report) = validate(snaps, policy)?;
+        let (screened, report) = validate(snaps, policy)?;
         // Two independent views of the same accounting — the quarantine
         // ledger inside the report, and the observability counters — must
         // agree exactly; divergence is a pipeline bug, typed, never silent.
@@ -1173,7 +1190,7 @@ impl Igdb {
                 }
             }
         }
-        Ok((clean, report))
+        Ok((screened, report))
     }
 
     /// One pass of the stage driver — every build is this function. For each
@@ -1192,10 +1209,15 @@ impl Igdb {
     /// products and the same counter ticks, so the result is byte-identical
     /// to a from-scratch build of `snaps` whatever `prior` was.
     fn build_staged(
-        mut snaps: CleanSnapshots<'_>,
+        mut snaps: Cow<'_, SnapshotSet>,
         prior: Option<(&Igdb, &SnapshotDelta)>,
         baseline: Baseline,
     ) -> Self {
+        // Releasing a borrowed source would copy the whole set first.
+        debug_assert!(
+            baseline == Baseline::Keep || matches!(snaps, Cow::Owned(_)),
+            "Baseline::Drop takes an owned snapshot set"
+        );
         let _span = igdb_obs::span("build");
         let mut rec = LedgerRecorder::start();
         let mut pipeline = Pipeline::new(&snaps.as_of_date);
@@ -1213,15 +1235,15 @@ impl Igdb {
                 None => pipeline.run(stage, &snaps),
             }
             drop(span);
-            if baseline == Baseline::Drop {
-                snaps.release_consumed(stage);
+            if let (Baseline::Drop, Cow::Owned(set)) = (baseline, &mut snaps) {
+                release_consumed(set, stage);
             }
             if shared_from.is_none() && !stage.tables().is_empty() {
-                compact_tables(&pipeline.db, stage.tables());
+                compact_tables(&mut pipeline.db, stage.tables());
             }
             rec.cut();
         }
-        pipeline.finish(snaps.into_snapshot_set(), rec.ledger)
+        pipeline.finish(snaps.into_owned(), rec.ledger)
     }
 
     /// The validated record set this world was built from.
@@ -1274,20 +1296,16 @@ impl Igdb {
             let delta = diff_snapshots(&self.snapshots, &igdb.snapshots);
             return Ok((igdb, report, delta));
         }
-        let (clean, report) = Self::screen(snaps, policy)?;
+        let (screened, report) = Self::screen(snaps, policy)?;
         // The one copy of the screened set: diffed here, built from, then
         // kept as the new world's baseline.
         let snap_span = igdb_obs::span("delta.snapshot_set");
-        let new_set = clean.into_snapshot_set();
+        let new_set = screened.into_owned();
         drop(snap_span);
         let diff_span = igdb_obs::span("delta.diff");
         let delta = diff_snapshots(&self.snapshots, &new_set);
         drop(diff_span);
-        let igdb = Self::build_staged(
-            CleanSnapshots::from_owned(new_set),
-            Some((self, &delta)),
-            Baseline::Keep,
-        );
+        let igdb = Self::build_staged(Cow::Owned(new_set), Some((self, &delta)), Baseline::Keep);
         igdb.derived.succeed(
             &self.derived,
             &self.phys_pairs,

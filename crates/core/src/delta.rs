@@ -1,8 +1,8 @@
 //! Snapshot deltas: what changed between two validated snapshot sets, and
 //! which build stages the change reaches.
 //!
-//! [`diff_snapshots`] compares two *screened* record sets (see
-//! [`CleanSnapshots::into_snapshot_set`]) source by source. Because the
+//! [`diff_snapshots`] compares two *screened* record sets (what
+//! [`crate::validate::validate`] returns) source by source. Because the
 //! inputs are post-validation, FK cascades are already closed: a removed
 //! atlas node takes its links with it either in the generator or in
 //! quarantine, so the diff never sees a dangling reference.
@@ -24,11 +24,7 @@
 //! from it or read it); and whether a stage is shared from the prior world
 //! ([`SnapshotDelta::shares`]).
 
-use std::borrow::Cow;
-
 use igdb_synth::sources::SnapshotSet;
-
-use crate::validate::CleanSnapshots;
 
 /// One pipeline stage of the build, in execution order. The discriminants
 /// index the per-stage counter ledger.
@@ -128,8 +124,8 @@ pub(crate) struct SourceUse {
 /// last` are its first and last reader, then every stage it reaches. Rows
 /// are in first-reader order, which is the order [`SnapshotDelta::sources`]
 /// reports them in. Everything that walks the sources is generated from it
-/// — [`SOURCE_USES`], the per-source diff, and the [`CleanSnapshots`]
-/// conversions and release step — so a source without a row does not
+/// — [`SOURCE_USES`], the per-source diff, and the release step, which
+/// names every [`SnapshotSet`] field — so a source without a row does not
 /// compile.
 macro_rules! sources {
     ($($source:ident: $first:ident ..= $last:ident => $($reach:ident)|+;)*) => {
@@ -147,42 +143,15 @@ macro_rules! sources {
             out
         }
 
-        impl CleanSnapshots<'_> {
-            /// A set that already passed screening, taken by value: every
-            /// source is owned, so a build that keeps no baseline frees
-            /// each one as its last consumer finishes, and one that keeps
-            /// it moves instead of copying.
-            pub fn from_owned(set: SnapshotSet) -> CleanSnapshots<'static> {
-                CleanSnapshots {
-                    as_of_date: Cow::Owned(set.as_of_date),
-                    $($source: Cow::Owned(set.$source),)*
-                }
-            }
-
-            /// Materializes the screened view as an owned [`SnapshotSet`]
-            /// — the exact record set the build consumed, with every
-            /// quarantined record already removed; borrowed sources are
-            /// copied, owned ones moved. [`diff_snapshots`] diffs against
-            /// this, so FK cascades (links whose endpoints were screened
-            /// out, memberships of dropped sources) are resolved by the
-            /// validator before any delta math runs.
-            pub fn into_snapshot_set(self) -> SnapshotSet {
-                SnapshotSet {
-                    as_of_date: self.as_of_date.into_owned(),
-                    $($source: self.$source.into_owned(),)*
-                }
-            }
-
-            /// Hands back every source whose last consumer is `stage`.
-            /// For owned sources (scratch builds) this frees the records
-            /// mid-build, so peak RSS tracks the stages still running
-            /// rather than the whole input set; for borrowed ones it is
-            /// free.
-            pub(crate) fn release_consumed(&mut self, stage: Stage) {
-                $(if source_use(stringify!($source)).last == stage {
-                    self.$source = Cow::Borrowed(&[]);
-                })*
-            }
+        /// Empties every source of `set` whose last consumer is `stage`.
+        /// A build that keeps no baseline calls this as each stage
+        /// finishes, so peak RSS tracks the stages still running rather
+        /// than the whole input set.
+        pub(crate) fn release_consumed(set: &mut SnapshotSet, stage: Stage) {
+            let SnapshotSet { as_of_date: _, $($source),* } = set;
+            $(if source_use(stringify!($source)).last == stage {
+                *$source = Vec::new();
+            })*
         }
 
         /// Reverses the named source in place; true when that changed it
@@ -386,7 +355,7 @@ mod tests {
 
     /// The `sources!` table against the ground truth it encodes. The
     /// compiler already holds it against `SnapshotSet`'s fields (the
-    /// generated conversions name every one); here it is held against the
+    /// generated release step names every one); here it is held against the
     /// sources the validator screens, the order the diff reports them in,
     /// and the stages each source reaches. Whether each cross-stage edge is
     /// needed is `delta_determinism`'s `cross_stage_edges_*` test.
@@ -434,11 +403,11 @@ mod tests {
             crate::validate::validate(&snaps, &igdb_fault::BuildPolicy::strict()).unwrap();
         let records: usize =
             igdb_fault::SourceId::ALL.iter().map(|s| report.health(*s).rows_in).sum();
-        let mut owned = CleanSnapshots::from_owned(snaps.clone());
+        let mut owned = snaps.clone();
         for stage in Stage::ALL {
-            owned.release_consumed(stage);
+            release_consumed(&mut owned, stage);
         }
-        let d = diff_snapshots(&snaps, &owned.into_snapshot_set());
+        let d = diff_snapshots(&snaps, &owned);
         assert!(d.sources.iter().all(|s| s.new_len == 0), "a source outlived its last consumer");
         assert_eq!(d.sources.iter().map(|s| s.old_len).sum::<usize>(), records);
     }

@@ -3,10 +3,12 @@
 //! Each is a pure function of a finished world's `phys_conn` rows, built on
 //! first use and shared by every analysis after that: the routing graph,
 //! the parsed path geometries, and the segment index the Figure 4 corridor
-//! join asks. Nothing writes `phys_conn` after the build
-//! ([`Igdb::add_inferred_location`] writes `asn_loc`), so a filled product
-//! stays valid for the life of its [`Igdb`]. A new `Igdb` starts empty;
-//! only the graph is carried across a delta apply ([`Derived::succeed`]).
+//! join asks. A table write takes `&mut Igdb`, never the `&Igdb` these
+//! are read through, and the one write after the build
+//! ([`Igdb::add_inferred_location`]) touches `asn_loc`, not `phys_conn`,
+//! so a filled product stays valid for the life of its [`Igdb`]. A new
+//! `Igdb` starts empty; only the graph is carried across a delta apply
+//! ([`Derived::succeed`]).
 
 use std::sync::OnceLock;
 use std::time::Instant;

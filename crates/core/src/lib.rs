@@ -52,7 +52,6 @@ pub use igdb_fault::{
 };
 pub use delta::{diff_snapshots, SnapshotDelta, SourceDiff, Stage};
 pub use epoch::{Epoch, EpochHandle};
-pub use validate::CleanSnapshots;
 /// Observability layer (re-exported): install a [`igdb_obs::Registry`] to
 /// capture per-stage spans and the ingestion/build counters the pipeline
 /// emits.

@@ -10,10 +10,12 @@
 //!
 //! Design constraints, in priority order:
 //!
-//! 1. **Clean input is untouched.** Every screened source comes back as
-//!    `Cow::Borrowed` when nothing was quarantined, so a clean build reads
-//!    the exact same memory it always did and the output stays
-//!    byte-identical to a pre-validation build.
+//! 1. **Clean input is the caller's set, borrowed.** When nothing is
+//!    quarantined or dropped, [`validate`] hands back `Cow::Borrowed` of
+//!    the very set it was given, so a clean build reads the exact same
+//!    memory it always did and copies nothing. The first fault makes one
+//!    owned copy; every removal and metro-id rewrite edits that copy in
+//!    place.
 //! 2. **Deterministic.** Screening is a serial pass in a fixed source
 //!    order; quarantine order is input order.
 //! 3. **Conservative.** A record is quarantined only for defects that
@@ -30,51 +32,14 @@
 use std::borrow::Cow;
 use std::collections::HashSet;
 
+use igdb_db::Str;
 use igdb_fault::{
     BuildError, BuildPolicy, BuildReport, Quarantine, RecordError, SourceFailure, SourceHealth,
     SourceId,
 };
 use igdb_geo::GeoPoint;
-use igdb_net::{Asn, Prefix};
 use igdb_regex::Regex;
-use igdb_synth::naming::HoihoRule;
-use igdb_synth::sources::{
-    AsRankEntry, AtlasLink, AtlasNode, BgpPrefixRecord, EuroIxEntry, HeExchange,
-    NaturalEarthPlace, PchIxp, PdbFacility, PdbIx, PdbNetFac, PdbNetIx, PdbNetwork, RdnsRecord,
-    RipeAnchorRecord, RipeTraceroute, RoadSegment, SnapshotSet, TelegeoCableRecord,
-};
-
-/// A [`SnapshotSet`] after screening: each source is either the original
-/// slice (clean) or an owned filtered copy (faults removed). The build
-/// pipeline consumes this and may assume every record is well-formed.
-/// Conversions to and from an owned [`SnapshotSet`] are generated beside
-/// the source→stage table in [`crate::delta`].
-#[derive(Debug)]
-pub struct CleanSnapshots<'a> {
-    pub as_of_date: Cow<'a, str>,
-    pub atlas_nodes: Cow<'a, [AtlasNode]>,
-    pub atlas_links: Cow<'a, [AtlasLink]>,
-    pub pdb_facilities: Cow<'a, [PdbFacility]>,
-    pub pdb_networks: Cow<'a, [PdbNetwork]>,
-    pub pdb_netfac: Cow<'a, [PdbNetFac]>,
-    pub pdb_ix: Cow<'a, [PdbIx]>,
-    pub pdb_netix: Cow<'a, [PdbNetIx]>,
-    pub pch_ixps: Cow<'a, [PchIxp]>,
-    pub he_exchanges: Cow<'a, [HeExchange]>,
-    pub euroix: Cow<'a, [EuroIxEntry]>,
-    pub rdns: Cow<'a, [RdnsRecord]>,
-    pub asrank_entries: Cow<'a, [AsRankEntry]>,
-    pub asrank_links: Cow<'a, [(Asn, Asn)]>,
-    pub ripe_anchors: Cow<'a, [RipeAnchorRecord]>,
-    pub ripe_traceroutes: Cow<'a, [RipeTraceroute]>,
-    pub natural_earth: Cow<'a, [NaturalEarthPlace]>,
-    pub roads: Cow<'a, [RoadSegment]>,
-    pub telegeo: Cow<'a, [TelegeoCableRecord]>,
-    pub bgp_prefixes: Cow<'a, [BgpPrefixRecord]>,
-    pub anycast_prefixes: Cow<'a, [Prefix]>,
-    pub hoiho_rules: Cow<'a, [HoihoRule]>,
-    pub geo_codes: Cow<'a, [(String, usize)]>,
-}
+use igdb_synth::sources::SnapshotSet;
 
 /// Rejects non-finite and out-of-WGS-84 coordinates. Clean emitters go
 /// through `GeoPoint::new`, which normalizes into exactly these ranges, so
@@ -105,33 +70,39 @@ fn screen_point(
     Ok(())
 }
 
-/// Accumulates per-source health and the quarantine while applying policy.
-struct Screener<'p> {
+/// Accumulates per-source health and the quarantine while applying policy,
+/// and the screened set: the caller's own until the first fault, then one
+/// owned copy that every removal edits in place.
+struct Screener<'a, 'p> {
     policy: &'p BuildPolicy,
     quarantine: Quarantine,
     healths: Vec<SourceHealth>,
+    out: Cow<'a, SnapshotSet>,
 }
 
-impl<'p> Screener<'p> {
-    fn new(policy: &'p BuildPolicy) -> Self {
+impl<'a, 'p> Screener<'a, 'p> {
+    fn new(snaps: &'a SnapshotSet, policy: &'p BuildPolicy) -> Self {
         Self {
             policy,
             quarantine: Quarantine::new(),
             healths: Vec::with_capacity(SourceId::ALL.len()),
+            out: Cow::Borrowed(snaps),
         }
     }
 
-    /// Screens one source: runs `check` over every record in input order,
+    /// Screens one source: runs `check` over every record of `rows` (the
+    /// caller's copy of the source `field` selects) in input order,
     /// quarantines failures, applies the policy (fail fast / drop source /
-    /// required-source errors), records health, and returns the surviving
-    /// records — borrowed when nothing was removed.
-    fn screen<'a, T: Clone>(
+    /// required-source errors), records health, and removes what failed
+    /// from the screened set. Returns the quarantined indexes, ascending.
+    fn screen<T>(
         &mut self,
         source: SourceId,
-        rows: &'a [T],
+        rows: &[T],
+        field: fn(&mut SnapshotSet) -> &mut Vec<T>,
         key_of: impl Fn(&T) -> Option<String>,
         mut check: impl FnMut(&T) -> Result<(), RecordError>,
-    ) -> Result<Cow<'a, [T]>, BuildError> {
+    ) -> Result<Vec<usize>, BuildError> {
         let mut bad: Vec<(usize, RecordError)> = Vec::new();
         for (i, r) in rows.iter().enumerate() {
             if let Err(error) = check(r) {
@@ -163,7 +134,7 @@ impl<'p> Screener<'p> {
                 },
             });
         }
-        let bad_set: HashSet<usize> = bad.iter().map(|&(i, _)| i).collect();
+        let bad_idx: Vec<usize> = bad.iter().map(|&(i, _)| i).collect();
         let n_bad = bad.len();
         for (i, error) in bad {
             self.quarantine.push(source, i, key_of(&rows[i]), error);
@@ -183,7 +154,8 @@ impl<'p> Screener<'p> {
                 rows_quarantined: n_bad,
                 dropped: true,
             });
-            return Ok(Cow::Owned(Vec::new()));
+            *field(self.out.to_mut()) = Vec::new();
+            return Ok(bad_idx);
         }
         igdb_obs::counter(
             "ingest.rows_accepted",
@@ -197,60 +169,54 @@ impl<'p> Screener<'p> {
             rows_quarantined: n_bad,
             dropped: false,
         });
-        Ok(if n_bad == 0 {
-            Cow::Borrowed(rows)
-        } else {
-            Cow::Owned(
-                rows.iter()
-                    .enumerate()
-                    .filter(|(i, _)| !bad_set.contains(i))
-                    .map(|(_, r)| r.clone())
-                    .collect(),
-            )
-        })
+        if n_bad > 0 {
+            let (mut i, mut next_bad) = (0, bad_idx.iter().peekable());
+            field(self.out.to_mut()).retain(|_| {
+                let quarantined = next_bad.next_if_eq(&&i).is_some();
+                i += 1;
+                !quarantined
+            });
+        }
+        Ok(bad_idx)
     }
 }
 
 /// Screens every source of `snaps` in the fixed [`SourceId::ALL`] order.
 /// Returns the surviving records plus the per-source accounting, or a
 /// typed error when a required source is unusable (or, under a fail-fast
-/// policy, on the first fault anywhere).
+/// policy, on the first fault anywhere). The records are `snaps` itself,
+/// borrowed, unless screening removed or rewrote one.
 pub fn validate<'a>(
     snaps: &'a SnapshotSet,
     policy: &BuildPolicy,
-) -> Result<(CleanSnapshots<'a>, BuildReport), BuildError> {
+) -> Result<(Cow<'a, SnapshotSet>, BuildReport), BuildError> {
     let _span = igdb_obs::span("validate");
-    let mut s = Screener::new(policy);
+    let mut s = Screener::new(snaps, policy);
 
     // Natural Earth first: everything else stands on metro ids, which are
     // indexes into this list.
-    let natural_earth = s.screen(
+    let bad_places = s.screen(
         SourceId::NaturalEarth,
         &snaps.natural_earth,
+        |o| &mut o.natural_earth,
         |p| Some(p.name.clone()),
         |p| screen_point(&p.loc, "lat", "lon"),
     )?;
     // Old→new metro-id remap across the quarantined places. Clean input
     // yields the identity, and the rewrite below is skipped entirely.
-    let identity = natural_earth.len() == snaps.natural_earth.len();
-    let remap: Vec<Option<usize>> = {
-        let mut next = 0usize;
-        (0..snaps.natural_earth.len())
-            .map(|i| {
-                if s.quarantine.contains(SourceId::NaturalEarth, i) {
-                    None
-                } else {
-                    next += 1;
-                    Some(next - 1)
-                }
-            })
-            .collect()
-    };
+    let mut remap: Vec<Option<usize>> = vec![Some(0); snaps.natural_earth.len()];
+    for &i in &bad_places {
+        remap[i] = None;
+    }
+    for (new, id) in remap.iter_mut().flatten().enumerate() {
+        *id = new;
+    }
     let lookup = |idx: usize| remap.get(idx).copied().flatten();
 
-    let roads = s.screen(
+    s.screen(
         SourceId::Roads,
         &snaps.roads,
+        |o| &mut o.roads,
         |seg| Some(format!("{}-{}", seg.a, seg.b)),
         |seg| {
             if lookup(seg.a).is_none() {
@@ -277,25 +243,10 @@ pub fn validate<'a>(
             Ok(())
         },
     )?;
-    let roads = if identity {
-        roads
-    } else {
-        Cow::Owned(
-            roads
-                .iter()
-                .map(|seg| {
-                    let mut seg = seg.clone();
-                    seg.a = lookup(seg.a).expect("screened endpoint");
-                    seg.b = lookup(seg.b).expect("screened endpoint");
-                    seg
-                })
-                .collect(),
-        )
-    };
-
-    let geo_codes = s.screen(
+    s.screen(
         SourceId::GeoCodes,
         &snaps.geo_codes,
+        |o| &mut o.geo_codes,
         |(code, _)| Some(code.clone()),
         |&(_, cid)| {
             if lookup(cid).is_none() {
@@ -307,31 +258,39 @@ pub fn validate<'a>(
             Ok(())
         },
     )?;
-    let geo_codes = if identity {
-        geo_codes
-    } else {
-        Cow::Owned(
-            geo_codes
-                .iter()
-                .map(|(code, cid)| (code.clone(), lookup(*cid).expect("screened geocode")))
-                .collect(),
-        )
-    };
+    if !bad_places.is_empty() {
+        // A place was quarantined, so the set is already the owned copy.
+        let out = s.out.to_mut();
+        for seg in &mut out.roads {
+            seg.a = lookup(seg.a).expect("screened endpoint");
+            seg.b = lookup(seg.b).expect("screened endpoint");
+        }
+        for (_, cid) in &mut out.geo_codes {
+            *cid = lookup(*cid).expect("screened geocode");
+        }
+    }
 
-    let atlas_nodes = s.screen(
+    s.screen(
         SourceId::AtlasNodes,
         &snaps.atlas_nodes,
+        |o| &mut o.atlas_nodes,
         |n| Some(n.node_name.to_string()),
         |n| screen_point(&n.loc, "lat", "lon"),
     )?;
-    let node_names: HashSet<&str> = atlas_nodes.iter().map(|n| n.node_name.as_str()).collect();
-    let atlas_links = s.screen(
+    let node_names: HashSet<Str> = s
+        .out
+        .atlas_nodes
+        .iter()
+        .map(|n| n.node_name.clone())
+        .collect();
+    s.screen(
         SourceId::AtlasLinks,
         &snaps.atlas_links,
+        |o| &mut o.atlas_links,
         |l| Some(format!("{}→{}", l.from_node, l.to_node)),
         |l| {
             for name in [&l.from_node, &l.to_node] {
-                if !node_names.contains(name.as_str()) {
+                if !node_names.contains(name) {
                     return Err(RecordError::DanglingRef {
                         field: "node",
                         key: name.to_string(),
@@ -341,12 +300,12 @@ pub fn validate<'a>(
             Ok(())
         },
     )?;
-    drop(node_names);
 
     let mut seen_fac: HashSet<u32> = HashSet::new();
-    let pdb_facilities = s.screen(
+    s.screen(
         SourceId::PdbFacilities,
         &snaps.pdb_facilities,
+        |o| &mut o.pdb_facilities,
         |f| Some(f.fac_id.to_string()),
         |f| {
             screen_point(&f.loc, "lat", "lon")?;
@@ -359,12 +318,13 @@ pub fn validate<'a>(
             Ok(())
         },
     )?;
-    let fac_ids: HashSet<u32> = pdb_facilities.iter().map(|f| f.fac_id).collect();
+    let fac_ids: HashSet<u32> = s.out.pdb_facilities.iter().map(|f| f.fac_id).collect();
 
     let mut seen_net: HashSet<u32> = HashSet::new();
-    let pdb_networks = s.screen(
+    s.screen(
         SourceId::PdbNetworks,
         &snaps.pdb_networks,
+        |o| &mut o.pdb_networks,
         |n| Some(n.net_id.to_string()),
         |n| {
             if !seen_net.insert(n.net_id) {
@@ -376,11 +336,12 @@ pub fn validate<'a>(
             Ok(())
         },
     )?;
-    let net_ids: HashSet<u32> = pdb_networks.iter().map(|n| n.net_id).collect();
+    let net_ids: HashSet<u32> = s.out.pdb_networks.iter().map(|n| n.net_id).collect();
 
-    let pdb_netfac = s.screen(
+    s.screen(
         SourceId::PdbNetfac,
         &snaps.pdb_netfac,
+        |o| &mut o.pdb_netfac,
         |nf| Some(format!("net {} @ fac {}", nf.net_id, nf.fac_id)),
         |nf| {
             if !net_ids.contains(&nf.net_id) {
@@ -400,9 +361,10 @@ pub fn validate<'a>(
     )?;
 
     let mut seen_ix: HashSet<u32> = HashSet::new();
-    let pdb_ix = s.screen(
+    s.screen(
         SourceId::PdbIx,
         &snaps.pdb_ix,
+        |o| &mut o.pdb_ix,
         |ix| Some(ix.ix_id.to_string()),
         |ix| {
             if !seen_ix.insert(ix.ix_id) {
@@ -414,11 +376,12 @@ pub fn validate<'a>(
             Ok(())
         },
     )?;
-    let ix_ids: HashSet<u32> = pdb_ix.iter().map(|ix| ix.ix_id).collect();
+    let ix_ids: HashSet<u32> = s.out.pdb_ix.iter().map(|ix| ix.ix_id).collect();
 
-    let pdb_netix = s.screen(
+    s.screen(
         SourceId::PdbNetix,
         &snaps.pdb_netix,
+        |o| &mut o.pdb_netix,
         |nix| Some(format!("net {} @ ix {}", nix.net_id, nix.ix_id)),
         |nix| {
             if !net_ids.contains(&nix.net_id) {
@@ -437,9 +400,10 @@ pub fn validate<'a>(
         },
     )?;
 
-    let pch_ixps = s.screen(
+    s.screen(
         SourceId::PchIxps,
         &snaps.pch_ixps,
+        |o| &mut o.pch_ixps,
         |x| Some(x.name.clone()),
         |x| {
             if x.member_asns.len() != x.member_orgs.len() {
@@ -457,30 +421,47 @@ pub fn validate<'a>(
 
     // Sources with self-contained typed records: nothing to screen beyond
     // presence (an empty optional source degrades, never errors).
-    let he_exchanges = s.screen(SourceId::HeExchanges, &snaps.he_exchanges, |x| {
-        Some(x.name.clone())
-    }, |_| Ok(()))?;
-    let euroix = s.screen(SourceId::EuroIx, &snaps.euroix, |x| Some(x.ix_name.clone()), |_| {
-        Ok(())
-    })?;
-    let rdns = s.screen(SourceId::Rdns, &snaps.rdns, |r| Some(r.ip.to_string()), |_| Ok(()))?;
-    let asrank_entries = s.screen(
+    s.screen(
+        SourceId::HeExchanges,
+        &snaps.he_exchanges,
+        |o| &mut o.he_exchanges,
+        |x| Some(x.name.clone()),
+        |_| Ok(()),
+    )?;
+    s.screen(
+        SourceId::EuroIx,
+        &snaps.euroix,
+        |o| &mut o.euroix,
+        |x| Some(x.ix_name.clone()),
+        |_| Ok(()),
+    )?;
+    s.screen(
+        SourceId::Rdns,
+        &snaps.rdns,
+        |o| &mut o.rdns,
+        |r| Some(r.ip.to_string()),
+        |_| Ok(()),
+    )?;
+    s.screen(
         SourceId::AsRankEntries,
         &snaps.asrank_entries,
+        |o| &mut o.asrank_entries,
         |e| Some(e.asn.to_string()),
         |_| Ok(()),
     )?;
-    let asrank_links = s.screen(
+    s.screen(
         SourceId::AsRankLinks,
         &snaps.asrank_links,
+        |o| &mut o.asrank_links,
         |&(a, b)| Some(format!("{a}→{b}")),
         |_| Ok(()),
     )?;
 
     let mut seen_anchor: HashSet<u32> = HashSet::new();
-    let ripe_anchors = s.screen(
+    s.screen(
         SourceId::RipeAnchors,
         &snaps.ripe_anchors,
+        |o| &mut o.ripe_anchors,
         |a| Some(a.id.to_string()),
         |a| {
             screen_point(&a.loc, "lat", "lon")?;
@@ -493,11 +474,12 @@ pub fn validate<'a>(
             Ok(())
         },
     )?;
-    let anchor_ids: HashSet<u32> = ripe_anchors.iter().map(|a| a.id).collect();
+    let anchor_ids: HashSet<u32> = s.out.ripe_anchors.iter().map(|a| a.id).collect();
 
-    let ripe_traceroutes = s.screen(
+    s.screen(
         SourceId::RipeTraceroutes,
         &snaps.ripe_traceroutes,
+        |o| &mut o.ripe_traceroutes,
         |t| Some(format!("{}→{}", t.src_anchor, t.dst_anchor)),
         |t| {
             if t.hops.is_empty() {
@@ -526,9 +508,10 @@ pub fn validate<'a>(
     )?;
 
     let mut seen_cable: HashSet<usize> = HashSet::new();
-    let telegeo = s.screen(
+    s.screen(
         SourceId::Telegeo,
         &snaps.telegeo,
+        |o| &mut o.telegeo,
         |c| Some(c.cable_id.to_string()),
         |c| {
             if !seen_cable.insert(c.cable_id) {
@@ -549,24 +532,27 @@ pub fn validate<'a>(
         },
     )?;
 
-    let bgp_prefixes = s.screen(
+    s.screen(
         SourceId::BgpPrefixes,
         &snaps.bgp_prefixes,
+        |o| &mut o.bgp_prefixes,
         |r| Some(r.prefix.to_string()),
         |_| Ok(()),
     )?;
-    let anycast_prefixes = s.screen(
+    s.screen(
         SourceId::AnycastPrefixes,
         &snaps.anycast_prefixes,
+        |o| &mut o.anycast_prefixes,
         |p| Some(p.to_string()),
         |_| Ok(()),
     )?;
     // A rule the engine cannot compile (or refuses as oversized) would be
     // skipped by `HoihoEngine::build` with no trace; quarantine it here so
     // it carries its index and pattern like any other bad record.
-    let hoiho_rules = s.screen(
+    s.screen(
         SourceId::HoihoRules,
         &snaps.hoiho_rules,
+        |o| &mut o.hoiho_rules,
         |r| Some(r.pattern.clone()),
         |r| {
             Regex::new(&r.pattern)
@@ -578,33 +564,7 @@ pub fn validate<'a>(
         },
     )?;
 
-    let report = BuildReport::new(s.healths, s.quarantine);
-    let clean = CleanSnapshots {
-        as_of_date: Cow::Borrowed(&snaps.as_of_date),
-        atlas_nodes,
-        atlas_links,
-        pdb_facilities,
-        pdb_networks,
-        pdb_netfac,
-        pdb_ix,
-        pdb_netix,
-        pch_ixps,
-        he_exchanges,
-        euroix,
-        rdns,
-        asrank_entries,
-        asrank_links,
-        ripe_anchors,
-        ripe_traceroutes,
-        natural_earth,
-        roads,
-        telegeo,
-        bgp_prefixes,
-        anycast_prefixes,
-        hoiho_rules,
-        geo_codes,
-    };
-    Ok((clean, report))
+    Ok((s.out, BuildReport::new(s.healths, s.quarantine)))
 }
 
 #[cfg(test)]
@@ -622,10 +582,8 @@ mod tests {
         let raw = snaps();
         let (clean, report) = validate(&raw, &BuildPolicy::lenient()).unwrap();
         assert!(report.is_clean(), "clean snapshots quarantined:\n{report}");
-        assert!(matches!(clean.natural_earth, Cow::Borrowed(_)));
-        assert!(matches!(clean.roads, Cow::Borrowed(_)));
-        assert!(matches!(clean.atlas_nodes, Cow::Borrowed(_)));
-        assert!(matches!(clean.ripe_traceroutes, Cow::Borrowed(_)));
+        // The caller's own set comes back: nothing was copied.
+        assert!(matches!(clean, Cow::Borrowed(s) if std::ptr::eq(s, &raw)));
         for h in report.sources() {
             assert_eq!(h.rows_accepted + h.rows_quarantined, h.rows_in);
         }
@@ -658,6 +616,7 @@ mod tests {
         let mut raw = snaps();
         raw.natural_earth[0].loc.lon = f64::INFINITY;
         let (clean, report) = validate(&raw, &BuildPolicy::lenient()).unwrap();
+        assert!(matches!(clean, Cow::Owned(_)));
         assert_eq!(clean.natural_earth.len(), raw.natural_earth.len() - 1);
         assert!(report.quarantine().contains(SourceId::NaturalEarth, 0));
         // Every surviving road endpoint and geocode is in range after the

@@ -4,8 +4,6 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
 use crate::csv::{load_table, save_table};
 use crate::schema::Schema;
 use crate::table::Table;
@@ -14,79 +12,67 @@ use crate::{DbError, Result};
 /// The iGDB database: named relations plus save/load of the whole set as a
 /// directory of CSV files (one file per relation, `<table>.csv`).
 ///
-/// Interior locking lets read-heavy analyses share the database while a
-/// refresh pipeline loads new snapshots, mirroring how iGDB lets users
-/// "refresh their local data as frequently as required" (paper §2).
+/// Every write takes `&mut self`, so a database behind a shared reference —
+/// a published epoch's world, read by many requests at once — is read-only
+/// by type. A refresh builds the next world beside it instead of writing
+/// this one, mirroring how iGDB lets users "refresh their local data as
+/// frequently as required" (paper §2).
 ///
 /// Tables are held by reference count, so two databases can hold the same
 /// table ([`Database::share_table_from`]) — a refresh keeps every table
 /// its sources did not touch without copying a row. Writes are
 /// copy-on-write: a write to a table another database also holds copies
 /// the table first, so it never shows through to the other holder.
+#[derive(Default)]
 pub struct Database {
-    tables: RwLock<BTreeMap<String, Arc<Table>>>,
+    tables: BTreeMap<String, Arc<Table>>,
 }
 
-impl Default for Database {
-    fn default() -> Self {
-        Self::new()
-    }
+fn unknown(name: &str) -> DbError {
+    DbError::UnknownTable(name.to_string())
 }
 
 impl Database {
     pub fn new() -> Self {
-        Self {
-            tables: RwLock::new(BTreeMap::new()),
-        }
+        Self::default()
     }
 
     /// Creates an empty table. Errors if the name is taken.
-    pub fn create_table(&self, name: &str, schema: Schema) -> Result<()> {
-        let mut tables = self.tables.write();
-        if tables.contains_key(name) {
-            return Err(DbError::DuplicateTable(name.to_string()));
-        }
-        tables.insert(name.to_string(), Arc::new(Table::new(schema)));
-        Ok(())
+    pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<()> {
+        self.put_table(name, Table::new(schema))
     }
 
     /// Registers an already-populated table (e.g. parsed from a snapshot).
-    pub fn put_table(&self, name: &str, table: Table) -> Result<()> {
-        let mut tables = self.tables.write();
-        if tables.contains_key(name) {
+    pub fn put_table(&mut self, name: &str, table: Table) -> Result<()> {
+        if self.tables.contains_key(name) {
             return Err(DbError::DuplicateTable(name.to_string()));
         }
-        tables.insert(name.to_string(), Arc::new(table));
+        self.tables.insert(name.to_string(), Arc::new(table));
         Ok(())
     }
 
     /// Replaces a table wholesale (snapshot refresh).
-    pub fn replace_table(&self, name: &str, table: Table) {
-        self.tables.write().insert(name.to_string(), Arc::new(table));
+    pub fn replace_table(&mut self, name: &str, table: Table) {
+        self.tables.insert(name.to_string(), Arc::new(table));
     }
 
     /// Makes `name` here the very table `src` holds under that name,
     /// replacing whatever this database held: no row is copied, and a
     /// later write through either database copies the table first.
-    pub fn share_table_from(&self, src: &Database, name: &str) -> Result<()> {
-        let table = src
-            .tables
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| DbError::UnknownTable(name.to_string()))?;
-        self.tables.write().insert(name.to_string(), table);
+    pub fn share_table_from(&mut self, src: &Database, name: &str) -> Result<()> {
+        let table = src.tables.get(name).cloned().ok_or_else(|| unknown(name))?;
+        self.tables.insert(name.to_string(), table);
         Ok(())
     }
 
     /// Removes a table, returning it if present (still shared with any
     /// other database that holds it).
-    pub fn drop_table(&self, name: &str) -> Option<Arc<Table>> {
-        self.tables.write().remove(name)
+    pub fn drop_table(&mut self, name: &str) -> Option<Arc<Table>> {
+        self.tables.remove(name)
     }
 
     pub fn table_names(&self) -> Vec<String> {
-        self.tables.read().keys().cloned().collect()
+        self.tables.keys().cloned().collect()
     }
 
     /// Canonical dump of the whole database — table names in sorted order,
@@ -96,9 +82,8 @@ impl Database {
     /// compares an incrementally patched database against a from-scratch
     /// rebuild through this.
     pub fn fingerprint(&self) -> String {
-        let tables = self.tables.read();
         let mut out = String::new();
-        for (name, table) in tables.iter() {
+        for (name, table) in &self.tables {
             out.push_str("== table ");
             out.push_str(name);
             out.push('\n');
@@ -108,30 +93,26 @@ impl Database {
     }
 
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.read().contains_key(name)
+        self.tables.contains_key(name)
     }
 
     /// Runs `f` with shared access to a table.
     pub fn with_table<R>(&self, name: &str, f: impl FnOnce(&Table) -> R) -> Result<R> {
-        let tables = self.tables.read();
-        let t = tables
+        self.tables
             .get(name)
-            .ok_or_else(|| DbError::UnknownTable(name.to_string()))?;
-        Ok(f(t))
+            .map(|t| f(t))
+            .ok_or_else(|| unknown(name))
     }
 
     /// Runs `f` with exclusive access to a table, copying it first if
     /// another database shares it.
-    pub fn with_table_mut<R>(&self, name: &str, f: impl FnOnce(&mut Table) -> R) -> Result<R> {
-        let mut tables = self.tables.write();
-        let t = tables
-            .get_mut(name)
-            .ok_or_else(|| DbError::UnknownTable(name.to_string()))?;
+    pub fn with_table_mut<R>(&mut self, name: &str, f: impl FnOnce(&mut Table) -> R) -> Result<R> {
+        let t = self.tables.get_mut(name).ok_or_else(|| unknown(name))?;
         Ok(f(Arc::make_mut(t)))
     }
 
     /// Inserts one row into a table.
-    pub fn insert(&self, name: &str, row: Vec<crate::Value>) -> Result<usize> {
+    pub fn insert(&mut self, name: &str, row: Vec<crate::Value>) -> Result<usize> {
         self.with_table_mut(name, |t| t.insert(row))?
     }
 
@@ -146,23 +127,24 @@ impl Database {
     /// dated dumps side by side. A table `self` lacks is created with
     /// `other`'s schema; one it has must have the same schema, checked for
     /// every table before any row moves. Indexes on `self` stay current.
-    pub fn append_from(&self, other: &Database) -> Result<()> {
-        if std::ptr::eq(self, other) {
-            return Err(DbError::Format("cannot append a database to itself".to_string()));
-        }
-        let theirs = other.tables.read();
-        let mut ours = self.tables.write();
-        for (name, table) in theirs.iter() {
-            if ours.get(name).is_some_and(|t| t.schema() != table.schema()) {
-                return Err(DbError::SchemaViolation(format!("table '{name}': schemas differ")));
+    pub fn append_from(&mut self, other: &Database) -> Result<()> {
+        for (name, table) in &other.tables {
+            if self
+                .tables
+                .get(name)
+                .is_some_and(|t| t.schema() != table.schema())
+            {
+                return Err(DbError::SchemaViolation(format!(
+                    "table '{name}': schemas differ"
+                )));
             }
         }
-        for (name, table) in theirs.iter() {
-            let mine = ours
+        for (name, table) in &other.tables {
+            let mine = self
+                .tables
                 .entry(name.clone())
                 .or_insert_with(|| Arc::new(Table::new(table.schema().clone())));
-            Arc::make_mut(mine)
-                .insert_all(table.rows().iter().map(<[crate::Value]>::to_vec))?;
+            Arc::make_mut(mine).insert_all(table.rows().iter().map(<[crate::Value]>::to_vec))?;
         }
         Ok(())
     }
@@ -170,8 +152,7 @@ impl Database {
     /// Saves every table as `<dir>/<name>.csv`, creating the directory.
     pub fn save_dir(&self, dir: &Path) -> Result<()> {
         std::fs::create_dir_all(dir).map_err(|e| DbError::Io(e.to_string()))?;
-        let tables = self.tables.read();
-        for (name, table) in tables.iter() {
+        for (name, table) in &self.tables {
             save_table(table, &dir.join(format!("{name}.csv")))?;
         }
         Ok(())
@@ -180,7 +161,7 @@ impl Database {
     /// Loads every `*.csv` in a directory as a table named after the file
     /// stem.
     pub fn load_dir(dir: &Path) -> Result<Self> {
-        let db = Self::new();
+        let mut db = Self::new();
         let entries = std::fs::read_dir(dir).map_err(|e| DbError::Io(e.to_string()))?;
         for entry in entries {
             let entry = entry.map_err(|e| DbError::Io(e.to_string()))?;
@@ -213,7 +194,7 @@ mod tests {
 
     #[test]
     fn create_insert_query_cycle() {
-        let db = Database::new();
+        let mut db = Database::new();
         db.create_table("asn_name", schema()).unwrap();
         db.insert("asn_name", vec![Value::Int(174), Value::text("COGENT")])
             .unwrap();
@@ -228,7 +209,7 @@ mod tests {
 
     #[test]
     fn duplicate_and_unknown_tables() {
-        let db = Database::new();
+        let mut db = Database::new();
         db.create_table("t", schema()).unwrap();
         assert!(matches!(
             db.create_table("t", schema()),
@@ -242,7 +223,7 @@ mod tests {
 
     #[test]
     fn drop_and_replace() {
-        let db = Database::new();
+        let mut db = Database::new();
         db.create_table("t", schema()).unwrap();
         db.insert("t", vec![Value::Int(1), Value::text("a")]).unwrap();
         let mut replacement = Table::new(schema());
@@ -263,7 +244,7 @@ mod tests {
     #[test]
     fn a_shared_table_is_copied_on_write() {
         let addr = |db: &Database| db.with_table("t", |t| t as *const Table as usize).unwrap();
-        let (a, b) = (Database::new(), Database::new());
+        let (mut a, mut b) = (Database::new(), Database::new());
         a.create_table("t", schema()).unwrap();
         a.insert("t", vec![Value::Int(1), Value::text("a")]).unwrap();
         // An unshared table is written in place.
@@ -294,15 +275,11 @@ mod tests {
             b.share_table_from(&a, "missing"),
             Err(DbError::UnknownTable(_))
         ));
-        // Sharing with itself is a no-op.
-        let own = addr(&a);
-        a.share_table_from(&a, "t").unwrap();
-        assert_eq!(addr(&a), own);
     }
 
     #[test]
     fn directory_round_trip() {
-        let db = Database::new();
+        let mut db = Database::new();
         db.create_table("asn_name", schema()).unwrap();
         db.insert("asn_name", vec![Value::Int(174), Value::text("COGENT")])
             .unwrap();
@@ -321,7 +298,7 @@ mod tests {
 
     #[test]
     fn append_from_is_the_union_of_two_databases() {
-        let (a, b) = (Database::new(), Database::new());
+        let (mut a, mut b) = (Database::new(), Database::new());
         a.create_table("asn_name", schema()).unwrap();
         a.insert("asn_name", vec![Value::Int(174), Value::text("COGENT")]).unwrap();
         a.with_table_mut("asn_name", |t| t.create_index("asn")).unwrap().unwrap();
@@ -345,19 +322,18 @@ mod tests {
         assert_eq!(b.row_count("asn_name").unwrap(), 2, "the source is only read");
 
         // A schema mismatch on any table refuses the whole append.
-        let c = Database::new();
+        let mut c = Database::new();
         c.create_table("asn_name", schema()).unwrap();
         c.insert("asn_name", vec![Value::Int(1), Value::text("x")]).unwrap();
         c.create_table("asn_org", Schema::new(vec![ColumnDef::new("asn", ColumnType::Int)]))
             .unwrap();
         assert!(matches!(a.append_from(&c), Err(DbError::SchemaViolation(_))));
         assert_eq!(a.row_count("asn_name").unwrap(), 3);
-        assert!(a.append_from(&a).is_err());
     }
 
     #[test]
     fn table_names_sorted() {
-        let db = Database::new();
+        let mut db = Database::new();
         db.create_table("zeta", schema()).unwrap();
         db.create_table("alpha", schema()).unwrap();
         assert_eq!(db.table_names(), vec!["alpha", "zeta"]);

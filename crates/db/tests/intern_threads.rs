@@ -57,7 +57,7 @@ fn fingerprint_is_intern_order_independent() {
         for s in order {
             let _ = Str::new(s);
         }
-        let db = Database::new();
+        let mut db = Database::new();
         db.create_table(
             "t",
             Schema::new(vec![

@@ -68,11 +68,12 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 /// Applies `op`; `deep` shares by copying the table, the model of what
 /// sharing by reference must be indistinguishable from.
-fn step(dbs: &[Database; 2], op: &Op, deep: bool) -> bool {
+fn step(dbs: &mut [Database; 2], op: &Op, deep: bool) -> bool {
     let name = |table: usize| format!("t{table}");
     match *op {
         Op::Share { db, table } => {
-            let (to, from) = (&dbs[db], &dbs[1 - db]);
+            let [first, second] = dbs;
+            let (to, from) = if db == 0 { (first, &*second) } else { (second, &*first) };
             if deep {
                 from.with_table(&name(table), Table::clone)
                     .map(|t| to.replace_table(&name(table), t))
@@ -102,15 +103,15 @@ proptest! {
             ColumnDef::new("t", ColumnType::Text),
         ]);
         let fresh = || {
-            let db = Database::new();
+            let mut db = Database::new();
             for table in 0..3 {
                 db.create_table(&format!("t{table}"), schema.clone()).unwrap();
             }
             db
         };
-        let (real, model) = ([fresh(), fresh()], [fresh(), fresh()]);
+        let (mut real, mut model) = ([fresh(), fresh()], [fresh(), fresh()]);
         for op in &ops {
-            prop_assert_eq!(step(&real, op, false), step(&model, op, true), "{:?}", op);
+            prop_assert_eq!(step(&mut real, op, false), step(&mut model, op, true), "{:?}", op);
             for db in 0..2 {
                 prop_assert_eq!(real[db].fingerprint(), model[db].fingerprint(), "{:?}", op);
             }

@@ -204,8 +204,10 @@ impl<'a> Parser<'a> {
     /// Returns true (consuming) if the next keyword is `EMPTY`.
     fn try_empty(&mut self) -> bool {
         self.skip_ws();
-        let rest = &self.input[self.pos..];
-        if rest.len() >= 5 && rest[..5].eq_ignore_ascii_case("EMPTY") {
+        // Bytes, not `str`: byte 5 of arbitrary input need not be a char
+        // boundary.
+        let rest = &self.bytes[self.pos..];
+        if rest.len() >= 5 && rest[..5].eq_ignore_ascii_case(b"EMPTY") {
             self.pos += 5;
             true
         } else {
@@ -451,6 +453,9 @@ mod tests {
         assert!(parse_wkt("LINESTRING (0 0, )").is_err());
         assert!(parse_wkt("POLYGON ((0 0, 1 1))").is_err()); // ring too short
         assert!(parse_wkt("POINT (nanna 2)").is_err());
+        // Non-ASCII text where `EMPTY` could start.
+        assert!(parse_wkt("POINT ééé").is_err());
+        assert!(parse_wkt("LINESTRING-2.5é,").is_err());
     }
 
     /// Truncated inputs — the shapes a half-written snapshot file produces —

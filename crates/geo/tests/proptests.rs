@@ -349,3 +349,41 @@ fn exact_window_alone_misses_an_accepted_segment() {
     assert!(!exact_window(&p, radius).unwrap().intersects(&bbox));
     assert!(segment_window(&p, radius, 89.0).unwrap().intersects(&bbox));
 }
+
+/// Soup ingredients; the first five are the geometry keywords a soup opens
+/// with.
+const WKT_TOKENS: [&str; 17] = [
+    "POINT",
+    "LINESTRING",
+    "MULTILINESTRING",
+    "POLYGON",
+    "MULTIPOLYGON",
+    "EMPTY",
+    "empty",
+    "EMP",
+    "(",
+    ")",
+    ",",
+    " ",
+    "-2.5",
+    "1e3",
+    "0",
+    "é",
+    "日",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// Token soup — a geometry keyword, then `EMPTY`, brackets, numbers and
+    /// multi-byte characters in any order — is parsed or refused, never a
+    /// panic.
+    #[test]
+    fn wkt_parser_never_panics_on_token_soup(
+        keyword in 0..5usize,
+        rest in proptest::collection::vec(0..WKT_TOKENS.len(), 0..12),
+    ) {
+        let soup: String = std::iter::once(keyword).chain(rest).map(|i| WKT_TOKENS[i]).collect();
+        let _ = parse_wkt(&soup);
+    }
+}

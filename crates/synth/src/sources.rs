@@ -213,7 +213,7 @@ pub struct BgpPrefixRecord {
 }
 
 /// All snapshots for one `as_of_date`.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct SnapshotSet {
     pub as_of_date: String,
     pub atlas_nodes: Vec<AtlasNode>,

@@ -321,6 +321,39 @@ fn report_refuses_unknown_ids_and_tiers() {
     }
 }
 
+/// The database a tiny build writes, pinned: clean, and with seeded
+/// corruption that quarantines Natural Earth places, roads and geocodes —
+/// so validation copies the set at the first fault and rewrites metro ids.
+#[test]
+fn build_fingerprints_are_pinned() {
+    let dir = tempdir("fingerprint");
+    for (i, (corrupt, want)) in [
+        (&[][..], "fingerprint 7ae89547c0ae0038"),
+        (&["--corrupt", "7"][..], "fingerprint 14384ed64df0f343"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let out = igdb()
+            .args(["build", "--out"])
+            .arg(dir.join(format!("db{i}")))
+            .args(["--scale", "tiny", "--fingerprint"])
+            .args(corrupt)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.lines().any(|l| l == want),
+            "{corrupt:?}: want {want}, got:\n{stdout}"
+        );
+    }
+}
+
 #[test]
 fn bad_usage_fails_cleanly() {
     let out = igdb().arg("frobnicate").output().unwrap();

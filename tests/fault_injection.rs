@@ -9,7 +9,10 @@
 //!   the quarantine (at its exact source/index) or covered by its source
 //!   having been dropped; every emptied source shows zero input rows.
 //! * **Monotone degradation.** Quarantining input can only remove derived
-//!   database rows relative to the clean build — never invent them.
+//!   database rows relative to the clean build — never invent them. The
+//!   one exception is a table a quarantined metro can grow by moving
+//!   nodes to another metro; it is held to the clean input under the
+//!   same metro catalogue instead.
 //! * **Deterministic.** The quarantine, the report, and every table are
 //!   identical from one build to the next, faults included.
 //! * **Clean input unchanged.** On pristine snapshots `try_build` is
@@ -49,6 +52,25 @@ fn clean_counts() -> &'static BTreeMap<String, usize> {
             })
             .collect()
     })
+}
+
+/// Tables a quarantined metro can grow. A quarantined place moves the
+/// atlas nodes that stood in it onto their next-nearest metros, which can
+/// split one metro-to-metro corridor into two (`PROPTEST_SEED=3`:
+/// `NanMetroCoord` on Houston, Pittsburgh and Cali took `phys_conn` from
+/// 260 rows to 261). Their ceiling is the clean input's count under the
+/// faulty input's metro catalogue ([`catalogue_ceiling`]); every other
+/// table stays under the clean build's.
+const MOVED_BY_METRO_QUARANTINE: [&str; 1] = ["phys_conn"];
+
+/// Row count of `table` in the clean input built under `faulty`'s
+/// metro catalogue.
+fn catalogue_ceiling(faulty: &SnapshotSet, table: &str) -> usize {
+    let mut base = clean_snaps().clone();
+    base.natural_earth = faulty.natural_earth.clone();
+    let (igdb, _) = Igdb::try_build(&base, &BuildPolicy::lenient())
+        .expect("the faulty build took the same catalogue");
+    igdb.db.row_count(table).unwrap()
 }
 
 fn assert_tables_identical(a: &Igdb, b: &Igdb) {
@@ -169,7 +191,15 @@ proptest! {
                 assert_report_consistent(&report);
                 // Monotone degradation: a degraded build may only lose
                 // derived rows, never invent them.
-                for (table, &ceiling) in clean_counts() {
+                let catalogue_moved = faulty.natural_earth != clean_snaps().natural_earth;
+                for (table, &clean) in clean_counts() {
+                    let ceiling = if catalogue_moved
+                        && MOVED_BY_METRO_QUARANTINE.contains(&table.as_str())
+                    {
+                        catalogue_ceiling(&faulty, table)
+                    } else {
+                        clean
+                    };
                     let n = igdb.db.row_count(table).unwrap();
                     prop_assert!(
                         n <= ceiling,

@@ -25,7 +25,7 @@ fn second_snapshot_appends_without_touching_the_first() {
     let world = World::generate(WorldConfig::tiny());
     let snaps1 = emit_snapshots(&world, FIRST, 100);
     let (first, second) = (Igdb::build(&snaps1), Igdb::build(&six_months_later(&snaps1)));
-    let history = Database::new();
+    let mut history = Database::new();
     history.append_from(&first.db).unwrap();
     history.append_from(&second.db).unwrap();
 
