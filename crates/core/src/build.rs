@@ -8,7 +8,6 @@
 //! (bdrmapIT role), to hostnames (Rapid7 rDNS), and to metros (Hoiho + IXP
 //! prefixes), filling `ip_asn_dns`.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -19,7 +18,7 @@ use igdb_net::{Asn, Ip4, Prefix};
 use igdb_synth::sources::{RipeTraceroute, SnapshotSet};
 
 use crate::bdrmap::BdrMap;
-use crate::delta::{diff_snapshots, release_consumed, SnapshotDelta, Stage};
+use crate::delta::{diff_snapshots, SnapshotDelta, Stage};
 use crate::derived::{Derived, SegmentIndex};
 use crate::hoiho::HoihoEngine;
 use crate::metros::MetroRegistry;
@@ -136,15 +135,17 @@ pub struct Igdb {
     /// geometries, segment index).
     derived: Derived,
     /// The validated record set this world was built from — the baseline
-    /// [`crate::delta::diff_snapshots`] diffs a replacement against.
-    snapshots: igdb_synth::sources::SnapshotSet,
+    /// [`crate::delta::diff_snapshots`] diffs a replacement against. Its
+    /// sources are shared with the caller's input and with every epoch
+    /// that did not change them.
+    snapshots: SnapshotSet,
     /// Per-stage deterministic-counter deltas recorded while building.
     /// A delta apply replays a clean stage's entry instead of re-running
     /// the stage, keeping the counter stream byte-identical to a
     /// from-scratch rebuild.
     stage_ledger: Vec<Vec<(String, String, u64)>>,
     /// [`Igdb::add_inferred_location`] added a row the stage driver did not
-    /// write (see `mirrors_baseline`).
+    /// write, so [`Igdb::apply_delta`] may not share this world's tables.
     rows_added_since_build: bool,
 }
 
@@ -239,18 +240,6 @@ impl LedgerRecorder {
         self.before = now;
         self.ledger.push(entry);
     }
-}
-
-/// Whether the finished world keeps the screened sources as the baseline
-/// a later [`Igdb::apply_delta`] diffs against.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Baseline {
-    /// Every source stays to the end and becomes the baseline (borrowed
-    /// ones are copied only then, owned ones move).
-    Keep,
-    /// Each source is let go the moment its last consumer has finished.
-    /// Only an owned set is released; `build_staged` asserts it gets one.
-    Drop,
 }
 
 /// A side product of an earlier stage.
@@ -1004,9 +993,8 @@ impl Pipeline {
     }
 
     /// Indexes the hot keys, emits the row totals, and assembles the world
-    /// around `snapshots` (the baseline, empty when none was kept). A
-    /// table shared from the prior already carries its index, built over
-    /// the same rows.
+    /// around `snapshots`, its baseline. A table shared from the prior
+    /// already carries its index, built over the same rows.
     fn finish(
         self,
         snapshots: SnapshotSet,
@@ -1102,46 +1090,15 @@ impl Igdb {
     ) -> Result<(Igdb, BuildReport), BuildError> {
         let _span = igdb_obs::span("pipeline");
         let (screened, report) = Self::screen(snaps, policy)?;
-        Ok((Self::build_staged(screened, None, Baseline::Keep), report))
-    }
-
-    /// One-shot build: consumes the snapshot set and returns each source's
-    /// memory the moment its last stage has consumed it, so peak RSS
-    /// tracks the stages still executing instead of the whole input. The
-    /// output database is byte-identical to [`Igdb::try_build`]'s, but the
-    /// returned Igdb retains an *empty* snapshot baseline:
-    /// [`Igdb::traces`] is empty and [`Igdb::apply_delta`] falls back to a
-    /// full rebuild. Use it for build-and-save pipelines (the `igdb build`
-    /// CLI, scaling benches); long-lived serving or delta-ingesting
-    /// instances want [`Igdb::try_build`].
-    ///
-    /// When screening quarantines anything, validation has copied the
-    /// survivors out once and the raw input is let go before the build
-    /// starts, so the faulty-input path is just as baseline-free.
-    pub fn try_build_scratch(
-        snaps: SnapshotSet,
-        policy: &BuildPolicy,
-    ) -> Result<(Igdb, BuildReport), BuildError> {
-        let _span = igdb_obs::span("pipeline");
-        let (screened, report) = Self::screen(&snaps, policy)?;
-        let screened = match screened {
-            // Screening removed nothing: `snaps` itself is the screened set.
-            Cow::Borrowed(_) => snaps,
-            Cow::Owned(survivors) => {
-                drop(snaps);
-                survivors
-            }
-        };
-        igdb_obs::trim_heap();
-        Ok((Self::build_staged(Cow::Owned(screened), None, Baseline::Drop), report))
+        Ok((Self::build_staged(screened, None), report))
     }
 
     /// Validation + the two accounting cross-checks shared by
     /// [`Igdb::try_build`] and [`Igdb::apply_delta`].
-    fn screen<'a>(
-        snaps: &'a SnapshotSet,
+    fn screen(
+        snaps: &SnapshotSet,
         policy: &BuildPolicy,
-    ) -> Result<(Cow<'a, SnapshotSet>, BuildReport), BuildError> {
+    ) -> Result<(SnapshotSet, BuildReport), BuildError> {
         // The ingestion counters accumulate across builds sharing one
         // registry, so the report cross-check compares per-source *deltas*
         // against a baseline captured before validation runs.
@@ -1200,24 +1157,14 @@ impl Igdb {
     /// world by reference, replay its recorded counter deltas and take
     /// over its side products ([`Pipeline::share`]), otherwise run it
     /// ([`Pipeline::run`] — the only case when `prior` is `None`, a full
-    /// build); close the span; unless the world keeps its baseline, let go
-    /// of the sources whose last consumer this stage was; if it ran,
-    /// compact the tables it wrote (which also returns what was just
-    /// freed); cut the counter ledger.
+    /// build); close the span; if it ran, compact the tables it wrote
+    /// (which also returns what was just freed); cut the counter ledger.
+    /// The world keeps `snaps` as its baseline.
     ///
     /// Shared or re-run, a stage ends with the same rows, the same side
     /// products and the same counter ticks, so the result is byte-identical
     /// to a from-scratch build of `snaps` whatever `prior` was.
-    fn build_staged(
-        mut snaps: Cow<'_, SnapshotSet>,
-        prior: Option<(&Igdb, &SnapshotDelta)>,
-        baseline: Baseline,
-    ) -> Self {
-        // Releasing a borrowed source would copy the whole set first.
-        debug_assert!(
-            baseline == Baseline::Keep || matches!(snaps, Cow::Owned(_)),
-            "Baseline::Drop takes an owned snapshot set"
-        );
+    fn build_staged(snaps: SnapshotSet, prior: Option<(&Igdb, &SnapshotDelta)>) -> Self {
         let _span = igdb_obs::span("build");
         let mut rec = LedgerRecorder::start();
         let mut pipeline = Pipeline::new(&snaps.as_of_date);
@@ -1235,30 +1182,17 @@ impl Igdb {
                 None => pipeline.run(stage, &snaps),
             }
             drop(span);
-            if let (Baseline::Drop, Cow::Owned(set)) = (baseline, &mut snaps) {
-                release_consumed(set, stage);
-            }
             if shared_from.is_none() && !stage.tables().is_empty() {
                 compact_tables(&mut pipeline.db, stage.tables());
             }
             rec.cut();
         }
-        pipeline.finish(snaps.into_owned(), rec.ledger)
+        pipeline.finish(snaps, rec.ledger)
     }
 
     /// The validated record set this world was built from.
     pub fn source_snapshots(&self) -> &SnapshotSet {
         &self.snapshots
-    }
-
-    /// Whether [`Igdb::apply_delta`] may share stages from this world: its
-    /// tables are exactly what the stage driver wrote from the baseline it
-    /// kept. False for a [`Igdb::try_build_scratch`] world, which let every
-    /// source go as it built (the metro catalogue is a required source, so
-    /// a kept baseline is never without it), and once a row has been added
-    /// after the build.
-    fn mirrors_baseline(&self) -> bool {
-        !self.snapshots.natural_earth.is_empty() && !self.rows_added_since_build
     }
 
     /// The raw traceroute corpus (kept out of the DB for §2's practical
@@ -1283,7 +1217,8 @@ impl Igdb {
     /// — database fingerprint, quarantine, and deterministic counter
     /// stream.
     ///
-    /// A prior that cannot be shared from (see `mirrors_baseline`) makes
+    /// A prior holding a row its tables were not built with (see
+    /// [`Igdb::add_inferred_location`]) cannot be shared from, and makes
     /// this a full rebuild — the same bytes by that contract.
     pub fn apply_delta(
         &self,
@@ -1291,21 +1226,16 @@ impl Igdb {
         policy: &BuildPolicy,
     ) -> Result<(Igdb, BuildReport, SnapshotDelta), BuildError> {
         let _span = igdb_obs::span("delta.apply");
-        if !self.mirrors_baseline() {
+        if self.rows_added_since_build {
             let (igdb, report) = Self::try_build(snaps, policy)?;
             let delta = diff_snapshots(&self.snapshots, &igdb.snapshots);
             return Ok((igdb, report, delta));
         }
-        let (screened, report) = Self::screen(snaps, policy)?;
-        // The one copy of the screened set: diffed here, built from, then
-        // kept as the new world's baseline.
-        let snap_span = igdb_obs::span("delta.snapshot_set");
-        let new_set = screened.into_owned();
-        drop(snap_span);
+        let (new_set, report) = Self::screen(snaps, policy)?;
         let diff_span = igdb_obs::span("delta.diff");
         let delta = diff_snapshots(&self.snapshots, &new_set);
         drop(diff_span);
-        let igdb = Self::build_staged(Cow::Owned(new_set), Some((self, &delta)), Baseline::Keep);
+        let igdb = Self::build_staged(new_set, Some((self, &delta)));
         igdb.derived.succeed(
             &self.derived,
             &self.phys_pairs,
@@ -1673,40 +1603,6 @@ mod tests {
         assert_eq!(asns.len(), 4, "{asns:?}");
         for asn in asns {
             assert!(world.scenarios.spectra.contains(&asn));
-        }
-    }
-
-    /// The one-shot scratch build frees each source mid-pipeline; the
-    /// resulting database must still be byte-identical to the borrowing
-    /// build, and the (intentionally empty) baseline must route delta
-    /// application through a full rebuild rather than a bogus diff —
-    /// on clean input and when screening quarantines records alike.
-    #[test]
-    fn scratch_build_is_byte_identical_and_baseline_free() {
-        use igdb_synth::faults::{inject_faults, FaultClass};
-        let world = World::generate(WorldConfig::tiny());
-        let snaps = emit_snapshots(&world, "2022-05-03", 400);
-        let mut corrupted = snaps.clone();
-        let faults = inject_faults(&mut corrupted, 7, &FaultClass::ALL_RECORD_CLASSES);
-        assert!(!faults.is_empty());
-        for (snaps, policy) in [
-            (snaps, BuildPolicy::strict()),
-            (corrupted, BuildPolicy::lenient()),
-        ] {
-            let (full, full_report) = Igdb::try_build(&snaps, &policy).unwrap();
-            let (scratch, report) = Igdb::try_build_scratch(snaps.clone(), &policy).unwrap();
-            assert_eq!(report, full_report);
-            assert_eq!(report.is_clean(), policy.fail_fast, "the lenient case must quarantine");
-            assert_eq!(scratch.db.fingerprint(), full.db.fingerprint());
-            assert!(scratch.traces().is_empty(), "scratch build kept a baseline");
-            assert!(!scratch.mirrors_baseline());
-
-            let later = emit_snapshots(&world, "2022-06-01", 400);
-            let (via_delta, _, _) = scratch.apply_delta(&later, &BuildPolicy::strict()).unwrap();
-            let (fresh, _) = Igdb::try_build(&later, &BuildPolicy::strict()).unwrap();
-            assert_eq!(via_delta.db.fingerprint(), fresh.db.fingerprint());
-            // The fallback rebuild retains a real baseline again.
-            assert!(!via_delta.traces().is_empty());
         }
     }
 }

@@ -19,12 +19,11 @@
 //! and nothing else.
 //!
 //! Two decisions live here and nowhere else: which stages depend on which
-//! source, and when a stage reads a source first and last (the `sources!`
-//! table — the diff and the stage driver's release step are generated
-//! from it or read it); and whether a stage is shared from the prior world
+//! source (the `sources!` table — the diff is generated from it); and
+//! whether a stage is shared from the prior world
 //! ([`SnapshotDelta::shares`]).
 
-use igdb_synth::sources::SnapshotSet;
+use igdb_synth::sources::{SnapshotSet, Source};
 
 /// One pipeline stage of the build, in execution order. The discriminants
 /// index the per-stage counter ledger.
@@ -105,53 +104,43 @@ impl Stage {
     }
 }
 
-/// Where the build reads one source, and which stages it reaches.
+/// Which stages the build reaches from one source.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SourceUse {
     pub name: &'static str,
-    /// First stage that reads the records.
-    pub first: Stage,
-    /// Last stage that reads the records; once it has finished, a build
-    /// that keeps no baseline lets the source go.
-    pub last: Stage,
     /// Every stage whose output depends on the source, by reading it or
-    /// through a side product of an earlier stage: exactly the stages a
-    /// change to the source makes an apply re-run.
+    /// through a side product of an earlier stage, in build order: exactly
+    /// the stages a change to the source makes an apply re-run. The first
+    /// is the first stage that reads the records.
     pub reaches: &'static [Stage],
 }
 
-/// The source→stage map, one row per [`SnapshotSet`] source: `first ..=
-/// last` are its first and last reader, then every stage it reaches. Rows
-/// are in first-reader order, which is the order [`SnapshotDelta::sources`]
-/// reports them in. Everything that walks the sources is generated from it
-/// — [`SOURCE_USES`], the per-source diff, and the release step, which
-/// names every [`SnapshotSet`] field — so a source without a row does not
-/// compile.
+impl SourceUse {
+    /// First stage that reads the records.
+    pub fn first(&self) -> Stage {
+        self.reaches[0]
+    }
+}
+
+/// The source→stage map, one row per [`SnapshotSet`] source: every stage
+/// it reaches, its first reader first. Rows are in first-reader order,
+/// which is the order [`SnapshotDelta::sources`] reports them in.
+/// Everything that walks the sources is generated from it —
+/// [`SOURCE_USES`] and the per-source diff, which names every
+/// [`SnapshotSet`] field — so a source without a row does not compile.
 macro_rules! sources {
-    ($($source:ident: $first:ident ..= $last:ident => $($reach:ident)|+;)*) => {
+    ($($source:ident => $($reach:ident)|+;)*) => {
         pub(crate) const SOURCE_USES: &[SourceUse] = &[$(SourceUse {
             name: stringify!($source),
-            first: Stage::$first,
-            last: Stage::$last,
             reaches: &[$(Stage::$reach),+],
         }),*];
 
         /// Compares every source, in table order.
         fn diff_sources(old: &SnapshotSet, new: &SnapshotSet) -> Vec<SourceDiff> {
+            let SnapshotSet { as_of_date: _, $($source),* } = old;
             let mut out = Vec::new();
-            $(diff_source(source_use(stringify!($source)), &old.$source, &new.$source, &mut out);)*
+            $(diff_source(source_use(stringify!($source)), $source, &new.$source, &mut out);)*
             out
-        }
-
-        /// Empties every source of `set` whose last consumer is `stage`.
-        /// A build that keeps no baseline calls this as each stage
-        /// finishes, so peak RSS tracks the stages still running rather
-        /// than the whole input set.
-        pub(crate) fn release_consumed(set: &mut SnapshotSet, stage: Stage) {
-            let SnapshotSet { as_of_date: _, $($source),* } = set;
-            $(if source_use(stringify!($source)).last == stage {
-                *$source = Vec::new();
-            })*
         }
 
         /// Reverses the named source in place; true when that changed it
@@ -164,45 +153,56 @@ macro_rules! sources {
             })*
             panic!("no source named {name}")
         }
+
+        /// The sources `a` holds as the very records `b` holds, in table
+        /// order.
+        #[cfg(test)]
+        pub(crate) fn shared_sources(a: &SnapshotSet, b: &SnapshotSet) -> Vec<&'static str> {
+            let mut out = Vec::new();
+            $(if a.$source.shares(&b.$source) {
+                out.push(stringify!($source));
+            })*
+            out
+        }
     };
 }
 
 sources! {
     // The metro registry: every stage but the hop relation takes it (ids,
     // labels, nearest-site joins, the road graph's node count, Hoiho).
-    natural_earth: Metros ..= Metros
+    natural_earth
         => Metros | Roads | CityTables | Physical | Telegeo | Logical | AsnLoc | Probes | IpResolution;
     // The road graph Physical routes on.
-    roads: Roads ..= Roads => Roads | Physical;
-    atlas_nodes: Physical ..= Physical => Physical;
-    atlas_links: Physical ..= Physical => Physical;
+    roads => Roads | Physical;
+    atlas_nodes => Physical;
+    atlas_links => Physical;
     // The facility→metro map AsnLoc joins presences through.
-    pdb_facilities: Physical ..= Physical => Physical | AsnLoc;
-    telegeo: Telegeo ..= Telegeo => Telegeo;
-    asrank_entries: Logical ..= Logical => Logical;
-    asrank_links: Logical ..= Logical => Logical;
+    pdb_facilities => Physical | AsnLoc;
+    telegeo => Telegeo;
+    asrank_entries => Logical;
+    asrank_links => Logical;
     // The network→ASN map.
-    pdb_networks: Logical ..= Logical => Logical | AsnLoc;
+    pdb_networks => Logical | AsnLoc;
     // The IXP maps: `ixp_metro` for AsnLoc, `ixp_prefix_metro` for the
     // peering-LAN match in IP resolution.
-    pdb_ix: Logical ..= Logical => Logical | AsnLoc | IpResolution;
-    pch_ixps: Logical ..= AsnLoc => Logical | AsnLoc;
+    pdb_ix => Logical | AsnLoc | IpResolution;
+    pch_ixps => Logical | AsnLoc;
     // The label resolver (and through it the IXP maps), and Hoiho's
     // geocode dictionary.
-    geo_codes: Logical ..= IpResolution => Logical | AsnLoc | IpResolution;
+    geo_codes => Logical | AsnLoc | IpResolution;
     // Screened and counted but not loaded into relations — Logical is
     // their conservative home.
-    he_exchanges: Logical ..= Logical => Logical;
-    euroix: Logical ..= Logical => Logical;
-    pdb_netfac: AsnLoc ..= AsnLoc => AsnLoc;
-    pdb_netix: AsnLoc ..= AsnLoc => AsnLoc;
-    ripe_anchors: Probes ..= Probes => Probes;
+    he_exchanges => Logical;
+    euroix => Logical;
+    pdb_netfac => AsnLoc;
+    pdb_netix => AsnLoc;
+    ripe_anchors => Probes;
     // Hop rows, then the hop sequences bdrmap refines on.
-    ripe_traceroutes: Traceroutes ..= IpResolution => Traceroutes | IpResolution;
-    rdns: IpResolution ..= IpResolution => IpResolution;
-    bgp_prefixes: IpResolution ..= IpResolution => IpResolution;
-    anycast_prefixes: IpResolution ..= IpResolution => IpResolution;
-    hoiho_rules: IpResolution ..= IpResolution => IpResolution;
+    ripe_traceroutes => Traceroutes | IpResolution;
+    rdns => IpResolution;
+    bgp_prefixes => IpResolution;
+    anycast_prefixes => IpResolution;
+    hoiho_rules => IpResolution;
 }
 
 fn source_use(name: &str) -> &'static SourceUse {
@@ -287,12 +287,18 @@ impl SnapshotDelta {
 /// consumes its source as an ordered slice and inserts rows in that order,
 /// so the comparison is ordered too: a source that comes back rearranged
 /// has changed, and a stage is shared only when each source it depends on
-/// is equal record for record.
-fn diff_source<T: PartialEq>(source: &SourceUse, old: &[T], new: &[T], out: &mut Vec<SourceDiff>) {
+/// is equal record for record. A source both sets share is equal without
+/// reading a record.
+fn diff_source<T: PartialEq>(
+    source: &SourceUse,
+    old: &Source<T>,
+    new: &Source<T>,
+    out: &mut Vec<SourceDiff>,
+) {
     if old != new {
         out.push(SourceDiff {
             source: source.name,
-            stage: source.first,
+            stage: source.first(),
             old_len: old.len(),
             new_len: new.len(),
         });
@@ -355,7 +361,7 @@ mod tests {
 
     /// The `sources!` table against the ground truth it encodes. The
     /// compiler already holds it against `SnapshotSet`'s fields (the
-    /// generated release step names every one); here it is held against the
+    /// generated diff names every one); here it is held against the
     /// sources the validator screens, the order the diff reports them in,
     /// and the stages each source reaches. Whether each cross-stage edge is
     /// needed is `delta_determinism`'s `cross_stage_edges_*` test.
@@ -368,15 +374,11 @@ mod tests {
         screened.sort_unstable();
         assert_eq!(sorted, screened, "one row per screened source, no more");
         for u in SOURCE_USES {
-            assert!(u.first <= u.last, "{}: first reader after last", u.name);
-            // Reading a source is depending on it, and nothing before its
-            // first reader can depend on it.
+            // Nothing before its first reader can depend on a source.
             assert!(u.reaches.windows(2).all(|w| w[0] < w[1]), "{}: reach out of order", u.name);
-            assert_eq!(u.reaches.first(), Some(&u.first), "{}", u.name);
-            assert!(u.reaches.contains(&u.last), "{}", u.name);
         }
         assert!(
-            SOURCE_USES.windows(2).all(|w| w[0].first <= w[1].first),
+            SOURCE_USES.windows(2).all(|w| w[0].first() <= w[1].first()),
             "rows must be in first-reader order"
         );
         let reaching = |stage: Stage| -> Vec<&str> {
@@ -397,19 +399,6 @@ mod tests {
         );
         assert_eq!(reaching(Stage::Traceroutes), ["ripe_traceroutes"]);
         assert_eq!(source_use("natural_earth").reaches, all_but_traceroutes());
-        // Every record is released by the end of a baseline-free build.
-        let snaps = base();
-        let (_, report) =
-            crate::validate::validate(&snaps, &igdb_fault::BuildPolicy::strict()).unwrap();
-        let records: usize =
-            igdb_fault::SourceId::ALL.iter().map(|s| report.health(*s).rows_in).sum();
-        let mut owned = snaps.clone();
-        for stage in Stage::ALL {
-            release_consumed(&mut owned, stage);
-        }
-        let d = diff_snapshots(&snaps, &owned);
-        assert!(d.sources.iter().all(|s| s.new_len == 0), "a source outlived its last consumer");
-        assert_eq!(d.sources.iter().map(|s| s.old_len).sum::<usize>(), records);
     }
 
     /// A source that comes back rearranged is a changed source: every
@@ -428,7 +417,7 @@ mod tests {
             let named: Vec<&str> = d.sources.iter().map(|s| s.source).collect();
             assert_eq!(named, [u.name]);
             assert_eq!(d.sources[0].old_len, d.sources[0].new_len, "{}", u.name);
-            assert_eq!(d.first_dirty, Some(u.first), "{}", u.name);
+            assert_eq!(d.first_dirty, Some(u.first()), "{}", u.name);
             assert_eq!(reruns(&d), u.reaches, "{}", u.name);
         }
         assert!(reordered > SOURCE_USES.len() / 2, "the tiny world left most sources trivial");

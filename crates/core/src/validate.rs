@@ -10,12 +10,11 @@
 //!
 //! Design constraints, in priority order:
 //!
-//! 1. **Clean input is the caller's set, borrowed.** When nothing is
-//!    quarantined or dropped, [`validate`] hands back `Cow::Borrowed` of
-//!    the very set it was given, so a clean build reads the exact same
-//!    memory it always did and copies nothing. The first fault makes one
-//!    owned copy; every removal and metro-id rewrite edits that copy in
-//!    place.
+//! 1. **Clean input is the caller's records, shared.** [`validate`] hands
+//!    back a clone of the set it was given, and every source of a
+//!    [`SnapshotSet`] is a shared value, so a clean build reads the exact
+//!    same records the caller holds and copies nothing. A removal or a
+//!    metro-id rewrite copies only the source it edits.
 //! 2. **Deterministic.** Screening is a serial pass in a fixed source
 //!    order; quarantine order is input order.
 //! 3. **Conservative.** A record is quarantined only for defects that
@@ -29,7 +28,6 @@
 //! an old→new remap (references to a quarantined place are themselves
 //! quarantined as dangling).
 
-use std::borrow::Cow;
 use std::collections::HashSet;
 
 use igdb_db::Str;
@@ -39,7 +37,7 @@ use igdb_fault::{
 };
 use igdb_geo::GeoPoint;
 use igdb_regex::Regex;
-use igdb_synth::sources::SnapshotSet;
+use igdb_synth::sources::{SnapshotSet, Source};
 
 /// Rejects non-finite and out-of-WGS-84 coordinates. Clean emitters go
 /// through `GeoPoint::new`, which normalizes into exactly these ranges, so
@@ -71,22 +69,22 @@ fn screen_point(
 }
 
 /// Accumulates per-source health and the quarantine while applying policy,
-/// and the screened set: the caller's own until the first fault, then one
-/// owned copy that every removal edits in place.
-struct Screener<'a, 'p> {
+/// and the screened set: a clone of the caller's, whose sources stay
+/// shared with the caller's until a removal edits one.
+struct Screener<'p> {
     policy: &'p BuildPolicy,
     quarantine: Quarantine,
     healths: Vec<SourceHealth>,
-    out: Cow<'a, SnapshotSet>,
+    out: SnapshotSet,
 }
 
-impl<'a, 'p> Screener<'a, 'p> {
-    fn new(snaps: &'a SnapshotSet, policy: &'p BuildPolicy) -> Self {
+impl<'p> Screener<'p> {
+    fn new(snaps: &SnapshotSet, policy: &'p BuildPolicy) -> Self {
         Self {
             policy,
             quarantine: Quarantine::new(),
             healths: Vec::with_capacity(SourceId::ALL.len()),
-            out: Cow::Borrowed(snaps),
+            out: snaps.clone(),
         }
     }
 
@@ -95,11 +93,11 @@ impl<'a, 'p> Screener<'a, 'p> {
     /// quarantines failures, applies the policy (fail fast / drop source /
     /// required-source errors), records health, and removes what failed
     /// from the screened set. Returns the quarantined indexes, ascending.
-    fn screen<T>(
+    fn screen<T: Clone>(
         &mut self,
         source: SourceId,
         rows: &[T],
-        field: fn(&mut SnapshotSet) -> &mut Vec<T>,
+        field: fn(&mut SnapshotSet) -> &mut Source<T>,
         key_of: impl Fn(&T) -> Option<String>,
         mut check: impl FnMut(&T) -> Result<(), RecordError>,
     ) -> Result<Vec<usize>, BuildError> {
@@ -154,7 +152,7 @@ impl<'a, 'p> Screener<'a, 'p> {
                 rows_quarantined: n_bad,
                 dropped: true,
             });
-            *field(self.out.to_mut()) = Vec::new();
+            *field(&mut self.out) = Vec::new().into();
             return Ok(bad_idx);
         }
         igdb_obs::counter(
@@ -171,7 +169,7 @@ impl<'a, 'p> Screener<'a, 'p> {
         });
         if n_bad > 0 {
             let (mut i, mut next_bad) = (0, bad_idx.iter().peekable());
-            field(self.out.to_mut()).retain(|_| {
+            field(&mut self.out).retain(|_| {
                 let quarantined = next_bad.next_if_eq(&&i).is_some();
                 i += 1;
                 !quarantined
@@ -184,12 +182,12 @@ impl<'a, 'p> Screener<'a, 'p> {
 /// Screens every source of `snaps` in the fixed [`SourceId::ALL`] order.
 /// Returns the surviving records plus the per-source accounting, or a
 /// typed error when a required source is unusable (or, under a fail-fast
-/// policy, on the first fault anywhere). The records are `snaps` itself,
-/// borrowed, unless screening removed or rewrote one.
-pub fn validate<'a>(
-    snaps: &'a SnapshotSet,
+/// policy, on the first fault anywhere). A source shares its records with
+/// `snaps` unless screening removed or rewrote one of them.
+pub fn validate(
+    snaps: &SnapshotSet,
     policy: &BuildPolicy,
-) -> Result<(Cow<'a, SnapshotSet>, BuildReport), BuildError> {
+) -> Result<(SnapshotSet, BuildReport), BuildError> {
     let _span = igdb_obs::span("validate");
     let mut s = Screener::new(snaps, policy);
 
@@ -259,13 +257,11 @@ pub fn validate<'a>(
         },
     )?;
     if !bad_places.is_empty() {
-        // A place was quarantined, so the set is already the owned copy.
-        let out = s.out.to_mut();
-        for seg in &mut out.roads {
+        for seg in &mut s.out.roads {
             seg.a = lookup(seg.a).expect("screened endpoint");
             seg.b = lookup(seg.b).expect("screened endpoint");
         }
-        for (_, cid) in &mut out.geo_codes {
+        for (_, cid) in &mut s.out.geo_codes {
             *cid = lookup(*cid).expect("screened geocode");
         }
     }
@@ -570,6 +566,7 @@ pub fn validate<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::{shared_sources, SOURCE_USES};
     use igdb_synth::{emit_snapshots, World, WorldConfig};
 
     fn snaps() -> SnapshotSet {
@@ -577,13 +574,18 @@ mod tests {
         emit_snapshots(&world, "2022-05-03", 50)
     }
 
+    /// Every source but `edited`, in table order.
+    fn all_but(edited: &[&str]) -> Vec<&'static str> {
+        SOURCE_USES.iter().map(|u| u.name).filter(|n| !edited.contains(n)).collect()
+    }
+
     #[test]
     fn clean_input_is_borrowed_and_clean() {
         let raw = snaps();
         let (clean, report) = validate(&raw, &BuildPolicy::lenient()).unwrap();
         assert!(report.is_clean(), "clean snapshots quarantined:\n{report}");
-        // The caller's own set comes back: nothing was copied.
-        assert!(matches!(clean, Cow::Borrowed(s) if std::ptr::eq(s, &raw)));
+        // The caller's own records come back: nothing was copied.
+        assert_eq!(shared_sources(&clean, &raw), all_but(&[]));
         for h in report.sources() {
             assert_eq!(h.rows_accepted + h.rows_quarantined, h.rows_in);
         }
@@ -616,7 +618,11 @@ mod tests {
         let mut raw = snaps();
         raw.natural_earth[0].loc.lon = f64::INFINITY;
         let (clean, report) = validate(&raw, &BuildPolicy::lenient()).unwrap();
-        assert!(matches!(clean, Cow::Owned(_)));
+        // The remap copies exactly the sources it edits.
+        assert_eq!(
+            shared_sources(&clean, &raw),
+            all_but(&["natural_earth", "roads", "geo_codes"])
+        );
         assert_eq!(clean.natural_earth.len(), raw.natural_earth.len() - 1);
         assert!(report.quarantine().contains(SourceId::NaturalEarth, 0));
         // Every surviving road endpoint and geocode is in range after the

@@ -112,6 +112,11 @@ pub fn table_from_csv_lenient(text: &str) -> Result<(Table, Vec<RowIssue>)> {
             name_fields.len()
         )));
     }
+    // `Schema::new` panics on a repeated name, which only code may pass it.
+    let mut seen = std::collections::HashSet::new();
+    if let Some(dup) = name_fields.iter().find(|nf| !seen.insert(nf.raw.as_str())) {
+        return Err(DbError::Format(format!("duplicate column '{}'", dup.raw)));
+    }
     let mut columns = Vec::new();
     for (tf, nf) in type_fields[1..].iter().zip(&name_fields) {
         let (tag, nullable) = match tf.raw.strip_suffix('?') {
@@ -416,6 +421,8 @@ mod tests {
         assert!(table_from_csv_lenient("asn,name\n1,x\n").is_err());
         assert!(table_from_csv_lenient("#types,int\na,b\n").is_err());
         assert!(table_from_csv_lenient("#types,widget\na\n").is_err());
+        let dup = table_from_csv_lenient("#types,int,int\na,a\n").expect_err("duplicate");
+        assert!(dup.to_string().contains("duplicate column 'a'"), "{dup}");
     }
 
     #[test]

@@ -239,3 +239,45 @@ proptest! {
         prop_assert_eq!(sa == sb, a == b);
     }
 }
+
+/// Header ingredients: type tags (one unknown, one nullable) and column
+/// names (one quoted, one empty).
+const CSV_TAGS: [&str; 6] = ["int", "text", "float?", "bool", "geom", "widget"];
+const CSV_NAMES: [&str; 5] = ["a", "b", "é", "\"a\"", ""];
+
+/// Body ingredients: values, separators, line ends, quotes, and
+/// multi-byte characters.
+const CSV_TOKENS: [&str; 17] = [
+    "int", "a", "b", "7", "-2.5", "true", "NaN", ",", "\n", "\r\n", "\"", "\"\"", " ", "é", "日",
+    "", "#types",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// A `#types` line of tags and a line of names, then token soup —
+    /// values, separators, quotes and line ends in any order — is loaded
+    /// or refused with a typed error, never a panic. A loaded row or a row
+    /// issue is one record past the two header lines.
+    #[test]
+    fn lenient_csv_reader_never_panics_on_token_soup(
+        tags in proptest::collection::vec(0..CSV_TAGS.len(), 1..4),
+        names in proptest::collection::vec(0..CSV_NAMES.len(), 0..4),
+        body in proptest::collection::vec(0..CSV_TOKENS.len(), 0..24),
+    ) {
+        let line = |picks: &[usize], from: &[&str]| {
+            picks.iter().map(|&i| from[i]).collect::<Vec<_>>().join(",")
+        };
+        let soup = format!(
+            "#types,{}\n{}\n{}",
+            line(&tags, &CSV_TAGS),
+            line(&names, &CSV_NAMES),
+            body.iter().map(|&i| CSV_TOKENS[i]).collect::<String>()
+        );
+        if let Ok((table, issues)) = igdb_db::table_from_csv_lenient(&soup) {
+            let records = soup.split('\n').count().saturating_sub(2);
+            prop_assert!(table.len() + issues.len() <= records, "{:?}", soup);
+            prop_assert!(issues.iter().all(|i| i.line >= 3), "{:?}", soup);
+        }
+    }
+}

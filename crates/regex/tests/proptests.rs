@@ -251,6 +251,30 @@ proptest! {
     }
 }
 
+/// Soup ingredients: literals, escapes (one unknown), group and class
+/// openers and closers, anchors, quantifiers, and repetition counts up to
+/// ones no `u32` holds — the lengths a compiler must not allocate from.
+const REGEX_TOKENS: [&str; 30] = [
+    "a", "é", "日", ".", "\\", "\\d", "\\w", "\\q", "(", "(?:", "(?", ")", "[", "[^", "]", "-",
+    "^", "$", "|", "*", "+", "?", "{", "}", ",", "0", "3", "2000", "4000000000", "99999999999",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// Token soup is compiled or refused with a typed error, never a
+    /// panic; a pattern that compiles runs.
+    #[test]
+    fn regex_new_never_panics_on_token_soup(
+        tokens in proptest::collection::vec(0..REGEX_TOKENS.len(), 0..16),
+    ) {
+        let soup: String = tokens.iter().map(|&i| REGEX_TOKENS[i]).collect();
+        if let Ok(re) = Regex::new(&soup) {
+            let _ = re.find("a.é日-0{3}");
+        }
+    }
+}
+
 #[test]
 fn required_suffix_unit_cases() {
     let suffix = |pat: &str| {

@@ -360,9 +360,7 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     let started = std::time::Instant::now();
     let (igdb, report) = {
         let _g = registry.install();
-        // Build-and-save never diffs or re-queries raw snapshots, so the
-        // scratch build can hand each source back mid-pipeline.
-        Igdb::try_build_scratch(snaps, &policy)?
+        Igdb::try_build(&snaps, &policy)?
     };
     // The scaling row: pipeline time only, and the whole process's
     // high-water mark (at the big tiers the world generator sets it).
@@ -902,9 +900,12 @@ fn cmd_top(args: &[String]) -> Result<(), CliError> {
         .map(|v| v.parse().map_err(|e| format!("bad --interval: {e}")))
         .transpose()?
         .unwrap_or(2.0);
-    if !(interval > 0.0) {
-        return Err("--interval wants seconds > 0".into());
-    }
+    // Refuses NaN, negatives and what a `Duration` cannot hold (`inf`,
+    // `1e300`), which `Duration::from_secs_f64` panics on.
+    let interval = Duration::try_from_secs_f64(interval)
+        .ok()
+        .filter(|d| !d.is_zero())
+        .ok_or("--interval wants a finite number of seconds > 0")?;
     let mut client = io_ctx(
         Client::connect(&addr, Duration::from_secs(5)),
         "connect to server",
@@ -919,7 +920,7 @@ fn cmd_top(args: &[String]) -> Result<(), CliError> {
         if once {
             return Ok(());
         }
-        std::thread::sleep(Duration::from_secs_f64(interval));
+        std::thread::sleep(interval);
     }
 }
 

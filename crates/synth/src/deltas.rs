@@ -193,12 +193,12 @@ fn atlas_churn(snaps: &mut SnapshotSet, rng: &mut StdRng, ledger: &mut Vec<Delta
             loc: GeoPoint::new(anchor.loc.lon + 0.05, anchor.loc.lat + 0.05),
         });
         op(ledger, class, SourceId::AtlasNodes, DeltaKind::Added, &name);
-        if let Some(template) = snaps.atlas_links.first() {
+        if let Some(link_type) = snaps.atlas_links.first().map(|l| l.link_type) {
             snaps.atlas_links.push(AtlasLink {
                 network: anchor.network,
                 from_node: anchor.node_name,
                 to_node: name.clone().into(),
-                link_type: template.link_type,
+                link_type,
             });
             op(ledger, class, SourceId::AtlasLinks, DeltaKind::Added, &name);
         }

@@ -46,5 +46,5 @@ pub use faults::{inject_faults, FaultClass, InjectedFault};
 pub use naming::{GeoCodebook, HoihoRule, TokenKind};
 pub use rightofway::RowNetwork;
 pub use scenarios::Scenarios;
-pub use sources::{emit_snapshots, SnapshotSet};
+pub use sources::{emit_snapshots, SnapshotSet, Source};
 pub use world::{Ixp, World, WorldConfig};

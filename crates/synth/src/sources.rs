@@ -16,6 +16,9 @@
 //! Records are plain structs; `igdb-core`'s ingest layer turns them into
 //! relations. A `SnapshotSet` carries them all plus the `as_of_date`.
 
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
+
 use igdb_net::{Asn, Ip4, Prefix};
 use igdb_geo::GeoPoint;
 use rand::rngs::StdRng;
@@ -212,71 +215,108 @@ pub struct BgpPrefixRecord {
     pub origin: Asn,
 }
 
-/// All snapshots for one `as_of_date`.
+/// One source's records as a shared value. Cloning bumps a count instead of
+/// copying records, a write copies the records only while another handle
+/// still holds them, and two handles on one allocation compare equal
+/// without reading a record — so sets keep one copy of each source that
+/// did not change, however many of them hold it.
+#[derive(Clone, Debug)]
+pub struct Source<T>(Arc<Vec<T>>);
+
+impl<T> Source<T> {
+    /// Whether both handles hold the same allocation.
+    pub fn shares(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+/// Returns the records' growth slack first (up to 2x after push-based
+/// emission): a source outlives the build that reads it, as part of the
+/// baseline each world keeps for the next delta.
+impl<T> From<Vec<T>> for Source<T> {
+    fn from(mut records: Vec<T>) -> Self {
+        records.shrink_to_fit();
+        Source(Arc::new(records))
+    }
+}
+
+impl<T> FromIterator<T> for Source<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        Vec::from_iter(iter).into()
+    }
+}
+
+impl<T> Deref for Source<T> {
+    type Target = Vec<T>;
+    fn deref(&self) -> &Vec<T> {
+        &self.0
+    }
+}
+
+impl<T: Clone> DerefMut for Source<T> {
+    fn deref_mut(&mut self) -> &mut Vec<T> {
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+impl<T: PartialEq> PartialEq for Source<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.shares(other) || self.0 == other.0
+    }
+}
+
+impl<'a, T> IntoIterator for &'a Source<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl<'a, T: Clone> IntoIterator for &'a mut Source<T> {
+    type Item = &'a mut T;
+    type IntoIter = std::slice::IterMut<'a, T>;
+    fn into_iter(self) -> Self::IntoIter {
+        Arc::make_mut(&mut self.0).iter_mut()
+    }
+}
+
+/// All snapshots for one `as_of_date`. Every source is a [`Source`], so a
+/// clone of the set shares every record with the original.
 #[derive(Clone, Debug)]
 pub struct SnapshotSet {
     pub as_of_date: String,
-    pub atlas_nodes: Vec<AtlasNode>,
-    pub atlas_links: Vec<AtlasLink>,
-    pub pdb_facilities: Vec<PdbFacility>,
-    pub pdb_networks: Vec<PdbNetwork>,
-    pub pdb_netfac: Vec<PdbNetFac>,
-    pub pdb_ix: Vec<PdbIx>,
-    pub pdb_netix: Vec<PdbNetIx>,
-    pub pch_ixps: Vec<PchIxp>,
-    pub he_exchanges: Vec<HeExchange>,
-    pub euroix: Vec<EuroIxEntry>,
-    pub rdns: Vec<RdnsRecord>,
-    pub asrank_entries: Vec<AsRankEntry>,
-    pub asrank_links: Vec<(Asn, Asn)>,
-    pub ripe_anchors: Vec<RipeAnchorRecord>,
-    pub ripe_traceroutes: Vec<RipeTraceroute>,
+    pub atlas_nodes: Source<AtlasNode>,
+    pub atlas_links: Source<AtlasLink>,
+    pub pdb_facilities: Source<PdbFacility>,
+    pub pdb_networks: Source<PdbNetwork>,
+    pub pdb_netfac: Source<PdbNetFac>,
+    pub pdb_ix: Source<PdbIx>,
+    pub pdb_netix: Source<PdbNetIx>,
+    pub pch_ixps: Source<PchIxp>,
+    pub he_exchanges: Source<HeExchange>,
+    pub euroix: Source<EuroIxEntry>,
+    pub rdns: Source<RdnsRecord>,
+    pub asrank_entries: Source<AsRankEntry>,
+    pub asrank_links: Source<(Asn, Asn)>,
+    pub ripe_anchors: Source<RipeAnchorRecord>,
+    pub ripe_traceroutes: Source<RipeTraceroute>,
     /// Natural Earth populated places (standardization source, §3.1).
-    pub natural_earth: Vec<NaturalEarthPlace>,
+    pub natural_earth: Source<NaturalEarthPlace>,
     /// Public road/rail rights-of-way (the GIS transportation layer).
-    pub roads: Vec<RoadSegment>,
+    pub roads: Source<RoadSegment>,
     /// Telegeography submarine cables.
-    pub telegeo: Vec<TelegeoCableRecord>,
+    pub telegeo: Source<TelegeoCableRecord>,
     /// BGP RIB prefix→origin entries.
-    pub bgp_prefixes: Vec<BgpPrefixRecord>,
+    pub bgp_prefixes: Source<BgpPrefixRecord>,
     /// Known anycast prefixes (the public list the paper's §5 would
     /// annotate from).
-    pub anycast_prefixes: Vec<Prefix>,
+    pub anycast_prefixes: Source<Prefix>,
     /// The Hoiho rule file (regex + token semantics).
-    pub hoiho_rules: Vec<crate::naming::HoihoRule>,
+    pub hoiho_rules: Source<crate::naming::HoihoRule>,
     /// Public geocode dictionary (IATA-style code → city index in
     /// `natural_earth`).
-    pub geo_codes: Vec<(String, usize)>,
-}
-
-impl SnapshotSet {
-    /// Releases the over-allocation left by push-based emission. Sets are
-    /// long-lived (a build retains its input as the delta baseline), so
-    /// growth slack — up to 2x on the big vectors — is worth returning.
-    pub fn shrink_to_fit(&mut self) {
-        self.atlas_nodes.shrink_to_fit();
-        self.atlas_links.shrink_to_fit();
-        self.pdb_facilities.shrink_to_fit();
-        self.pdb_networks.shrink_to_fit();
-        self.pdb_netfac.shrink_to_fit();
-        self.pdb_ix.shrink_to_fit();
-        self.pdb_netix.shrink_to_fit();
-        self.pch_ixps.shrink_to_fit();
-        self.he_exchanges.shrink_to_fit();
-        self.euroix.shrink_to_fit();
-        self.rdns.shrink_to_fit();
-        self.asrank_entries.shrink_to_fit();
-        self.asrank_links.shrink_to_fit();
-        self.ripe_anchors.shrink_to_fit();
-        self.ripe_traceroutes.shrink_to_fit();
-        self.natural_earth.shrink_to_fit();
-        self.roads.shrink_to_fit();
-        self.telegeo.shrink_to_fit();
-        self.bgp_prefixes.shrink_to_fit();
-        self.anycast_prefixes.shrink_to_fit();
-        self.hoiho_rules.shrink_to_fit();
-        self.geo_codes.shrink_to_fit();
-    }
+    pub geo_codes: Source<(String, usize)>,
 }
 
 /// Renders a city label the way sloppy human-entered datasets do.
@@ -592,33 +632,31 @@ pub fn emit_snapshots(world: &World, as_of_date: &str, mesh_pairs: usize) -> Sna
         .map(|cid| (world.codebook.code(cid).to_string(), cid))
         .collect();
 
-    let mut set = SnapshotSet {
+    SnapshotSet {
         as_of_date: as_of_date.to_string(),
-        atlas_nodes,
-        atlas_links,
-        pdb_facilities,
-        pdb_networks,
-        pdb_netfac,
-        pdb_ix,
-        pdb_netix,
+        atlas_nodes: atlas_nodes.into(),
+        atlas_links: atlas_links.into(),
+        pdb_facilities: pdb_facilities.into(),
+        pdb_networks: pdb_networks.into(),
+        pdb_netfac: pdb_netfac.into(),
+        pdb_ix: pdb_ix.into(),
+        pdb_netix: pdb_netix.into(),
         pch_ixps,
         he_exchanges,
         euroix,
-        rdns,
+        rdns: rdns.into(),
         asrank_entries,
-        asrank_links,
+        asrank_links: asrank_links.into(),
         ripe_anchors,
         ripe_traceroutes,
         natural_earth,
         roads,
         telegeo,
-        bgp_prefixes,
+        bgp_prefixes: bgp_prefixes.into(),
         anycast_prefixes,
-        hoiho_rules: world.hoiho.clone(),
+        hoiho_rules: world.hoiho.clone().into(),
         geo_codes,
-    };
-    set.shrink_to_fit();
-    set
+    }
 }
 
 /// The AS-adjacency set as route collectors observe it. For worlds up to a
@@ -844,6 +882,67 @@ mod tests {
             .ripe_traceroutes
             .iter()
             .all(|t| !t.hops.is_empty() && t.src_anchor != t.dst_anchor));
+    }
+
+    /// One step on a pair of handles: `Share` makes handle `h` take the
+    /// other's records; the rest write through `h`.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Share(usize),
+        Push(usize, u32),
+        Set(usize, usize, u32),
+        BumpAll(usize),
+    }
+
+    fn arb_op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (0usize..2).prop_map(Op::Share),
+            (0usize..2, any::<u32>()).prop_map(|(h, v)| Op::Push(h, v)),
+            (0usize..2, 0usize..6, any::<u32>()).prop_map(|(h, i, v)| Op::Set(h, i, v)),
+            (0usize..2).prop_map(Op::BumpAll),
+        ]
+    }
+
+    proptest::proptest! {
+        /// Shared sources behave as copies: whatever is written through
+        /// either handle, each reads as a plain `Vec` model does, and the
+        /// two compare equal exactly when the models do.
+        #[test]
+        fn shared_sources_behave_as_copies(ops in proptest::collection::vec(arb_op(), 1..40)) {
+            let mut real: [Source<u32>; 2] = [vec![1, 2, 3].into(), Vec::new().into()];
+            let mut model: [Vec<u32>; 2] = [vec![1, 2, 3], Vec::new()];
+            for op in &ops {
+                match *op {
+                    Op::Share(h) => {
+                        real[h] = real[1 - h].clone();
+                        model[h] = model[1 - h].clone();
+                    }
+                    Op::Push(h, v) => {
+                        real[h].push(v);
+                        model[h].push(v);
+                    }
+                    Op::Set(h, i, v) => {
+                        if i < model[h].len() {
+                            real[h][i] = v;
+                            model[h][i] = v;
+                        }
+                    }
+                    Op::BumpAll(h) => {
+                        for r in &mut real[h] {
+                            *r = r.wrapping_add(1);
+                        }
+                        for m in &mut model[h] {
+                            *m = m.wrapping_add(1);
+                        }
+                    }
+                }
+                for h in 0..2 {
+                    proptest::prop_assert_eq!(&*real[h], &model[h], "{:?}", op);
+                }
+                proptest::prop_assert_eq!(real[0] == real[1], model[0] == model[1], "{:?}", op);
+            }
+        }
     }
 
     #[test]

@@ -323,7 +323,7 @@ fn report_refuses_unknown_ids_and_tiers() {
 
 /// The database a tiny build writes, pinned: clean, and with seeded
 /// corruption that quarantines Natural Earth places, roads and geocodes —
-/// so validation copies the set at the first fault and rewrites metro ids.
+/// so validation copies the sources it edits and rewrites metro ids.
 #[test]
 fn build_fingerprints_are_pinned() {
     let dir = tempdir("fingerprint");
@@ -351,6 +351,21 @@ fn build_fingerprints_are_pinned() {
             stdout.lines().any(|l| l == want),
             "{corrupt:?}: want {want}, got:\n{stdout}"
         );
+    }
+}
+
+/// An `igdb top` poll interval no `Duration` can hold is a usage error
+/// before any connection is tried, not a panic after the first poll.
+#[test]
+fn top_refuses_an_interval_it_cannot_sleep() {
+    for interval in ["inf", "1e300", "NaN", "-1", "0"] {
+        let out = igdb()
+            .args(["top", "--addr", "unix:/nonexistent", "--interval", interval])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "--interval {interval}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--interval") && !err.contains("connect"), "{interval}: {err}");
     }
 }
 

@@ -156,12 +156,36 @@ fn composite_delta_is_worker_count_invariant() {
 // Apply ≡ rebuild when the prior is itself an applied or extended world
 // ---------------------------------------------------------------------------
 
+/// The sources `a` does not hold as the very records `b` holds, sorted.
+fn unshared_sources(a: &SnapshotSet, b: &SnapshotSet) -> Vec<&'static str> {
+    macro_rules! unshared {
+        ($($source:ident),*) => {{
+            // Names every field, so a new source must be listed here.
+            let SnapshotSet { as_of_date: _, $($source),* } = a;
+            let mut out = Vec::new();
+            $(if !$source.shares(&b.$source) {
+                out.push(stringify!($source));
+            })*
+            out.sort_unstable();
+            out
+        }};
+    }
+    unshared!(
+        atlas_nodes, atlas_links, pdb_facilities, pdb_networks, pdb_netfac, pdb_ix, pdb_netix,
+        pch_ixps, he_exchanges, euroix, rdns, asrank_entries, asrank_links, ripe_anchors,
+        ripe_traceroutes, natural_earth, roads, telegeo, bgp_prefixes, anycast_prefixes,
+        hoiho_rules, geo_codes
+    )
+}
+
 /// Feed → reorder → traceroute → road, each applied onto the previous
 /// apply's output: a stage shared twice replays a ledger entry that was
 /// itself replayed, and every epoch must still equal a fresh build. The
 /// reorder step (`None`) hands two sources back rearranged, so the
 /// traceroute step after it shares `Physical` and `Probes` from a prior
-/// that was itself a reordered epoch.
+/// that was itself a reordered epoch. Each epoch's baseline holds one copy
+/// of what did not change: every source the delta did not name is the
+/// prior's own, and every one it named is new.
 #[test]
 fn chained_applies_stay_byte_identical_to_rebuild() {
     let feed = [DeltaClass::AtlasChurn, DeltaClass::FacilityChurn, DeltaClass::LogicalChurn];
@@ -186,6 +210,13 @@ fn chained_applies_stay_byte_identical_to_rebuild() {
         let (igdb, apply, delta) = apply_onto(&cur, &next);
         assert!(!delta.is_empty(), "epoch {epoch} diffed empty");
         assert_identical(&apply, &rebuild_capture(&next), &format!("epoch {epoch} {classes:?}"));
+        let mut named: Vec<&str> = delta.sources.iter().map(|s| s.source).collect();
+        named.sort_unstable();
+        assert_eq!(
+            unshared_sources(igdb.source_snapshots(), cur.source_snapshots()),
+            named,
+            "epoch {epoch}: the new baseline shares exactly the sources the delta left alone"
+        );
         cur = igdb;
     }
 }

@@ -24,8 +24,8 @@ fn shape_at(config: WorldConfig, mesh: usize) -> Shape {
     let world = World::generate(config);
     let snaps = emit_snapshots(&world, "2022-05-03", mesh);
     drop(world);
-    let (igdb, report) = Igdb::try_build_scratch(snaps, &BuildPolicy::strict())
-        .expect("clean synthetic input");
+    let (igdb, report) =
+        Igdb::try_build(&snaps, &BuildPolicy::strict()).expect("clean synthetic input");
     assert!(report.is_clean());
 
     let nodes = igdb.db.row_count("phys_nodes").unwrap();
