@@ -408,7 +408,7 @@ pub fn consistency_check(igdb: &Igdb, params: &BeliefPropParams) -> ConsistencyR
     }
     let mut comparable = 0usize;
     let mut agreeing = 0usize;
-    for (ip, info) in &igdb.ip_info {
+    for (ip, info) in igdb.ip_info.iter() {
         let (Some(seed_metro), Some(source)) = (info.metro, info.geo_source) else {
             continue;
         };

@@ -67,24 +67,12 @@ pub struct ProbeInfo {
     pub metro: usize,
 }
 
-/// Reads the distinct physical path pairs (a world holds one snapshot date).
-fn phys_pairs_of(db: &Database) -> Vec<(usize, usize, f64)> {
-    db.with_table("phys_conn", |t| {
-        t.rows()
-            .iter()
-            .map(|r| {
-                (
-                    r[0].as_int().unwrap() as usize,
-                    r[3].as_int().unwrap() as usize,
-                    r[6].as_float().unwrap(),
-                )
-            })
-            .collect()
-    })
-    .expect("phys_conn exists")
-}
-
 /// The built database plus the typed indices analyses use.
+///
+/// Every product of a stage — its tables, and the fields below that name
+/// the stage — is computed once, in the stage's run, and held behind an
+/// `Arc`. A delta apply that shares the stage ([`SnapshotDelta::shares`])
+/// hands all of them to the successor by reference.
 ///
 /// A shared world is read-only by type: every table write takes `&mut`, so
 /// through `&Igdb` — or the `Arc<Epoch>` a server hands each request — the
@@ -105,35 +93,39 @@ fn phys_pairs_of(db: &Database) -> Vec<(usize, usize, f64)> {
 /// ```
 pub struct Igdb {
     pub db: Database,
-    /// Shared: a delta apply whose metro catalogue is untouched reuses
-    /// the registry (and its spatial index) by reference.
+    /// `Metros`' product: the registry and its spatial index.
     pub metros: Arc<MetroRegistry>,
-    /// Shared: reusing the road graph keeps its memoized corridors warm
-    /// across a delta apply, so unchanged atlas links never re-route.
+    /// `Roads`' product. Handing it on keeps its memoized corridors warm,
+    /// so unchanged atlas links never re-route.
     pub roads: Arc<RoadGraph>,
-    /// Shared: a delta apply that shares IP resolution (see
-    /// [`SnapshotDelta::shares`]) reuses the trained border map by
-    /// reference instead of re-refining it.
+    /// `IpResolution`'s product: the trained border map.
     pub bdrmap: Arc<BdrMap>,
-    /// Shared on the same condition as `bdrmap`.
+    /// `IpResolution`'s product.
     pub hoiho: Arc<HoihoEngine>,
     pub as_of_date: String,
-    /// Per-address knowledge (mirrors `ip_asn_dns`).
-    pub ip_info: HashMap<Ip4, IpInfo>,
-    /// Raw PTR records. Hostnames are interned [`igdb_db::Str`]s — the
-    /// same symbols the `ip_asn_dns` cells hold, so this map adds ids,
-    /// not string copies.
-    pub rdns: HashMap<Ip4, igdb_db::Str>,
-    /// Declared footprint per ASN (from `asn_loc`, non-inferred rows).
-    pub asn_metros: HashMap<Asn, BTreeSet<usize>>,
-    /// Distinct inferred physical paths: (from_metro, to_metro, km),
-    /// normalized from < to.
-    pub phys_pairs: Vec<(usize, usize, f64)>,
-    /// Probe registry.
-    pub probes: HashMap<u32, ProbeInfo>,
-    /// Everything built lazily from the tables above (routing graph, path
-    /// geometries, segment index).
-    derived: Derived,
+    /// `IpResolution`'s product: per-address knowledge (mirrors
+    /// `ip_asn_dns`).
+    pub ip_info: Arc<HashMap<Ip4, IpInfo>>,
+    /// `IpResolution`'s product: raw PTR records. Hostnames are interned
+    /// [`igdb_db::Str`]s — the same symbols the `ip_asn_dns` cells hold,
+    /// so this map adds ids, not string copies.
+    pub rdns: Arc<HashMap<Ip4, igdb_db::Str>>,
+    /// `AsnLoc`'s product: declared footprint per ASN (from `asn_loc`);
+    /// [`Igdb::add_inferred_location`] adds to it copy-on-write.
+    pub asn_metros: Arc<HashMap<Asn, BTreeSet<usize>>>,
+    /// `Physical`'s product: distinct inferred physical paths
+    /// (from_metro, to_metro, km), normalized from < to, in `phys_conn`
+    /// row order.
+    pub phys_pairs: Arc<Vec<(usize, usize, f64)>>,
+    /// `Probes`' product: the probe registry.
+    pub probes: Arc<HashMap<u32, ProbeInfo>>,
+    /// `Physical`'s product: each PeeringDB facility's metro.
+    fac_metro: Arc<HashMap<u32, usize>>,
+    /// `Logical`'s product: the label resolver, network→ASN and IXP maps.
+    logical: Arc<LogicalMaps>,
+    /// `Physical`'s product: everything built lazily from `phys_conn` and
+    /// the metro catalogue (routing graph, path geometries, segment index).
+    derived: Arc<Derived>,
     /// The validated record set this world was built from — the baseline
     /// [`crate::delta::diff_snapshots`] diffs a replacement against. Its
     /// sources are shared with the caller's input and with every epoch
@@ -282,28 +274,40 @@ impl Labels {
     }
 }
 
+/// What `Logical` hands later stages beyond its tables.
+#[derive(Default)]
+struct LogicalMaps {
+    /// Resolves the text locations of `pch_ixps` (and `pdb_ix`).
+    labels: Labels,
+    net_asn: HashMap<u32, Asn>,
+    /// IXP id → metro, for `AsnLoc`.
+    ixp_metro: HashMap<u32, usize>,
+    /// Peering LAN → metro, for IP resolution, in `pdb_ix` order.
+    ixp_prefix_metro: Vec<(Prefix, usize)>,
+}
+
 /// One build in flight: the database being filled plus the side products
 /// stages hand to later stages, or to the finished [`Igdb`], beyond what
 /// their tables carry. Each stage contributes a `run_*` body (it is dirty,
-/// or there is no prior) and, where it owns a side product, an arm of
-/// [`Pipeline::share`] (its tables are the prior's, shared).
+/// or there is no prior) that computes its products, and, where it has
+/// any, an arm of [`Pipeline::share`] that takes the prior's by reference.
 #[derive(Default)]
 struct Pipeline {
     date: String,
     db: Database,
     metros: Option<Arc<MetroRegistry>>,
     roads: Option<Arc<RoadGraph>>,
-    fac_metro: HashMap<u32, usize>,
-    labels: Labels,
-    net_asn: HashMap<u32, Asn>,
-    ixp_metro: HashMap<u32, usize>,
-    ixp_prefix_metro: Vec<(Prefix, usize)>,
-    asn_metros: HashMap<Asn, BTreeSet<usize>>,
-    probes: HashMap<u32, ProbeInfo>,
+    fac_metro: Arc<HashMap<u32, usize>>,
+    phys_pairs: Arc<Vec<(usize, usize, f64)>>,
+    /// Empty until first use when `Physical` ran.
+    derived: Arc<Derived>,
+    logical: Arc<LogicalMaps>,
+    asn_metros: Arc<HashMap<Asn, BTreeSet<usize>>>,
+    probes: Arc<HashMap<u32, ProbeInfo>>,
     bdrmap: Option<Arc<BdrMap>>,
     hoiho: Option<Arc<HoihoEngine>>,
-    rdns: HashMap<Ip4, igdb_db::Str>,
-    ip_info: HashMap<Ip4, IpInfo>,
+    rdns: Arc<HashMap<Ip4, igdb_db::Str>>,
+    ip_info: Arc<HashMap<Ip4, IpInfo>>,
 }
 
 impl Pipeline {
@@ -340,36 +344,27 @@ impl Pipeline {
         }
     }
 
-    /// Takes from `world` what `stage` leaves for later stages beyond its
-    /// tables (the stage driver has shared those and replayed the ledger). Must
-    /// not tick deterministic counters: the replay already accounts the
-    /// originals, so recomputed products stay pure.
-    fn share(&mut self, stage: Stage, world: &Igdb, snaps: &SnapshotSet) {
+    /// Takes from `world` what `stage` made beyond its tables (the stage
+    /// driver has shared those and replayed the ledger), by reference.
+    fn share(&mut self, stage: Stage, world: &Igdb) {
         match stage {
             Stage::Metros => self.metros = Some(Arc::clone(&world.metros)),
-            // Reusing the road graph keeps its memoized corridors warm.
             Stage::Roads => self.roads = Some(Arc::clone(&world.roads)),
-            // The facility→metro join is pure (exact nearest-site
-            // queries), so recomputing it cannot diverge from the shared
-            // rows.
+            // `Derived` reads only `phys_conn` and the metro catalogue, and
+            // a shared `Physical` means both are the prior's.
             Stage::Physical => {
-                let metros = made(&self.metros);
-                self.fac_metro = snaps
-                    .pdb_facilities
-                    .iter()
-                    .filter_map(|f| metros.metro_of(&f.loc).map(|m| (f.fac_id, m)))
-                    .collect();
+                self.fac_metro = Arc::clone(&world.fac_metro);
+                self.phys_pairs = Arc::clone(&world.phys_pairs);
+                self.derived = Arc::clone(&world.derived);
             }
-            Stage::Logical => {
-                self.logical_products(snaps);
-            }
-            Stage::AsnLoc => self.asn_metros = world.asn_metros.clone(),
-            Stage::Probes => self.probes = world.probes.clone(),
+            Stage::Logical => self.logical = Arc::clone(&world.logical),
+            Stage::AsnLoc => self.asn_metros = Arc::clone(&world.asn_metros),
+            Stage::Probes => self.probes = Arc::clone(&world.probes),
             Stage::IpResolution => {
                 self.bdrmap = Some(Arc::clone(&world.bdrmap));
                 self.hoiho = Some(Arc::clone(&world.hoiho));
-                self.rdns = world.rdns.clone();
-                self.ip_info = world.ip_info.clone();
+                self.rdns = Arc::clone(&world.rdns);
+                self.ip_info = Arc::clone(&world.ip_info);
             }
             Stage::CityTables | Stage::Telegeo | Stage::Traceroutes => {}
         }
@@ -429,7 +424,8 @@ impl Pipeline {
 
     /// `phys_nodes` / `phys_conn`: Internet Atlas nodes and PeeringDB
     /// facilities standardized by spatial join, Atlas edges routed along
-    /// rights-of-way. Fills the facility→metro map `AsnLoc` needs.
+    /// rights-of-way. Makes the facility→metro map `AsnLoc` needs and the
+    /// path pairs.
     fn run_physical(&mut self, snaps: &SnapshotSet) {
         let (db, date) = (&mut self.db, &self.date);
         let (metros, roads) = (made(&self.metros), made(&self.roads));
@@ -462,11 +458,12 @@ impl Pipeline {
             .expect("phys_nodes row");
         }
         let fac_assignments: Vec<_> = snaps.pdb_facilities.iter().map(|f| metros.metro_of(&f.loc)).collect();
+        let mut fac_metro = HashMap::new();
         for (f, mid) in snaps.pdb_facilities.iter().zip(fac_assignments) {
             let Some(mid) = mid else {
                 continue;
             };
-            self.fac_metro.insert(f.fac_id, mid);
+            fac_metro.insert(f.fac_id, mid);
             db.insert(
                 "phys_nodes",
                 vec![
@@ -540,6 +537,7 @@ impl Pipeline {
         if warm_hits > 0 {
             igdb_obs::counter("spath.queries", "", warm_hits);
         }
+        let mut phys_pairs = Vec::new();
         for (i, &(ka, kb, link_type)) in link_work.iter().enumerate() {
             let key = (ka, kb);
             // Right-of-way class decides the path model (paper §5): roadway
@@ -562,6 +560,7 @@ impl Pipeline {
                 }
             };
             igdb_obs::counter("build.phys_conn", row_type, 1);
+            phys_pairs.push((key.0, key.1, km));
             let (fm, tm) = (metros.metro(key.0), metros.metro(key.1));
             db.insert(
                 "phys_conn",
@@ -581,6 +580,8 @@ impl Pipeline {
             )
             .expect("phys_conn row");
         }
+        self.fac_metro = Arc::new(fac_metro);
+        self.phys_pairs = Arc::new(phys_pairs);
     }
 
     /// `land_points` / `sub_cables` from Telegeography.
@@ -625,37 +626,16 @@ impl Pipeline {
         }
     }
 
-    /// What `Logical` leaves for later stages beyond its tables: the
-    /// label resolver, the network→ASN map and the IXP maps. All are pure
-    /// functions of the sources, so a shared stage computes them beside
-    /// its copied tables. Returns each `pdb_ix` record's metro, in input
-    /// order (`None` where the city label does not resolve).
-    fn logical_products(&mut self, snaps: &SnapshotSet) -> Vec<Option<usize>> {
-        self.labels = Labels::new(made(&self.metros), &snaps.geo_codes);
-        self.net_asn = snaps
-            .pdb_networks
-            .iter()
-            .map(|n| (n.net_id, n.asn))
-            .collect();
-        let ix_metros: Vec<Option<usize>> = snaps
-            .pdb_ix
-            .iter()
-            .map(|ix| self.labels.resolve(&ix.city_label))
-            .collect();
-        for (ix, mid) in snaps.pdb_ix.iter().zip(&ix_metros) {
-            if let &Some(mid) = mid {
-                self.ixp_metro.insert(ix.ix_id, mid);
-                self.ixp_prefix_metro.push((ix.prefix, mid));
-            }
-        }
-        ix_metros
-    }
-
     /// Logical names `asn_name` / `asn_org` (inconsistencies kept),
-    /// `asn_conn`, and the IXP prefixes.
+    /// `asn_conn`, and the IXP prefixes. Makes the label resolver, the
+    /// network→ASN map and the IXP maps.
     fn run_logical(&mut self, snaps: &SnapshotSet) {
-        let ix_metros = self.logical_products(snaps);
         let (db, date, metros) = (&mut self.db, &self.date, made(&self.metros));
+        let mut maps = LogicalMaps {
+            labels: Labels::new(metros, &snaps.geo_codes),
+            net_asn: snaps.pdb_networks.iter().map(|n| (n.net_id, n.asn)).collect(),
+            ..Default::default()
+        };
         for e in snaps.asrank_entries.iter() {
             db.insert(
                 "asn_name",
@@ -730,10 +710,12 @@ impl Pipeline {
             )
             .expect("asn_conn row");
         }
-        for (ix, mid) in snaps.pdb_ix.iter().zip(ix_metros) {
-            let Some(mid) = mid else {
+        for ix in snaps.pdb_ix.iter() {
+            let Some(mid) = maps.labels.resolve(&ix.city_label) else {
                 continue;
             };
+            maps.ixp_metro.insert(ix.ix_id, mid);
+            maps.ixp_prefix_metro.push((ix.prefix, mid));
             db.insert(
                 "ixp_prefixes",
                 vec![
@@ -747,16 +729,18 @@ impl Pipeline {
             )
             .expect("ixp_prefixes row");
         }
+        self.logical = Arc::new(maps);
     }
 
     /// `asn_loc`: facilities, IXP memberships, PCH echoes —
     /// (asn, metro, source) → remote flag, deduped.
     fn run_asn_loc(&mut self, snaps: &SnapshotSet) {
         let (db, date, metros) = (&mut self.db, &self.date, made(&self.metros));
+        let logical = &self.logical;
         let mut netfac_metros: HashMap<Asn, BTreeSet<usize>> = HashMap::new();
         for nf in snaps.pdb_netfac.iter() {
             let (Some(&asn), Some(&mid)) =
-                (self.net_asn.get(&nf.net_id), self.fac_metro.get(&nf.fac_id))
+                (logical.net_asn.get(&nf.net_id), self.fac_metro.get(&nf.fac_id))
             else {
                 continue;
             };
@@ -786,7 +770,7 @@ impl Pipeline {
         };
         for nix in snaps.pdb_netix.iter() {
             let (Some(&asn), Some(&mid)) =
-                (self.net_asn.get(&nix.net_id), self.ixp_metro.get(&nix.ix_id))
+                (logical.net_asn.get(&nix.net_id), logical.ixp_metro.get(&nix.ix_id))
             else {
                 continue;
             };
@@ -797,7 +781,7 @@ impl Pipeline {
                 .or_insert(remote);
         }
         for x in snaps.pch_ixps.iter() {
-            let Some(mid) = self.labels.resolve(&x.city_label) else {
+            let Some(mid) = logical.labels.resolve(&x.city_label) else {
                 continue;
             };
             for &asn in &x.member_asns {
@@ -824,19 +808,22 @@ impl Pipeline {
             )
             .expect("asn_loc row");
         }
+        let mut asn_metros: HashMap<Asn, BTreeSet<usize>> = HashMap::new();
         for (asn, mid, _) in asn_loc_rows.keys() {
-            self.asn_metros.entry(Asn(*asn)).or_default().insert(*mid);
+            asn_metros.entry(Asn(*asn)).or_default().insert(*mid);
         }
+        self.asn_metros = Arc::new(asn_metros);
     }
 
     /// `probes`.
     fn run_probes(&mut self, snaps: &SnapshotSet) {
         let metros = made(&self.metros);
+        let mut probes = HashMap::new();
         for a in snaps.ripe_anchors.iter() {
             let Some(mid) = metros.metro_of(&a.loc) else {
                 continue;
             };
-            self.probes.insert(
+            probes.insert(
                 a.id,
                 ProbeInfo {
                     ip: a.ip,
@@ -861,6 +848,7 @@ impl Pipeline {
                 )
                 .expect("probes row");
         }
+        self.probes = Arc::new(probes);
     }
 
     /// `traceroutes`: one row per hop.
@@ -898,7 +886,8 @@ impl Pipeline {
             .iter()
             .map(|r| (r.prefix, r.origin))
             .collect();
-        let ixp_lans: Vec<Prefix> = self.ixp_prefix_metro.iter().map(|&(p, _)| p).collect();
+        let ixp_prefix_metro = &self.logical.ixp_prefix_metro;
+        let ixp_lans: Vec<Prefix> = ixp_prefix_metro.iter().map(|&(p, _)| p).collect();
         let mut bdrmap = BdrMap::new(&rib, &ixp_lans);
         let ip_sequences: Vec<Vec<Ip4>> = snaps
             .ripe_traceroutes
@@ -931,8 +920,7 @@ impl Pipeline {
             let asn = bdrmap.resolve(ip).asn();
             let fqdn = rdns.get(&ip).cloned();
             let anycast = snaps.anycast_prefixes.iter().any(|p| p.contains(ip));
-            let ixp_hit = self
-                .ixp_prefix_metro
+            let ixp_hit = ixp_prefix_metro
                 .iter()
                 .find(|(p, _)| p.contains(ip))
                 .map(|&(_, m)| m);
@@ -955,6 +943,7 @@ impl Pipeline {
         });
         let resolved: Vec<_> = resolved.collect();
         drop(resolve_span);
+        let mut ip_info = HashMap::new();
         for (ip, asn, fqdn, anycast, metro, geo_source) in resolved {
             if let Some(g) = geo_source {
                 igdb_obs::counter("build.ip_geolocated", g.tag(), 1);
@@ -976,7 +965,7 @@ impl Pipeline {
                 ],
             )
             .expect("ip_asn_dns row");
-            self.ip_info.insert(
+            ip_info.insert(
                 ip,
                 IpInfo {
                     asn,
@@ -989,7 +978,8 @@ impl Pipeline {
         }
         self.bdrmap = Some(Arc::new(bdrmap));
         self.hoiho = Some(Arc::new(hoiho));
-        self.rdns = rdns;
+        self.rdns = Arc::new(rdns);
+        self.ip_info = Arc::new(ip_info);
     }
 
     /// Indexes the hot keys, emits the row totals, and assembles the world
@@ -1032,7 +1022,6 @@ impl Pipeline {
         igdb_obs::record_peak_rss("build");
 
         Igdb {
-            phys_pairs: phys_pairs_of(&db),
             db,
             metros: self.metros.expect("Metros ran"),
             roads: self.roads.expect("Roads ran"),
@@ -1042,8 +1031,11 @@ impl Pipeline {
             ip_info: self.ip_info,
             rdns: self.rdns,
             asn_metros: self.asn_metros,
+            phys_pairs: self.phys_pairs,
             probes: self.probes,
-            derived: Derived::default(),
+            fac_metro: self.fac_metro,
+            logical: self.logical,
+            derived: self.derived,
             snapshots,
             stage_ledger,
             rows_added_since_build: false,
@@ -1154,8 +1146,8 @@ impl Igdb {
     /// stage in [`Stage::ALL`] order it writes the per-stage protocol once:
     /// open the `build.<stage>` span; if an apply's diff proves the stage
     /// shared ([`SnapshotDelta::shares`]) take its tables from the prior
-    /// world by reference, replay its recorded counter deltas and take
-    /// over its side products ([`Pipeline::share`]), otherwise run it
+    /// world by reference, replay its recorded counter deltas and take its
+    /// other products by reference ([`Pipeline::share`]), otherwise run it
     /// ([`Pipeline::run`] — the only case when `prior` is `None`, a full
     /// build); close the span; if it ran, compact the tables it wrote
     /// (which also returns what was just freed); cut the counter ledger.
@@ -1177,7 +1169,7 @@ impl Igdb {
                         pipeline.db.share_table_from(&world.db, name).expect("table exists");
                     }
                     replay_stage(&world.stage_ledger, stage);
-                    pipeline.share(stage, world, &snaps);
+                    pipeline.share(stage, world);
                 }
                 None => pipeline.run(stage, &snaps),
             }
@@ -1205,11 +1197,13 @@ impl Igdb {
     /// Applies a replacement snapshot set incrementally: validate it in
     /// full (quarantine and ingestion accounting are identical to a
     /// rebuild's), diff it against the set this world was built from,
-    /// re-run the stages the changed sources reach, share every other
-    /// stage's tables by reference, and
-    /// carry the lazily built physical-path graph forward — if the prior
-    /// world had built it, the new one is built here with the memoized
-    /// corridors the change left canonical (see
+    /// re-run the stages the changed sources reach, and share everything
+    /// every other stage made by reference. A shared `Physical` hands on
+    /// the prior's lazily built products (routing graph with its corridor
+    /// cache, path geometries, segment index) as they are. A re-run one
+    /// starts them empty, except that if the prior had built its graph,
+    /// the new one is built here with the memoized corridors the change
+    /// left canonical (see
     /// [`PhysGraph::for_next_epoch`](crate::analysis::physpath::PhysGraph::for_next_epoch)).
     ///
     /// The contract, enforced by the delta-determinism suite and CI: the
@@ -1236,12 +1230,14 @@ impl Igdb {
         let delta = diff_snapshots(&self.snapshots, &new_set);
         drop(diff_span);
         let igdb = Self::build_staged(new_set, Some((self, &delta)));
-        igdb.derived.succeed(
-            &self.derived,
-            &self.phys_pairs,
-            igdb.metros.len(),
-            &igdb.phys_pairs,
-        );
+        if !delta.shares(Stage::Physical) {
+            igdb.derived.succeed(
+                &self.derived,
+                &self.phys_pairs,
+                igdb.metros.len(),
+                &igdb.phys_pairs,
+            );
+        }
         Ok((igdb, report, delta))
     }
 
@@ -1305,8 +1301,8 @@ impl Igdb {
     /// it ("We clearly tag each inference in iGDB"). The row is not
     /// source-derived, so a later [`Igdb::apply_delta`] onto this world
     /// rebuilds instead of sharing tables that now hold it. The write
-    /// copies `asn_loc` first if another epoch shares it, so that epoch
-    /// never sees the row.
+    /// copies `asn_loc` and `asn_metros` first if another epoch shares
+    /// them, so that epoch never sees the row.
     pub fn add_inferred_location(&mut self, asn: Asn, metro: usize) {
         let m = self.metros.metro(metro);
         self.db
@@ -1324,7 +1320,7 @@ impl Igdb {
                 ],
             )
             .expect("asn_loc row");
-        self.asn_metros.entry(asn).or_default().insert(metro);
+        Arc::make_mut(&mut self.asn_metros).entry(asn).or_default().insert(metro);
         self.rows_added_since_build = true;
     }
 }
@@ -1431,7 +1427,7 @@ mod tests {
     fn anycast_addresses_annotated_and_never_located() {
         let (world, igdb) = built();
         let mut flagged = 0;
-        for (&ip, info) in &igdb.ip_info {
+        for (&ip, info) in igdb.ip_info.iter() {
             let truth_anycast = world
                 .anycast_prefixes
                 .iter()
@@ -1508,7 +1504,7 @@ mod tests {
         let (world, igdb) = built();
         let mut checked = 0;
         let mut correct = 0;
-        for (&ip, info) in &igdb.ip_info {
+        for (&ip, info) in igdb.ip_info.iter() {
             let Some(got) = info.asn else { continue };
             let Some(truth) = world.truth_asn_of_ip(ip) else {
                 continue;
@@ -1530,7 +1526,7 @@ mod tests {
         let (world, igdb) = built();
         let mut checked = 0;
         let mut correct = 0;
-        for (&ip, info) in &igdb.ip_info {
+        for (&ip, info) in igdb.ip_info.iter() {
             if info.geo_source != Some(LocationSource::Hoiho) {
                 continue;
             }
@@ -1593,6 +1589,45 @@ mod tests {
                 assert_eq!(inferred, 0, "base build must not contain inferences");
             })
             .unwrap();
+    }
+
+    /// Sharing a stage hands on everything it made: after an apply, each
+    /// product is the prior's own allocation exactly when the delta
+    /// shares the stage that made it — for every delta class, and for a
+    /// date change, which shares nothing.
+    #[test]
+    fn a_shared_stage_hands_on_every_product_by_reference() {
+        use igdb_synth::{generate_delta, DeltaClass};
+        let world = World::generate(WorldConfig::tiny());
+        let snaps = emit_snapshots(&world, "2022-05-03", 400);
+        let prior = Igdb::build(&snaps);
+        let mut redated = snaps.clone();
+        redated.as_of_date = "2022-06-01".into();
+        let nexts = DeltaClass::ALL
+            .into_iter()
+            .map(|class| (format!("{class:?}"), generate_delta(&snaps, 7, &[class]).0))
+            .chain([("date change".to_string(), redated)]);
+        for (ctx, next) in nexts {
+            let (w, _, delta) = prior.apply_delta(&next, &BuildPolicy::lenient()).unwrap();
+            let p = &prior;
+            let products = [
+                ("metros", Stage::Metros, Arc::ptr_eq(&p.metros, &w.metros)),
+                ("roads", Stage::Roads, Arc::ptr_eq(&p.roads, &w.roads)),
+                ("fac_metro", Stage::Physical, Arc::ptr_eq(&p.fac_metro, &w.fac_metro)),
+                ("phys_pairs", Stage::Physical, Arc::ptr_eq(&p.phys_pairs, &w.phys_pairs)),
+                ("derived", Stage::Physical, Arc::ptr_eq(&p.derived, &w.derived)),
+                ("logical", Stage::Logical, Arc::ptr_eq(&p.logical, &w.logical)),
+                ("asn_metros", Stage::AsnLoc, Arc::ptr_eq(&p.asn_metros, &w.asn_metros)),
+                ("probes", Stage::Probes, Arc::ptr_eq(&p.probes, &w.probes)),
+                ("bdrmap", Stage::IpResolution, Arc::ptr_eq(&p.bdrmap, &w.bdrmap)),
+                ("hoiho", Stage::IpResolution, Arc::ptr_eq(&p.hoiho, &w.hoiho)),
+                ("rdns", Stage::IpResolution, Arc::ptr_eq(&p.rdns, &w.rdns)),
+                ("ip_info", Stage::IpResolution, Arc::ptr_eq(&p.ip_info, &w.ip_info)),
+            ];
+            for (name, stage, same) in products {
+                assert_eq!(same, delta.shares(stage), "{ctx}: {name}");
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! Products derived from the tables the stage driver wrote.
 //!
-//! Each is a pure function of a finished world's `phys_conn` rows, built on
-//! first use and shared by every analysis after that: the routing graph,
-//! the parsed path geometries, and the segment index the Figure 4 corridor
-//! join asks. A table write takes `&mut Igdb`, never the `&Igdb` these
-//! are read through, and the one write after the build
+//! Each is a pure function of a finished world's `phys_conn` rows and metro
+//! catalogue, built on first use and shared by every analysis after that:
+//! the routing graph, the parsed path geometries, and the segment index
+//! the Figure 4 corridor join asks. A table write takes `&mut Igdb`, never
+//! the `&Igdb` these are read through, and the one write after the build
 //! ([`Igdb::add_inferred_location`]) touches `asn_loc`, not `phys_conn`,
-//! so a filled product stays valid for the life of its [`Igdb`]. A new
-//! `Igdb` starts empty; only the graph is carried across a delta apply
+//! so a filled product stays valid for the life of its [`Igdb`].
+//!
+//! The holder is `Physical`'s product, like that stage's tables. A delta
+//! apply that shares `Physical` hands the successor the prior's holder
+//! itself, filled slots and all: both worlds then hold the same
+//! `phys_conn` and metro catalogue. One that re-runs `Physical` starts
+//! empty, and carries over only the graph's still-canonical corridors
 //! ([`Derived::succeed`]).
 
 use std::sync::OnceLock;
@@ -71,11 +76,11 @@ impl Derived {
     }
 
     /// Carries `prior`'s graph into `self`, the products of the world that
-    /// succeeds it in a delta apply: if the prior world had built its
-    /// graph, the new one is built here with the memoized corridors the
-    /// change left canonical (see [`PhysGraph::for_next_epoch`]). The
-    /// geometries and their index are not carried — nothing reads them
-    /// across epochs, and a fill costs a few milliseconds.
+    /// succeeds it in a delta apply that re-ran `Physical`: if the prior
+    /// world had built its graph, the new one is built here with the
+    /// memoized corridors the change left canonical (see
+    /// [`PhysGraph::for_next_epoch`]). The geometries and their index are
+    /// refilled on first use — a fill costs a few milliseconds.
     pub(crate) fn succeed(
         &self,
         prior: &Derived,

@@ -69,17 +69,21 @@ fn guarded<T>(
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(v) => Some(v),
         Err(payload) => {
-            let detail = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
             igdb_obs::perf("serving.mix_failures", query, 1);
-            failures.push(MixFailure { query, detail });
+            failures.push(MixFailure { query, detail: panic_detail(&*payload) });
             None
         }
+    }
+}
+
+/// Renders a caught panic payload: its text when it has one.
+pub fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -225,9 +229,16 @@ mod tests {
             failures,
             vec![MixFailure { query: "risk", detail: "hazard polygon inverted".into() }]
         );
+        // A formatted (`String`) payload renders its text too; any other
+        // payload type renders as such.
+        let n = 3;
+        guarded(&mut failures, "risk", || panic!("{n} legs inverted"));
+        guarded(&mut failures, "risk", || std::panic::panic_any(7u32));
+        let details: Vec<&str> = failures[1..].iter().map(|f| f.detail.as_str()).collect();
+        assert_eq!(details, ["3 legs inverted", "non-string panic payload"]);
         // The tally is perf-class: visible in the full stream, absent
         // from the deterministic one (goldens must not re-bless).
-        assert_eq!(reg.perf_value("serving.mix_failures", "risk"), 1);
+        assert_eq!(reg.perf_value("serving.mix_failures", "risk"), 3);
         assert!(reg.json_lines(igdb_obs::JsonMode::Full).contains("serving.mix_failures"));
         assert!(!reg
             .json_lines(igdb_obs::JsonMode::Deterministic)

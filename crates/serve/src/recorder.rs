@@ -342,8 +342,10 @@ impl FlightRecorder {
             g.epoch_published.remove(&oldest);
         }
 
-        // Slow classification before the ring consumes the trace.
-        let is_slow = self.slow_ms > 0 && rt.record.wall_us() >= self.slow_ms * 1000;
+        // Slow classification before the ring consumes the trace. Compared
+        // in whole milliseconds: `slow_ms * 1000` overflows for a large
+        // `--slow-ms`.
+        let is_slow = self.slow_ms > 0 && rt.record.wall_us() / 1000 >= self.slow_ms;
         if is_slow {
             g.slow_count += 1;
             if let Some(w) = &self.slow_log {
@@ -550,6 +552,23 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The largest `--slow-ms` whose microsecond value no longer fits a
+    /// `u64` classifies nothing as slow (it used to overflow: a panic
+    /// under the recorder lock in a debug build, a 384 µs threshold in
+    /// release).
+    #[test]
+    fn huge_slow_threshold_classifies_nothing_as_slow() {
+        let rec = FlightRecorder::new(RecorderConfig {
+            slow_ms: 18_446_744_073_709_552,
+            ..RecorderConfig::default()
+        })
+        .unwrap();
+        let t0 = Instant::now();
+        rec.on_admit(1, 40);
+        rec.on_done(completed(1, 1, 1), t0, (0, t0));
+        assert_eq!(rec.snapshot().slow_count, 0);
     }
 
     #[test]

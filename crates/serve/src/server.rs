@@ -64,6 +64,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use igdb_core::analysis::{footprint, risk};
+use igdb_core::serving::panic_detail;
 use igdb_core::{EpochHandle, Igdb, SpWorkspace};
 use igdb_fault::ServeError;
 use igdb_geo::{GeoPoint, Polygon};
@@ -790,17 +791,6 @@ fn worker_loop(shared: &Arc<Shared>) {
             (newest.number, newest.published_at),
         );
         shared.busy.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Renders a caught panic payload for the `Internal` detail field.
-fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

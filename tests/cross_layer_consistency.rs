@@ -196,7 +196,7 @@ fn ixp_prefix_geolocations_are_exact() {
     // the paper's "true location according to IXP prefixes".
     let (world, igdb) = build();
     let mut checked = 0;
-    for (&ip, info) in &igdb.ip_info {
+    for (&ip, info) in igdb.ip_info.iter() {
         if info.geo_source != Some(igdb_core::LocationSource::IxpPrefix) {
             continue;
         }

@@ -469,11 +469,8 @@ fn repaired_phys_graph_answers_match_cold_rebuild() {
         pruned_pairs.is_subset(&old_pairs) && pruned_pairs.len() < old_pairs.len(),
         "AtlasPrune must only remove pairs"
     );
-    let (rebuilt, _) = Igdb::try_build(&next, &BuildPolicy::lenient()).unwrap();
-    let (ga, gb) = (applied.phys_graph(), rebuilt.phys_graph());
+    let ga = applied.phys_graph();
     let mut wa = igdb_core::SpWorkspace::new();
-    let mut wb = igdb_core::SpWorkspace::new();
-    assert_eq!(n, rebuilt.metros.len());
 
     // Which corridors were carried is read off the miss counter, not off
     // the delta: a pair routed before the prune, whose path avoids every
@@ -503,15 +500,80 @@ fn repaired_phys_graph_answers_match_cold_rebuild() {
     let _ = reweighted.phys_graph().shortest_path_cached(&mut wa, from, to);
     assert_eq!(misses(), 1, "a corridor was carried across a re-weight");
 
+    let (rebuilt, _) = Igdb::try_build(&next, &BuildPolicy::lenient()).unwrap();
+    assert_same_answers(&applied, &rebuilt, "AtlasPrune seed 39");
+}
+
+/// Every pair answers on `warm`'s graph as on `cold`'s.
+fn assert_same_answers(warm: &Igdb, cold: &Igdb, ctx: &str) {
+    let (ga, gb) = (warm.phys_graph(), cold.phys_graph());
+    let mut wa = igdb_core::SpWorkspace::new();
+    let mut wb = igdb_core::SpWorkspace::new();
+    let n = cold.metros.len();
+    assert_eq!(warm.metros.len(), n, "{ctx}");
     for from in 0..n {
         for to in (from..n).step_by(2) {
             assert_eq!(
                 ga.shortest_path_cached(&mut wa, from, to),
                 gb.shortest_path_cached(&mut wb, from, to),
-                "({from}, {to})"
+                "{ctx}: ({from}, {to})"
             );
         }
     }
+}
+
+/// The routing graph, the parsed geometries and the segment index are
+/// `Physical`'s products: an apply that shares `Physical` hands on the
+/// prior's, filled, and one that re-runs it fills its own once.
+#[test]
+fn derived_products_ride_with_physical() {
+    use igdb_core::analysis::intertubes::compare;
+    let world = World::generate(WorldConfig::tiny());
+    let base = emit_snapshots(&world, "2022-05-03", 400);
+    let links = igdb_synth::intertubes::intertubes_recreation(&world.cities, &world.row);
+    let (prior, _) = Igdb::try_build(&base, &BuildPolicy::lenient()).unwrap();
+    let n = prior.metros.len();
+    let warmed: Vec<(usize, usize)> = (0..n).step_by(3).map(|from| (from, (from + 7) % n)).collect();
+    let mut ws = igdb_core::SpWorkspace::new();
+    for &(from, to) in &warmed {
+        let _ = prior.phys_graph().shortest_path_cached(&mut ws, from, to);
+    }
+    let report = compare(&prior, &links);
+    let traced = |f: &dyn Fn()| {
+        let reg = Registry::new();
+        let _g = reg.install();
+        f();
+        reg
+    };
+    let segment_fill = |reg: &Registry| reg.json_lines(JsonMode::Full).contains("derived.fill_us");
+
+    for class in [DeltaClass::TracerouteChurn, DeltaClass::LogicalChurn] {
+        let (next, _) = generate_delta(&base, 3, &[class]);
+        let (applied, _, delta) = prior.apply_delta(&next, &BuildPolicy::lenient()).unwrap();
+        assert!(delta.shares(Stage::Physical), "{class:?}");
+        assert!(
+            std::ptr::eq(applied.phys_path_geometries(), prior.phys_path_geometries()),
+            "{class:?}: the geometries were parsed again"
+        );
+        let reg = traced(&|| {
+            assert_eq!(compare(&applied, &links), report, "{class:?}");
+            let mut ws = igdb_core::SpWorkspace::new();
+            for &(from, to) in &warmed {
+                let _ = applied.phys_graph().shortest_path_cached(&mut ws, from, to);
+            }
+        });
+        assert!(!segment_fill(&reg), "{class:?}: the segment index was refilled");
+        assert_eq!(reg.perf_value("corridor.cache_misses", "phys"), 0, "{class:?}");
+        let (rebuilt, _) = rebuild(&next);
+        assert_same_answers(&applied, &rebuilt, &format!("{class:?}"));
+    }
+
+    let (next, _) = generate_delta(&base, 3, &[DeltaClass::AtlasChurn]);
+    let (applied, _, delta) = prior.apply_delta(&next, &BuildPolicy::lenient()).unwrap();
+    assert!(!delta.shares(Stage::Physical));
+    let fills: Vec<bool> =
+        (0..2).map(|_| segment_fill(&traced(&|| drop(compare(&applied, &links))))).collect();
+    assert_eq!(fills, [true, false], "AtlasChurn: the segment index fills exactly once");
 }
 
 // ---------------------------------------------------------------------------
