@@ -12,7 +12,7 @@
 //! fall back to clipping against every other site, which is always correct,
 //! just slower.
 
-use crate::delaunay::triangulate;
+use crate::delaunay::{site_key, triangulate};
 use crate::geometry::Polygon;
 use crate::point::{BoundingBox, GeoPoint};
 
@@ -27,16 +27,16 @@ pub struct VoronoiCell {
 
 /// Computes the Voronoi cell of every *distinct* site, clipped to `clip`.
 ///
-/// Duplicate sites yield a cell only for the first occurrence (the others
-/// would have empty cells). Cells partition the clip box up to boundary
-/// measure zero.
+/// Duplicate sites (`-0.0` equals `0.0`) yield a cell only for the first
+/// occurrence (the others would have empty cells). Cells partition the clip
+/// box up to boundary measure zero.
 pub fn voronoi_cells(sites: &[GeoPoint], clip: &BoundingBox) -> Vec<VoronoiCell> {
     let tri = triangulate(sites);
     let mut seen = std::collections::HashSet::new();
     sites
         .iter()
         .enumerate()
-        .filter(|(_, p)| seen.insert((p.lon.to_bits(), p.lat.to_bits())))
+        .filter(|(_, p)| seen.insert(site_key(p)))
         .filter_map(|(i, _)| {
             let ring = if tri.neighbors[i].is_empty() && sites.len() > 1 {
                 cell_against_all(sites, i, clip)
@@ -59,26 +59,28 @@ fn cell_from_neighbors(
     neighbors: &[usize],
     clip: &BoundingBox,
 ) -> Vec<GeoPoint> {
-    let mut ring = bbox_ring(clip);
-    let p = sites[site];
-    for &j in neighbors {
-        ring = clip_halfplane(&ring, &p, &sites[j]);
-        if ring.len() < 3 {
-            break;
-        }
-    }
-    ring
+    clip_all(clip, &sites[site], neighbors.iter().map(|&j| &sites[j]))
 }
 
 /// Brute-force cell: clip against every other distinct site.
 fn cell_against_all(sites: &[GeoPoint], site: usize, clip: &BoundingBox) -> Vec<GeoPoint> {
+    let p = &sites[site];
+    let key = site_key(p);
+    clip_all(clip, p, sites.iter().filter(|q| site_key(q) != key))
+}
+
+/// Clips the box `clip` by the bisector toward each of `others`, in order,
+/// ping-ponging between two buffers; stops once the ring is degenerate.
+fn clip_all<'a>(
+    clip: &BoundingBox,
+    keep: &GeoPoint,
+    others: impl Iterator<Item = &'a GeoPoint>,
+) -> Vec<GeoPoint> {
     let mut ring = bbox_ring(clip);
-    let p = sites[site];
-    for (j, q) in sites.iter().enumerate() {
-        if j == site || (q.lon == p.lon && q.lat == p.lat) {
-            continue;
-        }
-        ring = clip_halfplane(&ring, &p, q);
+    let mut next = Vec::with_capacity(8);
+    for q in others {
+        clip_halfplane(&ring, &mut next, keep, q);
+        std::mem::swap(&mut ring, &mut next);
         if ring.len() < 3 {
             break;
         }
@@ -96,8 +98,9 @@ fn bbox_ring(b: &BoundingBox) -> Vec<GeoPoint> {
 }
 
 /// Sutherland–Hodgman clip of `ring` against the half-plane of points
-/// closer to `keep` than to `other` (the perpendicular bisector).
-fn clip_halfplane(ring: &[GeoPoint], keep: &GeoPoint, other: &GeoPoint) -> Vec<GeoPoint> {
+/// closer to `keep` than to `other` (the perpendicular bisector), written
+/// over `out`.
+fn clip_halfplane(ring: &[GeoPoint], out: &mut Vec<GeoPoint>, keep: &GeoPoint, other: &GeoPoint) {
     // Half-plane: { x : (x - m) · d <= 0 } where m is the midpoint and
     // d = other - keep. Points with s(x) <= 0 are closer to `keep`.
     let mx = (keep.lon + other.lon) / 2.0;
@@ -106,7 +109,7 @@ fn clip_halfplane(ring: &[GeoPoint], keep: &GeoPoint, other: &GeoPoint) -> Vec<G
     let dy = other.lat - keep.lat;
     let s = |p: &GeoPoint| (p.lon - mx) * dx + (p.lat - my) * dy;
 
-    let mut out = Vec::with_capacity(ring.len() + 1);
+    out.clear();
     let n = ring.len();
     for i in 0..n {
         let cur = &ring[i];
@@ -122,7 +125,6 @@ fn clip_halfplane(ring: &[GeoPoint], keep: &GeoPoint, other: &GeoPoint) -> Vec<G
             out.push(intersect(cur, nxt, sc, sn));
         }
     }
-    out
 }
 
 fn intersect(a: &GeoPoint, b: &GeoPoint, sa: f64, sb: f64) -> GeoPoint {
@@ -174,6 +176,25 @@ mod tests {
         assert_eq!(cells.len(), 2);
         assert!(cells.iter().any(|c| c.site == 0));
         assert!(cells.iter().all(|c| c.site != 1));
+    }
+
+    /// `-0.0` and `0.0` are one site: a second cell would overlap the first.
+    #[test]
+    fn negative_zero_site_is_a_duplicate() {
+        let sites = [
+            GeoPoint::raw(0.0, 0.0),
+            GeoPoint::raw(-0.0, 0.0),
+            GeoPoint::raw(10.0, 0.0),
+            GeoPoint::raw(5.0, 8.0),
+        ];
+        let cells = voronoi_cells(&sites, &BoundingBox::WORLD);
+        let owners: Vec<usize> = cells.iter().map(|c| c.site).collect();
+        assert_eq!(owners, vec![0, 2, 3]);
+        let probe = GeoPoint::raw(-50.0, 3.0);
+        assert_eq!(
+            cells.iter().filter(|c| c.polygon.contains(&probe)).count(),
+            1
+        );
     }
 
     /// The defining property: every cell contains exactly the points

@@ -103,7 +103,9 @@ pub fn to_wkt(g: &Geometry) -> String {
 }
 
 fn write_point(s: &mut String, p: &GeoPoint) {
-    let _ = write!(s, "{} {}", fmt_coord(p.lon), fmt_coord(p.lat));
+    write_coord(s, p.lon);
+    s.push(' ');
+    write_coord(s, p.lat);
 }
 
 fn write_coord_list(s: &mut String, pts: &[GeoPoint]) {
@@ -127,23 +129,68 @@ fn write_polygon_body(s: &mut String, poly: &Polygon) {
     s.push(')');
 }
 
-/// Formats a coordinate with up to six decimals, trimming trailing zeros so
-/// round numbers stay compact (`13.4` not `13.400000`).
-fn fmt_coord(v: f64) -> String {
-    let mut s = format!("{v:.6}");
-    if s.contains('.') {
-        while s.ends_with('0') {
-            s.pop();
+/// Appends a coordinate with up to six decimals, trimming trailing zeros so
+/// round numbers stay compact (`13.4` not `13.400000`), and writing a zero
+/// result as `0`, never `-0`: the text of `format!("{v:.6}")` after that
+/// trimming.
+///
+/// Most values take a fast path. Let `m = v·1e6` as computed. Where
+/// `|m| < 2^33`, one ulp of `m` is at most 2^-20, so `m` lies within 2^-21
+/// of the exact product. Where `frac(|m|)` is also more than 2^-19 from
+/// one half, the exact product is on the same side of the half as `m`, so
+/// `m.round()` is the correctly rounded value `{:.6}` prints, and its
+/// digits are written by hand. Near-ties, huge values, NaN and infinities
+/// take the formatter.
+fn write_coord(s: &mut String, v: f64) {
+    const LIMIT: f64 = (1u64 << 33) as f64;
+    const TIE_MARGIN: f64 = 1.0 / (1u64 << 19) as f64;
+    let m = v * 1e6;
+    if !(m.abs() < LIMIT && (m.abs().fract() - 0.5).abs() > TIE_MARGIN) {
+        let start = s.len();
+        let _ = write!(s, "{v:.6}");
+        if s[start..].contains('.') {
+            let trimmed = s.trim_end_matches('0').trim_end_matches('.').len();
+            s.truncate(trimmed);
         }
-        if s.ends_with('.') {
-            s.pop();
+        if &s[start..] == "-0" {
+            s.truncate(start);
+            s.push('0');
+        }
+        return;
+    }
+    let micro = m.round() as i64;
+    if micro < 0 {
+        s.push('-');
+    }
+    let micro = micro.unsigned_abs();
+    let (mut whole, mut frac) = (micro / 1_000_000, micro % 1_000_000);
+    // Digits right to left: the trimmed fraction, its point, the whole part.
+    let mut buf = [0u8; 24];
+    let mut at = buf.len();
+    let mut push = |d: u8| {
+        at -= 1;
+        buf[at] = d;
+    };
+    if frac != 0 {
+        let mut width = 6;
+        while frac % 10 == 0 {
+            frac /= 10;
+            width -= 1;
+        }
+        for _ in 0..width {
+            push(b'0' + (frac % 10) as u8);
+            frac /= 10;
+        }
+        push(b'.');
+    }
+    loop {
+        push(b'0' + (whole % 10) as u8);
+        whole /= 10;
+        if whole == 0 {
+            break;
         }
     }
-    // Avoid the "-0" artifact.
-    if s == "-0" {
-        s = "0".to_string();
-    }
-    s
+    s.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
 struct Parser<'a> {
@@ -366,6 +413,99 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The formatter-only writer [`write_coord`] must print exactly as.
+    fn fmt_coord(v: f64) -> String {
+        let mut s = format!("{v:.6}");
+        if s.contains('.') {
+            while s.ends_with('0') {
+                s.pop();
+            }
+            if s.ends_with('.') {
+                s.pop();
+            }
+        }
+        // Avoid the "-0" artifact.
+        if s == "-0" {
+            s = "0".to_string();
+        }
+        s
+    }
+
+    fn assert_writes_as_formatter(v: f64) {
+        let mut s = String::from("x ");
+        write_coord(&mut s, v);
+        assert_eq!(&s[2..], fmt_coord(v), "bits {:#018x}", v.to_bits());
+    }
+
+    fn arb_coord_value() -> impl Strategy<Value = f64> {
+        let limit = (1u64 << 33) as f64 / 1e6;
+        prop_oneof![
+            any::<u64>().prop_map(f64::from_bits),
+            -180.0f64..180.0,
+            // Within 1e-12 of a half micro-degree.
+            (-(1i64 << 33)..(1i64 << 33), -1e-12f64..1e-12)
+                .prop_map(|(k, e)| (k as f64 + 0.5) / 1e6 + e),
+            // Exact k/128: every odd k is a tie at the sixth decimal.
+            (-(1i64 << 20)..(1i64 << 20)).prop_map(|k| k as f64 / 128.0),
+            // Subnormals.
+            (1u64..(1u64 << 52), any::<bool>())
+                .prop_map(|(m, neg)| f64::from_bits(m | (u64::from(neg) << 63))),
+            // At and past the fast path's magnitude bound.
+            (limit..1e300, any::<bool>()).prop_map(|(v, neg)| if neg { -v } else { v }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn write_coord_matches_formatter(v in arb_coord_value()) {
+            assert_writes_as_formatter(v);
+        }
+    }
+
+    #[test]
+    fn write_coord_matches_formatter_at_edges() {
+        let limit = (1u64 << 33) as f64 / 1e6;
+        for v in [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            limit,
+            -limit,
+            0.0000005,
+            -0.0000005,
+            0.0000015,
+            0.00000049999999,
+            1e-7,
+            -1e-7,
+            13.4,
+            -179.999_999_5,
+            180.0,
+        ] {
+            assert_writes_as_formatter(v);
+        }
+        // Ties and their neighbours, one ulp either side.
+        for k in -4096i64..4096 {
+            let v = k as f64 / 128.0;
+            for w in [
+                v,
+                f64::from_bits(v.to_bits() + 1),
+                f64::from_bits(v.to_bits().saturating_sub(1)),
+            ] {
+                assert_writes_as_formatter(w);
+            }
+        }
+    }
 
     #[test]
     fn parse_point() {
