@@ -12,6 +12,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Mutex;
 
+use igdb_geo::spatial::polyline_within_km;
 use igdb_geo::GeoPoint;
 use igdb_net::{Asn, Ip4};
 
@@ -174,9 +175,9 @@ struct ReportScratch {
     /// Metros the current leg already tested, and the list to unset them by.
     tested_mask: Vec<bool>,
     tested: Vec<usize>,
-    /// `metros_of_asn` walks the asn_loc index and allocates; legs and
-    /// traces share ASes (a trace stays within a few networks), so each ASN
-    /// is resolved once per batch.
+    /// `metros_of_asn` copies an ASN's set out of the `asn_metros` map
+    /// into a new `Vec`; legs and traces share ASes (a trace stays within a
+    /// few networks), so each ASN is copied once per batch.
     asn_metros: HashMap<Asn, Vec<usize>>,
     /// Legs re-query from the same source only when a trace revisits a
     /// metro, but the practical path shares the first leg's source, so one
@@ -222,32 +223,9 @@ fn report_in(
 ) -> Option<PhysicalPathReport> {
     igdb_obs::counter("analysis.queries", "physpath", 1);
     let _t = igdb_obs::hist_timer("analysis.query_us", "physpath");
-    // 1. Geolocate hops, collapsing consecutive same-metro runs; remember
-    //    the ASes active around each leg.
-    let mut observed: Vec<usize> = Vec::new();
-    let mut leg_asns: Vec<Vec<Asn>> = Vec::new();
-    let mut current_asns: Vec<Asn> = Vec::new();
-    for &ip in hop_ips {
-        let info = igdb.ip_info.get(&ip);
-        if let Some(asn) = info.and_then(|i| i.asn) {
-            if !current_asns.contains(&asn) {
-                current_asns.push(asn);
-            }
-        }
-        if let Some(m) = info.and_then(|i| i.metro) {
-            if observed.last() != Some(&m) {
-                if !observed.is_empty() {
-                    leg_asns.push(std::mem::take(&mut current_asns));
-                }
-                observed.push(m);
-            }
-        }
-    }
+    let (observed, leg_asns) = observed_legs(igdb, hop_ips);
     if observed.len() < 2 {
         return None;
-    }
-    while leg_asns.len() < observed.len() - 1 {
-        leg_asns.push(current_asns.clone());
     }
 
     // Membership tests in `route_legs` run once per (leg, candidate);
@@ -274,6 +252,35 @@ fn report_in(
         practical_km,
         distance_cost,
     })
+}
+
+/// Step 1 of a report: geolocate the hops, collapsing consecutive
+/// same-metro runs, and remember the ASes active around each leg — one
+/// list per leg once two metros are observed.
+fn observed_legs(igdb: &Igdb, hop_ips: &[Ip4]) -> (Vec<usize>, Vec<Vec<Asn>>) {
+    let mut observed: Vec<usize> = Vec::new();
+    let mut leg_asns: Vec<Vec<Asn>> = Vec::new();
+    let mut current_asns: Vec<Asn> = Vec::new();
+    for &ip in hop_ips {
+        let info = igdb.ip_info.get(&ip);
+        if let Some(asn) = info.and_then(|i| i.asn) {
+            if !current_asns.contains(&asn) {
+                current_asns.push(asn);
+            }
+        }
+        if let Some(m) = info.and_then(|i| i.metro) {
+            if observed.last() != Some(&m) {
+                if !observed.is_empty() {
+                    leg_asns.push(std::mem::take(&mut current_asns));
+                }
+                observed.push(m);
+            }
+        }
+    }
+    while leg_asns.len() + 1 < observed.len() {
+        leg_asns.push(current_asns.clone());
+    }
+    (observed, leg_asns)
 }
 
 /// Steps 2–4 of a report: `(legs, inferred km, practical path, its km)`,
@@ -324,9 +331,7 @@ fn route_legs(
                     continue;
                 }
                 let loc = igdb.metros.metro(m).loc;
-                if igdb_geo::point_polyline_distance_km(&loc, &corridor)
-                    <= HIDDEN_NODE_BUFFER_KM
-                {
+                if polyline_within_km(&loc, &corridor, HIDDEN_NODE_BUFFER_KM) {
                     hidden.push(m);
                 }
             }
@@ -499,6 +504,58 @@ mod tests {
             reported += usize::from(shared.is_some());
         }
         assert!(reported > 10, "only {reported} reports");
+    }
+
+    /// Every leg's hidden set equals a direct distance scan over the same
+    /// candidates: the leg's ASes' metros, minus its ends, the observed
+    /// metros and metros without physical links.
+    #[test]
+    fn hidden_candidates_equal_a_distance_scan_on_the_mesh() {
+        let (_, igdb) = built();
+        let graph = igdb.phys_graph();
+        let traces: Vec<Vec<Ip4>> = igdb
+            .traces()
+            .iter()
+            .map(|t| t.hops.iter().filter_map(|h| h.ip).collect())
+            .collect();
+        let reports = physical_path_reports_with(&igdb, graph, &traces);
+        let (mut tested, mut hidden) = (0, 0);
+        for (hops, report) in traces.iter().zip(&reports) {
+            let Some(report) = report else { continue };
+            let (observed, leg_asns) = observed_legs(&igdb, hops);
+            assert_eq!(observed, report.observed_metros);
+            assert_eq!(leg_asns.len(), report.legs.len());
+            for (leg, asns) in report.legs.iter().zip(&leg_asns) {
+                let corridor: Vec<GeoPoint> =
+                    leg.via.iter().map(|&m| igdb.metros.metro(m).loc).collect();
+                let candidates: BTreeSet<usize> = asns
+                    .iter()
+                    .flat_map(|&asn| igdb.metros_of_asn(asn))
+                    .filter(|&m| {
+                        m != leg.from_metro
+                            && m != leg.to_metro
+                            && !observed.contains(&m)
+                            && graph.degree(m) > 0
+                    })
+                    .collect();
+                let want: Vec<usize> = candidates
+                    .iter()
+                    .copied()
+                    .filter(|&m| {
+                        let loc = igdb.metros.metro(m).loc;
+                        igdb_geo::point_polyline_distance_km(&loc, &corridor)
+                            <= HIDDEN_NODE_BUFFER_KM
+                    })
+                    .collect();
+                assert_eq!(leg.hidden_candidates, want, "leg {:?}", leg.via);
+                tested += candidates.len();
+                hidden += want.len();
+            }
+        }
+        assert!(
+            hidden > 0 && tested > 2 * hidden,
+            "{hidden} hidden of {tested}"
+        );
     }
 
     #[test]

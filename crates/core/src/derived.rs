@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use igdb_db::Database;
 use igdb_geo::geodesy::point_segment_distance_km;
-use igdb_geo::spatial::{segment_bbox, segment_window};
+use igdb_geo::spatial::{segment_bbox, segment_window, window_abs_lat};
 use igdb_geo::{parse_wkt, point_polyline_distance_km, GeoPoint, Geometry, RTree};
 
 use crate::analysis::physpath::PhysGraph;
@@ -139,11 +139,7 @@ impl SegmentIndex {
         for (pi, polyline) in polylines.iter().enumerate() {
             let polyline = polyline.as_ref();
             for p in polyline {
-                max_abs_lat = if p.lon.abs() <= 180.0 {
-                    max_abs_lat.max(p.lat.abs())
-                } else {
-                    f64::INFINITY
-                };
+                max_abs_lat = max_abs_lat.max(window_abs_lat(p));
             }
             for si in 0..segment_count(polyline.len()) {
                 let (a, b) = segment_ends(polyline, si);

@@ -117,8 +117,8 @@ pub fn run_query_mix(world: &World, igdb: &Igdb) -> QueryMixSummary {
 
     let mut failures = Vec::new();
 
-    // 1. Physical paths for the whole anchor-mesh traceroute set, in
-    //    parallel (one report per trace, input order).
+    // 1. Physical paths for the whole anchor-mesh traceroute set, one
+    //    report per trace in input order, on this thread.
     let physpath_reports = guarded(&mut failures, "physpath", || {
         let traces: Vec<Vec<Ip4>> = igdb
             .traces()

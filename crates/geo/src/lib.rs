@@ -22,8 +22,10 @@
 //!   its Voronoi dual, used to build the 7,342 Thiessen polygons of
 //!   Figure 3.
 //! * [`spatial`] — the spatial join: exact great-circle nearest-site
-//!   assignment ([`NearestSiteIndex`]) over that tree, and the candidate
-//!   windows it and the corridor join prune with.
+//!   assignment ([`NearestSiteIndex`]) over that tree, the candidate
+//!   windows it and the Figure 4 corridor join prune with, and the Figure 7
+//!   corridor test that those bounds settle before any distance is
+//!   computed.
 //! * [`batch`] — struct-of-arrays columns ([`GeoColumns`]) with batched
 //!   great-circle kernels, bit-identical to the scalar path.
 //!

@@ -6,6 +6,7 @@
 //! containing it, so the join never needs the cell geometry.
 
 use crate::batch::{GeoColumns, RefPoint};
+use crate::geodesy::{point_polyline_distance_km, point_segment_distance_km};
 use crate::point::{BoundingBox, GeoPoint};
 use crate::rtree::{point_tree, RTree};
 use crate::EARTH_RADIUS_KM;
@@ -114,7 +115,7 @@ pub fn segment_window(p: &GeoPoint, radius_km: f64, max_abs_lat: f64) -> Option<
     if !scalable {
         return None;
     }
-    let pad = radius_km * DEG_PER_KM_LAT * (1.0 + 1e-9) + 1e-9;
+    let pad = segment_lat_pad(radius_km);
     window.union(&BoundingBox {
         min_lon: p.lon - pad / min_cos,
         min_lat: p.lat - pad,
@@ -122,6 +123,67 @@ pub fn segment_window(p: &GeoPoint, radius_km: f64, max_abs_lat: f64) -> Option<
         max_lat: p.lat + pad,
     });
     (window.min_lon > -180.0 && window.max_lon < 180.0).then_some(window)
+}
+
+/// [`segment_window`]'s latitude half-height in degrees: `radius_km` of
+/// meridional arc, widened so rounding can only admit.
+fn segment_lat_pad(radius_km: f64) -> f64 {
+    radius_km * DEG_PER_KM_LAT * (1.0 + 1e-9) + 1e-9
+}
+
+/// What a vertex adds to [`segment_window`]'s `max_abs_lat`: its `|lat|`,
+/// or ∞ for a longitude outside ±180° (only [`GeoPoint::raw`] makes one),
+/// which no planar window covers.
+pub fn window_abs_lat(v: &GeoPoint) -> f64 {
+    if v.lon.abs() <= 180.0 {
+        v.lat.abs()
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// Exactly `point_polyline_distance_km(p, polyline) <= radius_km`, with the
+/// distance computed only where no bound settles it.
+///
+/// 1. **Latitude band.** Every term of
+///    [`point_segment_distance_km`](crate::geodesy::point_segment_distance_km)
+///    is at least `|Δφ| · R` from the polyline's latitude span: a haversine
+///    endpoint term by the meridional bound, the interior estimate because
+///    its `deg ≥ |ey|` and the closest point's latitude lies in the
+///    segment's span. So a `p` farther from the span than [`segment_window`]'s
+///    own latitude pad is out, at no trigonometry. The band needs
+///    latitudes within ±90° (else a cosine in the haversine turns negative)
+///    and a pad under 90° (else the boundary nears the antipode, where
+///    `asin` loses the slack).
+/// 2. **Segment window.** Only a segment whose [`segment_bbox`] meets
+///    [`segment_window`] can be within the radius, so only those are
+///    measured, with the scan's own arithmetic, and the first within it
+///    answers. `min ≤ r` holds exactly when some segment is `≤ r`, and a
+///    NaN distance fails both forms.
+/// 3. **Fallback.** With fewer than two vertices, or no window (pole,
+///    antimeridian, longitudes outside ±180°), the scan answers.
+pub fn polyline_within_km(p: &GeoPoint, polyline: &[GeoPoint], radius_km: f64) -> bool {
+    if polyline.len() < 2 {
+        return point_polyline_distance_km(p, polyline) <= radius_km;
+    }
+    let (mut min_lat, mut max_lat, mut max_abs_lat) = (f64::INFINITY, f64::NEG_INFINITY, 0.0f64);
+    for v in polyline {
+        min_lat = min_lat.min(v.lat);
+        max_lat = max_lat.max(v.lat);
+        max_abs_lat = max_abs_lat.max(window_abs_lat(v));
+    }
+    let pad = segment_lat_pad(radius_km);
+    let band_exact = max_abs_lat <= 90.0 && p.lat.abs() <= 90.0 && pad < 90.0;
+    if band_exact && (p.lat < min_lat - pad || p.lat > max_lat + pad) {
+        return false;
+    }
+    match segment_window(p, radius_km, max_abs_lat) {
+        Some(window) => polyline.windows(2).any(|w| {
+            segment_bbox(&w[0], &w[1]).intersects(&window)
+                && point_segment_distance_km(p, &w[0], &w[1]) <= radius_km
+        }),
+        None => point_polyline_distance_km(p, polyline) <= radius_km,
+    }
 }
 
 /// Nearest-site index over a fixed set of sites (e.g. the 7,342 urban

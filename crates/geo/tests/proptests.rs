@@ -350,6 +350,135 @@ fn exact_window_alone_misses_an_accepted_segment() {
     assert!(segment_window(&p, radius, 89.0).unwrap().intersects(&bbox));
 }
 
+// ---------------------------------------------------------------------------
+// The Figure 7 corridor predicate vs the distance it stands for
+// ---------------------------------------------------------------------------
+
+use igdb_geo::geodesy::destination;
+use igdb_geo::spatial::polyline_within_km;
+
+/// Coordinates a hand-drawn corridor is made of: signed zeros, the poles
+/// and their neighbours, and both sides of the antimeridian.
+const EDGE_LONS: [f64; 6] = [-180.0, -0.0, 0.0, 0.5, 179.5, 180.0];
+const EDGE_LATS: [f64; 7] = [-90.0, -89.9, -0.0, 0.0, 1.0, 89.9, 90.0];
+
+/// Polylines of 0–7 vertices. Bands 0–2 are the intertubes proptest's
+/// (mid-latitude, up to ±85°, within 2° of the antimeridian), with steps of
+/// up to 1.5° or 18°; band 3 snaps that walk to whole degrees; band 4
+/// draws every vertex from the edge coordinates. About every other
+/// polyline repeats one vertex.
+fn arb_corridor() -> impl Strategy<Value = Vec<GeoPoint>> {
+    (
+        0usize..5,
+        (-1.0f64..1.0, -1.0f64..1.0),
+        proptest::collection::vec((-1.5f64..1.5, -1.5f64..1.5), 0..7),
+        prop_oneof![Just(1.0), Just(12.0)],
+        0usize..12,
+    )
+        .prop_map(|(band, (x, y), steps, scale, dup)| {
+            let (mut lon, mut lat) = match band {
+                0 | 3 => (-95.0 + 10.0 * x, 38.0 + 8.0 * y),
+                1 => (20.0 + 10.0 * x, 85.0 * y.signum() - 6.0 * y),
+                _ => (180.0 * x.signum() - 2.0 * x, 50.0 * y),
+            };
+            let mut line: Vec<GeoPoint> = steps
+                .iter()
+                .map(|&(dx, dy)| match band {
+                    4 => {
+                        let pick = |v: f64, n: usize| ((v + 1.5) / 3.0 * n as f64) as usize % n;
+                        GeoPoint::raw(
+                            EDGE_LONS[pick(dx, EDGE_LONS.len())],
+                            EDGE_LATS[pick(dy, EDGE_LATS.len())],
+                        )
+                    }
+                    _ => {
+                        lon += dx * scale;
+                        lat = (lat + dy * scale).clamp(-85.0, 85.0);
+                        match band {
+                            3 => GeoPoint::new(lon.round(), lat.round()),
+                            _ => GeoPoint::new(lon, lat),
+                        }
+                    }
+                })
+                .collect();
+            if dup < line.len() {
+                line.insert(dup, line[dup]);
+            }
+            line
+        })
+}
+
+/// A corridor, a radius (0, 60 km, or up to 5,000 km) and a point within
+/// 1.5 radii (at least 1.5 km) of one of its vertices — or exactly on it,
+/// or due north or south of it, where only the latitude band can decide.
+/// About half the cases are hits. One case in eight takes the point's
+/// exact distance as its radius, so the answer sits on the boundary the
+/// predicate's slacks protect.
+fn arb_corridor_case() -> impl Strategy<Value = (Vec<GeoPoint>, GeoPoint, f64)> {
+    (
+        arb_corridor(),
+        prop_oneof![Just(0.0), Just(60.0), 0.0f64..5_000.0],
+        (0usize..6, 0usize..8, 0.0f64..360.0, 0.0f64..1.5),
+        0usize..8,
+    )
+        .prop_map(|(line, radius, (vi, bearing_kind, bearing, frac), edge)| {
+            let anchor = line
+                .get(vi % line.len().max(1))
+                .copied()
+                .unwrap_or(GeoPoint::new(10.0, 45.0));
+            let reach = radius.max(1.0);
+            let p = match bearing_kind {
+                0 => anchor,
+                1 => destination(&anchor, 0.0, frac * reach),
+                2 => destination(&anchor, 180.0, frac * reach),
+                _ => destination(&anchor, bearing, frac * reach),
+            };
+            let d = point_polyline_distance_km(&p, &line);
+            let radius = if edge == 0 && d.is_finite() {
+                d
+            } else {
+                radius
+            };
+            (line, p, radius)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8192))]
+
+    /// The Figure 7 join's predicate answers exactly what the scan of
+    /// `point_polyline_distance_km` answers. It fails if the latitude band
+    /// loses its slack (on the due-north and due-south boundary cases) or
+    /// if a segment the window reaches goes unmeasured.
+    #[test]
+    fn polyline_within_km_equals_the_scan(case in arb_corridor_case()) {
+        let (line, p, radius) = case;
+        prop_assert_eq!(
+            polyline_within_km(&p, &line, radius),
+            point_polyline_distance_km(&p, &line) <= radius,
+            "p {:?} r {} line {:?}", p, radius, line
+        );
+    }
+}
+
+#[test]
+fn polyline_within_km_degenerate_corridors() {
+    let p = GeoPoint::new(-0.0, 90.0);
+    let twice = [GeoPoint::new(5.0, 89.9); 2];
+    assert!(!polyline_within_km(&p, &[], f64::MAX));
+    assert!(polyline_within_km(&p, &[GeoPoint::new(0.0, 90.0)], 0.0));
+    assert!(polyline_within_km(&p, &twice, 12.0));
+    assert!(!polyline_within_km(&p, &twice, 11.0));
+    assert!(!polyline_within_km(&p, &twice, f64::NAN));
+    // Past the pole, latitude 100° at 0° is latitude 80° at 180°: 20° of
+    // latitude from the corridor and 10 km from its end, so the band must
+    // stand aside.
+    let over = GeoPoint::raw(0.0, 100.0);
+    let line = [GeoPoint::new(179.0, 80.0), GeoPoint::new(179.5, 80.0)];
+    assert!(point_polyline_distance_km(&over, &line) <= 20.0);
+    assert!(polyline_within_km(&over, &line, 20.0));
+}
+
 /// Soup ingredients; the first five are the geometry keywords a soup opens
 /// with.
 const WKT_TOKENS: [&str; 17] = [
