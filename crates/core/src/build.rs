@@ -447,7 +447,7 @@ impl Pipeline {
                     Value::Text(n.network.clone()),
                     Value::Text(n.city_label.clone()),
                     Value::from(mid),
-                    Value::text(metros.metro(mid).label()),
+                    metros.label_value(mid),
                     Value::Text(n.country.clone()),
                     Value::Float(n.loc.lat),
                     Value::Float(n.loc.lon),
@@ -471,7 +471,7 @@ impl Pipeline {
                     Value::text(&f.name),
                     Value::text(&f.city_label),
                     Value::from(mid),
-                    Value::text(metros.metro(mid).label()),
+                    metros.label_value(mid),
                     Value::text(&f.country),
                     Value::Float(f.loc.lat),
                     Value::Float(f.loc.lon),
@@ -566,10 +566,10 @@ impl Pipeline {
                 "phys_conn",
                 vec![
                     Value::from(key.0),
-                    Value::text(fm.label()),
+                    metros.label_value(key.0),
                     Value::text(&fm.country),
                     Value::from(key.1),
-                    Value::text(tm.label()),
+                    metros.label_value(key.1),
                     Value::text(&tm.country),
                     Value::Float(km),
                     Value::text(to_wkt(&Geometry::LineString(LineString::new(geom)))),
@@ -598,7 +598,7 @@ impl Pipeline {
                         Value::from(c.cable_id),
                         Value::text(lname),
                         Value::from(mid),
-                        Value::text(metros.metro(mid).label()),
+                        metros.label_value(mid),
                         Value::text(&metros.metro(mid).country),
                         Value::Float(loc.lat),
                         Value::Float(loc.lon),
@@ -722,7 +722,7 @@ impl Pipeline {
                     Value::text(&ix.name),
                     Value::text(ix.prefix.to_string()),
                     Value::from(mid),
-                    Value::text(metros.metro(mid).label()),
+                    metros.label_value(mid),
                     Value::text("peeringdb"),
                     Value::text(date),
                 ],
@@ -798,7 +798,7 @@ impl Pipeline {
                 vec![
                     Value::from(*asn),
                     Value::from(*mid),
-                    Value::text(metros.metro(*mid).label()),
+                    metros.label_value(*mid),
                     Value::text(&metros.metro(*mid).country),
                     Value::Bool(*remote),
                     Value::Bool(false),
@@ -839,7 +839,7 @@ impl Pipeline {
                         Value::text(a.ip.to_string()),
                         Value::from(a.asn.0),
                         Value::from(mid),
-                        Value::text(metros.metro(mid).label()),
+                        metros.label_value(mid),
                         Value::Float(a.loc.lat),
                         Value::Float(a.loc.lon),
                         Value::text("ripe_atlas"),
@@ -956,7 +956,7 @@ impl Pipeline {
                     fqdn.clone().map(Value::Text).unwrap_or(Value::Null),
                     metro.map(Value::from).unwrap_or(Value::Null),
                     metro
-                        .map(|m| Value::text(metros.metro(m).label()))
+                        .map(|m| metros.label_value(m))
                         .unwrap_or(Value::Null),
                     Value::text(geo_source.map(|g| g.tag()).unwrap_or("none")),
                     Value::Bool(anycast),
@@ -1311,7 +1311,7 @@ impl Igdb {
                 vec![
                     Value::from(asn.0),
                     Value::from(metro),
-                    Value::text(m.label()),
+                    self.metros.label_value(metro),
                     Value::text(&m.country),
                     Value::Bool(false),
                     Value::Bool(true),

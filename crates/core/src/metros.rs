@@ -9,6 +9,7 @@
 //! are materialized (lazily — they are pure output geometry) for the
 //! `city_polygons` relation, Figure 3, and the Figure 10 density map.
 
+use igdb_db::Value;
 use igdb_geo::{voronoi_cells, BoundingBox, GeoPoint, NearestSiteIndex, Polygon};
 use igdb_synth::sources::NaturalEarthPlace;
 
@@ -40,6 +41,8 @@ impl Metro {
 /// Thiessen-cell assignment.
 pub struct MetroRegistry {
     metros: Vec<Metro>,
+    /// Each metro's [`Metro::label`] as a table cell, made once.
+    labels: Vec<Value>,
     index: NearestSiteIndex,
     polygons: std::sync::OnceLock<Vec<Polygon>>,
 }
@@ -59,9 +62,11 @@ impl MetroRegistry {
                 population: p.population,
             })
             .collect();
+        let labels = metros.iter().map(|m| Value::text(m.label())).collect();
         let index = NearestSiteIndex::new(metros.iter().map(|m| m.loc).collect());
         Self {
             metros,
+            labels,
             index,
             polygons: std::sync::OnceLock::new(),
         }
@@ -94,6 +99,13 @@ impl MetroRegistry {
 
     pub fn metros(&self) -> &[Metro] {
         &self.metros
+    }
+
+    /// The label of the metro with this id as a table cell: the bytes of
+    /// [`Metro::label`], cloned rather than formatted and interned again
+    /// for every row that names the metro.
+    pub fn label_value(&self, id: usize) -> Value {
+        self.labels[id].clone()
     }
 
     /// Standardizes a point: the metro whose Thiessen cell contains it.
@@ -169,6 +181,9 @@ mod tests {
             reg.metro(reg.by_name("Kansas City").unwrap()).label(),
             "Kansas City-MO-US"
         );
+        for m in reg.metros() {
+            assert_eq!(reg.label_value(m.id).as_text(), Some(m.label().as_str()));
+        }
     }
 
     #[test]
@@ -201,6 +216,49 @@ mod tests {
         let reg = MetroRegistry::build(&[]);
         assert!(reg.is_empty());
         assert_eq!(reg.metro_of(&GeoPoint::new(0.0, 0.0)), None);
+    }
+
+    /// Every point the build joins on the tiny world — Atlas nodes,
+    /// facilities, landing points, anchors — standardizes to the least
+    /// `(distance, id)` over all metros, as an exhaustive scan finds it.
+    #[test]
+    fn tiny_world_joins_match_an_exhaustive_scan() {
+        use igdb_geo::haversine_km;
+        use igdb_synth::{emit_snapshots, World, WorldConfig};
+
+        let world = World::generate(WorldConfig::tiny());
+        let snaps = emit_snapshots(&world, "2022-05-03", 400);
+        let reg = MetroRegistry::build(&snaps.natural_earth);
+        let scan = |p: &GeoPoint| {
+            let mut best = (None, f64::INFINITY);
+            for m in reg.metros() {
+                let d = haversine_km(p, &m.loc);
+                if d < best.1 {
+                    best = (Some(m.id), d);
+                }
+            }
+            best.0
+        };
+        let points: Vec<GeoPoint> = snaps
+            .atlas_nodes
+            .iter()
+            .map(|n| n.loc)
+            .chain(snaps.pdb_facilities.iter().map(|f| f.loc))
+            .chain(snaps.telegeo.iter().flat_map(|c| c.landings.iter().map(|l| l.2)))
+            .chain(snaps.ripe_anchors.iter().map(|a| a.loc))
+            .collect();
+        assert!(points.len() > 100, "{} points", points.len());
+        for p in &points {
+            assert_eq!(reg.metro_of(p), scan(p), "{p:?}");
+        }
+        for p in [
+            GeoPoint::raw(f64::NAN, 40.0),
+            GeoPoint::raw(-94.6, f64::NAN),
+            GeoPoint::raw(f64::INFINITY, 0.0),
+        ] {
+            assert_eq!(reg.metro_of(&p), None, "{p:?}");
+            assert!(reg.metros_within(&p, 500.0).is_empty(), "{p:?}");
+        }
     }
 
     #[test]

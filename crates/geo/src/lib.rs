@@ -16,16 +16,16 @@
 //!   point-to-polyline distances.
 //! * [`wkt`] — a parser and writer for the Well-Known Text format the paper
 //!   stores all geometries in.
-//! * [`rtree`] — an immutable STR-packed R-tree for nearest-neighbour and
-//!   range queries over many thousands of sites.
+//! * [`rtree`] — an immutable STR-packed R-tree over bounding boxes, for
+//!   the range queries of the Figure 4 corridor join.
 //! * [`delaunay`] / [`voronoi`] — Bowyer–Watson Delaunay triangulation and
 //!   its Voronoi dual, used to build the 7,342 Thiessen polygons of
 //!   Figure 3.
 //! * [`spatial`] — the spatial join: exact great-circle nearest-site
-//!   assignment ([`NearestSiteIndex`]) over that tree, the candidate
-//!   windows it and the Figure 4 corridor join prune with, and the Figure 7
-//!   corridor test that those bounds settle before any distance is
-//!   computed.
+//!   assignment ([`NearestSiteIndex`]) over a fixed 1° bucket grid, the
+//!   candidate windows it and the Figure 4 corridor join prune with, and
+//!   the Figure 7 corridor test that those bounds settle before any
+//!   distance is computed.
 //! * [`batch`] — struct-of-arrays columns ([`GeoColumns`]) with batched
 //!   great-circle kernels, bit-identical to the scalar path.
 //!

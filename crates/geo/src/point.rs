@@ -157,26 +157,6 @@ impl BoundingBox {
             (self.min_lat + self.max_lat) / 2.0,
         )
     }
-
-    /// Minimum planar (degree-space) squared distance from `p` to the box;
-    /// zero if `p` is inside. Used for R-tree nearest-neighbour pruning.
-    pub fn planar_dist2_to(&self, p: &GeoPoint) -> f64 {
-        let dx = if p.lon < self.min_lon {
-            self.min_lon - p.lon
-        } else if p.lon > self.max_lon {
-            p.lon - self.max_lon
-        } else {
-            0.0
-        };
-        let dy = if p.lat < self.min_lat {
-            self.min_lat - p.lat
-        } else if p.lat > self.max_lat {
-            p.lat - self.max_lat
-        } else {
-            0.0
-        };
-        dx * dx + dy * dy
-    }
 }
 
 #[cfg(test)]
@@ -248,17 +228,5 @@ mod tests {
         assert!(a.intersects(&b));
         assert!(b.intersects(&a));
         assert!(!a.intersects(&c));
-    }
-
-    #[test]
-    fn bbox_planar_distance_zero_inside() {
-        let a = BoundingBox {
-            min_lon: 0.0,
-            min_lat: 0.0,
-            max_lon: 10.0,
-            max_lat: 10.0,
-        };
-        assert_eq!(a.planar_dist2_to(&GeoPoint::new(5.0, 5.0)), 0.0);
-        assert_eq!(a.planar_dist2_to(&GeoPoint::new(13.0, 14.0)), 9.0 + 16.0);
     }
 }

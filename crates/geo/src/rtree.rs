@@ -1,16 +1,16 @@
 //! An R-tree over bounding boxes, built once by STR bulk load.
 //!
-//! iGDB's spatial join resolves tens of thousands of physical nodes
-//! against 7,342 urban-area sites; the naive all-pairs scan ArcGIS avoids
-//! internally is avoided here with an R-tree over bounding boxes. A tree
-//! is packed by [`RTree::bulk_load`] (Sort-Tile-Recursive) and never
-//! mutated: a changed catalogue gets a new tree (≈ 2 ms at 8,000 sites,
-//! beside the ≈ 40 ms its Thiessen cells cost whichever way the tree is
-//! made).
+//! The Figure 4 corridor join asks whether any of thousands of polyline
+//! segments lies near a point; the tree holds each segment's box, so only
+//! the segments whose boxes meet a candidate window are measured. A tree is
+//! packed by [`RTree::bulk_load`] (Sort-Tile-Recursive) and never mutated:
+//! a changed segment set gets a new tree. Nearest-site search over point
+//! sites does not use it: [`crate::spatial::NearestSiteIndex`] buckets its
+//! sites in a fixed grid.
 
 use std::ops::Range;
 
-use crate::point::{BoundingBox, GeoPoint};
+use crate::point::BoundingBox;
 
 const NODE_CAPACITY: usize = 16;
 
@@ -117,16 +117,6 @@ impl<T> RTree<T> {
         self.len() == 0
     }
 
-    /// All payloads whose bbox intersects `query`.
-    pub fn query_bbox(&self, query: &BoundingBox) -> Vec<&T> {
-        let mut out = Vec::new();
-        self.any_in_bbox(query, |t| {
-            out.push(t);
-            false
-        });
-        out
-    }
-
     /// True if `accept` holds for some payload whose bbox intersects
     /// `query`. Stops at the first such payload, so a join that only asks
     /// "is anything here?" neither visits the rest nor collects a `Vec`.
@@ -158,99 +148,21 @@ impl<T> RTree<T> {
                 .any(|(b, t)| b.intersects(query) && accept(t)),
         }
     }
-
-    /// The payload whose bbox center is planar-nearest to `p`, with its
-    /// squared degree-space distance. Branch-and-bound over node boxes.
-    ///
-    /// For point items (bbox == point) this is exact nearest-point search in
-    /// degree space; callers needing great-circle nearest use
-    /// [`crate::spatial::NearestSiteIndex`], which corrects for latitude.
-    pub fn nearest_by_center(&self, p: &GeoPoint) -> Option<(&T, f64)> {
-        let root = self.root?;
-        let mut best: Option<(usize, f64)> = None; // item slot, dist2
-        let mut heap: std::collections::BinaryHeap<HeapEntry> = std::collections::BinaryHeap::new();
-        heap.push(HeapEntry {
-            dist2: self.nodes[root].bbox.planar_dist2_to(p),
-            node: root,
-        });
-        while let Some(HeapEntry { dist2, node }) = heap.pop() {
-            if let Some((_, bd)) = best {
-                if dist2 > bd {
-                    break;
-                }
-            }
-            match &self.nodes[node].kind {
-                NodeKind::Inner(children) => {
-                    for c in children.clone() {
-                        heap.push(HeapEntry {
-                            dist2: self.nodes[c].bbox.planar_dist2_to(p),
-                            node: c,
-                        });
-                    }
-                }
-                NodeKind::Leaf(slots) => {
-                    for s in slots.clone() {
-                        let d2 = self.items[s].0.center().planar_dist2(p);
-                        if best.map_or(true, |(_, bd)| d2 < bd) {
-                            best = Some((s, d2));
-                        }
-                    }
-                }
-            }
-        }
-        best.map(|(i, d2)| (&self.items[i].1, d2))
-    }
-}
-
-struct HeapEntry {
-    dist2: f64,
-    node: usize,
-}
-
-// Min-heap ordering on dist2 (BinaryHeap is a max-heap, so reverse).
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist2 == other.dist2
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .dist2
-            .partial_cmp(&self.dist2)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    }
-}
-
-/// Convenience constructor: a tree over bare points.
-pub fn point_tree<T>(points: Vec<(GeoPoint, T)>) -> RTree<T> {
-    RTree::bulk_load(
-        points
-            .into_iter()
-            .map(|(p, t)| {
-                (
-                    BoundingBox {
-                        min_lon: p.lon,
-                        min_lat: p.lat,
-                        max_lon: p.lon,
-                        max_lat: p.lat,
-                    },
-                    t,
-                )
-            })
-            .collect(),
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::point::GeoPoint;
+
+    fn point_tree(points: Vec<(GeoPoint, usize)>) -> RTree<usize> {
+        RTree::bulk_load(
+            points
+                .into_iter()
+                .map(|(p, t)| (BoundingBox::from_points([&p]), t))
+                .collect(),
+        )
+    }
 
     fn grid_points(n: i32) -> Vec<(GeoPoint, usize)> {
         let mut v = Vec::new();
@@ -264,12 +176,22 @@ mod tests {
         v
     }
 
+    /// Every payload whose bbox meets `q`, sorted.
+    fn hits(tree: &RTree<usize>, q: &BoundingBox) -> Vec<usize> {
+        let mut out = Vec::new();
+        tree.any_in_bbox(q, |&t| {
+            out.push(t);
+            false
+        });
+        out.sort_unstable();
+        out
+    }
+
     #[test]
     fn empty_tree_queries() {
         let t: RTree<usize> = RTree::bulk_load(vec![]);
         assert!(t.is_empty());
-        assert!(t.query_bbox(&BoundingBox::WORLD).is_empty());
-        assert!(t.nearest_by_center(&GeoPoint::raw(0.0, 0.0)).is_none());
+        assert!(hits(&t, &BoundingBox::WORLD).is_empty());
     }
 
     #[test]
@@ -282,8 +204,7 @@ mod tests {
             max_lon: 7.5,
             max_lat: 9.5,
         };
-        let mut got: Vec<usize> = tree.query_bbox(&q).into_iter().copied().collect();
-        got.sort_unstable();
+        let got = hits(&tree, &q);
         let mut want: Vec<usize> = pts
             .iter()
             .filter(|(p, _)| q.contains(p))
@@ -292,34 +213,6 @@ mod tests {
         want.sort_unstable();
         assert_eq!(got, want);
         assert_eq!(got.len(), 4 * 6);
-    }
-
-    #[test]
-    fn nearest_matches_linear_scan() {
-        let pts = grid_points(15);
-        let tree = point_tree(pts.clone());
-        for probe in [
-            GeoPoint::raw(3.2, 7.9),
-            GeoPoint::raw(-5.0, -5.0),
-            GeoPoint::raw(14.9, 0.1),
-            GeoPoint::raw(7.5, 7.49),
-        ] {
-            let (got, d2) = tree.nearest_by_center(&probe).unwrap();
-            let want = pts
-                .iter()
-                .min_by(|a, b| {
-                    a.0.planar_dist2(&probe)
-                        .partial_cmp(&b.0.planar_dist2(&probe))
-                        .unwrap()
-                })
-                .unwrap();
-            assert_eq!(
-                pts[*got].0.planar_dist2(&probe),
-                want.0.planar_dist2(&probe),
-                "probe {probe:?}"
-            );
-            assert!((d2 - want.0.planar_dist2(&probe)).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -345,8 +238,7 @@ mod tests {
     fn single_item_tree() {
         let tree = point_tree(vec![(GeoPoint::raw(1.0, 1.0), 42usize)]);
         assert_eq!(tree.len(), 1);
-        let (v, _) = tree.nearest_by_center(&GeoPoint::raw(100.0, 0.0)).unwrap();
-        assert_eq!(*v, 42);
+        assert_eq!(hits(&tree, &BoundingBox::WORLD), vec![42]);
     }
 
     #[test]
@@ -360,6 +252,6 @@ mod tests {
             max_lon: 12.0,
             max_lat: 12.0,
         };
-        assert_eq!(tree.query_bbox(&q).len(), 9);
+        assert_eq!(hits(&tree, &q).len(), 9);
     }
 }

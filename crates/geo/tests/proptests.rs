@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use igdb_geo::rtree::point_tree;
+use igdb_geo::RTree;
 use igdb_geo::{
     haversine_km, parse_wkt, point_polyline_distance_km, to_wkt, voronoi_cells, BoundingBox,
     GeoPoint, Geometry, LineString, Polygon,
@@ -163,10 +163,14 @@ proptest! {
             max_lon: q.0.lon.max(q.1.lon),
             max_lat: q.0.lat.max(q.1.lat),
         };
-        let entries: Vec<(GeoPoint, usize)> =
-            pts.iter().copied().enumerate().map(|(i, p)| (p, i)).collect();
-        let tree = point_tree(entries);
-        let mut got: Vec<usize> = tree.query_bbox(&query).into_iter().copied().collect();
+        let entries: Vec<(BoundingBox, usize)> =
+            pts.iter().enumerate().map(|(i, p)| (BoundingBox::from_points([p]), i)).collect();
+        let tree = RTree::bulk_load(entries);
+        let mut got: Vec<usize> = Vec::new();
+        tree.any_in_bbox(&query, |&i| {
+            got.push(i);
+            false
+        });
         got.sort_unstable();
         let mut want: Vec<usize> = pts
             .iter()
@@ -176,22 +180,6 @@ proptest! {
             .collect();
         want.sort_unstable();
         prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn rtree_nearest_matches_linear_scan(
-        pts in proptest::collection::vec(arb_point(), 1..200),
-        probe in arb_point(),
-    ) {
-        let entries: Vec<(GeoPoint, usize)> =
-            pts.iter().copied().enumerate().map(|(i, p)| (p, i)).collect();
-        let tree = point_tree(entries);
-        let (_, got_d2) = tree.nearest_by_center(&probe).unwrap();
-        let want_d2 = pts
-            .iter()
-            .map(|p| p.planar_dist2(&probe))
-            .fold(f64::INFINITY, f64::min);
-        prop_assert!((got_d2 - want_d2).abs() < 1e-9, "{got_d2} vs {want_d2}");
     }
 }
 
@@ -226,8 +214,91 @@ fn raw_contains(poly: &Polygon, p: &GeoPoint) -> bool {
     raw_ring_contains(&poly.exterior, p) && !poly.holes.iter().any(|h| raw_ring_contains(h, p))
 }
 
-fn arb_sites(max: usize) -> impl Strategy<Value = Vec<GeoPoint>> {
-    proptest::collection::vec(arb_point(), 1..max)
+/// A coordinate within `±limit`: anywhere, on a whole degree (a border of
+/// the nearest-site grid's cells), or an edge value, `±limit` or `±0.0`.
+fn arb_coord(limit: f64) -> impl Strategy<Value = f64> {
+    (0usize..8, -1.0f64..1.0).prop_map(move |(kind, x)| match kind {
+        0..=3 => x * limit,
+        4 | 5 => (x * limit).round(),
+        6 => limit.copysign(x),
+        _ => 0.0f64.copysign(x),
+    })
+}
+
+/// A point anywhere on the globe, its coordinates drawn by [`arb_coord`]
+/// (so +180° and -0.0 survive, which [`GeoPoint::new`] would normalize).
+fn arb_globe_point() -> impl Strategy<Value = GeoPoint> {
+    (arb_coord(180.0), arb_coord(90.0)).prop_map(|(lon, lat)| GeoPoint::raw(lon, lat))
+}
+
+/// Sites for a nearest-site index and probes to ask it. The sites are 1–5
+/// anywhere (so most cells seed from far away), 1–120 anywhere, or a
+/// cluster of 500 within 3° of a centre, a quarter of them on whole
+/// degrees. About half the sets repeat one site at a random position.
+/// Each probe lies exactly on a site, within 0.1° of one, or anywhere.
+fn arb_index_case() -> impl Strategy<Value = (Vec<GeoPoint>, Vec<GeoPoint>)> {
+    let cluster = (
+        arb_globe_point(),
+        proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0, 0usize..4), 500..501),
+    )
+        .prop_map(|(c, offsets)| {
+            offsets
+                .iter()
+                .map(|&(dx, dy, snap)| {
+                    let (lon, lat) = (c.lon + 3.0 * dx, c.lat + 3.0 * dy);
+                    match snap {
+                        0 => GeoPoint::new(lon.round(), lat.round()),
+                        _ => GeoPoint::new(lon, lat),
+                    }
+                })
+                .collect::<Vec<_>>()
+        });
+    prop_oneof![
+        proptest::collection::vec(arb_globe_point(), 1..6),
+        proptest::collection::vec(arb_globe_point(), 1..120),
+        cluster,
+    ]
+    .prop_flat_map(|sites| {
+        let n = sites.len();
+        (
+            Just(sites),
+            (0..2 * n, 0..n + 1),
+            proptest::collection::vec(
+                (0usize..4, 0..n + 1, (-0.1f64..0.1, -0.1f64..0.1), arb_globe_point()),
+                1..24,
+            ),
+        )
+    })
+    .prop_map(|(mut sites, (dup, at), probes)| {
+        if dup < sites.len() {
+            sites.insert(at, sites[dup]);
+        }
+        let probes = probes
+            .into_iter()
+            .map(|(kind, pick, (dx, dy), anywhere)| {
+                let s = sites[pick % sites.len()];
+                match kind {
+                    0 => s,
+                    1 => GeoPoint::new(s.lon + dx, s.lat + dy),
+                    _ => anywhere,
+                }
+            })
+            .collect();
+        (sites, probes)
+    })
+}
+
+/// The exhaustive answer `NearestSiteIndex::nearest` must give: the least
+/// `(distance, index)` over every site, distance as bits.
+fn scan_nearest(sites: &[GeoPoint], p: &GeoPoint) -> (usize, u64) {
+    let mut best = (usize::MAX, f64::INFINITY);
+    for (i, s) in sites.iter().enumerate() {
+        let d = haversine_km(p, s);
+        if d < best.1 {
+            best = (i, d);
+        }
+    }
+    (best.0, best.1.to_bits())
 }
 
 proptest! {
@@ -248,40 +319,50 @@ proptest! {
         }
     }
 
+    /// Radii: 0, up to 3,000 km, or exactly a probe–site distance, so
+    /// some site sits on the boundary.
     #[test]
     fn prefiltered_within_km_matches_exhaustive_scan(
-        sites in arb_sites(120),
-        probe in arb_point(),
-        radius in 1.0f64..3000.0,
+        case in arb_index_case(),
+        radii in proptest::collection::vec((0usize..4, 0.0f64..3000.0, 0usize..1000), 24..25),
     ) {
+        let (sites, probes) = case;
         let idx = NearestSiteIndex::new(sites.clone());
-        let got = idx.within_km(&probe, radius);
-        let mut want: Vec<(usize, f64)> = sites
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                let d = haversine_km(&probe, s);
-                (d <= radius).then_some((i, d))
-            })
-            .collect();
-        want.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-        prop_assert_eq!(got, want);
+        for (probe, &(kind, r, pick)) in probes.iter().zip(&radii) {
+            let radius = match kind {
+                0 => 0.0,
+                1 => haversine_km(probe, &sites[pick % sites.len()]),
+                _ => r,
+            };
+            let got: Vec<(usize, u64)> = idx
+                .within_km(probe, radius)
+                .into_iter()
+                .map(|(i, d)| (i, d.to_bits()))
+                .collect();
+            let mut want: Vec<(usize, f64)> = sites
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| {
+                    let d = haversine_km(probe, s);
+                    (d <= radius).then_some((i, d))
+                })
+                .collect();
+            want.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+            let want: Vec<(usize, u64)> = want.into_iter().map(|(i, d)| (i, d.to_bits())).collect();
+            prop_assert_eq!(got, want, "probe {:?} radius {}", probe, radius);
+        }
     }
 
+    /// Bit for bit: the same site (lowest index among equidistant ones)
+    /// and the same distance bits as the exhaustive scan.
     #[test]
-    fn prefiltered_nearest_matches_exhaustive_scan(
-        sites in arb_sites(120),
-        probe in arb_point(),
-    ) {
+    fn prefiltered_nearest_matches_exhaustive_scan(case in arb_index_case()) {
+        let (sites, probes) = case;
         let idx = NearestSiteIndex::new(sites.clone());
-        let (_, got_d) = idx.nearest(&probe).unwrap();
-        let want_d = sites
-            .iter()
-            .map(|s| haversine_km(&probe, s))
-            .fold(f64::INFINITY, f64::min);
-        // The index may return a different equidistant site, but never a
-        // farther one (the lat-band prune cannot drop the winner).
-        prop_assert!((got_d - want_d).abs() < 1e-9, "{got_d} vs {want_d}");
+        for probe in &probes {
+            let got = idx.nearest(probe).map(|(i, d)| (i, d.to_bits()));
+            prop_assert_eq!(got, Some(scan_nearest(&sites, probe)), "probe {:?}", probe);
+        }
     }
 }
 
