@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-use igdb_db::{Database, Value};
+use igdb_db::{Database, Table, Value};
 use igdb_fault::{BuildError, BuildPolicy, BuildReport, SourceId};
 use igdb_geo::{to_wkt, GeoPoint, Geometry, LineString, MultiLineString};
 use igdb_net::{Asn, Ip4, Prefix};
@@ -106,9 +106,13 @@ pub struct Igdb {
     /// `IpResolution`'s product: per-address knowledge (mirrors
     /// `ip_asn_dns`).
     pub ip_info: Arc<HashMap<Ip4, IpInfo>>,
-    /// `IpResolution`'s product: raw PTR records. Hostnames are interned
-    /// [`igdb_db::Str`]s — the same symbols the `ip_asn_dns` cells hold,
-    /// so this map adds ids, not string copies.
+    /// `IpResolution`'s product: the PTR record of each address the
+    /// build observed (every responding traceroute hop), and of no other
+    /// address — the snapshot's records for addresses no traceroute
+    /// reached are not kept. Where the snapshot holds several records for
+    /// one address, the last one wins. Hostnames are the snapshot's own
+    /// [`igdb_db::Str`]s, cloned — the same values the `ip_asn_dns` cells
+    /// hold, so this map adds handles, not string copies.
     pub rdns: Arc<HashMap<Ip4, igdb_db::Str>>,
     /// `AsnLoc`'s product: declared footprint per ASN (from `asn_loc`);
     /// [`Igdb::add_inferred_location`] adds to it copy-on-write.
@@ -239,6 +243,25 @@ fn made<T>(product: &Option<Arc<T>>) -> &T {
     product
         .as_deref()
         .expect("stages run in Stage::ALL order")
+}
+
+/// Runs `rows` on the build's table `name`: a stage loop takes its table
+/// once, not once per row.
+fn fill(db: &mut Database, name: &str, rows: impl FnOnce(&mut Table)) {
+    db.with_table_mut(name, rows).expect("table exists");
+}
+
+/// How far (km) an IX member's nearest declared facility must be for the
+/// membership to count as remote peering (§3.3).
+const REMOTE_PEERING_KM: f64 = 1000.0;
+
+/// Remote peering: no declared facility within [`REMOTE_PEERING_KM`],
+/// given the distances to all of them. It settles at the first near one;
+/// a NaN distance is never near, and no distances at all is remote —
+/// exactly `nearest > REMOTE_PEERING_KM` with `nearest` the
+/// `fold(∞, f64::min)` of the distances, which skips a NaN.
+fn remote_peering(distances_km: impl IntoIterator<Item = f64>) -> bool {
+    !distances_km.into_iter().any(|d| d <= REMOTE_PEERING_KM)
 }
 
 /// Label resolver for sources that publish only text locations.
@@ -380,46 +403,56 @@ impl Pipeline {
         self.metros = Some(Arc::new(metros));
     }
 
-    /// `city_points` / `city_polygons`.
+    /// `city_points` / `city_polygons`. Each metro's name, state and
+    /// country cells are made once and serve both tables.
     fn run_city_tables(&mut self) {
-        let (db, date, metros) = (&mut self.db, &self.date, made(&self.metros));
-        for m in metros.metros() {
-            db.insert(
-                "city_points",
-                vec![
+        let (db, metros) = (&mut self.db, made(&self.metros));
+        let date = Value::text(&self.date);
+        let names: Vec<[Value; 3]> = metros
+            .metros()
+            .iter()
+            .map(|m| [Value::text(&m.name), Value::text(&m.state), metros.country_value(m.id)])
+            .collect();
+        fill(db, "city_points", |t| {
+            t.reserve(names.len());
+            let source = Value::text("natural_earth");
+            for (m, [name, state, country]) in metros.metros().iter().zip(&names) {
+                t.insert([
                     Value::from(m.id),
-                    Value::text(&m.name),
-                    Value::text(&m.state),
-                    Value::text(&m.country),
+                    name.clone(),
+                    state.clone(),
+                    country.clone(),
                     Value::Float(m.loc.lat),
                     Value::Float(m.loc.lon),
                     Value::from(m.population as i64),
-                    Value::text("natural_earth"),
-                    Value::text(date),
-                ],
-            )
-            .expect("city_points row");
-        }
-        for (m, poly) in metros.metros().iter().zip(metros.polygons()) {
-            let wkt = if poly.exterior.is_empty() {
-                "POLYGON EMPTY".to_string()
-            } else {
-                to_wkt(&Geometry::Polygon(poly.clone()))
-            };
-            db.insert(
-                "city_polygons",
-                vec![
+                    source.clone(),
+                    date.clone(),
+                ])
+                .expect("city_points row");
+            }
+        });
+        fill(db, "city_polygons", |t| {
+            t.reserve(names.len());
+            let source = Value::text("igdb_thiessen");
+            let rows = metros.metros().iter().zip(metros.polygons()).zip(names);
+            for ((m, poly), [name, state, country]) in rows {
+                let wkt = if poly.exterior.is_empty() {
+                    "POLYGON EMPTY".to_string()
+                } else {
+                    to_wkt(&Geometry::Polygon(poly.clone()))
+                };
+                t.insert([
                     Value::from(m.id),
-                    Value::text(&m.name),
-                    Value::text(&m.state),
-                    Value::text(&m.country),
+                    name,
+                    state,
+                    country,
                     Value::text(wkt),
-                    Value::text("igdb_thiessen"),
-                    Value::text(date),
-                ],
-            )
-            .expect("city_polygons row");
-        }
+                    source.clone(),
+                    date.clone(),
+                ])
+                .expect("city_polygons row");
+            }
+        });
     }
 
     /// `phys_nodes` / `phys_conn`: Internet Atlas nodes and PeeringDB
@@ -427,22 +460,25 @@ impl Pipeline {
     /// rights-of-way. Makes the facility→metro map `AsnLoc` needs and the
     /// path pairs.
     fn run_physical(&mut self, snaps: &SnapshotSet) {
-        let (db, date) = (&mut self.db, &self.date);
+        let db = &mut self.db;
         let (metros, roads) = (made(&self.metros), made(&self.roads));
+        let date = Value::text(&self.date);
         // Each source is joined as a batch and then inserted: the site index
         // stays cache-resident across the batch (joining row by row between
         // inserts read ≈ 2 ms slower on the benchmark world's 18).
         let join_span = igdb_obs::span("physical.spatial_join");
-        let atlas_assignments: Vec<_> = snaps.atlas_nodes.iter().map(|n| metros.metro_of(&n.loc)).collect();
-        let mut atlas_node_metro: HashMap<String, usize> = HashMap::new();
-        for (n, mid) in snaps.atlas_nodes.iter().zip(atlas_assignments) {
-            let Some(mid) = mid else {
-                continue;
-            };
-            atlas_node_metro.insert(n.node_name.to_string(), mid);
-            db.insert(
-                "phys_nodes",
-                vec![
+        let mut atlas_node_metro: HashMap<&str, usize> = HashMap::new();
+        let mut fac_metro = HashMap::new();
+        fill(db, "phys_nodes", |t| {
+            let atlas_assignments: Vec<_> =
+                snaps.atlas_nodes.iter().map(|n| metros.metro_of(&n.loc)).collect();
+            let source = Value::text("internet_atlas");
+            for (n, mid) in snaps.atlas_nodes.iter().zip(atlas_assignments) {
+                let Some(mid) = mid else {
+                    continue;
+                };
+                atlas_node_metro.insert(n.node_name.as_str(), mid);
+                t.insert([
                     Value::Text(n.node_name.clone()),
                     Value::Text(n.network.clone()),
                     Value::Text(n.city_label.clone()),
@@ -451,36 +487,35 @@ impl Pipeline {
                     Value::Text(n.country.clone()),
                     Value::Float(n.loc.lat),
                     Value::Float(n.loc.lon),
-                    Value::text("internet_atlas"),
-                    Value::text(date),
-                ],
-            )
-            .expect("phys_nodes row");
-        }
-        let fac_assignments: Vec<_> = snaps.pdb_facilities.iter().map(|f| metros.metro_of(&f.loc)).collect();
-        let mut fac_metro = HashMap::new();
-        for (f, mid) in snaps.pdb_facilities.iter().zip(fac_assignments) {
-            let Some(mid) = mid else {
-                continue;
-            };
-            fac_metro.insert(f.fac_id, mid);
-            db.insert(
-                "phys_nodes",
-                vec![
-                    Value::text(&f.name),
-                    Value::text(&f.name),
+                    source.clone(),
+                    date.clone(),
+                ])
+                .expect("phys_nodes row");
+            }
+            let fac_assignments: Vec<_> =
+                snaps.pdb_facilities.iter().map(|f| metros.metro_of(&f.loc)).collect();
+            let source = Value::text("peeringdb");
+            for (f, mid) in snaps.pdb_facilities.iter().zip(fac_assignments) {
+                let Some(mid) = mid else {
+                    continue;
+                };
+                fac_metro.insert(f.fac_id, mid);
+                let name = Value::text(&f.name);
+                t.insert([
+                    name.clone(),
+                    name,
                     Value::text(&f.city_label),
                     Value::from(mid),
                     metros.label_value(mid),
                     Value::text(&f.country),
                     Value::Float(f.loc.lat),
                     Value::Float(f.loc.lon),
-                    Value::text("peeringdb"),
-                    Value::text(date),
-                ],
-            )
-            .expect("phys_nodes row");
-        }
+                    source.clone(),
+                    date.clone(),
+                ])
+                .expect("phys_nodes row");
+            }
+        });
 
         drop(join_span);
 
@@ -538,204 +573,174 @@ impl Pipeline {
             igdb_obs::counter("spath.queries", "", warm_hits);
         }
         let mut phys_pairs = Vec::new();
-        for (i, &(ka, kb, link_type)) in link_work.iter().enumerate() {
-            let key = (ka, kb);
-            // Right-of-way class decides the path model (paper §5): roadway
-            // links follow the transportation network; microwave links ARE
-            // straight lines between the nodes.
-            let (km, geom, row_type) = match link_type {
-                igdb_synth::sources::LinkType::Roadway => {
-                    let Some((km, geom)) = routed[i].take() else {
-                        // no terrestrial right-of-way (e.g. across an ocean)
-                        igdb_obs::counter("build.route_misses", "", 1);
-                        continue;
-                    };
-                    (km, geom, "roadway")
-                }
-                igdb_synth::sources::LinkType::Microwave => {
-                    let (a, b) = (metros.metro(key.0).loc, metros.metro(key.1).loc);
-                    let arc = igdb_geo::great_circle_arc(&a, &b, 8);
-                    let km = igdb_geo::polyline_length_km(&arc);
-                    (km, arc, "microwave")
-                }
-            };
-            igdb_obs::counter("build.phys_conn", row_type, 1);
-            phys_pairs.push((key.0, key.1, km));
-            let (fm, tm) = (metros.metro(key.0), metros.metro(key.1));
-            db.insert(
-                "phys_conn",
-                vec![
+        fill(db, "phys_conn", |t| {
+            let source = Value::text("internet_atlas+row");
+            for (i, &(ka, kb, link_type)) in link_work.iter().enumerate() {
+                let key = (ka, kb);
+                // Right-of-way class decides the path model (paper §5):
+                // roadway links follow the transportation network;
+                // microwave links ARE straight lines between the nodes.
+                let (km, geom, row_type) = match link_type {
+                    igdb_synth::sources::LinkType::Roadway => {
+                        let Some((km, geom)) = routed[i].take() else {
+                            // no terrestrial right-of-way (e.g. across an ocean)
+                            igdb_obs::counter("build.route_misses", "", 1);
+                            continue;
+                        };
+                        (km, geom, "roadway")
+                    }
+                    igdb_synth::sources::LinkType::Microwave => {
+                        let (a, b) = (metros.metro(key.0).loc, metros.metro(key.1).loc);
+                        let arc = igdb_geo::great_circle_arc(&a, &b, 8);
+                        let km = igdb_geo::polyline_length_km(&arc);
+                        (km, arc, "microwave")
+                    }
+                };
+                igdb_obs::counter("build.phys_conn", row_type, 1);
+                phys_pairs.push((key.0, key.1, km));
+                t.insert([
                     Value::from(key.0),
                     metros.label_value(key.0),
-                    Value::text(&fm.country),
+                    metros.country_value(key.0),
                     Value::from(key.1),
                     metros.label_value(key.1),
-                    Value::text(&tm.country),
+                    metros.country_value(key.1),
                     Value::Float(km),
                     Value::text(to_wkt(&Geometry::LineString(LineString::new(geom)))),
                     Value::text(row_type),
-                    Value::text("internet_atlas+row"),
-                    Value::text(date),
-                ],
-            )
-            .expect("phys_conn row");
-        }
+                    source.clone(),
+                    date.clone(),
+                ])
+                .expect("phys_conn row");
+            }
+        });
         self.fac_metro = Arc::new(fac_metro);
         self.phys_pairs = Arc::new(phys_pairs);
     }
 
     /// `land_points` / `sub_cables` from Telegeography.
     fn run_telegeo(&mut self, snaps: &SnapshotSet) {
-        let (db, date, metros) = (&mut self.db, &self.date, made(&self.metros));
-        for c in snaps.telegeo.iter() {
-            for (lname, _, loc) in &c.landings {
-                let Some(mid) = metros.metro_of(loc) else {
-                    continue;
-                };
-                db.insert(
-                    "land_points",
-                    vec![
+        let (db, metros) = (&mut self.db, made(&self.metros));
+        let date = Value::text(&self.date);
+        let source = Value::text("telegeography");
+        fill(db, "land_points", |t| {
+            for c in snaps.telegeo.iter() {
+                for (lname, _, loc) in &c.landings {
+                    let Some(mid) = metros.metro_of(loc) else {
+                        continue;
+                    };
+                    t.insert([
                         Value::from(c.cable_id),
                         Value::text(lname),
                         Value::from(mid),
                         metros.label_value(mid),
-                        Value::text(&metros.metro(mid).country),
+                        metros.country_value(mid),
                         Value::Float(loc.lat),
                         Value::Float(loc.lon),
-                        Value::text("telegeography"),
-                        Value::text(date),
-                    ],
-                )
-                .expect("land_points row");
+                        source.clone(),
+                        date.clone(),
+                    ])
+                    .expect("land_points row");
+                }
             }
-            let mls =
-                MultiLineString::new(c.segments.iter().cloned().map(LineString::new).collect());
-            db.insert(
-                "sub_cables",
-                vec![
+        });
+        fill(db, "sub_cables", |t| {
+            for c in snaps.telegeo.iter() {
+                let mls = MultiLineString::new(
+                    c.segments.iter().cloned().map(LineString::new).collect(),
+                );
+                t.insert([
                     Value::from(c.cable_id),
                     Value::text(&c.name),
                     Value::text(c.owners.join("; ")),
                     Value::Float(mls.length_km()),
                     Value::text(to_wkt(&Geometry::MultiLineString(mls))),
-                    Value::text("telegeography"),
-                    Value::text(date),
-                ],
-            )
-            .expect("sub_cables row");
-        }
+                    source.clone(),
+                    date.clone(),
+                ])
+                .expect("sub_cables row");
+            }
+        });
     }
 
     /// Logical names `asn_name` / `asn_org` (inconsistencies kept),
     /// `asn_conn`, and the IXP prefixes. Makes the label resolver, the
     /// network→ASN map and the IXP maps.
     fn run_logical(&mut self, snaps: &SnapshotSet) {
-        let (db, date, metros) = (&mut self.db, &self.date, made(&self.metros));
+        let (db, metros) = (&mut self.db, made(&self.metros));
+        let date = Value::text(&self.date);
+        let (asrank, peeringdb) = (Value::text("asrank"), Value::text("peeringdb"));
         let mut maps = LogicalMaps {
             labels: Labels::new(metros, &snaps.geo_codes),
             net_asn: snaps.pdb_networks.iter().map(|n| (n.net_id, n.asn)).collect(),
             ..Default::default()
         };
-        for e in snaps.asrank_entries.iter() {
-            db.insert(
-                "asn_name",
-                vec![
-                    Value::from(e.asn.0),
-                    Value::text(&e.as_name),
-                    Value::text("asrank"),
-                    Value::text(date),
-                ],
-            )
-            .expect("asn_name row");
-            db.insert(
-                "asn_org",
-                vec![
-                    Value::from(e.asn.0),
-                    Value::text(&e.org),
-                    Value::text("asrank"),
-                    Value::text(date),
-                ],
-            )
-            .expect("asn_org row");
-        }
-        for n in snaps.pdb_networks.iter() {
-            db.insert(
-                "asn_name",
-                vec![
-                    Value::from(n.asn.0),
-                    Value::text(&n.as_name),
-                    Value::text("peeringdb"),
-                    Value::text(date),
-                ],
-            )
-            .expect("asn_name row");
-            db.insert(
-                "asn_org",
-                vec![
-                    Value::from(n.asn.0),
-                    Value::text(&n.org),
-                    Value::text("peeringdb"),
-                    Value::text(date),
-                ],
-            )
-            .expect("asn_org row");
-        }
-        let mut pch_orgs: BTreeSet<(u32, String)> = BTreeSet::new();
+        // (asn, name, org, source) of every AS Rank row, then of every
+        // PeeringDB network: the rows of `asn_name` and `asn_org`.
+        let named = || {
+            let asrank_rows =
+                snaps.asrank_entries.iter().map(|e| (e.asn, &e.as_name, &e.org, &asrank));
+            let pdb_rows =
+                snaps.pdb_networks.iter().map(|n| (n.asn, &n.as_name, &n.org, &peeringdb));
+            asrank_rows.chain(pdb_rows)
+        };
+        fill(db, "asn_name", |t| {
+            for (asn, name, _, source) in named() {
+                t.insert([Value::from(asn.0), Value::text(name), source.clone(), date.clone()])
+                    .expect("asn_name row");
+            }
+        });
+        // PCH's spellings, deduplicated per (ASN, org), borrowed from the
+        // snapshot.
+        let mut pch_orgs: BTreeSet<(u32, &str)> = BTreeSet::new();
         for x in snaps.pch_ixps.iter() {
             for (asn, org) in x.member_asns.iter().zip(&x.member_orgs) {
-                pch_orgs.insert((asn.0, org.clone()));
+                pch_orgs.insert((asn.0, org.as_str()));
             }
         }
-        for (asn, org) in pch_orgs {
-            db.insert(
-                "asn_org",
-                vec![
-                    Value::from(asn),
-                    Value::text(org),
-                    Value::text("pch"),
-                    Value::text(date),
-                ],
-            )
-            .expect("asn_org row");
-        }
-        for &(a, b) in snaps.asrank_links.iter() {
-            db.insert(
-                "asn_conn",
-                vec![
-                    Value::from(a.0),
-                    Value::from(b.0),
-                    Value::text("asrank"),
-                    Value::text(date),
-                ],
-            )
-            .expect("asn_conn row");
-        }
-        for ix in snaps.pdb_ix.iter() {
-            let Some(mid) = maps.labels.resolve(&ix.city_label) else {
-                continue;
-            };
-            maps.ixp_metro.insert(ix.ix_id, mid);
-            maps.ixp_prefix_metro.push((ix.prefix, mid));
-            db.insert(
-                "ixp_prefixes",
-                vec![
+        fill(db, "asn_org", |t| {
+            for (asn, _, org, source) in named() {
+                t.insert([Value::from(asn.0), Value::text(org), source.clone(), date.clone()])
+                    .expect("asn_org row");
+            }
+            let pch = Value::text("pch");
+            for (asn, org) in pch_orgs {
+                t.insert([Value::from(asn), Value::text(org), pch.clone(), date.clone()])
+                    .expect("asn_org row");
+            }
+        });
+        fill(db, "asn_conn", |t| {
+            t.reserve(snaps.asrank_links.len());
+            for &(a, b) in snaps.asrank_links.iter() {
+                t.insert([Value::from(a.0), Value::from(b.0), asrank.clone(), date.clone()])
+                    .expect("asn_conn row");
+            }
+        });
+        fill(db, "ixp_prefixes", |t| {
+            for ix in snaps.pdb_ix.iter() {
+                let Some(mid) = maps.labels.resolve(&ix.city_label) else {
+                    continue;
+                };
+                maps.ixp_metro.insert(ix.ix_id, mid);
+                maps.ixp_prefix_metro.push((ix.prefix, mid));
+                t.insert([
                     Value::text(&ix.name),
                     Value::text(ix.prefix.to_string()),
                     Value::from(mid),
                     metros.label_value(mid),
-                    Value::text("peeringdb"),
-                    Value::text(date),
-                ],
-            )
-            .expect("ixp_prefixes row");
-        }
+                    peeringdb.clone(),
+                    date.clone(),
+                ])
+                .expect("ixp_prefixes row");
+            }
+        });
         self.logical = Arc::new(maps);
     }
 
     /// `asn_loc`: facilities, IXP memberships, PCH echoes —
     /// (asn, metro, source) → remote flag, deduped.
     fn run_asn_loc(&mut self, snaps: &SnapshotSet) {
-        let (db, date, metros) = (&mut self.db, &self.date, made(&self.metros));
+        let (db, metros) = (&mut self.db, made(&self.metros));
         let logical = &self.logical;
         let mut netfac_metros: HashMap<Asn, BTreeSet<usize>> = HashMap::new();
         for nf in snaps.pdb_netfac.iter() {
@@ -754,19 +759,20 @@ impl Pipeline {
         }
         // Remote-peering inference (§3.3): an IX member with no declared
         // facility in the metro, whose nearest declared facility is far.
-        let is_remote = |asn: Asn, mid: usize| -> bool {
-            match netfac_metros.get(&asn) {
+        // The answer depends on (asn, metro) only, and PeeringDB and PCH
+        // repeat most pairs, so each is computed once.
+        let mut remote_memo: HashMap<(Asn, usize), bool> = HashMap::new();
+        let mut is_remote = |asn: Asn, mid: usize| -> bool {
+            *remote_memo.entry((asn, mid)).or_insert_with(|| match netfac_metros.get(&asn) {
                 Some(mids) if mids.contains(&mid) => false,
                 Some(mids) => {
                     let here = metros.metro(mid).loc;
-                    let nearest = mids
-                        .iter()
-                        .map(|&m| igdb_geo::haversine_km(&here, &metros.metro(m).loc))
-                        .fold(f64::INFINITY, f64::min);
-                    nearest > 1000.0
+                    remote_peering(
+                        mids.iter().map(|&m| igdb_geo::haversine_km(&here, &metros.metro(m).loc)),
+                    )
                 }
                 None => false, // nothing declared anywhere: cannot say
-            }
+            })
         };
         for nix in snaps.pdb_netix.iter() {
             let (Some(&asn), Some(&mid)) =
@@ -792,22 +798,28 @@ impl Pipeline {
                     .or_insert(remote);
             }
         }
-        for ((asn, mid, source), remote) in &asn_loc_rows {
-            db.insert(
-                "asn_loc",
-                vec![
-                    Value::from(*asn),
-                    Value::from(*mid),
-                    metros.label_value(*mid),
-                    Value::text(&metros.metro(*mid).country),
-                    Value::Bool(*remote),
+        let date = Value::text(&self.date);
+        let sources = ["peeringdb_fac", "peeringdb_ix", "pch"].map(|s| (s, Value::text(s)));
+        fill(db, "asn_loc", |t| {
+            t.reserve(asn_loc_rows.len());
+            for (&(asn, mid, source), &remote) in &asn_loc_rows {
+                let (_, source) = sources
+                    .iter()
+                    .find(|(s, _)| *s == source)
+                    .expect("an asn_loc source tag");
+                t.insert([
+                    Value::from(asn),
+                    Value::from(mid),
+                    metros.label_value(mid),
+                    metros.country_value(mid),
+                    Value::Bool(remote),
                     Value::Bool(false),
-                    Value::text(*source),
-                    Value::text(date),
-                ],
-            )
-            .expect("asn_loc row");
-        }
+                    source.clone(),
+                    date.clone(),
+                ])
+                .expect("asn_loc row");
+            }
+        });
         let mut asn_metros: HashMap<Asn, BTreeSet<usize>> = HashMap::new();
         for (asn, mid, _) in asn_loc_rows.keys() {
             asn_metros.entry(Asn(*asn)).or_default().insert(*mid);
@@ -817,69 +829,76 @@ impl Pipeline {
 
     /// `probes`.
     fn run_probes(&mut self, snaps: &SnapshotSet) {
-        let metros = made(&self.metros);
+        let (db, metros) = (&mut self.db, made(&self.metros));
+        let date = Value::text(&self.date);
         let mut probes = HashMap::new();
-        for a in snaps.ripe_anchors.iter() {
-            let Some(mid) = metros.metro_of(&a.loc) else {
-                continue;
-            };
-            probes.insert(
-                a.id,
-                ProbeInfo {
-                    ip: a.ip,
-                    asn: a.asn,
-                    metro: mid,
-                },
-            );
-            self.db
-                .insert(
-                    "probes",
-                    vec![
-                        Value::from(a.id),
-                        Value::text(a.ip.to_string()),
-                        Value::from(a.asn.0),
-                        Value::from(mid),
-                        metros.label_value(mid),
-                        Value::Float(a.loc.lat),
-                        Value::Float(a.loc.lon),
-                        Value::text("ripe_atlas"),
-                        Value::text(&self.date),
-                    ],
-                )
+        fill(db, "probes", |t| {
+            let source = Value::text("ripe_atlas");
+            for a in snaps.ripe_anchors.iter() {
+                let Some(mid) = metros.metro_of(&a.loc) else {
+                    continue;
+                };
+                probes.insert(
+                    a.id,
+                    ProbeInfo {
+                        ip: a.ip,
+                        asn: a.asn,
+                        metro: mid,
+                    },
+                );
+                t.insert([
+                    Value::from(a.id),
+                    Value::text(a.ip.to_string()),
+                    Value::from(a.asn.0),
+                    Value::from(mid),
+                    metros.label_value(mid),
+                    Value::Float(a.loc.lat),
+                    Value::Float(a.loc.lon),
+                    source.clone(),
+                    date.clone(),
+                ])
                 .expect("probes row");
-        }
+            }
+        });
         self.probes = Arc::new(probes);
     }
 
-    /// `traceroutes`: one row per hop.
+    /// `traceroutes`: one row per hop. A mesh revisits the same few
+    /// thousand routers, so each address's text cell is made once.
     fn run_traceroutes(&mut self, snaps: &SnapshotSet) {
-        for tr in snaps.ripe_traceroutes.iter() {
-            for h in &tr.hops {
-                self.db
-                    .insert(
-                        "traceroutes",
-                        vec![
-                            Value::from(tr.src_anchor),
-                            Value::from(tr.dst_anchor),
-                            Value::from(h.ttl as i64),
-                            match h.ip {
-                                Some(ip) => Value::text(ip.to_string()),
-                                None => Value::Null,
-                            },
-                            Value::Float(h.rtt_ms),
-                            Value::text("ripe_atlas"),
-                            Value::text(&self.date),
-                        ],
-                    )
+        let date = Value::text(&self.date);
+        fill(&mut self.db, "traceroutes", |t| {
+            t.reserve(snaps.ripe_traceroutes.iter().map(|tr| tr.hops.len()).sum());
+            let source = Value::text("ripe_atlas");
+            let mut ip_text: HashMap<Ip4, Value> = HashMap::new();
+            for tr in snaps.ripe_traceroutes.iter() {
+                for h in &tr.hops {
+                    let ip = match h.ip {
+                        Some(ip) => ip_text
+                            .entry(ip)
+                            .or_insert_with(|| Value::text(ip.to_string()))
+                            .clone(),
+                        None => Value::Null,
+                    };
+                    t.insert([
+                        Value::from(tr.src_anchor),
+                        Value::from(tr.dst_anchor),
+                        Value::from(h.ttl as i64),
+                        ip,
+                        Value::Float(h.rtt_ms),
+                        source.clone(),
+                        date.clone(),
+                    ])
                     .expect("traceroutes row");
+                }
             }
-        }
+        });
     }
 
     /// `ip_asn_dns`: IP → AS (bdrmap), → FQDN (rDNS), → metro (Hoiho /
     /// IXP prefix).
     fn run_ip_resolution(&mut self, snaps: &SnapshotSet) {
-        let (db, date, metros) = (&mut self.db, &self.date, made(&self.metros));
+        let (db, metros) = (&mut self.db, made(&self.metros));
         let bdr_span = igdb_obs::span("ip_resolution.bdrmap");
         let rib: Vec<(Prefix, Asn)> = snaps
             .bgp_prefixes
@@ -897,20 +916,21 @@ impl Pipeline {
         bdrmap.refine(&ip_sequences);
         drop(bdr_span);
 
-        let rdns: HashMap<Ip4, igdb_db::Str> = snaps
-            .rdns
-            .iter()
-            .map(|r| (r.ip, igdb_db::Str::new(&r.hostname)))
-            .collect();
+        let mut observed: BTreeSet<Ip4> = BTreeSet::new();
+        for seq in &ip_sequences {
+            observed.extend(seq.iter().copied());
+        }
+        // PTR records of the observed addresses only: nothing reads the
+        // rest. A later record for an address replaces an earlier one.
+        let mut rdns: HashMap<Ip4, igdb_db::Str> = HashMap::with_capacity(observed.len());
+        for r in snaps.rdns.iter().filter(|r| observed.contains(&r.ip)) {
+            rdns.insert(r.ip, r.hostname.clone());
+        }
         let hoiho_span = igdb_obs::span("ip_resolution.hoiho");
         let (hoiho, skipped) = HoihoEngine::build(&snaps.hoiho_rules, &snaps.geo_codes, metros);
         debug_assert_eq!(skipped, 0, "validate quarantines uncompilable rules");
         drop(hoiho_span);
 
-        let mut observed: BTreeSet<Ip4> = BTreeSet::new();
-        for seq in &ip_sequences {
-            observed.extend(seq.iter().copied());
-        }
         // Per-address resolution (bdrmap LPM, rDNS, anycast scan, IXP
         // prefix scan, Hoiho geolocation) runs under its own span, apart
         // from the row inserts, in sorted-address order.
@@ -943,14 +963,16 @@ impl Pipeline {
         });
         let resolved: Vec<_> = resolved.collect();
         drop(resolve_span);
-        let mut ip_info = HashMap::new();
-        for (ip, asn, fqdn, anycast, metro, geo_source) in resolved {
-            if let Some(g) = geo_source {
-                igdb_obs::counter("build.ip_geolocated", g.tag(), 1);
-            }
-            db.insert(
-                "ip_asn_dns",
-                vec![
+        let mut ip_info = HashMap::with_capacity(resolved.len());
+        let date = Value::text(&self.date);
+        fill(db, "ip_asn_dns", |t| {
+            t.reserve(resolved.len());
+            let source = Value::text("igdb_pipeline");
+            for (ip, asn, fqdn, anycast, metro, geo_source) in resolved {
+                if let Some(g) = geo_source {
+                    igdb_obs::counter("build.ip_geolocated", g.tag(), 1);
+                }
+                t.insert([
                     Value::text(ip.to_string()),
                     asn.map(|a| Value::from(a.0)).unwrap_or(Value::Null),
                     fqdn.clone().map(Value::Text).unwrap_or(Value::Null),
@@ -960,22 +982,22 @@ impl Pipeline {
                         .unwrap_or(Value::Null),
                     Value::text(geo_source.map(|g| g.tag()).unwrap_or("none")),
                     Value::Bool(anycast),
-                    Value::text("igdb_pipeline"),
-                    Value::text(date),
-                ],
-            )
-            .expect("ip_asn_dns row");
-            ip_info.insert(
-                ip,
-                IpInfo {
-                    asn,
-                    fqdn,
-                    metro,
-                    geo_source,
-                    anycast,
-                },
-            );
-        }
+                    source.clone(),
+                    date.clone(),
+                ])
+                .expect("ip_asn_dns row");
+                ip_info.insert(
+                    ip,
+                    IpInfo {
+                        asn,
+                        fqdn,
+                        metro,
+                        geo_source,
+                        anycast,
+                    },
+                );
+            }
+        });
         self.bdrmap = Some(Arc::new(bdrmap));
         self.hoiho = Some(Arc::new(hoiho));
         self.rdns = Arc::new(rdns);
@@ -1304,15 +1326,14 @@ impl Igdb {
     /// copies `asn_loc` and `asn_metros` first if another epoch shares
     /// them, so that epoch never sees the row.
     pub fn add_inferred_location(&mut self, asn: Asn, metro: usize) {
-        let m = self.metros.metro(metro);
         self.db
             .insert(
                 "asn_loc",
-                vec![
+                [
                     Value::from(asn.0),
                     Value::from(metro),
                     self.metros.label_value(metro),
-                    Value::text(&m.country),
+                    self.metros.country_value(metro),
                     Value::Bool(false),
                     Value::Bool(true),
                     Value::text("belief_prop"),
@@ -1568,6 +1589,72 @@ mod tests {
             "unresolved fraction {unresolved_frac}"
         );
         assert!(hinted < resolved, "geohints must be a strict subset");
+    }
+
+    /// `Igdb.rdns` is the snapshot's PTR records restricted to the
+    /// addresses the build observed; a later record for an address
+    /// replaces an earlier one.
+    #[test]
+    fn rdns_keeps_the_observed_addresses_last_record_winning() {
+        let world = World::generate(WorldConfig::tiny());
+        let mut snaps = emit_snapshots(&world, "2022-05-03", 400);
+        let observed: BTreeSet<Ip4> = snaps
+            .ripe_traceroutes
+            .iter()
+            .flat_map(|t| t.hops.iter().filter_map(|h| h.ip))
+            .collect();
+        assert!(
+            snaps.rdns.iter().any(|r| !observed.contains(&r.ip)),
+            "every record is observed, so the restriction goes untested"
+        );
+        let dup = snaps
+            .rdns
+            .iter()
+            .find(|r| observed.contains(&r.ip))
+            .expect("an observed address with a PTR record")
+            .ip;
+        snaps.rdns.push(igdb_synth::sources::RdnsRecord {
+            ip: dup,
+            hostname: "later.example.net".into(),
+        });
+        let igdb = Igdb::build(&snaps);
+        let mut want = HashMap::new();
+        for r in snaps.rdns.iter().filter(|r| observed.contains(&r.ip)) {
+            want.insert(r.ip, r.hostname.as_str());
+        }
+        let got: HashMap<Ip4, &str> = igdb.rdns.iter().map(|(&ip, h)| (ip, h.as_str())).collect();
+        assert_eq!(got, want);
+        assert_eq!(got[&dup], "later.example.net");
+    }
+
+    /// The remote-peering rule answers as the nearest-distance fold it
+    /// replaced on every edge of `f64`: NaN (which `f64::min` skips),
+    /// both infinities, exactly the threshold, and no facility at all.
+    #[test]
+    fn remote_peering_equals_the_nearest_distance_fold() {
+        let fold = |d: &[f64]| d.iter().copied().fold(f64::INFINITY, f64::min) > REMOTE_PEERING_KM;
+        let nan = f64::NAN;
+        let lists: [&[f64]; 12] = [
+            &[],
+            &[nan],
+            &[nan, nan],
+            &[nan, 999.0],
+            &[2000.0, nan],
+            &[f64::INFINITY],
+            &[f64::NEG_INFINITY],
+            &[f64::INFINITY, nan],
+            &[REMOTE_PEERING_KM],
+            &[nan, REMOTE_PEERING_KM],
+            &[REMOTE_PEERING_KM.next_up()],
+            &[3000.0, REMOTE_PEERING_KM.next_up(), -0.0],
+        ];
+        for d in lists {
+            assert_eq!(remote_peering(d.iter().copied()), fold(d), "{d:?}");
+        }
+        assert!(remote_peering([]));
+        assert!(remote_peering([nan]));
+        assert!(!remote_peering([REMOTE_PEERING_KM]));
+        assert!(!remote_peering([f64::NEG_INFINITY]));
     }
 
     #[test]

@@ -43,6 +43,8 @@ pub struct MetroRegistry {
     metros: Vec<Metro>,
     /// Each metro's [`Metro::label`] as a table cell, made once.
     labels: Vec<Value>,
+    /// Each metro's country as a table cell, made once.
+    countries: Vec<Value>,
     index: NearestSiteIndex,
     polygons: std::sync::OnceLock<Vec<Polygon>>,
 }
@@ -63,10 +65,12 @@ impl MetroRegistry {
             })
             .collect();
         let labels = metros.iter().map(|m| Value::text(m.label())).collect();
+        let countries = metros.iter().map(|m| Value::text(&m.country)).collect();
         let index = NearestSiteIndex::new(metros.iter().map(|m| m.loc).collect());
         Self {
             metros,
             labels,
+            countries,
             index,
             polygons: std::sync::OnceLock::new(),
         }
@@ -106,6 +110,12 @@ impl MetroRegistry {
     /// for every row that names the metro.
     pub fn label_value(&self, id: usize) -> Value {
         self.labels[id].clone()
+    }
+
+    /// The country of the metro with this id as a table cell, made once
+    /// like [`MetroRegistry::label_value`].
+    pub fn country_value(&self, id: usize) -> Value {
+        self.countries[id].clone()
     }
 
     /// Standardizes a point: the metro whose Thiessen cell contains it.

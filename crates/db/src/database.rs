@@ -111,8 +111,13 @@ impl Database {
         Ok(f(Arc::make_mut(t)))
     }
 
-    /// Inserts one row into a table.
-    pub fn insert(&mut self, name: &str, row: Vec<crate::Value>) -> Result<usize> {
+    /// Inserts one row into a table (see [`Table::insert`] for what a row
+    /// may be). A loop that writes many rows to one table takes it once
+    /// through [`Database::with_table_mut`] instead.
+    pub fn insert<R>(&mut self, name: &str, row: R) -> Result<usize>
+    where
+        R: AsRef<[crate::Value]> + IntoIterator<Item = crate::Value>,
+    {
         self.with_table_mut(name, |t| t.insert(row))?
     }
 

@@ -177,24 +177,44 @@ impl Table {
     }
 
     /// Validates and appends a row, returning its row id.
-    pub fn insert(&mut self, row: Vec<Value>) -> Result<usize> {
-        self.schema.validate_row(&row)?;
+    ///
+    /// The row is anything that lends its cells as a slice and then gives
+    /// them up by value: a `[Value; N]` array (no allocation per row — what
+    /// the build's stage loops pass) or a `Vec<Value>`. The whole row is
+    /// checked against the schema before any cell is written, so a rejected
+    /// row leaves the table and its indexes exactly as they were; an
+    /// accepted one is entered in every index.
+    pub fn insert<R>(&mut self, row: R) -> Result<usize>
+    where
+        R: AsRef<[Value]> + IntoIterator<Item = Value>,
+    {
+        let cells = row.as_ref();
+        self.schema.validate_row(cells)?;
         let id = self.nrows;
         let id32 = u32::try_from(id).map_err(|_| {
             DbError::Format("table exceeds u32 row-id range".to_string())
         })?;
         for (&col, index) in self.indexes.iter_mut() {
-            index.entry(row[col].key()).or_default().push(id32);
+            index.entry(cells[col].key()).or_default().push(id32);
         }
         self.cells.extend(row);
         self.nrows += 1;
         Ok(id)
     }
 
+    /// Reserves cell space for `rows` more rows.
+    pub fn reserve(&mut self, rows: usize) {
+        self.cells.reserve(rows * self.width);
+    }
+
     /// Validates and appends many rows; all-or-nothing per row (earlier
     /// rows stay inserted if a later row fails — batch loads should treat
     /// an error as fatal for the snapshot).
-    pub fn insert_all<I: IntoIterator<Item = Vec<Value>>>(&mut self, rows: I) -> Result<usize> {
+    pub fn insert_all<R, I>(&mut self, rows: I) -> Result<usize>
+    where
+        R: AsRef<[Value]> + IntoIterator<Item = Value>,
+        I: IntoIterator<Item = R>,
+    {
         let mut n = 0;
         for row in rows {
             self.insert(row)?;

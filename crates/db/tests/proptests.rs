@@ -3,7 +3,9 @@
 use proptest::prelude::*;
 
 use igdb_db::csv::{table_from_csv, table_to_csv};
-use igdb_db::{Aggregate, ColumnDef, ColumnType, Database, Predicate, Query, Schema, Table, Value};
+use igdb_db::{
+    Aggregate, ColumnDef, ColumnType, Database, DbError, Predicate, Query, Schema, Table, Value,
+};
 
 fn arb_value_for(ty: ColumnType, nullable: bool) -> BoxedStrategy<Value> {
     let base: BoxedStrategy<Value> = match ty {
@@ -44,6 +46,32 @@ fn arb_table() -> impl Strategy<Value = Table> {
         }
         t
     })
+}
+
+/// The columns of `arb_table`'s schema.
+const COLUMNS: [&str; 5] = ["k", "t", "f", "b", "g"];
+
+/// A row `arb_table`'s schema accepts.
+fn good_row(k: i64, text: &str) -> [Value; 5] {
+    [
+        Value::Int(k),
+        Value::text(text),
+        Value::Float(0.5),
+        Value::Bool(true),
+        Value::text("POINT (0 0)"),
+    ]
+}
+
+/// A cell of a type that column `col` of `arb_table`'s schema refuses.
+fn mistyped(col: usize) -> Value {
+    [Value::Bool(true), Value::Int(1), Value::text("x"), Value::Float(1.0), Value::Int(2)][col]
+        .clone()
+}
+
+fn table_fingerprint(t: &Table) -> String {
+    let mut out = String::new();
+    t.fingerprint_into(&mut out);
+    out
 }
 
 /// One step against a pair of databases over three table names. `Share`
@@ -115,6 +143,63 @@ proptest! {
             for db in 0..2 {
                 prop_assert_eq!(real[db].fingerprint(), model[db].fingerprint(), "{:?}", op);
             }
+        }
+    }
+
+    /// A row the schema refuses — too narrow, too wide, a null in a
+    /// non-nullable column, a cell of the wrong type — leaves the table
+    /// and its indexes fingerprint-identical, with the same error whether
+    /// it came as an array or as a `Vec`. A row it accepts is entered in
+    /// the index of every column, and the two forms write the same bytes.
+    #[test]
+    fn rejected_rows_change_nothing_and_accepted_rows_reach_every_index(
+        t in arb_table(),
+        k in any::<i64>(),
+        text in r#"[ -~]{0,24}"#,
+        col in 0usize..5,
+        case in 0usize..4,
+    ) {
+        let mut t = t;
+        for c in COLUMNS {
+            t.create_index(c).unwrap();
+        }
+        let before = table_fingerprint(&t);
+        let good = good_row(k, &text);
+        let (array, vec) = match case {
+            0 => {
+                let [a, b, c, d, _] = good.clone();
+                let narrow = [a, b, c, d];
+                (t.insert(narrow.clone()), t.insert(narrow.to_vec()))
+            }
+            1 => {
+                let [a, b, c, d, e] = good.clone();
+                let wide = [a, b, c, d, e, Value::Null];
+                (t.insert(wide.clone()), t.insert(wide.to_vec()))
+            }
+            2 => {
+                // `k`, `b` and `g` are the non-nullable columns.
+                let mut bad = good.clone();
+                bad[[0, 3, 4][col % 3]] = Value::Null;
+                (t.insert(bad.clone()), t.insert(bad.to_vec()))
+            }
+            _ => {
+                let mut bad = good.clone();
+                bad[col] = mistyped(col);
+                (t.insert(bad.clone()), t.insert(bad.to_vec()))
+            }
+        };
+        let array = array.unwrap_err();
+        prop_assert!(matches!(array, DbError::SchemaViolation(_)), "{:?}", array);
+        prop_assert_eq!(&array, &vec.unwrap_err());
+        prop_assert_eq!(table_fingerprint(&t), before);
+
+        let mut by_vec = t.clone();
+        let id = t.insert(good.clone()).unwrap();
+        prop_assert_eq!(by_vec.insert(good.to_vec()).unwrap(), id);
+        prop_assert_eq!(table_fingerprint(&t), table_fingerprint(&by_vec));
+        prop_assert_eq!(t.row(id).unwrap(), &good[..]);
+        for (c, v) in COLUMNS.iter().zip(&good) {
+            prop_assert!(t.lookup_ids(c, v).unwrap().contains(&(id as u32)), "{}", c);
         }
     }
 

@@ -1,5 +1,4 @@
-//! Optimized engines against their executable specifications. (Named for
-//! the worker-count checks it also held while the build was parallel.)
+//! Optimized engines against their executable specifications.
 //!
 //! * Property tests drive [`ShortestPathEngine`] against a naive reference
 //!   Dijkstra on random connected graphs, including resumed same-source
