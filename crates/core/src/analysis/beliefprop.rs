@@ -111,7 +111,10 @@ impl PairIndex {
                 );
                 (addrs.len() - 1) as u32
             });
-            (i, can_receive[i as usize] && seed_loc[i as usize] == UNLOCATED)
+            (
+                i,
+                can_receive[i as usize] && seed_loc[i as usize] == UNLOCATED,
+            )
         };
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         for tr in igdb.traces() {
@@ -241,14 +244,14 @@ pub fn propagate(igdb: &Igdb, params: &BeliefPropParams) -> BeliefPropReport {
         for &pid in active {
             let (a, b) = idx.pairs[pid as usize];
             let (la, lb) = (loc[a as usize], loc[b as usize]);
-            let (addr, metro) =
-                if la != UNLOCATED && lb == UNLOCATED && idx.can_receive[b as usize] {
-                    (b, la)
-                } else if lb != UNLOCATED && la == UNLOCATED && idx.can_receive[a as usize] {
-                    (a, lb)
-                } else {
-                    continue;
-                };
+            let (addr, metro) = if la != UNLOCATED && lb == UNLOCATED && idx.can_receive[b as usize]
+            {
+                (b, la)
+            } else if lb != UNLOCATED && la == UNLOCATED && idx.can_receive[a as usize] {
+                (a, lb)
+            } else {
+                continue;
+            };
             let t = &mut tally[addr as usize];
             match t.binary_search_by_key(&metro, |&(m, _)| m) {
                 Ok(i) => t[i].1 += 1,
@@ -456,7 +459,10 @@ pub fn missing_locations(igdb: &Igdb, asn: Asn) -> Vec<(usize, String)> {
             *example = (*example).min(fqdn.as_str());
         }
     }
-    found.into_iter().map(|(m, host)| (m, host.to_owned())).collect()
+    found
+        .into_iter()
+        .map(|(m, host)| (m, host.to_owned()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -500,10 +506,7 @@ mod tests {
                 exact += 1;
                 near += 1;
             } else {
-                let d = igdb_geo::haversine_km(
-                    &world.cities[truth].loc,
-                    &world.cities[metro].loc,
-                );
+                let d = igdb_geo::haversine_km(&world.cities[truth].loc, &world.cities[metro].loc);
                 if d <= 150.0 {
                     near += 1;
                 }
@@ -550,7 +553,11 @@ mod tests {
     fn consistency_above_paper_floor() {
         let (_, igdb) = built();
         let report = consistency_check(&igdb, &BeliefPropParams::default());
-        assert!(report.comparable > 10, "only {} comparable", report.comparable);
+        assert!(
+            report.comparable > 10,
+            "only {} comparable",
+            report.comparable
+        );
         assert!(
             report.agreement() >= 0.7,
             "agreement {} below the paper's ~0.86 band",
@@ -569,7 +576,9 @@ mod tests {
             "no missing metros recovered for the Table 3 scenario AS"
         );
         for (metro, host) in &missing {
-            assert!(!igdb.metros_of_asn(world.scenarios.globetrans).contains(metro));
+            assert!(!igdb
+                .metros_of_asn(world.scenarios.globetrans)
+                .contains(metro));
             assert!(host.contains("globetrans"), "{host}");
             // The example is the metro's first hostname, whatever order
             // `ip_info` iterates in.

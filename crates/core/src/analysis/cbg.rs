@@ -52,11 +52,7 @@ pub fn geolocate(igdb: &Igdb, ips: &[Ip4], min_constraints: usize) -> Vec<CbgEst
 
 /// The estimator behind both entry points; `only` limits it to a set of
 /// addresses.
-fn estimate(
-    igdb: &Igdb,
-    only: Option<&HashSet<Ip4>>,
-    min_constraints: usize,
-) -> Vec<CbgEstimate> {
+fn estimate(igdb: &Igdb, only: Option<&HashSet<Ip4>>, min_constraints: usize) -> Vec<CbgEstimate> {
     let _span = igdb_obs::span("analysis.cbg");
     // Gather constraints: for each (src probe, hop) pair the hop's RTT
     // bounds its distance from the probe.
@@ -187,10 +183,8 @@ mod tests {
                 continue;
             };
             checked += 1;
-            let err = igdb_geo::haversine_km(
-                &world.cities[truth].loc,
-                &igdb.metros.metro(e.metro).loc,
-            );
+            let err =
+                igdb_geo::haversine_km(&world.cities[truth].loc, &igdb.metros.metro(e.metro).loc);
             // The true location is inside the tightest disk (RTT includes
             // the full return path plus processing, so the bound is
             // generous); the estimate should be too, putting the error
@@ -226,7 +220,10 @@ mod tests {
         ips.extend_from_within(..10);
         let row = |e: &CbgEstimate| (e.ip, e.metro, e.constraints, e.tightest_km.to_bits());
         for min_constraints in 1..=4 {
-            let scoped: Vec<_> = geolocate(&igdb, &ips, min_constraints).iter().map(row).collect();
+            let scoped: Vec<_> = geolocate(&igdb, &ips, min_constraints)
+                .iter()
+                .map(row)
+                .collect();
             let filtered: Vec<_> = geolocate_unlocated(&igdb, min_constraints)
                 .iter()
                 .filter(|e| ips.contains(&e.ip))

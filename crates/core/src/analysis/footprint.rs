@@ -146,7 +146,11 @@ mod tests {
         for w in rows.windows(2) {
             assert!(w[0].countries >= w[1].countries);
         }
-        assert!(rows[0].countries >= 5, "top AS in only {} countries", rows[0].countries);
+        assert!(
+            rows[0].countries >= 5,
+            "top AS in only {} countries",
+            rows[0].countries
+        );
         assert!(!rows[0].as_name.is_empty());
         assert!(!rows[0].organization.is_empty());
     }
@@ -185,9 +189,21 @@ mod tests {
         // coordinates carry source jitter, so a footprint city can
         // occasionally standardize to an adjacent town's cell — the
         // counts sit in a ±2 band around the scenario's 30/71/10.
-        assert!((29..=32).contains(&report.metros_a.len()), "{}", report.metros_a.len());
-        assert!((70..=74).contains(&report.metros_b.len()), "{}", report.metros_b.len());
-        assert!((9..=13).contains(&report.shared.len()), "{}", report.shared.len());
+        assert!(
+            (29..=32).contains(&report.metros_a.len()),
+            "{}",
+            report.metros_a.len()
+        );
+        assert!(
+            (70..=74).contains(&report.metros_b.len()),
+            "{}",
+            report.metros_b.len()
+        );
+        assert!(
+            (9..=13).contains(&report.shared.len()),
+            "{}",
+            report.shared.len()
+        );
     }
 
     #[test]

@@ -137,11 +137,7 @@ mod tests {
         let (world, _, report) = setup();
         // The paper saw 3 ASes; our scenario path crosses the two transits
         // plus possibly the destination stub: 2–4.
-        assert!(
-            (2..=4).contains(&report.ases.len()),
-            "{:?}",
-            report.ases
-        );
+        assert!((2..=4).contains(&report.ases.len()), "{:?}", report.ases);
         assert!(report.ases.contains(&world.scenarios.paneu));
         assert!(report.ases.contains(&world.scenarios.germanet));
     }
@@ -157,7 +153,10 @@ mod tests {
         // The realized path: Madrid→Paris→Frankfurt→Düsseldorf→Berlin
         // (some hops may not geolocate; at least 3 cities must).
         assert!(names.len() >= 3, "{names:?}");
-        assert!(names.contains(&"Frankfurt") || names.contains(&"Paris"), "{names:?}");
+        assert!(
+            names.contains(&"Frankfurt") || names.contains(&"Paris"),
+            "{names:?}"
+        );
         // Three countries, like the paper's measurement.
         assert!(
             (2..=4).contains(&report.countries.len()),

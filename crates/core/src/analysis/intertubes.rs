@@ -316,7 +316,10 @@ mod tests {
         );
         // No link, no region: every path falls outside the empty box.
         let none = compare(&igdb, &[]);
-        assert_eq!(none, compare_scan(igdb.phys_path_geometries(), &[], CORRIDOR_KM));
+        assert_eq!(
+            none,
+            compare_scan(igdb.phys_path_geometries(), &[], CORRIDOR_KM)
+        );
         assert_eq!(none.total_igdb_paths, 0);
     }
 
@@ -337,9 +340,15 @@ mod tests {
             filling.json_lines(JsonMode::Deterministic),
             warm.json_lines(JsonMode::Deterministic)
         );
-        let spans: Vec<String> = filling.spans().into_iter().map(|s| s.name.to_string()).collect();
+        let spans: Vec<String> = filling
+            .spans()
+            .into_iter()
+            .map(|s| s.name.to_string())
+            .collect();
         assert_eq!(spans, ["analysis.intertubes"]);
-        assert!(filling.json_lines(JsonMode::Full).contains("derived.fill_us"));
+        assert!(filling
+            .json_lines(JsonMode::Full)
+            .contains("derived.fill_us"));
         assert!(!warm.json_lines(JsonMode::Full).contains("derived.fill_us"));
     }
 

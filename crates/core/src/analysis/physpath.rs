@@ -79,7 +79,8 @@ impl PhysGraph {
                 .filter(|(_, &c)| c != 0)
                 .flat_map(|(&(a, b, _), _)| [a, b])
                 .collect();
-            next.corridors.seed_surviving_from(&self.corridors, &touched);
+            next.corridors
+                .seed_surviving_from(&self.corridors, &touched);
         }
         next
     }
@@ -127,8 +128,9 @@ impl PhysGraph {
         from: usize,
         to: usize,
     ) -> Option<(Vec<usize>, f64)> {
-        self.corridors
-            .shortest_path(from, to, |lo, hi| self.engine.shortest_path_with(ws, lo, hi))
+        self.corridors.shortest_path(from, to, |lo, hi| {
+            self.engine.shortest_path_with(ws, lo, hi)
+        })
     }
 }
 
@@ -391,7 +393,10 @@ mod tests {
 
     fn fig7_trace(world: &World) -> Vec<Ip4> {
         world
-            .traceroute_between(world.scenarios.anchor_kansas_city, world.scenarios.anchor_atlanta)
+            .traceroute_between(
+                world.scenarios.anchor_kansas_city,
+                world.scenarios.anchor_atlanta,
+            )
             .expect("scenario traceroute")
             .responding_ips()
     }
@@ -403,7 +408,9 @@ mod tests {
         assert!(g.edge_count() > 40);
         let kc = igdb.metros.by_name("Kansas City").unwrap();
         let atl = igdb.metros.by_name("Atlanta").unwrap();
-        let (path, km) = g.shortest_path(kc, atl).expect("KC–Atlanta physically connected");
+        let (path, km) = g
+            .shortest_path(kc, atl)
+            .expect("KC–Atlanta physically connected");
         assert!(path.len() >= 3);
         assert!(km > 900.0 && km < 2500.0, "practical km {km}");
     }
@@ -421,7 +428,10 @@ mod tests {
             .collect();
         assert!(names.contains(&"Dallas"), "{names:?}");
         assert!(names.contains(&"Houston"), "{names:?}");
-        assert!(!names.contains(&"Tulsa") && !names.contains(&"Oklahoma City"), "{names:?}");
+        assert!(
+            !names.contains(&"Tulsa") && !names.contains(&"Oklahoma City"),
+            "{names:?}"
+        );
         assert_eq!(names.first(), Some(&"Kansas City"));
         assert_eq!(names.last(), Some(&"Atlanta"));
     }

@@ -55,7 +55,11 @@ pub fn exposure(igdb: &Igdb, region: &Polygon) -> RiskReport {
                 else {
                     continue;
                 };
-                if mls.0.iter().any(|ls| ls.0.iter().any(|p| region.contains(p))) {
+                if mls
+                    .0
+                    .iter()
+                    .any(|ls| ls.0.iter().any(|p| region.contains(p)))
+                {
                     cables_at_risk.push(row[0].as_int().unwrap());
                 }
             }

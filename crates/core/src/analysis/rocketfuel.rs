@@ -69,7 +69,11 @@ pub fn remap(igdb: &Igdb, map: &RocketfuelMap) -> RocketfuelReport {
                 MappedEdge {
                     from_metro: e.from_city,
                     to_metro: e.to_city,
-                    stretch: if straight > 0.0 { Some(km / straight) } else { None },
+                    stretch: if straight > 0.0 {
+                        Some(km / straight)
+                    } else {
+                        None
+                    },
                     corridor: Some(path),
                 }
             }

@@ -211,11 +211,24 @@ mod tests {
         // Traceroute: A-internal, A-side of border, B-side of border
         // (from A's space!), B-internal.
         let traces = vec![
-            vec![ip("10.1.0.1"), ip("10.1.9.1"), ip("10.1.9.2"), ip("10.2.0.1")],
-            vec![ip("10.1.0.2"), ip("10.1.9.1"), ip("10.1.9.2"), ip("10.2.0.9")],
+            vec![
+                ip("10.1.0.1"),
+                ip("10.1.9.1"),
+                ip("10.1.9.2"),
+                ip("10.2.0.1"),
+            ],
+            vec![
+                ip("10.1.0.2"),
+                ip("10.1.9.1"),
+                ip("10.1.9.2"),
+                ip("10.2.0.9"),
+            ],
         ];
         m.refine(&traces);
-        assert_eq!(m.resolve(ip("10.1.9.2")), IpOrigin::BorderReassigned(Asn(2)));
+        assert_eq!(
+            m.resolve(ip("10.1.9.2")),
+            IpOrigin::BorderReassigned(Asn(2))
+        );
         // The near side stays with A.
         assert_eq!(m.resolve(ip("10.1.9.1")).asn(), Some(Asn(1)));
         // AS path is clean: [1, 2].
@@ -274,7 +287,10 @@ mod tests {
             vec![ip("10.1.0.2"), ip("44.0.0.1"), ip("10.2.0.3")],
         ];
         m.refine(&traces);
-        assert_eq!(m.resolve(ip("44.0.0.1")), IpOrigin::BorderReassigned(Asn(2)));
+        assert_eq!(
+            m.resolve(ip("44.0.0.1")),
+            IpOrigin::BorderReassigned(Asn(2))
+        );
     }
 
     #[test]

@@ -152,7 +152,8 @@ pub struct Igdb {
 /// tight (and writing to one would copy it out of the prior world).
 fn compact_tables(db: &mut Database, names: &[&str]) {
     for name in names {
-        db.with_table_mut(name, |t| t.shrink_to_fit()).expect("table exists");
+        db.with_table_mut(name, |t| t.shrink_to_fit())
+            .expect("table exists");
     }
     // Also hand the stage's freed scratch back to the OS, so the next
     // stage's working set doesn't stack on retained-but-dead pages.
@@ -240,9 +241,7 @@ impl LedgerRecorder {
 
 /// A side product of an earlier stage.
 fn made<T>(product: &Option<Arc<T>>) -> &T {
-    product
-        .as_deref()
-        .expect("stages run in Stage::ALL order")
+    product.as_deref().expect("stages run in Stage::ALL order")
 }
 
 /// Runs `rows` on the build's table `name`: a stage loop takes its table
@@ -411,7 +410,13 @@ impl Pipeline {
         let names: Vec<[Value; 3]> = metros
             .metros()
             .iter()
-            .map(|m| [Value::text(&m.name), Value::text(&m.state), metros.country_value(m.id)])
+            .map(|m| {
+                [
+                    Value::text(&m.name),
+                    Value::text(&m.state),
+                    metros.country_value(m.id),
+                ]
+            })
             .collect();
         fill(db, "city_points", |t| {
             t.reserve(names.len());
@@ -470,8 +475,11 @@ impl Pipeline {
         let mut atlas_node_metro: HashMap<&str, usize> = HashMap::new();
         let mut fac_metro = HashMap::new();
         fill(db, "phys_nodes", |t| {
-            let atlas_assignments: Vec<_> =
-                snaps.atlas_nodes.iter().map(|n| metros.metro_of(&n.loc)).collect();
+            let atlas_assignments: Vec<_> = snaps
+                .atlas_nodes
+                .iter()
+                .map(|n| metros.metro_of(&n.loc))
+                .collect();
             let source = Value::text("internet_atlas");
             for (n, mid) in snaps.atlas_nodes.iter().zip(atlas_assignments) {
                 let Some(mid) = mid else {
@@ -492,8 +500,11 @@ impl Pipeline {
                 ])
                 .expect("phys_nodes row");
             }
-            let fac_assignments: Vec<_> =
-                snaps.pdb_facilities.iter().map(|f| metros.metro_of(&f.loc)).collect();
+            let fac_assignments: Vec<_> = snaps
+                .pdb_facilities
+                .iter()
+                .map(|f| metros.metro_of(&f.loc))
+                .collect();
             let source = Value::text("peeringdb");
             for (f, mid) in snaps.pdb_facilities.iter().zip(fac_assignments) {
                 let Some(mid) = mid else {
@@ -646,9 +657,8 @@ impl Pipeline {
         });
         fill(db, "sub_cables", |t| {
             for c in snaps.telegeo.iter() {
-                let mls = MultiLineString::new(
-                    c.segments.iter().cloned().map(LineString::new).collect(),
-                );
+                let mls =
+                    MultiLineString::new(c.segments.iter().cloned().map(LineString::new).collect());
                 t.insert([
                     Value::from(c.cable_id),
                     Value::text(&c.name),
@@ -672,22 +682,35 @@ impl Pipeline {
         let (asrank, peeringdb) = (Value::text("asrank"), Value::text("peeringdb"));
         let mut maps = LogicalMaps {
             labels: Labels::new(metros, &snaps.geo_codes),
-            net_asn: snaps.pdb_networks.iter().map(|n| (n.net_id, n.asn)).collect(),
+            net_asn: snaps
+                .pdb_networks
+                .iter()
+                .map(|n| (n.net_id, n.asn))
+                .collect(),
             ..Default::default()
         };
         // (asn, name, org, source) of every AS Rank row, then of every
         // PeeringDB network: the rows of `asn_name` and `asn_org`.
         let named = || {
-            let asrank_rows =
-                snaps.asrank_entries.iter().map(|e| (e.asn, &e.as_name, &e.org, &asrank));
-            let pdb_rows =
-                snaps.pdb_networks.iter().map(|n| (n.asn, &n.as_name, &n.org, &peeringdb));
+            let asrank_rows = snaps
+                .asrank_entries
+                .iter()
+                .map(|e| (e.asn, &e.as_name, &e.org, &asrank));
+            let pdb_rows = snaps
+                .pdb_networks
+                .iter()
+                .map(|n| (n.asn, &n.as_name, &n.org, &peeringdb));
             asrank_rows.chain(pdb_rows)
         };
         fill(db, "asn_name", |t| {
             for (asn, name, _, source) in named() {
-                t.insert([Value::from(asn.0), Value::text(name), source.clone(), date.clone()])
-                    .expect("asn_name row");
+                t.insert([
+                    Value::from(asn.0),
+                    Value::text(name),
+                    source.clone(),
+                    date.clone(),
+                ])
+                .expect("asn_name row");
             }
         });
         // PCH's spellings, deduplicated per (ASN, org), borrowed from the
@@ -700,20 +723,35 @@ impl Pipeline {
         }
         fill(db, "asn_org", |t| {
             for (asn, _, org, source) in named() {
-                t.insert([Value::from(asn.0), Value::text(org), source.clone(), date.clone()])
-                    .expect("asn_org row");
+                t.insert([
+                    Value::from(asn.0),
+                    Value::text(org),
+                    source.clone(),
+                    date.clone(),
+                ])
+                .expect("asn_org row");
             }
             let pch = Value::text("pch");
             for (asn, org) in pch_orgs {
-                t.insert([Value::from(asn), Value::text(org), pch.clone(), date.clone()])
-                    .expect("asn_org row");
+                t.insert([
+                    Value::from(asn),
+                    Value::text(org),
+                    pch.clone(),
+                    date.clone(),
+                ])
+                .expect("asn_org row");
             }
         });
         fill(db, "asn_conn", |t| {
             t.reserve(snaps.asrank_links.len());
             for &(a, b) in snaps.asrank_links.iter() {
-                t.insert([Value::from(a.0), Value::from(b.0), asrank.clone(), date.clone()])
-                    .expect("asn_conn row");
+                t.insert([
+                    Value::from(a.0),
+                    Value::from(b.0),
+                    asrank.clone(),
+                    date.clone(),
+                ])
+                .expect("asn_conn row");
             }
         });
         fill(db, "ixp_prefixes", |t| {
@@ -744,9 +782,10 @@ impl Pipeline {
         let logical = &self.logical;
         let mut netfac_metros: HashMap<Asn, BTreeSet<usize>> = HashMap::new();
         for nf in snaps.pdb_netfac.iter() {
-            let (Some(&asn), Some(&mid)) =
-                (logical.net_asn.get(&nf.net_id), self.fac_metro.get(&nf.fac_id))
-            else {
+            let (Some(&asn), Some(&mid)) = (
+                logical.net_asn.get(&nf.net_id),
+                self.fac_metro.get(&nf.fac_id),
+            ) else {
                 continue;
             };
             netfac_metros.entry(asn).or_default().insert(mid);
@@ -763,21 +802,25 @@ impl Pipeline {
         // repeat most pairs, so each is computed once.
         let mut remote_memo: HashMap<(Asn, usize), bool> = HashMap::new();
         let mut is_remote = |asn: Asn, mid: usize| -> bool {
-            *remote_memo.entry((asn, mid)).or_insert_with(|| match netfac_metros.get(&asn) {
-                Some(mids) if mids.contains(&mid) => false,
-                Some(mids) => {
-                    let here = metros.metro(mid).loc;
-                    remote_peering(
-                        mids.iter().map(|&m| igdb_geo::haversine_km(&here, &metros.metro(m).loc)),
-                    )
-                }
-                None => false, // nothing declared anywhere: cannot say
-            })
+            *remote_memo
+                .entry((asn, mid))
+                .or_insert_with(|| match netfac_metros.get(&asn) {
+                    Some(mids) if mids.contains(&mid) => false,
+                    Some(mids) => {
+                        let here = metros.metro(mid).loc;
+                        remote_peering(
+                            mids.iter()
+                                .map(|&m| igdb_geo::haversine_km(&here, &metros.metro(m).loc)),
+                        )
+                    }
+                    None => false, // nothing declared anywhere: cannot say
+                })
         };
         for nix in snaps.pdb_netix.iter() {
-            let (Some(&asn), Some(&mid)) =
-                (logical.net_asn.get(&nix.net_id), logical.ixp_metro.get(&nix.ix_id))
-            else {
+            let (Some(&asn), Some(&mid)) = (
+                logical.net_asn.get(&nix.net_id),
+                logical.ixp_metro.get(&nix.ix_id),
+            ) else {
                 continue;
             };
             let remote = is_remote(asn, mid);
@@ -977,9 +1020,7 @@ impl Pipeline {
                     asn.map(|a| Value::from(a.0)).unwrap_or(Value::Null),
                     fqdn.clone().map(Value::Text).unwrap_or(Value::Null),
                     metro.map(Value::from).unwrap_or(Value::Null),
-                    metro
-                        .map(|m| metros.label_value(m))
-                        .unwrap_or(Value::Null),
+                    metro.map(|m| metros.label_value(m)).unwrap_or(Value::Null),
                     Value::text(geo_source.map(|g| g.tag()).unwrap_or("none")),
                     Value::Bool(anycast),
                     source.clone(),
@@ -1007,11 +1048,7 @@ impl Pipeline {
     /// Indexes the hot keys, emits the row totals, and assembles the world
     /// around `snapshots`, its baseline. A table shared from the prior
     /// already carries its index, built over the same rows.
-    fn finish(
-        self,
-        snapshots: SnapshotSet,
-        stage_ledger: Vec<Vec<(String, String, u64)>>,
-    ) -> Igdb {
+    fn finish(self, snapshots: SnapshotSet, stage_ledger: Vec<Vec<(String, String, u64)>>) -> Igdb {
         let mut db = self.db;
         {
             let _s = igdb_obs::span("build.index");
@@ -1023,7 +1060,10 @@ impl Pipeline {
                 ("phys_nodes", "metro_id"),
                 ("ip_asn_dns", "ip"),
             ] {
-                if !db.with_table(table, |t| t.has_index(col)).expect("table exists") {
+                if !db
+                    .with_table(table, |t| t.has_index(col))
+                    .expect("table exists")
+                {
                     db.with_table_mut(table, |t| t.create_index(col))
                         .expect("table exists")
                         .expect("column exists");
@@ -1148,7 +1188,11 @@ impl Igdb {
                     h.rows_accepted as u64,
                     h.rows_quarantined as u64,
                 ];
-                let what = ["rows_in counter", "rows_accepted counter", "rows_quarantined counter"];
+                let what = [
+                    "rows_in counter",
+                    "rows_accepted counter",
+                    "rows_quarantined counter",
+                ];
                 for i in 0..3 {
                     if got[i] != want[i] {
                         return Err(BuildError::InternalAccounting {
@@ -1188,7 +1232,10 @@ impl Igdb {
             match shared_from {
                 Some((world, _)) => {
                     for name in stage.tables() {
-                        pipeline.db.share_table_from(&world.db, name).expect("table exists");
+                        pipeline
+                            .db
+                            .share_table_from(&world.db, name)
+                            .expect("table exists");
                     }
                     replay_stage(&world.stage_ledger, stage);
                     pipeline.share(stage, world);
@@ -1341,7 +1388,10 @@ impl Igdb {
                 ],
             )
             .expect("asn_loc row");
-        Arc::make_mut(&mut self.asn_metros).entry(asn).or_default().insert(metro);
+        Arc::make_mut(&mut self.asn_metros)
+            .entry(asn)
+            .or_default()
+            .insert(metro);
         self.rows_added_since_build = true;
     }
 }
@@ -1449,10 +1499,7 @@ mod tests {
         let (world, igdb) = built();
         let mut flagged = 0;
         for (&ip, info) in igdb.ip_info.iter() {
-            let truth_anycast = world
-                .anycast_prefixes
-                .iter()
-                .any(|&(_, p)| p.contains(ip));
+            let truth_anycast = world.anycast_prefixes.iter().any(|&(_, p)| p.contains(ip));
             assert_eq!(info.anycast, truth_anycast, "{ip} flag mismatch");
             if info.anycast {
                 flagged += 1;
@@ -1478,7 +1525,7 @@ mod tests {
     }
 
     #[test]
-    fn belief_prop_respects_anycast(){
+    fn belief_prop_respects_anycast() {
         use crate::analysis::beliefprop::{propagate, BeliefPropParams};
         let (_, igdb) = built();
         let report = propagate(&igdb, &BeliefPropParams::default());
@@ -1572,11 +1619,7 @@ mod tests {
         // most resolving hostnames carry no geohint.
         let (_, igdb) = built();
         let total = igdb.ip_info.len() as f64;
-        let resolved = igdb
-            .ip_info
-            .values()
-            .filter(|i| i.fqdn.is_some())
-            .count() as f64;
+        let resolved = igdb.ip_info.values().filter(|i| i.fqdn.is_some()).count() as f64;
         let hinted = igdb
             .ip_info
             .values()
@@ -1700,16 +1743,48 @@ mod tests {
             let products = [
                 ("metros", Stage::Metros, Arc::ptr_eq(&p.metros, &w.metros)),
                 ("roads", Stage::Roads, Arc::ptr_eq(&p.roads, &w.roads)),
-                ("fac_metro", Stage::Physical, Arc::ptr_eq(&p.fac_metro, &w.fac_metro)),
-                ("phys_pairs", Stage::Physical, Arc::ptr_eq(&p.phys_pairs, &w.phys_pairs)),
-                ("derived", Stage::Physical, Arc::ptr_eq(&p.derived, &w.derived)),
-                ("logical", Stage::Logical, Arc::ptr_eq(&p.logical, &w.logical)),
-                ("asn_metros", Stage::AsnLoc, Arc::ptr_eq(&p.asn_metros, &w.asn_metros)),
+                (
+                    "fac_metro",
+                    Stage::Physical,
+                    Arc::ptr_eq(&p.fac_metro, &w.fac_metro),
+                ),
+                (
+                    "phys_pairs",
+                    Stage::Physical,
+                    Arc::ptr_eq(&p.phys_pairs, &w.phys_pairs),
+                ),
+                (
+                    "derived",
+                    Stage::Physical,
+                    Arc::ptr_eq(&p.derived, &w.derived),
+                ),
+                (
+                    "logical",
+                    Stage::Logical,
+                    Arc::ptr_eq(&p.logical, &w.logical),
+                ),
+                (
+                    "asn_metros",
+                    Stage::AsnLoc,
+                    Arc::ptr_eq(&p.asn_metros, &w.asn_metros),
+                ),
                 ("probes", Stage::Probes, Arc::ptr_eq(&p.probes, &w.probes)),
-                ("bdrmap", Stage::IpResolution, Arc::ptr_eq(&p.bdrmap, &w.bdrmap)),
-                ("hoiho", Stage::IpResolution, Arc::ptr_eq(&p.hoiho, &w.hoiho)),
+                (
+                    "bdrmap",
+                    Stage::IpResolution,
+                    Arc::ptr_eq(&p.bdrmap, &w.bdrmap),
+                ),
+                (
+                    "hoiho",
+                    Stage::IpResolution,
+                    Arc::ptr_eq(&p.hoiho, &w.hoiho),
+                ),
                 ("rdns", Stage::IpResolution, Arc::ptr_eq(&p.rdns, &w.rdns)),
-                ("ip_info", Stage::IpResolution, Arc::ptr_eq(&p.ip_info, &w.ip_info)),
+                (
+                    "ip_info",
+                    Stage::IpResolution,
+                    Arc::ptr_eq(&p.ip_info, &w.ip_info),
+                ),
             ];
             for (name, stage, same) in products {
                 assert_eq!(same, delta.shares(stage), "{ctx}: {name}");

@@ -74,7 +74,11 @@ impl CorridorCache {
     /// Entries still in flight (cell allocated but not yet filled) are
     /// skipped.
     pub(crate) fn settled_keys(&self) -> BTreeSet<(usize, usize)> {
-        self.map().iter().filter(|(_, cell)| cell.get().is_some()).map(|(k, _)| *k).collect()
+        self.map()
+            .iter()
+            .filter(|(_, cell)| cell.get().is_some())
+            .map(|(k, _)| *k)
+            .collect()
     }
 
     /// Seeds this (typically fresh) cache with every settled entry of `old`
@@ -95,7 +99,8 @@ impl CorridorCache {
             let Some(v) = cell.get() else { continue };
             let survives = !touched.contains(&k.0)
                 && !touched.contains(&k.1)
-                && v.as_ref().map_or(true, |c| c.path.iter().all(|m| !touched.contains(m)));
+                && v.as_ref()
+                    .map_or(true, |c| c.path.iter().all(|m| !touched.contains(m)));
             if survives {
                 // A settled cell never changes, so the two caches share it.
                 map.entry(*k).or_insert_with(|| Arc::clone(cell));
@@ -154,9 +159,18 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
             Some((vec![lo, 99, hi], 7.5))
         };
-        assert_eq!(cache.shortest_path(2, 5, compute), Some((vec![2, 99, 5], 7.5)));
-        assert_eq!(cache.shortest_path(5, 2, compute), Some((vec![5, 99, 2], 7.5)));
-        assert_eq!(cache.shortest_path(2, 5, compute), Some((vec![2, 99, 5], 7.5)));
+        assert_eq!(
+            cache.shortest_path(2, 5, compute),
+            Some((vec![2, 99, 5], 7.5))
+        );
+        assert_eq!(
+            cache.shortest_path(5, 2, compute),
+            Some((vec![5, 99, 2], 7.5))
+        );
+        assert_eq!(
+            cache.shortest_path(2, 5, compute),
+            Some((vec![2, 99, 5], 7.5))
+        );
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         assert_eq!(cache.len(), 1);
     }
@@ -280,6 +294,9 @@ mod tests {
         cache.shortest_path(1, 2, compute);
         cache.shortest_path(2, 1, compute);
         assert_eq!(reg.counter_value("spath.queries", ""), 1);
-        assert!(trace.finish().counters.is_empty(), "a fill's ticks belong to the pair");
+        assert!(
+            trace.finish().counters.is_empty(),
+            "a fill's ticks belong to the pair"
+        );
     }
 }

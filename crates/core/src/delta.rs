@@ -314,7 +314,11 @@ pub fn diff_snapshots(old: &SnapshotSet, new: &SnapshotSet) -> SnapshotDelta {
     let reached: Vec<Stage> = if date_changed {
         Stage::ALL.to_vec()
     } else {
-        sources.iter().flat_map(|s| source_use(s.source).reaches).copied().collect()
+        sources
+            .iter()
+            .flat_map(|s| source_use(s.source).reaches)
+            .copied()
+            .collect()
     };
     let dirty = reached.iter().fold(0, |set, s| set | s.bit());
     let shares = |stage: Stage| dirty & stage.bit() == 0;
@@ -345,7 +349,10 @@ mod tests {
     /// Every stage but the hop relation: what a metro-catalogue change
     /// reaches.
     fn all_but_traceroutes() -> Vec<Stage> {
-        Stage::ALL.into_iter().filter(|&s| s != Stage::Traceroutes).collect()
+        Stage::ALL
+            .into_iter()
+            .filter(|&s| s != Stage::Traceroutes)
+            .collect()
     }
 
     #[test]
@@ -375,14 +382,22 @@ mod tests {
         assert_eq!(sorted, screened, "one row per screened source, no more");
         for u in SOURCE_USES {
             // Nothing before its first reader can depend on a source.
-            assert!(u.reaches.windows(2).all(|w| w[0] < w[1]), "{}: reach out of order", u.name);
+            assert!(
+                u.reaches.windows(2).all(|w| w[0] < w[1]),
+                "{}: reach out of order",
+                u.name
+            );
         }
         assert!(
             SOURCE_USES.windows(2).all(|w| w[0].first() <= w[1].first()),
             "rows must be in first-reader order"
         );
         let reaching = |stage: Stage| -> Vec<&str> {
-            SOURCE_USES.iter().filter(|u| u.reaches.contains(&stage)).map(|u| u.name).collect()
+            SOURCE_USES
+                .iter()
+                .filter(|u| u.reaches.contains(&stage))
+                .map(|u| u.name)
+                .collect()
         };
         assert_eq!(
             reaching(Stage::IpResolution),
@@ -420,7 +435,10 @@ mod tests {
             assert_eq!(d.first_dirty, Some(u.first()), "{}", u.name);
             assert_eq!(reruns(&d), u.reaches, "{}", u.name);
         }
-        assert!(reordered > SOURCE_USES.len() / 2, "the tiny world left most sources trivial");
+        assert!(
+            reordered > SOURCE_USES.len() / 2,
+            "the tiny world left most sources trivial"
+        );
     }
 
     /// The exact stages each generated delta class re-runs, and the first
@@ -449,7 +467,10 @@ mod tests {
         }
         let (new, _) = generate_delta(&snaps, 7, &[DeltaClass::RoadChurn]);
         let summary = diff_snapshots(&snaps, &new).summary();
-        assert!(summary.starts_with("roads ") && summary.ends_with("; re-ran roads, physical"), "{summary}");
+        assert!(
+            summary.starts_with("roads ") && summary.ends_with("; re-ran roads, physical"),
+            "{summary}"
+        );
     }
 
     /// The two `*_clean` fields read off the re-run set, held against
@@ -482,8 +503,16 @@ mod tests {
                 d.traceroute_rows_clean, tr_clean,
                 "{class:?} traceroute_rows_clean"
             );
-            assert_eq!(d.ip_inputs_clean, d.shares(Stage::IpResolution), "{class:?}");
-            assert_eq!(d.traceroute_rows_clean, d.shares(Stage::Traceroutes), "{class:?}");
+            assert_eq!(
+                d.ip_inputs_clean,
+                d.shares(Stage::IpResolution),
+                "{class:?}"
+            );
+            assert_eq!(
+                d.traceroute_rows_clean,
+                d.shares(Stage::Traceroutes),
+                "{class:?}"
+            );
         }
         // A date change re-stamps every dated row: nothing can be shared.
         let mut redated = snaps.clone();
@@ -499,7 +528,10 @@ mod tests {
         let (new, _) = generate_delta(&snaps, 3, &[DeltaClass::MetroAdd]);
         // Even a pure append moves Thiessen cells globally, so it dirties
         // the pipeline from its first stage like any other catalogue change.
-        assert_eq!(diff_snapshots(&snaps, &new).first_dirty, Some(Stage::Metros));
+        assert_eq!(
+            diff_snapshots(&snaps, &new).first_dirty,
+            Some(Stage::Metros)
+        );
     }
 
     #[test]
@@ -513,6 +545,10 @@ mod tests {
         assert_eq!(reruns(&d), Stage::ALL);
         assert_eq!(d.first_dirty, Some(Stage::Metros));
         assert!(!d.is_empty());
-        assert!(d.summary().starts_with("re-ran metros, roads, "), "{}", d.summary());
+        assert!(
+            d.summary().starts_with("re-ran metros, roads, "),
+            "{}",
+            d.summary()
+        );
     }
 }

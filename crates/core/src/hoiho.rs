@@ -193,7 +193,11 @@ mod tests {
     }
 
     fn codes() -> Vec<(String, usize)> {
-        vec![("drs".to_string(), 0), ("kcy".to_string(), 1), ("hkg".to_string(), 2)]
+        vec![
+            ("drs".to_string(), 0),
+            ("kcy".to_string(), 1),
+            ("hkg".to_string(), 2),
+        ]
     }
 
     #[test]

@@ -46,19 +46,19 @@ pub mod validate;
 
 pub use bdrmap::{BdrMap, IpOrigin};
 pub use build::{Igdb, IpInfo, LocationSource};
+pub use corridor::CorridorCache;
+pub use delta::{diff_snapshots, SnapshotDelta, SourceDiff, Stage};
+pub use epoch::{Epoch, EpochHandle};
+pub use hoiho::HoihoEngine;
 pub use igdb_fault::{
     BuildError, BuildPolicy, BuildReport, Quarantine, QuarantinedRecord, RecordError,
     SourceFailure, SourceHealth, SourceId,
 };
-pub use delta::{diff_snapshots, SnapshotDelta, SourceDiff, Stage};
-pub use epoch::{Epoch, EpochHandle};
 /// Observability layer (re-exported): install a [`igdb_obs::Registry`] to
 /// capture per-stage spans and the ingestion/build counters the pipeline
 /// emits.
 pub use igdb_obs;
-pub use hoiho::HoihoEngine;
 pub use metros::{Metro, MetroRegistry};
-pub use corridor::CorridorCache;
 pub use roads::RoadGraph;
 pub use serving::{run_query_mix, MixFailure, QueryMixSummary};
 pub use spath::{with_mode, ShortestPathEngine, SpMode, SpWorkspace};

@@ -186,7 +186,10 @@ mod tests {
     #[test]
     fn labels_follow_convention() {
         let reg = MetroRegistry::build(&places());
-        assert_eq!(reg.metro(reg.by_name("Madrid").unwrap()).label(), "Madrid-ES");
+        assert_eq!(
+            reg.metro(reg.by_name("Madrid").unwrap()).label(),
+            "Madrid-ES"
+        );
         assert_eq!(
             reg.metro(reg.by_name("Kansas City").unwrap()).label(),
             "Kansas City-MO-US"
@@ -254,7 +257,12 @@ mod tests {
             .iter()
             .map(|n| n.loc)
             .chain(snaps.pdb_facilities.iter().map(|f| f.loc))
-            .chain(snaps.telegeo.iter().flat_map(|c| c.landings.iter().map(|l| l.2)))
+            .chain(
+                snaps
+                    .telegeo
+                    .iter()
+                    .flat_map(|c| c.landings.iter().map(|l| l.2)),
+            )
             .chain(snaps.ripe_anchors.iter().map(|a| a.loc))
             .collect();
         assert!(points.len() > 100, "{} points", points.len());

@@ -188,10 +188,7 @@ mod tests {
             a,
             b,
             length_km: km,
-            path: vec![
-                GeoPoint::new(a as f64, 0.0),
-                GeoPoint::new(b as f64, 0.0),
-            ],
+            path: vec![GeoPoint::new(a as f64, 0.0), GeoPoint::new(b as f64, 0.0)],
         }
     }
 
@@ -199,7 +196,12 @@ mod tests {
     fn graph() -> RoadGraph {
         RoadGraph::build(
             5,
-            &[seg(0, 1, 10.0), seg(1, 2, 10.0), seg(2, 3, 10.0), seg(0, 3, 50.0)],
+            &[
+                seg(0, 1, 10.0),
+                seg(1, 2, 10.0),
+                seg(2, 3, 10.0),
+                seg(0, 3, 50.0),
+            ],
         )
     }
 

@@ -70,7 +70,10 @@ fn guarded<T>(
         Ok(v) => Some(v),
         Err(payload) => {
             igdb_obs::perf("serving.mix_failures", query, 1);
-            failures.push(MixFailure { query, detail: panic_detail(&*payload) });
+            failures.push(MixFailure {
+                query,
+                detail: panic_detail(&*payload),
+            });
             None
         }
     }
@@ -149,9 +152,10 @@ pub fn run_query_mix(world: &World, igdb: &Igdb) -> QueryMixSummary {
     let risk_paths = guarded(&mut failures, "risk", || {
         let hazard = gulf_hazard();
         let exposure = risk::exposure(igdb, &hazard);
-        if let (Some(a), Some(b)) =
-            (igdb.metros.by_name("Dallas"), igdb.metros.by_name("Atlanta"))
-        {
+        if let (Some(a), Some(b)) = (
+            igdb.metros.by_name("Dallas"),
+            igdb.metros.by_name("Atlanta"),
+        ) {
             let _ = risk::reroute(igdb, &hazard, a, b);
         }
         exposure.paths_at_risk.len()
@@ -227,7 +231,10 @@ mod tests {
         assert_eq!(got, None);
         assert_eq!(
             failures,
-            vec![MixFailure { query: "risk", detail: "hazard polygon inverted".into() }]
+            vec![MixFailure {
+                query: "risk",
+                detail: "hazard polygon inverted".into()
+            }]
         );
         // A formatted (`String`) payload renders its text too; any other
         // payload type renders as such.
@@ -239,7 +246,9 @@ mod tests {
         // The tally is perf-class: visible in the full stream, absent
         // from the deterministic one (goldens must not re-bless).
         assert_eq!(reg.perf_value("serving.mix_failures", "risk"), 3);
-        assert!(reg.json_lines(igdb_obs::JsonMode::Full).contains("serving.mix_failures"));
+        assert!(reg
+            .json_lines(igdb_obs::JsonMode::Full)
+            .contains("serving.mix_failures"));
         assert!(!reg
             .json_lines(igdb_obs::JsonMode::Deterministic)
             .contains("serving.mix_failures"));

@@ -131,7 +131,11 @@ impl Key {
     /// left-to-right order; `hops`/`tie` are exact integer sums.
     #[inline]
     pub(crate) fn add(self, other: Key) -> Key {
-        Key { w: self.w + other.w, hops: self.hops + other.hops, tie: self.tie + other.tie }
+        Key {
+            w: self.w + other.w,
+            hops: self.hops + other.hops,
+            tie: self.tie + other.tie,
+        }
     }
 }
 
@@ -312,7 +316,10 @@ impl ShortestPathEngine {
         let mut degree = vec![0u32; n];
         for (k, (a, b, w)) in arcs.into_iter().enumerate() {
             assert!(a < n && b < n, "arc ({a}, {b}) out of range for {n} nodes");
-            assert!(w >= 0.0 && w.is_finite(), "negative or non-finite weight {w}");
+            assert!(
+                w >= 0.0 && w.is_finite(),
+                "negative or non-finite weight {w}"
+            );
             // `w + 0.0` normalizes -0.0 so equal weights share one bit
             // pattern in the lexicographic heap key.
             collected.push((a as u32, b as u32, w + 0.0, arc_tie(k as u64)));
@@ -460,7 +467,10 @@ impl ShortestPathEngine {
     /// settled, or returns `None` if `to` is unreachable.
     fn ensure_settled(&self, ws: &mut SpWorkspace, from: usize, to: usize) -> Option<()> {
         let n = self.node_count();
-        if ws.engine_id != self.id || ws.source != from || ws.generation == 0 || ws.reached.len() < n
+        if ws.engine_id != self.id
+            || ws.source != from
+            || ws.generation == 0
+            || ws.reached.len() < n
         {
             ws.reset_for(n, from, self.id);
         }
@@ -532,7 +542,10 @@ impl ShortestPathEngine {
         if self.resolved_mode() == SpMode::Ch {
             // CH distances are recomputed along the unpacked path so the
             // f64 total matches Dijkstra's left-to-right accumulation.
-            return self.hierarchy().shortest_path(self, ws, from, to).map(|(_, w)| w);
+            return self
+                .hierarchy()
+                .shortest_path(self, ws, from, to)
+                .map(|(_, w)| w);
         }
         self.ensure_settled(ws, from, to)?;
         Some(ws.dist[to])
@@ -553,7 +566,10 @@ impl ShortestPathEngine {
         // One timer for the whole batch (not per target) so batched and
         // point queries stay distinguishable in the latency tables.
         let _t = igdb_obs::hist_timer("spath.batch_us", self.resolved_mode().label());
-        targets.iter().map(|&to| self.distance_inner(ws, from, to)).collect()
+        targets
+            .iter()
+            .map(|&to| self.distance_inner(ws, from, to))
+            .collect()
     }
 
     /// Batched many-to-many distances; row `i` is
@@ -564,7 +580,10 @@ impl ShortestPathEngine {
         sources: &[usize],
         targets: &[usize],
     ) -> Vec<Vec<Option<f64>>> {
-        sources.iter().map(|&from| self.distances_from(ws, from, targets)).collect()
+        sources
+            .iter()
+            .map(|&from| self.distances_from(ws, from, targets))
+            .collect()
     }
 }
 
@@ -617,7 +636,16 @@ mod tests {
 
     #[test]
     fn workspace_survives_source_switches() {
-        let e = engine(6, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0)]);
+        let e = engine(
+            6,
+            &[
+                (0, 1, 1.0),
+                (1, 2, 1.0),
+                (2, 3, 1.0),
+                (3, 4, 1.0),
+                (4, 5, 1.0),
+            ],
+        );
         let mut ws = SpWorkspace::new();
         assert_eq!(e.distance_with(&mut ws, 0, 5), Some(5.0));
         assert_eq!(e.distance_with(&mut ws, 5, 0), Some(5.0));
@@ -681,7 +709,10 @@ mod tests {
         }
         let rows = e.many_to_many(&mut ws, &[0, 5], &targets);
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0], e.distances_from(&mut SpWorkspace::new(), 0, &targets));
+        assert_eq!(
+            rows[0],
+            e.distances_from(&mut SpWorkspace::new(), 0, &targets)
+        );
     }
 
     #[test]
@@ -711,7 +742,9 @@ mod tests {
             with_mode(SpMode::Dijkstra, || {
                 e.shortest_path_with(&mut SpWorkspace::new(), 0, 2)
             }),
-            with_mode(SpMode::Ch, || e.shortest_path_with(&mut SpWorkspace::new(), 0, 2)),
+            with_mode(SpMode::Ch, || {
+                e.shortest_path_with(&mut SpWorkspace::new(), 0, 2)
+            }),
         );
         assert_eq!(d_path, c_path);
         assert_eq!(d_path, Some((vec![0, 1, 2], 2.0)));

@@ -69,7 +69,11 @@ impl Edges {
 
     #[inline]
     fn key(&self, e: usize) -> Key {
-        Key { w: self.w[e], hops: self.hops[e], tie: self.tie[e] }
+        Key {
+            w: self.w[e],
+            hops: self.hops[e],
+            tie: self.tie[e],
+        }
     }
 
     #[inline]
@@ -178,7 +182,11 @@ fn witness_scan(
     targets: &[(u32, Key)],
     witnessed: &mut [bool],
 ) {
-    let max_cand = targets.iter().map(|t| t.1.bits()).max().expect("targets non-empty");
+    let max_cand = targets
+        .iter()
+        .map(|t| t.1.bits())
+        .max()
+        .expect("targets non-empty");
     let generation = scratch.begin(x);
     let mut remaining = targets.len();
     let mut settles = 0usize;
@@ -187,7 +195,11 @@ fn witness_scan(
         if scratch.settled[un] == generation {
             continue;
         }
-        let key = Key { w: f64::from_bits(wb), hops: h, tie: t };
+        let key = Key {
+            w: f64::from_bits(wb),
+            hops: h,
+            tie: t,
+        };
         if key.bits() > max_cand {
             break;
         }
@@ -222,7 +234,9 @@ fn witness_scan(
                 scratch.w[on] = nk.w;
                 scratch.hops[on] = nk.hops;
                 scratch.tie[on] = nk.tie;
-                scratch.heap.push(Reverse((nk.w.to_bits(), nk.hops, nk.tie, o)));
+                scratch
+                    .heap
+                    .push(Reverse((nk.w.to_bits(), nk.hops, nk.tie, o)));
             }
         }
     }
@@ -251,10 +265,25 @@ fn plan_shortcuts(
         }
         witnessed.clear();
         witnessed.resize(targets.len(), false);
-        witness_scan(edges, adj, contracted, scratch, v, x, &targets, &mut witnessed);
+        witness_scan(
+            edges,
+            adj,
+            contracted,
+            scratch,
+            v,
+            x,
+            &targets,
+            &mut witnessed,
+        );
         for (j, &(y, key)) in targets.iter().enumerate() {
             if !witnessed[j] {
-                plan.push(Shortcut { x, y, ex, ey: nbrs[i + 1 + j].1, key });
+                plan.push(Shortcut {
+                    x,
+                    y,
+                    ex,
+                    ey: nbrs[i + 1 + j].1,
+                    key,
+                });
             }
         }
     }
@@ -289,7 +318,16 @@ fn overlay_init(engine: &ShortestPathEngine) -> (Edges, Vec<Vec<u32>>) {
         if a == b {
             continue;
         }
-        let id = edges.push(a, b, Key { w, hops: 1, tie: tie as u128 }, [SENTINEL; 2]);
+        let id = edges.push(
+            a,
+            b,
+            Key {
+                w,
+                hops: 1,
+                tie: tie as u128,
+            },
+            [SENTINEL; 2],
+        );
         adj[a as usize].push(id);
         adj[b as usize].push(id);
     }
@@ -352,7 +390,11 @@ impl Hierarchy {
         // Perf class per the observability contract: shortcut totals are
         // data-determined but reported alongside the other preprocessing
         // costs, outside the deterministic counter snapshot.
-        igdb_obs::perf("ch.shortcuts_added", "", (edges.len() - original_edges) as u64);
+        igdb_obs::perf(
+            "ch.shortcuts_added",
+            "",
+            (edges.len() - original_edges) as u64,
+        );
         Self::finish(n, edges, &order)
     }
 
@@ -385,7 +427,12 @@ impl Hierarchy {
             up_edges[cursor[lower] as usize] = e as u32;
             cursor[lower] += 1;
         }
-        Self { nodes: n, edges, up_offsets, up_edges }
+        Self {
+            nodes: n,
+            edges,
+            up_offsets,
+            up_edges,
+        }
     }
 
     /// Total number of shortcut edges the preprocessing added (diagnostic).
@@ -404,14 +451,27 @@ impl Hierarchy {
         from: usize,
         to: usize,
     ) -> Option<(Vec<usize>, f64)> {
-        let SpWorkspace { ch_fwd, ch_bwd, unpack, .. } = ws;
+        let SpWorkspace {
+            ch_fwd,
+            ch_bwd,
+            unpack,
+            ..
+        } = ws;
         if ch_fwd.prepare(self, engine.id, from) {
             igdb_obs::perf("ch.up_settled", "", ch_fwd.settled_list.len() as u64);
-            igdb_obs::observe("ch.settled_per_search", "up", ch_fwd.settled_list.len() as u64);
+            igdb_obs::observe(
+                "ch.settled_per_search",
+                "up",
+                ch_fwd.settled_list.len() as u64,
+            );
         }
         if ch_bwd.prepare(self, engine.id, to) {
             igdb_obs::perf("ch.down_settled", "", ch_bwd.settled_list.len() as u64);
-            igdb_obs::observe("ch.settled_per_search", "down", ch_bwd.settled_list.len() as u64);
+            igdb_obs::observe(
+                "ch.settled_per_search",
+                "down",
+                ch_bwd.settled_list.len() as u64,
+            );
         }
 
         // Meeting node: minimum combined key over nodes settled by both
@@ -469,12 +529,11 @@ impl Hierarchy {
                     // The child touching the current endpoint expands
                     // first; endpoint sets make the choice unambiguous.
                     let c1n = c1 as usize;
-                    let (first, second) =
-                        if self.edges.a[c1n] == at || self.edges.b[c1n] == at {
-                            (c1, c2)
-                        } else {
-                            (c2, c1)
-                        };
+                    let (first, second) = if self.edges.a[c1n] == at || self.edges.b[c1n] == at {
+                        (c1, c2)
+                    } else {
+                        (c2, c1)
+                    };
                     unpack.push(second);
                     unpack.push(first);
                 }
@@ -590,7 +649,11 @@ impl ChSearch {
             }
             self.settled[un] = generation;
             self.settled_list.push(u);
-            let key = Key { w: self.w[un], hops: self.hops[un], tie: self.tie[un] };
+            let key = Key {
+                w: self.w[un],
+                hops: self.hops[un],
+                tie: self.tie[un],
+            };
             let lo = hier.up_offsets[un] as usize;
             let hi = hier.up_offsets[un + 1] as usize;
             for &e in &hier.up_edges[lo..hi] {
@@ -607,7 +670,8 @@ impl ChSearch {
                     self.tie[vn] = nk.tie;
                     self.parent[vn] = e;
                     self.parent_node[vn] = u;
-                    self.heap.push(Reverse((nk.w.to_bits(), nk.hops, nk.tie, v)));
+                    self.heap
+                        .push(Reverse((nk.w.to_bits(), nk.hops, nk.tie, v)));
                 }
             }
         }
@@ -679,10 +743,22 @@ mod tests {
         // contracts first (it has the highest edge difference, so it
         // contracts last; the leaves go first and need no shortcuts —
         // instead check a path graph where middles contract away).
-        let e = engine(6, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0)]);
+        let e = engine(
+            6,
+            &[
+                (0, 1, 1.0),
+                (1, 2, 1.0),
+                (2, 3, 1.0),
+                (3, 4, 1.0),
+                (4, 5, 1.0),
+            ],
+        );
         e.prepare_ch();
         let h = e.hierarchy();
-        assert!(h.shortcut_count() > 0, "path contraction must add shortcuts");
+        assert!(
+            h.shortcut_count() > 0,
+            "path contraction must add shortcuts"
+        );
         assert_eq!(h.nodes, 6);
         all_pairs_agree(&e);
     }

@@ -576,7 +576,11 @@ mod tests {
 
     /// Every source but `edited`, in table order.
     fn all_but(edited: &[&str]) -> Vec<&'static str> {
-        SOURCE_USES.iter().map(|u| u.name).filter(|n| !edited.contains(n)).collect()
+        SOURCE_USES
+            .iter()
+            .map(|u| u.name)
+            .filter(|n| !edited.contains(n))
+            .collect()
     }
 
     #[test]

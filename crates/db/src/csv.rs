@@ -45,7 +45,8 @@ pub fn write_csv<W: std::io::Write>(table: &Table, w: &mut W) -> Result<()> {
         if i > 0 {
             w.write_all(b",").map_err(io)?;
         }
-        w.write_all(escape_field(&c.name, false).as_bytes()).map_err(io)?;
+        w.write_all(escape_field(&c.name, false).as_bytes())
+            .map_err(io)?;
     }
     w.write_all(b"\n").map_err(io)?;
     for (_, row) in table.iter() {
@@ -224,8 +225,11 @@ fn parse_value(f: &Field, col: &ColumnDef) -> Result<Value> {
 }
 
 fn escape_field(s: &str, quote_empty: bool) -> String {
-    let needs_quotes =
-        s.contains(',') || s.contains('"') || s.contains('\n') || s.contains('\r') || (s.is_empty() && quote_empty);
+    let needs_quotes = s.contains(',')
+        || s.contains('"')
+        || s.contains('\n')
+        || s.contains('\r')
+        || (s.is_empty() && quote_empty);
     if needs_quotes {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
@@ -293,7 +297,9 @@ fn parse_record(line: &str) -> Result<Vec<Field>> {
         }
     }
     if in_quotes {
-        return Err(DbError::Format(format!("unterminated quote in record: {line}")));
+        return Err(DbError::Format(format!(
+            "unterminated quote in record: {line}"
+        )));
     }
     fields.push(Field { raw: cur, quoted });
     Ok(fields)

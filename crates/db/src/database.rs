@@ -230,7 +230,8 @@ mod tests {
     fn drop_and_replace() {
         let mut db = Database::new();
         db.create_table("t", schema()).unwrap();
-        db.insert("t", vec![Value::Int(1), Value::text("a")]).unwrap();
+        db.insert("t", vec![Value::Int(1), Value::text("a")])
+            .unwrap();
         let mut replacement = Table::new(schema());
         replacement
             .insert(vec![Value::Int(2), Value::text("b")])
@@ -238,7 +239,8 @@ mod tests {
         db.replace_table("t", replacement);
         assert_eq!(db.row_count("t").unwrap(), 1);
         assert_eq!(
-            db.with_table("t", |t| t.row(0).unwrap()[0].clone()).unwrap(),
+            db.with_table("t", |t| t.row(0).unwrap()[0].clone())
+                .unwrap(),
             Value::Int(2)
         );
         let dropped = db.drop_table("t").unwrap();
@@ -251,23 +253,28 @@ mod tests {
         let addr = |db: &Database| db.with_table("t", |t| t as *const Table as usize).unwrap();
         let (mut a, mut b) = (Database::new(), Database::new());
         a.create_table("t", schema()).unwrap();
-        a.insert("t", vec![Value::Int(1), Value::text("a")]).unwrap();
+        a.insert("t", vec![Value::Int(1), Value::text("a")])
+            .unwrap();
         // An unshared table is written in place.
         let own = addr(&a);
-        a.insert("t", vec![Value::Int(2), Value::text("b")]).unwrap();
+        a.insert("t", vec![Value::Int(2), Value::text("b")])
+            .unwrap();
         assert_eq!(addr(&a), own);
 
         b.share_table_from(&a, "t").unwrap();
         assert_eq!(addr(&b), own, "sharing copies nothing");
         let before = a.fingerprint();
-        b.insert("t", vec![Value::Int(3), Value::text("c")]).unwrap();
+        b.insert("t", vec![Value::Int(3), Value::text("c")])
+            .unwrap();
         assert_ne!(addr(&b), own);
         assert_eq!(a.fingerprint(), before, "a write through b reached a");
         assert_eq!(b.row_count("t").unwrap(), 3);
 
         // The other direction, through `with_table_mut`.
         b.share_table_from(&a, "t").unwrap();
-        a.with_table_mut("t", |t| t.create_index("asn")).unwrap().unwrap();
+        a.with_table_mut("t", |t| t.create_index("asn"))
+            .unwrap()
+            .unwrap();
         assert!(a.with_table("t", |t| t.has_index("asn")).unwrap());
         assert!(!b.with_table("t", |t| t.has_index("asn")).unwrap());
         assert_eq!(b.fingerprint(), before);
@@ -305,13 +312,19 @@ mod tests {
     fn append_from_is_the_union_of_two_databases() {
         let (mut a, mut b) = (Database::new(), Database::new());
         a.create_table("asn_name", schema()).unwrap();
-        a.insert("asn_name", vec![Value::Int(174), Value::text("COGENT")]).unwrap();
-        a.with_table_mut("asn_name", |t| t.create_index("asn")).unwrap().unwrap();
+        a.insert("asn_name", vec![Value::Int(174), Value::text("COGENT")])
+            .unwrap();
+        a.with_table_mut("asn_name", |t| t.create_index("asn"))
+            .unwrap()
+            .unwrap();
         b.create_table("asn_name", schema()).unwrap();
-        b.insert("asn_name", vec![Value::Int(174), Value::text("COGENT-174")]).unwrap();
-        b.insert("asn_name", vec![Value::Int(3356), Value::text("LEVEL3")]).unwrap();
+        b.insert("asn_name", vec![Value::Int(174), Value::text("COGENT-174")])
+            .unwrap();
+        b.insert("asn_name", vec![Value::Int(3356), Value::text("LEVEL3")])
+            .unwrap();
         b.create_table("asn_org", schema()).unwrap();
-        b.insert("asn_org", vec![Value::Int(174), Value::text("Cogent LLC")]).unwrap();
+        b.insert("asn_org", vec![Value::Int(174), Value::text("Cogent LLC")])
+            .unwrap();
         a.append_from(&b).unwrap();
         assert_eq!(a.table_names(), vec!["asn_name", "asn_org"]);
         assert_eq!(a.row_count("asn_name").unwrap(), 3);
@@ -324,15 +337,26 @@ mod tests {
             assert_eq!(t.lookup("asn", &Value::Int(174)).unwrap(), vec![0, 1]);
         })
         .unwrap();
-        assert_eq!(b.row_count("asn_name").unwrap(), 2, "the source is only read");
+        assert_eq!(
+            b.row_count("asn_name").unwrap(),
+            2,
+            "the source is only read"
+        );
 
         // A schema mismatch on any table refuses the whole append.
         let mut c = Database::new();
         c.create_table("asn_name", schema()).unwrap();
-        c.insert("asn_name", vec![Value::Int(1), Value::text("x")]).unwrap();
-        c.create_table("asn_org", Schema::new(vec![ColumnDef::new("asn", ColumnType::Int)]))
+        c.insert("asn_name", vec![Value::Int(1), Value::text("x")])
             .unwrap();
-        assert!(matches!(a.append_from(&c), Err(DbError::SchemaViolation(_))));
+        c.create_table(
+            "asn_org",
+            Schema::new(vec![ColumnDef::new("asn", ColumnType::Int)]),
+        )
+        .unwrap();
+        assert!(matches!(
+            a.append_from(&c),
+            Err(DbError::SchemaViolation(_))
+        ));
         assert_eq!(a.row_count("asn_name").unwrap(), 3);
     }
 

@@ -51,9 +51,7 @@ impl Predicate {
 
     /// Evaluates against a row (columns resolved through the table schema).
     pub fn eval(&self, table: &Table, row: &[Value]) -> Result<bool> {
-        let get = |name: &str| -> Result<&Value> {
-            Ok(&row[table.schema().index_of(name)?])
-        };
+        let get = |name: &str| -> Result<&Value> { Ok(&row[table.schema().index_of(name)?]) };
         Ok(match self {
             Predicate::True => true,
             Predicate::Eq(c, v) => get(c)? == v,
@@ -63,9 +61,9 @@ impl Predicate {
             Predicate::Gt(c, v) => !get(c)?.is_null() && get(c)?.total_cmp(v).is_gt(),
             Predicate::Ge(c, v) => !get(c)?.is_null() && get(c)?.total_cmp(v).is_ge(),
             Predicate::Contains(c, s) => get(c)?.as_text().map_or(false, |t| t.contains(s)),
-            Predicate::ContainsNoCase(c, s) => get(c)?
-                .as_text()
-                .map_or(false, |t| t.to_ascii_lowercase().contains(&s.to_ascii_lowercase())),
+            Predicate::ContainsNoCase(c, s) => get(c)?.as_text().map_or(false, |t| {
+                t.to_ascii_lowercase().contains(&s.to_ascii_lowercase())
+            }),
             Predicate::IsNull(c) => get(c)?.is_null(),
             Predicate::NotNull(c) => !get(c)?.is_null(),
             Predicate::InInt(c, set) => get(c)?.as_int().map_or(false, |i| set.contains(&i)),
@@ -600,7 +598,10 @@ mod tests {
             .select(vec!["metro"])
             .rows()
             .unwrap();
-        assert_eq!(rows, vec![vec![Value::text("Chicago")], vec![Value::text("Paris")]]);
+        assert_eq!(
+            rows,
+            vec![vec![Value::text("Chicago")], vec![Value::text("Paris")]]
+        );
     }
 
     #[test]
@@ -620,7 +621,11 @@ mod tests {
     #[test]
     fn distinct_projection() {
         let t = asn_loc();
-        let metros = Query::new(&t).select(vec!["metro"]).distinct().rows().unwrap();
+        let metros = Query::new(&t)
+            .select(vec!["metro"])
+            .distinct()
+            .rows()
+            .unwrap();
         assert_eq!(metros.len(), 4); // Chicago, Berlin, Frankfurt, Paris
     }
 
@@ -653,9 +658,18 @@ mod tests {
             .unwrap();
         assert_eq!(groups.len(), 3);
         // Sorted by key: 174, 6939, 13335.
-        assert_eq!(groups[0], vec![Value::Int(174), Value::Int(2), Value::Int(2)]);
-        assert_eq!(groups[1], vec![Value::Int(6939), Value::Int(1), Value::Int(1)]);
-        assert_eq!(groups[2], vec![Value::Int(13335), Value::Int(2), Value::Int(3)]);
+        assert_eq!(
+            groups[0],
+            vec![Value::Int(174), Value::Int(2), Value::Int(2)]
+        );
+        assert_eq!(
+            groups[1],
+            vec![Value::Int(6939), Value::Int(1), Value::Int(1)]
+        );
+        assert_eq!(
+            groups[2],
+            vec![Value::Int(13335), Value::Int(2), Value::Int(3)]
+        );
     }
 
     #[test]
@@ -692,14 +706,19 @@ mod tests {
                 .unwrap();
             t.insert(vec![Value::Int(174), Value::text("COGENT-174")])
                 .unwrap();
-            t.insert(vec![Value::Int(999), Value::text("UNSEEN")]).unwrap();
+            t.insert(vec![Value::Int(999), Value::text("UNSEEN")])
+                .unwrap();
             t
         };
         let locs = asn_loc();
         let pairs = hash_join(&names, "asn", &locs, "asn").unwrap();
         assert_eq!(pairs.len(), 5); // 3 cloudflare + 2 cogent
         for (l, r) in pairs {
-            assert_eq!(names.row(l).unwrap()[0], locs.row(r).unwrap()[0], "join keys must match");
+            assert_eq!(
+                names.row(l).unwrap()[0],
+                locs.row(r).unwrap()[0],
+                "join keys must match"
+            );
         }
     }
 
@@ -716,11 +735,15 @@ mod tests {
                 .unwrap();
             t
         };
-        let plain: HashSet<(usize, usize)> =
-            hash_join(&names, "asn", &locs, "asn").unwrap().into_iter().collect();
+        let plain: HashSet<(usize, usize)> = hash_join(&names, "asn", &locs, "asn")
+            .unwrap()
+            .into_iter()
+            .collect();
         locs.create_index("asn").unwrap();
-        let indexed: HashSet<(usize, usize)> =
-            hash_join(&names, "asn", &locs, "asn").unwrap().into_iter().collect();
+        let indexed: HashSet<(usize, usize)> = hash_join(&names, "asn", &locs, "asn")
+            .unwrap()
+            .into_iter()
+            .collect();
         assert_eq!(plain, indexed);
     }
 

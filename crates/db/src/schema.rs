@@ -50,7 +50,9 @@ impl ColumnType {
             "text" => Ok(ColumnType::Text),
             "bool" => Ok(ColumnType::Bool),
             "geom" => Ok(ColumnType::Geometry),
-            other => Err(DbError::Format(format!("unknown column type tag '{other}'"))),
+            other => Err(DbError::Format(format!(
+                "unknown column type tag '{other}'"
+            ))),
         }
     }
 }
@@ -213,7 +215,12 @@ mod tests {
     fn validate_rejects_null_in_required() {
         let sch = s();
         let err = sch
-            .validate_row(&[Value::Null, Value::text("x"), Value::Null, Value::Bool(true)])
+            .validate_row(&[
+                Value::Null,
+                Value::text("x"),
+                Value::Null,
+                Value::Bool(true),
+            ])
             .unwrap_err();
         assert!(matches!(err, DbError::SchemaViolation(_)));
     }

@@ -68,7 +68,10 @@ impl<'a> Rows<'a> {
     }
 
     pub fn iter(&self) -> RowsIter<'a> {
-        RowsIter { rows: *self, next: 0 }
+        RowsIter {
+            rows: *self,
+            next: 0,
+        }
     }
 
     /// Materializes the rows as owned `Vec`s (cold paths and tests only).
@@ -128,9 +131,7 @@ impl std::ops::Index<usize> for Rows<'_> {
 
 impl PartialEq for Rows<'_> {
     fn eq(&self, other: &Self) -> bool {
-        self.nrows == other.nrows
-            && self.width == other.width
-            && self.cells == other.cells
+        self.nrows == other.nrows && self.width == other.width && self.cells == other.cells
     }
 }
 
@@ -191,9 +192,8 @@ impl Table {
         let cells = row.as_ref();
         self.schema.validate_row(cells)?;
         let id = self.nrows;
-        let id32 = u32::try_from(id).map_err(|_| {
-            DbError::Format("table exceeds u32 row-id range".to_string())
-        })?;
+        let id32 = u32::try_from(id)
+            .map_err(|_| DbError::Format("table exceeds u32 row-id range".to_string()))?;
         for (&col, index) in self.indexes.iter_mut() {
             index.entry(cells[col].key()).or_default().push(id32);
         }
@@ -315,7 +315,9 @@ impl Table {
                 }
                 entries.push((start, buf.len() as u32, ids));
             }
-            entries.sort_by(|a, b| buf[a.0 as usize..a.1 as usize].cmp(&buf[b.0 as usize..b.1 as usize]));
+            entries.sort_by(|a, b| {
+                buf[a.0 as usize..a.1 as usize].cmp(&buf[b.0 as usize..b.1 as usize])
+            });
             for (start, end, ids) in entries {
                 let _ = writeln!(out, "  {} {ids:?}", &buf[start as usize..end as usize]);
             }
@@ -409,7 +411,9 @@ mod tests {
     #[test]
     fn insert_validates() {
         let mut t = table();
-        assert!(t.insert(vec![Value::text("wrong"), Value::text("x")]).is_err());
+        assert!(t
+            .insert(vec![Value::text("wrong"), Value::text("x")])
+            .is_err());
         assert!(t.insert(vec![Value::Int(1)]).is_err());
         assert_eq!(t.len(), 3, "failed inserts must not add rows");
     }
@@ -463,10 +467,7 @@ mod tests {
         assert!(!rows.is_empty());
         assert_eq!(rows[1][0], Value::Int(6939));
         assert_eq!(rows.iter().count(), 3);
-        let names: Vec<&str> = rows
-            .iter()
-            .filter_map(|r| r[1].as_text())
-            .collect();
+        let names: Vec<&str> = rows.iter().filter_map(|r| r[1].as_text()).collect();
         assert_eq!(names, vec!["COGENT-174", "HURRICANE", "Cogent alt name"]);
         // two views over the same table compare equal
         assert_eq!(t.rows(), t.rows());

@@ -208,12 +208,19 @@ mod tests {
     fn int_float_compare_numerically() {
         assert_eq!(Value::Int(3).total_cmp(&Value::Float(3.0)), Ordering::Equal);
         assert_eq!(Value::Int(3).total_cmp(&Value::Float(3.5)), Ordering::Less);
-        assert_eq!(Value::Float(4.0).total_cmp(&Value::Int(3)), Ordering::Greater);
+        assert_eq!(
+            Value::Float(4.0).total_cmp(&Value::Int(3)),
+            Ordering::Greater
+        );
     }
 
     #[test]
     fn nan_sorts_deterministically() {
-        let mut v = vec![Value::Float(f64::NAN), Value::Float(1.0), Value::Float(-1.0)];
+        let mut v = vec![
+            Value::Float(f64::NAN),
+            Value::Float(1.0),
+            Value::Float(-1.0),
+        ];
         v.sort_by(|a, b| a.total_cmp(b));
         assert_eq!(v[0], Value::Float(-1.0));
         assert_eq!(v[1], Value::Float(1.0));

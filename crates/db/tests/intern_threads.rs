@@ -27,7 +27,10 @@ fn symbols_agree_across_worker_threads() {
             resolve()
         };
         let handles: Vec<_> = (0..4).map(|_| scope.spawn(racer)).collect();
-        handles.into_iter().map(|h| h.join().expect("interning thread")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("interning thread"))
+            .collect()
     });
     let baseline = resolve();
     for (n, (sym, content)) in names.iter().zip(&baseline) {
@@ -67,9 +70,12 @@ fn fingerprint_is_intern_order_independent() {
         )
         .unwrap();
         for [k, v] in &rows {
-            db.insert("t", vec![Value::text(k), Value::text(v)]).unwrap();
+            db.insert("t", vec![Value::text(k), Value::text(v)])
+                .unwrap();
         }
-        db.with_table_mut("t", |t| t.create_index("k")).unwrap().unwrap();
+        db.with_table_mut("t", |t| t.create_index("k"))
+            .unwrap()
+            .unwrap();
         db.fingerprint()
     };
     assert_eq!(build(false), build(true));

@@ -12,9 +12,9 @@ fn arb_value_for(ty: ColumnType, nullable: bool) -> BoxedStrategy<Value> {
         ColumnType::Int => any::<i64>().prop_map(Value::Int).boxed(),
         ColumnType::Float => (-1e9f64..1e9).prop_map(Value::Float).boxed(),
         ColumnType::Bool => any::<bool>().prop_map(Value::Bool).boxed(),
-        ColumnType::Text | ColumnType::Geometry => r#"[ -~]{0,24}"#
-            .prop_map(|s: String| Value::text(s))
-            .boxed(),
+        ColumnType::Text | ColumnType::Geometry => {
+            r#"[ -~]{0,24}"#.prop_map(|s: String| Value::text(s)).boxed()
+        }
     };
     if nullable {
         prop_oneof![3 => base, 1 => Just(Value::Null)].boxed()
@@ -64,7 +64,13 @@ fn good_row(k: i64, text: &str) -> [Value; 5] {
 
 /// A cell of a type that column `col` of `arb_table`'s schema refuses.
 fn mistyped(col: usize) -> Value {
-    [Value::Bool(true), Value::Int(1), Value::text("x"), Value::Float(1.0), Value::Int(2)][col]
+    [
+        Value::Bool(true),
+        Value::Int(1),
+        Value::text("x"),
+        Value::Float(1.0),
+        Value::Int(2),
+    ][col]
         .clone()
 }
 
@@ -101,7 +107,11 @@ fn step(dbs: &mut [Database; 2], op: &Op, deep: bool) -> bool {
     match *op {
         Op::Share { db, table } => {
             let [first, second] = dbs;
-            let (to, from) = if db == 0 { (first, &*second) } else { (second, &*first) };
+            let (to, from) = if db == 0 {
+                (first, &*second)
+            } else {
+                (second, &*first)
+            };
             if deep {
                 from.with_table(&name(table), Table::clone)
                     .map(|t| to.replace_table(&name(table), t))
@@ -111,7 +121,10 @@ fn step(dbs: &mut [Database; 2], op: &Op, deep: bool) -> bool {
             }
         }
         Op::Insert { db, table, k } => dbs[db]
-            .insert(&name(table), vec![Value::Int(k), Value::text(format!("r{k}"))])
+            .insert(
+                &name(table),
+                vec![Value::Int(k), Value::text(format!("r{k}"))],
+            )
             .is_ok(),
         Op::Index { db, table } => dbs[db]
             .with_table_mut(&name(table), |t| t.create_index("k"))

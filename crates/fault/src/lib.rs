@@ -879,9 +879,7 @@ mod tests {
     #[test]
     fn serve_error_codes_and_names_are_stable() {
         let all = [
-            ServeError::BadRequest {
-                detail: "x".into(),
-            },
+            ServeError::BadRequest { detail: "x".into() },
             ServeError::Timeout { budget_ms: 250 },
             ServeError::Overloaded { queue_depth: 8 },
             ServeError::Internal {

@@ -101,8 +101,8 @@ impl GeoColumns {
         // then to_radians; cos(lat) values are the cached columns.
         let dlat = (self.lat_deg[i] - q.lat_deg).to_radians();
         let dlon = (self.lon_deg[i] - q.lon_deg).to_radians();
-        let s = (dlat / 2.0).sin().powi(2)
-            + q.cos_lat * self.cos_lat[i] * (dlon / 2.0).sin().powi(2);
+        let s =
+            (dlat / 2.0).sin().powi(2) + q.cos_lat * self.cos_lat[i] * (dlon / 2.0).sin().powi(2);
         2.0 * EARTH_RADIUS_KM * s.sqrt().min(1.0).asin()
     }
 

@@ -57,7 +57,10 @@ pub fn intermediate_point(a: &GeoPoint, b: &GeoPoint, f: f64) -> GeoPoint {
     let x = sa * lat1.cos() * lon1.cos() + sb * lat2.cos() * lon2.cos();
     let y = sa * lat1.cos() * lon1.sin() + sb * lat2.cos() * lon2.sin();
     let z = sa * lat1.sin() + sb * lat2.sin();
-    GeoPoint::new(y.atan2(x).to_degrees(), z.atan2((x * x + y * y).sqrt()).to_degrees())
+    GeoPoint::new(
+        y.atan2(x).to_degrees(),
+        z.atan2((x * x + y * y).sqrt()).to_degrees(),
+    )
 }
 
 /// Samples `n_segments + 1` points evenly along the great circle from `a`
@@ -265,7 +268,10 @@ mod tests {
         ];
         let a = spherical_area_km2(&ring);
         let expect = 111.19_f64 * 111.19;
-        assert!((a - expect).abs() < expect * 0.01, "got {a}, want ~{expect}");
+        assert!(
+            (a - expect).abs() < expect * 0.01,
+            "got {a}, want ~{expect}"
+        );
     }
 
     #[test]

@@ -216,11 +216,11 @@ impl Geometry {
                     point_polyline_distance_km(p, &poly.exterior)
                 }
             }
-            Geometry::MultiPolygon(mp) => mp
-                .0
-                .iter()
-                .map(|poly| Geometry::Polygon(poly.clone()).distance_to_point_km(p))
-                .fold(f64::INFINITY, f64::min),
+            Geometry::MultiPolygon(mp) => {
+                mp.0.iter()
+                    .map(|poly| Geometry::Polygon(poly.clone()).distance_to_point_km(p))
+                    .fold(f64::INFINITY, f64::min)
+            }
         }
     }
 }

@@ -91,7 +91,10 @@ mod tests {
         // nudged toward the centroid.
         let c = hull.centroid();
         for p in &pts {
-            let nudged = GeoPoint::raw(p.lon + (c.lon - p.lon) * 0.01, p.lat + (c.lat - p.lat) * 0.01);
+            let nudged = GeoPoint::raw(
+                p.lon + (c.lon - p.lon) * 0.01,
+                p.lat + (c.lat - p.lat) * 0.01,
+            );
             assert!(hull.contains(&nudged), "{p:?} escaped the hull");
         }
     }

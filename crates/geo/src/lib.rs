@@ -35,8 +35,8 @@
 pub mod batch;
 pub mod delaunay;
 pub mod geodesy;
-pub mod hull;
 pub mod geometry;
+pub mod hull;
 pub mod point;
 pub mod rtree;
 pub mod spatial;

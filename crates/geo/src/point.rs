@@ -139,7 +139,10 @@ impl BoundingBox {
 
     /// True if `p` lies inside or on the boundary.
     pub fn contains(&self, p: &GeoPoint) -> bool {
-        p.lon >= self.min_lon && p.lon <= self.max_lon && p.lat >= self.min_lat && p.lat <= self.max_lat
+        p.lon >= self.min_lon
+            && p.lon <= self.max_lon
+            && p.lat >= self.min_lat
+            && p.lat <= self.max_lat
     }
 
     /// True if the two boxes overlap (boundary contact counts).
@@ -169,7 +172,10 @@ mod tests {
         assert!((normalize_lon(-190.0) - 170.0).abs() < 1e-12);
         assert!((normalize_lon(360.0) - 0.0).abs() < 1e-12);
         assert!((normalize_lon(-180.0) - -180.0).abs() < 1e-12);
-        assert!((normalize_lon(540.0) - 180.0).abs() < 1e-12 || (normalize_lon(540.0) - -180.0).abs() < 1e-12);
+        assert!(
+            (normalize_lon(540.0) - 180.0).abs() < 1e-12
+                || (normalize_lon(540.0) - -180.0).abs() < 1e-12
+        );
     }
 
     #[test]

@@ -140,9 +140,7 @@ impl<T> RTree<T> {
             return false;
         }
         match &node.kind {
-            NodeKind::Inner(children) => children
-                .clone()
-                .any(|c| self.any_below(c, query, accept)),
+            NodeKind::Inner(children) => children.clone().any(|c| self.any_below(c, query, accept)),
             NodeKind::Leaf(slots) => self.items[slots.clone()]
                 .iter()
                 .any(|(b, t)| b.intersects(query) && accept(t)),

@@ -290,8 +290,7 @@ impl NearestSiteIndex {
         }
         let q = RefPoint::new(p);
         let consider = |idx: usize, out: &mut Vec<(usize, f64)>| {
-            if lat_band_lower_bound_km(self.cols.lat_deg(idx) - p.lat)
-                > radius_km + PRUNE_SLACK_KM
+            if lat_band_lower_bound_km(self.cols.lat_deg(idx) - p.lat) > radius_km + PRUNE_SLACK_KM
             {
                 return;
             }
@@ -398,7 +397,11 @@ impl SiteGrid {
                 }
             }
         }
-        Self { offsets, ids, seeds }
+        Self {
+            offsets,
+            ids,
+            seeds,
+        }
     }
 
     /// The sites of one cell.
@@ -524,9 +527,9 @@ mod tests {
     fn within_km_sorted_and_complete() {
         let sites = vec![
             GeoPoint::new(0.0, 0.0),
-            GeoPoint::new(0.5, 0.0),  // ~56 km
-            GeoPoint::new(0.0, 1.0),  // ~111 km
-            GeoPoint::new(3.0, 0.0),  // ~334 km
+            GeoPoint::new(0.5, 0.0), // ~56 km
+            GeoPoint::new(0.0, 1.0), // ~111 km
+            GeoPoint::new(3.0, 0.0), // ~334 km
         ];
         let idx = NearestSiteIndex::new(sites);
         let hits = idx.within_km(&GeoPoint::new(0.0, 0.0), 150.0);

@@ -277,7 +277,9 @@ mod tests {
 
     #[test]
     fn collinear_sites_still_produce_cells() {
-        let sites: Vec<GeoPoint> = (0..5).map(|i| GeoPoint::raw(i as f64 * 10.0, 0.0)).collect();
+        let sites: Vec<GeoPoint> = (0..5)
+            .map(|i| GeoPoint::raw(i as f64 * 10.0, 0.0))
+            .collect();
         let clip = BoundingBox {
             min_lon: -10.0,
             min_lat: -10.0,

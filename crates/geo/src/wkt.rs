@@ -25,7 +25,11 @@ pub struct WktError {
 
 impl fmt::Display for WktError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "WKT parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "WKT parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -562,10 +566,9 @@ mod tests {
 
     #[test]
     fn parse_multipolygon() {
-        let g = parse_wkt(
-            "MULTIPOLYGON (((0 0, 1 0, 1 1, 0 1, 0 0)), ((5 5, 6 5, 6 6, 5 6, 5 5)))",
-        )
-        .unwrap();
+        let g =
+            parse_wkt("MULTIPOLYGON (((0 0, 1 0, 1 1, 0 1, 0 0)), ((5 5, 6 5, 6 6, 5 6, 5 5)))")
+                .unwrap();
         match g {
             Geometry::MultiPolygon(mp) => assert_eq!(mp.0.len(), 2),
             _ => panic!("wrong type"),
@@ -604,7 +607,11 @@ mod tests {
     fn truncated_inputs_give_typed_errors() {
         let unterminated = "POLYGON ((0 0, 1 1, 2 2, 0 0";
         let e = parse_wkt(unterminated).err().expect("must reject");
-        assert!(e.offset <= unterminated.len(), "offset {} past end", e.offset);
+        assert!(
+            e.offset <= unterminated.len(),
+            "offset {} past end",
+            e.offset
+        );
         assert!(!e.message.is_empty());
 
         let cut_mid_pair = "LINESTRING (0 0, 1";

@@ -264,7 +264,12 @@ fn arb_index_case() -> impl Strategy<Value = (Vec<GeoPoint>, Vec<GeoPoint>)> {
             Just(sites),
             (0..2 * n, 0..n + 1),
             proptest::collection::vec(
-                (0usize..4, 0..n + 1, (-0.1f64..0.1, -0.1f64..0.1), arb_globe_point()),
+                (
+                    0usize..4,
+                    0..n + 1,
+                    (-0.1f64..0.1, -0.1f64..0.1),
+                    arb_globe_point(),
+                ),
                 1..24,
             ),
         )

@@ -86,9 +86,7 @@ pub fn router_path(
     let n = net.router_count();
     let layers = as_path.map(|p| p.len()).unwrap_or(1);
     if let Some(p) = as_path {
-        if p.is_empty()
-            || net.router(src).asn != p[0]
-            || net.router(dst).asn != *p.last().unwrap()
+        if p.is_empty() || net.router(src).asn != p[0] || net.router(dst).asn != *p.last().unwrap()
         {
             return None;
         }
@@ -280,7 +278,10 @@ mod tests {
         // space — the border-ownership pitfall).
         assert_eq!(tr.hops[1].ip, Some(ip("10.0.1.2")));
         assert_eq!(tr.hops[2].ip, Some(ip("10.0.2.2")));
-        assert_eq!(tr.hops.iter().map(|h| h.ttl).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(
+            tr.hops.iter().map(|h| h.ttl).collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
     }
 
     #[test]

@@ -165,7 +165,10 @@ impl AsGraph {
 
     /// The relationship from `a` to `b`, if adjacent.
     pub fn relationship(&self, a: Asn, b: Asn) -> Option<AsRelationship> {
-        self.neighbors(a).iter().find(|(n, _)| *n == b).map(|(_, r)| *r)
+        self.neighbors(a)
+            .iter()
+            .find(|(n, _)| *n == b)
+            .map(|(_, r)| *r)
     }
 }
 
@@ -259,8 +262,14 @@ mod tests {
     #[test]
     fn edges_symmetric_with_reversed_rel() {
         let g = sample();
-        assert_eq!(g.relationship(Asn(10), Asn(1)), Some(AsRelationship::CustomerOf));
-        assert_eq!(g.relationship(Asn(1), Asn(10)), Some(AsRelationship::ProviderOf));
+        assert_eq!(
+            g.relationship(Asn(10), Asn(1)),
+            Some(AsRelationship::CustomerOf)
+        );
+        assert_eq!(
+            g.relationship(Asn(1), Asn(10)),
+            Some(AsRelationship::ProviderOf)
+        );
         assert_eq!(g.relationship(Asn(1), Asn(2)), Some(AsRelationship::Peer));
         assert_eq!(g.relationship(Asn(2), Asn(1)), Some(AsRelationship::Peer));
         assert_eq!(g.relationship(Asn(1), Asn(101)), None);
@@ -298,7 +307,10 @@ mod tests {
         let g = sample();
         // Observer 100, origin 102: 100←10←1←2←13←102 (up, up, across, down, down
         // read origin-side; as stored path [100,10,1,2,13,102]).
-        assert!(is_valley_free(&g, &[Asn(100), Asn(10), Asn(1), Asn(2), Asn(13), Asn(102)]));
+        assert!(is_valley_free(
+            &g,
+            &[Asn(100), Asn(10), Asn(1), Asn(2), Asn(13), Asn(102)]
+        ));
         // Pure uphill: [1, 10, 100] means 100 announced up through 10 to 1.
         assert!(is_valley_free(&g, &[Asn(1), Asn(10), Asn(100)]));
         // Peer step then down: [11, 12, 101].
@@ -310,14 +322,23 @@ mod tests {
         let g = sample();
         // 11 heard 101's route from its peer 12 and must not export it to
         // its provider 1 (peer route leaked upward).
-        assert!(!is_valley_free(&g, &[Asn(10), Asn(1), Asn(11), Asn(12), Asn(101)]));
+        assert!(!is_valley_free(
+            &g,
+            &[Asn(10), Asn(1), Asn(11), Asn(12), Asn(101)]
+        ));
         // Peer crossing followed by another upward step (2 heard from peer
         // 1 a route 1 had heard from customer... the step 11→... wait:
         // here 12 announces to 11 across a peer link, then 11 announces
         // upward to 1 — the same leak one AS earlier in the path.
-        assert!(!is_valley_free(&g, &[Asn(2), Asn(1), Asn(11), Asn(12), Asn(101)]));
+        assert!(!is_valley_free(
+            &g,
+            &[Asn(2), Asn(1), Asn(11), Asn(12), Asn(101)]
+        ));
         // A legal across-at-the-apex path for contrast: up, up, across, down.
-        assert!(is_valley_free(&g, &[Asn(11), Asn(1), Asn(2), Asn(12), Asn(101)]));
+        assert!(is_valley_free(
+            &g,
+            &[Asn(11), Asn(1), Asn(2), Asn(12), Asn(101)]
+        ));
         // Unknown adjacency.
         assert!(!is_valley_free(&g, &[Asn(100), Asn(102)]));
     }

@@ -57,7 +57,11 @@ pub fn aggregate_paths(paths: &[Vec<Asn>]) -> Vec<(Asn, Asn)> {
     let mut edges: BTreeSet<(Asn, Asn)> = BTreeSet::new();
     for path in paths {
         for w in path.windows(2) {
-            let (a, b) = if w[0] <= w[1] { (w[0], w[1]) } else { (w[1], w[0]) };
+            let (a, b) = if w[0] <= w[1] {
+                (w[0], w[1])
+            } else {
+                (w[1], w[0])
+            };
             if a != b {
                 edges.insert((a, b));
             }
@@ -65,7 +69,6 @@ pub fn aggregate_paths(paths: &[Vec<Asn>]) -> Vec<(Asn, Asn)> {
     }
     edges.into_iter().collect()
 }
-
 
 /// Infers business relationships from observed AS paths (Gao's classic
 /// algorithm, the machinery behind CAIDA's AS-relationship dataset that

@@ -161,7 +161,9 @@ impl FromStr for Prefix {
     type Err = ParseIpError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (addr, len) = s.split_once('/').ok_or_else(|| ParseIpError(s.to_string()))?;
+        let (addr, len) = s
+            .split_once('/')
+            .ok_or_else(|| ParseIpError(s.to_string()))?;
         let ip: Ip4 = addr.parse()?;
         let len: u8 = len.parse().map_err(|_| ParseIpError(s.to_string()))?;
         if len > 32 {
@@ -218,7 +220,15 @@ mod tests {
 
     #[test]
     fn ip_parse_rejects_malformed() {
-        for s in ["1.2.3", "1.2.3.4.5", "256.1.1.1", "a.b.c.d", "01.2.3.4", "", "1..2.3"] {
+        for s in [
+            "1.2.3",
+            "1.2.3.4.5",
+            "256.1.1.1",
+            "a.b.c.d",
+            "01.2.3.4",
+            "",
+            "1..2.3",
+        ] {
             assert!(s.parse::<Ip4>().is_err(), "{s} should fail");
         }
     }

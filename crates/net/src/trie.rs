@@ -256,7 +256,12 @@ mod tests {
     #[test]
     fn iter_returns_all_inserted() {
         let mut t = PrefixTrie::new();
-        let ps = [p("10.0.0.0/8"), p("10.1.0.0/16"), p("192.0.2.0/24"), p("0.0.0.0/0")];
+        let ps = [
+            p("10.0.0.0/8"),
+            p("10.1.0.0/16"),
+            p("192.0.2.0/24"),
+            p("0.0.0.0/0"),
+        ];
         for (i, pre) in ps.iter().enumerate() {
             t.insert(*pre, i);
         }

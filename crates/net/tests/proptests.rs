@@ -3,7 +3,9 @@
 use proptest::prelude::*;
 
 use igdb_net::asn::is_valley_free;
-use igdb_net::{AsGraph, AsRelationship, Asn, Ip4, Prefix, PrefixTrie, Propagator, RouteKind, Tier};
+use igdb_net::{
+    AsGraph, AsRelationship, Asn, Ip4, Prefix, PrefixTrie, Propagator, RouteKind, Tier,
+};
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(addr, len)| Prefix::new(Ip4(addr), len))
@@ -83,18 +85,17 @@ fn arb_as_graph() -> impl Strategy<Value = AsGraph> {
         .prop_map(|(n, peer_seed, salt)| {
             let mut g = AsGraph::new();
             for i in 0..n {
-                g.add_as(Asn(i as u32 + 1), if i == 0 { Tier::Tier1 } else { Tier::Stub });
+                g.add_as(
+                    Asn(i as u32 + 1),
+                    if i == 0 { Tier::Tier1 } else { Tier::Stub },
+                );
                 if i > 0 {
                     let provider = (salt
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(i as u64)
                         % i as u64) as u32
                         + 1;
-                    g.add_edge(
-                        Asn(i as u32 + 1),
-                        Asn(provider),
-                        AsRelationship::CustomerOf,
-                    );
+                    g.add_edge(Asn(i as u32 + 1), Asn(provider), AsRelationship::CustomerOf);
                 }
             }
             for (k, raw) in peer_seed.iter().enumerate() {

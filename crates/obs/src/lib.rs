@@ -290,12 +290,7 @@ impl SpanTree {
     /// Appends a span whose parent is the innermost span this thread has
     /// open *in this tree*, else `default_parent`. `closed` is an
     /// already-measured `(start_us, dur_us)`; `None` starts the span now.
-    fn push(
-        &self,
-        name: Name,
-        default_parent: Option<usize>,
-        closed: Option<(u64, u64)>,
-    ) -> usize {
+    fn push(&self, name: Name, default_parent: Option<usize>, closed: Option<(u64, u64)>) -> usize {
         let parent = OPEN_SPANS
             .with(|s| {
                 let open = s.borrow();
@@ -553,7 +548,9 @@ impl TraceContext {
     /// e.g. queue wait, measured from the reader's enqueue instant.
     pub fn record(&self, name: impl Into<Name>, start_us: u64, dur_us: u64) {
         if !self.inner.sink {
-            self.inner.tree.push(name.into(), Some(0), Some((start_us, dur_us)));
+            self.inner
+                .tree
+                .push(name.into(), Some(0), Some((start_us, dur_us)));
         }
     }
 
@@ -578,7 +575,10 @@ impl TraceContext {
             .counters
             .lock()
             .unwrap()
-            .get(&(Name::Owned(name.to_string()), Name::Owned(label.to_string())))
+            .get(&(
+                Name::Owned(name.to_string()),
+                Name::Owned(label.to_string()),
+            ))
             .copied()
             .unwrap_or(0)
     }
@@ -657,7 +657,10 @@ impl TraceRecord {
     /// record order. Two runs of the same request must produce identical
     /// shapes regardless of worker count or shortest-path mode.
     pub fn shape(&self) -> Vec<(usize, String)> {
-        self.spans.iter().map(|s| (s.depth, s.name.to_string())).collect()
+        self.spans
+            .iter()
+            .map(|s| (s.depth, s.name.to_string()))
+            .collect()
     }
 
     /// Per-trace structural checker: every span closed, parents point
@@ -749,7 +752,10 @@ impl Registry {
             .or_insert_with(|| Metric::Hist(Histogram::new()));
         match e {
             Metric::Hist(h) => h.record(value),
-            e => panic!("metric registered as {} cannot be used as a histogram", e.kind()),
+            e => panic!(
+                "metric registered as {} cannot be used as a histogram",
+                e.kind()
+            ),
         }
     }
 
@@ -779,8 +785,11 @@ impl Registry {
 
     fn lookup(&self, name: &str, label: &str) -> Option<Metric> {
         let m = self.inner.metrics.lock().unwrap();
-        m.get(&(Name::Owned(name.to_string()), Name::Owned(label.to_string())))
-            .cloned()
+        m.get(&(
+            Name::Owned(name.to_string()),
+            Name::Owned(label.to_string()),
+        ))
+        .cloned()
     }
 
     /// Opens a hierarchical span. The parent is the innermost span this
@@ -1014,15 +1023,15 @@ impl Registry {
                         if h.count == 0 {
                             h.min = u64::MAX;
                         }
-                        for pair in json_str(line, "buckets").unwrap_or_default().split_whitespace()
+                        for pair in json_str(line, "buckets")
+                            .unwrap_or_default()
+                            .split_whitespace()
                         {
                             let (i, c) = pair
                                 .split_once(':')
                                 .ok_or_else(|| ctx("malformed bucket"))?;
-                            let i: usize =
-                                i.parse().map_err(|_| ctx("malformed bucket index"))?;
-                            let c: u64 =
-                                c.parse().map_err(|_| ctx("malformed bucket count"))?;
+                            let i: usize = i.parse().map_err(|_| ctx("malformed bucket index"))?;
+                            let c: u64 = c.parse().map_err(|_| ctx("malformed bucket count"))?;
                             if i >= BUCKETS {
                                 return Err(ctx("bucket index out of range"));
                             }
@@ -1117,9 +1126,18 @@ impl Profile {
         }
         let mut rows: Vec<ProfileRow> = agg
             .into_iter()
-            .map(|(name, (calls, total_us, self_us))| ProfileRow { name, calls, total_us, self_us })
+            .map(|(name, (calls, total_us, self_us))| ProfileRow {
+                name,
+                calls,
+                total_us,
+                self_us,
+            })
             .collect();
-        rows.sort_by(|a, b| b.total_us.cmp(&a.total_us).then_with(|| a.name.cmp(&b.name)));
+        rows.sort_by(|a, b| {
+            b.total_us
+                .cmp(&a.total_us)
+                .then_with(|| a.name.cmp(&b.name))
+        });
 
         // Critical path: longest root, then longest child, to a leaf.
         // Strict `>` keeps the earliest span on ties — deterministic.
@@ -1127,9 +1145,8 @@ impl Profile {
             let mut best: Option<usize> = None;
             for (i, s) in spans.iter().enumerate() {
                 if s.parent == parent
-                    && best.is_none_or(|b: usize| {
-                        s.dur_us.unwrap_or(0) > spans[b].dur_us.unwrap_or(0)
-                    })
+                    && best
+                        .is_none_or(|b: usize| s.dur_us.unwrap_or(0) > spans[b].dur_us.unwrap_or(0))
                 {
                     best = Some(i);
                 }
@@ -1142,7 +1159,10 @@ impl Profile {
             critical_path.push((spans[i].name.clone(), spans[i].dur_us.unwrap_or(0)));
             cur = heaviest(Some(i));
         }
-        Profile { rows, critical_path }
+        Profile {
+            rows,
+            critical_path,
+        }
     }
 
     /// Total profiled wall time (the denominator for the percentage
@@ -1355,7 +1375,11 @@ pub fn diff_registries(baseline: &Registry, current: &Registry) -> DiffReport {
             Some((d, n)) => format!("{n}@{d}"),
             None => "-".into(),
         };
-        let first = bs.iter().zip(&cs).position(|(a, b)| a != b).unwrap_or(bs.len().min(cs.len()));
+        let first = bs
+            .iter()
+            .zip(&cs)
+            .position(|(a, b)| a != b)
+            .unwrap_or(bs.len().min(cs.len()));
         rows.push(DiffRow {
             class: "span",
             key: format!("span tree (index {first})"),
@@ -1799,7 +1823,10 @@ mod tests {
     fn nesting_check_rejects_open_spans() {
         let reg = Registry::new();
         let guard = reg.span("never_closed");
-        assert!(reg.check_span_nesting().unwrap_err().contains("never closed"));
+        assert!(reg
+            .check_span_nesting()
+            .unwrap_err()
+            .contains("never closed"));
         drop(guard);
         reg.check_span_nesting().unwrap();
     }
@@ -1912,21 +1939,58 @@ mod tests {
     #[test]
     fn profile_aggregates_totals_self_and_critical_path() {
         let spans = vec![
-            SpanRecord { name: "root".into(), parent: None, depth: 0, start_us: 0, dur_us: Some(100) },
-            SpanRecord { name: "a".into(), parent: Some(0), depth: 1, start_us: 5, dur_us: Some(60) },
-            SpanRecord { name: "leaf".into(), parent: Some(1), depth: 2, start_us: 10, dur_us: Some(40) },
-            SpanRecord { name: "a".into(), parent: Some(0), depth: 1, start_us: 70, dur_us: Some(20) },
+            SpanRecord {
+                name: "root".into(),
+                parent: None,
+                depth: 0,
+                start_us: 0,
+                dur_us: Some(100),
+            },
+            SpanRecord {
+                name: "a".into(),
+                parent: Some(0),
+                depth: 1,
+                start_us: 5,
+                dur_us: Some(60),
+            },
+            SpanRecord {
+                name: "leaf".into(),
+                parent: Some(1),
+                depth: 2,
+                start_us: 10,
+                dur_us: Some(40),
+            },
+            SpanRecord {
+                name: "a".into(),
+                parent: Some(0),
+                depth: 1,
+                start_us: 70,
+                dur_us: Some(20),
+            },
         ];
         let p = Profile::from_spans(&spans);
         let row = |n: &str| p.rows.iter().find(|r| r.name == n).unwrap();
-        assert_eq!((row("root").calls, row("root").total_us, row("root").self_us), (1, 100, 20));
-        assert_eq!((row("a").calls, row("a").total_us, row("a").self_us), (2, 80, 40));
-        assert_eq!((row("leaf").calls, row("leaf").total_us, row("leaf").self_us), (1, 40, 40));
+        assert_eq!(
+            (row("root").calls, row("root").total_us, row("root").self_us),
+            (1, 100, 20)
+        );
+        assert_eq!(
+            (row("a").calls, row("a").total_us, row("a").self_us),
+            (2, 80, 40)
+        );
+        assert_eq!(
+            (row("leaf").calls, row("leaf").total_us, row("leaf").self_us),
+            (1, 40, 40)
+        );
         // Rows sorted by total desc: root, a, leaf.
         let order: Vec<&str> = p.rows.iter().map(|r| r.name.as_ref()).collect();
         assert_eq!(order, vec!["root", "a", "leaf"]);
         // Critical path descends into the *longest* "a" (60us), then leaf.
-        let path: Vec<(&str, u64)> = p.critical_path.iter().map(|(n, d)| (n.as_ref(), *d)).collect();
+        let path: Vec<(&str, u64)> = p
+            .critical_path
+            .iter()
+            .map(|(n, d)| (n.as_ref(), *d))
+            .collect();
         assert_eq!(path, vec![("root", 100), ("a", 60), ("leaf", 40)]);
         let table = p.render_table();
         for needle in ["profile:", "critical path:", "root", "self%"] {
@@ -2033,8 +2097,7 @@ mod tests {
         // A Full current stream gates cleanly against a Deterministic
         // baseline of the same run: timings differ, shape does not.
         let run = mk(false);
-        let base =
-            Registry::from_json_lines(&run.json_lines(JsonMode::Deterministic)).unwrap();
+        let base = Registry::from_json_lines(&run.json_lines(JsonMode::Deterministic)).unwrap();
         let cur = Registry::from_json_lines(&run.json_lines(JsonMode::Full)).unwrap();
         assert!(diff_registries(&base, &cur).is_clean());
 
@@ -2107,7 +2170,13 @@ mod tests {
             let _s = reg.span("pipeline");
         }
         let t = reg.render_table();
-        for needle in ["counters:", "perf:", "histograms:", "spans:", "ingest.rows_in{roads}"] {
+        for needle in [
+            "counters:",
+            "perf:",
+            "histograms:",
+            "spans:",
+            "ingest.rows_in{roads}",
+        ] {
             assert!(t.contains(needle), "missing {needle} in:\n{t}");
         }
     }
@@ -2177,17 +2246,31 @@ mod tests {
         drop(reg.span("G")); // nothing open: a registry root
 
         let columns = |spans: &[SpanRecord]| -> Vec<(String, Option<usize>, usize)> {
-            spans.iter().map(|s| (s.name.to_string(), s.parent, s.depth)).collect()
+            spans
+                .iter()
+                .map(|s| (s.name.to_string(), s.parent, s.depth))
+                .collect()
         };
         let want = |rows: &[(&str, Option<usize>, usize)]| -> Vec<(String, Option<usize>, usize)> {
-            rows.iter().map(|&(n, p, d)| (n.to_string(), p, d)).collect()
+            rows.iter()
+                .map(|&(n, p, d)| (n.to_string(), p, d))
+                .collect()
         };
-        let reg_rows = [("A", None, 0), ("C", Some(0), 1), ("E", Some(0), 1), ("G", None, 0)];
+        let reg_rows = [
+            ("A", None, 0),
+            ("C", Some(0), 1),
+            ("E", Some(0), 1),
+            ("G", None, 0),
+        ];
         assert_eq!(columns(&reg.spans()), want(&reg_rows));
         reg.check_span_nesting().unwrap();
         let rec = trace.finish();
-        let trace_rows =
-            [("request", None, 0), ("B", Some(0), 1), ("D", Some(1), 2), ("F", Some(1), 2)];
+        let trace_rows = [
+            ("request", None, 0),
+            ("B", Some(0), 1),
+            ("D", Some(1), 2),
+            ("F", Some(1), 2),
+        ];
         assert_eq!(columns(&rec.spans), want(&trace_rows));
         rec.check_nesting().unwrap();
     }
@@ -2261,7 +2344,10 @@ mod tests {
         let rec = trace.finish();
         rec.check_nesting().unwrap();
         assert_eq!(trace.counter_value("bytes", "out"), 21);
-        assert_eq!(rec.counters, vec![(Name::from("bytes"), Name::from("out"), 21)]);
+        assert_eq!(
+            rec.counters,
+            vec![(Name::from("bytes"), Name::from("out"), 21)]
+        );
         let shapes = rec.shape();
         assert_eq!(shapes[1], (1, "queue.wait".to_string()));
         assert!(rec.wall_us() >= 2000, "root must cover the queue wait");
@@ -2280,7 +2366,10 @@ mod tests {
         assert!(sink.is_sink());
         let rec = sink.finish();
         assert!(rec.spans.is_empty(), "sink trace must record nothing");
-        assert!(reg.spans().is_empty(), "sink trace must shield the registry");
+        assert!(
+            reg.spans().is_empty(),
+            "sink trace must shield the registry"
+        );
         assert_eq!(reg.counter_value("epoch.published", ""), 1);
     }
 

@@ -277,7 +277,10 @@ mod tests {
     fn groups_capture() {
         assert_eq!(cap(r"(\d+)-(\d+)", "a 12-34 b", 1).as_deref(), Some("12"));
         assert_eq!(cap(r"(\d+)-(\d+)", "a 12-34 b", 2).as_deref(), Some("34"));
-        assert_eq!(cap(r"(\d+)-(\d+)", "a 12-34 b", 0).as_deref(), Some("12-34"));
+        assert_eq!(
+            cap(r"(\d+)-(\d+)", "a 12-34 b", 0).as_deref(),
+            Some("12-34")
+        );
     }
 
     #[test]
@@ -336,8 +339,8 @@ mod tests {
 
     #[test]
     fn hoiho_style_cogent_rule() {
-        let re = Regex::new(r"\.(?:rcr|ccr|nr)\d+\.([a-z]{3})\d{2}\.atlas\.cogentco\.com$")
-            .unwrap();
+        let re =
+            Regex::new(r"\.(?:rcr|ccr|nr)\d+\.([a-z]{3})\d{2}\.atlas\.cogentco\.com$").unwrap();
         for (host, code) in [
             ("be2695.rcr21.drs01.atlas.cogentco.com", "drs"),
             ("be3172.rcr21.syr01.atlas.cogentco.com", "syr"),

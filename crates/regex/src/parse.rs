@@ -48,7 +48,13 @@ impl CharClass {
     fn space() -> Self {
         Self {
             negated: false,
-            ranges: vec![(' ', ' '), ('\t', '\t'), ('\n', '\n'), ('\r', '\r'), ('\x0b', '\x0c')],
+            ranges: vec![
+                (' ', ' '),
+                ('\t', '\t'),
+                ('\n', '\n'),
+                ('\r', '\r'),
+                ('\x0b', '\x0c'),
+            ],
         }
     }
 
@@ -300,9 +306,7 @@ impl P<'_> {
                 self.bump();
                 self.escape(false)
             }
-            Some(c @ ('*' | '+' | '?')) => {
-                Err(self.err(&format!("'{c}' with nothing to repeat")))
-            }
+            Some(c @ ('*' | '+' | '?')) => Err(self.err(&format!("'{c}' with nothing to repeat"))),
             Some('{') => {
                 // `{` not starting a valid counted repetition after an atom
                 // is treated as an error (strict mode keeps rule sets honest).
@@ -329,8 +333,8 @@ impl P<'_> {
             'n' => lit('\n'),
             't' => lit('\t'),
             'r' => lit('\r'),
-            '\\' | '.' | '+' | '*' | '?' | '(' | ')' | '[' | ']' | '{' | '}' | '|' | '^'
-            | '$' | '-' | '/' => lit(c),
+            '\\' | '.' | '+' | '*' | '?' | '(' | ')' | '[' | ']' | '{' | '}' | '|' | '^' | '$'
+            | '-' | '/' => lit(c),
             other => {
                 if in_class {
                     Ok(Ast::Literal(other))
@@ -374,7 +378,10 @@ impl P<'_> {
                 c
             };
             // Range?
-            if self.peek() == Some('-') && self.chars.get(self.pos + 1) != Some(&']') && self.chars.get(self.pos + 1).is_some() {
+            if self.peek() == Some('-')
+                && self.chars.get(self.pos + 1) != Some(&']')
+                && self.chars.get(self.pos + 1).is_some()
+            {
                 self.bump(); // '-'
                 let hc = self.bump().unwrap();
                 let hi = if hc == '\\' {
@@ -436,7 +443,9 @@ mod tests {
             other => panic!("{other:?}"),
         }
         match parse("a+").unwrap() {
-            Ast::Repeat { min, max, greedy, .. } => {
+            Ast::Repeat {
+                min, max, greedy, ..
+            } => {
                 assert_eq!((min, max, greedy), (1, None, true));
             }
             other => panic!("{other:?}"),

@@ -255,8 +255,36 @@ proptest! {
 /// openers and closers, anchors, quantifiers, and repetition counts up to
 /// ones no `u32` holds — the lengths a compiler must not allocate from.
 const REGEX_TOKENS: [&str; 30] = [
-    "a", "é", "日", ".", "\\", "\\d", "\\w", "\\q", "(", "(?:", "(?", ")", "[", "[^", "]", "-",
-    "^", "$", "|", "*", "+", "?", "{", "}", ",", "0", "3", "2000", "4000000000", "99999999999",
+    "a",
+    "é",
+    "日",
+    ".",
+    "\\",
+    "\\d",
+    "\\w",
+    "\\q",
+    "(",
+    "(?:",
+    "(?",
+    ")",
+    "[",
+    "[^",
+    "]",
+    "-",
+    "^",
+    "$",
+    "|",
+    "*",
+    "+",
+    "?",
+    "{",
+    "}",
+    ",",
+    "0",
+    "3",
+    "2000",
+    "4000000000",
+    "99999999999",
 ];
 
 proptest! {

@@ -26,8 +26,8 @@ use igdb_core::analysis::beliefprop::{consistency_check, propagate, BeliefPropPa
 use igdb_core::analysis::export::MapExport;
 use igdb_core::{BuildError, BuildPolicy, Igdb};
 use igdb_db::{Database, Predicate, Query, Value};
-use igdb_geo::{GeoPoint, NearestSiteIndex};
 use igdb_fault::ServeError;
+use igdb_geo::{GeoPoint, NearestSiteIndex};
 use igdb_serve::{
     loadgen_session, run_loadgen, Client, Introspection, Listener, LoadgenConfig, Request,
     Response, Server, ServerAddr, ServerConfig,
@@ -130,7 +130,10 @@ fn main() -> ExitCode {
             println!("{}", usage());
             Ok(())
         }
-        other => Err(CliError::Usage(format!("unknown command '{other}'\n{}", usage()))),
+        other => Err(CliError::Usage(format!(
+            "unknown command '{other}'\n{}",
+            usage()
+        ))),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -269,7 +272,9 @@ fn parse_scale(scale: &str) -> Result<WorldConfig, String> {
         "paper" => Ok(WorldConfig::paper()),
         "large" => Ok(WorldConfig::large()),
         "planet" => Ok(WorldConfig::planet()),
-        other => Err(format!("unknown --scale '{other}' (tiny|medium|paper|large|planet)")),
+        other => Err(format!(
+            "unknown --scale '{other}' (tiny|medium|paper|large|planet)"
+        )),
     }
 }
 
@@ -295,18 +300,26 @@ fn world_flags(args: &[String], default_mesh: usize) -> Result<WorldFlags, Strin
         .transpose()?
         .unwrap_or(default_mesh);
     let config = parse_scale(&scale)?;
-    Ok(WorldFlags { scale, config, date, mesh })
+    Ok(WorldFlags {
+        scale,
+        config,
+        date,
+        mesh,
+    })
 }
 
 fn cmd_build(args: &[String]) -> Result<(), CliError> {
     let out = PathBuf::from(require(args, "--out")?);
-    let WorldFlags { scale, config, date, mesh } = world_flags(args, 500)?;
+    let WorldFlags {
+        scale,
+        config,
+        date,
+        mesh,
+    } = world_flags(args, 500)?;
     let policy = match flag(args, "--policy").as_deref() {
         None | Some("lenient") => BuildPolicy::lenient(),
         Some("strict") => BuildPolicy::strict(),
-        Some(other) => {
-            return Err(format!("unknown --policy '{other}' (strict|lenient)").into())
-        }
+        Some(other) => return Err(format!("unknown --policy '{other}' (strict|lenient)").into()),
     };
     let policy = match flag(args, "--drop-above") {
         Some(frac) => {
@@ -319,12 +332,11 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
         None => policy,
     };
     // --report takes an optional FILE operand: bare prints to stdout.
-    let report_dest: Option<Option<PathBuf>> =
-        args.iter().position(|a| a == "--report").map(|i| {
-            args.get(i + 1)
-                .filter(|v| !v.starts_with("--"))
-                .map(PathBuf::from)
-        });
+    let report_dest: Option<Option<PathBuf>> = args.iter().position(|a| a == "--report").map(|i| {
+        args.get(i + 1)
+            .filter(|v| !v.starts_with("--"))
+            .map(PathBuf::from)
+    });
     let metrics_path = flag(args, "--metrics").map(PathBuf::from);
     let want_trace = args.iter().any(|a| a == "--trace");
 
@@ -406,15 +418,25 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
         eprintln!("wrote counter stream to {}", p.display());
     }
     igdb.db.save_dir(&out).map_err(|e| e.to_string())?;
-    eprintln!("saved {} relations to {}", igdb.db.table_names().len(), out.display());
+    eprintln!(
+        "saved {} relations to {}",
+        igdb.db.table_names().len(),
+        out.display()
+    );
     if args.iter().any(|a| a == "--fingerprint") {
-        println!("fingerprint {:016x}", fingerprint_hash(&igdb.db.fingerprint()));
+        println!(
+            "fingerprint {:016x}",
+            fingerprint_hash(&igdb.db.fingerprint())
+        );
     }
     Ok(())
 }
 
 fn total_rows(db: &Database) -> usize {
-    db.table_names().iter().map(|t| db.row_count(t).unwrap_or(0)).sum()
+    db.table_names()
+        .iter()
+        .map(|t| db.row_count(t).unwrap_or(0))
+        .sum()
 }
 
 /// FNV-1a 64 over the canonical database fingerprint: a short,
@@ -477,7 +499,9 @@ fn cmd_metrics_diff(args: &[String]) -> Result<(), CliError> {
     if report.is_clean() {
         Ok(())
     } else {
-        Err(CliError::Diverged { divergences: report.rows.len() })
+        Err(CliError::Diverged {
+            divergences: report.rows.len(),
+        })
     }
 }
 
@@ -503,7 +527,11 @@ fn cmd_queries(args: &[String]) -> Result<(), CliError> {
         let _g = registry.install();
         let summary = igdb_core::run_query_mix(&world, &igdb);
         let params = BeliefPropParams::default();
-        (summary, propagate(&igdb, &params), consistency_check(&igdb, &params))
+        (
+            summary,
+            propagate(&igdb, &params),
+            consistency_check(&igdb, &params),
+        )
     };
     eprintln!(
         "served: {} physpath reports, {} intertubes links covered, {} rocketfuel edges, \
@@ -524,7 +552,11 @@ fn cmd_queries(args: &[String]) -> Result<(), CliError> {
         // skips it, so the stream still round-trips and diffs.
         doc.push_str(&registry.profile().json_lines());
     }
-    io_ctx(out_file.write_all(doc.as_bytes()), "write metrics file", &out)?;
+    io_ctx(
+        out_file.write_all(doc.as_bytes()),
+        "write metrics file",
+        &out,
+    )?;
     eprintln!("wrote analysis telemetry to {}", out.display());
     Ok(())
 }
@@ -537,7 +569,12 @@ fn cmd_queries(args: &[String]) -> Result<(), CliError> {
 /// CI regenerates the stream and gates it with `metrics diff`.
 fn cmd_delta(args: &[String]) -> Result<(), CliError> {
     let out = PathBuf::from(require(args, "--out")?);
-    let WorldFlags { scale, config, date, mesh } = world_flags(args, 400)?;
+    let WorldFlags {
+        scale,
+        config,
+        date,
+        mesh,
+    } = world_flags(args, 400)?;
     let seed: u64 = flag(args, "--seed")
         .map(|s| s.parse().map_err(|e| format!("bad --seed: {e}")))
         .transpose()?
@@ -565,10 +602,16 @@ fn cmd_delta(args: &[String]) -> Result<(), CliError> {
         let _g = registry.install();
         base.apply_delta(&churned, &BuildPolicy::lenient())?
     };
-    eprintln!("applied: {}; {} rows", delta.summary(), total_rows(&next.db));
+    eprintln!(
+        "applied: {}; {} rows",
+        delta.summary(),
+        total_rows(&next.db)
+    );
     io_ctx(
         out_file.write_all(
-            registry.json_lines(igdb_obs::JsonMode::Deterministic).as_bytes(),
+            registry
+                .json_lines(igdb_obs::JsonMode::Deterministic)
+                .as_bytes(),
         ),
         "write metrics file",
         &out,
@@ -580,7 +623,12 @@ fn cmd_delta(args: &[String]) -> Result<(), CliError> {
 /// Builds a synthetic world and its database from the shared `--scale`,
 /// `--date` and `--mesh` flags, returning the tier name with both.
 fn synth_world(args: &[String]) -> Result<(String, World, Igdb), CliError> {
-    let WorldFlags { scale, config, date, mesh } = world_flags(args, 500)?;
+    let WorldFlags {
+        scale,
+        config,
+        date,
+        mesh,
+    } = world_flags(args, 500)?;
     eprintln!("generating world ({scale})…");
     let world = World::generate(config);
     eprintln!("emitting snapshots for {date}…");
@@ -628,12 +676,19 @@ fn cmd_report(args: &[String]) -> Result<(), CliError> {
 
 /// The report ids, in dispatch order, as `table1|table2|…`.
 fn report_ids() -> String {
-    report::REPORTS.iter().map(|&(id, _)| id).collect::<Vec<_>>().join("|")
+    report::REPORTS
+        .iter()
+        .map(|&(id, _)| id)
+        .collect::<Vec<_>>()
+        .join("|")
 }
 
 /// Parses the serving knobs shared by `serve` and in-process `loadgen`.
 fn server_config(args: &[String], enable_test_ops: bool) -> Result<ServerConfig, CliError> {
-    let mut cfg = ServerConfig { enable_test_ops, ..ServerConfig::default() };
+    let mut cfg = ServerConfig {
+        enable_test_ops,
+        ..ServerConfig::default()
+    };
     if let Some(w) = flag(args, "--workers") {
         cfg.workers = w.parse().map_err(|e| format!("bad --workers: {e}"))?;
     }
@@ -661,9 +716,11 @@ fn server_config(args: &[String], enable_test_ops: bool) -> Result<ServerConfig,
 /// drain gracefully and flush metrics.
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let listener = match (flag(args, "--listen"), flag(args, "--unix")) {
-        (Some(addr), None) => {
-            io_ctx(Listener::bind_tcp(&addr), "bind tcp listener", Path::new(&addr))?
-        }
+        (Some(addr), None) => io_ctx(
+            Listener::bind_tcp(&addr),
+            "bind tcp listener",
+            Path::new(&addr),
+        )?,
         (None, Some(path)) => {
             let p = PathBuf::from(path);
             io_ctx(Listener::bind_unix(&p), "bind unix listener", &p)?
@@ -685,7 +742,10 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         "start server",
         Path::new("<listener>"),
     )?;
-    eprintln!("serving on {} — close stdin (ctrl-d) to drain", server.addr());
+    eprintln!(
+        "serving on {} — close stdin (ctrl-d) to drain",
+        server.addr()
+    );
     // Optional live churn: a single writer thread periodically derives a
     // seeded delta from the current epoch's sources, applies it
     // incrementally, and publishes the result. The swap is one pointer:
@@ -847,8 +907,8 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
                 default_deadline: Duration::from_secs(30),
                 ..server_config(args, false)?
             };
-            let socket = std::env::temp_dir()
-                .join(format!("igdb-loadgen-{}.sock", std::process::id()));
+            let socket =
+                std::env::temp_dir().join(format!("igdb-loadgen-{}.sock", std::process::id()));
             let (summary, report, reg) = io_ctx(
                 loadgen_session(std::sync::Arc::new(igdb), &socket, server_cfg, &cfg),
                 "run loadgen session",
@@ -864,7 +924,11 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
     println!("{}", summary.render());
     if let Some(f) = &mut out_file {
         let p = out.as_ref().expect("path implies file");
-        io_ctx(f.write_all(reg.json_lines(mode).as_bytes()), "write metrics file", p)?;
+        io_ctx(
+            f.write_all(reg.json_lines(mode).as_bytes()),
+            "write metrics file",
+            p,
+        )?;
         eprintln!("wrote telemetry to {}", p.display());
     }
     Ok(())
@@ -891,8 +955,7 @@ fn parse_addr(raw: &str) -> Result<ServerAddr, CliError> {
 /// perf-class control tally, so watching never perturbs the deterministic
 /// counter stream.
 fn cmd_top(args: &[String]) -> Result<(), CliError> {
-    let addr = flag(args, "--addr")
-        .ok_or("top wants --addr HOST:PORT or --addr unix:PATH")?;
+    let addr = flag(args, "--addr").ok_or("top wants --addr HOST:PORT or --addr unix:PATH")?;
     let addr = parse_addr(&addr)?;
     let once = args.iter().any(|a| a == "--once");
     let show_counters = args.iter().any(|a| a == "--counters");
@@ -963,7 +1026,12 @@ fn render_top(i: &Introspection, show_counters: bool) -> String {
         }
         s
     };
-    let _ = writeln!(out, "errors:{}  rejects:{}", named(&r.err), named(&r.rejected));
+    let _ = writeln!(
+        out,
+        "errors:{}  rejects:{}",
+        named(&r.err),
+        named(&r.rejected)
+    );
     let _ = write!(
         out,
         "ring {}/{}  slow {}",
@@ -1034,7 +1102,13 @@ fn cmd_tables(args: &[String]) -> Result<(), String> {
     let mut out = stdout.lock();
     for name in db.table_names() {
         // Ignore broken pipes (e.g. `igdb tables | head`).
-        if writeln!(out, "{name:<16} {:>8} rows", db.row_count(&name).unwrap_or(0)).is_err() {
+        if writeln!(
+            out,
+            "{name:<16} {:>8} rows",
+            db.row_count(&name).unwrap_or(0)
+        )
+        .is_err()
+        {
             break;
         }
     }
@@ -1049,10 +1123,7 @@ fn parse_where(db: &Database, table: &str, clause: &str) -> Result<Predicate, St
         .ok_or_else(|| format!("--where wants col=value, got '{clause}'"))?;
     let value = db
         .with_table(table, |t| -> Result<Value, String> {
-            let idx = t
-                .schema()
-                .index_of(col)
-                .map_err(|e| e.to_string())?;
+            let idx = t.schema().index_of(col).map_err(|e| e.to_string())?;
             let ty = t.schema().columns()[idx].ty;
             Ok(match ty {
                 igdb_db::ColumnType::Int => {

@@ -78,34 +78,61 @@ fn table1(scale: &str, _world: &World, igdb: &Igdb) {
         })
         .unwrap();
     println!("{}", header(&format!("Table 1 (scale: {scale})")));
-    println!("{}", compare_row("Number of ASes", "102,216", distinct("asn_name", "asn")));
+    println!(
+        "{}",
+        compare_row("Number of ASes", "102,216", distinct("asn_name", "asn"))
+    );
     println!(
         "{}",
         compare_row("Number of organizations", "81,879", org_entities)
     );
     println!(
         "{}",
-        compare_row("Number of physical nodes", "29,220", db.row_count("phys_nodes").unwrap())
+        compare_row(
+            "Number of physical nodes",
+            "29,220",
+            db.row_count("phys_nodes").unwrap()
+        )
     );
     println!(
         "{}",
-        compare_row("Number of countries with nodes", "210", distinct("phys_nodes", "country"))
+        compare_row(
+            "Number of countries with nodes",
+            "210",
+            distinct("phys_nodes", "country")
+        )
     );
     println!(
         "{}",
-        compare_row("Number of inferred physical paths", "8,323", db.row_count("phys_conn").unwrap())
+        compare_row(
+            "Number of inferred physical paths",
+            "8,323",
+            db.row_count("phys_conn").unwrap()
+        )
     );
     println!(
         "{}",
-        compare_row("Number of submarine cables", "511", db.row_count("sub_cables").unwrap())
+        compare_row(
+            "Number of submarine cables",
+            "511",
+            db.row_count("sub_cables").unwrap()
+        )
     );
     println!(
         "{}",
-        compare_row("City locations (7,342 in §2)", "7,342", db.row_count("city_points").unwrap())
+        compare_row(
+            "City locations (7,342 in §2)",
+            "7,342",
+            db.row_count("city_points").unwrap()
+        )
     );
     println!(
         "{}",
-        compare_row("Links between ASNs (420,913 in §1)", "420,913", db.row_count("asn_conn").unwrap())
+        compare_row(
+            "Links between ASNs (420,913 in §1)",
+            "420,913",
+            db.row_count("asn_conn").unwrap()
+        )
     );
 }
 
@@ -115,7 +142,10 @@ fn table2(scale: &str, _world: &World, igdb: &Igdb) {
     println!(
         "(paper's top entries: CLOUDFLARENET 52, HURRICANE 50, MICROSOFT-CORP 50, COGENT-174 45 …)"
     );
-    println!("{:<10} {:<24} {:<36} {:>9}", "ASNumber", "ASName", "Organization", "Countries");
+    println!(
+        "{:<10} {:<24} {:<36} {:>9}",
+        "ASNumber", "ASName", "Organization", "Countries"
+    );
     println!("{}", "-".repeat(82));
     for row in top_by_countries(igdb, 11) {
         println!(
@@ -132,7 +162,10 @@ fn table3(scale: &str, world: &World, igdb: &Igdb) {
     let missing = missing_locations(igdb, asn);
     println!("== Table 3 (scale: {scale}) ==");
     println!("(paper: >104 missing cities for AS174; sample rows below mirror its format)");
-    println!("AS under study: {asn} ({} missing metros recovered)", missing.len());
+    println!(
+        "AS under study: {asn} ({} missing metros recovered)",
+        missing.len()
+    );
     println!("{:<28} {}", "Metro", "Reverse Hostname");
     println!("{}", "-".repeat(78));
     for (metro, host) in missing.iter().take(12) {
@@ -156,9 +189,16 @@ fn fig3(scale: &str, _world: &World, igdb: &Igdb) {
     println!("{}", compare_row("Thiessen polygons", "7,342", nonempty));
     println!(
         "{}",
-        compare_row("Coverage of world bbox", "100%", format!("{:.2}%", 100.0 * area / world_area))
+        compare_row(
+            "Coverage of world bbox",
+            "100%",
+            format!("{:.2}%", 100.0 * area / world_area)
+        )
     );
-    println!("{}", compare_row("Mean vertices per cell", "~6", format!("{avg_vertices:.1}")));
+    println!(
+        "{}",
+        compare_row("Mean vertices per cell", "~6", format!("{avg_vertices:.1}"))
+    );
     // Print one sample cell as WKT, as the map layer would consume it.
     if let Some(p) = polys.iter().find(|p| !p.exterior.is_empty()) {
         let wkt = igdb_geo::to_wkt(&igdb_geo::Geometry::Polygon(p.clone()));
@@ -173,7 +213,11 @@ fn fig4(scale: &str, world: &World, igdb: &Igdb) {
     println!("{}", header(&format!("Figure 4 (scale: {scale})")));
     println!(
         "{}",
-        compare_row("Long-haul links within 25 mi of iGDB", "most", format!("{}/{}", report.covered, report.verdicts.len()))
+        compare_row(
+            "Long-haul links within 25 mi of iGDB",
+            "most",
+            format!("{}/{}", report.covered, report.verdicts.len())
+        )
     );
     println!(
         "{}",
@@ -181,7 +225,11 @@ fn fig4(scale: &str, world: &World, igdb: &Igdb) {
     );
     println!(
         "{}",
-        compare_row("iGDB alternate corridors (purple)", "many", report.alternate_paths)
+        compare_row(
+            "iGDB alternate corridors (purple)",
+            "many",
+            report.alternate_paths
+        )
     );
     for v in report.verdicts.iter().filter(|v| !v.covered) {
         println!(
@@ -189,7 +237,11 @@ fn fig4(scale: &str, world: &World, igdb: &Igdb) {
             igdb.metros.metro(v.from_city).label(),
             igdb.metros.metro(v.to_city).label(),
             v.coverage * 100.0,
-            if v.off_road { ", follows a pipeline right-of-way" } else { "" }
+            if v.off_road {
+                ", follows a pipeline right-of-way"
+            } else {
+                ""
+            }
         );
     }
 }
@@ -199,9 +251,22 @@ fn fig4(scale: &str, world: &World, igdb: &Igdb) {
 fn fig5(scale: &str, _world: &World, igdb: &Igdb) {
     let map = export_physical_map(igdb);
     println!("{}", header(&format!("Figure 5 (scale: {scale})")));
-    println!("{}", compare_row("Node layer (orange points)", "29,220", map.node_points.len()));
-    println!("{}", compare_row("ROW path layer (green lines)", "8,323", map.row_paths.len()));
-    println!("{}", compare_row("Cable layer (purple lines)", "511", map.cable_paths.len()));
+    println!(
+        "{}",
+        compare_row(
+            "Node layer (orange points)",
+            "29,220",
+            map.node_points.len()
+        )
+    );
+    println!(
+        "{}",
+        compare_row("ROW path layer (green lines)", "8,323", map.row_paths.len())
+    );
+    println!(
+        "{}",
+        compare_row("Cable layer (purple lines)", "511", map.cable_paths.len())
+    );
     println!("GeoJSON: igdb build --out DIR, then igdb export --db DIR --out FILE.geojson");
 }
 
@@ -211,9 +276,18 @@ fn fig6(scale: &str, _world: &World, igdb: &Igdb) {
     println!("{}", header(&format!("Figure 6 (scale: {scale})")));
     println!("{}", compare_row("Charter-like ASNs", "4", r.asns_a.len()));
     println!("{}", compare_row("Cox-like ASNs", "1", r.asns_b.len()));
-    println!("{}", compare_row("Charter-like metros (green)", "71", r.metros_a.len()));
-    println!("{}", compare_row("Cox-like metros (orange)", "30", r.metros_b.len()));
-    println!("{}", compare_row("Overlapping metros (red)", "10", r.shared.len()));
+    println!(
+        "{}",
+        compare_row("Charter-like metros (green)", "71", r.metros_a.len())
+    );
+    println!(
+        "{}",
+        compare_row("Cox-like metros (orange)", "30", r.metros_b.len())
+    );
+    println!(
+        "{}",
+        compare_row("Overlapping metros (red)", "10", r.shared.len())
+    );
     println!("shared metros:");
     for &m in &r.shared {
         println!("  {}", igdb.metros.metro(m).label());
@@ -224,14 +298,22 @@ fn fig6(scale: &str, _world: &World, igdb: &Igdb) {
 /// practical physical path and distance cost.
 fn fig7(scale: &str, world: &World, igdb: &Igdb) {
     let trace = world
-        .traceroute_between(world.scenarios.anchor_kansas_city, world.scenarios.anchor_atlanta)
+        .traceroute_between(
+            world.scenarios.anchor_kansas_city,
+            world.scenarios.anchor_atlanta,
+        )
         .expect("scenario traceroute");
     let report = physical_path_report(igdb, &trace.responding_ips()).expect("report");
     let label = |m: &usize| igdb.metros.metro(*m).name.clone();
     println!("{}", header(&format!("Figure 7 (scale: {scale})")));
     println!(
         "observed (blue):  {}",
-        report.observed_metros.iter().map(|m| label(m)).collect::<Vec<_>>().join(" -> ")
+        report
+            .observed_metros
+            .iter()
+            .map(|m| label(m))
+            .collect::<Vec<_>>()
+            .join(" -> ")
     );
     let hidden: Vec<String> = report
         .legs
@@ -241,11 +323,37 @@ fn fig7(scale: &str, world: &World, igdb: &Igdb) {
     println!("hidden candidates (green): {}", hidden.join(", "));
     println!(
         "practical (orange): {}",
-        report.practical_path.iter().map(|m| label(m)).collect::<Vec<_>>().join(" -> ")
+        report
+            .practical_path
+            .iter()
+            .map(|m| label(m))
+            .collect::<Vec<_>>()
+            .join(" -> ")
     );
-    println!("{}", compare_row("Inferred physical path length", "2,518 km", format!("{:.0} km", report.inferred_km)));
-    println!("{}", compare_row("Shortest practical path length", "1,282 km", format!("{:.0} km", report.practical_km)));
-    println!("{}", compare_row("Distance cost", "1.96", format!("{:.2}", report.distance_cost)));
+    println!(
+        "{}",
+        compare_row(
+            "Inferred physical path length",
+            "2,518 km",
+            format!("{:.0} km", report.inferred_km)
+        )
+    );
+    println!(
+        "{}",
+        compare_row(
+            "Shortest practical path length",
+            "1,282 km",
+            format!("{:.0} km", report.practical_km)
+        )
+    );
+    println!(
+        "{}",
+        compare_row(
+            "Distance cost",
+            "1.96",
+            format!("{:.2}", report.distance_cost)
+        )
+    );
 }
 
 /// Figure 8 — the Rocketfuel map remapped onto right-of-way corridors.
@@ -254,10 +362,30 @@ fn fig8(scale: &str, world: &World, igdb: &Igdb) {
     let r = remap(igdb, &map);
     println!("{}", header(&format!("Figure 8 (scale: {scale})")));
     println!("{}", compare_row("Rocketfuel metros", "n/a", r.metros));
-    println!("{}", compare_row("Logical (straight-line) edges", "many", r.logical_edges));
-    println!("{}", compare_row("Edges mapped onto phys corridors", "most", r.mapped_edges));
-    println!("{}", compare_row("Distinct corridor segments", "fewer", r.distinct_corridor_segments));
-    println!("{}", compare_row("Collapse factor (edges/segment)", "> 1", format!("{:.2}", r.collapse_factor)));
+    println!(
+        "{}",
+        compare_row("Logical (straight-line) edges", "many", r.logical_edges)
+    );
+    println!(
+        "{}",
+        compare_row("Edges mapped onto phys corridors", "most", r.mapped_edges)
+    );
+    println!(
+        "{}",
+        compare_row(
+            "Distinct corridor segments",
+            "fewer",
+            r.distinct_corridor_segments
+        )
+    );
+    println!(
+        "{}",
+        compare_row(
+            "Collapse factor (edges/segment)",
+            "> 1",
+            format!("{:.2}", r.collapse_factor)
+        )
+    );
 }
 
 /// Figures 1 & 9 — Madrid → Berlin fusion: the paper's motivating
@@ -269,20 +397,36 @@ fn fig9(scale: &str, world: &World, igdb: &Igdb) {
         .expect("scenario traceroute");
     let r = fuse(igdb, &trace.responding_ips());
     println!("{}", header(&format!("Figures 1 & 9 (scale: {scale})")));
-    println!("(Figure 1 theorized 4 ASes / 10 cities / 6 countries; the measurement collapses that)");
-    println!("{}", compare_row("ASes on the path", "3 (was 4)", r.ases.len()));
-    println!("{}", compare_row("Cities on the path", "5 (was 10)", r.metros.len()));
-    println!("{}", compare_row("Countries on the path", "3 (was 6)", r.countries.len()));
+    println!(
+        "(Figure 1 theorized 4 ASes / 10 cities / 6 countries; the measurement collapses that)"
+    );
     println!(
         "{}",
-        compare_row("Hops geolocated (Hoiho + CBG)", "7 + 4", format!(
-            "{} (+{} CBG)",
-            r.hops_geolocated, r.hops_geolocated_by_cbg
-        ))
+        compare_row("ASes on the path", "3 (was 4)", r.ases.len())
+    );
+    println!(
+        "{}",
+        compare_row("Cities on the path", "5 (was 10)", r.metros.len())
+    );
+    println!(
+        "{}",
+        compare_row("Countries on the path", "3 (was 6)", r.countries.len())
+    );
+    println!(
+        "{}",
+        compare_row(
+            "Hops geolocated (Hoiho + CBG)",
+            "7 + 4",
+            format!("{} (+{} CBG)", r.hops_geolocated, r.hops_geolocated_by_cbg)
+        )
     );
     println!(
         "path cities: {}",
-        r.metros.iter().map(|&m| igdb.metros.metro(m).label()).collect::<Vec<_>>().join(" -> ")
+        r.metros
+            .iter()
+            .map(|&m| igdb.metros.metro(m).label())
+            .collect::<Vec<_>>()
+            .join(" -> ")
     );
     println!("AS spatial extents (metros / countries):");
     for (asn, metros, countries) in &r.as_extents {
@@ -299,11 +443,21 @@ fn fig9(scale: &str, world: &World, igdb: &Igdb) {
 fn fig10(scale: &str, _world: &World, igdb: &Igdb) {
     let r = node_density(igdb);
     println!("{}", header(&format!("Figure 10 (scale: {scale})")));
-    println!("{}", compare_row("Total Thiessen cells", "7,342", r.total_cells));
-    println!("{}", compare_row("Cells with ≥1 physical node", "3,130", r.occupied_cells));
     println!(
         "{}",
-        compare_row("Occupied cells under 10 nodes", "most", format!("{:.0}%", 100.0 * r.under_ten_frac))
+        compare_row("Total Thiessen cells", "7,342", r.total_cells)
+    );
+    println!(
+        "{}",
+        compare_row("Cells with ≥1 physical node", "3,130", r.occupied_cells)
+    );
+    println!(
+        "{}",
+        compare_row(
+            "Occupied cells under 10 nodes",
+            "most",
+            format!("{:.0}%", 100.0 * r.under_ten_frac)
+        )
     );
     println!("CDF (nodes → fraction of occupied cells ≤ nodes):");
     let step = (r.cdf.len() / 10).max(1);
@@ -334,15 +488,60 @@ fn sec44(scale: &str, world: &World, igdb: &Igdb) {
         .count() as f64;
 
     println!("{}", header(&format!("Section 4.4 (scale: {scale})")));
-    println!("{}", compare_row("Observed IPs without rDNS", "36%", format!("{:.0}%", 100.0 * (1.0 - resolved / total))));
-    println!("{}", compare_row("Resolving IPs without geohints", "86%", format!("{:.0}%", 100.0 * (1.0 - hinted / resolved.max(1.0)))));
-    println!("{}", compare_row("New (city, AS) tuples", "2,231", bp.new_tuples.len()));
-    println!("{}", compare_row("Metros gaining entries", "124", bp.new_metros));
-    println!("{}", compare_row("ASes gaining entries", "240", bp.new_ases));
-    println!("{}", compare_row("ASes gaining first location", "177", bp.ases_gaining_first_location));
-    println!("{}", compare_row("BP vs Hoiho/IXP agreement", "86%", format!("{:.0}% ({}/{})", 100.0 * cons.agreement(), cons.agreeing, cons.comparable)));
+    println!(
+        "{}",
+        compare_row(
+            "Observed IPs without rDNS",
+            "36%",
+            format!("{:.0}%", 100.0 * (1.0 - resolved / total))
+        )
+    );
+    println!(
+        "{}",
+        compare_row(
+            "Resolving IPs without geohints",
+            "86%",
+            format!("{:.0}%", 100.0 * (1.0 - hinted / resolved.max(1.0)))
+        )
+    );
+    println!(
+        "{}",
+        compare_row("New (city, AS) tuples", "2,231", bp.new_tuples.len())
+    );
+    println!(
+        "{}",
+        compare_row("Metros gaining entries", "124", bp.new_metros)
+    );
+    println!(
+        "{}",
+        compare_row("ASes gaining entries", "240", bp.new_ases)
+    );
+    println!(
+        "{}",
+        compare_row(
+            "ASes gaining first location",
+            "177",
+            bp.ases_gaining_first_location
+        )
+    );
+    println!(
+        "{}",
+        compare_row(
+            "BP vs Hoiho/IXP agreement",
+            "86%",
+            format!(
+                "{:.0}% ({}/{})",
+                100.0 * cons.agreement(),
+                cons.agreeing,
+                cons.comparable
+            )
+        )
+    );
     let missing = missing_locations(igdb, world.scenarios.globetrans);
-    println!("{}", compare_row("Missing metros for the AS174-like", ">104", missing.len()));
+    println!(
+        "{}",
+        compare_row("Missing metros for the AS174-like", ">104", missing.len())
+    );
 }
 
 /// Ablation sweeps over the design choices DESIGN.md calls out:
@@ -354,7 +553,10 @@ fn sec44(scale: &str, world: &World, igdb: &Igdb) {
 ///   are than geodesics — the cost of refusing straight lines).
 fn ablation(scale: &str, world: &World, igdb: &Igdb) {
     println!("== Ablation 1: belief-propagation latency threshold (scale: {scale}) ==");
-    println!("{:>12} {:>14} {:>12} {:>10}", "threshold", "new addresses", "new tuples", "exact-acc");
+    println!(
+        "{:>12} {:>14} {:>12} {:>10}",
+        "threshold", "new addresses", "new tuples", "exact-acc"
+    );
     for threshold in [0.5, 1.0, 2.0, 4.0, 8.0] {
         let params = BeliefPropParams {
             metro_threshold_ms: threshold,
@@ -386,19 +588,21 @@ fn ablation(scale: &str, world: &World, igdb: &Igdb) {
             acc
         );
     }
-    println!("(looser thresholds locate more addresses at lower precision — the paper's §4.4 trade-off)");
+    println!(
+        "(looser thresholds locate more addresses at lower precision — the paper's §4.4 trade-off)"
+    );
 
     println!("\n== Ablation 2: InterTubes corridor width ==");
     let links = intertubes_recreation(&world.cities, &world.row);
-    println!("{:>12} {:>10} {:>8} {:>12}", "width", "covered", "missed", "alternates");
+    println!(
+        "{:>12} {:>10} {:>8} {:>12}",
+        "width", "covered", "missed", "alternates"
+    );
     for miles in [5.0, 10.0, 25.0, 50.0, 100.0] {
         let report = intertubes::compare_with_width(igdb, &links, miles * igdb_geo::KM_PER_MILE);
         println!(
             "{:>9} mi {:>10} {:>8} {:>12}",
-            miles,
-            report.covered,
-            report.missed,
-            report.alternate_paths
+            miles, report.covered, report.missed, report.alternate_paths
         );
     }
     println!("(wider corridors cover more links but blur the alternate-corridor signal)");
@@ -409,16 +613,19 @@ fn ablation(scale: &str, world: &World, igdb: &Igdb) {
         .phys_pairs
         .iter()
         .filter_map(|&(a, b, km)| {
-            let gc = igdb_geo::haversine_km(
-                &igdb.metros.metro(a).loc,
-                &igdb.metros.metro(b).loc,
-            );
+            let gc = igdb_geo::haversine_km(&igdb.metros.metro(a).loc, &igdb.metros.metro(b).loc);
             (gc > 1.0).then_some(km / gc)
         })
         .collect();
     stretches.sort_by(|x, y| x.partial_cmp(y).unwrap());
     let pct = |p: f64| stretches[(p * (stretches.len() - 1) as f64) as usize];
     println!("paths: {}", stretches.len());
-    println!("stretch p10 {:.2}  p50 {:.2}  p90 {:.2}  max {:.2}", pct(0.1), pct(0.5), pct(0.9), pct(1.0));
+    println!(
+        "stretch p10 {:.2}  p50 {:.2}  p90 {:.2}  max {:.2}",
+        pct(0.1),
+        pct(0.5),
+        pct(0.9),
+        pct(1.0)
+    );
     println!("(straight-line baselines would sit at 1.00 — the Figure 8 overstatement)");
 }

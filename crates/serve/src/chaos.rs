@@ -144,9 +144,10 @@ impl ChaosLedger {
             .outcomes
             .iter()
             .filter_map(|o| {
-                o.result.as_ref().err().map(|e| {
-                    format!("round {} {}: {e}", o.round, o.class.name())
-                })
+                o.result
+                    .as_ref()
+                    .err()
+                    .map(|e| format!("round {} {}: {e}", o.round, o.class.name()))
             })
             .collect();
         if self.clean_probes_failed > 0 {
@@ -169,10 +170,16 @@ pub fn run_chaos(env: &ChaosEnv, seed: u64, rounds: usize) -> ChaosLedger {
     // The control connection stays open across all injections: faults on
     // *other* connections must never perturb it. Its reference answer is
     // the byte-level contract for every later probe.
-    let mut control = Client::connect(&env.addr, env.client_timeout())
-        .expect("chaos control connection");
+    let mut control =
+        Client::connect(&env.addr, env.client_timeout()).expect("chaos control connection");
     let reference = control
-        .call(&Request::SpQuery { from: 0, to: (env.n_metros - 1) as u32 }, 0)
+        .call(
+            &Request::SpQuery {
+                from: 0,
+                to: (env.n_metros - 1) as u32,
+            },
+            0,
+        )
         .expect("chaos reference query");
 
     for round in 0..rounds {
@@ -186,11 +193,21 @@ pub fn run_chaos(env: &ChaosEnv, seed: u64, rounds: usize) -> ChaosLedger {
             if class == FaultClass::MidRequestDisconnect {
                 ledger.disconnects += 1;
             }
-            ledger.outcomes.push(ChaosOutcome { class, round, result });
+            ledger.outcomes.push(ChaosOutcome {
+                class,
+                round,
+                result,
+            });
             // Clean probe: the control connection still gets the exact
             // reference answer, plus a queued liveness round trip.
             let probe_ok = control
-                .call(&Request::SpQuery { from: 0, to: (env.n_metros - 1) as u32 }, 0)
+                .call(
+                    &Request::SpQuery {
+                        from: 0,
+                        to: (env.n_metros - 1) as u32,
+                    },
+                    0,
+                )
                 .map(|r| r == reference)
                 .unwrap_or(false)
                 && matches!(control.call(&Request::Ping, 0), Ok(Response::Pong));
@@ -207,49 +224,77 @@ pub fn run_chaos(env: &ChaosEnv, seed: u64, rounds: usize) -> ChaosLedger {
 /// Injects one fault and checks the class contract.
 fn inject(class: FaultClass, env: &ChaosEnv, rng: &mut StdRng) -> Result<Observed, String> {
     match class {
-        FaultClass::MalformedMagic => expect_reader_error(env, |stream, rng| {
-            // A full header's worth of noise whose magic can't match.
-            let mut junk = [0u8; HEADER_LEN];
-            for b in junk.iter_mut() {
-                *b = rng.gen_range(0..=255u32) as u8;
-            }
-            junk[0..4].copy_from_slice(&(!MAGIC).to_le_bytes());
-            stream.write_all(&junk).map_err(|e| format!("inject write: {e}"))
-        }, rng),
-        FaultClass::UnknownOpcode => expect_reader_error(env, |stream, _| {
-            write_frame(stream, 99, 0, 0x7F, &[]).map_err(|e| format!("inject write: {e}"))
-        }, rng),
-        FaultClass::TruncatedFrame => expect_reader_error(env, |stream, _| {
-            // Claim 64 payload bytes, deliver 5, then half-close: the
-            // server hits EOF mid-payload.
-            let mut buf = Vec::new();
-            buf.extend_from_slice(&MAGIC.to_le_bytes());
-            buf.extend_from_slice(&7u64.to_le_bytes());
-            buf.extend_from_slice(&0u32.to_le_bytes());
-            buf.push(0x02);
-            buf.extend_from_slice(&64u32.to_le_bytes());
-            buf.extend_from_slice(&[1, 2, 3, 4, 5]);
-            stream.write_all(&buf).map_err(|e| format!("inject write: {e}"))?;
-            stream.shutdown_write().map_err(|e| format!("half-close: {e}"))
-        }, rng),
-        FaultClass::OversizedFrame => expect_reader_error(env, |stream, _| {
-            let mut buf = Vec::new();
-            buf.extend_from_slice(&MAGIC.to_le_bytes());
-            buf.extend_from_slice(&8u64.to_le_bytes());
-            buf.extend_from_slice(&0u32.to_le_bytes());
-            buf.push(0x02);
-            buf.extend_from_slice(&u32::MAX.to_le_bytes());
-            stream.write_all(&buf).map_err(|e| format!("inject write: {e}"))
-        }, rng),
-        FaultClass::SlowLoris => expect_reader_error(env, |stream, _| {
-            // Ten header bytes, then silence past the server's cutoff.
-            stream
-                .write_all(&MAGIC.to_le_bytes())
-                .and_then(|_| stream.write_all(&[0u8; 6]))
-                .map_err(|e| format!("inject write: {e}"))?;
-            std::thread::sleep(env.io_timeout + Duration::from_millis(300));
-            Ok(())
-        }, rng),
+        FaultClass::MalformedMagic => expect_reader_error(
+            env,
+            |stream, rng| {
+                // A full header's worth of noise whose magic can't match.
+                let mut junk = [0u8; HEADER_LEN];
+                for b in junk.iter_mut() {
+                    *b = rng.gen_range(0..=255u32) as u8;
+                }
+                junk[0..4].copy_from_slice(&(!MAGIC).to_le_bytes());
+                stream
+                    .write_all(&junk)
+                    .map_err(|e| format!("inject write: {e}"))
+            },
+            rng,
+        ),
+        FaultClass::UnknownOpcode => expect_reader_error(
+            env,
+            |stream, _| {
+                write_frame(stream, 99, 0, 0x7F, &[]).map_err(|e| format!("inject write: {e}"))
+            },
+            rng,
+        ),
+        FaultClass::TruncatedFrame => expect_reader_error(
+            env,
+            |stream, _| {
+                // Claim 64 payload bytes, deliver 5, then half-close: the
+                // server hits EOF mid-payload.
+                let mut buf = Vec::new();
+                buf.extend_from_slice(&MAGIC.to_le_bytes());
+                buf.extend_from_slice(&7u64.to_le_bytes());
+                buf.extend_from_slice(&0u32.to_le_bytes());
+                buf.push(0x02);
+                buf.extend_from_slice(&64u32.to_le_bytes());
+                buf.extend_from_slice(&[1, 2, 3, 4, 5]);
+                stream
+                    .write_all(&buf)
+                    .map_err(|e| format!("inject write: {e}"))?;
+                stream
+                    .shutdown_write()
+                    .map_err(|e| format!("half-close: {e}"))
+            },
+            rng,
+        ),
+        FaultClass::OversizedFrame => expect_reader_error(
+            env,
+            |stream, _| {
+                let mut buf = Vec::new();
+                buf.extend_from_slice(&MAGIC.to_le_bytes());
+                buf.extend_from_slice(&8u64.to_le_bytes());
+                buf.extend_from_slice(&0u32.to_le_bytes());
+                buf.push(0x02);
+                buf.extend_from_slice(&u32::MAX.to_le_bytes());
+                stream
+                    .write_all(&buf)
+                    .map_err(|e| format!("inject write: {e}"))
+            },
+            rng,
+        ),
+        FaultClass::SlowLoris => expect_reader_error(
+            env,
+            |stream, _| {
+                // Ten header bytes, then silence past the server's cutoff.
+                stream
+                    .write_all(&MAGIC.to_le_bytes())
+                    .and_then(|_| stream.write_all(&[0u8; 6]))
+                    .map_err(|e| format!("inject write: {e}"))?;
+                std::thread::sleep(env.io_timeout + Duration::from_millis(300));
+                Ok(())
+            },
+            rng,
+        ),
         FaultClass::MidRequestDisconnect => {
             let mut client = Client::connect(&env.addr, env.client_timeout())
                 .map_err(|e| format!("connect: {e}"))?;
@@ -276,15 +321,19 @@ fn inject(class: FaultClass, env: &ChaosEnv, rng: &mut StdRng) -> Result<Observe
             // Containment proof: the same connection, worker pool, and
             // shared caches still answer a real query correctly.
             match client.call(
-                &Request::SpQuery { from: 0, to: (env.n_metros - 1) as u32 },
+                &Request::SpQuery {
+                    from: 0,
+                    to: (env.n_metros - 1) as u32,
+                },
                 0,
             ) {
                 Ok(Response::Path { .. }) | Ok(Response::NoRoute) => {}
-                other => {
-                    return Err(format!("connection dead after contained panic: {other:?}"))
-                }
+                other => return Err(format!("connection dead after contained panic: {other:?}")),
             }
-            Ok(Observed::TypedError { name: "internal", count: 1 })
+            Ok(Observed::TypedError {
+                name: "internal",
+                count: 1,
+            })
         }
         FaultClass::DeadlineStorm => {
             let mut client = Client::connect(&env.addr, env.client_timeout())
@@ -310,7 +359,10 @@ fn inject(class: FaultClass, env: &ChaosEnv, rng: &mut StdRng) -> Result<Observe
                     other => return Err(format!("expected Timeout, got {other:?}")),
                 }
             }
-            Ok(Observed::TypedError { name: "timeout", count: timeouts })
+            Ok(Observed::TypedError {
+                name: "timeout",
+                count: timeouts,
+            })
         }
         FaultClass::Saturation => saturate(env),
     }
@@ -341,12 +393,13 @@ fn expect_reader_error(
     match read_frame(&mut stream, crate::proto::DEFAULT_MAX_FRAME) {
         Err(FrameError::CleanEof) | Err(FrameError::Io(_)) => {}
         Ok(f) => return Err(format!("server kept talking after bad frame: {f:?}")),
-        Err(FrameError::IdleTimeout) => {
-            return Err("connection left open after bad frame".into())
-        }
+        Err(FrameError::IdleTimeout) => return Err("connection left open after bad frame".into()),
         Err(FrameError::Proto(e)) => return Err(format!("garbage after error: {e}")),
     }
-    Ok(Observed::TypedError { name: "bad_request", count: 1 })
+    Ok(Observed::TypedError {
+        name: "bad_request",
+        count: 1,
+    })
 }
 
 /// Saturation: occupy every worker and every queue slot with slow
@@ -370,7 +423,11 @@ fn saturate(env: &ChaosEnv) -> Result<Observed, String> {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             match control.call(&Request::Introspect, 0) {
-                Ok(Response::Introspect(Introspection { queue_depth, busy_workers, .. })) => {
+                Ok(Response::Introspect(Introspection {
+                    queue_depth,
+                    busy_workers,
+                    ..
+                })) => {
                     if pred(busy_workers, queue_depth) {
                         return Ok(());
                     }
@@ -388,7 +445,9 @@ fn saturate(env: &ChaosEnv) -> Result<Observed, String> {
     // A previous fault can leave an orphaned request still executing (a
     // disconnected client's sleep, say) — start from a quiescent pool so
     // the occupancy arithmetic below is exact.
-    wait_for("idle server before saturation", &|busy, depth| busy == 0 && depth == 0)?;
+    wait_for("idle server before saturation", &|busy, depth| {
+        busy == 0 && depth == 0
+    })?;
     // One at a time: a pipelined burst of `workers` sleeps passes
     // *through* the queue, and when `workers > capacity` the transit
     // alone overflows it and sheds an occupier. `depth == 0` confirms
@@ -397,14 +456,18 @@ fn saturate(env: &ChaosEnv) -> Result<Observed, String> {
         occupier
             .send(&Request::Sleep { ms: 600 }, 10_000)
             .map_err(|e| format!("send worker occupier: {e}"))?;
-        wait_for("worker occupancy", &move |busy, depth| busy as usize > i && depth == 0)?;
+        wait_for("worker occupancy", &move |busy, depth| {
+            busy as usize > i && depth == 0
+        })?;
     }
     for _ in 0..env.queue_capacity {
         occupier
             .send(&Request::Sleep { ms: 600 }, 10_000)
             .map_err(|e| format!("send queue occupier: {e}"))?;
     }
-    wait_for("queue fill", &|_, depth| depth as usize == env.queue_capacity)?;
+    wait_for("queue fill", &|_, depth| {
+        depth as usize == env.queue_capacity
+    })?;
     // The probe must shed, typed, with the observed depth.
     let mut probe = Client::connect(&env.addr, env.client_timeout())
         .map_err(|e| format!("connect probe: {e}"))?;
@@ -426,5 +489,8 @@ fn saturate(env: &ChaosEnv) -> Result<Observed, String> {
             other => return Err(format!("occupier {i} lost under saturation: {other:?}")),
         }
     }
-    Ok(Observed::TypedError { name: "overloaded", count: 1 })
+    Ok(Observed::TypedError {
+        name: "overloaded",
+        count: 1,
+    })
 }

@@ -83,7 +83,13 @@ impl Client {
     pub fn send(&mut self, req: &Request, deadline_ms: u32) -> io::Result<u64> {
         let id = self.next_id;
         self.next_id += 1;
-        write_frame(&mut self.stream, id, deadline_ms, req.op(), &req.encode_payload())?;
+        write_frame(
+            &mut self.stream,
+            id,
+            deadline_ms,
+            req.op(),
+            &req.encode_payload(),
+        )?;
         Ok(id)
     }
 
@@ -93,8 +99,8 @@ impl Client {
         loop {
             match read_frame(&mut self.stream, DEFAULT_MAX_FRAME) {
                 Ok(frame) => {
-                    let resp = Response::decode(frame.op, &frame.payload)
-                        .map_err(ClientError::Proto)?;
+                    let resp =
+                        Response::decode(frame.op, &frame.payload).map_err(ClientError::Proto)?;
                     return Ok((frame.id, resp));
                 }
                 Err(FrameError::IdleTimeout) => continue,
@@ -182,7 +188,11 @@ pub struct LoadgenSummary {
 impl LoadgenSummary {
     /// Typed errors of one kind.
     pub fn error_count(&self, name: &str) -> u64 {
-        self.errors.iter().find(|(n, _)| *n == name).map(|&(_, c)| c).unwrap_or(0)
+        self.errors
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, c)| c)
+            .unwrap_or(0)
     }
 
     /// All typed errors.
@@ -232,11 +242,15 @@ fn splitmix64(mut x: u64) -> u64 {
 fn gen_request(rng: &mut StdRng, n_metros: usize) -> Request {
     let n = n_metros.max(2) as u32;
     match rng.gen_range(0u32..100) {
-        0..=54 => Request::SpQuery { from: rng.gen_range(0..n), to: rng.gen_range(0..n) },
+        0..=54 => Request::SpQuery {
+            from: rng.gen_range(0..n),
+            to: rng.gen_range(0..n),
+        },
         55..=69 => {
             let len = rng.gen_range(2usize..=6);
-            let pairs =
-                (0..len).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n))).collect();
+            let pairs = (0..len)
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .collect();
             Request::SpBatch { pairs }
         }
         70..=79 => {
@@ -250,7 +264,9 @@ fn gen_request(rng: &mut StdRng, n_metros: usize) -> Request {
                 north: south + rng.gen_range(2.0f64..10.0),
             }
         }
-        80..=89 => Request::Footprint { top_n: rng.gen_range(3u16..=12) },
+        80..=89 => Request::Footprint {
+            top_n: rng.gen_range(3u16..=12),
+        },
         _ => Request::Ping,
     }
 }
@@ -258,7 +274,12 @@ fn gen_request(rng: &mut StdRng, n_metros: usize) -> Request {
 /// Runs the load generator against `addr`. `n_metros` bounds the metro
 /// ids in the mix (ask the server via `Request::Introspect` when remote).
 /// Metrics land in `reg` (installed per worker thread).
-pub fn run_loadgen(addr: &ServerAddr, n_metros: usize, cfg: &LoadgenConfig, reg: &Registry) -> LoadgenSummary {
+pub fn run_loadgen(
+    addr: &ServerAddr,
+    n_metros: usize,
+    cfg: &LoadgenConfig,
+    reg: &Registry,
+) -> LoadgenSummary {
     let conns = cfg.conns.max(1);
     let start = Instant::now();
     let mut handles = Vec::new();
@@ -277,8 +298,14 @@ pub fn run_loadgen(addr: &ServerAddr, n_metros: usize, cfg: &LoadgenConfig, reg:
         lost += h.join().unwrap_or(0);
     }
     let wall = start.elapsed();
-    let sent: u64 = KIND_LABELS.iter().map(|k| reg.counter_value("loadgen.sent", k)).sum();
-    let ok: u64 = KIND_LABELS.iter().map(|k| reg.counter_value("loadgen.ok", k)).sum();
+    let sent: u64 = KIND_LABELS
+        .iter()
+        .map(|k| reg.counter_value("loadgen.sent", k))
+        .sum();
+    let ok: u64 = KIND_LABELS
+        .iter()
+        .map(|k| reg.counter_value("loadgen.ok", k))
+        .sum();
     let errors: Vec<(&'static str, u64)> = ServeError::NAMES
         .iter()
         .map(|&n| (n, reg.perf_value("loadgen.err", n)))
@@ -306,7 +333,9 @@ pub fn run_loadgen(addr: &ServerAddr, n_metros: usize, cfg: &LoadgenConfig, reg:
         throughput: ok as f64 / wall.as_secs_f64().max(1e-9),
         p50_us,
         p99_us,
-        late_p99_us: reg.histogram("loadgen.late_us", "").map(|h| h.quantile(0.99)),
+        late_p99_us: reg
+            .histogram("loadgen.late_us", "")
+            .map(|h| h.quantile(0.99)),
     }
 }
 
@@ -423,11 +452,7 @@ fn open_loop(
                                 .unwrap_or_else(|e| e.into_inner())
                                 .remove(&frame.id);
                             if let Some((kind, t0)) = sent {
-                                record_response(
-                                    kind,
-                                    t0.elapsed().as_micros() as u64,
-                                    &resp,
-                                );
+                                record_response(kind, t0.elapsed().as_micros() as u64, &resp);
                                 got += 1;
                             }
                         }
@@ -443,10 +468,8 @@ fn open_loop(
                             }
                         }
                         Err(_) => {
-                            let pending = in_flight
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .len() as u64;
+                            let pending =
+                                in_flight.lock().unwrap_or_else(|e| e.into_inner()).len() as u64;
                             igdb_obs::perf("loadgen.lost", "", pending);
                             lost += pending;
                             break;
@@ -475,9 +498,15 @@ fn open_loop(
         // can come back (and the receiver run) before `send` returns, and
         // a response with no in-flight entry would never be counted.
         let id = client.peek_id();
-        in_flight.lock().unwrap_or_else(|e| e.into_inner()).insert(id, (kind, due));
+        in_flight
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(id, (kind, due));
         if client.send(&req, cfg.deadline_ms).is_err() {
-            in_flight.lock().unwrap_or_else(|e| e.into_inner()).remove(&id);
+            in_flight
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .remove(&id);
             igdb_obs::perf("loadgen.lost", "", 1);
             send_failures += 1;
         }

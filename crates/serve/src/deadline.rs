@@ -22,7 +22,10 @@ pub struct Deadline {
 impl Deadline {
     /// A deadline `budget` from now.
     pub fn after(budget: Duration) -> Self {
-        Self { at: Instant::now() + budget, budget }
+        Self {
+            at: Instant::now() + budget,
+            budget,
+        }
     }
 
     /// The budget the deadline was created with, in milliseconds (echoed
@@ -44,7 +47,9 @@ impl Deadline {
     /// The safepoint check: `Err(Timeout)` once the budget is spent.
     pub fn check(&self) -> Result<(), ServeError> {
         if self.expired() {
-            Err(ServeError::Timeout { budget_ms: self.budget_ms() })
+            Err(ServeError::Timeout {
+                budget_ms: self.budget_ms(),
+            })
         } else {
             Ok(())
         }

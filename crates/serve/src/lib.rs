@@ -42,9 +42,7 @@ pub use proto::{Introspection, ProtoError, Request, Response, INTROSPECT_VERSION
 pub use recorder::{
     ClientRow, FlightRecorder, HistDigest, RecorderConfig, RecorderSnapshot, RequestTrace,
 };
-pub use server::{
-    DrainReport, Listener, Server, ServerAddr, ServerConfig, Stream, KINDS,
-};
+pub use server::{DrainReport, Listener, Server, ServerAddr, ServerConfig, Stream, KINDS};
 
 /// One full in-process loadgen session: start a server over `igdb` on a
 /// unix socket, drive the seeded loadgen against it with **one shared

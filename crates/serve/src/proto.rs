@@ -61,7 +61,12 @@ pub enum Request {
     /// pairs (the analysis-loop safepoint).
     SpBatch { pairs: Vec<(u32, u32)> },
     /// Hazard-region exposure (§4.4) over an axis-aligned bounding box.
-    RiskExposure { west: f64, south: f64, east: f64, north: f64 },
+    RiskExposure {
+        west: f64,
+        south: f64,
+        east: f64,
+        north: f64,
+    },
     /// Country-presence footprint (§4.5, Table 2).
     Footprint { top_n: u16 },
     /// Test op: hold a worker for `ms`, checking the deadline every
@@ -121,7 +126,12 @@ impl Request {
                     out.extend_from_slice(&b.to_le_bytes());
                 }
             }
-            Request::RiskExposure { west, south, east, north } => {
+            Request::RiskExposure {
+                west,
+                south,
+                east,
+                north,
+            } => {
                 for v in [west, south, east, north] {
                     out.extend_from_slice(&v.to_bits().to_le_bytes());
                 }
@@ -139,7 +149,10 @@ impl Request {
         let mut c = Cur::new(payload);
         let req = match op {
             0x01 => Request::Ping,
-            0x02 => Request::SpQuery { from: c.u32()?, to: c.u32()? },
+            0x02 => Request::SpQuery {
+                from: c.u32()?,
+                to: c.u32()?,
+            },
             0x03 => {
                 let n = c.u32()? as usize;
                 // Bound before allocating: the count must be consistent
@@ -179,13 +192,27 @@ impl Request {
 pub enum Response {
     Pong,
     /// A route exists: hop count and length.
-    Path { hops: u32, km: f64 },
+    Path {
+        hops: u32,
+        km: f64,
+    },
     /// No route between the endpoints (a result, not an error).
     NoRoute,
     /// Batch summary: routed pairs, unreachable pairs, total km routed.
-    Batch { routed: u32, unreachable: u32, total_km: f64 },
-    Risk { paths: u32, cables: u32, metros: u32, ases: u32 },
-    Footprint { rows: u32 },
+    Batch {
+        routed: u32,
+        unreachable: u32,
+        total_km: f64,
+    },
+    Risk {
+        paths: u32,
+        cables: u32,
+        metros: u32,
+        ases: u32,
+    },
+    Footprint {
+        rows: u32,
+    },
     Slept,
     /// Live introspection snapshot; payload is versioned (see
     /// [`Introspection`]).
@@ -421,12 +448,21 @@ impl Response {
                 out.extend_from_slice(&hops.to_le_bytes());
                 out.extend_from_slice(&km.to_bits().to_le_bytes());
             }
-            Response::Batch { routed, unreachable, total_km } => {
+            Response::Batch {
+                routed,
+                unreachable,
+                total_km,
+            } => {
                 out.extend_from_slice(&routed.to_le_bytes());
                 out.extend_from_slice(&unreachable.to_le_bytes());
                 out.extend_from_slice(&total_km.to_bits().to_le_bytes());
             }
-            Response::Risk { paths, cables, metros, ases } => {
+            Response::Risk {
+                paths,
+                cables,
+                metros,
+                ases,
+            } => {
                 for v in [paths, cables, metros, ases] {
                     out.extend_from_slice(&v.to_le_bytes());
                 }
@@ -454,7 +490,10 @@ impl Response {
         let mut c = Cur::new(payload);
         let resp = match tag {
             0x81 => Response::Pong,
-            0x82 => Response::Path { hops: c.u32()?, km: c.f64()? },
+            0x82 => Response::Path {
+                hops: c.u32()?,
+                km: c.f64()?,
+            },
             0x83 => Response::NoRoute,
             0x84 => Response::Batch {
                 routed: c.u32()?,
@@ -478,10 +517,16 @@ impl Response {
                 Response::Error(match code {
                     1 => ServeError::BadRequest { detail },
                     2 => ServeError::Timeout { budget_ms: aux },
-                    3 => ServeError::Overloaded { queue_depth: aux as u32 },
+                    3 => ServeError::Overloaded {
+                        queue_depth: aux as u32,
+                    },
                     4 => ServeError::Internal { detail },
                     5 => ServeError::ShuttingDown,
-                    _ => return Err(ProtoError::BadValue { what: "unknown error code" }),
+                    _ => {
+                        return Err(ProtoError::BadValue {
+                            what: "unknown error code",
+                        })
+                    }
                 })
             }
             other => return Err(ProtoError::UnknownOpcode { op: other }),
@@ -616,7 +661,9 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Frame, FrameError
     header[0] = first[0];
     if let Err(e) = r.read_exact(&mut header[1..]) {
         return Err(if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            FrameError::Proto(ProtoError::Truncated { what: "frame header" })
+            FrameError::Proto(ProtoError::Truncated {
+                what: "frame header",
+            })
         } else {
             FrameError::Io(e)
         });
@@ -630,14 +677,24 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Frame, FrameError
     let op = header[16];
     let len = u32::from_le_bytes(header[17..21].try_into().unwrap());
     if len > max_frame {
-        return Err(FrameError::Proto(ProtoError::FrameTooLarge { len, max: max_frame }));
+        return Err(FrameError::Proto(ProtoError::FrameTooLarge {
+            len,
+            max: max_frame,
+        }));
     }
     // Grown as bytes arrive, never sized by the claimed `len`: a header
     // that promises more than its sender delivers costs what was sent.
     let mut payload = Vec::new();
     match r.take(u64::from(len)).read_to_end(&mut payload) {
-        Ok(n) if n == len as usize => Ok(Frame { id, deadline_ms, op, payload }),
-        Ok(_) => Err(FrameError::Proto(ProtoError::Truncated { what: "frame payload" })),
+        Ok(n) if n == len as usize => Ok(Frame {
+            id,
+            deadline_ms,
+            op,
+            payload,
+        }),
+        Ok(_) => Err(FrameError::Proto(ProtoError::Truncated {
+            what: "frame payload",
+        })),
         Err(e) => Err(FrameError::Io(e)),
     }
 }
@@ -658,7 +715,9 @@ impl<'a> Cur<'a> {
             .off
             .checked_add(n)
             .filter(|&e| e <= self.b.len())
-            .ok_or(ProtoError::Truncated { what: "payload field" })?;
+            .ok_or(ProtoError::Truncated {
+                what: "payload field",
+            })?;
         let s = &self.b[self.off..end];
         self.off = end;
         Ok(s)
@@ -693,7 +752,9 @@ impl<'a> Cur<'a> {
         if self.off == self.b.len() {
             Ok(())
         } else {
-            Err(ProtoError::TrailingBytes { extra: self.b.len() - self.off })
+            Err(ProtoError::TrailingBytes {
+                extra: self.b.len() - self.off,
+            })
         }
     }
 }
@@ -716,7 +777,9 @@ mod tests {
     fn requests_roundtrip() {
         roundtrip_request(Request::Ping);
         roundtrip_request(Request::SpQuery { from: 3, to: 900 });
-        roundtrip_request(Request::SpBatch { pairs: vec![(0, 1), (5, 2), (7, 7)] });
+        roundtrip_request(Request::SpBatch {
+            pairs: vec![(0, 1), (5, 2), (7, 7)],
+        });
         roundtrip_request(Request::RiskExposure {
             west: -98.0,
             south: 27.0,
@@ -733,16 +796,32 @@ mod tests {
     fn responses_roundtrip() {
         let all = [
             Response::Pong,
-            Response::Path { hops: 4, km: 1234.5 },
+            Response::Path {
+                hops: 4,
+                km: 1234.5,
+            },
             Response::NoRoute,
-            Response::Batch { routed: 10, unreachable: 2, total_km: 99.25 },
-            Response::Risk { paths: 1, cables: 2, metros: 3, ases: 4 },
+            Response::Batch {
+                routed: 10,
+                unreachable: 2,
+                total_km: 99.25,
+            },
+            Response::Risk {
+                paths: 1,
+                cables: 2,
+                metros: 3,
+                ases: 4,
+            },
             Response::Footprint { rows: 11 },
             Response::Slept,
-            Response::Error(ServeError::BadRequest { detail: "bad\nfield".into() }),
+            Response::Error(ServeError::BadRequest {
+                detail: "bad\nfield".into(),
+            }),
             Response::Error(ServeError::Timeout { budget_ms: 250 }),
             Response::Error(ServeError::Overloaded { queue_depth: 8 }),
-            Response::Error(ServeError::Internal { detail: "panicked".into() }),
+            Response::Error(ServeError::Internal {
+                detail: "panicked".into(),
+            }),
             Response::Error(ServeError::ShuttingDown),
         ];
         for resp in all {
@@ -782,13 +861,28 @@ mod tests {
                         rejected: [0, 0, 3, 0, 0],
                         bytes_in: 2520,
                         bytes_out: 5000,
-                        queue_wait: HistDigest { count: 60, p50_us: 40, p99_us: 900, max_us: 1500 },
+                        queue_wait: HistDigest {
+                            count: 60,
+                            p50_us: 40,
+                            p99_us: 900,
+                            max_us: 1500,
+                        },
                     },
-                    ClientRow { conn: 2, requests: 40, ok: 35, ..Default::default() },
+                    ClientRow {
+                        conn: 2,
+                        requests: 40,
+                        ok: 35,
+                        ..Default::default()
+                    },
                 ],
                 epoch_pins: vec![(2, 30), (3, 70)],
                 pins_evicted: 12,
-                epoch_lag: HistDigest { count: 30, p50_us: 100, p99_us: 4000, max_us: 9000 },
+                epoch_lag: HistDigest {
+                    count: 30,
+                    p50_us: 100,
+                    p99_us: 4000,
+                    max_us: 9000,
+                },
             },
             counters: "serve.ok{ping} 32\nserve.ok{sp_query} 152\n".to_string(),
         }
@@ -798,7 +892,10 @@ mod tests {
     fn introspection_roundtrips_versioned() {
         let resp = Response::Introspect(sample_introspection());
         let payload = resp.encode_payload();
-        assert_eq!(payload[0], INTROSPECT_VERSION, "payload leads with the version");
+        assert_eq!(
+            payload[0], INTROSPECT_VERSION,
+            "payload leads with the version"
+        );
         assert_eq!(Response::decode(resp.tag(), &payload).unwrap(), resp);
         // An all-defaults snapshot (fresh server) round-trips too.
         let empty = Response::Introspect(Introspection::default());
@@ -893,9 +990,18 @@ mod tests {
         );
 
         // Unknown opcode — including the retired `Stats` pair, 0x08/0x88.
-        assert_eq!(Request::decode(0x7F, &[]), Err(ProtoError::UnknownOpcode { op: 0x7F }));
-        assert_eq!(Request::decode(0x08, &[]), Err(ProtoError::UnknownOpcode { op: 8 }));
-        assert_eq!(Response::decode(0x88, &[0; 17]), Err(ProtoError::UnknownOpcode { op: 0x88 }));
+        assert_eq!(
+            Request::decode(0x7F, &[]),
+            Err(ProtoError::UnknownOpcode { op: 0x7F })
+        );
+        assert_eq!(
+            Request::decode(0x08, &[]),
+            Err(ProtoError::UnknownOpcode { op: 8 })
+        );
+        assert_eq!(
+            Response::decode(0x88, &[0; 17]),
+            Err(ProtoError::UnknownOpcode { op: 0x88 })
+        );
 
         // Batch count inconsistent with its bytes (never over-allocates).
         let mut payload = Vec::new();

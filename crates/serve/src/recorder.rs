@@ -290,19 +290,17 @@ impl FlightRecorder {
         let i = err.code() as usize - 1;
         let mut g = self.inner.lock().unwrap();
         g.rejected[i] += 1;
-        g.clients.entry(conn).or_insert_with(ClientStats::new).rejected[i] += 1;
+        g.clients
+            .entry(conn)
+            .or_insert_with(ClientStats::new)
+            .rejected[i] += 1;
     }
 
     /// A worker completed an admitted request. `pinned_published_at` is
     /// the publish instant of the epoch the request pinned; `newest` is
     /// the epoch current at completion (number + publish instant), used
     /// as the lag reference when the pinned epoch has been superseded.
-    pub fn on_done(
-        &self,
-        rt: RequestTrace,
-        pinned_published_at: Instant,
-        newest: (u64, Instant),
-    ) {
+    pub fn on_done(&self, rt: RequestTrace, pinned_published_at: Instant, newest: (u64, Instant)) {
         let now = Instant::now();
         let mut g = self.inner.lock().unwrap();
         g.live = g.live.saturating_sub(1);
@@ -327,7 +325,9 @@ impl FlightRecorder {
         // publish instant is used when known, else the newest epoch's (a
         // lower bound on the true lag).
         *g.epoch_pins.entry(rt.epoch).or_insert(0) += 1;
-        g.epoch_published.entry(rt.epoch).or_insert(pinned_published_at);
+        g.epoch_published
+            .entry(rt.epoch)
+            .or_insert(pinned_published_at);
         g.epoch_published.entry(newest.0).or_insert(newest.1);
         if rt.epoch < newest.0 {
             if let Some((_, &published)) = g.epoch_published.range(rt.epoch + 1..).next() {
@@ -545,7 +545,11 @@ mod tests {
         for (i, s) in spans.iter().enumerate() {
             match i % 3 {
                 0 => {
-                    assert!(s.name.starts_with("slow.sp_query conn=7"), "root: {}", s.name);
+                    assert!(
+                        s.name.starts_with("slow.sp_query conn=7"),
+                        "root: {}",
+                        s.name
+                    );
                     assert_eq!(s.parent, None);
                 }
                 _ => assert_eq!(s.parent, Some(i - i % 3), "child of its own root"),
@@ -576,7 +580,10 @@ mod tests {
         let name = "quote\" backslash\\ newline\n tab\t";
         let trace = TraceContext::new(3, 9, "request");
         trace.record(name, 0, 5);
-        let rt = RequestTrace { record: trace.finish(), ..completed(3, 9, 0) };
+        let rt = RequestTrace {
+            record: trace.finish(),
+            ..completed(3, 9, 0)
+        };
         let (text, lines) = render_slow_entry(&rt, 0);
         assert_eq!(lines, 2);
         let parsed = igdb_obs::Registry::from_json_lines(&text).unwrap();

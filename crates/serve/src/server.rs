@@ -340,7 +340,8 @@ impl Shared {
             return Err(ServeError::Overloaded { queue_depth: depth });
         }
         self.reg.counter_add("serve.requests", job.req.kind(), 1);
-        self.reg.counter_add("serve.bytes_in", job.req.kind(), job.bytes_in);
+        self.reg
+            .counter_add("serve.bytes_in", job.req.kind(), job.bytes_in);
         self.recorder.on_admit(job.conn, job.bytes_in);
         q.push_back(job);
         let depth = q.len() as u64;
@@ -407,8 +408,16 @@ pub struct Server {
 }
 
 /// All request kinds, for summing per-kind counters.
-pub const KINDS: [&str; 8] =
-    ["ping", "sp_query", "sp_batch", "risk", "footprint", "sleep", "panic", "introspect"];
+pub const KINDS: [&str; 8] = [
+    "ping",
+    "sp_query",
+    "sp_batch",
+    "risk",
+    "footprint",
+    "sleep",
+    "panic",
+    "introspect",
+];
 
 impl Server {
     /// Starts serving on `listener`. The shared [`Igdb`]'s physical
@@ -427,7 +436,11 @@ impl Server {
             let _span = igdb_obs::span("serve.prepare");
             igdb.phys_graph();
         }
-        let workers = if cfg.workers == 0 { igdb_par::num_threads() } else { cfg.workers };
+        let workers = if cfg.workers == 0 {
+            igdb_par::num_threads()
+        } else {
+            cfg.workers
+        };
         let recorder = FlightRecorder::new(RecorderConfig {
             ring: cfg.trace_ring,
             slow_ms: cfg.slow_ms,
@@ -464,7 +477,12 @@ impl Server {
                 .spawn(move || acceptor_loop(&shared, listener))
                 .expect("spawn acceptor")
         };
-        Ok(Server { shared, addr, acceptor: Some(acceptor), workers: worker_handles })
+        Ok(Server {
+            shared,
+            addr,
+            acceptor: Some(acceptor),
+            workers: worker_handles,
+        })
     }
 
     /// The address clients should connect to (resolved, so an ephemeral
@@ -514,24 +532,41 @@ impl Server {
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
-        for c in self.shared.conns.lock().unwrap_or_else(|e| e.into_inner()).drain(..) {
+        for c in self
+            .shared
+            .conns
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .drain(..)
+        {
             let _ = c.shutdown();
         }
-        let readers: Vec<_> =
-            self.shared.readers.lock().unwrap_or_else(|e| e.into_inner()).drain(..).collect();
+        let readers: Vec<_> = self
+            .shared
+            .readers
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .drain(..)
+            .collect();
         for r in readers {
             let _ = r.join();
         }
         self.shared.recorder.flush();
         let reg = &self.shared.reg;
         let served = KINDS.iter().map(|k| reg.counter_value("serve.ok", k)).sum();
-        let errors =
-            ServeError::NAMES.iter().map(|n| reg.perf_value("serve.err", n)).sum();
+        let errors = ServeError::NAMES
+            .iter()
+            .map(|n| reg.perf_value("serve.err", n))
+            .sum();
         let rejects = ["shed", "shutting_down", "bad_request"]
             .iter()
             .map(|n| reg.perf_value("serve.rejects", n))
             .sum();
-        DrainReport { served, errors, rejects }
+        DrainReport {
+            served,
+            errors,
+            rejects,
+        }
     }
 }
 
@@ -554,14 +589,22 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: Listener) {
         let _ = stream.set_timeouts(Some(shared.cfg.io_timeout));
         shared.reg.perf_add("serve.conns", "opened", 1);
         if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().unwrap_or_else(|e| e.into_inner()).push(clone);
+            shared
+                .conns
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(clone);
         }
         let shared2 = Arc::clone(shared);
         let handle = std::thread::Builder::new()
             .name("igdb-serve-reader".into())
             .spawn(move || reader_loop(&shared2, stream))
             .expect("spawn reader");
-        shared.readers.lock().unwrap_or_else(|e| e.into_inner()).push(handle);
+        shared
+            .readers
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(handle);
     }
 }
 
@@ -571,7 +614,9 @@ fn reader_loop(shared: &Arc<Shared>, stream: Stream) {
     let _ins = shared.reg.install();
     let conn = shared.next_conn.fetch_add(1, Ordering::SeqCst) + 1;
     let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(ConnWriter { stream: Mutex::new(w) }),
+        Ok(w) => Arc::new(ConnWriter {
+            stream: Mutex::new(w),
+        }),
         Err(_) => {
             shared.reg.perf_add("serve.conns", "closed_error", 1);
             return;
@@ -637,7 +682,9 @@ fn reader_loop(shared: &Arc<Shared>, stream: Stream) {
                         // typed, then close — the stream may be
                         // desynchronized past this point.
                         shared.reg.perf_add("serve.rejects", "bad_request", 1);
-                        let e = ServeError::BadRequest { detail: pe.to_string() };
+                        let e = ServeError::BadRequest {
+                            detail: pe.to_string(),
+                        };
                         shared.recorder.on_reject(conn, &e);
                         let _ = writer.send(frame.id, &Response::Error(e));
                         break "closed_proto";
@@ -666,7 +713,9 @@ fn reader_loop(shared: &Arc<Shared>, stream: Stream) {
             Err(FrameError::Proto(pe)) => {
                 // Unframeable bytes: one typed error, then hang up.
                 shared.reg.perf_add("serve.rejects", "bad_request", 1);
-                let e = ServeError::BadRequest { detail: pe.to_string() };
+                let e = ServeError::BadRequest {
+                    detail: pe.to_string(),
+                };
                 shared.recorder.on_reject(conn, &e);
                 let _ = writer.send(0, &Response::Error(e));
                 break "closed_proto";
@@ -819,9 +868,10 @@ fn execute(
             let (from, to) = (check_metro(*from)?, check_metro(*to)?);
             let pg = igdb.phys_graph();
             match pg.shortest_path_cached(ws, from, to) {
-                Some((path, km)) => {
-                    Ok(Response::Path { hops: path.len().saturating_sub(1) as u32, km })
-                }
+                Some((path, km)) => Ok(Response::Path {
+                    hops: path.len().saturating_sub(1) as u32,
+                    km,
+                }),
                 None => Ok(Response::NoRoute),
             }
         }
@@ -841,9 +891,18 @@ fn execute(
                     None => unreachable += 1,
                 }
             }
-            Ok(Response::Batch { routed, unreachable, total_km })
+            Ok(Response::Batch {
+                routed,
+                unreachable,
+                total_km,
+            })
         }
-        Request::RiskExposure { west, south, east, north } => {
+        Request::RiskExposure {
+            west,
+            south,
+            east,
+            north,
+        } => {
             let finite = [west, south, east, north].iter().all(|v| v.is_finite());
             if !finite || west >= east || south >= north {
                 return Err(ServeError::BadRequest {
@@ -874,7 +933,9 @@ fn execute(
                 });
             }
             let rows = footprint::top_by_countries(igdb, *top_n as usize);
-            Ok(Response::Footprint { rows: rows.len() as u32 })
+            Ok(Response::Footprint {
+                rows: rows.len() as u32,
+            })
         }
         Request::Sleep { ms } => {
             // 1 ms slices with a deadline check between each: the
@@ -890,7 +951,9 @@ fn execute(
         Request::Introspect => {
             // The control op is answered inline by the reader; reaching a
             // worker is a dispatch bug.
-            Err(ServeError::Internal { detail: "control op reached a worker".into() })
+            Err(ServeError::Internal {
+                detail: "control op reached a worker".into(),
+            })
         }
     }
 }

@@ -24,7 +24,12 @@ fn arb_request() -> BoxedStrategy<Request> {
         (any::<u32>(), any::<u32>()).prop_map(|(from, to)| Request::SpQuery { from, to }),
         vec((any::<u32>(), any::<u32>()), 0..40).prop_map(|pairs| Request::SpBatch { pairs }),
         (any::<f64>(), any::<f64>(), any::<f64>(), any::<f64>()).prop_map(
-            |(west, south, east, north)| Request::RiskExposure { west, south, east, north }
+            |(west, south, east, north)| Request::RiskExposure {
+                west,
+                south,
+                east,
+                north
+            }
         ),
         any::<u16>().prop_map(|top_n| Request::Footprint { top_n }),
         any::<u32>().prop_map(|ms| Request::Sleep { ms }),
@@ -35,12 +40,27 @@ fn arb_request() -> BoxedStrategy<Request> {
 /// Every field of an `Introspection` drawn from one pool of words, so a
 /// pair of fields swapped between encoder and decoder cannot cancel out.
 fn arb_introspection() -> impl Strategy<Value = Introspection> {
-    (vec(any::<u64>(), 160), 0usize..4, 0usize..6, any::<bool>(), "[a-z._{} 0-9]{0,60}").prop_map(
-        |(pool, n_clients, n_pins, draining, counters)| {
+    (
+        vec(any::<u64>(), 160),
+        0usize..4,
+        0usize..6,
+        any::<bool>(),
+        "[a-z._{} 0-9]{0,60}",
+    )
+        .prop_map(|(pool, n_clients, n_pins, draining, counters)| {
             let pool = std::cell::RefCell::new(pool.into_iter());
-            let w = || pool.borrow_mut().next().expect("pool sized for the largest snapshot");
+            let w = || {
+                pool.borrow_mut()
+                    .next()
+                    .expect("pool sized for the largest snapshot")
+            };
             let five = || [w(), w(), w(), w(), w()];
-            let digest = || HistDigest { count: w(), p50_us: w(), p99_us: w(), max_us: w() };
+            let digest = || HistDigest {
+                count: w(),
+                p50_us: w(),
+                p99_us: w(),
+                max_us: w(),
+            };
             let clients = (0..n_clients)
                 .map(|_| ClientRow {
                     conn: w(),
@@ -82,8 +102,7 @@ fn arb_introspection() -> impl Strategy<Value = Introspection> {
                 recorder,
                 counters,
             }
-        },
-    )
+        })
 }
 
 fn arb_response() -> BoxedStrategy<Response> {
@@ -94,7 +113,11 @@ fn arb_response() -> BoxedStrategy<Response> {
         Just(Response::Slept),
         (any::<u32>(), any::<f64>()).prop_map(|(hops, km)| Response::Path { hops, km }),
         (any::<u32>(), any::<u32>(), any::<f64>()).prop_map(|(routed, unreachable, total_km)| {
-            Response::Batch { routed, unreachable, total_km }
+            Response::Batch {
+                routed,
+                unreachable,
+                total_km,
+            }
         }),
         vec(any::<u32>(), 4).prop_map(|v| Response::Risk {
             paths: v[0],

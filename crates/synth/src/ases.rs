@@ -152,7 +152,12 @@ const SYLLABLES: &[&str] = &[
     "ver", "lum", "cog", "atla", "pace", "eura", "zen", "nova", "tele", "net", "glo", "byte",
     "fib", "axi", "ora", "quan", "stra", "heli", "arc", "cirr", "volt", "mira", "sky", "terra",
 ];
-const ORG_SUFFIX_WHOIS: &[&str] = &["Communications, LLC", "Networks, Inc.", "Holdings Ltd", "Group LLC"];
+const ORG_SUFFIX_WHOIS: &[&str] = &[
+    "Communications, LLC",
+    "Networks, Inc.",
+    "Holdings Ltd",
+    "Group LLC",
+];
 const ORG_SUFFIX_PCH: &[&str] = &["Networks B.V.", "Telecom GmbH", "Services S.A.", "Ltd"];
 
 fn brand_name(rng: &mut StdRng) -> String {
@@ -275,10 +280,10 @@ fn internal_edges(cities: &[City], footprint: &[usize], rng: &mut StdRng) -> Vec
 fn make_edge(cities: &[City], x: usize, y: usize) -> InternalEdge {
     let (a, b) = if x < y { (x, y) } else { (y, x) };
     let submarine = continent_of(&cities[a].country) != continent_of(&cities[b].country)
-        || igdb_geo::haversine_km(&cities[a].loc, &cities[b].loc) > crate::rightofway::MAX_SEGMENT_KM;
+        || igdb_geo::haversine_km(&cities[a].loc, &cities[b].loc)
+            > crate::rightofway::MAX_SEGMENT_KM;
     InternalEdge { a, b, submarine }
 }
-
 
 /// Random 60–90% subset of a footprint (what the AS declares publicly).
 /// Always keeps at least one city.
@@ -596,8 +601,20 @@ mod tests {
     fn counts_match_request() {
         let (_, eco) = ecosystem();
         assert_eq!(eco.len(), 6 + 24 + 80 + 6);
-        assert_eq!(eco.ases.iter().filter(|a| a.class == AsClass::Tier1).count(), 6);
-        assert_eq!(eco.ases.iter().filter(|a| a.class == AsClass::Content).count(), 6);
+        assert_eq!(
+            eco.ases
+                .iter()
+                .filter(|a| a.class == AsClass::Tier1)
+                .count(),
+            6
+        );
+        assert_eq!(
+            eco.ases
+                .iter()
+                .filter(|a| a.class == AsClass::Content)
+                .count(),
+            6
+        );
         assert_eq!(eco.graph.len(), eco.len());
     }
 
@@ -710,7 +727,8 @@ mod tests {
         let (cities, eco) = ecosystem();
         for a in &eco.ases {
             for e in &a.internal_edges {
-                let cross = continent_of(&cities[e.a].country) != continent_of(&cities[e.b].country);
+                let cross =
+                    continent_of(&cities[e.a].country) != continent_of(&cities[e.b].country);
                 if cross {
                     assert!(e.submarine, "{}: {:?} should be submarine", a.asn, e);
                 }

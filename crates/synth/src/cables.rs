@@ -48,7 +48,14 @@ const CABLE_ADJECTIVES: &[&str] = &[
     "Express", "Connect", "Gateway", "Bridge", "Link", "Crossing", "Light", "Wave", "Reach",
 ];
 const OCEAN_NAMES: &[&str] = &[
-    "Atlantic", "Pacific", "Meridian", "Austral", "Boreal", "Equatorial", "Azure", "Coral",
+    "Atlantic",
+    "Pacific",
+    "Meridian",
+    "Austral",
+    "Boreal",
+    "Equatorial",
+    "Azure",
+    "Coral",
     "Polar",
 ];
 
@@ -209,7 +216,11 @@ mod tests {
                 cross += 1;
             }
         }
-        assert!(cross * 2 > cs.len(), "most cables should cross continents: {cross}/{}", cs.len());
+        assert!(
+            cross * 2 > cs.len(),
+            "most cables should cross continents: {cross}/{}",
+            cs.len()
+        );
     }
 
     #[test]

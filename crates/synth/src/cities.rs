@@ -60,7 +60,9 @@ pub fn continent_of(country: &str) -> Continent {
     match country {
         "US" | "CA" | "MX" | "GT" | "SV" | "HN" | "NI" | "CR" | "PA" | "CU" | "JM" | "DO"
         | "PR" | "BZ" | "BS" | "HT" | "BB" | "TT" => NorthAmerica,
-        "CO" | "VE" | "EC" | "PE" | "BO" | "CL" | "AR" | "UY" | "PY" | "BR" | "GY" | "SR" => SouthAmerica,
+        "CO" | "VE" | "EC" | "PE" | "BO" | "CL" | "AR" | "UY" | "PY" | "BR" | "GY" | "SR" => {
+            SouthAmerica
+        }
         "ES" | "PT" | "FR" | "DE" | "NL" | "BE" | "GB" | "IE" | "IT" | "CH" | "AT" | "CZ"
         | "PL" | "HU" | "RO" | "BG" | "GR" | "SE" | "NO" | "DK" | "FI" | "EE" | "LV" | "LT"
         | "UA" | "RU" | "TR" | "HR" | "RS" | "SK" | "SI" | "LU" | "IS" | "MT" | "CY" | "AL"
@@ -80,7 +82,15 @@ pub fn continent_of(country: &str) -> Continent {
 }
 
 /// Row format: (name, state, country, lon, lat, pop_thousands, coastal).
-type Row = (&'static str, &'static str, &'static str, f64, f64, u32, bool);
+type Row = (
+    &'static str,
+    &'static str,
+    &'static str,
+    f64,
+    f64,
+    u32,
+    bool,
+);
 
 /// The embedded real-city catalogue. Coordinates are approximate city
 /// centres; population figures are metro-scale and rounded.
@@ -429,16 +439,18 @@ pub fn build_cities(total: usize, rng: &mut StdRng) -> Vec<City> {
     let mut cities: Vec<City> = REAL_CITIES
         .iter()
         .enumerate()
-        .map(|(id, &(name, state, country, lon, lat, pop, coastal))| City {
-            id,
-            name: name.to_string(),
-            state: state.to_string(),
-            country: country.to_string(),
-            loc: GeoPoint::new(lon, lat),
-            population: pop,
-            coastal,
-            synthetic: false,
-        })
+        .map(
+            |(id, &(name, state, country, lon, lat, pop, coastal))| City {
+                id,
+                name: name.to_string(),
+                state: state.to_string(),
+                country: country.to_string(),
+                loc: GeoPoint::new(lon, lat),
+                population: pop,
+                coastal,
+                synthetic: false,
+            },
+        )
         .collect();
     // Population-weighted anchor choice without external weighted-index
     // machinery: cumulative sums.
@@ -457,11 +469,16 @@ pub fn build_cities(total: usize, rng: &mut StdRng) -> Vec<City> {
     let mut town_serial = 0usize;
     while cities.len() < total {
         let pick = rng.gen_range(0..total_pop);
-        let anchor_idx = cum.partition_point(|&s| s <= pick).min(REAL_CITIES.len() - 1);
+        let anchor_idx = cum
+            .partition_point(|&s| s <= pick)
+            .min(REAL_CITIES.len() - 1);
         let anchor_loc = cities[anchor_idx].loc;
         let dlon = rng.gen_range(-2.5..2.5);
         let dlat = rng.gen_range(-2.0..2.0);
-        let loc = GeoPoint::new(anchor_loc.lon + dlon, (anchor_loc.lat + dlat).clamp(-85.0, 85.0));
+        let loc = GeoPoint::new(
+            anchor_loc.lon + dlon,
+            (anchor_loc.lat + dlat).clamp(-85.0, 85.0),
+        );
         if !used_coords.insert((loc.lon.to_bits(), loc.lat.to_bits())) {
             continue;
         }
@@ -510,10 +527,18 @@ mod tests {
 
     #[test]
     fn catalogue_has_experiment_cities() {
-        let names: std::collections::HashSet<&str> =
-            REAL_CITIES.iter().map(|r| r.0).collect();
+        let names: std::collections::HashSet<&str> = REAL_CITIES.iter().map(|r| r.0).collect();
         // Figure 7 cities.
-        for c in ["Kansas City", "Tulsa", "Oklahoma City", "Dallas", "Houston", "Atlanta", "St Louis", "Nashville"] {
+        for c in [
+            "Kansas City",
+            "Tulsa",
+            "Oklahoma City",
+            "Dallas",
+            "Houston",
+            "Atlanta",
+            "St Louis",
+            "Nashville",
+        ] {
             assert!(names.contains(c), "missing {c}");
         }
         // Figure 1/9 cities.
@@ -532,7 +557,11 @@ mod tests {
             assert!(seen.insert(name), "duplicate city name {name}");
             continent_of(country); // panics on unknown country
         }
-        assert!(REAL_CITIES.len() >= 230, "catalogue too small: {}", REAL_CITIES.len());
+        assert!(
+            REAL_CITIES.len() >= 230,
+            "catalogue too small: {}",
+            REAL_CITIES.len()
+        );
     }
 
     #[test]
@@ -562,8 +591,7 @@ mod tests {
     fn towns_inherit_country_of_anchor() {
         let mut rng = StdRng::seed_from_u64(9);
         let cities = build_cities(600, &mut rng);
-        let countries: std::collections::HashSet<&str> =
-            REAL_CITIES.iter().map(|r| r.2).collect();
+        let countries: std::collections::HashSet<&str> = REAL_CITIES.iter().map(|r| r.2).collect();
         for t in cities.iter().filter(|c| c.synthetic) {
             assert!(countries.contains(t.country.as_str()));
             assert!(!t.coastal);

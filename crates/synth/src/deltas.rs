@@ -171,16 +171,34 @@ fn atlas_churn(snaps: &mut SnapshotSet, rng: &mut StdRng, ledger: &mut Vec<Delta
             .atlas_links
             .retain(|l| l.from_node != gone.node_name && l.to_node != gone.node_name);
         for _ in 0..before - snaps.atlas_links.len() {
-            op(ledger, class, SourceId::AtlasLinks, DeltaKind::Removed, &gone.node_name);
+            op(
+                ledger,
+                class,
+                SourceId::AtlasLinks,
+                DeltaKind::Removed,
+                &gone.node_name,
+            );
         }
-        op(ledger, class, SourceId::AtlasNodes, DeltaKind::Removed, &gone.node_name);
+        op(
+            ledger,
+            class,
+            SourceId::AtlasNodes,
+            DeltaKind::Removed,
+            &gone.node_name,
+        );
     }
     // Re-survey: shift one surviving node's coordinates slightly.
     if !snaps.atlas_nodes.is_empty() {
         let i = rng.gen_range(0..snaps.atlas_nodes.len());
         let n = &mut snaps.atlas_nodes[i];
         n.loc = GeoPoint::new(n.loc.lon + 0.02, n.loc.lat - 0.015);
-        op(ledger, class, SourceId::AtlasNodes, DeltaKind::Mutated, &n.node_name);
+        op(
+            ledger,
+            class,
+            SourceId::AtlasNodes,
+            DeltaKind::Mutated,
+            &n.node_name,
+        );
     }
     // Growth: a new PoP near an existing one, linked to it.
     if let Some(anchor) = snaps.atlas_nodes.first().cloned() {
@@ -227,20 +245,44 @@ fn facility_churn(snaps: &mut SnapshotSet, rng: &mut StdRng, ledger: &mut Vec<De
         let before = snaps.pdb_netfac.len();
         snaps.pdb_netfac.retain(|nf| nf.fac_id != gone.fac_id);
         for _ in 0..before - snaps.pdb_netfac.len() {
-            op(ledger, class, SourceId::PdbNetfac, DeltaKind::Removed, format!("fac:{}", gone.fac_id));
+            op(
+                ledger,
+                class,
+                SourceId::PdbNetfac,
+                DeltaKind::Removed,
+                format!("fac:{}", gone.fac_id),
+            );
         }
-        op(ledger, class, SourceId::PdbFacilities, DeltaKind::Removed, format!("fac:{}", gone.fac_id));
+        op(
+            ledger,
+            class,
+            SourceId::PdbFacilities,
+            DeltaKind::Removed,
+            format!("fac:{}", gone.fac_id),
+        );
     }
     // Re-survey.
     if !snaps.pdb_facilities.is_empty() {
         let i = rng.gen_range(0..snaps.pdb_facilities.len());
         let f = &mut snaps.pdb_facilities[i];
         f.loc = GeoPoint::new(f.loc.lon - 0.03, f.loc.lat + 0.01);
-        op(ledger, class, SourceId::PdbFacilities, DeltaKind::Mutated, format!("fac:{}", f.fac_id));
+        op(
+            ledger,
+            class,
+            SourceId::PdbFacilities,
+            DeltaKind::Mutated,
+            format!("fac:{}", f.fac_id),
+        );
     }
     // Opening: a new facility next to an existing one.
     if let Some(anchor) = snaps.pdb_facilities.first().cloned() {
-        let new_id = snaps.pdb_facilities.iter().map(|f| f.fac_id).max().unwrap_or(0) + 1;
+        let new_id = snaps
+            .pdb_facilities
+            .iter()
+            .map(|f| f.fac_id)
+            .max()
+            .unwrap_or(0)
+            + 1;
         snaps.pdb_facilities.push(PdbFacility {
             fac_id: new_id,
             name: format!("{} Annex", anchor.name),
@@ -248,7 +290,13 @@ fn facility_churn(snaps: &mut SnapshotSet, rng: &mut StdRng, ledger: &mut Vec<De
             country: anchor.country,
             loc: GeoPoint::new(anchor.loc.lon + 0.01, anchor.loc.lat + 0.02),
         });
-        op(ledger, class, SourceId::PdbFacilities, DeltaKind::Added, format!("fac:{new_id}"));
+        op(
+            ledger,
+            class,
+            SourceId::PdbFacilities,
+            DeltaKind::Added,
+            format!("fac:{new_id}"),
+        );
     }
 }
 
@@ -288,7 +336,13 @@ fn traceroute_churn(snaps: &mut SnapshotSet, rng: &mut StdRng, ledger: &mut Vec<
         };
         let key = format!("trace:{}->{}", rev.src_anchor, rev.dst_anchor);
         snaps.ripe_traceroutes.push(rev);
-        op(ledger, class, SourceId::RipeTraceroutes, DeltaKind::Added, key);
+        op(
+            ledger,
+            class,
+            SourceId::RipeTraceroutes,
+            DeltaKind::Added,
+            key,
+        );
     }
 }
 
@@ -299,21 +353,44 @@ fn logical_churn(snaps: &mut SnapshotSet, rng: &mut StdRng, ledger: &mut Vec<Del
         let i = rng.gen_range(0..snaps.asrank_entries.len());
         let e = &mut snaps.asrank_entries[i];
         e.org = format!("{} Holdings", e.org);
-        op(ledger, class, SourceId::AsRankEntries, DeltaKind::Mutated, format!("as:{}", e.asn));
+        op(
+            ledger,
+            class,
+            SourceId::AsRankEntries,
+            DeltaKind::Mutated,
+            format!("as:{}", e.asn),
+        );
     }
     // A peering link disappears from the collectors…
     if !snaps.asrank_links.is_empty() {
         let i = rng.gen_range(0..snaps.asrank_links.len());
         let (a, b) = snaps.asrank_links.remove(i);
-        op(ledger, class, SourceId::AsRankLinks, DeltaKind::Removed, format!("{a}-{b}"));
+        op(
+            ledger,
+            class,
+            SourceId::AsRankLinks,
+            DeltaKind::Removed,
+            format!("{a}-{b}"),
+        );
     }
     // …and a new one appears between known ASes.
     if snaps.asrank_entries.len() >= 2 {
         let a = snaps.asrank_entries[0].asn;
         let b = snaps.asrank_entries[snaps.asrank_entries.len() - 1].asn;
-        if a != b && !snaps.asrank_links.iter().any(|&(x, y)| (x, y) == (a, b) || (x, y) == (b, a)) {
+        if a != b
+            && !snaps
+                .asrank_links
+                .iter()
+                .any(|&(x, y)| (x, y) == (a, b) || (x, y) == (b, a))
+        {
             snaps.asrank_links.push((a, b));
-            op(ledger, class, SourceId::AsRankLinks, DeltaKind::Added, format!("{a}-{b}"));
+            op(
+                ledger,
+                class,
+                SourceId::AsRankLinks,
+                DeltaKind::Added,
+                format!("{a}-{b}"),
+            );
         }
     }
 }
@@ -322,14 +399,26 @@ fn road_churn(snaps: &mut SnapshotSet, rng: &mut StdRng, ledger: &mut Vec<DeltaO
     let class = DeltaClass::RoadChurn;
     for i in pick_desc(rng, snaps.roads.len().saturating_sub(1)) {
         let gone = snaps.roads.remove(i);
-        op(ledger, class, SourceId::Roads, DeltaKind::Removed, format!("road:{}-{}", gone.a, gone.b));
+        op(
+            ledger,
+            class,
+            SourceId::Roads,
+            DeltaKind::Removed,
+            format!("road:{}-{}", gone.a, gone.b),
+        );
     }
     // Re-measured segment (stays positive).
     if !snaps.roads.is_empty() {
         let i = rng.gen_range(0..snaps.roads.len());
         let r = &mut snaps.roads[i];
         r.length_km *= 1.05;
-        op(ledger, class, SourceId::Roads, DeltaKind::Mutated, format!("road:{}-{}", r.a, r.b));
+        op(
+            ledger,
+            class,
+            SourceId::Roads,
+            DeltaKind::Mutated,
+            format!("road:{}-{}", r.a, r.b),
+        );
     }
 }
 
@@ -351,9 +440,21 @@ fn metro_add(snaps: &mut SnapshotSet, rng: &mut StdRng, ledger: &mut Vec<DeltaOp
             loc: GeoPoint::new(anchor.loc.lon + 1.5 + k as f64 * 0.7, anchor.loc.lat - 1.1),
             population: 10_000 + k as u32,
         });
-        op(ledger, class, SourceId::NaturalEarth, DeltaKind::Added, &name);
+        op(
+            ledger,
+            class,
+            SourceId::NaturalEarth,
+            DeltaKind::Added,
+            &name,
+        );
         snaps.geo_codes.push((format!("D{seed}{k}"), id));
-        op(ledger, class, SourceId::GeoCodes, DeltaKind::Added, format!("D{seed}{k}"));
+        op(
+            ledger,
+            class,
+            SourceId::GeoCodes,
+            DeltaKind::Added,
+            format!("D{seed}{k}"),
+        );
     }
 }
 
@@ -364,14 +465,26 @@ fn metro_remove(snaps: &mut SnapshotSet, rng: &mut StdRng, ledger: &mut Vec<Delt
     }
     let m = rng.gen_range(0..snaps.natural_earth.len());
     let gone = snaps.natural_earth.remove(m);
-    op(ledger, class, SourceId::NaturalEarth, DeltaKind::Removed, &gone.name);
+    op(
+        ledger,
+        class,
+        SourceId::NaturalEarth,
+        DeltaKind::Removed,
+        &gone.name,
+    );
     // Cascade through index-based references, the same shape the
     // validator's metro-id remap handles: drop records touching `m`,
     // shift every index above it down one.
     let before = snaps.roads.len();
     snaps.roads.retain(|r| r.a != m && r.b != m);
     for _ in 0..before - snaps.roads.len() {
-        op(ledger, class, SourceId::Roads, DeltaKind::Removed, format!("metro:{m}"));
+        op(
+            ledger,
+            class,
+            SourceId::Roads,
+            DeltaKind::Removed,
+            format!("metro:{m}"),
+        );
     }
     for r in &mut snaps.roads {
         if r.a > m {
@@ -384,7 +497,13 @@ fn metro_remove(snaps: &mut SnapshotSet, rng: &mut StdRng, ledger: &mut Vec<Delt
     let before = snaps.geo_codes.len();
     snaps.geo_codes.retain(|(_, idx)| *idx != m);
     for _ in 0..before - snaps.geo_codes.len() {
-        op(ledger, class, SourceId::GeoCodes, DeltaKind::Removed, format!("metro:{m}"));
+        op(
+            ledger,
+            class,
+            SourceId::GeoCodes,
+            DeltaKind::Removed,
+            format!("metro:{m}"),
+        );
     }
     for (_, idx) in &mut snaps.geo_codes {
         if *idx > m {
@@ -460,8 +579,16 @@ mod tests {
         let names: std::collections::BTreeSet<&str> =
             d.atlas_nodes.iter().map(|n| n.node_name.as_str()).collect();
         for l in &d.atlas_links {
-            assert!(names.contains(l.from_node.as_str()), "dangling from_node {}", l.from_node);
-            assert!(names.contains(l.to_node.as_str()), "dangling to_node {}", l.to_node);
+            assert!(
+                names.contains(l.from_node.as_str()),
+                "dangling from_node {}",
+                l.from_node
+            );
+            assert!(
+                names.contains(l.to_node.as_str()),
+                "dangling to_node {}",
+                l.to_node
+            );
         }
         assert!(ledger.iter().any(|o| o.kind == DeltaKind::Removed));
         assert!(ledger.iter().any(|o| o.kind == DeltaKind::Added));
@@ -483,7 +610,11 @@ mod tests {
         let ids: std::collections::BTreeSet<u32> =
             d.pdb_facilities.iter().map(|f| f.fac_id).collect();
         for nf in &d.pdb_netfac {
-            assert!(ids.contains(&nf.fac_id), "netfac points at missing fac {}", nf.fac_id);
+            assert!(
+                ids.contains(&nf.fac_id),
+                "netfac points at missing fac {}",
+                nf.fac_id
+            );
         }
     }
 
@@ -494,7 +625,10 @@ mod tests {
         assert_eq!(d.natural_earth.len(), base.natural_earth.len() - 1);
         let n = d.natural_earth.len();
         for r in &d.roads {
-            assert!(r.a < n && r.b < n, "road endpoint out of range after cascade");
+            assert!(
+                r.a < n && r.b < n,
+                "road endpoint out of range after cascade"
+            );
         }
         for (_, idx) in &d.geo_codes {
             assert!(*idx < n, "geo code out of range after cascade");

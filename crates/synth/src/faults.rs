@@ -396,7 +396,11 @@ mod tests {
         let mut s = snaps();
         let before_traces = s.ripe_traceroutes.len();
         let ledger = inject_faults(&mut s, 42, &FaultClass::ALL_RECORD_CLASSES);
-        assert_eq!(s.ripe_traceroutes.len(), before_traces, "faults mutate, never resize");
+        assert_eq!(
+            s.ripe_traceroutes.len(),
+            before_traces,
+            "faults mutate, never resize"
+        );
         for f in &ledger {
             assert_eq!(f.source, f.class.source());
             let i = f.index.expect("record classes carry an index");

@@ -122,8 +122,14 @@ pub fn rocketfuel_recreation(world: &World) -> RocketfuelMap {
         .eco
         .get(world.scenarios.heartland)
         .expect("scenario AS");
-    let east = world.eco.get(world.scenarios.eastcore).expect("scenario AS");
-    let gulf = world.eco.get(world.scenarios.gulfeast).expect("scenario AS");
+    let east = world
+        .eco
+        .get(world.scenarios.eastcore)
+        .expect("scenario AS");
+    let gulf = world
+        .eco
+        .get(world.scenarios.gulfeast)
+        .expect("scenario AS");
     let mut metros: Vec<usize> = heart
         .footprint
         .iter()
@@ -209,10 +215,7 @@ mod tests {
             .collect();
         assert!(names.contains(&"Atlanta") && names.contains(&"Houston"));
         // Geodesic ≈ great-circle length, far below any road detour.
-        let gc = igdb_geo::haversine_km(
-            &w.cities[off.from_city].loc,
-            &w.cities[off.to_city].loc,
-        );
+        let gc = igdb_geo::haversine_km(&w.cities[off.from_city].loc, &w.cities[off.to_city].loc);
         let plen = igdb_geo::polyline_length_km(&off.path);
         assert!((plen - gc).abs() < gc * 0.01);
     }
@@ -224,10 +227,18 @@ mod tests {
         assert!(map.metros.len() >= 10);
         // The logical map must contain more edges than the physical edges
         // of the underlying ASes (the added shortcuts).
-        let phys_edges: usize = [w.scenarios.heartland, w.scenarios.eastcore, w.scenarios.gulfeast]
-            .iter()
-            .map(|&a| w.eco.get(a).unwrap().internal_edges.len())
-            .sum();
-        assert!(map.edges.len() > phys_edges, "{} vs {phys_edges}", map.edges.len());
+        let phys_edges: usize = [
+            w.scenarios.heartland,
+            w.scenarios.eastcore,
+            w.scenarios.gulfeast,
+        ]
+        .iter()
+        .map(|&a| w.eco.get(a).unwrap().internal_edges.len())
+        .sum();
+        assert!(
+            map.edges.len() > phys_edges,
+            "{} vs {phys_edges}",
+            map.edges.len()
+        );
     }
 }

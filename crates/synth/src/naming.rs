@@ -49,9 +49,8 @@ impl GeoCodebook {
             // Treat the code as a base-26 number and probe upward (with
             // wraparound) until a free slot appears.
             let b = base.as_bytes();
-            let mut n = (b[0] - b'a') as usize * 676
-                + (b[1] - b'a') as usize * 26
-                + (b[2] - b'a') as usize;
+            let mut n =
+                (b[0] - b'a') as usize * 676 + (b[1] - b'a') as usize * 26 + (b[2] - b'a') as usize;
             let mut code = base.clone();
             if used3 >= SPACE3 {
                 // Spill: probe the 26⁴ space from the same base position.
@@ -139,7 +138,10 @@ pub fn hostname_for(
         )),
         RdnsStyle::Opaque => {
             let o = ip.octets();
-            Some(format!("ip-{}-{}-{}-{}.{}.net", o[0], o[1], o[2], o[3], dom))
+            Some(format!(
+                "ip-{}-{}-{}-{}.{}.net",
+                o[0], o[1], o[2], o[3], dom
+            ))
         }
         RdnsStyle::None => None,
     }
@@ -275,7 +277,9 @@ mod tests {
 
         let h = hostname_for(&geo_as, kc, &book, ip, 3).unwrap();
         let re = Regex::new(&rules[0].pattern).unwrap();
-        let caps = re.captures(&h).expect("geo rule must match its own hostnames");
+        let caps = re
+            .captures(&h)
+            .expect("geo rule must match its own hostnames");
         assert_eq!(book.city(caps.group(1).unwrap()), Some(kc.id));
 
         let h2 = hostname_for(&city_as, kc, &book, ip, 3).unwrap();

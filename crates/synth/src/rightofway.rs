@@ -246,7 +246,8 @@ mod tests {
         let (cities, net) = small_world();
         let find = |name: &str| cities.iter().find(|c| c.name == name).unwrap().id;
         assert!(
-            net.shortest_path(find("New York"), find("London")).is_none(),
+            net.shortest_path(find("New York"), find("London"))
+                .is_none(),
             "no road across the Atlantic"
         );
         assert!(net.shortest_path(find("Sydney"), find("Tokyo")).is_none());
@@ -278,7 +279,11 @@ mod tests {
                 break;
             }
         }
-        assert!((dij - dist[dst]).abs() < 1e-6, "dijkstra {dij} vs bf {}", dist[dst]);
+        assert!(
+            (dij - dist[dst]).abs() < 1e-6,
+            "dijkstra {dij} vs bf {}",
+            dist[dst]
+        );
     }
 
     #[test]
@@ -289,7 +294,10 @@ mod tests {
         let geom = net.path_geometry(&path);
         assert!(geom.len() >= 2);
         let geom_km = polyline_length_km(&geom);
-        assert!((geom_km - km).abs() < 1.0, "geometry {geom_km} vs dist {km}");
+        assert!(
+            (geom_km - km).abs() < 1.0,
+            "geometry {geom_km} vs dist {km}"
+        );
         // Endpoints are the city locations.
         assert!(haversine_km(&geom[0], &cities[find("Dallas")].loc) < 1.0);
         assert!(haversine_km(geom.last().unwrap(), &cities[find("Houston")].loc) < 1.0);

@@ -103,7 +103,11 @@ pub fn install(cities: &[City], eco: &mut AsEcosystem) -> Scenarios {
             c("Denver"),
         ];
         let mut edges = chain_edges(&[c("Kansas City"), c("Tulsa"), c("Dallas")]);
-        edges.extend(chain_edges(&[c("Kansas City"), c("Oklahoma City"), c("Dallas")]));
+        edges.extend(chain_edges(&[
+            c("Kansas City"),
+            c("Oklahoma City"),
+            c("Dallas"),
+        ]));
         edges.extend(chain_edges(&[c("Kansas City"), c("Omaha"), c("Denver")]));
         let declared = footprint.clone();
         eco.register(SynthAs {
@@ -116,7 +120,7 @@ pub fn install(cities: &[City], eco: &mut AsEcosystem) -> Scenarios {
             internal_edges: edges,
             rdns_style: RdnsStyle::GeoCode,
             mpls: true,
-        in_atlas: true,
+            in_atlas: true,
         });
         eco.graph
             .add_edge(heartland, tier1s[0], AsRelationship::CustomerOf);
@@ -133,7 +137,12 @@ pub fn install(cities: &[City], eco: &mut AsEcosystem) -> Scenarios {
             c("Jacksonville"),
         ];
         let mut edges = chain_edges(&[c("Dallas"), c("Houston"), c("Atlanta")]);
-        edges.extend(chain_edges(&[c("Houston"), c("New Orleans"), c("Jacksonville"), c("Atlanta")]));
+        edges.extend(chain_edges(&[
+            c("Houston"),
+            c("New Orleans"),
+            c("Jacksonville"),
+            c("Atlanta"),
+        ]));
         let declared = footprint.clone();
         eco.register(SynthAs {
             asn: gulfeast,
@@ -150,7 +159,8 @@ pub fn install(cities: &[City], eco: &mut AsEcosystem) -> Scenarios {
         eco.graph
             .add_edge(gulfeast, tier1s[1], AsRelationship::CustomerOf);
         // Heartland and GulfEast peer in Dallas.
-        eco.graph.add_edge(heartland, gulfeast, AsRelationship::Peer);
+        eco.graph
+            .add_edge(heartland, gulfeast, AsRelationship::Peer);
     }
 
     // EastCore: the shorter inland corridor whose phys paths make the
@@ -165,7 +175,12 @@ pub fn install(cities: &[City], eco: &mut AsEcosystem) -> Scenarios {
             c("Memphis"),
             c("Chicago"),
         ];
-        let mut edges = chain_edges(&[c("Kansas City"), c("St Louis"), c("Nashville"), c("Atlanta")]);
+        let mut edges = chain_edges(&[
+            c("Kansas City"),
+            c("St Louis"),
+            c("Nashville"),
+            c("Atlanta"),
+        ]);
         edges.extend(chain_edges(&[c("St Louis"), c("Chicago")]));
         edges.extend(chain_edges(&[c("Nashville"), c("Memphis")]));
         let declared = footprint.clone();
@@ -207,7 +222,8 @@ pub fn install(cities: &[City], eco: &mut AsEcosystem) -> Scenarios {
             mpls: false,
             in_atlas: false,
         });
-        eco.graph.add_edge(asn, provider, AsRelationship::CustomerOf);
+        eco.graph
+            .add_edge(asn, provider, AsRelationship::CustomerOf);
     }
 
     // ---------------- Figure 9: Madrid → Berlin ----------------
@@ -224,7 +240,12 @@ pub fn install(cities: &[City], eco: &mut AsEcosystem) -> Scenarios {
             c("London"),
         ];
         let mut edges = chain_edges(&[c("Madrid"), c("Paris"), c("Frankfurt")]);
-        edges.extend(chain_edges(&[c("Madrid"), c("Barcelona"), c("Lyon"), c("Paris")]));
+        edges.extend(chain_edges(&[
+            c("Madrid"),
+            c("Barcelona"),
+            c("Lyon"),
+            c("Paris"),
+        ]));
         edges.extend(chain_edges(&[c("Paris"), c("London")]));
         edges.extend(chain_edges(&[c("Frankfurt"), c("Amsterdam")]));
         edges.extend(chain_edges(&[c("Lyon"), c("Milan")]));
@@ -241,7 +262,8 @@ pub fn install(cities: &[City], eco: &mut AsEcosystem) -> Scenarios {
             mpls: false,
             in_atlas: true,
         });
-        eco.graph.add_edge(paneu, tier1s[0], AsRelationship::CustomerOf);
+        eco.graph
+            .add_edge(paneu, tier1s[0], AsRelationship::CustomerOf);
     }
     let germanet = Asn(64522);
     {
@@ -255,8 +277,16 @@ pub fn install(cities: &[City], eco: &mut AsEcosystem) -> Scenarios {
             c("Brussels"),
         ];
         let mut edges = chain_edges(&[c("Frankfurt"), c("Dusseldorf"), c("Berlin")]);
-        edges.extend(chain_edges(&[c("Dusseldorf"), c("Cologne"), c("Frankfurt")]));
-        edges.extend(chain_edges(&[c("Dusseldorf"), c("Amsterdam"), c("Brussels")]));
+        edges.extend(chain_edges(&[
+            c("Dusseldorf"),
+            c("Cologne"),
+            c("Frankfurt"),
+        ]));
+        edges.extend(chain_edges(&[
+            c("Dusseldorf"),
+            c("Amsterdam"),
+            c("Brussels"),
+        ]));
         edges.extend(chain_edges(&[c("Berlin"), c("Hamburg")]));
         let declared = footprint.clone();
         eco.register(SynthAs {
@@ -271,7 +301,8 @@ pub fn install(cities: &[City], eco: &mut AsEcosystem) -> Scenarios {
             mpls: false,
             in_atlas: true,
         });
-        eco.graph.add_edge(germanet, tier1s[1], AsRelationship::CustomerOf);
+        eco.graph
+            .add_edge(germanet, tier1s[1], AsRelationship::CustomerOf);
         eco.graph.add_edge(paneu, germanet, AsRelationship::Peer); // in Frankfurt
     }
     let anchor_mad = Asn(65003);
@@ -292,7 +323,8 @@ pub fn install(cities: &[City], eco: &mut AsEcosystem) -> Scenarios {
             mpls: false,
             in_atlas: false,
         });
-        eco.graph.add_edge(asn, provider, AsRelationship::CustomerOf);
+        eco.graph
+            .add_edge(asn, provider, AsRelationship::CustomerOf);
     }
 
     // ---------------- Figure 6: overlapping US access ISPs ----------------
@@ -303,7 +335,10 @@ pub fn install(cities: &[City], eco: &mut AsEcosystem) -> Scenarios {
         .filter(|x| x.country == "US")
         .map(|x| x.id)
         .collect();
-    assert!(us_cities.len() >= 101, "need ≥101 US urban areas for Figure 6");
+    assert!(
+        us_cities.len() >= 101,
+        "need ≥101 US urban areas for Figure 6"
+    );
     let shared: Vec<usize> = us_cities[..10].to_vec();
     let cox_only: Vec<usize> = us_cities[10..30].to_vec();
     let charter_only: Vec<usize> = us_cities[30..91].to_vec();
@@ -407,7 +442,11 @@ pub fn install(cities: &[City], eco: &mut AsEcosystem) -> Scenarios {
     // ---------------- Table 3 traffic + Figure 4 backbone ----------------
     // Two stubs single-homed behind GlobeTrans, pinned as anchors by
     // world.rs, so mesh traceroutes traverse its (mostly undeclared) chain.
-    let gt_fp = eco.get(globetrans).expect("globetrans registered").footprint.clone();
+    let gt_fp = eco
+        .get(globetrans)
+        .expect("globetrans registered")
+        .footprint
+        .clone();
     let gt_city_a = gt_fp[gt_fp.len() / 2];
     let gt_city_b = gt_fp[gt_fp.len() - 2];
     let anchor_gt_a = Asn(65005);
@@ -428,7 +467,8 @@ pub fn install(cities: &[City], eco: &mut AsEcosystem) -> Scenarios {
             mpls: false,
             in_atlas: false,
         });
-        eco.graph.add_edge(asn, globetrans, AsRelationship::CustomerOf);
+        eco.graph
+            .add_edge(asn, globetrans, AsRelationship::CustomerOf);
     }
 
     // ContinentalFiber: footprint and edges are exactly the InterTubes

@@ -19,8 +19,8 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use igdb_net::{Asn, Ip4, Prefix};
 use igdb_geo::GeoPoint;
+use igdb_net::{Asn, Ip4, Prefix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -325,7 +325,15 @@ fn messy_label(world: &World, city: usize, style: u8) -> String {
     match style % 4 {
         0 => c.name.clone(),
         1 => c.name.to_ascii_uppercase(),
-        2 => format!("{}, {}", c.name, if c.state.is_empty() { &c.country } else { &c.state }),
+        2 => format!(
+            "{}, {}",
+            c.name,
+            if c.state.is_empty() {
+                &c.country
+            } else {
+                &c.state
+            }
+        ),
         _ => world.codebook.code(city).to_ascii_uppercase(),
     }
 }
@@ -343,8 +351,7 @@ pub fn emit_snapshots(world: &World, as_of_date: &str, mesh_pairs: usize) -> Sna
     for a in world.eco.ases.iter().filter(|a| a.in_atlas) {
         let declared: std::collections::HashSet<usize> =
             a.declared_footprint.iter().copied().collect();
-        let node_name =
-            |cid: usize| format!("{} {} PoP", a.names.brand, world.cities[cid].name);
+        let node_name = |cid: usize| format!("{} {} PoP", a.names.brand, world.cities[cid].name);
         for &cid in &a.declared_footprint {
             atlas_nodes.push(AtlasNode {
                 network: a.names.brand.clone().into(),
@@ -359,10 +366,8 @@ pub fn emit_snapshots(world: &World, as_of_date: &str, mesh_pairs: usize) -> Sna
         let microwave_operator = a.class == crate::ases::AsClass::Tier2 && rng.gen_bool(0.04);
         for e in &a.internal_edges {
             if declared.contains(&e.a) && declared.contains(&e.b) && !e.submarine {
-                let short_enough = igdb_geo::haversine_km(
-                    &world.cities[e.a].loc,
-                    &world.cities[e.b].loc,
-                ) < 1500.0;
+                let short_enough =
+                    igdb_geo::haversine_km(&world.cities[e.a].loc, &world.cities[e.b].loc) < 1500.0;
                 atlas_links.push(AtlasLink {
                     network: a.names.brand.clone().into(),
                     from_node: node_name(e.a).into(),
@@ -437,10 +442,8 @@ pub fn emit_snapshots(world: &World, as_of_date: &str, mesh_pairs: usize) -> Sna
             }
         }
     }
-    let net_id_of_asn: std::collections::HashMap<Asn, u32> = pdb_networks
-        .iter()
-        .map(|n| (n.asn, n.net_id))
-        .collect();
+    let net_id_of_asn: std::collections::HashMap<Asn, u32> =
+        pdb_networks.iter().map(|n| (n.asn, n.net_id)).collect();
     let mut pdb_ix = Vec::new();
     let mut pdb_netix = Vec::new();
     for ixp in &world.ixps {
@@ -603,13 +606,7 @@ pub fn emit_snapshots(world: &World, as_of_date: &str, mesh_pairs: usize) -> Sna
             landings: c
                 .landings
                 .iter()
-                .map(|lp| {
-                    (
-                        lp.name.clone(),
-                        world.cities[lp.city].name.clone(),
-                        lp.loc,
-                    )
-                })
+                .map(|lp| (lp.name.clone(), world.cities[lp.city].name.clone(), lp.loc))
                 .collect(),
             segments: c.segments.clone(),
         })
@@ -623,11 +620,7 @@ pub fn emit_snapshots(world: &World, as_of_date: &str, mesh_pairs: usize) -> Sna
         v.sort_by_key(|r| (r.prefix, r.origin));
         v
     };
-    let anycast_prefixes = world
-        .anycast_prefixes
-        .iter()
-        .map(|&(_, p)| p)
-        .collect();
+    let anycast_prefixes = world.anycast_prefixes.iter().map(|&(_, p)| p).collect();
     let geo_codes = (0..world.cities.len())
         .map(|cid| (world.codebook.code(cid).to_string(), cid))
         .collect();
@@ -670,8 +663,7 @@ pub fn collect_as_links(world: &World) -> Vec<(Asn, Asn)> {
     let asns = graph.asns();
     if asns.len() <= 4000 {
         let vantages = pick_vantages(world, 20);
-        let collected =
-            igdb_net::collector::CollectedPaths::collect(graph, &vantages, &asns);
+        let collected = igdb_net::collector::CollectedPaths::collect(graph, &vantages, &asns);
         igdb_net::collector::aggregate_paths(&collected.paths)
     } else {
         visible_edges_approximation(world, &pick_vantages(world, 20))
@@ -729,9 +721,7 @@ fn visible_edges_approximation(world: &World, vantages: &[Asn]) -> Vec<(Asn, Asn
                 continue;
             }
             let visible = match rel {
-                igdb_net::AsRelationship::CustomerOf | igdb_net::AsRelationship::ProviderOf => {
-                    true
-                }
+                igdb_net::AsRelationship::CustomerOf | igdb_net::AsRelationship::ProviderOf => true,
                 igdb_net::AsRelationship::Peer => {
                     cone_has_vantage.contains(&a) || cone_has_vantage.contains(&b)
                 }
@@ -828,7 +818,10 @@ mod tests {
         let (world, s) = snapshots();
         assert_eq!(s.rdns.len(), world.hostnames.len());
         for r in s.rdns.iter().take(50) {
-            assert_eq!(world.hostnames.get(&r.ip).map(String::as_str), Some(r.hostname.as_str()));
+            assert_eq!(
+                world.hostnames.get(&r.ip).map(String::as_str),
+                Some(r.hostname.as_str())
+            );
         }
     }
 
@@ -853,11 +846,8 @@ mod tests {
         let honest = {
             let asns = world.eco.graph.asns();
             let vantages = pick_vantages(&world, 20);
-            let collected = igdb_net::collector::CollectedPaths::collect(
-                &world.eco.graph,
-                &vantages,
-                &asns,
-            );
+            let collected =
+                igdb_net::collector::CollectedPaths::collect(&world.eco.graph, &vantages, &asns);
             igdb_net::collector::aggregate_paths(&collected.paths)
         };
         let approx = visible_edges_approximation(&world, &pick_vantages(&world, 20));

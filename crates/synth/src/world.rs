@@ -256,8 +256,7 @@ impl World {
                 }
             }
         }
-        let anycast_lookup: HashMap<Asn, Prefix> =
-            anycast_prefixes.iter().copied().collect();
+        let anycast_lookup: HashMap<Asn, Prefix> = anycast_prefixes.iter().copied().collect();
         let mut link_subnet = |asn: Asn| -> (Ip4, Ip4) {
             // Anycast operators burn their shared /24 first (up to 30
             // /30s), then fall back to ordinary space.
@@ -283,10 +282,7 @@ impl World {
                 let (ra, rb) = (router_of[&(a.asn, e.a)], router_of[&(a.asn, e.b)]);
                 let (length_km, submarine) = match row.shortest_path(e.a, e.b) {
                     Some((_, km)) if !e.submarine => (km, false),
-                    _ => (
-                        haversine_km(&cities[e.a].loc, &cities[e.b].loc) * 1.3,
-                        true,
-                    ),
+                    _ => (haversine_km(&cities[e.a].loc, &cities[e.b].loc) * 1.3, true),
                 };
                 let _ = submarine;
                 let (ip_a, ip_b) = link_subnet(a.asn);
@@ -340,7 +336,14 @@ impl World {
                 let (ra, rb) = (router_of[&(a, best.1)], router_of[&(b, best.2)]);
                 let (ip_a, ip_b) = link_subnet(owner);
                 let km = best.0 * 1.2;
-                net.add_link(ra, rb, ip_a, ip_b, igdb_measure::propagation_delay_ms(km), km);
+                net.add_link(
+                    ra,
+                    rb,
+                    ip_a,
+                    ip_b,
+                    igdb_measure::propagation_delay_ms(km),
+                    km,
+                );
                 border_routers.insert(ra);
                 border_routers.insert(rb);
             } else {
@@ -349,7 +352,14 @@ impl World {
                     let (ip_a, ip_b) = link_subnet(owner);
                     // Metro-internal cross-connect.
                     let km = rng.gen_range(1.0..40.0);
-                    net.add_link(ra, rb, ip_a, ip_b, igdb_measure::propagation_delay_ms(km) + 0.05, km);
+                    net.add_link(
+                        ra,
+                        rb,
+                        ip_a,
+                        ip_b,
+                        igdb_measure::propagation_delay_ms(km) + 0.05,
+                        km,
+                    );
                     border_routers.insert(ra);
                     border_routers.insert(rb);
                 }
@@ -480,10 +490,10 @@ impl World {
         let mut anchors = Vec::new();
         let mut anchor_serial = 6000u32;
         let add_anchor = |anchors: &mut Vec<Anchor>,
-                              asn: Asn,
-                              cid: usize,
-                              serial: &mut u32,
-                              prefix_of: &HashMap<Asn, Prefix>| {
+                          asn: Asn,
+                          cid: usize,
+                          serial: &mut u32,
+                          prefix_of: &HashMap<Asn, Prefix>| {
             let router = router_of[&(asn, cid)];
             // Anchor address from the AS's reserved first /24.
             let ip = prefix_of[&asn]
@@ -518,7 +528,9 @@ impl World {
             .collect();
         let mut used: HashSet<(Asn, usize)> = anchors.iter().map(|a| (a.asn, a.city)).collect();
         let mut guard = 0;
-        while anchors.len() < PINNED_ANCHORS + config.n_anchors && guard < config.n_anchors * 50 + 100 {
+        while anchors.len() < PINNED_ANCHORS + config.n_anchors
+            && guard < config.n_anchors * 50 + 100
+        {
             guard += 1;
             let pick = candidates[rng.gen_range(0..candidates.len())];
             if used.insert(pick) {
@@ -535,9 +547,7 @@ impl World {
                 let a = eco.get(router.asn).expect("router AS exists");
                 let serial = serial_of.entry(r).or_insert(0);
                 *serial += 1;
-                if let Some(h) =
-                    hostname_for(a, &cities[router.city], &codebook, ip, *serial)
-                {
+                if let Some(h) = hostname_for(a, &cities[router.city], &codebook, ip, *serial) {
                     hostnames.insert(ip, h);
                 }
             }

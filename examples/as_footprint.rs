@@ -16,7 +16,10 @@ fn main() {
 
     // The Table 2 query: ASes with presence in the most countries.
     println!("ASes with physical presence in the most countries:");
-    println!("{:<10} {:<24} {:<34} {:>9}", "ASN", "AS name", "Organization", "Countries");
+    println!(
+        "{:<10} {:<24} {:<34} {:>9}",
+        "ASN", "AS name", "Organization", "Countries"
+    );
     for row in top_by_countries(&igdb, 10) {
         println!(
             "{:<10} {:<24} {:<34} {:>9}",

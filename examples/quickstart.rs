@@ -33,7 +33,10 @@ fn main() {
     let igdb = Igdb::build(&snaps);
     println!("\niGDB relations:");
     for table in igdb.db.table_names() {
-        println!("  {table:<16} {:>7} rows", igdb.db.row_count(&table).unwrap());
+        println!(
+            "  {table:<16} {:>7} rows",
+            igdb.db.row_count(&table).unwrap()
+        );
     }
 
     // 4a. A physical-layer query: the longest inferred fiber paths.
@@ -50,7 +53,12 @@ fn main() {
         .unwrap()
         .unwrap();
     for r in rows {
-        println!("  {} — {}  ({:.0} km)", r[0], r[1], r[2].as_float().unwrap());
+        println!(
+            "  {} — {}  ({:.0} km)",
+            r[0],
+            r[1],
+            r[2].as_float().unwrap()
+        );
     }
 
     // 4b. A logical-layer query: where does one AS peer?

@@ -51,7 +51,10 @@ fn main() {
         "\nsubmarine cables with segments in the region: {}",
         report.cables_at_risk.len()
     );
-    println!("ASes with peering presence in the region: {}", report.ases_exposed.len());
+    println!(
+        "ASes with peering presence in the region: {}",
+        report.ases_exposed.len()
+    );
 
     // Reroute cost for a metro pair whose traffic normally crosses the Gulf.
     let dallas = igdb.metros.by_name("Dallas").unwrap();

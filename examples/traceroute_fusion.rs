@@ -19,14 +19,26 @@ fn main() {
 
     // --- Kansas City → Atlanta (Figure 7). ---
     let trace = world
-        .traceroute_between(world.scenarios.anchor_kansas_city, world.scenarios.anchor_atlanta)
+        .traceroute_between(
+            world.scenarios.anchor_kansas_city,
+            world.scenarios.anchor_atlanta,
+        )
         .expect("scenario traceroute");
-    println!("Kansas City → Atlanta traceroute ({} hops):", trace.hops.len());
+    println!(
+        "Kansas City → Atlanta traceroute ({} hops):",
+        trace.hops.len()
+    );
     for h in &trace.hops {
         match h.ip {
             Some(ip) => {
                 let host = igdb.rdns.get(&ip).map(igdb_db::Str::as_str).unwrap_or("-");
-                println!("  ttl {:>2}  {:<16} {:>7.2} ms  {}", h.ttl, ip.to_string(), h.rtt_ms, host);
+                println!(
+                    "  ttl {:>2}  {:<16} {:>7.2} ms  {}",
+                    h.ttl,
+                    ip.to_string(),
+                    h.rtt_ms,
+                    host
+                );
             }
             None => println!("  ttl {:>2}  *", h.ttl),
         }
@@ -34,7 +46,12 @@ fn main() {
     let report = physical_path_report(&igdb, &trace.responding_ips()).expect("fusable");
     println!(
         "\nobserved metros:  {}",
-        report.observed_metros.iter().map(|&m| label(m)).collect::<Vec<_>>().join(" -> ")
+        report
+            .observed_metros
+            .iter()
+            .map(|&m| label(m))
+            .collect::<Vec<_>>()
+            .join(" -> ")
     );
     for leg in &report.legs {
         if !leg.hidden_candidates.is_empty() {
@@ -68,7 +85,12 @@ fn main() {
     );
     println!(
         "cities: {}",
-        fused.metros.iter().map(|&m| label(m)).collect::<Vec<_>>().join(" -> ")
+        fused
+            .metros
+            .iter()
+            .map(|&m| label(m))
+            .collect::<Vec<_>>()
+            .join(" -> ")
     );
     for (asn, metros, countries) in &fused.as_extents {
         println!("  {asn}: footprint spans {metros} metros in {countries} countries");

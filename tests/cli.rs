@@ -32,7 +32,11 @@ fn built_db() -> PathBuf {
             .args(["--scale", "tiny", "--mesh", "100"])
             .output()
             .expect("run igdb build");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         db
     })
     .clone()
@@ -44,7 +48,13 @@ fn tables_lists_all_relations() {
     let out = igdb().args(["tables", "--db"]).arg(&db).output().unwrap();
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    for table in ["phys_nodes", "phys_conn", "asn_loc", "ip_asn_dns", "city_polygons"] {
+    for table in [
+        "phys_nodes",
+        "phys_conn",
+        "asn_loc",
+        "ip_asn_dns",
+        "city_polygons",
+    ] {
         assert!(text.contains(table), "missing {table} in:\n{text}");
     }
 }
@@ -67,7 +77,11 @@ fn query_filters_and_projects() {
         ])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     let mut lines = text.lines();
     assert_eq!(lines.next(), Some("asn\tmetro"));
@@ -148,8 +162,15 @@ fn metro_refuses_non_finite_and_out_of_range_coordinates() {
         ("10", "91", "--lat"),
     ] {
         let out = metro(lon, lat);
-        assert!(!out.status.success(), "--lon {lon} --lat {lat} was accepted");
-        assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+        assert!(
+            !out.status.success(),
+            "--lon {lon} --lat {lat} was accepted"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(&format!("bad {flag}")), "{err}");
     }
@@ -169,7 +190,11 @@ fn export_writes_geojson() {
         .arg(&file)
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let doc = std::fs::read_to_string(&file).unwrap();
     assert!(doc.starts_with("{\"type\":\"FeatureCollection\""));
     assert!(doc.contains("\"layer\":\"nodes\""));
@@ -179,7 +204,10 @@ fn export_writes_geojson() {
     // (layer order, coordinate formatting, geometry types).
     let world = World::generate(WorldConfig::tiny());
     let igdb = Igdb::build(&emit_snapshots(&world, "2022-05-03", 100));
-    assert!(doc == export_physical_map(&igdb).to_geojson(), "CLI export differs from the library's");
+    assert!(
+        doc == export_physical_map(&igdb).to_geojson(),
+        "CLI export differs from the library's"
+    );
 }
 
 #[test]
@@ -228,13 +256,34 @@ fn metrics_diff_gates_counters_exactly_and_never_perf() {
 
     // Identical counters, perf drifted 17.5%: clean, exit 0 — perf-class
     // metrics are not this gate's business.
-    let out = igdb().arg("metrics").arg("diff").arg(&base).arg(&same).output().unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = igdb()
+        .arg("metrics")
+        .arg("diff")
+        .arg(&base)
+        .arg(&same)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("clean"));
 
     // A perturbed counter: exit 2 with a per-metric delta table.
-    let out = igdb().arg("metrics").arg("diff").arg(&base).arg(&drifted).output().unwrap();
-    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = igdb()
+        .arg("metrics")
+        .arg("diff")
+        .arg(&base)
+        .arg(&drifted)
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let table = String::from_utf8_lossy(&out.stdout);
     assert!(
         table.contains("spath.queries") && table.contains("100") && table.contains("101"),
@@ -245,7 +294,12 @@ fn metrics_diff_gates_counters_exactly_and_never_perf() {
     // Wrong operand count is a usage error (exit 1), not a divergence —
     // and so is the retired single-run perf band, whose value now reads
     // as a third file.
-    let one_file = igdb().arg("metrics").arg("diff").arg(&base).output().unwrap();
+    let one_file = igdb()
+        .arg("metrics")
+        .arg("diff")
+        .arg(&base)
+        .output()
+        .unwrap();
     let retired_flag = igdb()
         .arg("metrics")
         .arg("diff")
@@ -287,7 +341,10 @@ fn report_runs_every_paper_report_over_one_world() {
         ("fig9", "Figures 1 & 9"),
         ("fig10", "Figure 10"),
         ("sec44", "Section 4.4"),
-        ("ablation", "Ablation 1: belief-propagation latency threshold"),
+        (
+            "ablation",
+            "Ablation 1: belief-propagation latency threshold",
+        ),
     ];
     let out = igdb()
         .arg("report")
@@ -295,13 +352,18 @@ fn report_runs_every_paper_report_over_one_world() {
         .args(["--scale", "tiny", "--mesh", "100"])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     let mut from = 0;
     for (id, title) in titles {
         let header = format!("== {title} (scale: tiny) ==\n");
         let at = text[from..].find(&header);
-        from += at.unwrap_or_else(|| panic!("{id}: no {header:?} in order in:\n{text}")) + header.len();
+        from +=
+            at.unwrap_or_else(|| panic!("{id}: no {header:?} in order in:\n{text}")) + header.len();
     }
 }
 
@@ -312,12 +374,18 @@ fn report_refuses_unknown_ids_and_tiers() {
     let ids = "table1|table2|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|sec44|ablation";
     for (args, valid) in [
         (["report", "table4", "--scale", "tiny"], ids),
-        (["report", "table1", "--scale", "huge"], "tiny|medium|paper|large|planet"),
+        (
+            ["report", "table1", "--scale", "huge"],
+            "tiny|medium|paper|large|planet",
+        ),
     ] {
         let out = igdb().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(1), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains(valid) && !err.contains("panicked"), "{args:?}:\n{err}");
+        assert!(
+            err.contains(valid) && !err.contains("panicked"),
+            "{args:?}:\n{err}"
+        );
     }
 }
 
@@ -365,7 +433,10 @@ fn top_refuses_an_interval_it_cannot_sleep() {
             .unwrap();
         assert_eq!(out.status.code(), Some(1), "--interval {interval}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("--interval") && !err.contains("connect"), "{interval}: {err}");
+        assert!(
+            err.contains("--interval") && !err.contains("connect"),
+            "{interval}: {err}"
+        );
     }
 }
 
@@ -375,7 +446,10 @@ fn bad_usage_fails_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
 
-    let out = igdb().args(["query", "--db", "/nonexistent", "--table", "x"]).output().unwrap();
+    let out = igdb()
+        .args(["query", "--db", "/nonexistent", "--table", "x"])
+        .output()
+        .unwrap();
     assert!(!out.status.success());
 
     let db = built_db();

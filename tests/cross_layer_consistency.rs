@@ -204,5 +204,8 @@ fn ixp_prefix_geolocations_are_exact() {
         assert_eq!(info.metro, Some(truth.city), "IXP hop mis-geolocated");
         checked += 1;
     }
-    assert!(checked >= 3, "only {checked} IXP-located addresses observed");
+    assert!(
+        checked >= 3,
+        "only {checked} IXP-located addresses observed"
+    );
 }

@@ -54,7 +54,11 @@ fn first_diff(a: &str, b: &str) -> String {
             return format!("line {i}: {la:?} != {lb:?}");
         }
     }
-    format!("lengths differ: {} vs {} lines", a.lines().count(), b.lines().count())
+    format!(
+        "lengths differ: {} vs {} lines",
+        a.lines().count(),
+        b.lines().count()
+    )
 }
 
 /// Applies `next` onto `prior` incrementally under an isolated registry,
@@ -63,7 +67,9 @@ fn apply_onto(prior: &Igdb, next: &SnapshotSet) -> (Igdb, Capture, SnapshotDelta
     let reg = Registry::new();
     let (igdb, report, delta) = {
         let _g = reg.install();
-        prior.apply_delta(next, &BuildPolicy::lenient()).expect("delta applies")
+        prior
+            .apply_delta(next, &BuildPolicy::lenient())
+            .expect("delta applies")
     };
     let capture = Capture {
         fingerprint: igdb.db.fingerprint(),
@@ -101,7 +107,8 @@ fn rebuild_capture(next: &SnapshotSet) -> Capture {
 
 fn assert_identical(apply: &Capture, rebuild: &Capture, ctx: &str) {
     assert_eq!(
-        apply.fingerprint, rebuild.fingerprint,
+        apply.fingerprint,
+        rebuild.fingerprint,
         "{ctx}: table bytes diverged — {}",
         first_diff(&apply.fingerprint, &rebuild.fingerprint)
     );
@@ -123,7 +130,10 @@ fn every_delta_class_applies_byte_identical_to_rebuild() {
             let rebuild = rebuild_capture(&next);
             assert_identical(&apply, &rebuild, &format!("{class:?} seed {seed}"));
             if class == DeltaClass::Empty {
-                assert!(ops.is_empty() && delta.is_empty(), "empty delta must diff empty");
+                assert!(
+                    ops.is_empty() && delta.is_empty(),
+                    "empty delta must diff empty"
+                );
                 assert_eq!(delta.first_dirty, None);
             } else {
                 assert!(!ops.is_empty(), "{class:?} generated no ops");
@@ -171,10 +181,28 @@ fn unshared_sources(a: &SnapshotSet, b: &SnapshotSet) -> Vec<&'static str> {
         }};
     }
     unshared!(
-        atlas_nodes, atlas_links, pdb_facilities, pdb_networks, pdb_netfac, pdb_ix, pdb_netix,
-        pch_ixps, he_exchanges, euroix, rdns, asrank_entries, asrank_links, ripe_anchors,
-        ripe_traceroutes, natural_earth, roads, telegeo, bgp_prefixes, anycast_prefixes,
-        hoiho_rules, geo_codes
+        atlas_nodes,
+        atlas_links,
+        pdb_facilities,
+        pdb_networks,
+        pdb_netfac,
+        pdb_ix,
+        pdb_netix,
+        pch_ixps,
+        he_exchanges,
+        euroix,
+        rdns,
+        asrank_entries,
+        asrank_links,
+        ripe_anchors,
+        ripe_traceroutes,
+        natural_earth,
+        roads,
+        telegeo,
+        bgp_prefixes,
+        anycast_prefixes,
+        hoiho_rules,
+        geo_codes
     )
 }
 
@@ -188,9 +216,17 @@ fn unshared_sources(a: &SnapshotSet, b: &SnapshotSet) -> Vec<&'static str> {
 /// prior's own, and every one it named is new.
 #[test]
 fn chained_applies_stay_byte_identical_to_rebuild() {
-    let feed = [DeltaClass::AtlasChurn, DeltaClass::FacilityChurn, DeltaClass::LogicalChurn];
-    let chain: [Option<&[DeltaClass]>; 4] =
-        [Some(&feed), None, Some(&[DeltaClass::TracerouteChurn]), Some(&[DeltaClass::RoadChurn])];
+    let feed = [
+        DeltaClass::AtlasChurn,
+        DeltaClass::FacilityChurn,
+        DeltaClass::LogicalChurn,
+    ];
+    let chain: [Option<&[DeltaClass]>; 4] = [
+        Some(&feed),
+        None,
+        Some(&[DeltaClass::TracerouteChurn]),
+        Some(&[DeltaClass::RoadChurn]),
+    ];
     let (mut cur, _) = Igdb::try_build(&base_snaps(), &BuildPolicy::lenient()).unwrap();
     for (epoch, classes) in chain.into_iter().enumerate() {
         let next = match classes {
@@ -209,7 +245,11 @@ fn chained_applies_stay_byte_identical_to_rebuild() {
         };
         let (igdb, apply, delta) = apply_onto(&cur, &next);
         assert!(!delta.is_empty(), "epoch {epoch} diffed empty");
-        assert_identical(&apply, &rebuild_capture(&next), &format!("epoch {epoch} {classes:?}"));
+        assert_identical(
+            &apply,
+            &rebuild_capture(&next),
+            &format!("epoch {epoch} {classes:?}"),
+        );
         let mut named: Vec<&str> = delta.sources.iter().map(|s| s.source).collect();
         named.sort_unstable();
         assert_eq!(
@@ -340,48 +380,126 @@ fn rename_metros(s: &mut SnapshotSet) {
 fn cross_stage_edges_apply_byte_identical_to_rebuild() {
     type Edit = fn(&mut SnapshotSet);
     let cases: [(&str, Stage, Edit, Output); 17] = [
-        ("natural_earth", Stage::Roads, |s| {
-            // A metro no road reaches still widens the graph.
-            let mut p = s.natural_earth[0].clone();
-            p.name = "Edgeville".into();
-            p.loc = igdb_geo::GeoPoint::new(p.loc.lon + 2.5, p.loc.lat - 1.5);
-            s.natural_earth.push(p);
-        }, Output::RoadNodes),
-        ("natural_earth", Stage::CityTables, |s| {
-            for p in &mut s.natural_earth {
-                p.population += 1;
-            }
-        }, Output::Table("city_points")),
-        ("natural_earth", Stage::Physical, rename_metros, Output::Table("phys_nodes")),
-        ("natural_earth", Stage::Telegeo, rename_metros, Output::Table("land_points")),
-        ("natural_earth", Stage::Logical, rename_metros, Output::Table("ixp_prefixes")),
-        ("natural_earth", Stage::AsnLoc, rename_metros, Output::Table("asn_loc")),
-        ("natural_earth", Stage::Probes, rename_metros, Output::Table("probes")),
-        ("natural_earth", Stage::IpResolution, rename_metros, Output::Table("ip_asn_dns")),
-        ("roads", Stage::Physical, |s| {
-            for r in &mut s.roads {
-                r.length_km *= 1.01;
-            }
-        }, Output::Table("phys_conn")),
-        ("pdb_facilities", Stage::AsnLoc, |s| rotate(&mut s.pdb_facilities, |f| &mut f.loc),
-            Output::Table("asn_loc")),
-        ("pdb_networks", Stage::AsnLoc, |s| rotate(&mut s.pdb_networks, |n| &mut n.asn),
-            Output::Table("asn_loc")),
-        ("pdb_ix", Stage::AsnLoc, |s| rotate(&mut s.pdb_ix, |ix| &mut ix.city_label),
-            Output::Table("asn_loc")),
-        ("pdb_ix", Stage::IpResolution, |s| rotate(&mut s.pdb_ix, |ix| &mut ix.city_label),
-            Output::Table("ip_asn_dns")),
-        ("pch_ixps", Stage::AsnLoc, |s| rotate(&mut s.pch_ixps, |x| &mut x.city_label),
-            Output::Table("asn_loc")),
-        ("geo_codes", Stage::AsnLoc, |s| rotate(&mut s.geo_codes, |c| &mut c.1),
-            Output::Table("asn_loc")),
-        ("geo_codes", Stage::IpResolution, |s| rotate(&mut s.geo_codes, |c| &mut c.1),
-            Output::Table("ip_asn_dns")),
-        ("ripe_traceroutes", Stage::IpResolution, |s| {
-            for t in &mut s.ripe_traceroutes {
-                t.hops.truncate(t.hops.len() / 2);
-            }
-        }, Output::Table("ip_asn_dns")),
+        (
+            "natural_earth",
+            Stage::Roads,
+            |s| {
+                // A metro no road reaches still widens the graph.
+                let mut p = s.natural_earth[0].clone();
+                p.name = "Edgeville".into();
+                p.loc = igdb_geo::GeoPoint::new(p.loc.lon + 2.5, p.loc.lat - 1.5);
+                s.natural_earth.push(p);
+            },
+            Output::RoadNodes,
+        ),
+        (
+            "natural_earth",
+            Stage::CityTables,
+            |s| {
+                for p in &mut s.natural_earth {
+                    p.population += 1;
+                }
+            },
+            Output::Table("city_points"),
+        ),
+        (
+            "natural_earth",
+            Stage::Physical,
+            rename_metros,
+            Output::Table("phys_nodes"),
+        ),
+        (
+            "natural_earth",
+            Stage::Telegeo,
+            rename_metros,
+            Output::Table("land_points"),
+        ),
+        (
+            "natural_earth",
+            Stage::Logical,
+            rename_metros,
+            Output::Table("ixp_prefixes"),
+        ),
+        (
+            "natural_earth",
+            Stage::AsnLoc,
+            rename_metros,
+            Output::Table("asn_loc"),
+        ),
+        (
+            "natural_earth",
+            Stage::Probes,
+            rename_metros,
+            Output::Table("probes"),
+        ),
+        (
+            "natural_earth",
+            Stage::IpResolution,
+            rename_metros,
+            Output::Table("ip_asn_dns"),
+        ),
+        (
+            "roads",
+            Stage::Physical,
+            |s| {
+                for r in &mut s.roads {
+                    r.length_km *= 1.01;
+                }
+            },
+            Output::Table("phys_conn"),
+        ),
+        (
+            "pdb_facilities",
+            Stage::AsnLoc,
+            |s| rotate(&mut s.pdb_facilities, |f| &mut f.loc),
+            Output::Table("asn_loc"),
+        ),
+        (
+            "pdb_networks",
+            Stage::AsnLoc,
+            |s| rotate(&mut s.pdb_networks, |n| &mut n.asn),
+            Output::Table("asn_loc"),
+        ),
+        (
+            "pdb_ix",
+            Stage::AsnLoc,
+            |s| rotate(&mut s.pdb_ix, |ix| &mut ix.city_label),
+            Output::Table("asn_loc"),
+        ),
+        (
+            "pdb_ix",
+            Stage::IpResolution,
+            |s| rotate(&mut s.pdb_ix, |ix| &mut ix.city_label),
+            Output::Table("ip_asn_dns"),
+        ),
+        (
+            "pch_ixps",
+            Stage::AsnLoc,
+            |s| rotate(&mut s.pch_ixps, |x| &mut x.city_label),
+            Output::Table("asn_loc"),
+        ),
+        (
+            "geo_codes",
+            Stage::AsnLoc,
+            |s| rotate(&mut s.geo_codes, |c| &mut c.1),
+            Output::Table("asn_loc"),
+        ),
+        (
+            "geo_codes",
+            Stage::IpResolution,
+            |s| rotate(&mut s.geo_codes, |c| &mut c.1),
+            Output::Table("ip_asn_dns"),
+        ),
+        (
+            "ripe_traceroutes",
+            Stage::IpResolution,
+            |s| {
+                for t in &mut s.ripe_traceroutes {
+                    t.hops.truncate(t.hops.len() / 2);
+                }
+            },
+            Output::Table("ip_asn_dns"),
+        ),
     ];
     let base = base_snaps();
     let (prior, _) = Igdb::try_build(&base, &BuildPolicy::lenient()).expect("base builds");
@@ -395,7 +513,11 @@ fn cross_stage_edges_apply_byte_identical_to_rebuild() {
         let (rebuilt, rebuild) = rebuild(&next);
         assert_identical(&apply, &rebuild, &ctx);
         assert_eq!(output.read(&applied), output.read(&rebuilt), "{ctx}");
-        assert_ne!(output.read(&applied), output.read(&prior), "{ctx}: the edit left {output:?} as it was");
+        assert_ne!(
+            output.read(&applied),
+            output.read(&prior),
+            "{ctx}: the edit left {output:?} as it was"
+        );
     }
 }
 
@@ -410,12 +532,21 @@ fn inferred_row_on_either_world_leaves_the_other_untouched() {
         let (mut prior, _) = Igdb::try_build(&base, &BuildPolicy::lenient()).unwrap();
         let (mut applied, _, delta) = prior.apply_delta(&next, &BuildPolicy::lenient()).unwrap();
         assert!(delta.shares(Stage::AsnLoc));
-        let (writer, reader) =
-            if write_prior { (&mut prior, &applied) } else { (&mut applied, &prior) };
-        let (before, rows) = (reader.db.fingerprint(), writer.db.row_count("asn_loc").unwrap());
+        let (writer, reader) = if write_prior {
+            (&mut prior, &applied)
+        } else {
+            (&mut applied, &prior)
+        };
+        let (before, rows) = (
+            reader.db.fingerprint(),
+            writer.db.row_count("asn_loc").unwrap(),
+        );
         writer.add_inferred_location(igdb_net::Asn(64_512), 0);
         assert_eq!(writer.db.row_count("asn_loc").unwrap(), rows + 1);
-        assert!(reader.db.fingerprint() == before, "write_prior {write_prior}: the row leaked");
+        assert!(
+            reader.db.fingerprint() == before,
+            "write_prior {write_prior}: the row leaked"
+        );
     }
 }
 
@@ -427,13 +558,24 @@ fn inferred_row_on_either_world_leaves_the_other_untouched() {
 fn apply_onto_world_with_registered_inferences_is_byte_identical_to_rebuild() {
     use igdb_core::analysis::beliefprop::{apply_inferences, propagate, BeliefPropParams};
     let base = base_snaps();
-    for class in [DeltaClass::Empty, DeltaClass::TracerouteChurn, DeltaClass::AtlasChurn] {
+    for class in [
+        DeltaClass::Empty,
+        DeltaClass::TracerouteChurn,
+        DeltaClass::AtlasChurn,
+    ] {
         let (mut prior, _) = Igdb::try_build(&base, &BuildPolicy::lenient()).unwrap();
         let report = propagate(&prior, &BeliefPropParams::default());
-        assert!(apply_inferences(&mut prior, &report) > 0, "no inference to register");
+        assert!(
+            apply_inferences(&mut prior, &report) > 0,
+            "no inference to register"
+        );
         let (next, _) = generate_delta(prior.source_snapshots(), 29, &[class]);
         let (_, apply, _) = apply_onto(&prior, &next);
-        assert_identical(&apply, &rebuild_capture(&next), &format!("inferences + {class:?}"));
+        assert_identical(
+            &apply,
+            &rebuild_capture(&next),
+            &format!("inferences + {class:?}"),
+        );
     }
 }
 
@@ -444,7 +586,10 @@ fn apply_onto_world_with_registered_inferences_is_byte_identical_to_rebuild() {
 /// The pair multiset as a set of `(from, to, km bits)`, for the checks
 /// below (no pair repeats within one world).
 fn pair_set(igdb: &Igdb) -> BTreeSet<(usize, usize, u64)> {
-    igdb.phys_pairs.iter().map(|&(a, b, km)| (a, b, km.to_bits())).collect()
+    igdb.phys_pairs
+        .iter()
+        .map(|&(a, b, km)| (a, b, km.to_bits()))
+        .collect()
 }
 
 #[test]
@@ -456,14 +601,19 @@ fn repaired_phys_graph_answers_match_cold_rebuild() {
     let g = prior.phys_graph();
     let mut ws = igdb_core::SpWorkspace::new();
     let n = prior.metros.len();
-    let warmed: Vec<(usize, usize)> = (0..n).step_by(3).map(|from| (from, (from + 7) % n)).collect();
+    let warmed: Vec<(usize, usize)> = (0..n)
+        .step_by(3)
+        .map(|from| (from, (from + 7) % n))
+        .collect();
     for &(from, to) in &warmed {
         let _ = g.shortest_path_cached(&mut ws, from, to);
     }
     // Removal-only churn: the corridor-migration fast path. (Seed 39 drops
     // three pairs on the tiny world; many seeds only thin parallel links.)
     let (next, _) = generate_delta(&base, 39, &[DeltaClass::AtlasPrune]);
-    let (applied, _, _) = prior.apply_delta(&next, &BuildPolicy::lenient()).expect("apply");
+    let (applied, _, _) = prior
+        .apply_delta(&next, &BuildPolicy::lenient())
+        .expect("apply");
     let (old_pairs, pruned_pairs) = (pair_set(&prior), pair_set(&applied));
     assert!(
         pruned_pairs.is_subset(&old_pairs) && pruned_pairs.len() < old_pairs.len(),
@@ -475,8 +625,10 @@ fn repaired_phys_graph_answers_match_cold_rebuild() {
     // Which corridors were carried is read off the miss counter, not off
     // the delta: a pair routed before the prune, whose path avoids every
     // metro that lost a pair, answers from the migrated entry.
-    let touched: BTreeSet<usize> =
-        old_pairs.difference(&pruned_pairs).flat_map(|&(a, b, _)| [a, b]).collect();
+    let touched: BTreeSet<usize> = old_pairs
+        .difference(&pruned_pairs)
+        .flat_map(|&(a, b, _)| [a, b])
+        .collect();
     let (from, to, route) = warmed
         .iter()
         .find_map(|&(from, to)| {
@@ -488,16 +640,29 @@ fn repaired_phys_graph_answers_match_cold_rebuild() {
     let reg = Registry::new();
     let _g = reg.install();
     let misses = || reg.perf_value("corridor.cache_misses", "phys");
-    assert_eq!(ga.shortest_path_cached(&mut wa, from, to), Some(route.clone()));
-    assert_eq!(misses(), 0, "a corridor the prune left intact was not carried");
+    assert_eq!(
+        ga.shortest_path_cached(&mut wa, from, to),
+        Some(route.clone())
+    );
+    assert_eq!(
+        misses(),
+        0,
+        "a corridor the prune left intact was not carried"
+    );
     // A delta whose pair multiset gains or re-weights an entry could have
     // shortened any route: the same pair starts cold. (Atlas churn never
     // adds a pair on the tiny world; a re-measured road re-weights some.)
     let (road_snaps, _) = generate_delta(&base, 5, &[DeltaClass::RoadChurn]);
-    let (reweighted, _, _) =
-        prior.apply_delta(&road_snaps, &BuildPolicy::lenient()).expect("apply");
-    assert!(!pair_set(&reweighted).is_subset(&old_pairs), "RoadChurn seed 5 must re-weight a pair");
-    let _ = reweighted.phys_graph().shortest_path_cached(&mut wa, from, to);
+    let (reweighted, _, _) = prior
+        .apply_delta(&road_snaps, &BuildPolicy::lenient())
+        .expect("apply");
+    assert!(
+        !pair_set(&reweighted).is_subset(&old_pairs),
+        "RoadChurn seed 5 must re-weight a pair"
+    );
+    let _ = reweighted
+        .phys_graph()
+        .shortest_path_cached(&mut wa, from, to);
     assert_eq!(misses(), 1, "a corridor was carried across a re-weight");
 
     let (rebuilt, _) = Igdb::try_build(&next, &BuildPolicy::lenient()).unwrap();
@@ -533,7 +698,10 @@ fn derived_products_ride_with_physical() {
     let links = igdb_synth::intertubes::intertubes_recreation(&world.cities, &world.row);
     let (prior, _) = Igdb::try_build(&base, &BuildPolicy::lenient()).unwrap();
     let n = prior.metros.len();
-    let warmed: Vec<(usize, usize)> = (0..n).step_by(3).map(|from| (from, (from + 7) % n)).collect();
+    let warmed: Vec<(usize, usize)> = (0..n)
+        .step_by(3)
+        .map(|from| (from, (from + 7) % n))
+        .collect();
     let mut ws = igdb_core::SpWorkspace::new();
     for &(from, to) in &warmed {
         let _ = prior.phys_graph().shortest_path_cached(&mut ws, from, to);
@@ -562,8 +730,15 @@ fn derived_products_ride_with_physical() {
                 let _ = applied.phys_graph().shortest_path_cached(&mut ws, from, to);
             }
         });
-        assert!(!segment_fill(&reg), "{class:?}: the segment index was refilled");
-        assert_eq!(reg.perf_value("corridor.cache_misses", "phys"), 0, "{class:?}");
+        assert!(
+            !segment_fill(&reg),
+            "{class:?}: the segment index was refilled"
+        );
+        assert_eq!(
+            reg.perf_value("corridor.cache_misses", "phys"),
+            0,
+            "{class:?}"
+        );
         let (rebuilt, _) = rebuild(&next);
         assert_same_answers(&applied, &rebuilt, &format!("{class:?}"));
     }
@@ -571,9 +746,14 @@ fn derived_products_ride_with_physical() {
     let (next, _) = generate_delta(&base, 3, &[DeltaClass::AtlasChurn]);
     let (applied, _, delta) = prior.apply_delta(&next, &BuildPolicy::lenient()).unwrap();
     assert!(!delta.shares(Stage::Physical));
-    let fills: Vec<bool> =
-        (0..2).map(|_| segment_fill(&traced(&|| drop(compare(&applied, &links))))).collect();
-    assert_eq!(fills, [true, false], "AtlasChurn: the segment index fills exactly once");
+    let fills: Vec<bool> = (0..2)
+        .map(|_| segment_fill(&traced(&|| drop(compare(&applied, &links)))))
+        .collect();
+    assert_eq!(
+        fills,
+        [true, false],
+        "AtlasChurn: the segment index fills exactly once"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -597,9 +777,15 @@ fn epoch_readers_see_old_or_new_never_torn() {
     let (next_snaps, _) = generate_delta(
         prior.source_snapshots(),
         31,
-        &[DeltaClass::AtlasChurn, DeltaClass::LogicalChurn, DeltaClass::TracerouteChurn],
+        &[
+            DeltaClass::AtlasChurn,
+            DeltaClass::LogicalChurn,
+            DeltaClass::TracerouteChurn,
+        ],
     );
-    let (next, _, _) = prior.apply_delta(&next_snaps, &BuildPolicy::lenient()).unwrap();
+    let (next, _, _) = prior
+        .apply_delta(&next_snaps, &BuildPolicy::lenient())
+        .unwrap();
     let signatures = vec![world_signature(&prior), world_signature(&next)];
     let handle = Arc::new(EpochHandle::new(prior));
     let stop = Arc::new(AtomicBool::new(false));
@@ -674,7 +860,9 @@ fn apply_stream_matches_golden() {
     let reg = Registry::new();
     {
         let _g = reg.install();
-        prior.apply_delta(&next, &BuildPolicy::lenient()).expect("apply");
+        prior
+            .apply_delta(&next, &BuildPolicy::lenient())
+            .expect("apply");
     }
     let got = reg.json_lines(JsonMode::Deterministic);
     if std::env::var_os("IGDB_BLESS").is_some() {
@@ -684,7 +872,10 @@ fn apply_stream_matches_golden() {
         return;
     }
     let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
-        panic!("{}: {e} (run with IGDB_BLESS=1 to create)", golden_path.display())
+        panic!(
+            "{}: {e} (run with IGDB_BLESS=1 to create)",
+            golden_path.display()
+        )
     });
     assert_eq!(
         got, want,

@@ -9,9 +9,7 @@
 //! * The incremental, frontier-sparsified belief propagation must assign
 //!   exactly what the original rescan-every-round formulation assigns.
 
-use igdb_core::analysis::physpath::{
-    physical_path_report_with, PhysGraph, HIDDEN_NODE_BUFFER_KM,
-};
+use igdb_core::analysis::physpath::{physical_path_report_with, PhysGraph, HIDDEN_NODE_BUFFER_KM};
 use igdb_core::{Igdb, ShortestPathEngine, SpWorkspace};
 use igdb_net::{Asn, Ip4};
 use igdb_synth::{emit_snapshots, World, WorldConfig};
@@ -22,12 +20,7 @@ use proptest::prelude::*;
 // ---------------------------------------------------------------------
 
 /// O(n²) textbook Dijkstra, no heap, no reuse — the reference.
-fn naive_dijkstra(
-    n: usize,
-    arcs: &[(usize, usize, f64)],
-    from: usize,
-    to: usize,
-) -> Option<f64> {
+fn naive_dijkstra(n: usize, arcs: &[(usize, usize, f64)], from: usize, to: usize) -> Option<f64> {
     let mut adj = vec![Vec::new(); n];
     for &(a, b, w) in arcs {
         adj[a].push((b, w));
@@ -202,8 +195,7 @@ fn naive_hidden_candidates(
     b: usize,
     via: &[usize],
 ) -> Vec<usize> {
-    let corridor: Vec<igdb_geo::GeoPoint> =
-        via.iter().map(|&m| igdb.metros.metro(m).loc).collect();
+    let corridor: Vec<igdb_geo::GeoPoint> = via.iter().map(|&m| igdb.metros.metro(m).loc).collect();
     let mut hidden: Vec<usize> = Vec::new();
     for &asn in leg_asns {
         for m in igdb.metros_of_asn(asn) {

@@ -115,8 +115,8 @@ fn assert_ledger_accounted(report: &igdb_core::BuildReport, ledger: &[InjectedFa
     for f in ledger {
         match f.index {
             Some(i) => {
-                let covered = report.quarantine().contains(f.source, i)
-                    || report.health(f.source).dropped;
+                let covered =
+                    report.quarantine().contains(f.source, i) || report.health(f.source).dropped;
                 assert!(
                     covered,
                     "injected fault unaccounted: {f:?}\nreport:\n{report}"
@@ -143,11 +143,7 @@ fn assert_report_consistent(report: &igdb_core::BuildReport) {
             );
         }
     }
-    let quarantined_total: usize = report
-        .sources()
-        .iter()
-        .map(|h| h.rows_quarantined)
-        .sum();
+    let quarantined_total: usize = report.sources().iter().map(|h| h.rows_quarantined).sum();
     assert_eq!(quarantined_total, report.total_quarantined());
 }
 

@@ -125,12 +125,17 @@ fn span_tree_is_monotone_and_covers_the_pipeline() {
         "build.ip_resolution",
         "build.index",
     ] {
-        assert!(names.contains(&expected), "missing span '{expected}' in {names:?}");
+        assert!(
+            names.contains(&expected),
+            "missing span '{expected}' in {names:?}"
+        );
     }
     // Every span closed, and durations are consistent with the hierarchy:
     // a child's duration never exceeds its parent's.
     for (i, s) in spans.iter().enumerate() {
-        let dur = s.dur_us.unwrap_or_else(|| panic!("span '{}' never closed", s.name));
+        let dur = s
+            .dur_us
+            .unwrap_or_else(|| panic!("span '{}' never closed", s.name));
         if let Some(p) = s.parent {
             let parent = &spans[p];
             assert!(parent.depth + 1 == s.depth, "span {i} depth");
@@ -173,7 +178,11 @@ fn counter_snapshot_is_identical_at_1_and_4_workers() {
     };
     let first = snapshot();
     assert!(!first.is_empty());
-    assert_eq!(first, snapshot(), "counters must derive from the data alone");
+    assert_eq!(
+        first,
+        snapshot(),
+        "counters must derive from the data alone"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -199,8 +208,12 @@ fn deterministic_json_lines_match_golden() {
         eprintln!("blessed {}", golden_path.display());
         return;
     }
-    let want = std::fs::read_to_string(&golden_path)
-        .unwrap_or_else(|e| panic!("{}: {e} (run with IGDB_BLESS=1 to create)", golden_path.display()));
+    let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
+        panic!(
+            "{}: {e} (run with IGDB_BLESS=1 to create)",
+            golden_path.display()
+        )
+    });
     assert_eq!(
         got, want,
         "deterministic metrics stream drifted from tests/golden/observability.jsonl \
@@ -250,7 +263,8 @@ fn no_production_path_builds_a_contraction_hierarchy() {
         // the repair path rather than the lazy rebuild.
         run_query_mix(&world, &igdb);
         let (road, _) = generate_delta(&snaps, 5, &[DeltaClass::RoadChurn]);
-        igdb.apply_delta(&road, &lenient).expect("road churn applies");
+        igdb.apply_delta(&road, &lenient)
+            .expect("road churn applies");
         let (prune, _) = generate_delta(&snaps, 23, &[DeltaClass::AtlasPrune]);
         let (pruned, _, _) = igdb.apply_delta(&prune, &lenient).expect("prune applies");
 
@@ -261,25 +275,46 @@ fn no_production_path_builds_a_contraction_hierarchy() {
             igdb.metros.by_name("New Orleans").unwrap(),
         );
         let rerouted = risk::reroute(&igdb, &gulf_hazard(), a, b).expect("connected");
-        assert!(!matches!(rerouted, Reroute::Unaffected { .. }), "{rerouted:?}");
+        assert!(
+            !matches!(rerouted, Reroute::Unaffected { .. }),
+            "{rerouted:?}"
+        );
 
         let sock = tempdir("nochbuild").join("s.sock");
         let listener = Listener::bind_unix(&sock).expect("bind unix listener");
-        let pairs: Vec<(usize, usize)> =
-            pruned.phys_pairs.iter().step_by(7).take(6).map(|&(a, b, _)| (a, b)).collect();
-        let server =
-            Server::start(Arc::new(pruned), listener, ServerConfig::default(), reg.clone())
-                .expect("start server");
+        let pairs: Vec<(usize, usize)> = pruned
+            .phys_pairs
+            .iter()
+            .step_by(7)
+            .take(6)
+            .map(|&(a, b, _)| (a, b))
+            .collect();
+        let server = Server::start(
+            Arc::new(pruned),
+            listener,
+            ServerConfig::default(),
+            reg.clone(),
+        )
+        .expect("start server");
         let mut client = Client::connect(&server.addr(), Duration::from_secs(5)).unwrap();
         for w in pairs.windows(2) {
-            let req = Request::SpQuery { from: w[0].0 as u32, to: w[1].1 as u32 };
+            let req = Request::SpQuery {
+                from: w[0].0 as u32,
+                to: w[1].1 as u32,
+            };
             let resp = client.call(&req, 0).expect("sp_query answered");
-            assert!(matches!(resp, Response::Path { .. } | Response::NoRoute), "{resp:?}");
+            assert!(
+                matches!(resp, Response::Path { .. } | Response::NoRoute),
+                "{resp:?}"
+            );
         }
         drop(client);
         server.drain();
     }
-    assert!(reg.counter_value("spath.queries", "") > 0, "the scenario routed nothing");
+    assert!(
+        reg.counter_value("spath.queries", "") > 0,
+        "the scenario routed nothing"
+    );
     assert_eq!(reg.perf_value("ch.builds", ""), 0);
     assert!(
         !reg.json_lines(JsonMode::Full).contains("\"ch.builds\""),
@@ -295,10 +330,16 @@ fn serving_counters_invariant_across_workers() {
     let baseline = serve_mix(&world).json_lines(JsonMode::Deterministic);
     // The stream actually carries the serving counters.
     for needle in ["serving.mix_runs", "analysis.queries", "spath.queries"] {
-        assert!(baseline.contains(needle), "missing {needle} in:\n{baseline}");
+        assert!(
+            baseline.contains(needle),
+            "missing {needle} in:\n{baseline}"
+        );
     }
     let got = serve_mix(&world).json_lines(JsonMode::Deterministic);
-    assert_eq!(baseline, got, "serving counter stream diverged between two runs");
+    assert_eq!(
+        baseline, got,
+        "serving counter stream diverged between two runs"
+    );
 }
 
 #[test]
@@ -316,7 +357,10 @@ fn serving_stream_matches_golden() {
         return;
     }
     let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
-        panic!("{}: {e} (run with IGDB_BLESS=1 to create)", golden_path.display())
+        panic!(
+            "{}: {e} (run with IGDB_BLESS=1 to create)",
+            golden_path.display()
+        )
     });
     assert_eq!(
         got, want,
@@ -342,20 +386,37 @@ fn serving_quantiles_and_profile_are_coherent() {
         .expect("physpath latency histogram recorded");
     assert!(h.count > 10, "too few physpath queries: {}", h.count);
     let (p50, p90, p99) = (h.quantile(0.5), h.quantile(0.9), h.quantile(0.99));
-    assert!(p50 <= p90 && p90 <= p99, "quantiles not monotone: {p50} {p90} {p99}");
+    assert!(
+        p50 <= p90 && p90 <= p99,
+        "quantiles not monotone: {p50} {p90} {p99}"
+    );
     assert!(h.quantile(0.0) <= p50 && p99 <= h.quantile(1.0));
 
     // The profile aggregates the serving span tree: the mix root carries
     // every analysis span, and the critical path starts at the root.
     let profile = reg.profile();
     let names: Vec<&str> = profile.rows.iter().map(|r| r.name.as_ref()).collect();
-    for expected in ["serving.query_mix", "analysis.intertubes", "analysis.rocketfuel"] {
-        assert!(names.contains(&expected), "missing profile row '{expected}' in {names:?}");
+    for expected in [
+        "serving.query_mix",
+        "analysis.intertubes",
+        "analysis.rocketfuel",
+    ] {
+        assert!(
+            names.contains(&expected),
+            "missing profile row '{expected}' in {names:?}"
+        );
     }
-    let root = profile.rows.iter().find(|r| r.name == "serving.query_mix").unwrap();
+    let root = profile
+        .rows
+        .iter()
+        .find(|r| r.name == "serving.query_mix")
+        .unwrap();
     assert_eq!(root.calls, 1);
     assert!(root.self_us <= root.total_us);
-    assert_eq!(profile.critical_path.first().map(|(n, _)| n.as_ref()), Some("serving.query_mix"));
+    assert_eq!(
+        profile.critical_path.first().map(|(n, _)| n.as_ref()),
+        Some("serving.query_mix")
+    );
     // The rendered forms carry the new columns/sections.
     assert!(reg.render_table().contains("p99"));
     assert!(profile.render_table().contains("critical path:"));
@@ -384,13 +445,25 @@ fn cli_metrics_and_report_tell_the_same_story() {
     let out = igdb_bin()
         .args(["build", "--out"])
         .arg(dir.join("db"))
-        .args(["--scale", "tiny", "--mesh", "100", "--corrupt", "7", "--report"])
+        .args([
+            "--scale",
+            "tiny",
+            "--mesh",
+            "100",
+            "--corrupt",
+            "7",
+            "--report",
+        ])
         .arg(&rpt)
         .arg("--metrics")
         .arg(&jsonl)
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Parse the per-source table out of the report file.
     let report = std::fs::read_to_string(&rpt).unwrap();
@@ -421,12 +494,24 @@ fn cli_metrics_and_report_tell_the_same_story() {
         );
         sources_seen += 1;
     }
-    assert_eq!(sources_seen, SourceId::ALL.len(), "report lists every source");
+    assert_eq!(
+        sources_seen,
+        SourceId::ALL.len(),
+        "report lists every source"
+    );
 
     // `igdb metrics --in` renders the stream back as the same table the
     // registry renders.
-    let out = igdb_bin().args(["metrics", "--in"]).arg(&jsonl).output().unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = igdb_bin()
+        .args(["metrics", "--in"])
+        .arg(&jsonl)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let table = String::from_utf8_lossy(&out.stdout);
     assert_eq!(table, reg.render_table());
     assert!(table.contains("ingest.rows_in"), "{table}");

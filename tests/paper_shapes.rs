@@ -44,7 +44,12 @@ fn fig4_most_covered_pipeline_missed() {
     let (world, igdb) = build();
     let links = igdb_synth::intertubes::intertubes_recreation(&world.cities, &world.row);
     let r = analysis::intertubes::compare(&igdb, &links);
-    assert!(r.covered * 3 >= r.verdicts.len() * 2, "{}/{}", r.covered, r.verdicts.len());
+    assert!(
+        r.covered * 3 >= r.verdicts.len() * 2,
+        "{}/{}",
+        r.covered,
+        r.verdicts.len()
+    );
     assert!(r.verdicts.iter().any(|v| v.off_road && !v.covered));
     assert!(r.alternate_paths > 0);
 }
@@ -61,11 +66,18 @@ fn fig6_overlap_much_smaller_than_footprints() {
 fn fig7_distance_cost_band() {
     let (world, igdb) = build();
     let trace = world
-        .traceroute_between(world.scenarios.anchor_kansas_city, world.scenarios.anchor_atlanta)
+        .traceroute_between(
+            world.scenarios.anchor_kansas_city,
+            world.scenarios.anchor_atlanta,
+        )
         .unwrap();
     let r = analysis::physpath::physical_path_report(&igdb, &trace.responding_ips()).unwrap();
     // Paper: 1.96. Shape band: a clear detour.
-    assert!(r.distance_cost > 1.2 && r.distance_cost < 3.0, "{}", r.distance_cost);
+    assert!(
+        r.distance_cost > 1.2 && r.distance_cost < 3.0,
+        "{}",
+        r.distance_cost
+    );
     // Hidden-hop inference surfaces the Midwest corridor.
     let hidden: Vec<&str> = r
         .legs

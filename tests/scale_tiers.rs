@@ -79,8 +79,18 @@ fn shape_at(config: WorldConfig, mesh: usize) -> Shape {
 
 fn assert_shape(s: &Shape, tier: &str) {
     // Table 1 ordering: nodes > inferred paths > cables, at every tier.
-    assert!(s.nodes > s.paths, "{tier}: {} nodes vs {} paths", s.nodes, s.paths);
-    assert!(s.paths > s.cables, "{tier}: {} paths vs {} cables", s.paths, s.cables);
+    assert!(
+        s.nodes > s.paths,
+        "{tier}: {} nodes vs {} paths",
+        s.nodes,
+        s.paths
+    );
+    assert!(
+        s.paths > s.cables,
+        "{tier}: {} paths vs {} cables",
+        s.paths,
+        s.cables
+    );
     // Corridor lengths form a proper right-skewed distribution.
     assert!(s.km_p50 > 0.0, "{tier}: p50 {}", s.km_p50);
     assert!(
@@ -96,7 +106,11 @@ fn assert_shape(s: &Shape, tier: &str) {
         "{tier}: occupancy {}",
         s.occupied_frac
     );
-    assert!(s.asns_with_presence > 50, "{tier}: only {} located ASes", s.asns_with_presence);
+    assert!(
+        s.asns_with_presence > 50,
+        "{tier}: only {} located ASes",
+        s.asns_with_presence
+    );
 }
 
 #[test]
@@ -113,7 +127,11 @@ fn large_tier_shape() {
     let config = WorldConfig::large();
     let s = shape_at(config, 1500);
     assert_shape(&s, "large");
-    assert!(s.metros >= 15_000, "large tier shrank to {} metros", s.metros);
+    assert!(
+        s.metros >= 15_000,
+        "large tier shrank to {} metros",
+        s.metros
+    );
     assert!(s.asns_with_presence > 1000);
 }
 
@@ -124,5 +142,9 @@ fn large_tier_shape() {
 fn planet_tier_shape() {
     let s = shape_at(WorldConfig::planet(), 2000);
     assert_shape(&s, "planet");
-    assert!(s.metros >= 30_000, "planet tier shrank to {} metros", s.metros);
+    assert!(
+        s.metros >= 30_000,
+        "planet tier shrank to {} metros",
+        s.metros
+    );
 }

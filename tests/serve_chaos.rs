@@ -85,7 +85,11 @@ fn chaos_matrix_every_fault_is_typed_and_accounted() {
     let igdb = fresh_igdb();
     let seeds = chaos_seeds();
     for workers in [1usize, 4] {
-        let server = start_unix(Arc::clone(&igdb), &format!("chaos{workers}"), chaos_cfg(workers));
+        let server = start_unix(
+            Arc::clone(&igdb),
+            &format!("chaos{workers}"),
+            chaos_cfg(workers),
+        );
         let reg = server.registry();
         let env = ChaosEnv {
             addr: server.addr(),
@@ -112,10 +116,15 @@ fn chaos_matrix_every_fault_is_typed_and_accounted() {
         // The conservation law: every admitted request produced exactly
         // one accounted response — including the ones whose peer hung up
         // (their write went to a dead socket, but ok/err still tallied).
-        let admitted: u64 = KINDS.iter().map(|k| reg.counter_value("serve.requests", k)).sum();
+        let admitted: u64 = KINDS
+            .iter()
+            .map(|k| reg.counter_value("serve.requests", k))
+            .sum();
         let ok: u64 = KINDS.iter().map(|k| reg.counter_value("serve.ok", k)).sum();
-        let errs: u64 =
-            ServeError::NAMES.iter().map(|n| reg.perf_value("serve.err", n)).sum();
+        let errs: u64 = ServeError::NAMES
+            .iter()
+            .map(|n| reg.perf_value("serve.err", n))
+            .sum();
         assert_eq!(
             admitted,
             ok + errs,
@@ -147,7 +156,9 @@ fn retired_stats_opcode_is_refused_typed_and_the_ledger_balances() {
     let server = start_unix(Arc::clone(&igdb), "op08", chaos_cfg(1));
     let reg = server.registry();
     let mut stream = server.addr().connect().expect("connect");
-    stream.set_timeouts(Some(Duration::from_secs(5))).expect("timeouts");
+    stream
+        .set_timeouts(Some(Duration::from_secs(5)))
+        .expect("timeouts");
     write_frame(&mut stream, 7, 0, 0x08, &[]).expect("send 0x08");
     let frame = read_frame(&mut stream, DEFAULT_MAX_FRAME).expect("one typed response");
     match Response::decode(frame.op, &frame.payload).expect("decodable") {
@@ -156,19 +167,32 @@ fn retired_stats_opcode_is_refused_typed_and_the_ledger_balances() {
         }
         other => panic!("expected BadRequest, got {other:?}"),
     }
-    assert!(read_frame(&mut stream, DEFAULT_MAX_FRAME).is_err(), "then the connection closes");
+    assert!(
+        read_frame(&mut stream, DEFAULT_MAX_FRAME).is_err(),
+        "then the connection closes"
+    );
 
     // The one control op answers what `Stats` did, metro count included.
     let mut client = Client::connect(&server.addr(), Duration::from_secs(5)).expect("connect");
-    assert_eq!(client.call(&Request::Ping, 0).expect("ping"), Response::Pong);
+    assert_eq!(
+        client.call(&Request::Ping, 0).expect("ping"),
+        Response::Pong
+    );
     match client.call(&Request::Introspect, 0).expect("introspect") {
         Response::Introspect(i) => assert_eq!(i.n_metros as usize, igdb.metros.len()),
         other => panic!("expected Introspect, got {other:?}"),
     }
     let report = server.drain();
     assert_eq!((report.served, report.errors, report.rejects), (1, 0, 1));
-    let admitted: u64 = KINDS.iter().map(|k| reg.counter_value("serve.requests", k)).sum();
-    assert_eq!(admitted, report.served + report.errors, "only the ping was admitted");
+    let admitted: u64 = KINDS
+        .iter()
+        .map(|k| reg.counter_value("serve.requests", k))
+        .sum();
+    assert_eq!(
+        admitted,
+        report.served + report.errors,
+        "only the ping was admitted"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -180,10 +204,15 @@ fn panics_are_contained_and_the_pool_survives() {
     let igdb = fresh_igdb();
     let server = start_unix(Arc::clone(&igdb), "panic", chaos_cfg(2));
     let reg = server.registry();
-    let mut client =
-        Client::connect(&server.addr(), Duration::from_secs(5)).expect("connect");
+    let mut client = Client::connect(&server.addr(), Duration::from_secs(5)).expect("connect");
     let reference = client
-        .call(&Request::SpQuery { from: 0, to: (igdb.metros.len() - 1) as u32 }, 0)
+        .call(
+            &Request::SpQuery {
+                from: 0,
+                to: (igdb.metros.len() - 1) as u32,
+            },
+            0,
+        )
         .expect("reference query");
 
     // More panics than workers: if containment leaked, the pool would be
@@ -191,14 +220,23 @@ fn panics_are_contained_and_the_pool_survives() {
     for _ in 0..6 {
         match client.call(&Request::Panic, 0) {
             Ok(Response::Error(ServeError::Internal { detail })) => {
-                assert!(detail.contains("injected analysis panic"), "detail: {detail:?}")
+                assert!(
+                    detail.contains("injected analysis panic"),
+                    "detail: {detail:?}"
+                )
             }
             other => panic!("expected a typed Internal, got {other:?}"),
         }
     }
     // Same connection, same shared caches: the answer is unchanged.
     let after = client
-        .call(&Request::SpQuery { from: 0, to: (igdb.metros.len() - 1) as u32 }, 0)
+        .call(
+            &Request::SpQuery {
+                from: 0,
+                to: (igdb.metros.len() - 1) as u32,
+            },
+            0,
+        )
         .expect("query after panics");
     assert_eq!(after, reference);
     assert_eq!(reg.perf_value("serve.err", "internal"), 6);
@@ -215,7 +253,10 @@ fn panics_are_contained_and_the_pool_survives() {
 #[test]
 fn full_queue_sheds_typed_overloaded_and_admitted_work_completes() {
     let igdb = fresh_igdb();
-    let cfg = ServerConfig { queue_capacity: 1, ..chaos_cfg(1) };
+    let cfg = ServerConfig {
+        queue_capacity: 1,
+        ..chaos_cfg(1)
+    };
     let server = start_unix(igdb, "overload", cfg);
     let reg = server.registry();
 
@@ -242,13 +283,20 @@ fn full_queue_sheds_typed_overloaded_and_admitted_work_completes() {
             }
         }
     };
-    occupier.send(&Request::Sleep { ms: 600 }, 10_000).expect("send worker sleep");
+    occupier
+        .send(&Request::Sleep { ms: 600 }, 10_000)
+        .expect("send worker sleep");
     wait_for("worker occupancy", 1, 0);
-    occupier.send(&Request::Sleep { ms: 600 }, 10_000).expect("send queue sleep");
+    occupier
+        .send(&Request::Sleep { ms: 600 }, 10_000)
+        .expect("send queue sleep");
     wait_for("queue fill", 1, 1);
     // The probe sheds — typed, with the observed depth, answered by the
     // reader without touching worker capacity.
-    match control.call(&Request::SpQuery { from: 0, to: 1 }, 0).expect("probe") {
+    match control
+        .call(&Request::SpQuery { from: 0, to: 1 }, 0)
+        .expect("probe")
+    {
         Response::Error(ServeError::Overloaded { queue_depth }) => {
             assert_eq!(queue_depth, 1)
         }
@@ -273,16 +321,20 @@ fn full_queue_sheds_typed_overloaded_and_admitted_work_completes() {
 fn drain_finishes_in_flight_requests_before_closing() {
     let igdb = fresh_igdb();
     let server = start_unix(igdb, "drain", chaos_cfg(1));
-    let mut client =
-        Client::connect(&server.addr(), Duration::from_secs(5)).expect("connect");
-    client.send(&Request::Sleep { ms: 200 }, 5_000).expect("send sleep");
+    let mut client = Client::connect(&server.addr(), Duration::from_secs(5)).expect("connect");
+    client
+        .send(&Request::Sleep { ms: 200 }, 5_000)
+        .expect("send sleep");
     // Let the reader admit it and a worker pick it up…
     std::thread::sleep(Duration::from_millis(40));
     // …then drain while it is still sleeping. The response must be
     // written before the connection is torn down.
     let waiter = std::thread::spawn(move || client.recv());
     let report = server.drain();
-    let (_, resp) = waiter.join().expect("join").expect("in-flight response lost by drain");
+    let (_, resp) = waiter
+        .join()
+        .expect("join")
+        .expect("in-flight response lost by drain");
     assert_eq!(resp, Response::Slept);
     assert_eq!(report.served, 1);
     assert_eq!(report.errors, 0);
@@ -297,7 +349,9 @@ fn draining_server_rejects_new_requests_typed() {
     let mut prober =
         Client::connect(&server.addr(), Duration::from_secs(5)).expect("connect prober");
     // Hold the worker so drain has something in flight to wait for.
-    holder.send(&Request::Sleep { ms: 400 }, 5_000).expect("send sleep");
+    holder
+        .send(&Request::Sleep { ms: 400 }, 5_000)
+        .expect("send sleep");
     std::thread::sleep(Duration::from_millis(40));
     let drainer = std::thread::spawn(move || server.drain());
     std::thread::sleep(Duration::from_millis(40));
@@ -328,7 +382,12 @@ fn golden_session(tag: &str) -> (igdb_serve::LoadgenSummary, Registry) {
         default_deadline: Duration::from_secs(30),
         ..ServerConfig::default()
     };
-    let loadgen = LoadgenConfig { requests: 300, conns: 2, seed: 7, ..LoadgenConfig::default() };
+    let loadgen = LoadgenConfig {
+        requests: 300,
+        conns: 2,
+        seed: 7,
+        ..LoadgenConfig::default()
+    };
     let (summary, report, reg) =
         loadgen_session(fresh_igdb(), &sock(tag), cfg, &loadgen).expect("loadgen session");
     assert_eq!(report.rejects, 0, "clean run shed requests");
@@ -346,7 +405,12 @@ fn serve_counter_stream_is_worker_count_invariant_and_matches_golden() {
     for s in [&summary1, &summary4] {
         assert_eq!(s.sent, 300);
         assert_eq!(s.lost, 0, "clean closed-loop run lost responses");
-        assert_eq!(s.error_total(), 0, "clean run saw typed errors: {:?}", s.errors);
+        assert_eq!(
+            s.error_total(),
+            0,
+            "clean run saw typed errors: {:?}",
+            s.errors
+        );
         assert_eq!(s.ok, 300);
     }
     // Counters are data-derived: 1 worker and 4 workers produce the same
@@ -366,7 +430,10 @@ fn serve_counter_stream_is_worker_count_invariant_and_matches_golden() {
         return;
     }
     let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
-        panic!("{}: {e} (run with IGDB_BLESS=1 to create)", golden_path.display())
+        panic!(
+            "{}: {e} (run with IGDB_BLESS=1 to create)",
+            golden_path.display()
+        )
     });
     assert_eq!(
         got, want,
@@ -409,7 +476,13 @@ fn introspection_ledger_is_exact_mid_storm_and_matches_registry() {
                         let _ = c.call(&Request::Sleep { ms: 20 }, 5);
                     }
                     1 => {
-                        let _ = c.call(&Request::SpQuery { from: 0, to: (n - 1) % n }, 0);
+                        let _ = c.call(
+                            &Request::SpQuery {
+                                from: 0,
+                                to: (n - 1) % n,
+                            },
+                            0,
+                        );
                     }
                     2 => {
                         let _ = c.call(&Request::Footprint { top_n: 5 }, 0);
@@ -461,28 +534,47 @@ fn introspection_ledger_is_exact_mid_storm_and_matches_registry() {
         if i.recorder.live == 0 {
             break i;
         }
-        assert!(t0.elapsed() < Duration::from_secs(10), "requests stuck live");
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "requests stuck live"
+        );
         std::thread::sleep(Duration::from_millis(5));
     };
     let r = &intro.recorder;
-    assert_eq!(r.requests, r.ok + r.err_total(), "post-storm ledger unbalanced");
+    assert_eq!(
+        r.requests,
+        r.ok + r.err_total(),
+        "post-storm ledger unbalanced"
+    );
     assert_eq!(r.requests, 75, "3 threads x 25 admitted requests");
 
     // The wire totals equal the registry's exact accounting.
-    let admitted: u64 = KINDS.iter().map(|k| reg.counter_value("serve.requests", k)).sum();
+    let admitted: u64 = KINDS
+        .iter()
+        .map(|k| reg.counter_value("serve.requests", k))
+        .sum();
     let ok: u64 = KINDS.iter().map(|k| reg.counter_value("serve.ok", k)).sum();
-    let errs: u64 = ServeError::NAMES.iter().map(|n| reg.perf_value("serve.err", n)).sum();
+    let errs: u64 = ServeError::NAMES
+        .iter()
+        .map(|n| reg.perf_value("serve.err", n))
+        .sum();
     assert_eq!(r.requests, admitted);
     assert_eq!(r.ok, ok);
     assert_eq!(r.err_total(), errs);
     assert!(r.err[1] > 0, "the storm's tight deadlines never timed out");
-    let bytes_in: u64 = KINDS.iter().map(|k| reg.counter_value("serve.bytes_in", k)).sum();
+    let bytes_in: u64 = KINDS
+        .iter()
+        .map(|k| reg.counter_value("serve.bytes_in", k))
+        .sum();
     assert_eq!(r.bytes_in, bytes_in);
 
     // Per-client rows: one per storm connection (the prober only issued
     // control ops, which are never admitted), each summing to the totals.
     assert_eq!(r.clients.len(), 3, "clients: {:?}", r.clients);
-    assert_eq!(r.clients.iter().map(|c| c.requests).sum::<u64>(), r.requests);
+    assert_eq!(
+        r.clients.iter().map(|c| c.requests).sum::<u64>(),
+        r.requests
+    );
     assert_eq!(r.clients.iter().map(|c| c.ok).sum::<u64>(), r.ok);
     for c in &r.clients {
         assert_eq!(c.requests, 25);
@@ -504,13 +596,19 @@ fn introspection_ledger_is_exact_mid_storm_and_matches_registry() {
 /// The sorted multiset of (kind, span shape, per-request counters) over a
 /// fixed 300-request mix — the structural fingerprint of every request's
 /// trace. Timings vary run to run; this must not.
-fn trace_profile(server: &Server) -> Vec<(String, Vec<(usize, String)>, Vec<(String, String, u64)>)> {
+fn trace_profile(
+    server: &Server,
+) -> Vec<(String, Vec<(usize, String)>, Vec<(String, String, u64)>)> {
     let mut v: Vec<_> = server
         .traces()
         .iter()
         .map(|rt| {
             rt.record.check_nesting().expect("trace nesting");
-            assert_eq!(rt.record.root().unwrap().name, rt.kind, "root carries the kind");
+            assert_eq!(
+                rt.record.root().unwrap().name,
+                rt.kind,
+                "root carries the kind"
+            );
             (
                 rt.kind.to_string(),
                 rt.record.shape(),
@@ -537,11 +635,14 @@ fn trace_structure_is_worker_count_invariant() {
             ..ServerConfig::default()
         };
         let server = start_unix(fresh_igdb(), &format!("traces{workers}"), cfg);
-        let loadgen =
-            LoadgenConfig { requests: 300, conns: 2, seed: 7, ..LoadgenConfig::default() };
+        let loadgen = LoadgenConfig {
+            requests: 300,
+            conns: 2,
+            seed: 7,
+            ..LoadgenConfig::default()
+        };
         let n_metros = {
-            let mut c =
-                Client::connect(&server.addr(), Duration::from_secs(5)).expect("connect");
+            let mut c = Client::connect(&server.addr(), Duration::from_secs(5)).expect("connect");
             match c.call(&Request::Introspect, 0).expect("introspect") {
                 Response::Introspect(i) => i.n_metros as usize,
                 other => panic!("introspect probe: {other:?}"),
@@ -584,8 +685,7 @@ fn trace_structure_is_worker_count_invariant() {
 /// execution + encode), parseable by the standard JSON-lines reader.
 #[test]
 fn slow_log_spans_account_for_request_wall_time() {
-    let path = std::env::temp_dir()
-        .join(format!("igdb-slowlog-{}.jsonl", std::process::id()));
+    let path = std::env::temp_dir().join(format!("igdb-slowlog-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let cfg = ServerConfig {
         slow_ms: 1,
@@ -645,7 +745,10 @@ fn slow_log_spans_account_for_request_wall_time() {
             root.name
         );
     }
-    assert!(entries >= 30, "expected the storm's requests in the slow log, got {entries}");
+    assert!(
+        entries >= 30,
+        "expected the storm's requests in the slow log, got {entries}"
+    );
     let _ = std::fs::remove_file(&path);
 }
 
@@ -659,7 +762,10 @@ fn slow_log_spans_account_for_request_wall_time() {
 #[test]
 fn loadgen_summary_attributes_typed_errors_by_kind() {
     let igdb = fresh_igdb();
-    let cfg = ServerConfig { queue_capacity: 1, ..chaos_cfg(1) };
+    let cfg = ServerConfig {
+        queue_capacity: 1,
+        ..chaos_cfg(1)
+    };
     let server = start_unix(Arc::clone(&igdb), "lgerr", cfg);
 
     // Pin the worker, confirmed via inline Introspect.
@@ -667,7 +773,9 @@ fn loadgen_summary_attributes_typed_errors_by_kind() {
         Client::connect(&server.addr(), Duration::from_secs(5)).expect("connect occupier");
     let mut control =
         Client::connect(&server.addr(), Duration::from_secs(5)).expect("connect control");
-    occupier.send(&Request::Sleep { ms: 700 }, 10_000).expect("send sleep");
+    occupier
+        .send(&Request::Sleep { ms: 700 }, 10_000)
+        .expect("send sleep");
     let t0 = std::time::Instant::now();
     loop {
         match control.call(&Request::Introspect, 0).expect("introspect") {
@@ -703,10 +811,16 @@ fn loadgen_summary_attributes_typed_errors_by_kind() {
     assert_eq!(by_kind_total, summary.error_total());
     for &(kind, name, count) in &summary.errors_by_kind {
         assert!(["ping", "sp_query", "sp_batch", "risk", "footprint"].contains(&kind));
-        assert!(["timeout", "overloaded"].contains(&name), "unexpected error {name}");
+        assert!(
+            ["timeout", "overloaded"].contains(&name),
+            "unexpected error {name}"
+        );
         assert!(count > 0);
     }
-    assert!(summary.error_count("overloaded") > 0, "queue never shed: {summary:?}");
+    assert!(
+        summary.error_count("overloaded") > 0,
+        "queue never shed: {summary:?}"
+    );
     // The render carries the attribution for the CLI/chaos artifacts.
     if summary.error_total() > 0 {
         assert!(summary.render().contains("errors by kind:"));
@@ -739,19 +853,38 @@ fn open_loop_times_requests_from_their_due_instant() {
     };
     let (summary, report, reg) =
         loadgen_session(fresh_igdb(), &sock("openloop"), cfg, &loadgen).expect("session");
-    assert_eq!((summary.sent, summary.ok, summary.lost), (300, 300, 0), "{summary:?}");
+    assert_eq!(
+        (summary.sent, summary.ok, summary.lost),
+        (300, 300, 0),
+        "{summary:?}"
+    );
     assert_eq!(report.rejects, 0);
 
-    let late = reg.histogram("loadgen.late_us", "").expect("lateness recorded per send");
-    let rtt = reg.histogram("loadgen.rtt_us", "all").expect("round trips recorded");
+    let late = reg
+        .histogram("loadgen.late_us", "")
+        .expect("lateness recorded per send");
+    let rtt = reg
+        .histogram("loadgen.rtt_us", "all")
+        .expect("round trips recorded");
     assert_eq!((late.count, rtt.count), (300, 300));
     // A response cannot arrive before its request was sent, and a request
     // is sent `late` after it was due: rtt >= late, request by request.
-    assert!(rtt.sum >= late.sum, "rtt Σ {} µs < late Σ {} µs", rtt.sum, late.sum);
+    assert!(
+        rtt.sum >= late.sum,
+        "rtt Σ {} µs < late Σ {} µs",
+        rtt.sum,
+        late.sum
+    );
     assert_eq!(summary.late_p99_us, Some(late.quantile(0.99)));
-    assert!(summary.render().contains("generator late p99"), "{}", summary.render());
+    assert!(
+        summary.render().contains("generator late p99"),
+        "{}",
+        summary.render()
+    );
     // Lateness is timing: perf-class, never in the gated stream.
-    assert!(!reg.json_lines(JsonMode::Deterministic).contains("loadgen.late_us"));
+    assert!(!reg
+        .json_lines(JsonMode::Deterministic)
+        .contains("loadgen.late_us"));
 }
 
 // ---------------------------------------------------------------------------
@@ -780,9 +913,18 @@ fn tcp_transport_smoke() {
             return;
         }
     };
-    assert_eq!(client.call(&Request::Ping, 0).expect("ping"), Response::Pong);
+    assert_eq!(
+        client.call(&Request::Ping, 0).expect("ping"),
+        Response::Pong
+    );
     match client
-        .call(&Request::SpQuery { from: 0, to: (igdb.metros.len() - 1) as u32 }, 0)
+        .call(
+            &Request::SpQuery {
+                from: 0,
+                to: (igdb.metros.len() - 1) as u32,
+            },
+            0,
+        )
         .expect("sp query")
     {
         Response::Path { .. } | Response::NoRoute => {}

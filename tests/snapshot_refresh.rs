@@ -24,7 +24,10 @@ fn six_months_later(first: &SnapshotSet) -> SnapshotSet {
 fn second_snapshot_appends_without_touching_the_first() {
     let world = World::generate(WorldConfig::tiny());
     let snaps1 = emit_snapshots(&world, FIRST, 100);
-    let (first, second) = (Igdb::build(&snaps1), Igdb::build(&six_months_later(&snaps1)));
+    let (first, second) = (
+        Igdb::build(&snaps1),
+        Igdb::build(&six_months_later(&snaps1)),
+    );
     let mut history = Database::new();
     history.append_from(&first.db).unwrap();
     history.append_from(&second.db).unwrap();
@@ -34,16 +37,27 @@ fn second_snapshot_appends_without_touching_the_first() {
     assert_eq!(history.table_names(), first.db.table_names());
     for table in history.table_names() {
         let by_date = history
-            .with_table(&table, |t| Query::new(t).group_by(vec!["as_of_date"], vec![Aggregate::Count]))
+            .with_table(&table, |t| {
+                Query::new(t).group_by(vec!["as_of_date"], vec![Aggregate::Count])
+            })
             .unwrap()
             .unwrap();
         let want = |igdb: &Igdb, date: &str| {
-            vec![Value::text(date), Value::Int(igdb.db.row_count(&table).unwrap() as i64)]
+            vec![
+                Value::text(date),
+                Value::Int(igdb.db.row_count(&table).unwrap() as i64),
+            ]
         };
-        assert_eq!(by_date, vec![want(&first, FIRST), want(&second, SECOND)], "{table}");
+        assert_eq!(
+            by_date,
+            vec![want(&first, FIRST), want(&second, SECOND)],
+            "{table}"
+        );
         let pinned = history
             .with_table(&table, |t| {
-                Query::new(t).filter(Predicate::Eq("as_of_date".into(), Value::text(FIRST))).rows()
+                Query::new(t)
+                    .filter(Predicate::Eq("as_of_date".into(), Value::text(FIRST)))
+                    .rows()
             })
             .unwrap()
             .unwrap();
@@ -65,7 +79,10 @@ fn analyses_survive_a_refresh() {
     let world = World::generate(WorldConfig::tiny());
     let snaps1 = emit_snapshots(&world, FIRST, 450);
     let trace = world
-        .traceroute_between(world.scenarios.anchor_kansas_city, world.scenarios.anchor_atlanta)
+        .traceroute_between(
+            world.scenarios.anchor_kansas_city,
+            world.scenarios.anchor_atlanta,
+        )
         .unwrap();
     let report = |igdb: &Igdb| {
         igdb_core::analysis::physpath::physical_path_report(igdb, &trace.responding_ips())

@@ -121,7 +121,9 @@ fn lattice_all_pairs_agree_across_modes() {
     let mut cws = SpWorkspace::for_engine(&e);
     for from in 0..20 {
         for to in 0..20 {
-            let d = with_mode(SpMode::Dijkstra, || e.shortest_path_with(&mut dws, from, to));
+            let d = with_mode(SpMode::Dijkstra, || {
+                e.shortest_path_with(&mut dws, from, to)
+            });
             let c = with_mode(SpMode::Ch, || e.shortest_path_with(&mut cws, from, to));
             assert_eq!(d, c, "pair ({from}, {to})");
         }
