@@ -12,11 +12,10 @@
 //! (covered / missed), and the number of iGDB corridors with no nearby
 //! long-haul link (alternates).
 
-use igdb_geo::{GeoPoint, KM_PER_MILE};
+use igdb_geo::{GeoPoint, SegmentIndex, KM_PER_MILE};
 use igdb_synth::intertubes::LongHaulLink;
 
 use crate::build::Igdb;
-use crate::derived::SegmentIndex;
 
 /// The paper's corridor width: 25 miles.
 pub const CORRIDOR_KM: f64 = 25.0 * KM_PER_MILE;

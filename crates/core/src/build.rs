@@ -13,13 +13,13 @@ use std::sync::Arc;
 
 use igdb_db::{Database, Table, Value};
 use igdb_fault::{BuildError, BuildPolicy, BuildReport, SourceId};
-use igdb_geo::{to_wkt, GeoPoint, Geometry, LineString, MultiLineString};
+use igdb_geo::{to_wkt, GeoPoint, Geometry, LineString, MultiLineString, SegmentIndex};
 use igdb_net::{Asn, Ip4, Prefix};
 use igdb_synth::sources::{RipeTraceroute, SnapshotSet};
 
 use crate::bdrmap::BdrMap;
 use crate::delta::{diff_snapshots, SnapshotDelta, Stage};
-use crate::derived::{Derived, SegmentIndex};
+use crate::derived::Derived;
 use crate::hoiho::HoihoEngine;
 use crate::metros::MetroRegistry;
 use crate::roads::RoadGraph;

@@ -19,9 +19,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use igdb_db::Database;
-use igdb_geo::geodesy::point_segment_distance_km;
-use igdb_geo::spatial::{segment_bbox, segment_window, window_abs_lat};
-use igdb_geo::{parse_wkt, point_polyline_distance_km, GeoPoint, Geometry, RTree};
+use igdb_geo::{parse_wkt, GeoPoint, Geometry, SegmentIndex};
 
 use crate::analysis::physpath::PhysGraph;
 use crate::build::Igdb;
@@ -92,88 +90,6 @@ impl Derived {
             let _ = self
                 .phys_graph
                 .set(old.for_next_epoch(old_pairs, n_metros, new_pairs));
-        }
-    }
-}
-
-/// An R-tree over the segments of a set of polylines, answering "is any
-/// segment within `r` km of this point?" with the same arithmetic as a scan
-/// of [`point_polyline_distance_km`] — the tree only chooses which segments
-/// are tested.
-pub(crate) struct SegmentIndex {
-    /// `(polyline, first vertex of the segment)`. A one-vertex polyline is
-    /// the degenerate segment `(i, 0)`, whose distance is the point
-    /// distance the scan takes; an empty polyline has no entry, and is at
-    /// distance ∞ in the scan.
-    tree: RTree<(u32, u32)>,
-    /// Largest `|lat|` indexed (∞ if a longitude is outside ±180°, which
-    /// only [`GeoPoint::raw`] makes and no planar window covers): the
-    /// distance scales longitudes by the cosine of a segment's
-    /// mid-latitude, so this bounds how wide a window must be.
-    max_abs_lat: f64,
-}
-
-/// The ends of the segment starting at vertex `i`; both are the vertex
-/// itself for a one-vertex polyline.
-fn segment_ends(polyline: &[GeoPoint], i: usize) -> (&GeoPoint, &GeoPoint) {
-    (&polyline[i], &polyline[(i + 1).min(polyline.len() - 1)])
-}
-
-/// Segments a polyline of `vertices` is indexed as.
-fn segment_count(vertices: usize) -> usize {
-    match vertices {
-        1 => 1,
-        n => n.saturating_sub(1),
-    }
-}
-
-impl SegmentIndex {
-    pub(crate) fn new<P: AsRef<[GeoPoint]>>(polylines: &[P]) -> Self {
-        // Sized exactly: the tree keeps this vector.
-        let total = polylines
-            .iter()
-            .map(|p| segment_count(p.as_ref().len()))
-            .sum();
-        let mut entries = Vec::with_capacity(total);
-        let mut max_abs_lat = 0.0f64;
-        for (pi, polyline) in polylines.iter().enumerate() {
-            let polyline = polyline.as_ref();
-            for p in polyline {
-                max_abs_lat = max_abs_lat.max(window_abs_lat(p));
-            }
-            for si in 0..segment_count(polyline.len()) {
-                let (a, b) = segment_ends(polyline, si);
-                entries.push((segment_bbox(a, b), (pi as u32, si as u32)));
-            }
-        }
-        Self {
-            tree: RTree::bulk_load(entries),
-            max_abs_lat,
-        }
-    }
-
-    /// True if some polyline `i` with `keep(i)` has
-    /// `point_polyline_distance_km(v, polylines[i]) <= radius_km`.
-    /// `polylines` must be the set the index was built over. Where no
-    /// planar window exists for `v` (see [`segment_window`]) every kept
-    /// polyline is scanned.
-    pub(crate) fn any_within<P: AsRef<[GeoPoint]>>(
-        &self,
-        polylines: &[P],
-        v: &GeoPoint,
-        radius_km: f64,
-        keep: impl Fn(usize) -> bool,
-    ) -> bool {
-        match segment_window(v, radius_km, self.max_abs_lat) {
-            Some(window) => self.tree.any_in_bbox(&window, |&(pi, si)| {
-                keep(pi as usize) && {
-                    let (a, b) = segment_ends(polylines[pi as usize].as_ref(), si as usize);
-                    point_segment_distance_km(v, a, b) <= radius_km
-                }
-            }),
-            None => polylines.iter().enumerate().any(|(pi, polyline)| {
-                keep(pi) && point_polyline_distance_km(v, polyline.as_ref()) <= radius_km
-            }),
         }
     }
 }

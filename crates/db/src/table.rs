@@ -376,7 +376,7 @@ impl Table {
 
     /// Iterates `(row_id, row)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &[Value])> {
-        self.rows().iter().enumerate().map(|(i, r)| (i, r))
+        self.rows().iter().enumerate()
     }
 }
 

@@ -144,10 +144,10 @@ mod tests {
         let cols = GeoColumns::from_points(&pts);
         let q = GeoPoint::new(-3.7038, 40.4168);
         let r = RefPoint::new(&q);
-        for i in 0..pts.len() {
+        for (i, p) in pts.iter().enumerate() {
             assert_eq!(
                 cols.haversine_km_from(&r, i).to_bits(),
-                haversine_km(&q, &pts[i]).to_bits()
+                haversine_km(&q, p).to_bits()
             );
         }
     }

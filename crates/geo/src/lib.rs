@@ -16,16 +16,15 @@
 //!   point-to-polyline distances.
 //! * [`wkt`] — a parser and writer for the Well-Known Text format the paper
 //!   stores all geometries in.
-//! * [`rtree`] — an immutable STR-packed R-tree over bounding boxes, for
-//!   the range queries of the Figure 4 corridor join.
 //! * [`delaunay`] / [`voronoi`] — Bowyer–Watson Delaunay triangulation and
 //!   its Voronoi dual, used to build the 7,342 Thiessen polygons of
 //!   Figure 3.
-//! * [`spatial`] — the spatial join: exact great-circle nearest-site
-//!   assignment ([`NearestSiteIndex`]) over a fixed 1° bucket grid, the
-//!   candidate windows it and the Figure 4 corridor join prune with, and
-//!   the Figure 7 corridor test that those bounds settle before any
-//!   distance is computed.
+//! * [`spatial`] — the spatial joins over one fixed 1° bucket grid, the
+//!   crate's only window index: exact great-circle nearest-site assignment
+//!   ([`NearestSiteIndex`]), the Figure 4 corridor join's segment index
+//!   ([`SegmentIndex`]), the candidate windows both prune with, and the
+//!   Figure 7 corridor test that those bounds settle before any distance
+//!   is computed.
 //! * [`batch`] — struct-of-arrays columns ([`GeoColumns`]) with batched
 //!   great-circle kernels, bit-identical to the scalar path.
 //!
@@ -38,7 +37,6 @@ pub mod geodesy;
 pub mod geometry;
 pub mod hull;
 pub mod point;
-pub mod rtree;
 pub mod spatial;
 pub mod voronoi;
 pub mod wkt;
@@ -51,8 +49,7 @@ pub use geodesy::{
 pub use geometry::{Geometry, LineString, MultiLineString, MultiPolygon, Polygon};
 pub use hull::convex_hull;
 pub use point::{BoundingBox, GeoPoint};
-pub use rtree::RTree;
-pub use spatial::NearestSiteIndex;
+pub use spatial::{NearestSiteIndex, SegmentIndex};
 pub use voronoi::{voronoi_cells, VoronoiCell};
 pub use wkt::{parse_wkt, to_wkt, WktError};
 

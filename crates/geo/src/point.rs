@@ -38,7 +38,7 @@ impl GeoPoint {
     }
 
     /// Squared Euclidean distance in degree space. Only meaningful for
-    /// planar algorithms (Delaunay, R-tree ordering); use
+    /// planar algorithms (Delaunay, the nearest-site grid's seed); use
     /// [`crate::geodesy::haversine_km`] for real distances.
     pub fn planar_dist2(&self, other: &GeoPoint) -> f64 {
         let dx = self.lon - other.lon;

@@ -1,9 +1,12 @@
-//! The spatial join: nearest-site assignment.
+//! The spatial joins: nearest-site assignment and the corridor join.
 //!
-//! This is the one ArcGIS operation at the heart of iGDB's standardization
-//! pipeline (paper §3.1): every coordinate of every source is spatially
-//! joined to its nearest urban area — equivalently, to the Thiessen cell
-//! containing it, so the join never needs the cell geometry.
+//! Nearest-site assignment is the one ArcGIS operation at the heart of
+//! iGDB's standardization pipeline (paper §3.1): every coordinate of every
+//! source is spatially joined to its nearest urban area — equivalently, to
+//! the Thiessen cell containing it, so the join never needs the cell
+//! geometry. The corridor join (Figure 4) asks whether any segment of a
+//! set of polylines lies within a buffer of a point. Both read their
+//! candidates from one fixed 1° bucket grid.
 
 use crate::batch::{GeoColumns, RefPoint};
 use crate::geodesy::{point_polyline_distance_km, point_segment_distance_km};
@@ -190,14 +193,17 @@ pub fn polyline_within_km(p: &GeoPoint, polyline: &[GeoPoint], radius_km: f64) -
 /// minimal, which by construction is the Thiessen cell the query point
 /// falls in — so assignment never needs the polygon geometry at all.
 ///
-/// Sites are bucketed in a fixed 1° [`SiteGrid`], which hands each query a
-/// seed and a candidate window. Site coordinates live in struct-of-arrays
-/// [`GeoColumns`], so the candidate scans run the batched haversine kernel
-/// (cached `cos(lat)` columns, hoisted query-side trig) — bit-identical to
-/// the scalar path — and candidates are pruned by an exact latitude-band
-/// lower bound before the kernel runs at all.
+/// Sites are bucketed in the fixed 1° [`Grid`], which with a per-cell seed
+/// table hands each query a seed and a candidate window. Site coordinates
+/// live in struct-of-arrays [`GeoColumns`], so the candidate scans run the
+/// batched haversine kernel (cached `cos(lat)` columns, hoisted query-side
+/// trig) — bit-identical to the scalar path — and candidates are pruned by
+/// an exact latitude-band lower bound before the kernel runs at all.
 pub struct NearestSiteIndex {
-    grid: SiteGrid,
+    grid: Grid,
+    /// Per cell, a site in it or in the nearest non-empty cell (in grid
+    /// steps), so that a seed costs one lookup however sparse the sites.
+    seeds: Vec<u32>,
     cols: GeoColumns,
     sites: Vec<GeoPoint>,
 }
@@ -206,8 +212,20 @@ impl NearestSiteIndex {
     /// Builds the index. Sites may contain duplicates; ties resolve to the
     /// lowest index deterministically.
     pub fn new(sites: Vec<GeoPoint>) -> Self {
+        // A site's box is its own point, NaN and all, so every site lies
+        // in exactly one cell (a NaN coordinate clamps to row or column 0).
+        let grid = Grid::new(sites.len(), |i| {
+            let p = &sites[i];
+            BoundingBox {
+                min_lon: p.lon,
+                min_lat: p.lat,
+                max_lon: p.lon,
+                max_lat: p.lat,
+            }
+        });
         Self {
-            grid: SiteGrid::new(&sites),
+            seeds: seed_table(&grid),
+            grid,
             cols: GeoColumns::from_points(&sites),
             sites,
         }
@@ -232,8 +250,8 @@ impl NearestSiteIndex {
     /// in three steps:
     ///
     /// 1. **Seed.** The site of `p`'s grid cell planar-nearest to `p`, or
-    ///    the cell's [`SiteGrid`] seed when the cell is empty. Any site
-    ///    would do; a near one keeps the window small.
+    ///    the cell's seed when the cell is empty. Any site would do; a near
+    ///    one keeps the window small.
     /// 2. **Window.** Every site within the seed's distance lies inside
     ///    the [`exact_window`] for that distance, so the grid cells the
     ///    window spans hold the winner. Each candidate is skipped when its
@@ -249,7 +267,7 @@ impl NearestSiteIndex {
         if self.is_empty() || !p.is_finite() {
             return None;
         }
-        let seed_idx = self.grid.seed(p, &self.sites);
+        let seed_idx = self.seed(p);
         let q = RefPoint::new(p);
         let seed_km = self.cols.haversine_km_from(&q, seed_idx);
         let mut best = (seed_idx, seed_km);
@@ -275,6 +293,21 @@ impl NearestSiteIndex {
             }
         }
         Some(best)
+    }
+
+    /// A seed site for `p` (the index must not be empty): the site of `p`'s
+    /// cell planar-nearest to it, or the cell's seed when the cell is
+    /// empty.
+    fn seed(&self, p: &GeoPoint) -> usize {
+        let c = cell_index(grid_cell(p.lat, p.lon));
+        let mut best = (self.seeds[c] as usize, f64::INFINITY);
+        for &i in self.grid.cell(c) {
+            let d2 = self.sites[i as usize].planar_dist2(p);
+            if d2 < best.1 {
+                best = (i as usize, d2);
+            }
+        }
+        best.0
     }
 
     /// All site indexes within `radius_km` great-circle of `p`, sorted by
@@ -316,18 +349,145 @@ impl NearestSiteIndex {
     }
 }
 
+/// Per cell of a site grid, the first site of the cell or, for an empty
+/// cell, the seed of the non-empty cell a breadth-first pass from every
+/// non-empty cell reaches it from first.
+fn seed_table(grid: &Grid) -> Vec<u32> {
+    let cells = GRID_ROWS * GRID_COLS;
+    let mut seeds = vec![u32::MAX; cells];
+    let mut queue: Vec<u32> = Vec::with_capacity(cells);
+    for (c, seed) in seeds.iter_mut().enumerate() {
+        if let Some(&first) = grid.cell(c).first() {
+            *seed = first;
+            queue.push(c as u32);
+        }
+    }
+    let mut head = 0;
+    while let Some(&c) = queue.get(head) {
+        head += 1;
+        let c = c as usize;
+        let (row, col) = (c / GRID_COLS, c % GRID_COLS);
+        let neighbours = [
+            (row > 0).then(|| c - GRID_COLS),
+            (row + 1 < GRID_ROWS).then(|| c + GRID_COLS),
+            (col > 0).then(|| c - 1),
+            (col + 1 < GRID_COLS).then(|| c + 1),
+        ];
+        for n in neighbours.into_iter().flatten() {
+            if seeds[n] == u32::MAX {
+                seeds[n] = seeds[c];
+                queue.push(n as u32);
+            }
+        }
+    }
+    seeds
+}
+
+/// The segments of a set of polylines in the 1° [`Grid`], answering "is
+/// any segment within `r` km of this point?" with the same arithmetic as a
+/// scan of [`point_polyline_distance_km`] — the grid only chooses which
+/// segments are tested. This is the Figure 4 corridor join: a long-haul
+/// vertex against every inferred conduit, and a conduit vertex against
+/// every long-haul link.
+pub struct SegmentIndex {
+    /// Each segment listed under every cell its [`segment_bbox`] covers.
+    grid: Grid,
+    /// `(polyline, first vertex of the segment)`, the grid's item ids. A
+    /// one-vertex polyline is the degenerate segment `(i, 0)`, whose
+    /// distance is the point distance the scan takes; an empty polyline
+    /// has no entry, and is at distance ∞ in the scan.
+    segments: Vec<(u32, u32)>,
+    /// Largest `|lat|` indexed (∞ if a longitude is outside ±180°, which
+    /// only [`GeoPoint::raw`] makes and no planar window covers): the
+    /// distance scales longitudes by the cosine of a segment's
+    /// mid-latitude, so this bounds how wide a window must be.
+    max_abs_lat: f64,
+}
+
+/// The ends of the segment starting at vertex `i`; both are the vertex
+/// itself for a one-vertex polyline.
+fn segment_ends(polyline: &[GeoPoint], i: usize) -> (&GeoPoint, &GeoPoint) {
+    (&polyline[i], &polyline[(i + 1).min(polyline.len() - 1)])
+}
+
+/// Segments a polyline of `vertices` is indexed as.
+fn segment_count(vertices: usize) -> usize {
+    match vertices {
+        1 => 1,
+        n => n.saturating_sub(1),
+    }
+}
+
+impl SegmentIndex {
+    /// Indexes every segment of `polylines`.
+    pub fn new<P: AsRef<[GeoPoint]>>(polylines: &[P]) -> Self {
+        // Sized exactly: the index keeps this vector.
+        let total = polylines
+            .iter()
+            .map(|p| segment_count(p.as_ref().len()))
+            .sum();
+        let mut segments = Vec::with_capacity(total);
+        let mut max_abs_lat = 0.0f64;
+        for (pi, polyline) in polylines.iter().enumerate() {
+            let polyline = polyline.as_ref();
+            for p in polyline {
+                max_abs_lat = max_abs_lat.max(window_abs_lat(p));
+            }
+            for si in 0..segment_count(polyline.len()) {
+                segments.push((pi as u32, si as u32));
+            }
+        }
+        let bbox_of = |i: usize| {
+            let (pi, si) = segments[i];
+            let (a, b) = segment_ends(polylines[pi as usize].as_ref(), si as usize);
+            segment_bbox(a, b)
+        };
+        Self {
+            grid: Grid::new(segments.len(), bbox_of),
+            segments,
+            max_abs_lat,
+        }
+    }
+
+    /// True if some polyline `i` with `keep(i)` has
+    /// `point_polyline_distance_km(v, polylines[i]) <= radius_km`.
+    /// `polylines` must be the set the index was built over. Where no
+    /// planar window exists for `v` (see [`segment_window`]) every kept
+    /// polyline is scanned.
+    pub fn any_within<P: AsRef<[GeoPoint]>>(
+        &self,
+        polylines: &[P],
+        v: &GeoPoint,
+        radius_km: f64,
+        keep: impl Fn(usize) -> bool,
+    ) -> bool {
+        match segment_window(v, radius_km, self.max_abs_lat) {
+            Some(window) => self.grid.window(&window).any(|i| {
+                let (pi, si) = self.segments[i];
+                let (a, b) = segment_ends(polylines[pi as usize].as_ref(), si as usize);
+                segment_bbox(a, b).intersects(&window)
+                    && keep(pi as usize)
+                    && point_segment_distance_km(v, a, b) <= radius_km
+            }),
+            None => polylines.iter().enumerate().any(|(pi, polyline)| {
+                keep(pi) && point_polyline_distance_km(v, polyline.as_ref()) <= radius_km
+            }),
+        }
+    }
+}
+
 /// Grid rows (1° of latitude each, from the south pole) and columns (1° of
 /// longitude each, from the antimeridian). The cell size is fixed. On the
-/// benchmark world (8,000 sites) 2° cells read the join slower and 0.5°
-/// cells about a fifth faster, but 0.5° quadruples the two per-cell tables,
-/// which are 253 KB each at 1°.
+/// benchmark world (8,000 sites) 2° cells read the nearest-site join slower
+/// and 0.5° cells about a fifth faster, but 0.5° quadruples the per-cell
+/// tables, which are 253 KB each at 1°.
 const GRID_ROWS: usize = 180;
 const GRID_COLS: usize = 360;
 
 /// The grid cell of a coordinate, `(row, col)`, clamped into the grid (a
-/// NaN lands in row or column 0). Sites and window corners both go through
-/// it, and it is monotone in each coordinate, so every site inside a box
-/// lies in a cell between the cells of the box's corners.
+/// NaN lands in row or column 0). Item boxes and window corners both go
+/// through it, and it is monotone in each coordinate, so every box that
+/// meets a window has a cell between the cells of the window's corners.
 #[inline]
 fn grid_cell(lat: f64, lon: f64) -> (usize, usize) {
     let row = (lat + 90.0).clamp(0.0, (GRID_ROWS - 1) as f64) as usize;
@@ -335,98 +495,55 @@ fn grid_cell(lat: f64, lon: f64) -> (usize, usize) {
     (row, col)
 }
 
-/// The sites of a [`NearestSiteIndex`] bucketed by [`grid_cell`], in
-/// compressed rows: the sites of cell `row · GRID_COLS + col` are
-/// `ids[offsets[cell]..offsets[cell + 1]]`, ascending. A row's cells are
-/// contiguous, so a window reads one slice per row it spans.
-struct SiteGrid {
-    offsets: Vec<u32>,
-    ids: Vec<u32>,
-    /// Per cell, a site in it or in the nearest non-empty cell (in grid
-    /// steps), so that a seed costs one lookup however sparse the sites.
-    seeds: Vec<u32>,
+#[inline]
+fn cell_index((row, col): (usize, usize)) -> usize {
+    row * GRID_COLS + col
 }
 
-impl SiteGrid {
-    fn new(sites: &[GeoPoint]) -> Self {
-        let cell_of = |p: &GeoPoint| {
-            let (row, col) = grid_cell(p.lat, p.lon);
-            row * GRID_COLS + col
-        };
+/// The one window index: items listed under every [`grid_cell`] their
+/// boxes cover, in compressed rows. The items of cell `c` are
+/// `ids[offsets[c]..offsets[c + 1]]`, ascending. A row's cells are
+/// contiguous, so a window reads one slice per row it spans.
+struct Grid {
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl Grid {
+    /// Lists each item `i` of `0..n` under every cell from the cell of
+    /// `bbox_of(i)`'s south-west corner to that of its north-east one; an
+    /// inverted box is listed nowhere.
+    fn new(n: usize, bbox_of: impl Fn(usize) -> BoundingBox) -> Self {
         let cells = GRID_ROWS * GRID_COLS;
         let mut offsets = vec![0u32; cells + 1];
-        for p in sites {
-            offsets[cell_of(p) + 1] += 1;
+        for i in 0..n {
+            for c in covered_cells(&bbox_of(i)) {
+                offsets[c + 1] += 1;
+            }
         }
         for c in 0..cells {
             offsets[c + 1] += offsets[c];
         }
-        // Filling in index order keeps each cell's ids ascending.
+        // Filling in item order keeps each cell's ids ascending.
         let mut next = offsets.clone();
-        let mut ids = vec![0u32; sites.len()];
-        for (i, p) in sites.iter().enumerate() {
-            let slot = &mut next[cell_of(p)];
-            ids[*slot as usize] = i as u32;
-            *slot += 1;
-        }
-        // Breadth-first from every non-empty cell: each empty cell takes
-        // the seed of the neighbour that reached it first.
-        let mut seeds = vec![u32::MAX; cells];
-        let mut queue: Vec<u32> = Vec::with_capacity(cells);
-        for c in 0..cells {
-            if offsets[c] < offsets[c + 1] {
-                seeds[c] = ids[offsets[c] as usize];
-                queue.push(c as u32);
+        let mut ids = vec![0u32; offsets[cells] as usize];
+        for i in 0..n {
+            for c in covered_cells(&bbox_of(i)) {
+                ids[next[c] as usize] = i as u32;
+                next[c] += 1;
             }
         }
-        let mut head = 0;
-        while let Some(&c) = queue.get(head) {
-            head += 1;
-            let c = c as usize;
-            let (row, col) = (c / GRID_COLS, c % GRID_COLS);
-            let neighbours = [
-                (row > 0).then(|| c - GRID_COLS),
-                (row + 1 < GRID_ROWS).then(|| c + GRID_COLS),
-                (col > 0).then(|| c - 1),
-                (col + 1 < GRID_COLS).then(|| c + 1),
-            ];
-            for n in neighbours.into_iter().flatten() {
-                if seeds[n] == u32::MAX {
-                    seeds[n] = seeds[c];
-                    queue.push(n as u32);
-                }
-            }
-        }
-        Self {
-            offsets,
-            ids,
-            seeds,
-        }
+        Self { offsets, ids }
     }
 
-    /// The sites of one cell.
+    /// The items of one cell.
     fn cell(&self, c: usize) -> &[u32] {
         &self.ids[self.offsets[c] as usize..self.offsets[c + 1] as usize]
     }
 
-    /// A seed site for `p` (the grid must not be empty): the site of `p`'s
-    /// cell planar-nearest to it, or the cell's seed when the cell is
-    /// empty.
-    fn seed(&self, p: &GeoPoint, sites: &[GeoPoint]) -> usize {
-        let (row, col) = grid_cell(p.lat, p.lon);
-        let c = row * GRID_COLS + col;
-        let mut best = (self.seeds[c] as usize, f64::INFINITY);
-        for &i in self.cell(c) {
-            let d2 = sites[i as usize].planar_dist2(p);
-            if d2 < best.1 {
-                best = (i as usize, d2);
-            }
-        }
-        best.0
-    }
-
-    /// Every site in the cells from `window`'s south-west corner cell to
-    /// its north-east one: a superset of the sites inside it. A window
+    /// Every item listed in the cells from `window`'s south-west corner
+    /// cell to its north-east one: a superset of the items whose boxes meet
+    /// it, an item once per cell it shares with the window. A window
     /// inverted by more than a cell (only a negative radius makes one)
     /// yields none rather than a reversed slice.
     fn window<'a>(&'a self, window: &BoundingBox) -> impl Iterator<Item = usize> + 'a {
@@ -439,6 +556,13 @@ impl SiteGrid {
             self.ids[start..end.max(start)].iter().map(|&i| i as usize)
         })
     }
+}
+
+/// The cells a box covers, row by row.
+fn covered_cells(bbox: &BoundingBox) -> impl Iterator<Item = usize> {
+    let (row0, col0) = grid_cell(bbox.min_lat, bbox.min_lon);
+    let (row1, col1) = grid_cell(bbox.max_lat, bbox.max_lon);
+    (row0..=row1).flat_map(move |row| (col0..=col1).map(move |col| cell_index((row, col))))
 }
 
 #[cfg(test)]
@@ -521,6 +645,48 @@ mod tests {
             assert_eq!(idx.nearest(&p), None, "{p:?}");
             assert!(idx.within_km(&p, f64::INFINITY).is_empty(), "{p:?}");
         }
+    }
+
+    /// An item is listed in every cell its box covers, so a window that
+    /// meets only the box's interior cells still yields it, once per cell
+    /// it shares; an inverted window yields nothing.
+    #[test]
+    fn grid_window_yields_a_multi_cell_item() {
+        let boxes = [
+            BoundingBox {
+                min_lon: 10.5,
+                min_lat: 20.5,
+                max_lon: 14.5,
+                max_lat: 23.5,
+            },
+            BoundingBox {
+                min_lon: -40.0,
+                min_lat: -10.0,
+                max_lon: -40.0,
+                max_lat: -10.0,
+            },
+        ];
+        let grid = Grid::new(boxes.len(), |i| boxes[i]);
+        assert_eq!(grid.ids.len(), 5 * 4 + 1);
+        let inner = BoundingBox {
+            min_lon: 12.2,
+            min_lat: 21.2,
+            max_lon: 13.8,
+            max_lat: 21.8,
+        };
+        assert_eq!(grid.window(&inner).collect::<Vec<_>>(), vec![0, 0]);
+        assert_eq!(
+            grid.window(&BoundingBox::WORLD).filter(|&i| i == 1).count(),
+            1
+        );
+        let inverted = BoundingBox {
+            min_lon: 14.5,
+            min_lat: 23.5,
+            max_lon: 10.5,
+            max_lat: 20.5,
+        };
+        assert_eq!(grid.window(&inverted).count(), 0);
+        assert_eq!(grid.window(&BoundingBox::empty()).count(), 0);
     }
 
     #[test]

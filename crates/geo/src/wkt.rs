@@ -606,7 +606,7 @@ mod tests {
     #[test]
     fn truncated_inputs_give_typed_errors() {
         let unterminated = "POLYGON ((0 0, 1 1, 2 2, 0 0";
-        let e = parse_wkt(unterminated).err().expect("must reject");
+        let e = parse_wkt(unterminated).expect_err("must reject");
         assert!(
             e.offset <= unterminated.len(),
             "offset {} past end",
@@ -615,7 +615,7 @@ mod tests {
         assert!(!e.message.is_empty());
 
         let cut_mid_pair = "LINESTRING (0 0, 1";
-        let e = parse_wkt(cut_mid_pair).err().expect("must reject");
+        let e = parse_wkt(cut_mid_pair).expect_err("must reject");
         assert!(e.offset >= "LINESTRING (".len(), "offset was {}", e.offset);
 
         for cut in [

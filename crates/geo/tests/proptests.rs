@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 
-use igdb_geo::RTree;
 use igdb_geo::{
     haversine_km, parse_wkt, point_polyline_distance_km, to_wkt, voronoi_cells, BoundingBox,
     GeoPoint, Geometry, LineString, Polygon,
@@ -150,36 +149,6 @@ proptest! {
                 prop_assert!(!cell.polygon.contains(&probe), "probe inside wrong cell {}", cell.site);
             }
         }
-    }
-
-    #[test]
-    fn rtree_bbox_query_matches_linear_scan(
-        pts in proptest::collection::vec(arb_point(), 1..200),
-        q in (arb_point(), arb_point()),
-    ) {
-        let query = BoundingBox {
-            min_lon: q.0.lon.min(q.1.lon),
-            min_lat: q.0.lat.min(q.1.lat),
-            max_lon: q.0.lon.max(q.1.lon),
-            max_lat: q.0.lat.max(q.1.lat),
-        };
-        let entries: Vec<(BoundingBox, usize)> =
-            pts.iter().enumerate().map(|(i, p)| (BoundingBox::from_points([p]), i)).collect();
-        let tree = RTree::bulk_load(entries);
-        let mut got: Vec<usize> = Vec::new();
-        tree.any_in_bbox(&query, |&i| {
-            got.push(i);
-            false
-        });
-        got.sort_unstable();
-        let mut want: Vec<usize> = pts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| query.contains(p))
-            .map(|(i, _)| i)
-            .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
     }
 }
 
@@ -434,6 +403,124 @@ fn exact_window_alone_misses_an_accepted_segment() {
     let bbox = segment_bbox(&a, &b);
     assert!(!exact_window(&p, radius).unwrap().intersects(&bbox));
     assert!(segment_window(&p, radius, 89.0).unwrap().intersects(&bbox));
+}
+
+// ---------------------------------------------------------------------------
+// The Figure 4 segment index vs the scan it stands for
+// ---------------------------------------------------------------------------
+
+use igdb_geo::SegmentIndex;
+
+/// Polylines of 0–5 vertices walked from a start at mid-latitude (band 0),
+/// within 3° of the antimeridian (band 1) or near a pole (band 2, `|lat|`
+/// from 85.9° to 89.9°), in steps of up to 1.5° or up to 20°. A long step
+/// spans many grid cells; one across the antimeridian takes every
+/// longitude; near the poles and the antimeridian the window gives way to
+/// the scan. Bands are drawn from `0..bands`.
+fn arb_segment_polyline(bands: usize) -> impl Strategy<Value = Vec<GeoPoint>> {
+    (
+        0..bands,
+        (-1.0f64..1.0, -1.0f64..1.0),
+        proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 0..6),
+        prop_oneof![Just(1.5), Just(20.0)],
+    )
+        .prop_map(|(band, (x, y), steps, reach)| {
+            let (mut lon, mut lat) = match band {
+                0 => (-95.0 + 10.0 * x, 38.0 + 8.0 * y),
+                1 => (180.0 * x.signum() - 3.0 * x, 60.0 * y),
+                _ => (180.0 * x, 89.9 * y.signum() - 4.0 * y),
+            };
+            steps
+                .iter()
+                .map(|&(dx, dy)| {
+                    let v = GeoPoint::new(lon, lat);
+                    lon += dx * reach;
+                    lat = (lat + dy * reach).clamp(-89.9, 89.9);
+                    v
+                })
+                .collect()
+        })
+}
+
+/// Polylines, a keep mask over them, and probes with their radii. A third
+/// of the cases draw mid-latitude polylines only, a third add the
+/// antimeridian band, a third add the polar one too (whose latitudes leave
+/// no planar window anywhere). A probe lies on a vertex, anywhere, or up to
+/// 1.5 radii on a random bearing from a point along a segment (its
+/// longitudes unwrapped as the distance unwraps them, so a point along a
+/// segment across the antimeridian lies near ±180°). Its radius is 0,
+/// 40 km or up to 500 km, or for one probe kind exactly its distance to the
+/// polyline, so the answer sits on the boundary.
+#[allow(clippy::type_complexity)]
+fn arb_segment_index_case(
+) -> impl Strategy<Value = (Vec<Vec<GeoPoint>>, Vec<bool>, Vec<(GeoPoint, f64)>)> {
+    (
+        (1usize..4)
+            .prop_flat_map(|bands| proptest::collection::vec(arb_segment_polyline(bands), 0..12)),
+        proptest::collection::vec(any::<bool>(), 12..13),
+        proptest::collection::vec(
+            (
+                (0usize..12, 0usize..6, 0.0f64..1.0),
+                0usize..6,
+                0.0f64..360.0,
+                0.0f64..1.5,
+                prop_oneof![Just(0.0), Just(40.0), 0.0f64..500.0],
+                arb_globe_point(),
+            ),
+            1..16,
+        ),
+    )
+        .prop_map(|(lines, keep, probes)| {
+            let probes = probes
+                .into_iter()
+                .map(|((li, vi, t), kind, bearing, frac, radius, anywhere)| {
+                    let line = lines.get(li % lines.len().max(1)).map_or(&[][..], |l| l);
+                    let Some(&a) = line.get(vi % line.len().max(1)) else {
+                        return (anywhere, radius);
+                    };
+                    let b = line[(vi % line.len() + 1).min(line.len() - 1)];
+                    let dlon = match b.lon - a.lon {
+                        d if d > 180.0 => d - 360.0,
+                        d if d < -180.0 => d + 360.0,
+                        d => d,
+                    };
+                    let along = GeoPoint::new(a.lon + t * dlon, a.lat + t * (b.lat - a.lat));
+                    let near = destination(&along, bearing, frac * radius.max(1.0));
+                    match kind {
+                        0 => (a, radius),
+                        1 => (anywhere, radius),
+                        2 => (near, point_polyline_distance_km(&near, line)),
+                        _ => (near, radius),
+                    }
+                })
+                .collect();
+            (lines, keep, probes)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The Figure 4 join's index answers exactly what the scan of
+    /// `point_polyline_distance_km` over the kept polylines answers. It
+    /// fails if a segment is missing from a cell its box covers, if the
+    /// window reads too few cells, or if `keep` is ignored.
+    #[test]
+    fn segment_index_any_within_equals_scan(case in arb_segment_index_case()) {
+        let (lines, keep, probes) = case;
+        let index = SegmentIndex::new(&lines);
+        for (p, radius) in probes {
+            let scan = lines
+                .iter()
+                .enumerate()
+                .any(|(i, l)| keep[i] && point_polyline_distance_km(&p, l) <= radius);
+            prop_assert_eq!(
+                index.any_within(&lines, &p, radius, |i| keep[i]),
+                scan,
+                "p {:?} r {} lines {:?} keep {:?}", p, radius, lines, keep
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ pub enum DeltaClass {
     /// Right-of-way edits: segments close, one is re-measured.
     RoadChurn,
     /// New metros appended to the standardization catalogue (existing
-    /// metro ids keep their slots — the R-tree-insert fast path).
+    /// metro ids keep their slots).
     MetroAdd,
     /// A metro leaves the catalogue: every later index shifts down one,
     /// cascading through `roads` endpoints and `geo_codes` (the full
