@@ -22,7 +22,7 @@ use crate::delta::{diff_snapshots, SnapshotDelta, Stage};
 use crate::derived::Derived;
 use crate::hoiho::HoihoEngine;
 use crate::metros::MetroRegistry;
-use crate::roads::RoadGraph;
+use crate::roads::{RoadGraph, Roadway};
 use crate::schema;
 use crate::validate::validate;
 
@@ -95,12 +95,15 @@ pub struct Igdb {
     pub db: Database,
     /// `Metros`' product: the registry and its spatial index.
     pub metros: Arc<MetroRegistry>,
-    /// `Roads`' product. Handing it on keeps its memoized corridors warm,
-    /// so unchanged atlas links never re-route.
+    /// `Roads`' product. Handing it on keeps its memoized roadway payloads
+    /// warm, so unchanged atlas links never re-route, and their
+    /// `phys_conn` rows take the WKT cells already made.
     pub roads: Arc<RoadGraph>,
     /// `IpResolution`'s product: the trained border map.
     pub bdrmap: Arc<BdrMap>,
-    /// `IpResolution`'s product.
+    /// Made in `IpResolution`, from the metro registry, `geo_codes` and
+    /// `hoiho_rules`: an apply that leaves all three unchanged hands it
+    /// on, even when `IpResolution` re-runs.
     pub hoiho: Arc<HoihoEngine>,
     pub as_of_date: String,
     /// `IpResolution`'s product: per-address knowledge (mirrors
@@ -299,8 +302,10 @@ impl Labels {
 /// What `Logical` hands later stages beyond its tables.
 #[derive(Default)]
 struct LogicalMaps {
-    /// Resolves the text locations of `pch_ixps` (and `pdb_ix`).
-    labels: Labels,
+    /// Resolves the text locations of `pch_ixps` (and `pdb_ix`). Its
+    /// inputs are the metro registry and `geo_codes` only, so a re-run
+    /// `Logical` takes the prior's when both are unchanged.
+    labels: Arc<Labels>,
     net_asn: HashMap<u32, Asn>,
     /// IXP id → metro, for `AsnLoc`.
     ixp_metro: HashMap<u32, usize>,
@@ -313,6 +318,8 @@ struct LogicalMaps {
 /// their tables carry. Each stage contributes a `run_*` body (it is dirty,
 /// or there is no prior) that computes its products, and, where it has
 /// any, an arm of [`Pipeline::share`] that takes the prior's by reference.
+/// A product whose own inputs are narrower than its stage's is taken from
+/// the prior by [`Pipeline::carry`] even when the stage re-runs.
 #[derive(Default)]
 struct Pipeline {
     date: String,
@@ -330,6 +337,9 @@ struct Pipeline {
     hoiho: Option<Arc<HoihoEngine>>,
     rdns: Arc<HashMap<Ip4, igdb_db::Str>>,
     ip_info: Arc<HashMap<Ip4, IpInfo>>,
+    /// The prior's label resolver, when [`Pipeline::carry`] found its
+    /// inputs unchanged; `run_logical` takes it instead of building one.
+    carried_labels: Option<Arc<Labels>>,
 }
 
 impl Pipeline {
@@ -389,6 +399,21 @@ impl Pipeline {
                 self.ip_info = Arc::clone(&world.ip_info);
             }
             Stage::CityTables | Stage::Telegeo | Stage::Traceroutes => {}
+        }
+    }
+
+    /// Takes from `world` each product whose own inputs `delta` left
+    /// unchanged, for a re-run stage to use instead of making it again: the
+    /// label resolver (the metro registry and `geo_codes`) and the Hoiho
+    /// engine (those and `hoiho_rules`). Neither emits a counter, so
+    /// taking one changes no ledger.
+    fn carry(&mut self, world: &Igdb, delta: &SnapshotDelta) {
+        if !delta.shares(Stage::Metros) || delta.changed("geo_codes") {
+            return;
+        }
+        self.carried_labels = Some(Arc::clone(&world.logical.labels));
+        if !delta.changed("hoiho_rules") {
+            self.hoiho = Some(Arc::clone(&world.hoiho));
         }
     }
 
@@ -511,14 +536,14 @@ impl Pipeline {
                     continue;
                 };
                 fac_metro.insert(f.fac_id, mid);
-                let name = Value::text(&f.name);
+                let name = Value::Text(f.name.clone());
                 t.insert([
                     name.clone(),
                     name,
-                    Value::text(&f.city_label),
+                    Value::Text(f.city_label.clone()),
                     Value::from(mid),
                     metros.label_value(mid),
-                    Value::text(&f.country),
+                    Value::Text(f.country.clone()),
                     Value::Float(f.loc.lat),
                     Value::Float(f.loc.lon),
                     source.clone(),
@@ -558,26 +583,20 @@ impl Pipeline {
             .collect();
         roadway_order.sort_by_key(|&i| link_work[i].0);
         // A delta apply reuses the prior road graph with its memoized
-        // corridors; every attempted pair already settled there skips its
+        // roadway payloads; every pair already settled there skips its
         // engine query, so the `spath.queries` ticks a cold rebuild would
         // emit are replayed after routing to keep the deterministic counter
-        // stream byte-identical. A fresh build's cache is cold and replays
+        // stream byte-identical. A fresh build's memo is cold and replays
         // nothing.
-        let cached = roads.cached_route_keys();
-        let warm_hits = roadway_order
-            .iter()
-            .filter(|&&i| cached.contains(&(link_work[i].0, link_work[i].1)))
-            .count() as u64;
         let routing_span = igdb_obs::span("physical.routing");
-        let mut routed: Vec<Option<(f64, Vec<igdb_geo::GeoPoint>)>> = vec![None; link_work.len()];
+        let mut routed: Vec<Option<Roadway>> = vec![None; link_work.len()];
         let mut ws = crate::spath::SpWorkspace::new();
+        let mut warm_hits = 0;
         for &i in &roadway_order {
             let (a, b, _) = link_work[i];
-            // Memoized per unordered pair: overlapping atlas links and
-            // delta applies onto this road graph reuse earlier routes.
-            routed[i] = roads
-                .route_cached(&mut ws, a, b)
-                .map(|(_, km, geom)| (km, geom));
+            let (roadway, ran) = roads.roadway(&mut ws, a, b);
+            routed[i] = roadway;
+            warm_hits += u64::from(!ran);
         }
         drop(routing_span);
         if warm_hits > 0 {
@@ -591,20 +610,21 @@ impl Pipeline {
                 // Right-of-way class decides the path model (paper §5):
                 // roadway links follow the transportation network;
                 // microwave links ARE straight lines between the nodes.
-                let (km, geom, row_type) = match link_type {
+                let (km, wkt, row_type) = match link_type {
                     igdb_synth::sources::LinkType::Roadway => {
-                        let Some((km, geom)) = routed[i].take() else {
+                        let Some(Roadway { km, wkt }) = routed[i].take() else {
                             // no terrestrial right-of-way (e.g. across an ocean)
                             igdb_obs::counter("build.route_misses", "", 1);
                             continue;
                         };
-                        (km, geom, "roadway")
+                        (km, wkt, "roadway")
                     }
                     igdb_synth::sources::LinkType::Microwave => {
                         let (a, b) = (metros.metro(key.0).loc, metros.metro(key.1).loc);
                         let arc = igdb_geo::great_circle_arc(&a, &b, 8);
                         let km = igdb_geo::polyline_length_km(&arc);
-                        (km, arc, "microwave")
+                        let wkt = to_wkt(&Geometry::LineString(LineString::new(arc)));
+                        (km, Value::text(wkt), "microwave")
                     }
                 };
                 igdb_obs::counter("build.phys_conn", row_type, 1);
@@ -617,7 +637,7 @@ impl Pipeline {
                     metros.label_value(key.1),
                     metros.country_value(key.1),
                     Value::Float(km),
-                    Value::text(to_wkt(&Geometry::LineString(LineString::new(geom)))),
+                    wkt,
                     Value::text(row_type),
                     source.clone(),
                     date.clone(),
@@ -680,8 +700,9 @@ impl Pipeline {
         let (db, metros) = (&mut self.db, made(&self.metros));
         let date = Value::text(&self.date);
         let (asrank, peeringdb) = (Value::text("asrank"), Value::text("peeringdb"));
+        let labels = self.carried_labels.take();
         let mut maps = LogicalMaps {
-            labels: Labels::new(metros, &snaps.geo_codes),
+            labels: labels.unwrap_or_else(|| Arc::new(Labels::new(metros, &snaps.geo_codes))),
             net_asn: snaps
                 .pdb_networks
                 .iter()
@@ -970,8 +991,11 @@ impl Pipeline {
             rdns.insert(r.ip, r.hostname.clone());
         }
         let hoiho_span = igdb_obs::span("ip_resolution.hoiho");
-        let (hoiho, skipped) = HoihoEngine::build(&snaps.hoiho_rules, &snaps.geo_codes, metros);
-        debug_assert_eq!(skipped, 0, "validate quarantines uncompilable rules");
+        let hoiho = self.hoiho.take().unwrap_or_else(|| {
+            let (hoiho, skipped) = HoihoEngine::build(&snaps.hoiho_rules, &snaps.geo_codes, metros);
+            debug_assert_eq!(skipped, 0, "validate quarantines uncompilable rules");
+            Arc::new(hoiho)
+        });
         drop(hoiho_span);
 
         // Per-address resolution (bdrmap LPM, rDNS, anycast scan, IXP
@@ -1040,7 +1064,7 @@ impl Pipeline {
             }
         });
         self.bdrmap = Some(Arc::new(bdrmap));
-        self.hoiho = Some(Arc::new(hoiho));
+        self.hoiho = Some(hoiho);
         self.rdns = Arc::new(rdns);
         self.ip_info = Arc::new(ip_info);
     }
@@ -1226,6 +1250,9 @@ impl Igdb {
         let _span = igdb_obs::span("build");
         let mut rec = LedgerRecorder::start();
         let mut pipeline = Pipeline::new(&snaps.as_of_date);
+        if let Some((world, delta)) = prior {
+            pipeline.carry(world, delta);
+        }
         for stage in Stage::ALL {
             let span = igdb_obs::span(format!("build.{}", stage.name()));
             let shared_from = prior.filter(|(_, delta)| delta.shares(stage));
@@ -1721,16 +1748,39 @@ mod tests {
             .unwrap();
     }
 
-    /// Sharing a stage hands on everything it made: after an apply, each
-    /// product is the prior's own allocation exactly when the delta
-    /// shares the stage that made it — for every delta class, and for a
-    /// date change, which shares nothing.
+    /// The roadway rows of `phys_conn` whose WKT cell is a heap string
+    /// (so its address is an allocation, not an interned symbol's), by
+    /// metro pair, with that cell.
+    fn roadway_cells(w: &Igdb) -> HashMap<(i64, i64), igdb_db::Str> {
+        w.db.with_table("phys_conn", |t| {
+            t.iter()
+                .filter(|(_, r)| r[8].as_text() == Some("roadway"))
+                .filter_map(|(_, r)| {
+                    let Value::Text(wkt) = &r[7] else {
+                        panic!("a WKT cell is text")
+                    };
+                    let pair = (r[0].as_int().unwrap(), r[3].as_int().unwrap());
+                    wkt.sym().is_none().then(|| (pair, wkt.clone()))
+                })
+                .collect()
+        })
+        .unwrap()
+    }
+
+    /// Every product of an apply is the prior's own allocation exactly
+    /// when the inputs it is made from are unchanged — for every delta
+    /// class, and for a date change, which shares nothing. For most
+    /// products those inputs are their stage's, so the rule reads "shared
+    /// exactly when the delta shares the stage". The label resolver, the
+    /// Hoiho engine and the roadway WKT cells read less than their stage
+    /// does, and are handed on whenever what they read is the prior's.
     #[test]
     fn a_shared_stage_hands_on_every_product_by_reference() {
         use igdb_synth::{generate_delta, DeltaClass};
         let world = World::generate(WorldConfig::tiny());
         let snaps = emit_snapshots(&world, "2022-05-03", 400);
         let prior = Igdb::build(&snaps);
+        let prior_roadways = roadway_cells(&prior);
         let mut redated = snaps.clone();
         redated.as_of_date = "2022-06-01".into();
         let nexts = DeltaClass::ALL
@@ -1740,54 +1790,99 @@ mod tests {
         for (ctx, next) in nexts {
             let (w, _, delta) = prior.apply_delta(&next, &BuildPolicy::lenient()).unwrap();
             let p = &prior;
+            let stage = |stage: Stage| delta.shares(stage);
+            let labels_inputs = stage(Stage::Metros) && !delta.changed("geo_codes");
+            // Roadway rows of a pair both worlds hold: how many carry the
+            // prior's very WKT allocation.
+            let roadways = roadway_cells(&w);
+            let common: Vec<_> = prior_roadways
+                .iter()
+                .filter_map(|(pair, old)| Some((old, roadways.get(pair)?)))
+                .collect();
+            assert!(!common.is_empty(), "{ctx}: no roadway pair survived");
+            let same_cells = common
+                .iter()
+                .filter(|(old, new)| old.as_str().as_ptr() == new.as_str().as_ptr())
+                .count();
+            assert!(
+                same_cells == 0 || same_cells == common.len(),
+                "{ctx}: {same_cells} of {} roadway WKT cells are the prior's",
+                common.len()
+            );
             let products = [
-                ("metros", Stage::Metros, Arc::ptr_eq(&p.metros, &w.metros)),
-                ("roads", Stage::Roads, Arc::ptr_eq(&p.roads, &w.roads)),
+                (
+                    "metros",
+                    stage(Stage::Metros),
+                    Arc::ptr_eq(&p.metros, &w.metros),
+                ),
+                (
+                    "roads",
+                    stage(Stage::Roads),
+                    Arc::ptr_eq(&p.roads, &w.roads),
+                ),
+                (
+                    "roadway phys_conn WKT cells",
+                    stage(Stage::Roads),
+                    same_cells == common.len(),
+                ),
                 (
                     "fac_metro",
-                    Stage::Physical,
+                    stage(Stage::Physical),
                     Arc::ptr_eq(&p.fac_metro, &w.fac_metro),
                 ),
                 (
                     "phys_pairs",
-                    Stage::Physical,
+                    stage(Stage::Physical),
                     Arc::ptr_eq(&p.phys_pairs, &w.phys_pairs),
                 ),
                 (
                     "derived",
-                    Stage::Physical,
+                    stage(Stage::Physical),
                     Arc::ptr_eq(&p.derived, &w.derived),
                 ),
                 (
                     "logical",
-                    Stage::Logical,
+                    stage(Stage::Logical),
                     Arc::ptr_eq(&p.logical, &w.logical),
                 ),
                 (
+                    "labels",
+                    labels_inputs,
+                    Arc::ptr_eq(&p.logical.labels, &w.logical.labels),
+                ),
+                (
                     "asn_metros",
-                    Stage::AsnLoc,
+                    stage(Stage::AsnLoc),
                     Arc::ptr_eq(&p.asn_metros, &w.asn_metros),
                 ),
-                ("probes", Stage::Probes, Arc::ptr_eq(&p.probes, &w.probes)),
+                (
+                    "probes",
+                    stage(Stage::Probes),
+                    Arc::ptr_eq(&p.probes, &w.probes),
+                ),
                 (
                     "bdrmap",
-                    Stage::IpResolution,
+                    stage(Stage::IpResolution),
                     Arc::ptr_eq(&p.bdrmap, &w.bdrmap),
                 ),
                 (
                     "hoiho",
-                    Stage::IpResolution,
+                    labels_inputs && !delta.changed("hoiho_rules"),
                     Arc::ptr_eq(&p.hoiho, &w.hoiho),
                 ),
-                ("rdns", Stage::IpResolution, Arc::ptr_eq(&p.rdns, &w.rdns)),
+                (
+                    "rdns",
+                    stage(Stage::IpResolution),
+                    Arc::ptr_eq(&p.rdns, &w.rdns),
+                ),
                 (
                     "ip_info",
-                    Stage::IpResolution,
+                    stage(Stage::IpResolution),
                     Arc::ptr_eq(&p.ip_info, &w.ip_info),
                 ),
             ];
-            for (name, stage, same) in products {
-                assert_eq!(same, delta.shares(stage), "{ctx}: {name}");
+            for (name, inputs_unchanged, same) in products {
+                assert_eq!(same, inputs_unchanged, "{ctx}: {name}");
             }
         }
     }

@@ -28,26 +28,28 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// One cached corridor: the canonical shortest path oriented from the
 /// smaller endpoint, plus its length.
-#[derive(Debug)]
-struct Corridor {
+#[derive(Clone, Debug)]
+pub struct Corridor {
     path: Vec<usize>,
     km: f64,
 }
 
 /// One memo cell per normalized pair; `None` records an unreachable pair,
 /// so misses are cached too.
-type Cell = Arc<OnceLock<Option<Corridor>>>;
+type Cell<V> = Arc<OnceLock<Option<V>>>;
 
-/// Memoized shortest-path corridors over one immutable graph, with
-/// compute-once semantics per unordered pair. `name` labels the hit/miss
-/// perf metrics (`corridor.cache_hits{name}` /
+/// Memoized per-pair values over one immutable graph, with compute-once
+/// semantics per unordered pair. A value describes the pair oriented from
+/// its smaller endpoint: a [`Corridor`] by default, or whatever a caller
+/// keeps instead (the road graph keeps a `phys_conn` row's payload).
+/// `name` labels the hit/miss perf metrics (`corridor.cache_hits{name}` /
 /// `corridor.cache_misses{name}`).
-pub struct CorridorCache {
+pub struct CorridorCache<V = Corridor> {
     name: &'static str,
-    entries: Mutex<HashMap<(usize, usize), Cell>>,
+    entries: Mutex<HashMap<(usize, usize), Cell<V>>>,
 }
 
-impl CorridorCache {
+impl<V> CorridorCache<V> {
     pub fn new(name: &'static str) -> Self {
         Self {
             name,
@@ -57,7 +59,7 @@ impl CorridorCache {
 
     /// The map, whatever a panicking holder left behind: cells are filled
     /// outside this lock, so a poisoned map is still a consistent one.
-    fn map(&self) -> MutexGuard<'_, HashMap<(usize, usize), Cell>> {
+    fn map(&self) -> MutexGuard<'_, HashMap<(usize, usize), Cell<V>>> {
         self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -81,6 +83,41 @@ impl CorridorCache {
             .collect()
     }
 
+    /// The value of the unordered pair `{from, to}`, computing it via
+    /// `compute` (called with the normalized `(min, max)` pair) at most
+    /// once per pair process-wide: concurrent callers for the same pair
+    /// block on the first computation instead of repeating it. The flag is
+    /// true when this call ran `compute`.
+    pub(crate) fn get_or_compute(
+        &self,
+        from: usize,
+        to: usize,
+        compute: impl FnOnce(usize, usize) -> Option<V>,
+    ) -> (Option<V>, bool)
+    where
+        V: Clone,
+    {
+        let key = (from.min(to), from.max(to));
+        let cell = Arc::clone(self.map().entry(key).or_default());
+        let mut miss = false;
+        let cached = cell.get_or_init(|| {
+            miss = true;
+            let _unattributed = igdb_obs::TraceContext::sink().install();
+            compute(key.0, key.1)
+        });
+        if miss {
+            igdb_obs::perf("corridor.cache_misses", self.name, 1);
+            // Occupancy sampled on each miss gives a growth curve of the
+            // cache (hist of sizes seen), without a hot-path lock on hits.
+            igdb_obs::observe("corridor.occupancy", self.name, self.len() as u64);
+        } else {
+            igdb_obs::perf("corridor.cache_hits", self.name, 1);
+        }
+        (cached.clone(), miss)
+    }
+}
+
+impl CorridorCache {
     /// Seeds this (typically fresh) cache with every settled entry of `old`
     /// that avoids `touched` — the corridor-migration half of a delta
     /// apply. An entry survives only if both endpoints *and* every stored
@@ -100,7 +137,7 @@ impl CorridorCache {
             let survives = !touched.contains(&k.0)
                 && !touched.contains(&k.1)
                 && v.as_ref()
-                    .map_or(true, |c| c.path.iter().all(|m| !touched.contains(m)));
+                    .is_none_or(|c| c.path.iter().all(|m| !touched.contains(m)));
             if survives {
                 // A settled cell never changes, so the two caches share it.
                 map.entry(*k).or_insert_with(|| Arc::clone(cell));
@@ -108,41 +145,25 @@ impl CorridorCache {
         }
     }
 
-    /// The corridor `from → to`, computing it via `compute` (called with
-    /// the normalized `(min, max)` pair) at most once per unordered pair
-    /// process-wide: concurrent callers for the same pair block on the
-    /// first computation instead of repeating it. The canonical path is
-    /// direction-independent (shortest paths are unique under the engine's
-    /// lexicographic key), so the reverse orientation is served by
-    /// reversing the stored path.
+    /// The corridor `from → to`, computed via `compute` at most once per
+    /// unordered pair ([`get_or_compute`](Self::get_or_compute)). The
+    /// canonical path is direction-independent (shortest paths are unique
+    /// under the engine's lexicographic key), so the reverse orientation
+    /// is served by reversing the stored path.
     pub fn shortest_path(
         &self,
         from: usize,
         to: usize,
         compute: impl FnOnce(usize, usize) -> Option<(Vec<usize>, f64)>,
     ) -> Option<(Vec<usize>, f64)> {
-        let key = (from.min(to), from.max(to));
-        let cell = Arc::clone(self.map().entry(key).or_default());
-        let mut miss = false;
-        let cached = cell.get_or_init(|| {
-            miss = true;
-            let _unattributed = igdb_obs::TraceContext::sink().install();
-            compute(key.0, key.1).map(|(path, km)| Corridor { path, km })
+        let (corridor, _) = self.get_or_compute(from, to, |lo, hi| {
+            compute(lo, hi).map(|(path, km)| Corridor { path, km })
         });
-        if miss {
-            igdb_obs::perf("corridor.cache_misses", self.name, 1);
-            // Occupancy sampled on each miss gives a growth curve of the
-            // cache (hist of sizes seen), without a hot-path lock on hits.
-            igdb_obs::observe("corridor.occupancy", self.name, self.len() as u64);
-        } else {
-            igdb_obs::perf("corridor.cache_hits", self.name, 1);
-        }
-        let corridor = cached.as_ref()?;
-        let mut path = corridor.path.clone();
+        let Corridor { mut path, km } = corridor?;
         if from > to {
             path.reverse();
         }
-        Some((path, corridor.km))
+        Some((path, km))
     }
 }
 

@@ -260,6 +260,11 @@ impl SnapshotDelta {
         self.dirty & stage.bit() == 0
     }
 
+    /// Whether the named source's records differ from the prior's.
+    pub(crate) fn changed(&self, source: &str) -> bool {
+        self.sources.iter().any(|s| s.source == source)
+    }
+
     /// The stages an apply re-runs, in build order.
     fn reruns(&self) -> impl Iterator<Item = Stage> + '_ {
         Stage::ALL.into_iter().filter(|&s| !self.shares(s))

@@ -10,12 +10,16 @@
 //! Routing delegates to the shared [`ShortestPathEngine`]; geometry lookup
 //! uses a `(u, v) → edge` map instead of scanning adjacency lists, and
 //! segment polylines are stored behind `Arc` so loading never copies them.
+//! What a `phys_conn` row needs of a routed pair — its length and its WKT
+//! cell — is made once per graph ([`RoadGraph::roadway`]), so every epoch
+//! that shares the graph shares the cells too.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::sync::Mutex;
 
-use igdb_geo::GeoPoint;
+use igdb_db::Value;
+use igdb_geo::{to_wkt, GeoPoint, Geometry, LineString};
 use igdb_synth::sources::RoadSegment;
 
 use crate::corridor::CorridorCache;
@@ -30,6 +34,15 @@ pub struct RoadEdge {
     pub path: Arc<[GeoPoint]>,
 }
 
+/// A roadway `phys_conn` row's payload for one metro pair: the road
+/// route's length and its geometry as a WKT cell, running from the smaller
+/// metro id to the larger, as `phys_conn` stores the pair.
+#[derive(Clone, Debug)]
+pub(crate) struct Roadway {
+    pub km: f64,
+    pub wkt: Value,
+}
+
 /// The right-of-way graph over the standard metros.
 pub struct RoadGraph {
     edges: Vec<RoadEdge>,
@@ -41,11 +54,10 @@ pub struct RoadGraph {
     /// convenience API; parallel callers bring their own workspace via the
     /// `_with` variants.
     workspace: Mutex<SpWorkspace>,
-    /// Memoized corridors by normalized metro pair: delta applies and
-    /// repeated atlas links re-route the same pairs. Only the metro path
-    /// and length are kept; geometry is re-concatenated on demand (see
-    /// [`route_cached`](Self::route_cached)).
-    corridors: CorridorCache,
+    /// Memoized roadway payloads by normalized metro pair: delta applies
+    /// re-route the pairs the prior epoch routed (see
+    /// [`roadway`](Self::roadway)).
+    corridors: CorridorCache<Roadway>,
 }
 
 impl RoadGraph {
@@ -154,28 +166,27 @@ impl RoadGraph {
         self.corridors.settled_keys()
     }
 
-    /// [`route_with_geometry`](Self::route_with_geometry) with a
-    /// caller-owned workspace, memoized by normalized metro pair: each
-    /// unordered pair is routed at most once per graph, no matter how many
-    /// callers ask.
-    pub fn route_cached(
+    /// The roadway payload of the unordered pair `{from, to}`, routed with
+    /// a caller-owned workspace and memoized: each pair is routed, and its
+    /// WKT written, at most once per graph, no matter how many callers or
+    /// epochs ask. A pair without a route whose geometry concatenates
+    /// cleanly is `None`, and is memoized too. The flag is true when this
+    /// call ran the engine.
+    pub(crate) fn roadway(
         &self,
         ws: &mut SpWorkspace,
         from: usize,
         to: usize,
-    ) -> Option<(Vec<usize>, f64, Vec<GeoPoint>)> {
-        let (path, km) = self.corridors.shortest_path(from, to, |lo, hi| {
-            // Only routes whose geometry concatenates cleanly are cached,
-            // mirroring `route_with_geometry`'s contract.
-            self.engine
-                .shortest_path_with(ws, lo, hi)
-                .filter(|(path, _)| self.path_geometry(path).is_some())
-        })?;
-        // Geometry is re-concatenated per call instead of memoized: the
-        // cached polylines dominated the road graph's resident footprint,
-        // and the concat is a linear walk over already-resident edges.
-        let geometry = self.path_geometry(&path).expect("validated at insert");
-        Some((path, km, geometry))
+    ) -> (Option<Roadway>, bool) {
+        self.corridors.get_or_compute(from, to, |lo, hi| {
+            let (path, km) = self.engine.shortest_path_with(ws, lo, hi)?;
+            let geom = self.path_geometry(&path)?;
+            let wkt = to_wkt(&Geometry::LineString(LineString::new(geom)));
+            Some(Roadway {
+                km,
+                wkt: Value::text(wkt),
+            })
+        })
     }
 }
 
@@ -268,17 +279,27 @@ mod tests {
     fn cached_routes_match_uncached_in_both_directions() {
         let g = graph();
         let mut ws = SpWorkspace::new();
-        let direct = g.route_with_geometry(0, 2).unwrap();
-        assert_eq!(g.route_cached(&mut ws, 0, 2).unwrap(), direct);
-        // Reverse orientation comes from the same cache entry, reversed.
-        let (p, km, geom) = g.route_cached(&mut ws, 2, 0).unwrap();
-        assert_eq!(p, vec![2, 1, 0]);
-        assert_eq!(km, direct.1);
-        assert_eq!(geom.first(), direct.2.last());
-        assert_eq!(geom.last(), direct.2.first());
-        // Unreachable pairs cache as misses too.
-        assert!(g.route_cached(&mut ws, 0, 4).is_none());
-        assert!(g.route_cached(&mut ws, 4, 0).is_none());
+        let (_, direct_km, direct_geom) = g.route_with_geometry(0, 2).unwrap();
+        let direct_wkt = to_wkt(&Geometry::LineString(LineString::new(direct_geom)));
+        let (first, ran) = g.roadway(&mut ws, 0, 2);
+        let first = first.unwrap();
+        assert!(ran);
+        assert_eq!(first.km, direct_km);
+        assert_eq!(first.wkt.as_text(), Some(direct_wkt.as_str()));
+        // Either orientation reads the one memo cell, geometry from the
+        // smaller id, without running the engine.
+        let (again, ran) = g.roadway(&mut ws, 2, 0);
+        let again = again.unwrap();
+        assert!(!ran);
+        assert_eq!(again.km, direct_km);
+        assert_eq!(again.wkt, first.wkt);
+        assert_eq!(
+            g.cached_route_keys().into_iter().collect::<Vec<_>>(),
+            [(0, 2)]
+        );
+        // Unreachable pairs memoize as `None` too.
+        assert!(matches!(g.roadway(&mut ws, 0, 4), (None, true)));
+        assert!(matches!(g.roadway(&mut ws, 4, 0), (None, false)));
     }
 
     #[test]

@@ -119,6 +119,8 @@ struct WitnessScratch {
     hops: Vec<u32>,
     tie: Vec<u128>,
     heap: BinaryHeap<Reverse<(u64, u32, u128, u32)>>,
+    /// One flag per target of the last [`witness_scan`].
+    witnessed: Vec<bool>,
 }
 
 impl WitnessScratch {
@@ -131,6 +133,7 @@ impl WitnessScratch {
             hops: vec![0; n],
             tie: vec![0; n],
             heap: BinaryHeap::new(),
+            witnessed: Vec::new(),
         }
     }
 
@@ -170,8 +173,9 @@ fn live_neighbors(edges: &Edges, adj_v: &[u32], contracted: &[bool], v: u32) -> 
 }
 
 /// Budgeted multi-target witness search from `x`, avoiding `skip`. Sets
-/// `witnessed[j]` iff a path `x→targets[j].0` *strictly* smaller than the
-/// candidate key `targets[j].1` exists without going through `skip`.
+/// `scratch.witnessed[j]` iff a path `x→targets[j].0` *strictly* smaller
+/// than the candidate key `targets[j].1` exists without going through
+/// `skip`.
 fn witness_scan(
     edges: &Edges,
     adj: &[Vec<u32>],
@@ -180,8 +184,9 @@ fn witness_scan(
     skip: u32,
     x: u32,
     targets: &[(u32, Key)],
-    witnessed: &mut [bool],
 ) {
+    scratch.witnessed.clear();
+    scratch.witnessed.resize(targets.len(), false);
     let max_cand = targets
         .iter()
         .map(|t| t.1.bits())
@@ -207,7 +212,7 @@ fn witness_scan(
         settles += 1;
         if let Some(j) = targets.iter().position(|&(y, _)| y == u) {
             if key.lt(targets[j].1) {
-                witnessed[j] = true;
+                scratch.witnessed[j] = true;
             }
             remaining -= 1;
             if remaining == 0 {
@@ -253,7 +258,6 @@ fn plan_shortcuts(
 ) -> (Vec<Shortcut>, usize) {
     let nbrs = live_neighbors(edges, &adj[v as usize], contracted, v);
     let mut plan = Vec::new();
-    let mut witnessed = Vec::new();
     for i in 0..nbrs.len() {
         let (x, ex) = nbrs[i];
         let targets: Vec<(u32, Key)> = nbrs[i + 1..]
@@ -263,20 +267,9 @@ fn plan_shortcuts(
         if targets.is_empty() {
             continue;
         }
-        witnessed.clear();
-        witnessed.resize(targets.len(), false);
-        witness_scan(
-            edges,
-            adj,
-            contracted,
-            scratch,
-            v,
-            x,
-            &targets,
-            &mut witnessed,
-        );
+        witness_scan(edges, adj, contracted, scratch, v, x, &targets);
         for (j, &(y, key)) in targets.iter().enumerate() {
-            if !witnessed[j] {
+            if !scratch.witnessed[j] {
                 plan.push(Shortcut {
                     x,
                     y,

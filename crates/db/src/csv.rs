@@ -417,7 +417,7 @@ mod tests {
         assert!(issues[1].error.to_string().contains("bad float"));
         // The strict reader rejects the same text outright, citing the
         // first bad line.
-        let err = table_from_csv(csv).err().expect("strict must reject");
+        let err = table_from_csv(csv).expect_err("strict must reject");
         assert!(err.to_string().contains("line 4"), "{err}");
     }
 

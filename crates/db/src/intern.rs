@@ -371,7 +371,7 @@ mod tests {
 
     #[test]
     fn ordering_matches_str_ordering() {
-        let mut v = vec![Str::new("b"), Str::new("a"), Str::new("c")];
+        let mut v = [Str::new("b"), Str::new("a"), Str::new("c")];
         v.sort();
         let strs: Vec<&str> = v.iter().map(|s| s.as_str()).collect();
         assert_eq!(strs, vec!["a", "b", "c"]);

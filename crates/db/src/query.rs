@@ -60,14 +60,14 @@ impl Predicate {
             Predicate::Le(c, v) => !get(c)?.is_null() && get(c)?.total_cmp(v).is_le(),
             Predicate::Gt(c, v) => !get(c)?.is_null() && get(c)?.total_cmp(v).is_gt(),
             Predicate::Ge(c, v) => !get(c)?.is_null() && get(c)?.total_cmp(v).is_ge(),
-            Predicate::Contains(c, s) => get(c)?.as_text().map_or(false, |t| t.contains(s)),
-            Predicate::ContainsNoCase(c, s) => get(c)?.as_text().map_or(false, |t| {
-                t.to_ascii_lowercase().contains(&s.to_ascii_lowercase())
-            }),
+            Predicate::Contains(c, s) => get(c)?.as_text().is_some_and(|t| t.contains(s)),
+            Predicate::ContainsNoCase(c, s) => get(c)?
+                .as_text()
+                .is_some_and(|t| t.to_ascii_lowercase().contains(&s.to_ascii_lowercase())),
             Predicate::IsNull(c) => get(c)?.is_null(),
             Predicate::NotNull(c) => !get(c)?.is_null(),
-            Predicate::InInt(c, set) => get(c)?.as_int().map_or(false, |i| set.contains(&i)),
-            Predicate::InText(c, set) => get(c)?.as_text().map_or(false, |t| set.contains(t)),
+            Predicate::InInt(c, set) => get(c)?.as_int().is_some_and(|i| set.contains(&i)),
+            Predicate::InText(c, set) => get(c)?.as_text().is_some_and(|t| set.contains(t)),
             Predicate::And(a, b) => a.eval(table, row)? && b.eval(table, row)?,
             Predicate::Or(a, b) => a.eval(table, row)? || b.eval(table, row)?,
             Predicate::Not(p) => !p.eval(table, row)?,
@@ -358,7 +358,7 @@ impl<'t> Query<'t> {
                         if !v.is_null()
                             && state.mins[ai]
                                 .as_ref()
-                                .map_or(true, |m| v.total_cmp(m).is_lt())
+                                .is_none_or(|m| v.total_cmp(m).is_lt())
                         {
                             state.mins[ai] = Some(v.clone());
                         }
@@ -368,7 +368,7 @@ impl<'t> Query<'t> {
                         if !v.is_null()
                             && state.maxs[ai]
                                 .as_ref()
-                                .map_or(true, |m| v.total_cmp(m).is_gt())
+                                .is_none_or(|m| v.total_cmp(m).is_gt())
                         {
                             state.maxs[ai] = Some(v.clone());
                         }

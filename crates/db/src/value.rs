@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn nan_sorts_deterministically() {
-        let mut v = vec![
+        let mut v = [
             Value::Float(f64::NAN),
             Value::Float(1.0),
             Value::Float(-1.0),

@@ -58,9 +58,9 @@ fn build_chain(c: &Chain) -> (RouterNet, Vec<RouterId>, Vec<Asn>) {
     }
     // Flags: keep the source and destination responsive/visible so the
     // trace always completes.
-    for i in 1..n - 1 {
-        net.set_responds(routers[i], !c.dark[i]);
-        net.set_mpls_hidden(routers[i], c.hidden[i]);
+    for (i, &r) in routers.iter().enumerate().take(n - 1).skip(1) {
+        net.set_responds(r, !c.dark[i]);
+        net.set_mpls_hidden(r, c.hidden[i]);
     }
     let as_path: Vec<Asn> = if c.as_split == 0 {
         vec![Asn(2)]

@@ -102,7 +102,8 @@ impl Prefix {
         Ip4(self.network)
     }
 
-    pub fn len(&self) -> u8 {
+    /// The prefix length: how many leading bits of the network are fixed.
+    pub fn prefix_len(&self) -> u8 {
         self.len
     }
 
@@ -191,7 +192,7 @@ impl PrefixAllocator {
     /// The next free sub-prefix of length `len`, or `None` when the parent
     /// block is exhausted. `len` must be ≥ the parent length.
     pub fn alloc(&mut self, len: u8) -> Option<Prefix> {
-        if len < self.parent.len() || len > 32 {
+        if len < self.parent.prefix_len() || len > 32 {
             return None;
         }
         let size = 1u32 << (32 - len as u32);

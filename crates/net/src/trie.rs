@@ -69,7 +69,7 @@ impl<T> PrefixTrie<T> {
     pub fn insert(&mut self, prefix: Prefix, value: T) -> Option<T> {
         let mut at = 0usize;
         let net = prefix.network();
-        for i in 0..prefix.len() {
+        for i in 0..prefix.prefix_len() {
             let b = net.bit(i) as usize;
             let mut next = self.nodes[at].children[b];
             if next == NONE {
@@ -90,7 +90,7 @@ impl<T> PrefixTrie<T> {
     pub fn get_exact(&self, prefix: &Prefix) -> Option<&T> {
         let mut at = 0usize;
         let net = prefix.network();
-        for i in 0..prefix.len() {
+        for i in 0..prefix.prefix_len() {
             let b = net.bit(i) as usize;
             let next = self.nodes[at].children[b];
             if next == NONE {
@@ -239,12 +239,12 @@ mod tests {
             let want = dedup
                 .iter()
                 .filter(|(pre, _)| pre.contains(probe))
-                .max_by_key(|(pre, _)| pre.len())
+                .max_by_key(|(pre, _)| pre.prefix_len())
                 .map(|(pre, v)| (*pre, *v));
             match (got, want) {
                 (None, None) => {}
                 (Some((gp, gv)), Some((wp, wv))) => {
-                    assert_eq!(gp.len(), wp.len(), "probe {probe}");
+                    assert_eq!(gp.prefix_len(), wp.prefix_len(), "probe {probe}");
                     // Same length implies same prefix (both contain probe).
                     assert_eq!(gv, wv, "probe {probe}");
                 }

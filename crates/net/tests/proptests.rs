@@ -43,12 +43,12 @@ proptest! {
         }
         for &raw in &probes {
             let ip = Ip4(raw);
-            let got = trie.lookup(ip).map(|(pre, &v)| (pre.len(), v));
+            let got = trie.lookup(ip).map(|(pre, &v)| (pre.prefix_len(), v));
             let want = map
                 .iter()
                 .filter(|(pre, _)| pre.contains(ip))
-                .max_by_key(|(pre, _)| pre.len())
-                .map(|(pre, &v)| (pre.len(), v));
+                .max_by_key(|(pre, _)| pre.prefix_len())
+                .map(|(pre, &v)| (pre.prefix_len(), v));
             // Compare lengths always; values only when unambiguous (two
             // different prefixes cannot share a length AND contain the
             // same ip, so length equality implies the same prefix).

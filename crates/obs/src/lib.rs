@@ -97,6 +97,12 @@ pub struct Histogram {
     buckets: [u64; BUCKETS],
 }
 
+impl Default for Histogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Histogram {
     /// An empty histogram. Public so sinks outside the registry (the
     /// serve flight recorder's per-client queue-wait accounting) can
@@ -232,7 +238,9 @@ impl std::fmt::Display for Key<'_> {
 enum Metric {
     Counter(u64),
     Perf(u64),
-    Hist(Histogram),
+    /// Boxed: a histogram is 44 words, and every counter in the map would
+    /// otherwise be as large.
+    Hist(Box<Histogram>),
 }
 
 impl Metric {
@@ -749,7 +757,7 @@ impl Registry {
         let mut m = self.inner.metrics.lock().unwrap();
         let e = m
             .entry((name.into(), label.into()))
-            .or_insert_with(|| Metric::Hist(Histogram::new()));
+            .or_insert_with(|| Metric::Hist(Box::default()));
         match e {
             Metric::Hist(h) => h.record(value),
             e => panic!(
@@ -778,7 +786,7 @@ impl Registry {
     /// Snapshot of one histogram, if recorded.
     pub fn histogram(&self, name: &str, label: &str) -> Option<Histogram> {
         match self.lookup(name, label) {
-            Some(Metric::Hist(h)) => Some(h),
+            Some(Metric::Hist(h)) => Some(*h),
             _ => None,
         }
     }
@@ -869,7 +877,7 @@ impl Registry {
         let hists: Vec<(String, &Histogram)> = m
             .iter()
             .filter_map(|((n, l), v)| match v {
-                Metric::Hist(h) => Some((key(n, l), h)),
+                Metric::Hist(h) => Some((key(n, l), &**h)),
                 _ => None,
             })
             .collect();
@@ -1037,7 +1045,10 @@ impl Registry {
                             }
                             h.buckets[i] = c;
                         }
-                        metrics.insert((Name::Owned(name), Name::Owned(label)), Metric::Hist(h));
+                        metrics.insert(
+                            (Name::Owned(name), Name::Owned(label)),
+                            Metric::Hist(Box::new(h)),
+                        );
                     }
                     "span" => {
                         let name = json_str(line, "name").ok_or_else(|| ctx("missing name"))?;
@@ -1283,8 +1294,8 @@ impl DiffReport {
         );
         let _ = writeln!(
             out,
-            "  {:<8} {:<44} {:>14} {:>14}  {}",
-            "class", "metric", "baseline", "current", "note"
+            "  {:<8} {:<44} {:>14} {:>14}  note",
+            "class", "metric", "baseline", "current"
         );
         for r in &self.rows {
             let _ = writeln!(
@@ -1319,15 +1330,13 @@ pub fn diff_registries(baseline: &Registry, current: &Registry) -> DiffReport {
         let key = Key(&k.0, &k.1).to_string();
         match (base.get(k), cur.get(k)) {
             (Some(Metric::Counter(b)), Some(Metric::Counter(c))) => {
-                if b != c {
-                    rows.push(DiffRow {
-                        class: "counter",
-                        key,
-                        baseline: b.to_string(),
-                        current: c.to_string(),
-                        note: format!("value changed ({:+})", *c as i128 - *b as i128),
-                    });
-                }
+                rows.extend((b != c).then(|| DiffRow {
+                    class: "counter",
+                    key,
+                    baseline: b.to_string(),
+                    current: c.to_string(),
+                    note: format!("value changed ({:+})", *c as i128 - *b as i128),
+                }))
             }
             (Some(Metric::Counter(b)), None) => rows.push(DiffRow {
                 class: "counter",

@@ -860,7 +860,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
     }
     if let Some(q) = flag(args, "--qps") {
         cfg.qps = q.parse().map_err(|e| format!("bad --qps: {e}"))?;
-        if !(cfg.qps >= 0.0) {
+        if cfg.qps.is_nan() || cfg.qps < 0.0 {
             return Err("--qps wants a rate >= 0".into());
         }
     }
@@ -976,7 +976,7 @@ fn cmd_top(args: &[String]) -> Result<(), CliError> {
     )?;
     loop {
         let intro = match client.call(&Request::Introspect, 0) {
-            Ok(Response::Introspect(i)) => i,
+            Ok(Response::Introspect(i)) => *i,
             other => return Err(format!("introspect failed: {other:?}").into()),
         };
         println!("{}", render_top(&intro, show_counters));
@@ -1061,8 +1061,8 @@ fn render_top(i: &Introspection, show_counters: bool) -> String {
     if !r.clients.is_empty() {
         let _ = writeln!(
             out,
-            "{:>5} {:>8} {:>8} {:>6} {:>6} {:>10} {:>10}  {}",
-            "conn", "requests", "ok", "err", "rej", "bytes-in", "bytes-out", "wait p50/p99/max us"
+            "{:>5} {:>8} {:>8} {:>6} {:>6} {:>10} {:>10}  wait p50/p99/max us",
+            "conn", "requests", "ok", "err", "rej", "bytes-in", "bytes-out"
         );
         for c in &r.clients {
             let _ = writeln!(

@@ -19,10 +19,12 @@ use igdb_db::Query;
 use igdb_synth::intertubes::{intertubes_recreation, rocketfuel_recreation};
 use igdb_synth::World;
 
-/// Every report id, in the order `igdb report` lists them, with its body:
-/// it reads the `--scale` tier (for its title), the world, and the
-/// database built from that world.
-pub const REPORTS: &[(&str, fn(&str, &World, &Igdb))] = &[
+/// A report body: it reads the `--scale` tier (for its title), the world,
+/// and the database built from that world.
+type Report = fn(&str, &World, &Igdb);
+
+/// Every report id, in the order `igdb report` lists them, with its body.
+pub const REPORTS: &[(&str, Report)] = &[
     ("table1", table1),
     ("table2", table2),
     ("table3", table3),
@@ -166,7 +168,7 @@ fn table3(scale: &str, world: &World, igdb: &Igdb) {
         "AS under study: {asn} ({} missing metros recovered)",
         missing.len()
     );
-    println!("{:<28} {}", "Metro", "Reverse Hostname");
+    println!("{:<28} Reverse Hostname", "Metro");
     println!("{}", "-".repeat(78));
     for (metro, host) in missing.iter().take(12) {
         println!("{:<28} {}", igdb.metros.metro(*metro).label(), host);
@@ -311,14 +313,14 @@ fn fig7(scale: &str, world: &World, igdb: &Igdb) {
         report
             .observed_metros
             .iter()
-            .map(|m| label(m))
+            .map(label)
             .collect::<Vec<_>>()
             .join(" -> ")
     );
     let hidden: Vec<String> = report
         .legs
         .iter()
-        .flat_map(|l| l.hidden_candidates.iter().map(|m| label(m)))
+        .flat_map(|l| l.hidden_candidates.iter().map(label))
         .collect();
     println!("hidden candidates (green): {}", hidden.join(", "));
     println!(
@@ -326,7 +328,7 @@ fn fig7(scale: &str, world: &World, igdb: &Igdb) {
         report
             .practical_path
             .iter()
-            .map(|m| label(m))
+            .map(label)
             .collect::<Vec<_>>()
             .join(" -> ")
     );

@@ -423,11 +423,12 @@ fn saturate(env: &ChaosEnv) -> Result<Observed, String> {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             match control.call(&Request::Introspect, 0) {
-                Ok(Response::Introspect(Introspection {
-                    queue_depth,
-                    busy_workers,
-                    ..
-                })) => {
+                Ok(Response::Introspect(i)) => {
+                    let Introspection {
+                        queue_depth,
+                        busy_workers,
+                        ..
+                    } = *i;
                     if pred(busy_workers, queue_depth) {
                         return Ok(());
                     }

@@ -215,8 +215,9 @@ pub enum Response {
     },
     Slept,
     /// Live introspection snapshot; payload is versioned (see
-    /// [`Introspection`]).
-    Introspect(Introspection),
+    /// [`Introspection`]). Boxed: it is many times the size of every other
+    /// response.
+    Introspect(Box<Introspection>),
     Error(ServeError),
 }
 
@@ -508,7 +509,7 @@ impl Response {
             },
             0x86 => Response::Footprint { rows: c.u32()? },
             0x87 => Response::Slept,
-            0x89 => Response::Introspect(Introspection::decode_from(&mut c)?),
+            0x89 => Response::Introspect(Box::new(Introspection::decode_from(&mut c)?)),
             TAG_ERROR => {
                 let code = c.u8()?;
                 let aux = c.u64()?;
@@ -890,7 +891,7 @@ mod tests {
 
     #[test]
     fn introspection_roundtrips_versioned() {
-        let resp = Response::Introspect(sample_introspection());
+        let resp = Response::Introspect(Box::new(sample_introspection()));
         let payload = resp.encode_payload();
         assert_eq!(
             payload[0], INTROSPECT_VERSION,
@@ -898,7 +899,7 @@ mod tests {
         );
         assert_eq!(Response::decode(resp.tag(), &payload).unwrap(), resp);
         // An all-defaults snapshot (fresh server) round-trips too.
-        let empty = Response::Introspect(Introspection::default());
+        let empty = Response::Introspect(Box::default());
         assert_eq!(
             Response::decode(0x89, &empty.encode_payload()).unwrap(),
             empty
@@ -910,7 +911,8 @@ mod tests {
         // Neither the next version nor the previous one (a v1 payload has
         // no `n_metros`) is ever read at this version's field offsets.
         for version in [INTROSPECT_VERSION + 1, 1] {
-            let mut payload = Response::Introspect(sample_introspection()).encode_payload();
+            let mut payload =
+                Response::Introspect(Box::new(sample_introspection())).encode_payload();
             payload[0] = version;
             match Response::decode(0x89, &payload) {
                 Err(ProtoError::BadValue { what }) => {
@@ -921,7 +923,7 @@ mod tests {
         }
         // A count field inconsistent with the bytes present is refused
         // before allocation, like SpBatch.
-        let mut payload = Response::Introspect(sample_introspection()).encode_payload();
+        let mut payload = Response::Introspect(Box::new(sample_introspection())).encode_payload();
         let clients_off = 1 + 8 + 8 + 20 + 1 // version..draining
             + 8 * (1 + 1 + 5 + 1 + 5 + 1 + 1) // ledger
             + 4 + 4 + 8 + 8; // ring summary

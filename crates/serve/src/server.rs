@@ -632,7 +632,7 @@ fn reader_loop(shared: &Arc<Shared>, stream: Stream) {
                         // Control plane: answered inline, never queued.
                         if matches!(req, Request::Introspect) {
                             shared.reg.perf_add("serve.control", "introspect", 1);
-                            let resp = Response::Introspect(shared.introspect());
+                            let resp = Response::Introspect(Box::new(shared.introspect()));
                             if writer.send(frame.id, &resp).is_err() {
                                 shared.reg.perf_add("serve.write_errors", "", 1);
                                 break "closed_error";

@@ -126,7 +126,7 @@ fn arb_response() -> BoxedStrategy<Response> {
             ases: v[3]
         }),
         any::<u32>().prop_map(|rows| Response::Footprint { rows }),
-        arb_introspection().prop_map(Response::Introspect),
+        arb_introspection().prop_map(|i| Response::Introspect(Box::new(i))),
         detail().prop_map(|detail| Response::Error(ServeError::BadRequest { detail })),
         detail().prop_map(|detail| Response::Error(ServeError::Internal { detail })),
         any::<u64>().prop_map(|budget_ms| Response::Error(ServeError::Timeout { budget_ms })),

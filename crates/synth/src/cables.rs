@@ -87,7 +87,7 @@ pub fn build_cables(
             continue;
         }
         let gc = haversine_km(&a.loc, &b.loc);
-        if gc < 150.0 || gc > 16_000.0 {
+        if !(150.0..=16_000.0).contains(&gc) {
             continue;
         }
         let key = (a.id.min(b.id), a.id.max(b.id));

@@ -285,7 +285,7 @@ fn facility_churn(snaps: &mut SnapshotSet, rng: &mut StdRng, ledger: &mut Vec<De
             + 1;
         snaps.pdb_facilities.push(PdbFacility {
             fac_id: new_id,
-            name: format!("{} Annex", anchor.name),
+            name: format!("{} Annex", anchor.name).into(),
             city_label: anchor.city_label,
             country: anchor.country,
             loc: GeoPoint::new(anchor.loc.lon + 0.01, anchor.loc.lat + 0.02),

@@ -57,7 +57,7 @@ impl RowNetwork {
                     continue;
                 }
                 let gc = haversine_km(&sites[lo], &sites[hi]);
-                if gc > MAX_SEGMENT_KM || gc < 1e-9 {
+                if !(1e-9..=MAX_SEGMENT_KM).contains(&gc) {
                     continue;
                 }
                 let path = jittered_path(&sites[lo], &sites[hi], rng);

@@ -68,9 +68,9 @@ pub struct AtlasLink {
 #[derive(Clone, Debug, PartialEq)]
 pub struct PdbFacility {
     pub fac_id: u32,
-    pub name: String,
-    pub city_label: String,
-    pub country: String,
+    pub name: Str,
+    pub city_label: Str,
+    pub country: Str,
     pub loc: GeoPoint,
 }
 
@@ -405,9 +405,9 @@ pub fn emit_snapshots(world: &World, as_of_date: &str, mesh_pairs: usize) -> Sna
         for k in 0..n_fac {
             pdb_facilities.push(PdbFacility {
                 fac_id,
-                name: format!("{} DC{}", world.cities[cid].name, k + 1),
-                city_label: messy_label(world, cid, rng.gen()),
-                country: world.cities[cid].country.clone(),
+                name: format!("{} DC{}", world.cities[cid].name, k + 1).into(),
+                city_label: messy_label(world, cid, rng.gen()).into(),
+                country: world.cities[cid].country.clone().into(),
                 loc: jitter(world.cities[cid].loc, 0.08, &mut rng),
             });
             fac_of_city.entry(cid).or_default().push(fac_id);

@@ -375,11 +375,15 @@ fn rename_metros(s: &mut SnapshotSet) {
 /// the IXP maps), or by reading it too. Each case edits one source in place
 /// so that such a stage's output changes — where the stage reads no other
 /// changed source — and an edge missing from the `sources!` table would
-/// make the apply share the stage and keep the prior's rows.
+/// make the apply share the stage and keep the prior's rows. The same
+/// cases hold the products an apply carries into a re-run stage (the label
+/// resolver, the Hoiho engine) to every input they are made from: the
+/// `geo_codes` cases and the `hoiho_rules` one fail if either is taken
+/// from the prior across a change to one.
 #[test]
 fn cross_stage_edges_apply_byte_identical_to_rebuild() {
     type Edit = fn(&mut SnapshotSet);
-    let cases: [(&str, Stage, Edit, Output); 17] = [
+    let cases: [(&str, Stage, Edit, Output); 18] = [
         (
             "natural_earth",
             Stage::Roads,
@@ -488,6 +492,15 @@ fn cross_stage_edges_apply_byte_identical_to_rebuild() {
             "geo_codes",
             Stage::IpResolution,
             |s| rotate(&mut s.geo_codes, |c| &mut c.1),
+            Output::Table("ip_asn_dns"),
+        ),
+        (
+            // The Hoiho engine is made from the rules, the geocodes and
+            // the metro registry: an apply may take the prior's only when
+            // all three are unchanged.
+            "hoiho_rules",
+            Stage::IpResolution,
+            |s| rotate(&mut s.hoiho_rules, |r| &mut r.pattern),
             Output::Table("ip_asn_dns"),
         ),
         (

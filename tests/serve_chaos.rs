@@ -593,12 +593,14 @@ fn introspection_ledger_is_exact_mid_storm_and_matches_registry() {
 // Trace structure: deterministic across worker counts
 // ---------------------------------------------------------------------------
 
-/// The sorted multiset of (kind, span shape, per-request counters) over a
-/// fixed 300-request mix — the structural fingerprint of every request's
-/// trace. Timings vary run to run; this must not.
-fn trace_profile(
-    server: &Server,
-) -> Vec<(String, Vec<(usize, String)>, Vec<(String, String, u64)>)> {
+/// One request's trace without its timings: its kind, its span shape as
+/// (depth, name), and its counters as (name, label, value).
+type TraceShape = (String, Vec<(usize, String)>, Vec<(String, String, u64)>);
+
+/// The sorted multiset of request trace shapes over a fixed 300-request
+/// mix — the structural fingerprint of every request's trace. Timings vary
+/// run to run; this must not.
+fn trace_profile(server: &Server) -> Vec<TraceShape> {
     let mut v: Vec<_> = server
         .traces()
         .iter()
