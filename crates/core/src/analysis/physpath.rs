@@ -79,8 +79,13 @@ impl PhysGraph {
                 .filter(|(_, &c)| c != 0)
                 .flat_map(|(&(a, b, _), _)| [a, b])
                 .collect();
-            next.corridors
-                .seed_surviving_from(&self.corridors, &touched);
+            // A corridor survives only if both endpoints and every node
+            // of its path avoid the touched set; a cached-unreachable one
+            // on the endpoint test alone.
+            let avoids = |m: &usize| !touched.contains(m);
+            next.corridors.seed_from(&self.corridors, |(lo, hi), v| {
+                avoids(&lo) && avoids(&hi) && v.is_none_or(|c| c.path.iter().all(avoids))
+            });
         }
         next
     }

@@ -97,7 +97,9 @@ pub struct Igdb {
     pub metros: Arc<MetroRegistry>,
     /// `Roads`' product. Handing it on keeps its memoized roadway payloads
     /// warm, so unchanged atlas links never re-route, and their
-    /// `phys_conn` rows take the WKT cells already made.
+    /// `phys_conn` rows take the WKT cells already made; a road delta
+    /// carries every payload the changed segments did not reach
+    /// ([`RoadGraph::for_next_epoch`]).
     pub roads: Arc<RoadGraph>,
     /// `IpResolution`'s product: the trained border map.
     pub bdrmap: Arc<BdrMap>,
@@ -340,6 +342,10 @@ struct Pipeline {
     /// The prior's label resolver, when [`Pipeline::carry`] found its
     /// inputs unchanged; `run_logical` takes it instead of building one.
     carried_labels: Option<Arc<Labels>>,
+    /// The prior's road graph, when `Roads` re-runs over the prior's metro
+    /// registry: the new graph starts with the memoized roadway payloads
+    /// the road change left exact ([`RoadGraph::for_next_epoch`]).
+    carried_roads: Option<Arc<RoadGraph>>,
 }
 
 impl Pipeline {
@@ -362,7 +368,11 @@ impl Pipeline {
         match stage {
             Stage::Metros => self.run_metros(snaps),
             Stage::Roads => {
-                let roads = RoadGraph::build(made(&self.metros).len(), &snaps.roads);
+                let n_metros = made(&self.metros).len();
+                let roads = match self.carried_roads.take() {
+                    Some(prior) => RoadGraph::for_next_epoch(&prior, n_metros, &snaps.roads),
+                    None => RoadGraph::build(n_metros, &snaps.roads),
+                };
                 self.roads = Some(Arc::new(roads));
             }
             Stage::CityTables => self.run_city_tables(),
@@ -406,9 +416,18 @@ impl Pipeline {
     /// unchanged, for a re-run stage to use instead of making it again: the
     /// label resolver (the metro registry and `geo_codes`) and the Hoiho
     /// engine (those and `hoiho_rules`). Neither emits a counter, so
-    /// taking one changes no ledger.
+    /// taking one changes no ledger. A re-run `Roads` over the prior's
+    /// metro registry also takes the prior's road graph, to carry the
+    /// roadway payloads its memo settled; `run_physical` replays the
+    /// `spath.queries` tick of every payload it finds settled.
     fn carry(&mut self, world: &Igdb, delta: &SnapshotDelta) {
-        if !delta.shares(Stage::Metros) || delta.changed("geo_codes") {
+        if !delta.shares(Stage::Metros) {
+            return;
+        }
+        if !delta.shares(Stage::Roads) {
+            self.carried_roads = Some(Arc::clone(&world.roads));
+        }
+        if delta.changed("geo_codes") {
             return;
         }
         self.carried_labels = Some(Arc::clone(&world.logical.labels));
@@ -612,7 +631,7 @@ impl Pipeline {
                 // microwave links ARE straight lines between the nodes.
                 let (km, wkt, row_type) = match link_type {
                     igdb_synth::sources::LinkType::Roadway => {
-                        let Some(Roadway { km, wkt }) = routed[i].take() else {
+                        let Some(Roadway { km, wkt, .. }) = routed[i].take() else {
                             // no terrestrial right-of-way (e.g. across an ocean)
                             igdb_obs::counter("build.route_misses", "", 1);
                             continue;
@@ -1426,6 +1445,7 @@ impl Igdb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use igdb_synth::sources::Source;
     use igdb_synth::{emit_snapshots, World, WorldConfig};
 
     fn built() -> (World, Igdb) {
@@ -1767,13 +1787,26 @@ mod tests {
         .unwrap()
     }
 
+    /// Moves one field of every record to the next record.
+    fn rotate<T: Clone, F: Clone>(records: &mut Source<T>, field: impl Fn(&mut T) -> &mut F) {
+        let values: Vec<F> = records.iter_mut().map(|r| field(r).clone()).collect();
+        for (r, v) in records.iter_mut().zip(values.iter().cycle().skip(1)) {
+            *field(r) = v.clone();
+        }
+    }
+
     /// Every product of an apply is the prior's own allocation exactly
     /// when the inputs it is made from are unchanged — for every delta
-    /// class, and for a date change, which shares nothing. For most
+    /// class, for a hand-edited `geo_codes` and `hoiho_rules` (which no
+    /// class churns), and for a date change, which shares nothing. For most
     /// products those inputs are their stage's, so the rule reads "shared
     /// exactly when the delta shares the stage". The label resolver, the
     /// Hoiho engine and the roadway WKT cells read less than their stage
-    /// does, and are handed on whenever what they read is the prior's.
+    /// does, and are handed on whenever what they read is the prior's: a
+    /// pair's cell is the prior's exactly when the metro registry is, and
+    /// either the road list is too or the pair's route crosses no
+    /// adjacency the road change touched (and the change cannot shorten a
+    /// route).
     #[test]
     fn a_shared_stage_hands_on_every_product_by_reference() {
         use igdb_synth::{generate_delta, DeltaClass};
@@ -1783,32 +1816,69 @@ mod tests {
         let prior_roadways = roadway_cells(&prior);
         let mut redated = snaps.clone();
         redated.as_of_date = "2022-06-01".into();
+        let mut geo_codes = snaps.clone();
+        rotate(&mut geo_codes.geo_codes, |c| &mut c.1);
+        let mut hoiho_rules = snaps.clone();
+        rotate(&mut hoiho_rules.hoiho_rules, |r| &mut r.pattern);
+        // A road edit on a routed pair's first hop, so that both outcomes
+        // of the roadway rule occur under a re-run `Roads`.
+        let mut ws = crate::spath::SpWorkspace::new();
+        let mut roads = snaps.clone();
+        let &(a, b) = prior_roadways.keys().min().expect("a roadway row");
+        let (route, _) = prior.roads.roadway(&mut ws, a as usize, b as usize);
+        let hop = route.expect("a roadway row has a route").path[..2].to_vec();
+        for r in &mut roads.roads {
+            if [r.a, r.b] == [hop[0] as usize, hop[1] as usize]
+                || [r.b, r.a] == [hop[0] as usize, hop[1] as usize]
+            {
+                r.length_km *= 1.05;
+            }
+        }
         let nexts = DeltaClass::ALL
             .into_iter()
             .map(|class| (format!("{class:?}"), generate_delta(&snaps, 7, &[class]).0))
-            .chain([("date change".to_string(), redated)]);
+            .chain([
+                ("date change".to_string(), redated),
+                ("geo_codes edit".to_string(), geo_codes),
+                ("hoiho_rules edit".to_string(), hoiho_rules),
+                ("roads edit".to_string(), roads),
+            ]);
+        // Roadway cells taken from the prior, and made again, by an apply
+        // that re-runs `Roads`.
+        let (mut carried, mut remade) = (0, 0);
         for (ctx, next) in nexts {
             let (w, _, delta) = prior.apply_delta(&next, &BuildPolicy::lenient()).unwrap();
             let p = &prior;
             let stage = |stage: Stage| delta.shares(stage);
             let labels_inputs = stage(Stage::Metros) && !delta.changed("geo_codes");
-            // Roadway rows of a pair both worlds hold: how many carry the
-            // prior's very WKT allocation.
+            // The roadway rows of a pair both worlds hold, each held to
+            // the rule on whether it carries the prior's WKT allocation.
+            let changed_roads =
+                crate::roads::changed_by_grouping(&p.snapshots.roads, &w.snapshots.roads);
             let roadways = roadway_cells(&w);
-            let common: Vec<_> = prior_roadways
-                .iter()
-                .filter_map(|(pair, old)| Some((old, roadways.get(pair)?)))
-                .collect();
-            assert!(!common.is_empty(), "{ctx}: no roadway pair survived");
-            let same_cells = common
-                .iter()
-                .filter(|(old, new)| old.as_str().as_ptr() == new.as_str().as_ptr())
-                .count();
-            assert!(
-                same_cells == 0 || same_cells == common.len(),
-                "{ctx}: {same_cells} of {} roadway WKT cells are the prior's",
-                common.len()
-            );
+            let mut common = 0;
+            for (&(a, b), old) in &prior_roadways {
+                let Some(new) = roadways.get(&(a, b)) else {
+                    continue;
+                };
+                common += 1;
+                let (route, _) = p.roads.roadway(&mut ws, a as usize, b as usize);
+                let path = route.expect("a roadway row has a route").path;
+                let crosses_no_change = changed_roads.as_ref().is_some_and(|changed| {
+                    path.windows(2).all(|h| {
+                        let hop = (h[0].min(h[1]) as usize, h[0].max(h[1]) as usize);
+                        !changed.contains(&hop)
+                    })
+                });
+                let inputs_unchanged =
+                    stage(Stage::Metros) && (stage(Stage::Roads) || crosses_no_change);
+                let same = old.as_str().as_ptr() == new.as_str().as_ptr();
+                assert_eq!(same, inputs_unchanged, "{ctx}: roadway WKT cell {a}–{b}");
+                if stage(Stage::Metros) && !stage(Stage::Roads) {
+                    *if same { &mut carried } else { &mut remade } += 1;
+                }
+            }
+            assert!(common > 0, "{ctx}: no roadway pair survived");
             let products = [
                 (
                     "metros",
@@ -1819,11 +1889,6 @@ mod tests {
                     "roads",
                     stage(Stage::Roads),
                     Arc::ptr_eq(&p.roads, &w.roads),
-                ),
-                (
-                    "roadway phys_conn WKT cells",
-                    stage(Stage::Roads),
-                    same_cells == common.len(),
                 ),
                 (
                     "fac_metro",
@@ -1885,6 +1950,10 @@ mod tests {
                 assert_eq!(same, inputs_unchanged, "{ctx}: {name}");
             }
         }
+        assert!(
+            carried > 0 && remade > 0,
+            "{carried} carried, {remade} remade"
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 /// smaller endpoint, plus its length.
 #[derive(Clone, Debug)]
 pub struct Corridor {
-    path: Vec<usize>,
+    pub(crate) path: Vec<usize>,
     km: f64,
 }
 
@@ -83,6 +83,32 @@ impl<V> CorridorCache<V> {
             .collect()
     }
 
+    /// Seeds this (typically fresh) cache with every settled entry of `old`
+    /// that `keep` accepts, given its normalized pair and its value
+    /// (`None` for a cached-unreachable pair) — the memo half of a delta
+    /// apply. Whether an entry is still the right answer on the new graph
+    /// is the caller's rule: `PhysGraph::for_next_epoch` and
+    /// `RoadGraph::for_next_epoch` each state theirs, and why it is sound.
+    /// Seeding counts as neither a hit nor a miss, and an existing entry
+    /// for a key is left untouched.
+    pub(crate) fn seed_from(
+        &self,
+        old: &CorridorCache<V>,
+        keep: impl Fn((usize, usize), Option<&V>) -> bool,
+    ) {
+        let old_map = old.map();
+        let mut map = self.map();
+        for (k, cell) in old_map.iter() {
+            // In-flight cells are skipped: their eventual value can't be
+            // vetted.
+            let Some(v) = cell.get() else { continue };
+            if keep(*k, v.as_ref()) {
+                // A settled cell never changes, so the two caches share it.
+                map.entry(*k).or_insert_with(|| Arc::clone(cell));
+            }
+        }
+    }
+
     /// The value of the unordered pair `{from, to}`, computing it via
     /// `compute` (called with the normalized `(min, max)` pair) at most
     /// once per pair process-wide: concurrent callers for the same pair
@@ -118,33 +144,6 @@ impl<V> CorridorCache<V> {
 }
 
 impl CorridorCache {
-    /// Seeds this (typically fresh) cache with every settled entry of `old`
-    /// that avoids `touched` — the corridor-migration half of a delta
-    /// apply. An entry survives only if both endpoints *and* every stored
-    /// path node avoid the touched set; cached-unreachable (`None`) entries
-    /// survive on the endpoint test alone. Seeding counts as neither a hit
-    /// nor a miss, and an existing entry for a key is left untouched.
-    ///
-    /// Sound only when the graph lost edges and gained none;
-    /// `PhysGraph::for_next_epoch` decides that, and says why.
-    pub fn seed_surviving_from(&self, old: &CorridorCache, touched: &BTreeSet<usize>) {
-        let old_map = old.map();
-        let mut map = self.map();
-        for (k, cell) in old_map.iter() {
-            // In-flight cells are skipped: their eventual value can't be
-            // vetted.
-            let Some(v) = cell.get() else { continue };
-            let survives = !touched.contains(&k.0)
-                && !touched.contains(&k.1)
-                && v.as_ref()
-                    .is_none_or(|c| c.path.iter().all(|m| !touched.contains(m)));
-            if survives {
-                // A settled cell never changes, so the two caches share it.
-                map.entry(*k).or_insert_with(|| Arc::clone(cell));
-            }
-        }
-    }
-
     /// The corridor `from → to`, computed via `compute` at most once per
     /// unordered pair ([`get_or_compute`](Self::get_or_compute)). The
     /// canonical path is direction-independent (shortest paths are unique
@@ -251,7 +250,10 @@ mod tests {
         old.shortest_path(6, 7, |_, _| None);
         let fresh = CorridorCache::new("test");
         let touched: BTreeSet<usize> = [6].into_iter().collect();
-        fresh.seed_surviving_from(&old, &touched);
+        fresh.seed_from(&old, |(lo, hi), v| {
+            ![lo, hi].iter().any(|m| touched.contains(m))
+                && v.is_none_or(|c| c.path.iter().all(|m| !touched.contains(m)))
+        });
         assert_eq!(
             fresh.len(),
             3,

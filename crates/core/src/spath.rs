@@ -161,6 +161,8 @@ pub struct ShortestPathEngine {
     weights: Vec<f64>,
     /// Per-CSR-slot tie perturbation (same value on both slots of an arc).
     ties: Vec<u64>,
+    /// Per-CSR-slot index of the arc the slot belongs to.
+    slot_arcs: Vec<u32>,
     /// Original undirected arcs `(a, b, w, tie)` in insertion order; the CH
     /// builder consumes these so duplicate arcs keep distinct ties.
     arcs: Vec<(u32, u32, f64, u64)>,
@@ -338,16 +340,19 @@ impl ShortestPathEngine {
         let mut targets = vec![0u32; m];
         let mut weights = vec![0.0f64; m];
         let mut ties = vec![0u64; m];
-        for &(a, b, w, tie) in &collected {
+        let mut slot_arcs = vec![0u32; m];
+        for (k, &(a, b, w, tie)) in collected.iter().enumerate() {
             let ca = cursor[a as usize] as usize;
             targets[ca] = b;
             weights[ca] = w;
             ties[ca] = tie;
+            slot_arcs[ca] = k as u32;
             cursor[a as usize] += 1;
             let cb = cursor[b as usize] as usize;
             targets[cb] = a;
             weights[cb] = w;
             ties[cb] = tie;
+            slot_arcs[cb] = k as u32;
             cursor[b as usize] += 1;
         }
         Self {
@@ -356,6 +361,7 @@ impl ShortestPathEngine {
             targets,
             weights,
             ties,
+            slot_arcs,
             arcs: collected,
             hierarchy: OnceLock::new(),
         }
@@ -380,6 +386,19 @@ impl ShortestPathEngine {
             self.node_count()
         );
         (self.offsets[node + 1] - self.offsets[node]) as usize
+    }
+
+    /// The first-inserted arc joining `u` and `v`, by its insertion index,
+    /// or `None` if they are not adjacent (or either is out of range). A
+    /// node's slots are in arc insertion order, so the first slot of `u`
+    /// that targets `v` is that arc's.
+    pub(crate) fn first_arc(&self, u: usize, v: usize) -> Option<usize> {
+        if !self.pair_in_range(u, v) {
+            return None;
+        }
+        let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
+        let slot = self.targets[lo..hi].iter().position(|&t| t as usize == v)?;
+        Some(self.slot_arcs[lo + slot] as usize)
     }
 
     fn neighbors(&self, node: usize) -> impl Iterator<Item = (usize, f64, u64)> + '_ {

@@ -532,6 +532,185 @@ fn cross_stage_edges_apply_byte_identical_to_rebuild() {
             "{ctx}: the edit left {output:?} as it was"
         );
     }
+    road_edits_apply_byte_identical_to_rebuild(&base, &prior);
+}
+
+/// A roadway pair of `world` whose route has an intermediate metro and no
+/// segment joining its ends, with that route.
+fn routed_pair(world: &Igdb) -> Vec<usize> {
+    let pairs: BTreeSet<(usize, usize)> = world
+        .db
+        .with_table("phys_conn", |t| {
+            t.iter()
+                .filter(|(_, r)| r[8].as_text() == Some("roadway"))
+                .map(|(_, r)| {
+                    (
+                        r[0].as_int().unwrap() as usize,
+                        r[3].as_int().unwrap() as usize,
+                    )
+                })
+                .collect()
+        })
+        .expect("phys_conn exists");
+    let adjacent = |a: usize, b: usize| {
+        let roads = &world.source_snapshots().roads;
+        roads
+            .iter()
+            .any(|r| (r.a, r.b) == (a, b) || (r.a, r.b) == (b, a))
+    };
+    pairs
+        .into_iter()
+        .filter(|&(a, b)| !adjacent(a, b))
+        .find_map(|(a, b)| {
+            let (path, _) = world.roads.shortest_path(a, b)?;
+            (path.len() >= 3).then_some(path)
+        })
+        .expect("a roadway route with an intermediate metro")
+}
+
+/// The load index of the first segment joining `a` and `b`.
+fn first_segment(s: &SnapshotSet, a: usize, b: usize) -> usize {
+    s.roads
+        .iter()
+        .position(|r| (r.a, r.b) == (a, b) || (r.a, r.b) == (b, a))
+        .expect("adjacent metros")
+}
+
+/// The road edits no generated delta makes, each applied both ways a road
+/// delta can go — the road memo carried across the change, or started
+/// cold because a route could have shortened — and with `natural_earth`
+/// beside it, where `Metros` re-runs and nothing carries. Each edit moves
+/// the `phys_conn` row of one routed pair, so a memo that kept a payload
+/// the change made stale diverges from the rebuild.
+fn road_edits_apply_byte_identical_to_rebuild(base: &SnapshotSet, prior: &Igdb) {
+    type Edit = Box<dyn Fn(&mut SnapshotSet)>;
+    struct Case {
+        name: &'static str,
+        sources: &'static [&'static str],
+        /// An edit of the base the prior is built from.
+        base_edit: Option<Edit>,
+        edit: Edit,
+        /// Whether the apply carries the road memo across the edit.
+        carries: bool,
+    }
+    let path = routed_pair(prior);
+    let (from, to, hop) = (path[0], path[path.len() - 1], (path[0], path[1]));
+    let (_, route_km) = prior.roads.shortest_path(from, to).unwrap();
+    let first = first_segment(base, hop.0, hop.1);
+    let hop_max_km = base
+        .roads
+        .iter()
+        .filter(|r| [(r.a, r.b), (r.b, r.a)].contains(&hop))
+        .map(|r| r.length_km)
+        .fold(0.0, f64::max);
+    // A longer parallel segment loaded ahead of the hop's own: routes run
+    // on the shorter one and draw this one's geometry.
+    let detour = move |s: &mut SnapshotSet| {
+        let mut d = s.roads[first].clone();
+        d.length_km = hop_max_km * 1.5;
+        let mid = d.path[0];
+        d.path
+            .insert(1, igdb_geo::GeoPoint::new(mid.lon + 0.25, mid.lat + 0.25));
+        s.roads.insert(first, d);
+    };
+    let reshape = move |s: &mut SnapshotSet| {
+        let i = first_segment(s, hop.0, hop.1);
+        let p = s.roads[i].path[0];
+        s.roads[i]
+            .path
+            .insert(1, igdb_geo::GeoPoint::new(p.lon - 0.25, p.lat));
+    };
+    let cases = [
+        Case {
+            name: "added segment",
+            sources: &["roads"],
+            base_edit: None,
+            edit: Box::new(move |s| {
+                let mut shortcut = s.roads[first].clone();
+                (shortcut.a, shortcut.b, shortcut.length_km) = (from, to, route_km / 2.0);
+                s.roads.push(shortcut);
+            }),
+            carries: false,
+        },
+        Case {
+            name: "shortened segment",
+            sources: &["roads"],
+            base_edit: None,
+            edit: Box::new(move |s| s.roads[first].length_km /= 2.0),
+            carries: false,
+        },
+        Case {
+            name: "first-loaded of two parallel segments removed",
+            sources: &["roads"],
+            base_edit: Some(Box::new(detour)),
+            edit: Box::new(move |s| {
+                s.roads.remove(first);
+            }),
+            carries: true,
+        },
+        Case {
+            name: "geometry-only mutation at equal length",
+            sources: &["roads"],
+            base_edit: None,
+            edit: Box::new(reshape),
+            carries: true,
+        },
+        Case {
+            name: "roads and natural_earth together",
+            sources: &["natural_earth", "roads"],
+            base_edit: None,
+            edit: Box::new(move |s| {
+                rename_metros(s);
+                reshape(s);
+            }),
+            carries: false,
+        },
+    ];
+    let output = Output::Table("phys_conn");
+    for Case {
+        name,
+        sources,
+        base_edit,
+        edit,
+        carries,
+    } in cases
+    {
+        let ctx = format!("roads: {name}");
+        let (mut from_base, mut next) = (base.clone(), base.clone());
+        let edited_prior;
+        let prior = match base_edit {
+            Some(base_edit) => {
+                base_edit(&mut from_base);
+                base_edit(&mut next);
+                edited_prior = Igdb::try_build(&from_base, &BuildPolicy::lenient())
+                    .expect("edited base builds")
+                    .0;
+                &edited_prior
+            }
+            None => prior,
+        };
+        edit(&mut next);
+        let (applied, apply, delta) = apply_onto(prior, &next);
+        let named: BTreeSet<&str> = delta.sources.iter().map(|s| s.source).collect();
+        assert_eq!(named, sources.iter().copied().collect(), "{ctx}: sources");
+        let (rebuilt, rebuild) = rebuild(&next);
+        assert_identical(&apply, &rebuild, &ctx);
+        assert_eq!(output.read(&applied), output.read(&rebuilt), "{ctx}");
+        assert_ne!(
+            output.read(&applied),
+            output.read(prior),
+            "{ctx}: the edit left {output:?} as it was"
+        );
+        // Whether the apply took the carry or the cold road: a carried
+        // payload is a memo hit, and a cold build asks each pair once.
+        let reg = Registry::new();
+        {
+            let _g = reg.install();
+            prior.apply_delta(&next, &BuildPolicy::lenient()).unwrap();
+        }
+        let hits = reg.perf_value("corridor.cache_hits", "roads");
+        assert_eq!(hits > 0, carries, "{ctx}: {hits} road memo hits");
+    }
 }
 
 /// An apply shares the untouched stages' tables with the prior by
