@@ -18,8 +18,31 @@
 //! IXP LAN addresses (known from `ixp_prefixes`) are handled
 //! traIXroute-style: the hop belongs to the AS of the *next* resolved hop
 //! (the member router that answered from the LAN).
+//!
+//! # Vote tallies, and the carry across a corpus change
+//!
+//! A decision reads only its own address's state: its prefix owner,
+//! whether it sits on an IXP LAN, and the majorities of two tallies — the
+//! prefix owners of the hop right before each of its occurrences, and of
+//! the hop right after. The map keeps that state per observed address: the
+//! owner (one longest-prefix match per distinct address, not two per hop),
+//! the address's occurrence count, both tallies, and the decision they
+//! give. A trace's votes are a function of the trace and the RIB alone, so
+//! taking a trace away takes back exactly the votes it added.
+//!
+//! [`BdrMap::for_next_epoch`] carries a map across a change of the corpus
+//! (same RIB, same IXP LANs): it takes back the votes of the traces that
+//! left, adds those of the traces that came, and re-decides only the
+//! addresses those traces hold. An address whose last occurrence left is
+//! forgotten, tallies and decision, and resolves by plain LPM, as in a map
+//! that never saw it. The majority rule is order-free (more than half the
+//! votes; the tie-break among equal counts is total), so the carried map
+//! resolves every address as a cold [`BdrMap::refine`] over the new corpus
+//! does — and a cold refine is this same update, from an empty map.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use igdb_net::{Asn, Ip4, Prefix, PrefixTrie};
 
@@ -48,11 +71,158 @@ impl IpOrigin {
 }
 
 /// The mapper: build once from RIB + IXP prefixes, refine with traceroutes.
+#[derive(Clone)]
 pub struct BdrMap {
-    rib: PrefixTrie<Asn>,
+    /// Shared by every map carried from this one.
+    rib: Arc<PrefixTrie<Asn>>,
     ixp_lans: Vec<Prefix>,
-    /// Final per-address decisions after refinement.
-    assignments: HashMap<Ip4, IpOrigin>,
+    /// Every address the corpus holds, with what decides it.
+    addresses: HashMap<Ip4, Address>,
+}
+
+/// What the map knows of one observed address.
+#[derive(Clone)]
+struct Address {
+    /// Its longest-prefix-match owner.
+    owner: Option<Asn>,
+    /// Its hops in the corpus, repeats within a trace included.
+    occurrences: u32,
+    /// Per AS, how many of its occurrences have a hop owned by that AS
+    /// right before them, and right after: the first ASes in place (an
+    /// entry with no votes is a free slot), any further ones in `more`,
+    /// where no entry is empty. Most addresses see one or two neighbour
+    /// ASes, so most allocate nothing of their own: thousands of small
+    /// allocations that live as long as the world pin heap pages apart
+    /// (a `Vec` per address read 1–3 MB more peak RSS in the benchmark's
+    /// `build` workload).
+    votes: [Votes; 2],
+    more: Vec<Votes>,
+    /// What `votes` and `owner` decide; stale while `dirty`.
+    decision: IpOrigin,
+    /// A trace holding the address came or left since the last decision.
+    dirty: bool,
+}
+
+/// One AS's votes for one address.
+#[derive(Clone, Copy)]
+struct Votes {
+    asn: Asn,
+    /// As the owner of the hop before.
+    pred: u32,
+    /// As the owner of the hop after.
+    succ: u32,
+}
+
+/// Which neighbour of an occurrence a vote is for.
+#[derive(Clone, Copy)]
+enum Side {
+    Pred,
+    Succ,
+}
+
+impl Votes {
+    const NONE: Votes = Votes {
+        asn: Asn(0),
+        pred: 0,
+        succ: 0,
+    };
+
+    fn is_empty(&self) -> bool {
+        (self.pred, self.succ) == (0, 0)
+    }
+
+    fn on(&mut self, side: Side) -> &mut u32 {
+        match side {
+            Side::Pred => &mut self.pred,
+            Side::Succ => &mut self.succ,
+        }
+    }
+}
+
+impl Address {
+    /// The index of `asn`'s entry among `votes` then `more`.
+    fn find(&self, asn: Asn) -> Option<usize> {
+        self.votes
+            .iter()
+            .chain(&self.more)
+            .position(|v| !v.is_empty() && v.asn == asn)
+    }
+
+    fn entry(&mut self, i: usize) -> &mut Votes {
+        match i.checked_sub(self.votes.len()) {
+            Some(j) => &mut self.more[j],
+            None => &mut self.votes[i],
+        }
+    }
+
+    fn add(&mut self, asn: Asn, side: Side) {
+        let i = self.find(asn).unwrap_or_else(|| {
+            let fresh = Votes { asn, ..Votes::NONE };
+            match self.votes.iter().position(Votes::is_empty) {
+                Some(free) => {
+                    self.votes[free] = fresh;
+                    free
+                }
+                None => {
+                    self.more.push(fresh);
+                    self.votes.len() + self.more.len() - 1
+                }
+            }
+        });
+        *self.entry(i).on(side) += 1;
+    }
+
+    fn take_back(&mut self, asn: Asn, side: Side) {
+        let i = self.find(asn).expect("a vote this address counted");
+        let entry = self.entry(i);
+        *entry.on(side) -= 1;
+        if entry.is_empty() {
+            if let Some(j) = i.checked_sub(self.votes.len()) {
+                self.more.swap_remove(j);
+            }
+        }
+    }
+
+    /// The AS holding more than half the votes on `side`, if one does.
+    fn majority(&self, side: Side) -> Option<Asn> {
+        let count = |v: &&Votes| match side {
+            Side::Pred => v.pred,
+            Side::Succ => v.succ,
+        };
+        let entries = || self.votes.iter().chain(&self.more);
+        let total: u32 = entries().map(|v| count(&v)).sum();
+        entries()
+            .max_by_key(|v| (count(v), Reverse(v.asn.0)))
+            .filter(|v| 2 * count(v) > total)
+            .map(|v| v.asn)
+    }
+
+    fn decide(&self, on_ixp_lan: bool) -> IpOrigin {
+        if on_ixp_lan {
+            // traIXroute rule: the IXP hop is the entering member —
+            // attribute to the majority successor AS.
+            return match self
+                .majority(Side::Succ)
+                .or_else(|| self.majority(Side::Pred))
+            {
+                Some(member) => IpOrigin::IxpLan(member),
+                None => IpOrigin::Unknown,
+            };
+        }
+        match self.owner {
+            Some(lpm) => match (self.majority(Side::Pred), self.majority(Side::Succ)) {
+                // A-owned space, A behind, B ahead: the far end of the
+                // A→B border link — operated by B.
+                (Some(a), Some(b)) if a == lpm && b != lpm => IpOrigin::BorderReassigned(b),
+                _ => IpOrigin::PrefixMatch(lpm),
+            },
+            // Unannounced space mid-path: trust the successor.
+            None => match self.majority(Side::Succ) {
+                Some(b) => IpOrigin::BorderReassigned(b),
+                None => IpOrigin::Unknown,
+            },
+        }
+    }
 }
 
 impl BdrMap {
@@ -63,15 +233,15 @@ impl BdrMap {
             rib.insert(p, a);
         }
         Self {
-            rib,
+            rib: Arc::new(rib),
             ixp_lans: ixp_lans.to_vec(),
-            assignments: HashMap::new(),
+            addresses: HashMap::new(),
         }
     }
 
     /// True if `ip` lies on a known IXP peering LAN.
     pub fn is_ixp_address(&self, ip: Ip4) -> bool {
-        self.ixp_lans.iter().any(|p| p.contains(ip))
+        on_ixp_lan(&self.ixp_lans, ip)
     }
 
     /// Raw longest-prefix match (no border logic).
@@ -80,73 +250,115 @@ impl BdrMap {
     }
 
     /// Refines the map over a corpus of traceroutes (each a sequence of
-    /// responding addresses in hop order). Call once after construction;
-    /// subsequent [`BdrMap::resolve`] calls use the refined assignments.
+    /// responding addresses in hop order), adding to whatever corpus it
+    /// holds; [`BdrMap::resolve`] then uses the refined assignments.
     pub fn refine(&mut self, traces: &[Vec<Ip4>]) {
-        // Pass 1: votes. For every observed address, tally the prefix-owner
-        // of its nearest resolved predecessor and successor hops.
-        #[derive(Default)]
-        struct Votes {
-            pred: HashMap<Asn, usize>,
-            succ: HashMap<Asn, usize>,
+        self.update(
+            Vec::<Vec<Ip4>>::new(),
+            traces.iter().map(|t| t.iter().copied()),
+        );
+    }
+
+    /// `prior`'s map over its corpus with the traces `removed` taken out
+    /// and `added` put in: equal, on every address, to a cold
+    /// [`BdrMap::refine`] over the new corpus under the same RIB and IXP
+    /// LANs. Each removed trace must be one `prior` counted.
+    pub fn for_next_epoch<R, A>(prior: &BdrMap, removed: R, added: A) -> BdrMap
+    where
+        R: IntoIterator,
+        R::Item: IntoIterator<Item = Ip4>,
+        A: IntoIterator,
+        A::Item: IntoIterator<Item = Ip4>,
+    {
+        let mut next = prior.clone();
+        next.update(removed, added);
+        next
+    }
+
+    /// Counts the traces `added` and takes back the traces `removed`, then
+    /// re-decides the addresses they hold and forgets those no trace
+    /// holds any more.
+    fn update<R, A>(&mut self, removed: R, added: A)
+    where
+        R: IntoIterator,
+        R::Item: IntoIterator<Item = Ip4>,
+        A: IntoIterator,
+        A::Item: IntoIterator<Item = Ip4>,
+    {
+        let mut scratch = (Vec::new(), Vec::new());
+        for trace in added {
+            self.count(trace, true, &mut scratch);
         }
-        let mut votes: HashMap<Ip4, Votes> = HashMap::new();
-        for trace in traces {
-            for (i, &ip) in trace.iter().enumerate() {
-                let v = votes.entry(ip).or_default();
-                if i > 0 {
-                    if let Some(a) = self.prefix_owner(trace[i - 1]) {
-                        *v.pred.entry(a).or_default() += 1;
-                    }
-                }
-                if i + 1 < trace.len() {
-                    if let Some(a) = self.prefix_owner(trace[i + 1]) {
-                        *v.succ.entry(a).or_default() += 1;
-                    }
+        for trace in removed {
+            self.count(trace, false, &mut scratch);
+        }
+        let lans = &self.ixp_lans;
+        self.addresses.retain(|&ip, a| {
+            if a.dirty {
+                a.decision = a.decide(on_ixp_lan(lans, ip));
+                a.dirty = false;
+            }
+            a.occurrences > 0
+        });
+        // The map lives as long as its world: return the growth slack.
+        self.addresses.shrink_to_fit();
+    }
+
+    /// Adds one trace's occurrences and votes, or takes them back.
+    fn count(
+        &mut self,
+        trace: impl IntoIterator<Item = Ip4>,
+        add: bool,
+        (hops, owners): &mut (Vec<Ip4>, Vec<Option<Asn>>),
+    ) {
+        hops.clear();
+        hops.extend(trace);
+        owners.clear();
+        let rib = &self.rib;
+        for &ip in hops.iter() {
+            let a = self.addresses.entry(ip).or_insert_with(|| Address {
+                owner: rib.lookup(ip).map(|(_, &asn)| asn),
+                occurrences: 0,
+                votes: [Votes::NONE; 2],
+                more: Vec::new(),
+                decision: IpOrigin::Unknown,
+                dirty: true,
+            });
+            a.occurrences = if add {
+                a.occurrences + 1
+            } else {
+                a.occurrences
+                    .checked_sub(1)
+                    .expect("a removed trace is one the map counted")
+            };
+            a.dirty = true;
+            owners.push(a.owner);
+        }
+        for (i, ip) in hops.iter().enumerate() {
+            let a = self.addresses.get_mut(ip).expect("counted above");
+            let before = i.checked_sub(1).and_then(|j| owners[j]);
+            let after = owners.get(i + 1).copied().flatten();
+            for (side, owner) in [(Side::Pred, before), (Side::Succ, after)] {
+                match owner {
+                    Some(owner) if add => a.add(owner, side),
+                    Some(owner) => a.take_back(owner, side),
+                    None => {}
                 }
             }
         }
-        // Pass 2: decisions.
-        for (&ip, v) in &votes {
-            let decision = if self.is_ixp_address(ip) {
-                // traIXroute rule: the IXP hop is the entering member —
-                // attribute to the majority successor AS.
-                match majority(&v.succ) {
-                    Some(b) => IpOrigin::IxpLan(b),
-                    None => match majority(&v.pred) {
-                        Some(a) => IpOrigin::IxpLan(a),
-                        None => IpOrigin::Unknown,
-                    },
-                }
-            } else {
-                match self.prefix_owner(ip) {
-                    Some(lpm) => {
-                        let pred = majority(&v.pred);
-                        let succ = majority(&v.succ);
-                        match (pred, succ) {
-                            // A-owned space, A behind, B ahead: the far end
-                            // of the A→B border link — operated by B.
-                            (Some(a), Some(b)) if a == lpm && b != lpm => {
-                                IpOrigin::BorderReassigned(b)
-                            }
-                            _ => IpOrigin::PrefixMatch(lpm),
-                        }
-                    }
-                    None => match majority(&v.succ) {
-                        // Unannounced space mid-path: trust the successor.
-                        Some(b) => IpOrigin::BorderReassigned(b),
-                        None => IpOrigin::Unknown,
-                    },
-                }
-            };
-            self.assignments.insert(ip, decision);
-        }
+    }
+
+    /// Every address the corpus holds, in address order.
+    pub fn observed(&self) -> Vec<Ip4> {
+        let mut ips: Vec<Ip4> = self.addresses.keys().copied().collect();
+        ips.sort_unstable();
+        ips
     }
 
     /// Resolves an address: refined assignment if available, else LPM.
     pub fn resolve(&self, ip: Ip4) -> IpOrigin {
-        if let Some(&d) = self.assignments.get(&ip) {
-            return d;
+        if let Some(a) = self.addresses.get(&ip) {
+            return a.decision;
         }
         match self.prefix_owner(ip) {
             Some(a) => IpOrigin::PrefixMatch(a),
@@ -166,14 +378,16 @@ impl BdrMap {
         }
         path
     }
+
+    /// Whether both maps look addresses up in the same RIB allocation.
+    #[cfg(test)]
+    pub(crate) fn shares_rib(&self, other: &BdrMap) -> bool {
+        Arc::ptr_eq(&self.rib, &other.rib)
+    }
 }
 
-fn majority(m: &HashMap<Asn, usize>) -> Option<Asn> {
-    let total: usize = m.values().sum();
-    m.iter()
-        .max_by_key(|&(asn, n)| (*n, std::cmp::Reverse(asn.0)))
-        .filter(|&(_, n)| 2 * n > total)
-        .map(|(&a, _)| a)
+fn on_ixp_lan(lans: &[Prefix], ip: Ip4) -> bool {
+    lans.iter().any(|p| p.contains(ip))
 }
 
 #[cfg(test)]
@@ -303,5 +517,163 @@ mod tests {
             ip("10.2.0.2"),
         ]);
         assert_eq!(path, vec![Asn(1), Asn(2)]);
+    }
+
+    /// Carrying a map across a corpus change: `for_next_epoch` takes the
+    /// removed traces' votes back, and an address that loses its last
+    /// occurrence falls back to plain LPM.
+    #[test]
+    fn carried_map_forgets_an_address_whose_last_trace_left() {
+        let border = vec![
+            ip("10.1.0.1"),
+            ip("10.1.9.1"),
+            ip("10.1.9.2"),
+            ip("10.2.0.1"),
+        ];
+        let inner = vec![ip("10.1.0.1"), ip("10.1.0.2")];
+        let mut m = mapper();
+        m.refine(&[border.clone(), inner.clone()]);
+        assert_eq!(
+            m.resolve(ip("10.1.9.2")),
+            IpOrigin::BorderReassigned(Asn(2))
+        );
+        let next = BdrMap::for_next_epoch(&m, [border.iter().copied()], Vec::<Vec<Ip4>>::new());
+        assert_eq!(next.resolve(ip("10.1.9.2")), IpOrigin::PrefixMatch(Asn(1)));
+        assert_eq!(next.observed(), [ip("10.1.0.1"), ip("10.1.0.2")]);
+        assert!(next.shares_rib(&m));
+        // The prior map is untouched.
+        assert_eq!(
+            m.resolve(ip("10.1.9.2")),
+            IpOrigin::BorderReassigned(Asn(2))
+        );
+    }
+
+    /// The address pool of the property test: announced space of three
+    /// ASes (one a more-specific inside another's), an IXP LAN that is
+    /// also announced, one that is not, and unannounced space.
+    const POOL: [&str; 14] = [
+        "10.1.0.1",
+        "10.1.0.2",
+        "10.1.9.1",
+        "10.1.9.2",
+        "10.1.7.1",
+        "10.2.0.1",
+        "10.2.0.2",
+        "10.3.0.1",
+        "10.3.0.2",
+        "192.0.2.7",
+        "192.0.2.8",
+        "198.51.100.1",
+        "44.0.0.1",
+        "44.0.0.2",
+    ];
+
+    fn pool_mapper() -> BdrMap {
+        BdrMap::new(
+            &[
+                (pre("10.1.0.0/16"), Asn(1)),
+                (pre("10.1.7.0/24"), Asn(3)),
+                (pre("10.2.0.0/16"), Asn(2)),
+                (pre("10.3.0.0/16"), Asn(3)),
+                (pre("198.51.100.0/24"), Asn(4)),
+            ],
+            &[pre("192.0.2.0/24"), pre("198.51.100.0/25")],
+        )
+    }
+
+    fn cold(corpus: &[Vec<Ip4>]) -> BdrMap {
+        let mut m = pool_mapper();
+        m.refine(corpus);
+        m
+    }
+
+    /// The traces of `from` that `to` does not hold, as a multiset.
+    fn minus(from: &[Vec<Ip4>], to: &[Vec<Ip4>]) -> Vec<Vec<Ip4>> {
+        let mut left = to.to_vec();
+        from.iter()
+            .filter(|t| match left.iter().position(|u| u == *t) {
+                Some(i) => {
+                    left.swap_remove(i);
+                    false
+                }
+                None => true,
+            })
+            .cloned()
+            .collect()
+    }
+
+    /// One edit of a corpus.
+    #[derive(Clone, Debug)]
+    enum Edit {
+        Remove(usize),
+        Add(Vec<usize>),
+        Duplicate(usize),
+        Reverse,
+        Rotate(usize),
+    }
+
+    fn arb_trace() -> impl proptest::strategy::Strategy<Value = Vec<usize>> {
+        proptest::collection::vec(0..POOL.len(), 1..7)
+    }
+
+    fn arb_edit() -> impl proptest::strategy::Strategy<Value = Edit> {
+        use proptest::prelude::*;
+        prop_oneof![
+            any::<usize>().prop_map(Edit::Remove),
+            arb_trace().prop_map(Edit::Add),
+            any::<usize>().prop_map(Edit::Duplicate),
+            Just(Edit::Reverse),
+            any::<usize>().prop_map(Edit::Rotate),
+        ]
+    }
+
+    fn trace_of(picks: &[usize]) -> Vec<Ip4> {
+        picks.iter().map(|&i| ip(POOL[i])).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// A map carried across any edit of its corpus — traces removed,
+        /// added, duplicated, the list reordered — resolves every address
+        /// as a cold refine over the edited corpus, and holds the same
+        /// addresses.
+        #[test]
+        fn carried_map_equals_a_cold_refine(
+            corpus in proptest::collection::vec(arb_trace(), 0..10),
+            edits in proptest::collection::vec(arb_edit(), 1..6),
+        ) {
+            let old: Vec<Vec<Ip4>> = corpus.iter().map(|t| trace_of(t)).collect();
+            let mut new = old.clone();
+            for edit in edits {
+                match edit {
+                    Edit::Remove(i) if !new.is_empty() => {
+                        new.remove(i % new.len());
+                    }
+                    Edit::Duplicate(i) if !new.is_empty() => {
+                        let t = new[i % new.len()].clone();
+                        new.push(t);
+                    }
+                    Edit::Rotate(i) if !new.is_empty() => {
+                        let n = new.len();
+                        new.rotate_left(i % n);
+                    }
+                    Edit::Add(t) => new.push(trace_of(&t)),
+                    Edit::Reverse => new.reverse(),
+                    _ => {}
+                }
+            }
+            let (removed, added) = (minus(&old, &new), minus(&new, &old));
+            let carried = BdrMap::for_next_epoch(
+                &cold(&old),
+                removed.iter().map(|t| t.iter().copied()),
+                added.iter().map(|t| t.iter().copied()),
+            );
+            let cold = cold(&new);
+            for s in POOL {
+                proptest::prop_assert_eq!(carried.resolve(ip(s)), cold.resolve(ip(s)), "{}", s);
+            }
+            proptest::prop_assert_eq!(carried.observed(), cold.observed());
+        }
     }
 }

@@ -15,10 +15,10 @@ use igdb_db::{Database, Table, Value};
 use igdb_fault::{BuildError, BuildPolicy, BuildReport, SourceId};
 use igdb_geo::{to_wkt, GeoPoint, Geometry, LineString, MultiLineString, SegmentIndex};
 use igdb_net::{Asn, Ip4, Prefix};
-use igdb_synth::sources::{RipeTraceroute, SnapshotSet};
+use igdb_synth::sources::{RipeTraceroute, SnapshotSet, Source};
 
 use crate::bdrmap::BdrMap;
-use crate::delta::{diff_snapshots, SnapshotDelta, Stage};
+use crate::delta::{diff_snapshots, match_traces, SnapshotDelta, Stage, TraceMatch};
 use crate::derived::Derived;
 use crate::hoiho::HoihoEngine;
 use crate::metros::MetroRegistry;
@@ -101,7 +101,9 @@ pub struct Igdb {
     /// carries every payload the changed segments did not reach
     /// ([`RoadGraph::for_next_epoch`]).
     pub roads: Arc<RoadGraph>,
-    /// `IpResolution`'s product: the trained border map.
+    /// `IpResolution`'s product: the trained border map. It keeps the
+    /// per-address vote state a trace delta carries
+    /// ([`BdrMap::for_next_epoch`]).
     pub bdrmap: Arc<BdrMap>,
     /// Made in `IpResolution`, from the metro registry, `geo_codes` and
     /// `hoiho_rules`: an apply that leaves all three unchanged hands it
@@ -346,6 +348,110 @@ struct Pipeline {
     /// registry: the new graph starts with the memoized roadway payloads
     /// the road change left exact ([`RoadGraph::for_next_epoch`]).
     carried_roads: Option<Arc<RoadGraph>>,
+    /// The prior's traceroute products, when the trace list is the one
+    /// input of `Traceroutes` and `IpResolution` that changed.
+    carried_traces: Option<TraceCarry>,
+}
+
+/// What a re-run `Traceroutes` and `IpResolution` take from the prior
+/// world when only the trace list changed among their inputs: each new
+/// trace equal to a prior one takes that trace's hop rows, its votes stay
+/// counted in the border map, and each address the prior observed keeps
+/// its rDNS name, anycast flag and location. Only the traces that left or
+/// came are read again. A build without a prior runs the same code with
+/// no trace matched, from an empty border map.
+struct TraceCarry {
+    /// How the new trace list matches the prior's.
+    diff: TraceMatch,
+    /// The prior's trace list.
+    traces: Source<RipeTraceroute>,
+    /// The prior's `traceroutes` table: the hop rows of `traces`, in order.
+    rows: Arc<Table>,
+    /// Where each prior trace's rows start, and (last) where they end.
+    first_row: Vec<usize>,
+    bdrmap: Arc<BdrMap>,
+    ip_info: Arc<HashMap<Ip4, IpInfo>>,
+    /// The prior's `ip_asn_dns` table: one row per address of
+    /// `bdrmap.observed()`, in that order.
+    ip_rows: Arc<Table>,
+}
+
+impl TraceCarry {
+    fn new(world: &Igdb, snaps: &SnapshotSet) -> Self {
+        let traces = world.snapshots.ripe_traceroutes.clone();
+        let diff = match_traces(&traces, &snaps.ripe_traceroutes);
+        let matched = diff.matched.iter().flatten().count();
+        igdb_obs::perf("delta.traces_carried", "", matched as u64);
+        let first_row: Vec<usize> = std::iter::once(0)
+            .chain(traces.iter().scan(0, |row, t| {
+                *row += t.hops.len();
+                Some(*row)
+            }))
+            .collect();
+        let table = |name| world.db.shared_table(name).expect("table exists");
+        let (rows, ip_rows) = (table("traceroutes"), table("ip_asn_dns"));
+        assert_eq!(rows.len(), first_row[traces.len()], "one row per hop");
+        assert_eq!(ip_rows.len(), world.ip_info.len(), "one row per address");
+        TraceCarry {
+            diff,
+            traces,
+            rows,
+            first_row,
+            bdrmap: Arc::clone(&world.bdrmap),
+            ip_info: Arc::clone(&world.ip_info),
+            ip_rows,
+        }
+    }
+
+    /// The prior trace new trace `j` is matched to, if any.
+    fn prior_of(&self, j: usize) -> Option<usize> {
+        self.diff.matched[j]
+    }
+
+    /// The prior's hop rows of that trace.
+    fn prior_rows(&self, j: usize) -> Option<std::ops::Range<usize>> {
+        let i = self.prior_of(j)?;
+        Some(self.first_row[i]..self.first_row[i + 1])
+    }
+}
+
+/// Fills a table partly with copies of a prior table's rows, one
+/// [`Table::extend_from`] per run of consecutive prior rows.
+struct RowCopier<'a> {
+    prior: Option<&'a Table>,
+    /// The prior rows of the current run, not yet copied.
+    run: std::ops::Range<usize>,
+}
+
+impl<'a> RowCopier<'a> {
+    fn new(prior: Option<&'a Table>) -> Self {
+        RowCopier { prior, run: 0..0 }
+    }
+
+    /// Appends the prior's `rows` to `t`, after every row appended before.
+    fn copy(&mut self, t: &mut Table, rows: std::ops::Range<usize>) {
+        if self.run.end == rows.start {
+            self.run.end = rows.end;
+        } else {
+            self.flush(t);
+            self.run = rows;
+        }
+    }
+
+    /// Writes out the pending run: call before inserting a row of one's
+    /// own, and once at the end.
+    fn flush(&mut self, t: &mut Table) {
+        let run = std::mem::replace(&mut self.run, 0..0);
+        if !run.is_empty() {
+            let prior = self.prior.expect("rows copied from a prior table");
+            t.extend_from(prior, run).expect("the prior's rows");
+        }
+    }
+}
+
+/// A trace's responding addresses, in hop order.
+fn hop_ips(t: &RipeTraceroute) -> impl Iterator<Item = Ip4> + '_ {
+    t.hops.iter().filter_map(|h| h.ip)
 }
 
 impl Pipeline {
@@ -419,13 +525,21 @@ impl Pipeline {
     /// taking one changes no ledger. A re-run `Roads` over the prior's
     /// metro registry also takes the prior's road graph, to carry the
     /// roadway payloads its memo settled; `run_physical` replays the
-    /// `spath.queries` tick of every payload it finds settled.
-    fn carry(&mut self, world: &Igdb, delta: &SnapshotDelta) {
+    /// `spath.queries` tick of every payload it finds settled. When the
+    /// trace list is the one input of `IpResolution` that changed (so the
+    /// date, the metro registry and every other source it reads are the
+    /// prior's, and so is the only other input of `Traceroutes`, the
+    /// date), both stages take the prior's traceroute products
+    /// ([`TraceCarry`]), matched against `snaps`' trace list.
+    fn carry(&mut self, world: &Igdb, delta: &SnapshotDelta, snaps: &SnapshotSet) {
         if !delta.shares(Stage::Metros) {
             return;
         }
         if !delta.shares(Stage::Roads) {
             self.carried_roads = Some(Arc::clone(&world.roads));
+        }
+        if delta.changes_only(Stage::IpResolution, "ripe_traceroutes") {
+            self.carried_traces = Some(TraceCarry::new(world, snaps));
         }
         if delta.changed("geo_codes") {
             return;
@@ -946,15 +1060,26 @@ impl Pipeline {
         self.probes = Arc::new(probes);
     }
 
-    /// `traceroutes`: one row per hop. A mesh revisits the same few
-    /// thousand routers, so each address's text cell is made once.
+    /// `traceroutes`: one row per hop, in trace order. A trace matched to
+    /// a prior one ([`TraceCarry`]) takes the prior's rows for it — the
+    /// same cells, as the date and the hops are the same — one copy per run
+    /// of traces that are consecutive in both lists. Every other trace's
+    /// rows are built; a mesh revisits the same few thousand routers, so
+    /// each address's text cell is made once.
     fn run_traceroutes(&mut self, snaps: &SnapshotSet) {
         let date = Value::text(&self.date);
+        let carry = self.carried_traces.as_ref();
         fill(&mut self.db, "traceroutes", |t| {
             t.reserve(snaps.ripe_traceroutes.iter().map(|tr| tr.hops.len()).sum());
             let source = Value::text("ripe_atlas");
             let mut ip_text: HashMap<Ip4, Value> = HashMap::new();
-            for tr in snaps.ripe_traceroutes.iter() {
+            let mut copier = RowCopier::new(carry.map(|c| &*c.rows));
+            for (j, tr) in snaps.ripe_traceroutes.iter().enumerate() {
+                if let Some(rows) = carry.and_then(|c| c.prior_rows(j)) {
+                    copier.copy(t, rows);
+                    continue;
+                }
+                copier.flush(t);
                 for h in &tr.hops {
                     let ip = match h.ip {
                         Some(ip) => ip_text
@@ -975,39 +1100,67 @@ impl Pipeline {
                     .expect("traceroutes row");
                 }
             }
+            copier.flush(t);
         });
     }
 
     /// `ip_asn_dns`: IP → AS (bdrmap), → FQDN (rDNS), → metro (Hoiho /
-    /// IXP prefix).
+    /// IXP prefix). With a [`TraceCarry`], the border map is the prior's
+    /// with the votes of the traces that left taken back and those of the
+    /// traces that came added, and an address the prior observed keeps
+    /// everything but its AS: its PTR record, anycast flag and location
+    /// are read off sources the carry requires unchanged. Without one, the
+    /// same update runs from an empty map and every address is new.
     fn run_ip_resolution(&mut self, snaps: &SnapshotSet) {
         let (db, metros) = (&mut self.db, made(&self.metros));
-        let bdr_span = igdb_obs::span("ip_resolution.bdrmap");
-        let rib: Vec<(Prefix, Asn)> = snaps
-            .bgp_prefixes
-            .iter()
-            .map(|r| (r.prefix, r.origin))
-            .collect();
+        let carry = self.carried_traces.take();
         let ixp_prefix_metro = &self.logical.ixp_prefix_metro;
-        let ixp_lans: Vec<Prefix> = ixp_prefix_metro.iter().map(|&(p, _)| p).collect();
-        let mut bdrmap = BdrMap::new(&rib, &ixp_lans);
-        let ip_sequences: Vec<Vec<Ip4>> = snaps
+        let bdr_span = igdb_obs::span("ip_resolution.bdrmap");
+        let empty;
+        let (prior_map, prior_traces, removed): (&BdrMap, &[RipeTraceroute], &[usize]) =
+            match &carry {
+                Some(c) => (&c.bdrmap, &c.traces, &c.diff.removed),
+                None => {
+                    let rib: Vec<(Prefix, Asn)> = snaps
+                        .bgp_prefixes
+                        .iter()
+                        .map(|r| (r.prefix, r.origin))
+                        .collect();
+                    let ixp_lans: Vec<Prefix> = ixp_prefix_metro.iter().map(|&(p, _)| p).collect();
+                    empty = BdrMap::new(&rib, &ixp_lans);
+                    (&empty, &[], &[])
+                }
+            };
+        let added = snaps
             .ripe_traceroutes
             .iter()
-            .map(|t| t.hops.iter().filter_map(|h| h.ip).collect())
-            .collect();
-        bdrmap.refine(&ip_sequences);
+            .enumerate()
+            .filter(|&(j, _)| carry.as_ref().and_then(|c| c.prior_of(j)).is_none())
+            .map(|(_, t)| hop_ips(t));
+        let bdrmap = BdrMap::for_next_epoch(
+            prior_map,
+            removed.iter().map(|&i| hop_ips(&prior_traces[i])),
+            added,
+        );
         drop(bdr_span);
 
-        let mut observed: BTreeSet<Ip4> = BTreeSet::new();
-        for seq in &ip_sequences {
-            observed.extend(seq.iter().copied());
-        }
-        // PTR records of the observed addresses only: nothing reads the
-        // rest. A later record for an address replaces an earlier one.
-        let mut rdns: HashMap<Ip4, igdb_db::Str> = HashMap::with_capacity(observed.len());
-        for r in snaps.rdns.iter().filter(|r| observed.contains(&r.ip)) {
-            rdns.insert(r.ip, r.hostname.clone());
+        let observed = bdrmap.observed();
+        let no_prior = HashMap::new();
+        let prior_info = carry.as_ref().map_or(&no_prior, |c| &*c.ip_info);
+        // PTR records of the addresses the prior did not observe only: a
+        // carried address keeps its own, and nothing reads the rest. A
+        // later record for an address replaces an earlier one.
+        let mut ptr: HashMap<Ip4, Option<igdb_db::Str>> = observed
+            .iter()
+            .filter(|ip| !prior_info.contains_key(ip))
+            .map(|&ip| (ip, None))
+            .collect();
+        if !ptr.is_empty() {
+            for r in snaps.rdns.iter() {
+                if let Some(slot) = ptr.get_mut(&r.ip) {
+                    *slot = Some(r.hostname.clone());
+                }
+            }
         }
         let hoiho_span = igdb_obs::span("ip_resolution.hoiho");
         let hoiho = self.hoiho.take().unwrap_or_else(|| {
@@ -1017,14 +1170,29 @@ impl Pipeline {
         });
         drop(hoiho_span);
 
-        // Per-address resolution (bdrmap LPM, rDNS, anycast scan, IXP
-        // prefix scan, Hoiho geolocation) runs under its own span, apart
-        // from the row inserts, in sorted-address order.
+        // Per-address resolution (bdrmap, and for a new address rDNS,
+        // anycast scan, IXP prefix scan, Hoiho geolocation) runs under its
+        // own span, apart from the row inserts, in sorted-address order.
+        // The prior's rows are in its observed order: an address it
+        // resolved to the same AS keeps its row.
+        let prior_observed = carry.as_ref().map(|c| c.bdrmap.observed());
+        let prior_row = |ip: Ip4| prior_observed.as_ref()?.binary_search(&ip).ok();
         igdb_obs::counter("build.observed_ips", "", observed.len() as u64);
         let resolve_span = igdb_obs::span("ip_resolution.resolve");
         let resolved = observed.iter().map(|&ip| {
             let asn = bdrmap.resolve(ip).asn();
-            let fqdn = rdns.get(&ip).cloned();
+            if let Some(prior) = prior_info.get(&ip) {
+                let row = prior_row(ip).filter(|_| prior.asn == asn);
+                return (
+                    ip,
+                    IpInfo {
+                        asn,
+                        ..prior.clone()
+                    },
+                    row,
+                );
+            }
+            let fqdn = ptr[&ip].clone();
             let anycast = snaps.anycast_prefixes.iter().any(|p| p.contains(ip));
             let ixp_hit = ixp_prefix_metro
                 .iter()
@@ -1045,43 +1213,61 @@ impl Pipeline {
             } else {
                 (None, None)
             };
-            (ip, asn, fqdn, anycast, metro, geo_source)
+            let info = IpInfo {
+                asn,
+                fqdn,
+                metro,
+                geo_source,
+                anycast,
+            };
+            (ip, info, None)
         });
-        let resolved: Vec<_> = resolved.collect();
+        let resolved: Vec<(Ip4, IpInfo, Option<usize>)> = resolved.collect();
         drop(resolve_span);
         let mut ip_info = HashMap::with_capacity(resolved.len());
+        let mut rdns = HashMap::with_capacity(resolved.len());
+        // Geolocated addresses per source, ticked once per source.
+        let mut geolocated: BTreeMap<&'static str, u64> = BTreeMap::new();
         let date = Value::text(&self.date);
         fill(db, "ip_asn_dns", |t| {
             t.reserve(resolved.len());
             let source = Value::text("igdb_pipeline");
-            for (ip, asn, fqdn, anycast, metro, geo_source) in resolved {
-                if let Some(g) = geo_source {
-                    igdb_obs::counter("build.ip_geolocated", g.tag(), 1);
+            let mut copier = RowCopier::new(carry.as_ref().map(|c| &*c.ip_rows));
+            for (ip, info, prior_row) in resolved {
+                let tag = info.geo_source.map(|g| g.tag());
+                if let Some(tag) = tag {
+                    *geolocated.entry(tag).or_default() += 1;
                 }
+                if let Some(fqdn) = &info.fqdn {
+                    rdns.insert(ip, fqdn.clone());
+                }
+                if let Some(row) = prior_row {
+                    copier.copy(t, row..row + 1);
+                    ip_info.insert(ip, info);
+                    continue;
+                }
+                copier.flush(t);
                 t.insert([
                     Value::text(ip.to_string()),
-                    asn.map(|a| Value::from(a.0)).unwrap_or(Value::Null),
-                    fqdn.clone().map(Value::Text).unwrap_or(Value::Null),
-                    metro.map(Value::from).unwrap_or(Value::Null),
-                    metro.map(|m| metros.label_value(m)).unwrap_or(Value::Null),
-                    Value::text(geo_source.map(|g| g.tag()).unwrap_or("none")),
-                    Value::Bool(anycast),
+                    info.asn.map(|a| Value::from(a.0)).unwrap_or(Value::Null),
+                    info.fqdn.clone().map(Value::Text).unwrap_or(Value::Null),
+                    info.metro.map(Value::from).unwrap_or(Value::Null),
+                    info.metro
+                        .map(|m| metros.label_value(m))
+                        .unwrap_or(Value::Null),
+                    Value::text(tag.unwrap_or("none")),
+                    Value::Bool(info.anycast),
                     source.clone(),
                     date.clone(),
                 ])
                 .expect("ip_asn_dns row");
-                ip_info.insert(
-                    ip,
-                    IpInfo {
-                        asn,
-                        fqdn,
-                        metro,
-                        geo_source,
-                        anycast,
-                    },
-                );
+                ip_info.insert(ip, info);
             }
+            copier.flush(t);
         });
+        for (tag, n) in geolocated {
+            igdb_obs::counter("build.ip_geolocated", tag, n);
+        }
         self.bdrmap = Some(Arc::new(bdrmap));
         self.hoiho = Some(hoiho);
         self.rdns = Arc::new(rdns);
@@ -1270,7 +1456,7 @@ impl Igdb {
         let mut rec = LedgerRecorder::start();
         let mut pipeline = Pipeline::new(&snaps.as_of_date);
         if let Some((world, delta)) = prior {
-            pipeline.carry(world, delta);
+            pipeline.carry(world, delta, &snaps);
         }
         for stage in Stage::ALL {
             let span = igdb_obs::span(format!("build.{}", stage.name()));
@@ -1806,7 +1992,9 @@ mod tests {
     /// pair's cell is the prior's exactly when the metro registry is, and
     /// either the road list is too or the pair's route crosses no
     /// adjacency the road change touched (and the change cannot shorten a
-    /// route).
+    /// route). The border map's RIB is handed on with the rest of the
+    /// traceroute products when the trace list is the one input of
+    /// `IpResolution` that changed.
     #[test]
     fn a_shared_stage_hands_on_every_product_by_reference() {
         use igdb_synth::{generate_delta, DeltaClass};
@@ -1851,6 +2039,11 @@ mod tests {
             let p = &prior;
             let stage = |stage: Stage| delta.shares(stage);
             let labels_inputs = stage(Stage::Metros) && !delta.changed("geo_codes");
+            let traces_only = !delta.date_changed
+                && crate::delta::SOURCE_USES
+                    .iter()
+                    .filter(|u| u.reaches.contains(&Stage::IpResolution))
+                    .all(|u| (u.name == "ripe_traceroutes") == delta.changed(u.name));
             // The roadway rows of a pair both worlds hold, each held to
             // the rule on whether it carries the prior's WKT allocation.
             let changed_roads =
@@ -1929,6 +2122,11 @@ mod tests {
                     "bdrmap",
                     stage(Stage::IpResolution),
                     Arc::ptr_eq(&p.bdrmap, &w.bdrmap),
+                ),
+                (
+                    "bdrmap rib",
+                    stage(Stage::IpResolution) || traces_only,
+                    p.bdrmap.shares_rib(&w.bdrmap),
                 ),
                 (
                     "hoiho",

@@ -23,7 +23,11 @@
 //! whether a stage is shared from the prior world
 //! ([`SnapshotDelta::shares`]).
 
-use igdb_synth::sources::{SnapshotSet, Source};
+use igdb_geo::GeoPoint;
+use igdb_synth::sources::{
+    AtlasNode, NaturalEarthPlace, PdbFacility, RipeAnchorRecord, RipeHop, RipeTraceroute,
+    RoadSegment, SnapshotSet, Source, TelegeoCableRecord,
+};
 
 /// One pipeline stage of the build, in execution order. The discriminants
 /// index the per-stage counter ledger.
@@ -265,6 +269,18 @@ impl SnapshotDelta {
         self.sources.iter().any(|s| s.source == source)
     }
 
+    /// Whether `source` is the one input of `stage` this delta changed: the
+    /// date is the prior's, and so is every other source that reaches the
+    /// stage.
+    pub(crate) fn changes_only(&self, stage: Stage, source: &str) -> bool {
+        !self.date_changed
+            && self.changed(source)
+            && SOURCE_USES
+                .iter()
+                .filter(|u| u.name != source && u.reaches.contains(&stage))
+                .all(|u| !self.changed(u.name))
+    }
+
     /// The stages an apply re-runs, in build order.
     fn reruns(&self) -> impl Iterator<Item = Stage> + '_ {
         Stage::ALL.into_iter().filter(|&s| !self.shares(s))
@@ -288,19 +304,209 @@ impl SnapshotDelta {
     }
 }
 
+/// Record equality as the build reads a record: every float by its bit
+/// pattern, as the database fingerprint renders it. `PartialEq` on a float
+/// says `0.0 == -0.0` (and `NaN != NaN`), so a diff by it would share the
+/// prior's rows across a sign-of-zero edit that changes them. A record
+/// type without a float compares by `PartialEq`.
+pub(crate) trait SameRecord {
+    fn same(&self, other: &Self) -> bool;
+}
+
+/// Float-free records: `PartialEq` is already bitwise.
+macro_rules! same_by_eq {
+    ($($t:ty),* $(,)?) => {$(
+        impl SameRecord for $t {
+            fn same(&self, other: &Self) -> bool {
+                self == other
+            }
+        }
+    )*};
+}
+
+same_by_eq!(
+    igdb_synth::sources::AtlasLink,
+    igdb_synth::sources::PdbNetwork,
+    igdb_synth::sources::PdbNetFac,
+    igdb_synth::sources::PdbIx,
+    igdb_synth::sources::PdbNetIx,
+    igdb_synth::sources::PchIxp,
+    igdb_synth::sources::HeExchange,
+    igdb_synth::sources::EuroIxEntry,
+    igdb_synth::sources::RdnsRecord,
+    igdb_synth::sources::AsRankEntry,
+    igdb_synth::sources::BgpPrefixRecord,
+    igdb_synth::naming::HoihoRule,
+    igdb_net::Prefix,
+    (igdb_net::Asn, igdb_net::Asn),
+    (String, usize),
+    String,
+);
+
+impl SameRecord for f64 {
+    fn same(&self, other: &Self) -> bool {
+        self.to_bits() == other.to_bits()
+    }
+}
+
+impl SameRecord for GeoPoint {
+    fn same(&self, other: &Self) -> bool {
+        self.lon.same(&other.lon) && self.lat.same(&other.lat)
+    }
+}
+
+impl<T: SameRecord> SameRecord for [T] {
+    fn same(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().zip(other).all(|(a, b)| a.same(b))
+    }
+}
+
+impl<T: SameRecord> SameRecord for Vec<T> {
+    fn same(&self, other: &Self) -> bool {
+        self[..].same(&other[..])
+    }
+}
+
+impl<A: SameRecord, B: SameRecord, C: SameRecord> SameRecord for (A, B, C) {
+    fn same(&self, other: &Self) -> bool {
+        self.0.same(&other.0) && self.1.same(&other.1) && self.2.same(&other.2)
+    }
+}
+
+// The records that hold a float, compared field by field: the
+// destructuring names every field, so a new one does not compile until it
+// is compared here too.
+
+impl SameRecord for AtlasNode {
+    fn same(&self, o: &Self) -> bool {
+        let AtlasNode {
+            network,
+            node_name,
+            city_label,
+            country,
+            loc,
+        } = self;
+        *network == o.network
+            && *node_name == o.node_name
+            && *city_label == o.city_label
+            && *country == o.country
+            && loc.same(&o.loc)
+    }
+}
+
+impl SameRecord for PdbFacility {
+    fn same(&self, o: &Self) -> bool {
+        let PdbFacility {
+            fac_id,
+            name,
+            city_label,
+            country,
+            loc,
+        } = self;
+        *fac_id == o.fac_id
+            && *name == o.name
+            && *city_label == o.city_label
+            && *country == o.country
+            && loc.same(&o.loc)
+    }
+}
+
+impl SameRecord for RipeAnchorRecord {
+    fn same(&self, o: &Self) -> bool {
+        let RipeAnchorRecord {
+            id,
+            ip,
+            asn,
+            city_label,
+            country,
+            loc,
+        } = self;
+        *id == o.id
+            && *ip == o.ip
+            && *asn == o.asn
+            && *city_label == o.city_label
+            && *country == o.country
+            && loc.same(&o.loc)
+    }
+}
+
+impl SameRecord for RipeHop {
+    fn same(&self, o: &Self) -> bool {
+        let RipeHop { ttl, ip, rtt_ms } = self;
+        *ttl == o.ttl && *ip == o.ip && rtt_ms.same(&o.rtt_ms)
+    }
+}
+
+impl SameRecord for RipeTraceroute {
+    fn same(&self, o: &Self) -> bool {
+        let RipeTraceroute {
+            src_anchor,
+            dst_anchor,
+            hops,
+        } = self;
+        *src_anchor == o.src_anchor && *dst_anchor == o.dst_anchor && hops.same(&o.hops)
+    }
+}
+
+impl SameRecord for NaturalEarthPlace {
+    fn same(&self, o: &Self) -> bool {
+        let NaturalEarthPlace {
+            name,
+            state,
+            country,
+            loc,
+            population,
+        } = self;
+        *name == o.name
+            && *state == o.state
+            && *country == o.country
+            && loc.same(&o.loc)
+            && *population == o.population
+    }
+}
+
+impl SameRecord for RoadSegment {
+    fn same(&self, o: &Self) -> bool {
+        let RoadSegment {
+            a,
+            b,
+            length_km,
+            path,
+        } = self;
+        *a == o.a && *b == o.b && length_km.same(&o.length_km) && path.same(&o.path)
+    }
+}
+
+impl SameRecord for TelegeoCableRecord {
+    fn same(&self, o: &Self) -> bool {
+        let TelegeoCableRecord {
+            cable_id,
+            name,
+            owners,
+            landings,
+            segments,
+        } = self;
+        *cable_id == o.cable_id
+            && *name == o.name
+            && *owners == o.owners
+            && landings.same(&o.landings)
+            && segments.same(&o.segments)
+    }
+}
+
 /// A source changed when the build would read it differently. Every stage
 /// consumes its source as an ordered slice and inserts rows in that order,
 /// so the comparison is ordered too: a source that comes back rearranged
 /// has changed, and a stage is shared only when each source it depends on
-/// is equal record for record. A source both sets share is equal without
-/// reading a record.
-fn diff_source<T: PartialEq>(
+/// is equal record for record ([`SameRecord`]: floats by bit pattern). A
+/// source both sets share is equal without reading a record.
+fn diff_source<T: SameRecord>(
     source: &SourceUse,
     old: &Source<T>,
     new: &Source<T>,
     out: &mut Vec<SourceDiff>,
 ) {
-    if old != new {
+    if !(old.shares(new) || old[..].same(&new[..])) {
         out.push(SourceDiff {
             source: source.name,
             stage: source.first(),
@@ -308,6 +514,77 @@ fn diff_source<T: PartialEq>(
             new_len: new.len(),
         });
     }
+}
+
+/// The traces two lists hold in common, matched one to one by content.
+#[derive(Debug, PartialEq)]
+pub(crate) struct TraceMatch {
+    /// Per trace of the new list, the prior trace it is matched to: one
+    /// equal to it record for record ([`SameRecord`], RTTs by bit
+    /// pattern), and matched to no other new trace.
+    pub matched: Vec<Option<usize>>,
+    /// The prior traces no new trace is matched to, in prior order.
+    pub removed: Vec<usize>,
+}
+
+/// How far past the prior trace after the last match the aligned pass
+/// looks for the next one: the traces removed between two kept ones.
+const MATCH_WINDOW: usize = 8;
+
+/// Matches each trace of `new` to an unused equal trace of `prior`,
+/// whatever order either list is in: a new trace is left unmatched only
+/// when every prior trace equal to it is matched to another, so traces
+/// with equal content are matched as many times as the shorter side holds
+/// them. A churned mesh keeps most traces in order, so an aligned pass
+/// first compares each new trace with the few prior traces after the last
+/// match; the traces it leaves are matched by content, through a hash
+/// index over the prior traces still unused, each hit confirmed by a full
+/// [`SameRecord`] compare.
+pub(crate) fn match_traces(prior: &[RipeTraceroute], new: &[RipeTraceroute]) -> TraceMatch {
+    let mut used = vec![false; prior.len()];
+    let mut matched = vec![None; new.len()];
+    let mut next = 0;
+    for (j, t) in new.iter().enumerate() {
+        let window = next..prior.len().min(next + MATCH_WINDOW);
+        if let Some(i) = window.into_iter().find(|&i| !used[i] && prior[i].same(t)) {
+            used[i] = true;
+            matched[j] = Some(i);
+            next = i + 1;
+        }
+    }
+    if matched.contains(&None) {
+        let mut by_key: Vec<(u64, usize)> = (0..prior.len())
+            .filter(|&i| !used[i])
+            .map(|i| (trace_key(&prior[i]), i))
+            .collect();
+        by_key.sort_unstable();
+        for (t, slot) in new.iter().zip(&mut matched).filter(|(_, m)| m.is_none()) {
+            let key = trace_key(t);
+            let from = by_key.partition_point(|&(k, _)| k < key);
+            let hit = by_key[from..]
+                .iter()
+                .take_while(|&&(k, _)| k == key)
+                .map(|&(_, i)| i)
+                .find(|&i| !used[i] && prior[i].same(t));
+            if let Some(i) = hit {
+                used[i] = true;
+                *slot = Some(i);
+            }
+        }
+    }
+    let removed = (0..prior.len()).filter(|&i| !used[i]).collect();
+    TraceMatch { matched, removed }
+}
+
+/// A hash of everything [`SameRecord`] compares in a trace.
+fn trace_key(t: &RipeTraceroute) -> u64 {
+    let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let mut h = mix(mix(0, t.src_anchor.into()), t.dst_anchor.into());
+    for hop in &t.hops {
+        let ip = hop.ip.map_or(0, |ip| (1 << 32) | u64::from(ip.0));
+        h = mix(mix(h, ip << 8 | u64::from(hop.ttl)), hop.rtt_ms.to_bits());
+    }
+    h
 }
 
 /// Diffs two validated snapshot sets. `old` is the set the current world
@@ -537,6 +814,74 @@ mod tests {
             diff_snapshots(&snaps, &new).first_dirty,
             Some(Stage::Metros)
         );
+    }
+
+    /// A float edited to the other zero, or to the same NaN, is seen by
+    /// its bits: `-0.0` is a change (`PartialEq` says it is not), and an
+    /// identical NaN is none (`PartialEq` says it is).
+    #[test]
+    fn float_fields_compare_by_bits() {
+        let snaps = base();
+        let mut zero = snaps.clone();
+        zero.ripe_traceroutes[0].hops[0].rtt_ms = 0.0;
+        let mut negative = zero.clone();
+        negative.ripe_traceroutes[0].hops[0].rtt_ms = -0.0;
+        assert_eq!(zero.ripe_traceroutes, negative.ripe_traceroutes);
+        let d = diff_snapshots(&zero, &negative);
+        let named: Vec<&str> = d.sources.iter().map(|s| s.source).collect();
+        assert_eq!(named, ["ripe_traceroutes"]);
+        let mut nan = snaps.clone();
+        nan.roads[0].length_km = f64::NAN;
+        let mut same_nan = nan.clone();
+        same_nan.roads = nan.roads.to_vec().into();
+        assert!(!same_nan.roads.shares(&nan.roads));
+        assert!(diff_snapshots(&nan, &same_nan).is_empty());
+    }
+
+    fn trace(src: u32, rtts: &[f64]) -> RipeTraceroute {
+        RipeTraceroute {
+            src_anchor: src,
+            dst_anchor: 0,
+            hops: rtts
+                .iter()
+                .enumerate()
+                .map(|(i, &rtt_ms)| RipeHop {
+                    ttl: i as u8 + 1,
+                    ip: Some(igdb_net::Ip4(i as u32)),
+                    rtt_ms,
+                })
+                .collect(),
+        }
+    }
+
+    /// Traces match by content, one to one, whatever the order: duplicates
+    /// pair off as far as both sides hold them, and a trace whose RTT went
+    /// from `0.0` to `-0.0` is a different trace.
+    #[test]
+    fn traces_match_one_to_one_by_content() {
+        let (a, b, c) = (trace(1, &[1.0, 2.0]), trace(2, &[3.0]), trace(3, &[0.0]));
+        let prior = [a.clone(), b.clone(), a.clone(), c.clone()];
+        let new = [
+            b.clone(),
+            a.clone(),
+            trace(3, &[-0.0]),
+            a.clone(),
+            a.clone(),
+        ];
+        let m = match_traces(&prior, &new);
+        assert_eq!(m.matched[0], Some(1));
+        assert_eq!(m.matched[2], None, "-0.0 is not 0.0");
+        let mut a_matches = vec![m.matched[1], m.matched[3], m.matched[4]];
+        a_matches.sort();
+        assert_eq!(a_matches, [None, Some(0), Some(2)], "two copies to pair");
+        assert_eq!(m.removed, [3]);
+        // A reversed list matches every trace.
+        let reversed: Vec<RipeTraceroute> = prior.iter().rev().cloned().collect();
+        let m = match_traces(&prior, &reversed);
+        assert!(m.removed.is_empty() && m.matched.iter().all(Option::is_some));
+        for (j, i) in m.matched.iter().enumerate() {
+            assert!(prior[i.unwrap()].same(&reversed[j]));
+        }
     }
 
     #[test]

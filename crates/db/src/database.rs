@@ -60,9 +60,15 @@ impl Database {
     /// replacing whatever this database held: no row is copied, and a
     /// later write through either database copies the table first.
     pub fn share_table_from(&mut self, src: &Database, name: &str) -> Result<()> {
-        let table = src.tables.get(name).cloned().ok_or_else(|| unknown(name))?;
+        let table = src.shared_table(name)?;
         self.tables.insert(name.to_string(), table);
         Ok(())
+    }
+
+    /// A handle on the very table this database holds under `name`, for a
+    /// reader that outlives the borrow of the database.
+    pub fn shared_table(&self, name: &str) -> Result<Arc<Table>> {
+        self.tables.get(name).cloned().ok_or_else(|| unknown(name))
     }
 
     /// Removes a table, returning it if present (still shared with any

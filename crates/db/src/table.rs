@@ -223,6 +223,40 @@ impl Table {
         Ok(n)
     }
 
+    /// Appends copies of `src`'s rows `rows`, in order — the rows another
+    /// table already holds, without re-checking each against the schema.
+    /// The two schemas are compared once instead; on a mismatch, or a range
+    /// past `src`'s end, nothing is written. Every index of this table
+    /// gains the copied rows, as [`Table::insert`] would enter them.
+    pub fn extend_from(&mut self, src: &Table, rows: std::ops::Range<usize>) -> Result<()> {
+        if src.schema != self.schema {
+            return Err(DbError::SchemaViolation(
+                "rows copied from a table of another schema".to_string(),
+            ));
+        }
+        if rows.start > rows.end || rows.end > src.nrows {
+            return Err(DbError::Format(format!(
+                "rows {rows:?} out of range of a {}-row table",
+                src.nrows
+            )));
+        }
+        let first = self.nrows;
+        u32::try_from(first + rows.len())
+            .map_err(|_| DbError::Format("table exceeds u32 row-id range".to_string()))?;
+        let w = self.width;
+        for (&col, index) in self.indexes.iter_mut() {
+            for (id, row) in (first..).zip(rows.clone()) {
+                index
+                    .entry(src.cells[row * w + col].key())
+                    .or_default()
+                    .push(id as u32);
+            }
+        }
+        crate::value::extend_cloned(&mut self.cells, &src.cells[rows.start * w..rows.end * w]);
+        self.nrows += rows.len();
+        Ok(())
+    }
+
     /// Builds (or rebuilds) an equality index on `column`.
     pub fn create_index(&mut self, column: &str) -> Result<()> {
         let col = self.schema.index_of(column)?;
@@ -488,6 +522,34 @@ mod tests {
         let t = table();
         assert_eq!(t.value(1, "name").unwrap(), &Value::text("HURRICANE"));
         assert!(t.value(99, "name").is_err());
+    }
+
+    /// Copied rows hold their own references to heap strings (text past
+    /// the symbol length): either table can go first, and the other still
+    /// reads every cell.
+    #[test]
+    fn extend_from_copies_own_their_heap_strings() {
+        let long = |i: usize| format!("{i:>80}");
+        let mut src = table();
+        for i in 0..4 {
+            src.insert(vec![Value::Int(i as i64), Value::text(long(i))])
+                .unwrap();
+        }
+        let mut dst = table();
+        dst.extend_from(&src, 3..7).unwrap();
+        let mut again = table();
+        again.extend_from(&dst, 4..7).unwrap();
+        drop(src);
+        let texts = |t: &Table| -> Vec<String> {
+            t.rows()
+                .iter()
+                .skip(3)
+                .map(|r| r[1].as_text().unwrap().to_string())
+                .collect()
+        };
+        assert_eq!(texts(&dst), (0..4).map(long).collect::<Vec<_>>());
+        drop(dst);
+        assert_eq!(texts(&again), (1..4).map(long).collect::<Vec<_>>());
     }
 
     #[test]

@@ -216,6 +216,44 @@ proptest! {
         }
     }
 
+    /// Copying a range of another table's rows writes the same bytes, and
+    /// enters the copies in every index, as inserting those rows one by
+    /// one. A range past the source's end is refused and changes nothing.
+    #[test]
+    fn extend_from_equals_inserting_the_rows(
+        dst in arb_table(),
+        src in arb_table(),
+        indexed in proptest::collection::vec(0usize..5, 0..3),
+        bounds in (0usize..45, 0usize..45),
+    ) {
+        let mut dst = dst;
+        for &c in &indexed {
+            dst.create_index(COLUMNS[c]).unwrap();
+        }
+        let before = table_fingerprint(&dst);
+        let (lo, hi) = (bounds.0.min(bounds.1), bounds.0.max(bounds.1));
+        let mut by_insert = dst.clone();
+        let got = dst.extend_from(&src, lo..hi);
+        if hi > src.len() {
+            prop_assert!(matches!(got, Err(DbError::Format(_))), "{:?}", got);
+            prop_assert_eq!(table_fingerprint(&dst), before);
+            return Ok(());
+        }
+        got.unwrap();
+        for id in lo..hi {
+            by_insert.insert(src.row(id).unwrap().to_vec()).unwrap();
+        }
+        prop_assert_eq!(table_fingerprint(&dst), table_fingerprint(&by_insert));
+        let first = dst.len() - (hi - lo);
+        for (k, id) in (lo..hi).enumerate() {
+            for &c in &indexed {
+                let v = &src.row(id).unwrap()[c];
+                let ids = dst.lookup_ids(COLUMNS[c], v).unwrap();
+                prop_assert!(ids.contains(&((first + k) as u32)), "{}", COLUMNS[c]);
+            }
+        }
+    }
+
     #[test]
     fn csv_roundtrip_preserves_rows(t in arb_table()) {
         let text = table_to_csv(&t);
@@ -378,4 +416,29 @@ proptest! {
             prop_assert!(issues.iter().all(|i| i.line >= 3), "{:?}", soup);
         }
     }
+}
+
+/// Rows of a table of another schema are refused, however alike the
+/// cells: the copy would skip the per-row check that catches them. The
+/// refused table keeps its rows and its index as they were.
+#[test]
+fn extend_from_refuses_another_schema_and_changes_nothing() {
+    let narrow = Schema::new(vec![ColumnDef::new("k", ColumnType::Int)]);
+    let renamed = Schema::new(vec![ColumnDef::new("key", ColumnType::Int)]);
+    let nullable = Schema::new(vec![ColumnDef::nullable("k", ColumnType::Int)]);
+    let mut dst = Table::new(narrow.clone());
+    dst.insert([Value::Int(1)]).unwrap();
+    dst.create_index("k").unwrap();
+    let before = table_fingerprint(&dst);
+    for other in [renamed, nullable] {
+        let mut src = Table::new(other);
+        src.insert([Value::Int(2)]).unwrap();
+        let err = dst.extend_from(&src, 0..1).unwrap_err();
+        assert!(matches!(err, DbError::SchemaViolation(_)), "{err:?}");
+        assert_eq!(table_fingerprint(&dst), before);
+    }
+    let mut same = Table::new(narrow);
+    same.insert([Value::Int(2)]).unwrap();
+    dst.extend_from(&same, 0..1).unwrap();
+    assert_eq!(dst.lookup_ids("k", &Value::Int(2)).unwrap(), &[1u32]);
 }

@@ -13,13 +13,14 @@
 //! bless with `IGDB_BLESS=1`; CI regenerates it via `igdb delta` and
 //! gates with `metrics diff`).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use igdb_core::igdb_obs::{JsonMode, Registry};
 use igdb_core::{BuildPolicy, BuildReport, EpochHandle, Igdb, SnapshotDelta, Stage};
+use igdb_net::Ip4;
 use igdb_synth::sources::SnapshotSet;
 use igdb_synth::{emit_snapshots, generate_delta, DeltaClass, World, WorldConfig};
 
@@ -379,7 +380,8 @@ fn rename_metros(s: &mut SnapshotSet) {
 /// cases hold the products an apply carries into a re-run stage (the label
 /// resolver, the Hoiho engine) to every input they are made from: the
 /// `geo_codes` cases and the `hoiho_rules` one fail if either is taken
-/// from the prior across a change to one.
+/// from the prior across a change to one. The road and trace edits below
+/// hold the road memo and the trace carry to theirs.
 #[test]
 fn cross_stage_edges_apply_byte_identical_to_rebuild() {
     type Edit = fn(&mut SnapshotSet);
@@ -533,6 +535,202 @@ fn cross_stage_edges_apply_byte_identical_to_rebuild() {
         );
     }
     road_edits_apply_byte_identical_to_rebuild(&base, &prior);
+    trace_edits_apply_byte_identical_to_rebuild(&base, &prior);
+    sign_of_zero_edits_apply_byte_identical_to_rebuild(&base, &prior);
+}
+
+type Edit = Box<dyn Fn(&mut SnapshotSet)>;
+
+/// An edit no generated delta makes, checked like a cross-stage case, and
+/// for whether the apply carried a memo across it.
+struct Case {
+    name: &'static str,
+    sources: &'static [&'static str],
+    /// An edit of the base the prior is built from.
+    base_edit: Option<Edit>,
+    edit: Edit,
+    /// A table the edit changes.
+    output: Output,
+    /// Whether the apply carries the memo across the edit.
+    carries: bool,
+}
+
+/// Applies each case onto `prior` (or onto a prior built from the case's
+/// edited base): the delta names exactly the case's sources, the apply is
+/// byte-identical to a rebuild and changed the case's output, and the perf
+/// counter `carried` (name, label) is non-zero exactly when the case says
+/// the memo carries.
+fn run_cases(base: &SnapshotSet, prior: &Igdb, cases: Vec<Case>, carried: (&str, &str)) {
+    for Case {
+        name,
+        sources,
+        base_edit,
+        edit,
+        output,
+        carries,
+    } in cases
+    {
+        let (mut from_base, mut next) = (base.clone(), base.clone());
+        let edited_prior;
+        let prior = match base_edit {
+            Some(base_edit) => {
+                base_edit(&mut from_base);
+                base_edit(&mut next);
+                edited_prior = Igdb::try_build(&from_base, &BuildPolicy::lenient())
+                    .expect("edited base builds")
+                    .0;
+                &edited_prior
+            }
+            None => prior,
+        };
+        edit(&mut next);
+        let (applied, apply, delta) = apply_onto(prior, &next);
+        let named: BTreeSet<&str> = delta.sources.iter().map(|s| s.source).collect();
+        assert_eq!(named, sources.iter().copied().collect(), "{name}: sources");
+        let (rebuilt, rebuild) = rebuild(&next);
+        assert_identical(&apply, &rebuild, name);
+        assert_eq!(output.read(&applied), output.read(&rebuilt), "{name}");
+        assert_ne!(
+            output.read(&applied),
+            output.read(prior),
+            "{name}: the edit left {output:?} as it was"
+        );
+        let reg = Registry::new();
+        {
+            let _g = reg.install();
+            prior.apply_delta(&next, &BuildPolicy::lenient()).unwrap();
+        }
+        let hits = reg.perf_value(carried.0, carried.1);
+        assert_eq!(hits > 0, carries, "{name}: {hits} {carried:?}");
+    }
+}
+
+/// The trace edits no generated delta makes. Where the trace list is the
+/// one input of IP resolution that changed, the apply carries the prior's
+/// hop rows, border-map votes and per-address resolution
+/// (`delta.traces_carried` counts the traces it matched): an address no
+/// prior trace held must be resolved in full — its PTR record read from
+/// `rdns` — and an address whose last trace left must leave `ip_asn_dns`
+/// and fall back to plain LPM. With `rdns` or `bgp_prefixes` changed too,
+/// nothing carries.
+fn trace_edits_apply_byte_identical_to_rebuild(base: &SnapshotSet, prior: &Igdb) {
+    let mut traces_of: BTreeMap<Ip4, BTreeSet<usize>> = BTreeMap::new();
+    for (i, t) in base.ripe_traceroutes.iter().enumerate() {
+        for ip in t.hops.iter().filter_map(|h| h.ip) {
+            traces_of.entry(ip).or_default().insert(i);
+        }
+    }
+    // An address no trace reaches, with a PTR record.
+    let unseen = base
+        .rdns
+        .iter()
+        .find(|r| !traces_of.contains_key(&r.ip))
+        .expect("an rDNS record of an address no trace reaches")
+        .ip;
+    // The one trace that holds some address.
+    let lone = traces_of
+        .values()
+        .find(|ts| ts.len() == 1)
+        .and_then(|ts| ts.first().copied())
+        .expect("an address only one trace holds");
+    let drop_first = |s: &mut SnapshotSet| {
+        s.ripe_traceroutes.remove(0);
+    };
+    let hops = Output::Table("traceroutes");
+    let ips = Output::Table("ip_asn_dns");
+    let cases = vec![
+        Case {
+            name: "traces: a trace through an address no trace reached",
+            sources: &["ripe_traceroutes"],
+            base_edit: None,
+            edit: Box::new(move |s| {
+                let mut t = s.ripe_traceroutes[0].clone();
+                let mid = t.hops.len() / 2;
+                t.hops[mid].ip = Some(unseen);
+                s.ripe_traceroutes.push(t);
+            }),
+            output: ips,
+            carries: true,
+        },
+        Case {
+            name: "traces: the only trace holding an address removed",
+            sources: &["ripe_traceroutes"],
+            base_edit: None,
+            edit: Box::new(move |s| {
+                s.ripe_traceroutes.remove(lone);
+            }),
+            output: ips,
+            carries: true,
+        },
+        Case {
+            name: "traces: list reversed",
+            sources: &["ripe_traceroutes"],
+            base_edit: None,
+            edit: Box::new(|s| s.ripe_traceroutes.reverse()),
+            output: hops,
+            carries: true,
+        },
+        Case {
+            name: "traces: a trace duplicated",
+            sources: &["ripe_traceroutes"],
+            base_edit: None,
+            edit: Box::new(|s| {
+                let t = s.ripe_traceroutes[1].clone();
+                s.ripe_traceroutes.insert(0, t);
+            }),
+            output: hops,
+            carries: true,
+        },
+        Case {
+            name: "traces and rdns",
+            sources: &["rdns", "ripe_traceroutes"],
+            base_edit: None,
+            edit: Box::new(move |s| {
+                drop_first(s);
+                rotate(&mut s.rdns, |r| &mut r.hostname);
+            }),
+            output: ips,
+            carries: false,
+        },
+        Case {
+            name: "traces and bgp_prefixes",
+            sources: &["bgp_prefixes", "ripe_traceroutes"],
+            base_edit: None,
+            edit: Box::new(move |s| {
+                drop_first(s);
+                rotate(&mut s.bgp_prefixes, |r| &mut r.origin);
+            }),
+            output: ips,
+            carries: false,
+        },
+    ];
+    run_cases(base, prior, cases, ("delta.traces_carried", ""));
+}
+
+/// `0.0` and `-0.0` are equal as floats but not as cells: the fingerprint
+/// renders a float by its bits. Flipping the sign of one zero is a change
+/// the diff must see — here an RTT (which the trace carry then does not
+/// match, so the trace's rows are rebuilt) and a metro's latitude.
+fn sign_of_zero_edits_apply_byte_identical_to_rebuild(base: &SnapshotSet, prior: &Igdb) {
+    let cases = vec![
+        Case {
+            name: "sign of zero: an RTT",
+            sources: &["ripe_traceroutes"],
+            base_edit: Some(Box::new(|s| s.ripe_traceroutes[0].hops[0].rtt_ms = 0.0)),
+            edit: Box::new(|s| s.ripe_traceroutes[0].hops[0].rtt_ms = -0.0),
+            output: Output::Table("traceroutes"),
+            carries: true,
+        },
+        Case {
+            name: "sign of zero: a metro's latitude",
+            sources: &["natural_earth"],
+            base_edit: Some(Box::new(|s| s.natural_earth[0].loc.lat = 0.0)),
+            edit: Box::new(|s| s.natural_earth[0].loc.lat = -0.0),
+            output: Output::Table("city_points"),
+            carries: false,
+        },
+    ];
+    run_cases(base, prior, cases, ("delta.traces_carried", ""));
 }
 
 /// A roadway pair of `world` whose route has an intermediate metro and no
@@ -583,16 +781,6 @@ fn first_segment(s: &SnapshotSet, a: usize, b: usize) -> usize {
 /// the `phys_conn` row of one routed pair, so a memo that kept a payload
 /// the change made stale diverges from the rebuild.
 fn road_edits_apply_byte_identical_to_rebuild(base: &SnapshotSet, prior: &Igdb) {
-    type Edit = Box<dyn Fn(&mut SnapshotSet)>;
-    struct Case {
-        name: &'static str,
-        sources: &'static [&'static str],
-        /// An edit of the base the prior is built from.
-        base_edit: Option<Edit>,
-        edit: Edit,
-        /// Whether the apply carries the road memo across the edit.
-        carries: bool,
-    }
     let path = routed_pair(prior);
     let (from, to, hop) = (path[0], path[path.len() - 1], (path[0], path[1]));
     let (_, route_km) = prior.roads.shortest_path(from, to).unwrap();
@@ -620,9 +808,10 @@ fn road_edits_apply_byte_identical_to_rebuild(base: &SnapshotSet, prior: &Igdb) 
             .path
             .insert(1, igdb_geo::GeoPoint::new(p.lon - 0.25, p.lat));
     };
-    let cases = [
+    let output = Output::Table("phys_conn");
+    let cases = vec![
         Case {
-            name: "added segment",
+            name: "roads: added segment",
             sources: &["roads"],
             base_edit: None,
             edit: Box::new(move |s| {
@@ -630,87 +819,49 @@ fn road_edits_apply_byte_identical_to_rebuild(base: &SnapshotSet, prior: &Igdb) 
                 (shortcut.a, shortcut.b, shortcut.length_km) = (from, to, route_km / 2.0);
                 s.roads.push(shortcut);
             }),
+            output,
             carries: false,
         },
         Case {
-            name: "shortened segment",
+            name: "roads: shortened segment",
             sources: &["roads"],
             base_edit: None,
             edit: Box::new(move |s| s.roads[first].length_km /= 2.0),
+            output,
             carries: false,
         },
         Case {
-            name: "first-loaded of two parallel segments removed",
+            name: "roads: first-loaded of two parallel segments removed",
             sources: &["roads"],
             base_edit: Some(Box::new(detour)),
             edit: Box::new(move |s| {
                 s.roads.remove(first);
             }),
+            output,
             carries: true,
         },
         Case {
-            name: "geometry-only mutation at equal length",
+            name: "roads: geometry-only mutation at equal length",
             sources: &["roads"],
             base_edit: None,
             edit: Box::new(reshape),
+            output,
             carries: true,
         },
         Case {
-            name: "roads and natural_earth together",
+            name: "roads: roads and natural_earth together",
             sources: &["natural_earth", "roads"],
             base_edit: None,
             edit: Box::new(move |s| {
                 rename_metros(s);
                 reshape(s);
             }),
+            output,
             carries: false,
         },
     ];
-    let output = Output::Table("phys_conn");
-    for Case {
-        name,
-        sources,
-        base_edit,
-        edit,
-        carries,
-    } in cases
-    {
-        let ctx = format!("roads: {name}");
-        let (mut from_base, mut next) = (base.clone(), base.clone());
-        let edited_prior;
-        let prior = match base_edit {
-            Some(base_edit) => {
-                base_edit(&mut from_base);
-                base_edit(&mut next);
-                edited_prior = Igdb::try_build(&from_base, &BuildPolicy::lenient())
-                    .expect("edited base builds")
-                    .0;
-                &edited_prior
-            }
-            None => prior,
-        };
-        edit(&mut next);
-        let (applied, apply, delta) = apply_onto(prior, &next);
-        let named: BTreeSet<&str> = delta.sources.iter().map(|s| s.source).collect();
-        assert_eq!(named, sources.iter().copied().collect(), "{ctx}: sources");
-        let (rebuilt, rebuild) = rebuild(&next);
-        assert_identical(&apply, &rebuild, &ctx);
-        assert_eq!(output.read(&applied), output.read(&rebuilt), "{ctx}");
-        assert_ne!(
-            output.read(&applied),
-            output.read(prior),
-            "{ctx}: the edit left {output:?} as it was"
-        );
-        // Whether the apply took the carry or the cold road: a carried
-        // payload is a memo hit, and a cold build asks each pair once.
-        let reg = Registry::new();
-        {
-            let _g = reg.install();
-            prior.apply_delta(&next, &BuildPolicy::lenient()).unwrap();
-        }
-        let hits = reg.perf_value("corridor.cache_hits", "roads");
-        assert_eq!(hits > 0, carries, "{ctx}: {hits} road memo hits");
-    }
+    // A carried payload is a memo hit, and a cold build asks each pair once.
+    run_cases(base, prior, cases, ("corridor.cache_hits", "roads"));
 }
 
 /// An apply shares the untouched stages' tables with the prior by
