@@ -142,11 +142,11 @@ pub struct Igdb {
     /// sources are shared with the caller's input and with every epoch
     /// that did not change them.
     snapshots: SnapshotSet,
-    /// Per-stage deterministic-counter deltas recorded while building.
-    /// A delta apply replays a clean stage's entry instead of re-running
-    /// the stage, keeping the counter stream byte-identical to a
-    /// from-scratch rebuild.
-    stage_ledger: Vec<Vec<(String, String, u64)>>,
+    /// Per stage, the deterministic counters its run ticked on the build
+    /// thread. A delta apply replays a shared stage's entry instead of
+    /// re-running the stage, keeping the counter stream byte-identical to
+    /// a from-scratch rebuild.
+    stage_ledger: Vec<LedgerEntry>,
     /// [`Igdb::add_inferred_location`] added a row the stage driver did not
     /// write, so [`Igdb::apply_delta`] may not share this world's tables.
     rows_added_since_build: bool,
@@ -167,84 +167,9 @@ fn compact_tables(db: &mut Database, names: &[&str]) {
     igdb_obs::trim_heap();
 }
 
-/// Deterministic counters as a map, for per-stage bracketing.
-fn counter_map(reg: &Option<igdb_obs::Registry>) -> BTreeMap<(String, String), u64> {
-    match reg {
-        Some(r) => r
-            .counters()
-            .into_iter()
-            .map(|(n, l, v)| ((n, l), v))
-            .collect(),
-        None => BTreeMap::new(),
-    }
-}
-
-/// Brackets each pipeline stage, recording the deterministic-counter
-/// delta it emitted (perf-class metrics are excluded by construction).
-///
-/// When no registry is installed, a private one is installed for the
-/// build's duration: emissions were unobservable anyway, and the ledger
-/// must exist regardless so a later [`Igdb::apply_delta`] can replay
-/// clean stages under whatever registry *it* runs in.
-struct LedgerRecorder {
-    reg: Option<igdb_obs::Registry>,
-    before: BTreeMap<(String, String), u64>,
-    ledger: Vec<Vec<(String, String, u64)>>,
-    /// Keeps the private registry installed for the recorder's lifetime.
-    _shadow: Option<igdb_obs::Installed>,
-}
-
-impl LedgerRecorder {
-    fn start() -> Self {
-        let (reg, shadow) = match igdb_obs::current() {
-            Some(r) => (Some(r), None),
-            None => {
-                let r = igdb_obs::Registry::new();
-                let guard = r.install();
-                (Some(r), Some(guard))
-            }
-        };
-        let before = counter_map(&reg);
-        Self {
-            reg,
-            before,
-            ledger: Vec::new(),
-            _shadow: shadow,
-        }
-    }
-
-    /// Closes the current stage: everything emitted since the previous
-    /// cut becomes this stage's ledger entry.
-    fn cut(&mut self) {
-        // Resident-set sample at each stage boundary (perf-class, so the
-        // deterministic stream and the replayed ledger never see it).
-        if let (Some(stage), Some(kb)) = (
-            Stage::ALL.get(self.ledger.len()),
-            igdb_obs::current_rss_kb(),
-        ) {
-            if let Some(r) = &self.reg {
-                let prev = r.perf_value("mem.rss_kb", stage.name());
-                if kb > prev {
-                    r.perf_add("mem.rss_kb", stage.name(), kb - prev);
-                }
-            }
-        }
-        let now = counter_map(&self.reg);
-        let entry = now
-            .iter()
-            .filter_map(|((n, l), v)| {
-                let base = self
-                    .before
-                    .get(&(n.clone(), l.clone()))
-                    .copied()
-                    .unwrap_or(0);
-                (*v > base).then(|| (n.clone(), l.clone(), *v - base))
-            })
-            .collect();
-        self.before = now;
-        self.ledger.push(entry);
-    }
-}
+/// What one stage ticked: `(name, label, sum)` sorted by key, zero ticks
+/// included. Static names replay without allocating.
+type LedgerEntry = Arc<Vec<(igdb_obs::Name, igdb_obs::Name, u64)>>;
 
 /// A side product of an earlier stage.
 fn made<T>(product: &Option<Arc<T>>) -> &T {
@@ -1277,7 +1202,7 @@ impl Pipeline {
     /// Indexes the hot keys, emits the row totals, and assembles the world
     /// around `snapshots`, its baseline. A table shared from the prior
     /// already carries its index, built over the same rows.
-    fn finish(self, snapshots: SnapshotSet, stage_ledger: Vec<Vec<(String, String, u64)>>) -> Igdb {
+    fn finish(self, snapshots: SnapshotSet, stage_ledger: Vec<LedgerEntry>) -> Igdb {
         let mut db = self.db;
         {
             let _s = igdb_obs::span("build.index");
@@ -1334,10 +1259,17 @@ impl Pipeline {
     }
 }
 
-/// Replays one stage's recorded deterministic-counter deltas.
-fn replay_stage(ledger: &[Vec<(String, String, u64)>], stage: Stage) {
-    for (name, label, v) in &ledger[stage as usize] {
-        igdb_obs::counter(name.clone(), label.clone(), *v);
+/// Tops up the perf metric `mem.rss_kb{stage}` to the resident set, read
+/// only when a registry is installed: the one case it is observable.
+fn sample_rss(stage: Stage) {
+    let Some(r) = igdb_obs::current() else {
+        return;
+    };
+    if let Some(kb) = igdb_obs::current_rss_kb() {
+        let prev = r.perf_value("mem.rss_kb", stage.name());
+        if kb > prev {
+            r.perf_add("mem.rss_kb", stage.name(), kb - prev);
+        }
     }
 }
 
@@ -1382,55 +1314,44 @@ impl Igdb {
         snaps: &SnapshotSet,
         policy: &BuildPolicy,
     ) -> Result<(SnapshotSet, BuildReport), BuildError> {
-        // The ingestion counters accumulate across builds sharing one
-        // registry, so the report cross-check compares per-source *deltas*
-        // against a baseline captured before validation runs.
-        let reg = igdb_obs::current();
-        let baseline: Vec<[u64; 3]> = match &reg {
-            Some(r) => SourceId::ALL
-                .iter()
-                .map(|s| {
-                    [
-                        r.counter_value("ingest.rows_in", s.name()),
-                        r.counter_value("ingest.rows_accepted", s.name()),
-                        r.counter_value("ingest.rows_quarantined", s.name()),
-                    ]
-                })
-                .collect(),
-            None => Vec::new(),
-        };
+        // The ingestion counters validation ticks on this thread, registry
+        // or none.
+        let tally = igdb_obs::Tally::open();
         let (screened, report) = validate(snaps, policy)?;
+        let ticks = tally.finish();
+        let ticked = |name: &str, s: SourceId| {
+            ticks
+                .iter()
+                .find(|(n, l, _)| n == name && l == s.name())
+                .map_or(0, |t| t.2)
+        };
         // Two independent views of the same accounting — the quarantine
         // ledger inside the report, and the observability counters — must
         // agree exactly; divergence is a pipeline bug, typed, never silent.
         report.crosscheck()?;
-        if let Some(r) = &reg {
-            for (s, base) in SourceId::ALL.iter().zip(&baseline) {
-                let h = report.health(*s);
-                let got = [
-                    r.counter_value("ingest.rows_in", s.name()) - base[0],
-                    r.counter_value("ingest.rows_accepted", s.name()) - base[1],
-                    r.counter_value("ingest.rows_quarantined", s.name()) - base[2],
-                ];
-                let want = [
-                    h.rows_in as u64,
-                    h.rows_accepted as u64,
-                    h.rows_quarantined as u64,
-                ];
-                let what = [
-                    "rows_in counter",
+        for s in SourceId::ALL {
+            let h = report.health(s);
+            for (name, want, what) in [
+                ("ingest.rows_in", h.rows_in, "rows_in counter"),
+                (
+                    "ingest.rows_accepted",
+                    h.rows_accepted,
                     "rows_accepted counter",
+                ),
+                (
+                    "ingest.rows_quarantined",
+                    h.rows_quarantined,
                     "rows_quarantined counter",
-                ];
-                for i in 0..3 {
-                    if got[i] != want[i] {
-                        return Err(BuildError::InternalAccounting {
-                            source: *s,
-                            what: what[i],
-                            expected: want[i] as usize,
-                            actual: got[i] as usize,
-                        });
-                    }
+                ),
+            ] {
+                let got = ticked(name, s);
+                if got != want as u64 {
+                    return Err(BuildError::InternalAccounting {
+                        source: s,
+                        what,
+                        expected: want,
+                        actual: got as usize,
+                    });
                 }
             }
         }
@@ -1441,19 +1362,20 @@ impl Igdb {
     /// stage in [`Stage::ALL`] order it writes the per-stage protocol once:
     /// open the `build.<stage>` span; if an apply's diff proves the stage
     /// shared ([`SnapshotDelta::shares`]) take its tables from the prior
-    /// world by reference, replay its recorded counter deltas and take its
-    /// other products by reference ([`Pipeline::share`]), otherwise run it
-    /// ([`Pipeline::run`] — the only case when `prior` is `None`, a full
-    /// build); close the span; if it ran, compact the tables it wrote
-    /// (which also returns what was just freed); cut the counter ledger.
-    /// The world keeps `snaps` as its baseline.
+    /// world by reference, replay the prior's ledger entry and take it and
+    /// the stage's other products by reference ([`Pipeline::share`]),
+    /// otherwise run it inside an [`igdb_obs::Tally`], which becomes its
+    /// ledger entry ([`Pipeline::run`] — the only case when `prior` is
+    /// `None`, a full build); close the span; if it ran, compact the
+    /// tables it wrote (which also returns what was just freed). The world
+    /// keeps `snaps` as its baseline.
     ///
     /// Shared or re-run, a stage ends with the same rows, the same side
     /// products and the same counter ticks, so the result is byte-identical
     /// to a from-scratch build of `snaps` whatever `prior` was.
     fn build_staged(snaps: SnapshotSet, prior: Option<(&Igdb, &SnapshotDelta)>) -> Self {
         let _span = igdb_obs::span("build");
-        let mut rec = LedgerRecorder::start();
+        let mut ledger = Vec::with_capacity(Stage::ALL.len());
         let mut pipeline = Pipeline::new(&snaps.as_of_date);
         if let Some((world, delta)) = prior {
             pipeline.carry(world, delta, &snaps);
@@ -1461,7 +1383,7 @@ impl Igdb {
         for stage in Stage::ALL {
             let span = igdb_obs::span(format!("build.{}", stage.name()));
             let shared_from = prior.filter(|(_, delta)| delta.shares(stage));
-            match shared_from {
+            let entry = match shared_from {
                 Some((world, _)) => {
                     for name in stage.tables() {
                         pipeline
@@ -1469,18 +1391,27 @@ impl Igdb {
                             .share_table_from(&world.db, name)
                             .expect("table exists");
                     }
-                    replay_stage(&world.stage_ledger, stage);
+                    let entry = Arc::clone(&world.stage_ledger[stage as usize]);
+                    for (name, label, v) in entry.iter() {
+                        igdb_obs::counter(name.clone(), label.clone(), *v);
+                    }
                     pipeline.share(stage, world);
+                    entry
                 }
-                None => pipeline.run(stage, &snaps),
-            }
+                None => {
+                    let tally = igdb_obs::Tally::open();
+                    pipeline.run(stage, &snaps);
+                    Arc::new(tally.finish())
+                }
+            };
             drop(span);
             if shared_from.is_none() && !stage.tables().is_empty() {
                 compact_tables(&mut pipeline.db, stage.tables());
             }
-            rec.cut();
+            sample_rss(stage);
+            ledger.push(entry);
         }
-        pipeline.finish(snaps, rec.ledger)
+        pipeline.finish(snaps, ledger)
     }
 
     /// The validated record set this world was built from.

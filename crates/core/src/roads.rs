@@ -25,6 +25,7 @@ use igdb_geo::{to_wkt, GeoPoint, Geometry, LineString};
 use igdb_synth::sources::{RoadSegment, Source};
 
 use crate::corridor::CorridorCache;
+use crate::delta::SameRecord;
 use crate::spath::{ShortestPathEngine, SpWorkspace};
 
 /// A roadway `phys_conn` row's payload for one metro pair: the road
@@ -232,17 +233,6 @@ impl RoadGraph {
     }
 }
 
-/// Whether two segments are the same record, bit for bit (so `-0.0` and
-/// `0.0` differ, as their WKT does).
-fn same_segment(x: &RoadSegment, y: &RoadSegment) -> bool {
-    let bits = |p: &GeoPoint| (p.lon.to_bits(), p.lat.to_bits());
-    x.a == y.a
-        && x.b == y.b
-        && x.length_km.to_bits() == y.length_km.to_bits()
-        && x.path.len() == y.path.len()
-        && x.path.iter().zip(&y.path).all(|(p, q)| bits(p) == bits(q))
-}
-
 /// Segment indexes ordered by `(adjacency, load index)`.
 fn by_adjacency(segments: &[RoadSegment]) -> Vec<(Adjacency, u32)> {
     let mut order: Vec<(Adjacency, u32)> = segments
@@ -285,7 +275,7 @@ fn changed_adjacencies(old: &[RoadSegment], new: &[RoadSegment]) -> Option<Vec<A
             && old_run
                 .iter()
                 .zip(new_run)
-                .all(|(&(_, x), &(_, y))| same_segment(&old[x as usize], &new[y as usize]));
+                .all(|(&(_, x), &(_, y))| old[x as usize].same(&new[y as usize]));
         if same {
             continue;
         }

@@ -31,6 +31,11 @@
 //!   reader → queue → worker → analysis → encode tree with deterministic
 //!   *structure* and perf-classed timings, checked per thread and per
 //!   request by [`TraceRecord::check_nesting`].
+//! * **Tallies** ([`Tally`]) — a thread-scoped counter sink beside the
+//!   registry and the trace: what one scope of the calling thread ticked,
+//!   zero ticks included, registry or none, and nothing another thread
+//!   ticked (the build's per-stage counter ledger, validation's
+//!   accounting cross-check).
 //! * **Sinks** — [`Registry::render_table`] (human) and
 //!   [`Registry::json_lines`] (machine, one JSON object per line), with
 //!   [`Registry::from_json_lines`] parsing the latter back so `igdb
@@ -48,7 +53,9 @@
 //! (thread-local, stacked, restored on drop); the free functions
 //! [`counter`], [`perf`], [`observe`] and [`span`] write to the current
 //! registry and are no-ops — one thread-local read — when none is
-//! installed, so un-instrumented runs pay nothing. A thread spawned
+//! installed, so un-instrumented runs pay nothing. [`counter`] also
+//! reads the thread's innermost open [`Tally`], one thread-local read
+//! more. A thread spawned
 //! inside the scope (a server worker) installs a clone of the registry
 //! itself.
 //!
@@ -438,6 +445,9 @@ thread_local! {
     /// Installed request traces on this thread, innermost last: which
     /// trace the free [`span`] and [`counter`] route to.
     static TRACE_STACK: RefCell<Vec<TraceContext>> = const { RefCell::new(Vec::new()) };
+    /// Open [`Tally`] sums on this thread, innermost last. A tick lands in
+    /// the innermost; closing one adds its sums to the next one out.
+    static TALLIES: RefCell<Vec<TallySums>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Identity of one request trace: the connection it arrived on plus the
@@ -835,21 +845,6 @@ impl Registry {
             }
         }
         out
-    }
-
-    /// Deterministic counters as `(name, label, value)` triples, sorted by
-    /// key. The structured twin of [`counter_snapshot`](Self::counter_snapshot):
-    /// callers that need to *replay* counters elsewhere (the delta-apply
-    /// ledger in `igdb-core`) enumerate here and re-emit, rather than
-    /// parsing the rendered snapshot back.
-    pub fn counters(&self) -> Vec<(String, String, u64)> {
-        let m = self.inner.metrics.lock().unwrap();
-        m.iter()
-            .filter_map(|((n, l), v)| match v {
-                Metric::Counter(v) => Some((n.to_string(), l.to_string(), *v)),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Human-readable rendering: counters, perf counters, histograms, and
@@ -1457,17 +1452,22 @@ impl Drop for Span {
 // ---------------------------------------------------------------------------
 
 /// Adds to a deterministic counter on the current registry (no-op without
-/// one).
+/// one) and to the thread's innermost open [`Tally`].
 pub fn counter(name: impl Into<Name>, label: impl Into<Name>, delta: u64) {
-    let (name, label) = (name.into(), label.into());
+    let key = (name.into(), label.into());
+    TALLIES.with(|t| {
+        if let Some(sums) = t.borrow_mut().last_mut() {
+            *sums.entry(key.clone()).or_default() += delta;
+        }
+    });
     // Tee into the installed trace (if any): a request's deterministic
     // counters become part of its TraceRecord, while the registry keeps
     // the global stream. Sink traces drop their copy.
     if let Some(t) = current_trace() {
-        t.counter(name.clone(), label.clone(), delta);
+        t.counter(key.0.clone(), key.1.clone(), delta);
     }
     if let Some(r) = current() {
-        r.counter_add(name, label, delta);
+        r.counter_add(key.0, key.1, delta);
     }
 }
 
@@ -1496,6 +1496,65 @@ pub fn span(name: impl Into<Name>) -> Span {
     match current() {
         Some(r) => r.span(name),
         None => Span { open: None },
+    }
+}
+
+type TallySums = BTreeMap<(Name, Name), u64>;
+
+/// A thread-scoped counter sink. Until it is finished or dropped (unwind
+/// included), every [`counter`] tick the opening thread makes is summed
+/// into it, zero ticks included, registry or none; other threads' ticks,
+/// perf counters, histograms and spans never reach it. Tallies nest and
+/// close innermost first, like a [`Span`]: closing one adds its sums to
+/// the next one out, so a tick reaches every tally open on the thread.
+#[must_use = "the tally only sums ticks until it is finished or dropped"]
+pub struct Tally {
+    /// This tally's height on the thread's stack; 0 once closed.
+    depth: usize,
+}
+
+impl Tally {
+    /// Opens a tally on the calling thread.
+    pub fn open() -> Tally {
+        TALLIES.with(|t| {
+            let mut t = t.borrow_mut();
+            t.push(TallySums::new());
+            Tally { depth: t.len() }
+        })
+    }
+
+    /// Closes the tally: what its thread ticked, `(name, label, sum)`
+    /// sorted by key.
+    pub fn finish(mut self) -> Vec<(Name, Name, u64)> {
+        let sums = self.close();
+        sums.into_iter().map(|((n, l), v)| (n, l, v)).collect()
+    }
+
+    /// Pops this tally's sums, with any a leaked inner tally left above
+    /// them, and adds them to the next one out.
+    fn close(&mut self) -> TallySums {
+        let depth = std::mem::take(&mut self.depth);
+        TALLIES.with(|t| {
+            let mut t = t.borrow_mut();
+            let mut sums = TallySums::new();
+            while depth > 0 && t.len() >= depth {
+                for (key, v) in t.pop().expect("len >= depth > 0") {
+                    *sums.entry(key).or_default() += v;
+                }
+            }
+            if let Some(outer) = t.last_mut() {
+                for (key, v) in &sums {
+                    *outer.entry(key.clone()).or_default() += v;
+                }
+            }
+            sums
+        })
+    }
+}
+
+impl Drop for Tally {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -1731,9 +1790,7 @@ mod tests {
             let second = reg.perf_value("mem.peak_rss_kb", "test");
             assert!(second >= first);
             assert!(
-                reg.counters()
-                    .iter()
-                    .all(|(n, _, _)| n != "mem.peak_rss_kb"),
+                !reg.counter_snapshot().contains("mem.peak_rss_kb"),
                 "memory is perf-class, never a deterministic counter"
             );
         }
@@ -1796,6 +1853,110 @@ mod tests {
         assert_eq!(a.counter_value("k", ""), 3);
         assert_eq!(b.counter_value("k", ""), 10);
         assert!(current().is_none());
+    }
+
+    /// A tally's sums as `name{label} value` lines, like a snapshot.
+    fn render(ticks: &[(Name, Name, u64)]) -> String {
+        ticks
+            .iter()
+            .map(|(n, l, v)| format!("{} {v}\n", Key(n, l)))
+            .collect()
+    }
+
+    #[test]
+    fn tally_sees_only_its_own_threads_ticks() {
+        let reg = Registry::new();
+        let _g = reg.install();
+        let ticking = std::sync::atomic::AtomicBool::new(true);
+        let other = std::sync::atomic::AtomicU64::new(0);
+        let ticks = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _g = reg.install();
+                while ticking.load(std::sync::atomic::Ordering::Relaxed) {
+                    counter("other", "", 1);
+                    other.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                }
+            });
+            // Hold the tally open until the other thread has ticked into
+            // the same registry during it, so the case is never vacuous.
+            let tally = Tally::open();
+            counter("mine", "", 2);
+            let at_open = other.load(std::sync::atomic::Ordering::Relaxed);
+            while other.load(std::sync::atomic::Ordering::Relaxed) < at_open + 100 {
+                std::thread::yield_now();
+            }
+            counter("mine", "", 3);
+            let ticks = tally.finish();
+            ticking.store(false, std::sync::atomic::Ordering::Relaxed);
+            ticks
+        });
+        assert_eq!(render(&ticks), "mine 5\n");
+        assert!(reg.counter_value("other", "") >= 100);
+        assert_eq!(reg.counter_value("mine", ""), 5);
+    }
+
+    #[test]
+    fn tally_works_without_a_registry() {
+        assert!(current().is_none());
+        let tally = Tally::open();
+        counter("k", "a", 1);
+        counter("k", "a", 2);
+        counter("k", "b", 4);
+        assert_eq!(render(&tally.finish()), "k{a} 3\nk{b} 4\n");
+    }
+
+    #[test]
+    fn tally_keeps_a_zero_tick() {
+        let tally = Tally::open();
+        counter("zero", "", 0);
+        assert_eq!(tally.finish(), vec![("zero".into(), "".into(), 0)]);
+    }
+
+    #[test]
+    fn nested_tallies_both_see_an_inner_tick() {
+        let outer = Tally::open();
+        counter("before", "", 1);
+        let inner = Tally::open();
+        counter("inner", "", 7);
+        counter("zero", "", 0);
+        assert_eq!(render(&inner.finish()), "inner 7\nzero 0\n");
+        counter("after", "", 1);
+        assert_eq!(
+            render(&outer.finish()),
+            "after 1\nbefore 1\ninner 7\nzero 0\n"
+        );
+    }
+
+    #[test]
+    fn tally_ignores_perf_counters_histograms_and_spans() {
+        let reg = Registry::new();
+        let _g = reg.install();
+        let tally = Tally::open();
+        perf("p", "", 3);
+        observe("h", "", 9);
+        drop(span("s"));
+        drop(hist_timer("t", ""));
+        record_peak_rss("tally");
+        counter("c", "", 1);
+        assert_eq!(render(&tally.finish()), "c 1\n");
+        assert_eq!(reg.perf_value("p", ""), 3);
+        assert!(reg.histogram("h", "").is_some());
+    }
+
+    #[test]
+    fn tally_guard_pops_on_unwind() {
+        let outer = Tally::open();
+        let caught = std::panic::catch_unwind(|| {
+            let _inner = Tally::open();
+            counter("unwound", "", 2);
+            panic!("stage failed");
+        });
+        assert!(caught.is_err());
+        // The inner tally is gone: this tick lands in the outer one, which
+        // also kept what the inner one summed before the unwind.
+        counter("after", "", 1);
+        assert_eq!(render(&outer.finish()), "after 1\nunwound 2\n");
+        TALLIES.with(|t| assert!(t.borrow().is_empty()));
     }
 
     #[test]

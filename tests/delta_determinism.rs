@@ -164,6 +164,86 @@ fn composite_delta_is_worker_count_invariant() {
 }
 
 // ---------------------------------------------------------------------------
+// The stage ledger holds what the build thread ticked, and all of it
+// ---------------------------------------------------------------------------
+
+/// Raises a flag when dropped, unwinding included, so a scoped helper
+/// thread that polls it stops even when the test body panics.
+struct RaiseOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for RaiseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
+/// An apply running beside a thread that ticks counters on the same
+/// registry (a serving worker beside the churn writer) records only its
+/// own ticks: a later apply onto that world replays none of the other
+/// thread's.
+#[test]
+fn another_threads_ticks_stay_out_of_the_ledger() {
+    let base = base_snaps();
+    let (prior, _) = Igdb::try_build(&base, &BuildPolicy::lenient()).expect("base builds");
+    let (mid, _) = generate_delta(&base, 3, &[DeltaClass::AtlasChurn]);
+    let reg = Registry::new();
+    let stop = AtomicBool::new(false);
+    let world = std::thread::scope(|s| {
+        s.spawn(|| {
+            let _g = reg.install();
+            while !stop.load(Ordering::Relaxed) {
+                igdb_core::igdb_obs::counter("serve.ok", "ping", 1);
+                std::thread::yield_now();
+            }
+        });
+        let _stop = RaiseOnDrop(&stop);
+        let _g = reg.install();
+        // Retry until the other thread is seen ticking during an apply, so
+        // the case is never vacuous.
+        for _ in 0..20 {
+            let before = reg.counter_value("serve.ok", "ping");
+            let (world, _, _) = prior
+                .apply_delta(&mid, &BuildPolicy::lenient())
+                .expect("delta applies");
+            if reg.counter_value("serve.ok", "ping") > before {
+                return world;
+            }
+        }
+        panic!("the ticking thread never ran during an apply");
+    });
+    let (next, _) = generate_delta(world.source_snapshots(), 5, &[DeltaClass::TracerouteChurn]);
+    let (_, apply, delta) = apply_onto(&world, &next);
+    assert!(
+        delta.shares(Stage::Metros),
+        "the lone apply replays a ledger"
+    );
+    assert_identical(
+        &apply,
+        &rebuild_capture(&next),
+        "apply after a shared-registry apply",
+    );
+}
+
+/// A counter a stage ticks with 0 is part of the stream (the key exists),
+/// so the ledger keeps it: with no traceroutes, `IpResolution` ticks
+/// `build.observed_ips 0`, and an apply that shares the stage replays it.
+#[test]
+fn zero_ticks_replay_from_the_ledger() {
+    let mut base = base_snaps();
+    base.ripe_traceroutes = Vec::new().into();
+    let (next, _) = generate_delta(&base, 3, &[DeltaClass::AtlasChurn]);
+    let (apply, delta) = apply_capture(&base, &next);
+    assert!(delta.shares(Stage::IpResolution));
+    let rebuild = rebuild_capture(&next);
+    assert!(rebuild.counters.contains("build.observed_ips 0\n"));
+    assert_identical(
+        &apply,
+        &rebuild,
+        "AtlasChurn onto an empty traceroute corpus",
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Apply ≡ rebuild when the prior is itself an applied or extended world
 // ---------------------------------------------------------------------------
 

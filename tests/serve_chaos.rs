@@ -19,17 +19,18 @@
 //! sandboxes); one TCP smoke test skips gracefully when it is.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use igdb_core::Igdb;
+use igdb_core::{BuildPolicy, Igdb};
 use igdb_fault::ServeError;
 use igdb_obs::{JsonMode, Registry};
 use igdb_serve::{
     loadgen_session, run_chaos, ChaosEnv, Client, Listener, LoadgenConfig, Request, Response,
     Server, ServerConfig, KINDS,
 };
-use igdb_synth::{emit_snapshots, World, WorldConfig};
+use igdb_synth::{emit_snapshots, generate_delta, DeltaClass, World, WorldConfig};
 
 /// A fresh tiny-world database. Fresh per server run where counter
 /// streams are compared: the `Igdb` caches its physical graph (and the
@@ -367,6 +368,79 @@ fn draining_server_rejects_new_requests_typed() {
     assert_eq!(resp, Response::Slept);
     let report = drainer.join().expect("join drain");
     assert_eq!(report.served, 1);
+}
+
+/// A writer applying and publishing deltas under the server's registry,
+/// as `igdb serve --churn-ms` does, while a client is served: after drain
+/// `served` is what the client got. Each apply's stage ledger holds only
+/// what the writer's thread ticked, so no later epoch replays the workers'
+/// `serve.ok` ticks.
+#[test]
+fn churn_under_load_leaves_served_equal_to_the_clients_ok() {
+    let cfg = ServerConfig {
+        workers: 2,
+        default_deadline: Duration::from_secs(30),
+        ..ServerConfig::default()
+    };
+    let server = start_unix(fresh_igdb(), "churn", cfg);
+    let (epochs, reg) = (server.epochs(), server.registry());
+    let writing = AtomicBool::new(true);
+    let (ok, applies) = std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            // Stops the client even if an apply panics.
+            struct Done<'a>(&'a AtomicBool);
+            impl Drop for Done<'_> {
+                fn drop(&mut self) {
+                    self.0.store(false, Ordering::SeqCst);
+                }
+            }
+            let _done = Done(&writing);
+            let _g = reg.install();
+            let sink = igdb_obs::TraceContext::sink();
+            let _t = sink.install();
+            let classes = [
+                DeltaClass::AtlasChurn,
+                DeltaClass::TracerouteChurn,
+                DeltaClass::LogicalChurn,
+                DeltaClass::FacilityChurn,
+            ];
+            // Apply until two applies each ran while a worker ticked
+            // `serve.ok` on the shared registry, so the second replays a
+            // ledger the first wrote beside those ticks.
+            let mut overlapped = 0;
+            for round in 0..40u64 {
+                let cur = epochs.current();
+                let class = classes[round as usize % classes.len()];
+                let (next, _) = generate_delta(cur.igdb.source_snapshots(), 7 + round, &[class]);
+                let before = reg.counter_value("serve.ok", "ping");
+                let (next, _, _) = cur
+                    .igdb
+                    .apply_delta(&next, &BuildPolicy::lenient())
+                    .expect("churn applies");
+                overlapped += u32::from(reg.counter_value("serve.ok", "ping") > before);
+                epochs.publish(next);
+                if overlapped == 2 {
+                    return round + 1;
+                }
+            }
+            panic!("no two applies ran beside a served request");
+        });
+        let mut client = Client::connect(&server.addr(), Duration::from_secs(5)).expect("connect");
+        let mut ok = 0u64;
+        while writing.load(Ordering::SeqCst) {
+            if client.call(&Request::Ping, 0).expect("ping") == Response::Pong {
+                ok += 1;
+            }
+        }
+        (ok, writer.join().expect("writer"))
+    });
+    assert_eq!(
+        server.epochs().current().number,
+        applies,
+        "every apply published"
+    );
+    let report = server.drain();
+    assert_eq!(report.served, ok, "served counts a request no client sent");
 }
 
 // ---------------------------------------------------------------------------
