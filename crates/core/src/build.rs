@@ -15,16 +15,17 @@ use igdb_db::{Database, Table, Value};
 use igdb_fault::{BuildError, BuildPolicy, BuildReport, SourceId};
 use igdb_geo::{to_wkt, GeoPoint, Geometry, LineString, MultiLineString, SegmentIndex};
 use igdb_net::{Asn, Ip4, Prefix};
-use igdb_synth::sources::{RipeTraceroute, SnapshotSet, Source};
+use igdb_synth::sources::{RipeTraceroute, SnapshotSet};
 
 use crate::bdrmap::BdrMap;
-use crate::delta::{diff_snapshots, match_traces, SnapshotDelta, Stage, TraceMatch};
+use crate::carry::{write_named, write_sites, NameCarry, RowCopier, SiteCarry, TraceCarry};
+use crate::delta::{diff_snapshots, SnapshotDelta, Stage};
 use crate::derived::Derived;
 use crate::hoiho::HoihoEngine;
 use crate::metros::MetroRegistry;
 use crate::roads::{RoadGraph, Roadway};
 use crate::schema;
-use crate::validate::validate;
+use crate::validate::validate_against;
 
 /// Where a metro assignment for an IP came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -131,7 +132,11 @@ pub struct Igdb {
     /// `Probes`' product: the probe registry.
     pub probes: Arc<HashMap<u32, ProbeInfo>>,
     /// `Physical`'s product: each PeeringDB facility's metro.
-    fac_metro: Arc<HashMap<u32, usize>>,
+    pub(crate) fac_metro: Arc<HashMap<u32, usize>>,
+    /// `Physical`'s spatial join: the metro of each Atlas node and of each
+    /// facility, per record (`None`: no `phys_nodes` row).
+    pub(crate) atlas_metros: Arc<Vec<Option<usize>>>,
+    pub(crate) fac_metros: Arc<Vec<Option<usize>>>,
     /// `Logical`'s product: the label resolver, network→ASN and IXP maps.
     logical: Arc<LogicalMaps>,
     /// `Physical`'s product: everything built lazily from `phys_conn` and
@@ -155,9 +160,10 @@ pub struct Igdb {
 /// Releases the cell-arena growth slack of the tables a stage that ran
 /// just wrote, so their doubling headroom is returned before later stages
 /// stack their own working set on top — the build's peak RSS then tracks
-/// real rows, not growth history. A shared stage's tables are already
-/// tight (and writing to one would copy it out of the prior world).
-fn compact_tables(db: &mut Database, names: &[&str]) {
+/// real rows, not growth history. A shared stage's tables, and a table a
+/// re-run stage carried whole, are already tight (and writing to one would
+/// copy it out of the prior world).
+fn compact_tables<'a>(db: &mut Database, names: impl IntoIterator<Item = &'a str>) {
     for name in names {
         db.with_table_mut(name, |t| t.shrink_to_fit())
             .expect("table exists");
@@ -235,11 +241,19 @@ struct LogicalMaps {
     /// inputs are the metro registry and `geo_codes` only, so a re-run
     /// `Logical` takes the prior's when both are unchanged.
     labels: Arc<Labels>,
-    net_asn: HashMap<u32, Asn>,
+    /// From `pdb_networks` only.
+    net_asn: Arc<HashMap<u32, Asn>>,
+    /// From `pdb_ix` and the label resolver, with `ixp_prefixes`.
+    ixps: Arc<IxpMaps>,
+}
+
+/// Where each PeeringDB IXP is, by its label.
+#[derive(Default)]
+struct IxpMaps {
     /// IXP id → metro, for `AsnLoc`.
-    ixp_metro: HashMap<u32, usize>,
+    metro: HashMap<u32, usize>,
     /// Peering LAN → metro, for IP resolution, in `pdb_ix` order.
-    ixp_prefix_metro: Vec<(Prefix, usize)>,
+    prefix_metro: Vec<(Prefix, usize)>,
 }
 
 /// One build in flight: the database being filled plus the side products
@@ -256,6 +270,8 @@ struct Pipeline {
     metros: Option<Arc<MetroRegistry>>,
     roads: Option<Arc<RoadGraph>>,
     fac_metro: Arc<HashMap<u32, usize>>,
+    atlas_metros: Arc<Vec<Option<usize>>>,
+    fac_metros: Arc<Vec<Option<usize>>>,
     phys_pairs: Arc<Vec<(usize, usize, f64)>>,
     /// Empty until first use when `Physical` ran.
     derived: Arc<Derived>,
@@ -266,9 +282,21 @@ struct Pipeline {
     hoiho: Option<Arc<HoihoEngine>>,
     rdns: Arc<HashMap<Ip4, igdb_db::Str>>,
     ip_info: Arc<HashMap<Ip4, IpInfo>>,
+    /// The tables a re-run stage took from the prior whole
+    /// ([`Pipeline::carry_table`]), and so does not write.
+    carried_tables: Vec<&'static str>,
     /// The prior's label resolver, when [`Pipeline::carry`] found its
     /// inputs unchanged; `run_logical` takes it instead of building one.
     carried_labels: Option<Arc<Labels>>,
+    /// The prior's network→ASN map and IXP maps, likewise.
+    carried_net_asn: Option<Arc<HashMap<u32, Asn>>>,
+    carried_ixps: Option<Arc<IxpMaps>>,
+    /// The prior's spatial join, when `Physical` re-runs over the prior's
+    /// metro registry.
+    carried_sites: Option<SiteCarry>,
+    /// The prior's name and AS-link rows, when `Logical` re-runs over the
+    /// prior's date.
+    carried_names: Option<NameCarry>,
     /// The prior's road graph, when `Roads` re-runs over the prior's metro
     /// registry: the new graph starts with the memoized roadway payloads
     /// the road change left exact ([`RoadGraph::for_next_epoch`]).
@@ -276,102 +304,6 @@ struct Pipeline {
     /// The prior's traceroute products, when the trace list is the one
     /// input of `Traceroutes` and `IpResolution` that changed.
     carried_traces: Option<TraceCarry>,
-}
-
-/// What a re-run `Traceroutes` and `IpResolution` take from the prior
-/// world when only the trace list changed among their inputs: each new
-/// trace equal to a prior one takes that trace's hop rows, its votes stay
-/// counted in the border map, and each address the prior observed keeps
-/// its rDNS name, anycast flag and location. Only the traces that left or
-/// came are read again. A build without a prior runs the same code with
-/// no trace matched, from an empty border map.
-struct TraceCarry {
-    /// How the new trace list matches the prior's.
-    diff: TraceMatch,
-    /// The prior's trace list.
-    traces: Source<RipeTraceroute>,
-    /// The prior's `traceroutes` table: the hop rows of `traces`, in order.
-    rows: Arc<Table>,
-    /// Where each prior trace's rows start, and (last) where they end.
-    first_row: Vec<usize>,
-    bdrmap: Arc<BdrMap>,
-    ip_info: Arc<HashMap<Ip4, IpInfo>>,
-    /// The prior's `ip_asn_dns` table: one row per address of
-    /// `bdrmap.observed()`, in that order.
-    ip_rows: Arc<Table>,
-}
-
-impl TraceCarry {
-    fn new(world: &Igdb, snaps: &SnapshotSet) -> Self {
-        let traces = world.snapshots.ripe_traceroutes.clone();
-        let diff = match_traces(&traces, &snaps.ripe_traceroutes);
-        let matched = diff.matched.iter().flatten().count();
-        igdb_obs::perf("delta.traces_carried", "", matched as u64);
-        let first_row: Vec<usize> = std::iter::once(0)
-            .chain(traces.iter().scan(0, |row, t| {
-                *row += t.hops.len();
-                Some(*row)
-            }))
-            .collect();
-        let table = |name| world.db.shared_table(name).expect("table exists");
-        let (rows, ip_rows) = (table("traceroutes"), table("ip_asn_dns"));
-        assert_eq!(rows.len(), first_row[traces.len()], "one row per hop");
-        assert_eq!(ip_rows.len(), world.ip_info.len(), "one row per address");
-        TraceCarry {
-            diff,
-            traces,
-            rows,
-            first_row,
-            bdrmap: Arc::clone(&world.bdrmap),
-            ip_info: Arc::clone(&world.ip_info),
-            ip_rows,
-        }
-    }
-
-    /// The prior trace new trace `j` is matched to, if any.
-    fn prior_of(&self, j: usize) -> Option<usize> {
-        self.diff.matched[j]
-    }
-
-    /// The prior's hop rows of that trace.
-    fn prior_rows(&self, j: usize) -> Option<std::ops::Range<usize>> {
-        let i = self.prior_of(j)?;
-        Some(self.first_row[i]..self.first_row[i + 1])
-    }
-}
-
-/// Fills a table partly with copies of a prior table's rows, one
-/// [`Table::extend_from`] per run of consecutive prior rows.
-struct RowCopier<'a> {
-    prior: Option<&'a Table>,
-    /// The prior rows of the current run, not yet copied.
-    run: std::ops::Range<usize>,
-}
-
-impl<'a> RowCopier<'a> {
-    fn new(prior: Option<&'a Table>) -> Self {
-        RowCopier { prior, run: 0..0 }
-    }
-
-    /// Appends the prior's `rows` to `t`, after every row appended before.
-    fn copy(&mut self, t: &mut Table, rows: std::ops::Range<usize>) {
-        if self.run.end == rows.start {
-            self.run.end = rows.end;
-        } else {
-            self.flush(t);
-            self.run = rows;
-        }
-    }
-
-    /// Writes out the pending run: call before inserting a row of one's
-    /// own, and once at the end.
-    fn flush(&mut self, t: &mut Table) {
-        let run = std::mem::replace(&mut self.run, 0..0);
-        if !run.is_empty() {
-            let prior = self.prior.expect("rows copied from a prior table");
-            t.extend_from(prior, run).expect("the prior's rows");
-        }
-    }
 }
 
 /// A trace's responding addresses, in hop order.
@@ -427,6 +359,8 @@ impl Pipeline {
             // a shared `Physical` means both are the prior's.
             Stage::Physical => {
                 self.fac_metro = Arc::clone(&world.fac_metro);
+                self.atlas_metros = Arc::clone(&world.atlas_metros);
+                self.fac_metros = Arc::clone(&world.fac_metros);
                 self.phys_pairs = Arc::clone(&world.phys_pairs);
                 self.derived = Arc::clone(&world.derived);
             }
@@ -444,24 +378,56 @@ impl Pipeline {
     }
 
     /// Takes from `world` each product whose own inputs `delta` left
-    /// unchanged, for a re-run stage to use instead of making it again: the
-    /// label resolver (the metro registry and `geo_codes`) and the Hoiho
-    /// engine (those and `hoiho_rules`). Neither emits a counter, so
-    /// taking one changes no ledger. A re-run `Roads` over the prior's
-    /// metro registry also takes the prior's road graph, to carry the
-    /// roadway payloads its memo settled; `run_physical` replays the
-    /// `spath.queries` tick of every payload it finds settled. When the
-    /// trace list is the one input of `IpResolution` that changed (so the
-    /// date, the metro registry and every other source it reads are the
-    /// prior's, and so is the only other input of `Traceroutes`, the
-    /// date), both stages take the prior's traceroute products
-    /// ([`TraceCarry`]), matched against `snaps`' trace list.
+    /// unchanged, for a re-run stage to use instead of making it again.
+    /// None of them emits a counter, so taking one changes no ledger. Over
+    /// the prior's metro registry (and so the prior's date):
+    ///
+    /// - a re-run `Roads` takes the prior's road graph, to carry the
+    ///   roadway payloads its memo settled (`run_physical` replays the
+    ///   `spath.queries` tick of every payload it finds settled);
+    /// - a re-run `Physical` takes each Atlas node's and facility's metro
+    ///   and row from the prior's spatial join ([`SiteCarry`]), and
+    ///   `phys_nodes` whole when neither site list changed;
+    /// - a re-run `Logical` takes the `asn_name`, `asn_org` and `asn_conn`
+    ///   rows of each record the prior had ([`NameCarry`]), each table
+    ///   whole when none of its sources changed, and the network→ASN map
+    ///   when `pdb_networks` did not;
+    /// - when the trace list is the one input of `IpResolution` that
+    ///   changed (so also the one of `Traceroutes`, besides the date), both
+    ///   stages take the prior's traceroute products ([`TraceCarry`]);
+    /// - with `geo_codes` unchanged too, the label resolver; with `pdb_ix`
+    ///   also unchanged, the IXP maps and `ixp_prefixes` whole; and with
+    ///   `hoiho_rules` also unchanged, the Hoiho engine.
     fn carry(&mut self, world: &Igdb, delta: &SnapshotDelta, snaps: &SnapshotSet) {
         if !delta.shares(Stage::Metros) {
             return;
         }
+        let unchanged = |sources: &[&str]| !sources.iter().any(|s| delta.changed(s));
         if !delta.shares(Stage::Roads) {
             self.carried_roads = Some(Arc::clone(&world.roads));
+        }
+        if !delta.shares(Stage::Physical) {
+            if unchanged(&["atlas_nodes", "pdb_facilities"]) {
+                self.carry_table(world, "phys_nodes");
+            }
+            self.carried_sites = Some(SiteCarry::new(world, delta, snaps));
+        }
+        let relogical = !delta.shares(Stage::Logical);
+        if relogical {
+            let names = ["asrank_entries", "pdb_networks"];
+            for (table, carried) in [
+                ("asn_name", unchanged(&names)),
+                ("asn_org", unchanged(&names) && unchanged(&["pch_ixps"])),
+                ("asn_conn", unchanged(&["asrank_links"])),
+            ] {
+                if carried {
+                    self.carry_table(world, table);
+                }
+            }
+            self.carried_names = Some(NameCarry::new(world, delta, snaps));
+            if unchanged(&["pdb_networks"]) {
+                self.carried_net_asn = Some(Arc::clone(&world.logical.net_asn));
+            }
         }
         if delta.changes_only(Stage::IpResolution, "ripe_traceroutes") {
             self.carried_traces = Some(TraceCarry::new(world, snaps));
@@ -470,9 +436,23 @@ impl Pipeline {
             return;
         }
         self.carried_labels = Some(Arc::clone(&world.logical.labels));
+        if relogical && unchanged(&["pdb_ix"]) {
+            self.carry_table(world, "ixp_prefixes");
+            self.carried_ixps = Some(Arc::clone(&world.logical.ixps));
+        }
         if !delta.changed("hoiho_rules") {
             self.hoiho = Some(Arc::clone(&world.hoiho));
         }
+    }
+
+    /// Takes the prior's table `name` whole into the re-run stage that
+    /// writes it: its rows and index are the prior's, and the stage leaves
+    /// it as it is.
+    fn carry_table(&mut self, world: &Igdb, name: &'static str) {
+        self.db
+            .share_table_from(&world.db, name)
+            .expect("table exists");
+        self.carried_tables.push(name);
     }
 
     fn run_metros(&mut self, snaps: &SnapshotSet) {
@@ -553,65 +533,43 @@ impl Pipeline {
         let date = Value::text(&self.date);
         // Each source is joined as a batch and then inserted: the site index
         // stays cache-resident across the batch (joining row by row between
-        // inserts read ≈ 2 ms slower on the benchmark world's 18).
+        // inserts read ≈ 2 ms slower on the benchmark world's 18). A site
+        // the prior joined takes its metro and row ([`SiteCarry`]).
         let join_span = igdb_obs::span("physical.spatial_join");
-        let mut atlas_node_metro: HashMap<&str, usize> = HashMap::new();
-        let mut fac_metro = HashMap::new();
-        fill(db, "phys_nodes", |t| {
-            let atlas_assignments: Vec<_> = snaps
-                .atlas_nodes
-                .iter()
-                .map(|n| metros.metro_of(&n.loc))
-                .collect();
-            let source = Value::text("internet_atlas");
-            for (n, mid) in snaps.atlas_nodes.iter().zip(atlas_assignments) {
-                let Some(mid) = mid else {
-                    continue;
-                };
-                atlas_node_metro.insert(n.node_name.as_str(), mid);
-                t.insert([
-                    Value::Text(n.node_name.clone()),
-                    Value::Text(n.network.clone()),
-                    Value::Text(n.city_label.clone()),
-                    Value::from(mid),
-                    metros.label_value(mid),
-                    Value::Text(n.country.clone()),
-                    Value::Float(n.loc.lat),
-                    Value::Float(n.loc.lon),
-                    source.clone(),
-                    date.clone(),
-                ])
-                .expect("phys_nodes row");
+        let sites = self.carried_sites.take();
+        let join = |loc: &GeoPoint| metros.metro_of(loc);
+        let atlas_metros = match &sites {
+            Some(c) => c.atlas.metros(&snaps.atlas_nodes, |n| join(&n.loc)),
+            None => Arc::new(snaps.atlas_nodes.iter().map(|n| join(&n.loc)).collect()),
+        };
+        let fac_metros = match &sites {
+            Some(c) => c.facilities.metros(&snaps.pdb_facilities, |f| join(&f.loc)),
+            None => Arc::new(snaps.pdb_facilities.iter().map(|f| join(&f.loc)).collect()),
+        };
+        self.fac_metro = match &sites {
+            Some(c) if c.facilities.unchanged => Arc::clone(&c.fac_metro),
+            _ => {
+                let fac_metro = snaps.pdb_facilities.iter().zip(fac_metros.iter());
+                Arc::new(
+                    fac_metro
+                        .filter_map(|(f, m)| Some((f.fac_id, (*m)?)))
+                        .collect(),
+                )
             }
-            let fac_assignments: Vec<_> = snaps
-                .pdb_facilities
-                .iter()
-                .map(|f| metros.metro_of(&f.loc))
-                .collect();
-            let source = Value::text("peeringdb");
-            for (f, mid) in snaps.pdb_facilities.iter().zip(fac_assignments) {
-                let Some(mid) = mid else {
-                    continue;
-                };
-                fac_metro.insert(f.fac_id, mid);
-                let name = Value::Text(f.name.clone());
-                t.insert([
-                    name.clone(),
-                    name,
-                    Value::Text(f.city_label.clone()),
-                    Value::from(mid),
-                    metros.label_value(mid),
-                    Value::Text(f.country.clone()),
-                    Value::Float(f.loc.lat),
-                    Value::Float(f.loc.lon),
-                    source.clone(),
-                    date.clone(),
-                ])
-                .expect("phys_nodes row");
-            }
-        });
-
+        };
+        if !self.carried_tables.contains(&"phys_nodes") {
+            let site_metros = (&atlas_metros[..], &fac_metros[..]);
+            fill(db, "phys_nodes", |t| {
+                write_sites(t, snaps, metros, site_metros, sites.as_ref(), &date)
+            });
+        }
         drop(join_span);
+        let atlas_node_metro: HashMap<&str, usize> = snaps
+            .atlas_nodes
+            .iter()
+            .zip(atlas_metros.iter())
+            .filter_map(|(n, m)| Some((n.node_name.as_str(), (*m)?)))
+            .collect();
 
         // Atlas edges → shortest right-of-way paths, deduped per metro pair
         // (first-seen order defines the output). Roadway routing — the
@@ -703,7 +661,8 @@ impl Pipeline {
                 .expect("phys_conn row");
             }
         });
-        self.fac_metro = Arc::new(fac_metro);
+        self.atlas_metros = atlas_metros;
+        self.fac_metros = fac_metros;
         self.phys_pairs = Arc::new(phys_pairs);
     }
 
@@ -753,105 +712,108 @@ impl Pipeline {
 
     /// Logical names `asn_name` / `asn_org` (inconsistencies kept),
     /// `asn_conn`, and the IXP prefixes. Makes the label resolver, the
-    /// network→ASN map and the IXP maps.
+    /// network→ASN map and the IXP maps. A record the prior had takes its
+    /// rows ([`NameCarry`]).
     fn run_logical(&mut self, snaps: &SnapshotSet) {
         let (db, metros) = (&mut self.db, made(&self.metros));
         let date = Value::text(&self.date);
-        let (asrank, peeringdb) = (Value::text("asrank"), Value::text("peeringdb"));
-        let labels = self.carried_labels.take();
-        let mut maps = LogicalMaps {
-            labels: labels.unwrap_or_else(|| Arc::new(Labels::new(metros, &snaps.geo_codes))),
-            net_asn: snaps
-                .pdb_networks
-                .iter()
-                .map(|n| (n.net_id, n.asn))
-                .collect(),
-            ..Default::default()
-        };
-        // (asn, name, org, source) of every AS Rank row, then of every
-        // PeeringDB network: the rows of `asn_name` and `asn_org`.
-        let named = || {
-            let asrank_rows = snaps
-                .asrank_entries
-                .iter()
-                .map(|e| (e.asn, &e.as_name, &e.org, &asrank));
-            let pdb_rows = snaps
-                .pdb_networks
-                .iter()
-                .map(|n| (n.asn, &n.as_name, &n.org, &peeringdb));
-            asrank_rows.chain(pdb_rows)
-        };
-        fill(db, "asn_name", |t| {
-            for (asn, name, _, source) in named() {
-                t.insert([
-                    Value::from(asn.0),
-                    Value::text(name),
-                    source.clone(),
-                    date.clone(),
-                ])
-                .expect("asn_name row");
-            }
+        let peeringdb = Value::text("peeringdb");
+        let labels = (self.carried_labels.take())
+            .unwrap_or_else(|| Arc::new(Labels::new(metros, &snaps.geo_codes)));
+        let net_asn = self.carried_net_asn.take().unwrap_or_else(|| {
+            Arc::new(
+                snaps
+                    .pdb_networks
+                    .iter()
+                    .map(|n| (n.net_id, n.asn))
+                    .collect(),
+            )
         });
-        // PCH's spellings, deduplicated per (ASN, org), borrowed from the
-        // snapshot.
-        let mut pch_orgs: BTreeSet<(u32, &str)> = BTreeSet::new();
-        for x in snaps.pch_ixps.iter() {
-            for (asn, org) in x.member_asns.iter().zip(&x.member_orgs) {
-                pch_orgs.insert((asn.0, org.as_str()));
-            }
+        let carry = self.carried_names.take();
+        let carried = &self.carried_tables;
+        let named = |t: &mut Table, copier: &mut RowCopier, org: bool| {
+            write_named(t, copier, snaps, carry.as_ref(), org, &date)
+        };
+        if !carried.contains(&"asn_name") {
+            fill(db, "asn_name", |t| {
+                let mut copier = RowCopier::new(carry.as_ref().map(|c| &*c.names));
+                named(t, &mut copier, false);
+                copier.flush(t);
+            });
         }
-        fill(db, "asn_org", |t| {
-            for (asn, _, org, source) in named() {
-                t.insert([
-                    Value::from(asn.0),
-                    Value::text(org),
-                    source.clone(),
-                    date.clone(),
-                ])
-                .expect("asn_org row");
-            }
-            let pch = Value::text("pch");
-            for (asn, org) in pch_orgs {
-                t.insert([
-                    Value::from(asn),
-                    Value::text(org),
-                    pch.clone(),
-                    date.clone(),
-                ])
-                .expect("asn_org row");
-            }
+        if !carried.contains(&"asn_org") {
+            fill(db, "asn_org", |t| {
+                let mut copier = RowCopier::new(carry.as_ref().map(|c| &*c.orgs));
+                named(t, &mut copier, true);
+                if let Some(rows) = carry.as_ref().and_then(|c| c.pch.clone()) {
+                    copier.copy(t, rows);
+                } else {
+                    copier.flush(t);
+                    // PCH's spellings, deduplicated per (ASN, org),
+                    // borrowed from the snapshot.
+                    let mut pch_orgs: BTreeSet<(u32, &str)> = BTreeSet::new();
+                    for x in snaps.pch_ixps.iter() {
+                        for (asn, org) in x.member_asns.iter().zip(&x.member_orgs) {
+                            pch_orgs.insert((asn.0, org.as_str()));
+                        }
+                    }
+                    let pch = Value::text("pch");
+                    for (asn, org) in pch_orgs {
+                        t.insert([
+                            Value::from(asn),
+                            Value::text(org),
+                            pch.clone(),
+                            date.clone(),
+                        ])
+                        .expect("asn_org row");
+                    }
+                }
+                copier.flush(t);
+            });
+        }
+        if !carried.contains(&"asn_conn") {
+            fill(db, "asn_conn", |t| {
+                t.reserve(snaps.asrank_links.len());
+                let mut copier = RowCopier::new(carry.as_ref().map(|c| &*c.links_rows));
+                let links = carry.as_ref().map(|c| &c.links);
+                for (j, &(a, b)) in snaps.asrank_links.iter().enumerate() {
+                    if copier.carried(t, links, j) {
+                        continue;
+                    }
+                    let asrank = Value::text("asrank");
+                    t.insert([Value::from(a.0), Value::from(b.0), asrank, date.clone()])
+                        .expect("asn_conn row");
+                }
+                copier.flush(t);
+            });
+        }
+        let ixps = self.carried_ixps.take().unwrap_or_else(|| {
+            let mut ixps = IxpMaps::default();
+            fill(db, "ixp_prefixes", |t| {
+                for ix in snaps.pdb_ix.iter() {
+                    let Some(mid) = labels.resolve(&ix.city_label) else {
+                        continue;
+                    };
+                    ixps.metro.insert(ix.ix_id, mid);
+                    ixps.prefix_metro.push((ix.prefix, mid));
+                    t.insert([
+                        Value::text(&ix.name),
+                        Value::text(ix.prefix.to_string()),
+                        Value::from(mid),
+                        metros.label_value(mid),
+                        peeringdb.clone(),
+                        date.clone(),
+                    ])
+                    .expect("ixp_prefixes row");
+                }
+            });
+            Arc::new(ixps)
         });
-        fill(db, "asn_conn", |t| {
-            t.reserve(snaps.asrank_links.len());
-            for &(a, b) in snaps.asrank_links.iter() {
-                t.insert([
-                    Value::from(a.0),
-                    Value::from(b.0),
-                    asrank.clone(),
-                    date.clone(),
-                ])
-                .expect("asn_conn row");
-            }
+        self.logical = Arc::new(LogicalMaps {
+            labels,
+            net_asn,
+            ixps,
         });
-        fill(db, "ixp_prefixes", |t| {
-            for ix in snaps.pdb_ix.iter() {
-                let Some(mid) = maps.labels.resolve(&ix.city_label) else {
-                    continue;
-                };
-                maps.ixp_metro.insert(ix.ix_id, mid);
-                maps.ixp_prefix_metro.push((ix.prefix, mid));
-                t.insert([
-                    Value::text(&ix.name),
-                    Value::text(ix.prefix.to_string()),
-                    Value::from(mid),
-                    metros.label_value(mid),
-                    peeringdb.clone(),
-                    date.clone(),
-                ])
-                .expect("ixp_prefixes row");
-            }
-        });
-        self.logical = Arc::new(maps);
     }
 
     /// `asn_loc`: facilities, IXP memberships, PCH echoes —
@@ -898,7 +860,7 @@ impl Pipeline {
         for nix in snaps.pdb_netix.iter() {
             let (Some(&asn), Some(&mid)) = (
                 logical.net_asn.get(&nix.net_id),
-                logical.ixp_metro.get(&nix.ix_id),
+                logical.ixps.metro.get(&nix.ix_id),
             ) else {
                 continue;
             };
@@ -994,17 +956,16 @@ impl Pipeline {
     fn run_traceroutes(&mut self, snaps: &SnapshotSet) {
         let date = Value::text(&self.date);
         let carry = self.carried_traces.as_ref();
+        let traces = carry.map(|c| &c.traces);
         fill(&mut self.db, "traceroutes", |t| {
             t.reserve(snaps.ripe_traceroutes.iter().map(|tr| tr.hops.len()).sum());
             let source = Value::text("ripe_atlas");
             let mut ip_text: HashMap<Ip4, Value> = HashMap::new();
             let mut copier = RowCopier::new(carry.map(|c| &*c.rows));
             for (j, tr) in snaps.ripe_traceroutes.iter().enumerate() {
-                if let Some(rows) = carry.and_then(|c| c.prior_rows(j)) {
-                    copier.copy(t, rows);
+                if copier.carried(t, traces, j) {
                     continue;
                 }
-                copier.flush(t);
                 for h in &tr.hops {
                     let ip = match h.ip {
                         Some(ip) => ip_text
@@ -1039,12 +1000,12 @@ impl Pipeline {
     fn run_ip_resolution(&mut self, snaps: &SnapshotSet) {
         let (db, metros) = (&mut self.db, made(&self.metros));
         let carry = self.carried_traces.take();
-        let ixp_prefix_metro = &self.logical.ixp_prefix_metro;
+        let ixp_prefix_metro = &self.logical.ixps.prefix_metro;
         let bdr_span = igdb_obs::span("ip_resolution.bdrmap");
         let empty;
         let (prior_map, prior_traces, removed): (&BdrMap, &[RipeTraceroute], &[usize]) =
             match &carry {
-                Some(c) => (&c.bdrmap, &c.traces, &c.diff.removed),
+                Some(c) => (&c.bdrmap, &c.prior, c.traces.removed()),
                 None => {
                     let rib: Vec<(Prefix, Asn)> = snaps
                         .bgp_prefixes
@@ -1060,7 +1021,7 @@ impl Pipeline {
             .ripe_traceroutes
             .iter()
             .enumerate()
-            .filter(|&(j, _)| carry.as_ref().and_then(|c| c.prior_of(j)).is_none())
+            .filter(|&(j, _)| carry.as_ref().and_then(|c| c.traces.prior_of(j)).is_none())
             .map(|(_, t)| hop_ips(t));
         let bdrmap = BdrMap::for_next_epoch(
             prior_map,
@@ -1250,6 +1211,8 @@ impl Pipeline {
             phys_pairs: self.phys_pairs,
             probes: self.probes,
             fac_metro: self.fac_metro,
+            atlas_metros: self.atlas_metros,
+            fac_metros: self.fac_metros,
             logical: self.logical,
             derived: self.derived,
             snapshots,
@@ -1304,20 +1267,22 @@ impl Igdb {
         policy: &BuildPolicy,
     ) -> Result<(Igdb, BuildReport), BuildError> {
         let _span = igdb_obs::span("pipeline");
-        let (screened, report) = Self::screen(snaps, policy)?;
+        let (screened, report) = Self::screen(snaps, policy, None)?;
         Ok((Self::build_staged(screened, None), report))
     }
 
     /// Validation + the two accounting cross-checks shared by
-    /// [`Igdb::try_build`] and [`Igdb::apply_delta`].
+    /// [`Igdb::try_build`] and [`Igdb::apply_delta`] (which passes its
+    /// baseline: see [`validate_against`]).
     fn screen(
         snaps: &SnapshotSet,
         policy: &BuildPolicy,
+        baseline: Option<&SnapshotSet>,
     ) -> Result<(SnapshotSet, BuildReport), BuildError> {
         // The ingestion counters validation ticks on this thread, registry
         // or none.
         let tally = igdb_obs::Tally::open();
-        let (screened, report) = validate(snaps, policy)?;
+        let (screened, report) = validate_against(snaps, policy, baseline)?;
         let ticks = tally.finish();
         let ticked = |name: &str, s: SourceId| {
             ticks
@@ -1406,7 +1371,9 @@ impl Igdb {
             };
             drop(span);
             if shared_from.is_none() && !stage.tables().is_empty() {
-                compact_tables(&mut pipeline.db, stage.tables());
+                let carried = &pipeline.carried_tables;
+                let written = stage.tables().iter().filter(|t| !carried.contains(t));
+                compact_tables(&mut pipeline.db, written.copied());
             }
             sample_rss(stage);
             ledger.push(entry);
@@ -1426,11 +1393,16 @@ impl Igdb {
         &self.snapshots.ripe_traceroutes
     }
 
-    /// Applies a replacement snapshot set incrementally: validate it in
-    /// full (quarantine and ingestion accounting are identical to a
-    /// rebuild's), diff it against the set this world was built from,
-    /// re-run the stages the changed sources reach, and share everything
-    /// every other stage made by reference. A shared `Physical` hands on
+    /// Applies a replacement snapshot set incrementally, at the cost of the
+    /// records it changed: screen the sources it changed and those whose
+    /// checks read a changed one, carrying every other source's screen
+    /// from this world's baseline ([`validate_against`]; quarantine and
+    /// ingestion accounting are identical to a rebuild's); diff it against
+    /// that baseline; re-run the stages the changed sources reach, where a
+    /// re-run stage copies the rows of each record this world already had
+    /// and takes a table none of whose inputs changed whole
+    /// ([`crate::carry`]); and share everything every other stage made by
+    /// reference. A shared `Physical` hands on
     /// the prior's lazily built products (routing graph with its corridor
     /// cache, path geometries, segment index) as they are. A re-run one
     /// starts them empty, except that if the prior had built its graph,
@@ -1457,7 +1429,7 @@ impl Igdb {
             let delta = diff_snapshots(&self.snapshots, &igdb.snapshots);
             return Ok((igdb, report, delta));
         }
-        let (new_set, report) = Self::screen(snaps, policy)?;
+        let (new_set, report) = Self::screen(snaps, policy, Some(&self.snapshots))?;
         let diff_span = igdb_obs::span("delta.diff");
         let delta = diff_snapshots(&self.snapshots, &new_set);
         drop(diff_span);
@@ -1925,13 +1897,18 @@ mod tests {
     /// adjacency the road change touched (and the change cannot shorten a
     /// route). The border map's RIB is handed on with the rest of the
     /// traceroute products when the trace list is the one input of
-    /// `IpResolution` that changed.
+    /// `IpResolution` that changed. The rows a re-run `Physical` or
+    /// `Logical` copies, and the tables it takes whole, follow the same
+    /// rule per record (`carry::tests::assert_rows_carried`, over a prior
+    /// whose rows are marked), a `FacilityChurn` delta copying some
+    /// facility rows and making others.
     #[test]
     fn a_shared_stage_hands_on_every_product_by_reference() {
         use igdb_synth::{generate_delta, DeltaClass};
         let world = World::generate(WorldConfig::tiny());
         let snaps = emit_snapshots(&world, "2022-05-03", 400);
-        let prior = Igdb::build(&snaps);
+        let mut prior = Igdb::build(&snaps);
+        crate::carry::tests::mark_rows(&mut prior);
         let prior_roadways = roadway_cells(&prior);
         let mut redated = snaps.clone();
         redated.as_of_date = "2022-06-01".into();
@@ -2003,6 +1980,12 @@ mod tests {
                 }
             }
             assert!(common > 0, "{ctx}: no roadway pair survived");
+            let sites = crate::carry::tests::assert_rows_carried(p, &w, &delta, &ctx);
+            if ctx == "FacilityChurn" {
+                assert!(sites.0 > 0 && sites.1 > 0, "{ctx}: facility rows {sites:?}");
+            }
+            let ixps = labels_inputs && !delta.changed("pdb_ix");
+            let net_asn = stage(Stage::Metros) && !delta.changed("pdb_networks");
             let products = [
                 (
                     "metros",
@@ -2013,11 +1996,6 @@ mod tests {
                     "roads",
                     stage(Stage::Roads),
                     Arc::ptr_eq(&p.roads, &w.roads),
-                ),
-                (
-                    "fac_metro",
-                    stage(Stage::Physical),
-                    Arc::ptr_eq(&p.fac_metro, &w.fac_metro),
                 ),
                 (
                     "phys_pairs",
@@ -2033,6 +2011,16 @@ mod tests {
                     "logical",
                     stage(Stage::Logical),
                     Arc::ptr_eq(&p.logical, &w.logical),
+                ),
+                (
+                    "ixps",
+                    stage(Stage::Logical) || ixps,
+                    Arc::ptr_eq(&p.logical.ixps, &w.logical.ixps),
+                ),
+                (
+                    "net_asn",
+                    stage(Stage::Logical) || net_asn,
+                    Arc::ptr_eq(&p.logical.net_asn, &w.logical.net_asn),
                 ),
                 (
                     "labels",

@@ -160,7 +160,6 @@ macro_rules! sources {
 
         /// The sources `a` holds as the very records `b` holds, in table
         /// order.
-        #[cfg(test)]
         pub(crate) fn shared_sources(a: &SnapshotSet, b: &SnapshotSet) -> Vec<&'static str> {
             let mut out = Vec::new();
             $(if a.$source.shares(&b.$source) {
@@ -516,77 +515,6 @@ fn diff_source<T: SameRecord>(
     }
 }
 
-/// The traces two lists hold in common, matched one to one by content.
-#[derive(Debug, PartialEq)]
-pub(crate) struct TraceMatch {
-    /// Per trace of the new list, the prior trace it is matched to: one
-    /// equal to it record for record ([`SameRecord`], RTTs by bit
-    /// pattern), and matched to no other new trace.
-    pub matched: Vec<Option<usize>>,
-    /// The prior traces no new trace is matched to, in prior order.
-    pub removed: Vec<usize>,
-}
-
-/// How far past the prior trace after the last match the aligned pass
-/// looks for the next one: the traces removed between two kept ones.
-const MATCH_WINDOW: usize = 8;
-
-/// Matches each trace of `new` to an unused equal trace of `prior`,
-/// whatever order either list is in: a new trace is left unmatched only
-/// when every prior trace equal to it is matched to another, so traces
-/// with equal content are matched as many times as the shorter side holds
-/// them. A churned mesh keeps most traces in order, so an aligned pass
-/// first compares each new trace with the few prior traces after the last
-/// match; the traces it leaves are matched by content, through a hash
-/// index over the prior traces still unused, each hit confirmed by a full
-/// [`SameRecord`] compare.
-pub(crate) fn match_traces(prior: &[RipeTraceroute], new: &[RipeTraceroute]) -> TraceMatch {
-    let mut used = vec![false; prior.len()];
-    let mut matched = vec![None; new.len()];
-    let mut next = 0;
-    for (j, t) in new.iter().enumerate() {
-        let window = next..prior.len().min(next + MATCH_WINDOW);
-        if let Some(i) = window.into_iter().find(|&i| !used[i] && prior[i].same(t)) {
-            used[i] = true;
-            matched[j] = Some(i);
-            next = i + 1;
-        }
-    }
-    if matched.contains(&None) {
-        let mut by_key: Vec<(u64, usize)> = (0..prior.len())
-            .filter(|&i| !used[i])
-            .map(|i| (trace_key(&prior[i]), i))
-            .collect();
-        by_key.sort_unstable();
-        for (t, slot) in new.iter().zip(&mut matched).filter(|(_, m)| m.is_none()) {
-            let key = trace_key(t);
-            let from = by_key.partition_point(|&(k, _)| k < key);
-            let hit = by_key[from..]
-                .iter()
-                .take_while(|&&(k, _)| k == key)
-                .map(|&(_, i)| i)
-                .find(|&i| !used[i] && prior[i].same(t));
-            if let Some(i) = hit {
-                used[i] = true;
-                *slot = Some(i);
-            }
-        }
-    }
-    let removed = (0..prior.len()).filter(|&i| !used[i]).collect();
-    TraceMatch { matched, removed }
-}
-
-/// A hash of everything [`SameRecord`] compares in a trace.
-fn trace_key(t: &RipeTraceroute) -> u64 {
-    let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
-    let mut h = mix(mix(0, t.src_anchor.into()), t.dst_anchor.into());
-    for hop in &t.hops {
-        let ip = hop.ip.map_or(0, |ip| (1 << 32) | u64::from(ip.0));
-        h = mix(mix(h, ip << 8 | u64::from(hop.ttl)), hop.rtt_ms.to_bits());
-    }
-    h
-}
-
 /// Diffs two validated snapshot sets. `old` is the set the current world
 /// was built from; `new` is the validated candidate.
 pub fn diff_snapshots(old: &SnapshotSet, new: &SnapshotSet) -> SnapshotDelta {
@@ -836,52 +764,6 @@ mod tests {
         same_nan.roads = nan.roads.to_vec().into();
         assert!(!same_nan.roads.shares(&nan.roads));
         assert!(diff_snapshots(&nan, &same_nan).is_empty());
-    }
-
-    fn trace(src: u32, rtts: &[f64]) -> RipeTraceroute {
-        RipeTraceroute {
-            src_anchor: src,
-            dst_anchor: 0,
-            hops: rtts
-                .iter()
-                .enumerate()
-                .map(|(i, &rtt_ms)| RipeHop {
-                    ttl: i as u8 + 1,
-                    ip: Some(igdb_net::Ip4(i as u32)),
-                    rtt_ms,
-                })
-                .collect(),
-        }
-    }
-
-    /// Traces match by content, one to one, whatever the order: duplicates
-    /// pair off as far as both sides hold them, and a trace whose RTT went
-    /// from `0.0` to `-0.0` is a different trace.
-    #[test]
-    fn traces_match_one_to_one_by_content() {
-        let (a, b, c) = (trace(1, &[1.0, 2.0]), trace(2, &[3.0]), trace(3, &[0.0]));
-        let prior = [a.clone(), b.clone(), a.clone(), c.clone()];
-        let new = [
-            b.clone(),
-            a.clone(),
-            trace(3, &[-0.0]),
-            a.clone(),
-            a.clone(),
-        ];
-        let m = match_traces(&prior, &new);
-        assert_eq!(m.matched[0], Some(1));
-        assert_eq!(m.matched[2], None, "-0.0 is not 0.0");
-        let mut a_matches = vec![m.matched[1], m.matched[3], m.matched[4]];
-        a_matches.sort();
-        assert_eq!(a_matches, [None, Some(0), Some(2)], "two copies to pair");
-        assert_eq!(m.removed, [3]);
-        // A reversed list matches every trace.
-        let reversed: Vec<RipeTraceroute> = prior.iter().rev().cloned().collect();
-        let m = match_traces(&prior, &reversed);
-        assert!(m.removed.is_empty() && m.matched.iter().all(Option::is_some));
-        for (j, i) in m.matched.iter().enumerate() {
-            assert!(prior[i.unwrap()].same(&reversed[j]));
-        }
     }
 
     #[test]

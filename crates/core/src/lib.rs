@@ -32,6 +32,7 @@
 pub mod analysis;
 pub mod bdrmap;
 pub mod build;
+mod carry;
 pub mod corridor;
 pub mod delta;
 mod derived;

@@ -28,6 +28,7 @@
 //! an old→new remap (references to a quarantined place are themselves
 //! quarantined as dangling).
 
+use std::cell::OnceCell;
 use std::collections::HashSet;
 
 use igdb_db::Str;
@@ -38,6 +39,8 @@ use igdb_fault::{
 use igdb_geo::GeoPoint;
 use igdb_regex::Regex;
 use igdb_synth::sources::{SnapshotSet, Source};
+
+use crate::delta::shared_sources;
 
 /// Rejects non-finite and out-of-WGS-84 coordinates. Clean emitters go
 /// through `GeoPoint::new`, which normalizes into exactly these ranges, so
@@ -73,19 +76,33 @@ fn screen_point(
 /// shared with the caller's until a removal edits one.
 struct Screener<'p> {
     policy: &'p BuildPolicy,
+    /// The sources the caller's set holds as the baseline's very records.
+    kept: Vec<&'static str>,
     quarantine: Quarantine,
     healths: Vec<SourceHealth>,
     out: SnapshotSet,
 }
 
 impl<'p> Screener<'p> {
-    fn new(snaps: &SnapshotSet, policy: &'p BuildPolicy) -> Self {
+    fn new(snaps: &SnapshotSet, policy: &'p BuildPolicy, baseline: Option<&SnapshotSet>) -> Self {
         Self {
             policy,
+            kept: baseline.map_or_else(Vec::new, |b| shared_sources(snaps, b)),
             quarantine: Quarantine::new(),
             healths: Vec::with_capacity(SourceId::ALL.len()),
             out: snaps.clone(),
         }
+    }
+
+    /// Whether `source`'s screen is carried from the baseline: its records
+    /// are the baseline's, and so are those of every source its check
+    /// `reads`. The baseline's screen passed each of them against the same
+    /// records, and a screen passes its own output, so every one would
+    /// pass again.
+    fn carries(&self, source: SourceId, reads: &[SourceId]) -> bool {
+        std::iter::once(&source)
+            .chain(reads)
+            .all(|s| self.kept.contains(&s.name()))
     }
 
     /// Screens one source: runs `check` over every record of `rows` (the
@@ -93,25 +110,34 @@ impl<'p> Screener<'p> {
     /// quarantines failures, applies the policy (fail fast / drop source /
     /// required-source errors), records health, and removes what failed
     /// from the screened set. Returns the quarantined indexes, ascending.
+    /// A screen the baseline carries ([`Screener::carries`], `reads` naming
+    /// the sources `check` reads) runs no check, and then settles every
+    /// record as passed: the health, counters and output a check that
+    /// passes them all yields.
     fn screen<T: Clone>(
         &mut self,
         source: SourceId,
+        reads: &[SourceId],
         rows: &[T],
         field: fn(&mut SnapshotSet) -> &mut Source<T>,
         key_of: impl Fn(&T) -> Option<String>,
         mut check: impl FnMut(&T) -> Result<(), RecordError>,
     ) -> Result<Vec<usize>, BuildError> {
         let mut bad: Vec<(usize, RecordError)> = Vec::new();
-        for (i, r) in rows.iter().enumerate() {
-            if let Err(error) = check(r) {
-                if self.policy.fail_fast {
-                    return Err(BuildError::FaultUnderStrictPolicy {
-                        source,
-                        index: i,
-                        error,
-                    });
+        if self.carries(source, reads) {
+            igdb_obs::perf("validate.screens_carried", source.name(), 1);
+        } else {
+            for (i, r) in rows.iter().enumerate() {
+                if let Err(error) = check(r) {
+                    if self.policy.fail_fast {
+                        return Err(BuildError::FaultUnderStrictPolicy {
+                            source,
+                            index: i,
+                            error,
+                        });
+                    }
+                    bad.push((i, error));
                 }
-                bad.push((i, error));
             }
         }
         if source.required() && rows.is_empty() {
@@ -188,13 +214,31 @@ pub fn validate(
     snaps: &SnapshotSet,
     policy: &BuildPolicy,
 ) -> Result<(SnapshotSet, BuildReport), BuildError> {
+    validate_against(snaps, policy, None)
+}
+
+/// [`validate`], given the screened set an earlier screen returned as a
+/// `baseline`: a source whose records are the baseline's, and whose check
+/// reads only sources whose records are the baseline's too, is not
+/// screened again. Its records all passed that screen, against the same
+/// records, and screening is idempotent on its own output under any
+/// policy, so it settles as a screen passing every record settles. The
+/// result is `validate(snaps, policy)`'s, report, counters and records
+/// alike. A key set a check reads (node names; facility, network, IX and
+/// anchor ids) is built only when that check runs.
+pub fn validate_against(
+    snaps: &SnapshotSet,
+    policy: &BuildPolicy,
+    baseline: Option<&SnapshotSet>,
+) -> Result<(SnapshotSet, BuildReport), BuildError> {
     let _span = igdb_obs::span("validate");
-    let mut s = Screener::new(snaps, policy);
+    let mut s = Screener::new(snaps, policy, baseline);
 
     // Natural Earth first: everything else stands on metro ids, which are
     // indexes into this list.
     let bad_places = s.screen(
         SourceId::NaturalEarth,
+        &[],
         &snaps.natural_earth,
         |o| &mut o.natural_earth,
         |p| Some(p.name.clone()),
@@ -213,6 +257,7 @@ pub fn validate(
 
     s.screen(
         SourceId::Roads,
+        &[SourceId::NaturalEarth],
         &snaps.roads,
         |o| &mut o.roads,
         |seg| Some(format!("{}-{}", seg.a, seg.b)),
@@ -243,6 +288,7 @@ pub fn validate(
     )?;
     s.screen(
         SourceId::GeoCodes,
+        &[SourceId::NaturalEarth],
         &snaps.geo_codes,
         |o| &mut o.geo_codes,
         |(code, _)| Some(code.clone()),
@@ -268,23 +314,23 @@ pub fn validate(
 
     s.screen(
         SourceId::AtlasNodes,
+        &[],
         &snaps.atlas_nodes,
         |o| &mut o.atlas_nodes,
         |n| Some(n.node_name.to_string()),
         |n| screen_point(&n.loc, "lat", "lon"),
     )?;
-    let node_names: HashSet<Str> = s
-        .out
-        .atlas_nodes
-        .iter()
-        .map(|n| n.node_name.clone())
-        .collect();
+    let nodes = s.out.atlas_nodes.clone();
+    let node_names = OnceCell::new();
     s.screen(
         SourceId::AtlasLinks,
+        &[SourceId::AtlasNodes],
         &snaps.atlas_links,
         |o| &mut o.atlas_links,
         |l| Some(format!("{}→{}", l.from_node, l.to_node)),
         |l| {
+            let node_names: &HashSet<Str> =
+                node_names.get_or_init(|| nodes.iter().map(|n| n.node_name.clone()).collect());
             for name in [&l.from_node, &l.to_node] {
                 if !node_names.contains(name) {
                     return Err(RecordError::DanglingRef {
@@ -300,6 +346,7 @@ pub fn validate(
     let mut seen_fac: HashSet<u32> = HashSet::new();
     s.screen(
         SourceId::PdbFacilities,
+        &[],
         &snaps.pdb_facilities,
         |o| &mut o.pdb_facilities,
         |f| Some(f.fac_id.to_string()),
@@ -314,11 +361,16 @@ pub fn validate(
             Ok(())
         },
     )?;
-    let fac_ids: HashSet<u32> = s.out.pdb_facilities.iter().map(|f| f.fac_id).collect();
+    let facilities = s.out.pdb_facilities.clone();
+    let fac_ids = OnceCell::new();
+    let fac_ids = || -> &HashSet<u32> {
+        fac_ids.get_or_init(|| facilities.iter().map(|f| f.fac_id).collect())
+    };
 
     let mut seen_net: HashSet<u32> = HashSet::new();
     s.screen(
         SourceId::PdbNetworks,
+        &[],
         &snaps.pdb_networks,
         |o| &mut o.pdb_networks,
         |n| Some(n.net_id.to_string()),
@@ -332,21 +384,25 @@ pub fn validate(
             Ok(())
         },
     )?;
-    let net_ids: HashSet<u32> = s.out.pdb_networks.iter().map(|n| n.net_id).collect();
+    let networks = s.out.pdb_networks.clone();
+    let net_ids = OnceCell::new();
+    let net_ids =
+        || -> &HashSet<u32> { net_ids.get_or_init(|| networks.iter().map(|n| n.net_id).collect()) };
 
     s.screen(
         SourceId::PdbNetfac,
+        &[SourceId::PdbNetworks, SourceId::PdbFacilities],
         &snaps.pdb_netfac,
         |o| &mut o.pdb_netfac,
         |nf| Some(format!("net {} @ fac {}", nf.net_id, nf.fac_id)),
         |nf| {
-            if !net_ids.contains(&nf.net_id) {
+            if !net_ids().contains(&nf.net_id) {
                 return Err(RecordError::DanglingRef {
                     field: "net_id",
                     key: nf.net_id.to_string(),
                 });
             }
-            if !fac_ids.contains(&nf.fac_id) {
+            if !fac_ids().contains(&nf.fac_id) {
                 return Err(RecordError::DanglingRef {
                     field: "fac_id",
                     key: nf.fac_id.to_string(),
@@ -359,6 +415,7 @@ pub fn validate(
     let mut seen_ix: HashSet<u32> = HashSet::new();
     s.screen(
         SourceId::PdbIx,
+        &[],
         &snaps.pdb_ix,
         |o| &mut o.pdb_ix,
         |ix| Some(ix.ix_id.to_string()),
@@ -372,21 +429,25 @@ pub fn validate(
             Ok(())
         },
     )?;
-    let ix_ids: HashSet<u32> = s.out.pdb_ix.iter().map(|ix| ix.ix_id).collect();
+    let ixs = s.out.pdb_ix.clone();
+    let ix_ids = OnceCell::new();
+    let ix_ids =
+        || -> &HashSet<u32> { ix_ids.get_or_init(|| ixs.iter().map(|ix| ix.ix_id).collect()) };
 
     s.screen(
         SourceId::PdbNetix,
+        &[SourceId::PdbNetworks, SourceId::PdbIx],
         &snaps.pdb_netix,
         |o| &mut o.pdb_netix,
         |nix| Some(format!("net {} @ ix {}", nix.net_id, nix.ix_id)),
         |nix| {
-            if !net_ids.contains(&nix.net_id) {
+            if !net_ids().contains(&nix.net_id) {
                 return Err(RecordError::DanglingRef {
                     field: "net_id",
                     key: nix.net_id.to_string(),
                 });
             }
-            if !ix_ids.contains(&nix.ix_id) {
+            if !ix_ids().contains(&nix.ix_id) {
                 return Err(RecordError::DanglingRef {
                     field: "ix_id",
                     key: nix.ix_id.to_string(),
@@ -398,6 +459,7 @@ pub fn validate(
 
     s.screen(
         SourceId::PchIxps,
+        &[],
         &snaps.pch_ixps,
         |o| &mut o.pch_ixps,
         |x| Some(x.name.clone()),
@@ -419,6 +481,7 @@ pub fn validate(
     // presence (an empty optional source degrades, never errors).
     s.screen(
         SourceId::HeExchanges,
+        &[],
         &snaps.he_exchanges,
         |o| &mut o.he_exchanges,
         |x| Some(x.name.clone()),
@@ -426,6 +489,7 @@ pub fn validate(
     )?;
     s.screen(
         SourceId::EuroIx,
+        &[],
         &snaps.euroix,
         |o| &mut o.euroix,
         |x| Some(x.ix_name.clone()),
@@ -433,6 +497,7 @@ pub fn validate(
     )?;
     s.screen(
         SourceId::Rdns,
+        &[],
         &snaps.rdns,
         |o| &mut o.rdns,
         |r| Some(r.ip.to_string()),
@@ -440,6 +505,7 @@ pub fn validate(
     )?;
     s.screen(
         SourceId::AsRankEntries,
+        &[],
         &snaps.asrank_entries,
         |o| &mut o.asrank_entries,
         |e| Some(e.asn.to_string()),
@@ -447,6 +513,7 @@ pub fn validate(
     )?;
     s.screen(
         SourceId::AsRankLinks,
+        &[],
         &snaps.asrank_links,
         |o| &mut o.asrank_links,
         |&(a, b)| Some(format!("{a}→{b}")),
@@ -456,6 +523,7 @@ pub fn validate(
     let mut seen_anchor: HashSet<u32> = HashSet::new();
     s.screen(
         SourceId::RipeAnchors,
+        &[],
         &snaps.ripe_anchors,
         |o| &mut o.ripe_anchors,
         |a| Some(a.id.to_string()),
@@ -470,10 +538,12 @@ pub fn validate(
             Ok(())
         },
     )?;
-    let anchor_ids: HashSet<u32> = s.out.ripe_anchors.iter().map(|a| a.id).collect();
+    let anchors = s.out.ripe_anchors.clone();
+    let anchor_ids = OnceCell::new();
 
     s.screen(
         SourceId::RipeTraceroutes,
+        &[SourceId::RipeAnchors],
         &snaps.ripe_traceroutes,
         |o| &mut o.ripe_traceroutes,
         |t| Some(format!("{}→{}", t.src_anchor, t.dst_anchor)),
@@ -483,6 +553,8 @@ pub fn validate(
                     detail: "no hops".to_string(),
                 });
             }
+            let anchor_ids: &HashSet<u32> =
+                anchor_ids.get_or_init(|| anchors.iter().map(|a| a.id).collect());
             for anchor in [t.src_anchor, t.dst_anchor] {
                 if !anchor_ids.contains(&anchor) {
                     return Err(RecordError::DanglingRef {
@@ -506,6 +578,7 @@ pub fn validate(
     let mut seen_cable: HashSet<usize> = HashSet::new();
     s.screen(
         SourceId::Telegeo,
+        &[],
         &snaps.telegeo,
         |o| &mut o.telegeo,
         |c| Some(c.cable_id.to_string()),
@@ -530,6 +603,7 @@ pub fn validate(
 
     s.screen(
         SourceId::BgpPrefixes,
+        &[],
         &snaps.bgp_prefixes,
         |o| &mut o.bgp_prefixes,
         |r| Some(r.prefix.to_string()),
@@ -537,6 +611,7 @@ pub fn validate(
     )?;
     s.screen(
         SourceId::AnycastPrefixes,
+        &[],
         &snaps.anycast_prefixes,
         |o| &mut o.anycast_prefixes,
         |p| Some(p.to_string()),
@@ -547,6 +622,7 @@ pub fn validate(
     // it carries its index and pattern like any other bad record.
     s.screen(
         SourceId::HoihoRules,
+        &[],
         &snaps.hoiho_rules,
         |o| &mut o.hoiho_rules,
         |r| Some(r.pattern.clone()),
@@ -566,8 +642,9 @@ pub fn validate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::{shared_sources, SOURCE_USES};
-    use igdb_synth::{emit_snapshots, World, WorldConfig};
+    use crate::delta::{diff_snapshots, SOURCE_USES};
+    use igdb_synth::faults::{inject_faults, FaultClass};
+    use igdb_synth::{emit_snapshots, generate_delta, DeltaClass, World, WorldConfig};
 
     fn snaps() -> SnapshotSet {
         let world = World::generate(WorldConfig::tiny());
@@ -678,6 +755,96 @@ mod tests {
         assert!(h.dropped);
         assert_eq!(h.rows_accepted, 0);
         assert!(report.dropped_sources().contains(&SourceId::PdbNetfac));
+    }
+
+    /// The tiny world's snapshots, made once per test binary.
+    fn base() -> &'static SnapshotSet {
+        static BASE: std::sync::OnceLock<SnapshotSet> = std::sync::OnceLock::new();
+        BASE.get_or_init(snaps)
+    }
+
+    /// `set` with the record-level fault classes `classes` (indexes into
+    /// [`FaultClass::ALL_RECORD_CLASSES`]) injected.
+    fn faulted(set: &SnapshotSet, seed: u64, classes: &[usize]) -> SnapshotSet {
+        let mut set = set.clone();
+        let classes: Vec<FaultClass> = (classes.iter())
+            .map(|&i| FaultClass::ALL_RECORD_CLASSES[i])
+            .collect();
+        inject_faults(&mut set, seed, &classes);
+        set
+    }
+
+    type Screen = Result<(SnapshotSet, BuildReport), BuildError>;
+
+    /// A screen, with the counter stream it ticked.
+    fn screened(
+        snaps: &SnapshotSet,
+        policy: &BuildPolicy,
+        baseline: Option<&SnapshotSet>,
+    ) -> (Screen, String) {
+        let reg = igdb_obs::Registry::new();
+        let out = {
+            let _g = reg.install();
+            validate_against(snaps, policy, baseline)
+        };
+        (out, reg.counter_snapshot())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Screening is idempotent on its own output under any policy: a
+        /// second screen of what a screen of fault-injected input returned
+        /// quarantines nothing and hands back every source it was given.
+        /// A baseline's carried screen rests on this.
+        #[test]
+        fn a_screen_passes_its_own_output(
+            seed in 0u64..1000,
+            faults in proptest::collection::vec(0usize..19, 0..5),
+        ) {
+            let raw = faulted(base(), seed, &faults);
+            let once = validate(&raw, &BuildPolicy::lenient());
+            proptest::prop_assume!(once.is_ok());
+            let (once, _) = once.unwrap();
+            for policy in [BuildPolicy::lenient(), BuildPolicy::strict()] {
+                let (twice, report) = validate(&once, &policy).unwrap();
+                proptest::prop_assert!(report.quarantine().records().is_empty());
+                proptest::prop_assert_eq!(shared_sources(&twice, &once), all_but(&[]));
+            }
+        }
+
+        /// A screen given the screened set of a fault-injected baseline is
+        /// the screen without one — records, report (quarantine order
+        /// included), counters, or typed error — over random deltas of
+        /// that set with faults injected again, under either policy.
+        #[test]
+        fn a_baseline_changes_no_screen(
+            seed in 0u64..1000,
+            base_faults in proptest::collection::vec(0usize..19, 0..4),
+            deltas in proptest::collection::vec(0usize..10, 0..3),
+            next_faults in proptest::collection::vec(0usize..19, 0..4),
+        ) {
+            let raw = faulted(base(), seed, &base_faults);
+            let baseline = validate(&raw, &BuildPolicy::lenient());
+            proptest::prop_assume!(baseline.is_ok());
+            let (baseline, _) = baseline.unwrap();
+            let classes: Vec<DeltaClass> = deltas.iter().map(|&i| DeltaClass::ALL[i]).collect();
+            let (next, _) = generate_delta(&baseline, seed, &classes);
+            let next = faulted(&next, seed + 1, &next_faults);
+            for policy in [BuildPolicy::lenient(), BuildPolicy::strict()] {
+                let (with, with_counters) = screened(&next, &policy, Some(&baseline));
+                let (without, counters) = screened(&next, &policy, None);
+                proptest::prop_assert_eq!(with_counters, counters);
+                match (with, without) {
+                    (Ok((a, ra)), Ok((b, rb))) => {
+                        proptest::prop_assert_eq!(ra, rb);
+                        proptest::prop_assert!(diff_snapshots(&a, &b).is_empty());
+                    }
+                    (Err(a), Err(b)) => proptest::prop_assert_eq!(a, b),
+                    (a, b) => proptest::prop_assert!(false, "{:?} vs {:?}", a.err(), b.err()),
+                }
+            }
+        }
     }
 
     #[test]

@@ -688,7 +688,7 @@ fn run_cases(base: &SnapshotSet, prior: &Igdb, cases: Vec<Case>, carried: (&str,
 /// The trace edits no generated delta makes. Where the trace list is the
 /// one input of IP resolution that changed, the apply carries the prior's
 /// hop rows, border-map votes and per-address resolution
-/// (`delta.traces_carried` counts the traces it matched): an address no
+/// (`delta.records_carried{ripe_traceroutes}` counts the traces it matched): an address no
 /// prior trace held must be resolved in full — its PTR record read from
 /// `rdns` — and an address whose last trace left must leave `ip_asn_dns`
 /// and fall back to plain LPM. With `rdns` or `bgp_prefixes` changed too,
@@ -784,7 +784,12 @@ fn trace_edits_apply_byte_identical_to_rebuild(base: &SnapshotSet, prior: &Igdb)
             carries: false,
         },
     ];
-    run_cases(base, prior, cases, ("delta.traces_carried", ""));
+    run_cases(
+        base,
+        prior,
+        cases,
+        ("delta.records_carried", "ripe_traceroutes"),
+    );
 }
 
 /// `0.0` and `-0.0` are equal as floats but not as cells: the fingerprint
@@ -810,7 +815,12 @@ fn sign_of_zero_edits_apply_byte_identical_to_rebuild(base: &SnapshotSet, prior:
             carries: false,
         },
     ];
-    run_cases(base, prior, cases, ("delta.traces_carried", ""));
+    run_cases(
+        base,
+        prior,
+        cases,
+        ("delta.records_carried", "ripe_traceroutes"),
+    );
 }
 
 /// A roadway pair of `world` whose route has an intermediate metro and no
@@ -1253,6 +1263,155 @@ fn epoch_readers_see_old_or_new_never_torn() {
         seen.extend(r.join().expect("reader clean"));
     }
     assert!(seen.contains(&1), "no reader ever saw the published epoch");
+}
+
+// ---------------------------------------------------------------------------
+// Apply ≡ rebuild over faulty input, and the carries an apply takes
+// ---------------------------------------------------------------------------
+
+/// Applies `next` onto `prior` and rebuilds it, under `lenient` (both
+/// succeed, byte-identical in rows, report, quarantine order and counters)
+/// and under `strict` (both return the same typed error, or both succeed
+/// with the same rows). Returns the lenient apply's perf registry.
+fn assert_apply_is_rebuild(prior: &Igdb, next: &SnapshotSet, ctx: &str) -> Registry {
+    let (_, apply, _) = apply_onto(prior, next);
+    assert_identical(&apply, &rebuild_capture(next), ctx);
+    let strict = BuildPolicy::strict();
+    match (
+        prior.apply_delta(next, &strict),
+        Igdb::try_build(next, &strict),
+    ) {
+        (Err(a), Err(b)) => assert_eq!(a, b, "{ctx}: strict errors"),
+        (Ok((a, _, _)), Ok((b, _))) => {
+            assert_eq!(a.db.fingerprint(), b.db.fingerprint(), "{ctx}: strict")
+        }
+        (a, b) => panic!("{ctx}: strict apply {:?}, rebuild {:?}", a.err(), b.err()),
+    }
+    let reg = Registry::new();
+    {
+        let _g = reg.install();
+        prior.apply_delta(next, &BuildPolicy::lenient()).unwrap();
+    }
+    reg
+}
+
+/// Faults injected on both sides: into the set the prior is built from,
+/// and into a delta of the prior's screened set. Every record-level fault
+/// class appears on each side, with every delta class.
+#[test]
+fn faulty_inputs_apply_as_they_rebuild() {
+    use igdb_synth::faults::{inject_faults, FaultClass};
+    let classes = FaultClass::ALL_RECORD_CLASSES;
+    for (k, faults) in classes.chunks(3).enumerate() {
+        let mut base = base_snaps();
+        inject_faults(&mut base, k as u64, faults);
+        let (prior, report) = Igdb::try_build(&base, &BuildPolicy::lenient()).expect("base builds");
+        assert!(!report.is_clean(), "case {k}: the base holds faults");
+        let deltas = [DeltaClass::ALL[k % 10], DeltaClass::ALL[(k + 3) % 10]];
+        let (mut next, _) = generate_delta(prior.source_snapshots(), k as u64, &deltas);
+        let next_faults: Vec<FaultClass> = (0..3).map(|i| classes[(3 * k + 7 + i) % 19]).collect();
+        inject_faults(&mut next, k as u64 + 100, &next_faults);
+        let ctx = format!("case {k}: {faults:?} then {deltas:?} with {next_faults:?}");
+        assert_apply_is_rebuild(&prior, &next, &ctx);
+    }
+}
+
+/// A source the candidate shares with the baseline is screened again when
+/// its check reads a source that changed: each edit below leaves the
+/// dependent source's records the baseline's own, and makes some of them
+/// dangle. Its screen must not be carried, every screen that reads nothing
+/// changed must be (`validate.screens_carried`), and the apply must equal
+/// the rebuild, which quarantines the dangling records.
+#[test]
+fn a_kept_source_whose_check_reads_a_changed_one_is_screened_again() {
+    type Edit = fn(&mut SnapshotSet);
+    let cases: [(&str, &[&str], Edit); 4] = [
+        ("atlas_links", &["atlas_nodes"], |s| {
+            // A node leaves without the cascade.
+            let gone = s.atlas_links[0].from_node.clone();
+            s.atlas_nodes.retain(|n| n.node_name != gone);
+        }),
+        ("pdb_netfac", &["pdb_facilities"], |s| {
+            // A facility closes, its presences kept.
+            let gone = s.pdb_netfac[0].fac_id;
+            s.pdb_facilities.retain(|f| f.fac_id != gone);
+        }),
+        ("ripe_traceroutes", &["ripe_anchors"], |s| {
+            // An anchor leaves, its traces kept.
+            let gone = s.ripe_traceroutes[0].src_anchor;
+            s.ripe_anchors.retain(|a| a.id != gone);
+        }),
+        ("roads", &["natural_earth"], |s| {
+            // A place every road and geocode id past it is renumbered
+            // around is quarantined.
+            let place = s.roads[0].a;
+            s.natural_earth[place].loc.lat = f64::NAN;
+        }),
+    ];
+    let base = base_snaps();
+    let (prior, _) = Igdb::try_build(&base, &BuildPolicy::lenient()).expect("base builds");
+    for (dependent, changed, edit) in cases {
+        let mut next = prior.source_snapshots().clone();
+        edit(&mut next);
+        let reg = assert_apply_is_rebuild(&prior, &next, dependent);
+        let (_, report) = Igdb::try_build(&next, &BuildPolicy::lenient()).unwrap();
+        let quarantined = |name: &str| {
+            (report.sources().iter())
+                .find(|h| h.source.name() == name)
+                .map_or(0, |h| h.rows_quarantined)
+        };
+        assert!(quarantined(dependent) > 0, "{dependent}: nothing dangles");
+        let carried = |name: &str| reg.perf_value("validate.screens_carried", name) > 0;
+        assert!(!carried(dependent), "{dependent}: screen carried");
+        for source in changed {
+            assert!(!carried(source), "{dependent}: {source} carried");
+        }
+        assert!(carried("hoiho_rules"), "{dependent}: no screen carried");
+        if dependent == "roads" {
+            assert!(!carried("geo_codes"), "geo_codes carried");
+            assert!(quarantined("natural_earth") > 0);
+        }
+    }
+}
+
+/// Each carry a generated delta reaches takes its carry path: a fall-back
+/// to the cold path (nothing matched, a source re-screened for no reason)
+/// fails here, though the bytes would still agree.
+#[test]
+fn applies_take_their_carry_paths() {
+    let base = base_snaps();
+    let (prior, _) = Igdb::try_build(&base, &BuildPolicy::lenient()).expect("base builds");
+    let cases: [(DeltaClass, &[&str]); 5] = [
+        (DeltaClass::AtlasChurn, &["atlas_nodes", "pdb_facilities"]),
+        (DeltaClass::AtlasPrune, &["atlas_nodes", "pdb_facilities"]),
+        (
+            DeltaClass::FacilityChurn,
+            &["atlas_nodes", "pdb_facilities"],
+        ),
+        (
+            DeltaClass::LogicalChurn,
+            &["asrank_entries", "pdb_networks", "asrank_links", "pch_ixps"],
+        ),
+        (DeltaClass::RoadChurn, &["atlas_nodes", "pdb_facilities"]),
+    ];
+    for (class, sources) in cases {
+        let (next, _) = generate_delta(prior.source_snapshots(), 7, &[class]);
+        let reg = assert_apply_is_rebuild(&prior, &next, &format!("{class:?}"));
+        for source in sources {
+            let carried = reg.perf_value("delta.records_carried", source);
+            assert!(carried > 0, "{class:?}: no {source} record carried");
+        }
+        // Every screen that reads no changed source is carried.
+        let delta = igdb_core::diff_snapshots(prior.source_snapshots(), &next);
+        for source in ["pdb_networks", "pdb_ix", "ripe_anchors", "hoiho_rules"] {
+            let carried = reg.perf_value("validate.screens_carried", source) > 0;
+            assert_eq!(
+                carried,
+                !delta.sources.iter().any(|d| d.source == source),
+                "{class:?}: {source}"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
